@@ -8,6 +8,7 @@ from .errors import (
     EmptySetError,
     GraphMismatchError,
     IndexMismatchError,
+    InternalError,
     MaxBlowupsExceededError,
     MonomialConditionError,
     NonIntegerMultiplicityError,

@@ -3,7 +3,8 @@
 Five subcommands: validate, invariants, mult, table, splice-eqs.  Output is
 fully deterministic; rationals are printed as exact "p/q" strings, never as
 floats.  Exit codes: 0 success, 1 input/validation problem, 2 mathematical
-precondition failure, 3 resource cap hit.
+precondition failure, 3 resource cap hit, 4 internal error (a failed
+consistency check, i.e. a bug).
 """
 
 import argparse
@@ -15,6 +16,7 @@ from .errors import (
     BadWeightError,
     CapExceededError,
     GraphMismatchError,
+    InternalError,
     MaxBlowupsExceededError,
     MonomialConditionError,
     NonIntegerMultiplicityError,
@@ -46,6 +48,7 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_CONDITION = 2
 EXIT_CAP = 3
+EXIT_INTERNAL = 4
 
 _INPUT_ERRORS = (ParseError, NotATreeError, NotNegativeDefiniteError,
                  BadWeightError, TooSmallError, UnknownVertexError,
@@ -185,12 +188,13 @@ def _config_from_args(args):
 def cmd_mult(args):
     g = _load_graph(args.graph)
     config = _config_from_args(args)
-    report = monomial_condition(g, dual_cycles(g), config.search_cap)
+    basis = dual_cycles(g)
+    report = monomial_condition(g, basis, config.search_cap)
     if not report.satisfied:
         bad = ", ".join(f"node {e.node} branch {list(e.branch)}"
                         for e in report.failures())
         raise MonomialConditionError(f"monomial condition fails at: {bad}")
-    group = discriminant_group(g)
+    group = discriminant_group(g, basis)
     if args.uac:
         h1 = trivial_subgroup(group, config.group_cap)
     elif args.quotient:
@@ -338,6 +342,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except _CAP_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP

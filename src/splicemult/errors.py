@@ -85,6 +85,11 @@ class MonomialConditionError(SpliceMultError):
     """The graph does not satisfy the monomial condition."""
 
 
+class InternalError(SpliceMultError):
+    """An internal consistency check failed (for example U*A*V != S after a
+    Smith form).  This is always a bug in the package, never bad input."""
+
+
 class NonIntegerMultiplicityError(SpliceMultError):
     """Internal consistency failure: the final multiplicity formula did not
     produce a positive integer.  All arithmetic is exact, so this always

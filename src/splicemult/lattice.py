@@ -15,6 +15,8 @@ from math import gcd, lcm
 from .errors import (
     CapExceededError,
     GraphMismatchError,
+    IndexMismatchError,
+    InternalError,
     UnknownVertexError,
 )
 from .linalg import invert_rational_matrix, mat_vec, smith_normal_form
@@ -134,7 +136,12 @@ def to_dual_coordinates(d):
 
 
 class DualBasis:
-    """The matrix B = (-I)^{-1}; column v holds the coefficients of E_v*."""
+    """The matrix B = (-I)^{-1}; column v holds the coefficients of E_v*.
+
+    The constructor inverts -I exactly.  A blown-up graph's basis instead
+    comes from `pulled_back`, which updates the previous basis in O(n^2)
+    without any inversion.
+    """
 
     __slots__ = ("graph", "matrix", "_duals")
 
@@ -143,6 +150,35 @@ class DualBasis:
         self.graph = graph
         self.matrix = [tuple(row) for row in invert_rational_matrix(neg)]
         self._duals = {}
+
+    @classmethod
+    def pulled_back(cls, history, event, basis):
+        """The dual basis of the graph after `event`, from the one before it.
+
+        Blowing up a point is a pullback pi*, so for an old vertex v,
+        E'_v* = pi*(E_v*): the old entries stay and the new vertex u gets
+        sum_{c in centre} B[c][v].  The new vertex's own dual is
+        E_u* = E_u + sum_{c in centre} pi*(E_c*), whose entry at u is
+        1 + sum_{c, c' in centre} B[c][c'].
+        """
+        k = history.event_index(event)
+        pre, post = history.graph_before(k), history.graph_after(k)
+        if basis.graph != pre:
+            raise IndexMismatchError(
+                "basis is not indexed by the pre-event graph")
+        centre = [pre.index(c) for c in event.center]
+        at_new = [sum(row[c] for c in centre) for row in basis.matrix]
+        p = post.index(event.new_vertex)
+        matrix = [row[:p] + (x,) + row[p:]
+                  for row, x in zip(basis.matrix, at_new)]
+        new_row = list(at_new)
+        new_row.insert(p, 1 + sum(at_new[c] for c in centre))
+        matrix.insert(p, tuple(new_row))
+        obj = cls.__new__(cls)
+        obj.graph = post
+        obj.matrix = matrix
+        obj._duals = {}
+        return obj
 
     def entry(self, a, b):
         """Coefficient of E_a in E_b* (symmetric; equals -E_a* . E_b*)."""
@@ -199,6 +235,8 @@ class DiscriminantGroup:
                  "_slots", "_u", "_uinv")
 
     def __init__(self, graph, basis=None):
+        if basis is not None and basis.graph != graph:
+            raise GraphMismatchError("dual basis was built on another graph")
         self.graph = graph
         self.basis = basis if basis is not None else DualBasis(graph)
         neg = [[-x for x in row] for row in graph.intersection_matrix()]
@@ -212,7 +250,8 @@ class DiscriminantGroup:
         self.order = order
         self._u = self.snf.U
         inv = invert_rational_matrix(self._u)
-        assert all(x.denominator == 1 for row in inv for x in row)
+        if any(x.denominator != 1 for row in inv for x in row):
+            raise InternalError("Smith transform U has a non-integral inverse")
         self._uinv = [[int(x) for x in row] for row in inv]
 
     @property
@@ -355,7 +394,9 @@ def full_subgroup(group, cap=DEFAULT_GROUP_CAP):
     n = len(group.graph)
     gens = [tuple(int(i == j) for j in range(n)) for i in range(n)]
     sub = subgroup(gens, group, cap)
-    assert sub.order == group.order
+    if sub.order != group.order:
+        raise InternalError(
+            f"the dual cycles generate {sub.order} of {group.order} classes")
     return sub
 
 

@@ -9,7 +9,12 @@ resolution graphs (a few dozen vertices).
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import NotSymmetricError, RankDeficientError, SingularMatrixError
+from .errors import (
+    InternalError,
+    NotSymmetricError,
+    RankDeficientError,
+    SingularMatrixError,
+)
 
 
 def identity_matrix(n):
@@ -272,7 +277,8 @@ def smith_normal_form(a):
                     s[k] = [-x for x in s[k]]
                     u[k] = [-x for x in u[k]]
 
-    assert matrices_equal(mat_mul(mat_mul(u, copy_matrix(a)), v), s)
+    if not matrices_equal(mat_mul(mat_mul(u, copy_matrix(a)), v), s):
+        raise InternalError("Smith normal form check U*A*V == S failed")
     return SnfResult(U=u, S=s, V=v)
 
 
@@ -307,7 +313,8 @@ def hermite_normal_form(a):
         r += 1
     if r < rows:
         raise RankDeficientError("matrix does not have full row rank")
-    assert matrices_equal(mat_mul(u, copy_matrix(a)), h)
+    if not matrices_equal(mat_mul(u, copy_matrix(a)), h):
+        raise InternalError("Hermite normal form check U*A == H failed")
     return HnfResult(U=u, H=h)
 
 

@@ -14,6 +14,7 @@ from math import lcm
 from .errors import (
     CapExceededError,
     EmptySetError,
+    InternalError,
     MonomialConditionError,
     UnknownVertexError,
 )
@@ -268,7 +269,8 @@ def branch_cycle(g, basis, w, branch):
     n_i = lcm(*(c.denominator for c in x))
     attach = next(v for v in g.neighbors(w) if v in branch)
     n = n_i * x[pos[attach]]
-    assert n.denominator == 1 and n > 0
+    if n.denominator != 1 or n <= 0:
+        raise InternalError(f"branch multiplier {n} is not a positive integer")
     d = n * basis.dual_cycle(w)
     scaled = {v: n_i * c for v, c in zip(sub_ids, x)}
     d = d + QCycle.from_coefficients(g, scaled)
@@ -315,6 +317,22 @@ class HilbertBasis:
 
     def __getitem__(self, k):
         return self.generators[k]
+
+    def pulled_back(self, basis, end_map):
+        """The same monoid's generators on a blown-up graph.
+
+        The exponent set is a blowup invariant: an old end's dual pulls
+        back (E'_i* = pi*(E_i*)), and the leaf that takes over an end's
+        curve variable pairs with the pulled-back H1 exactly like that end
+        did.  So only the expansions are rebuilt, on the new basis.
+        """
+        if tuple(sorted(end_map)) != self.labels:
+            raise UnknownVertexError("end map does not match the end labels")
+        gens = tuple(monomial_cycle(basis, m.exponents, end_map)
+                     for m in self.generators)
+        return HilbertBasis(graph=basis.graph, labels=self.labels,
+                            end_vertices=tuple(end_map[l] for l in self.labels),
+                            orders=self.orders, generators=gens)
 
 
 def _generator_vectors(g, h1):

@@ -18,7 +18,7 @@ from .errors import (
 )
 from .graph import GraphHistory, is_minimal
 from .lattice import (
-    dual_cycles,
+    DualBasis,
     full_subgroup,
     intersect,
     to_dual_coordinates,
@@ -154,7 +154,8 @@ def check_gcd_condition(g, z, gens):
     so a witness must exist anyway (the full test still runs and the two
     answers are cross-checked by the test suite).
     """
-    zero_dot = {v: z.dot_vertex(v) == 0 for v in g.vertex_ids}
+    zero_dot = {v: x == 0
+                for v, x in zip(g.vertex_ids, to_dual_coordinates(z))}
     results = []
     for v, w in g.edges:
         mv, mw = z.coefficient(v), z.coefficient(w)
@@ -239,8 +240,13 @@ def run_pipeline(g, h1, config=None):
 
     Rounds: Hilbert basis on the current graph, Z = componentwise gcd,
     base-point stage, then edge checks; the lexicographically least failing
-    edge is blown up and everything recomputed.  Terminates with
-    multiplicity = |H/H1| * (-Z.Z), always a positive integer.
+    edge is blown up and the next round starts.  Nothing is rebuilt from
+    scratch after a blowup: the dual basis starts as h1.group.basis and is
+    pulled back through each new event in O(n^2) (DualBasis.pulled_back),
+    and the Hilbert basis is enumerated once, in the first round, after
+    which only its expansions are rebuilt (HilbertBasis.pulled_back).
+    Terminates with multiplicity = |H/H1| * (-Z.Z), always a positive
+    integer.
     """
     config = config or PipelineConfig()
     minimal = is_minimal(g)
@@ -252,21 +258,29 @@ def run_pipeline(g, h1, config=None):
         raise GraphMismatchError("subgroup was built on a different graph")
 
     history = GraphHistory(g)
+    basis = h1.group.basis
     base_decisions = []
     if config.mode == MODE_STRICT:
-        basis0 = dual_cycles(g)
         history, base_decisions = resolve_base_points(
-            history, basis0, h1, None, None, config)
+            history, basis, h1, None, None, config)
 
     rounds = []
+    gens = None
+    pulled = 0  # events already applied to basis
     while True:
-        if len(history.events) > config.max_blowups:
+        events = history.events
+        if len(events) > config.max_blowups:
             raise MaxBlowupsExceededError(
                 f"more than {config.max_blowups} blowups")
+        for event in events[pulled:]:
+            basis = DualBasis.pulled_back(history, event, basis)
+        pulled = len(events)
         current = history.current
-        basis = dual_cycles(current)
-        gens = hilbert_basis(current, basis, h1, end_map=history.end_map,
-                             cap=config.max_box)
+        if gens is None:
+            gens = hilbert_basis(current, basis, h1, end_map=history.end_map,
+                                 cap=config.max_box)
+        else:
+            gens = gens.pulled_back(basis, history.end_map)
         z = gcd_cycle(gens)
         record = RoundRecord(graph=current, generators=gens, z=z,
                              z_dual=to_dual_coordinates(z))

@@ -4,8 +4,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
 
 from splicemult import ResolutionGraph
+
+# Property tests draw the same examples on every run.
+settings.register_profile("deterministic", derandomize=True, database=None,
+                          deadline=None, max_examples=60)
+settings.load_profile("deterministic")
 
 # Two-node tree with |H| = 12: ten vertices, all weights -2 except
 # vertex 6 = -4; ends 1..4, nodes 5 and 8.
@@ -118,6 +124,18 @@ def random_trees(seed, count, max_vertices=8, max_ends=6, max_order=20):
         out.append(g)
     assert len(out) == count, "random graph generation starved"
     return out
+
+
+def end_map_after(history, k):
+    """End index -> vertex carrying its curve variable on the graph after
+    event k, replayed from the recorded events alone."""
+    end_map = {e: e for e in history.initial.ends}
+    for event in history.events[:k + 1]:
+        if event.kind == "end":
+            label = next(l for l, v in end_map.items()
+                         if v == event.center[0])
+            end_map[label] = event.new_vertex
+    return end_map
 
 
 def graph_json(g):

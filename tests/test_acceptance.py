@@ -10,6 +10,7 @@ import time
 from fractions import Fraction
 
 from splicemult import (
+    DualBasis,
     GraphHistory,
     PipelineConfig,
     QCycle,
@@ -32,7 +33,13 @@ from splicemult import (
 )
 from splicemult.linalg import smith_normal_form
 
-from conftest import H12_DUAL_ROWS, H12_TABLE, hilbert_oracle, random_trees
+from conftest import (
+    H12_DUAL_ROWS,
+    H12_TABLE,
+    end_map_after,
+    hilbert_oracle,
+    random_trees,
+)
 
 STRICT = PipelineConfig(mode="strict")
 
@@ -196,13 +203,16 @@ def test_criterion_09_blowup_coherence(tree_h60, a2_chain):
             for d in diag:
                 prod *= d
             assert prod == order
-            # regenerating from scratch equals pulling back
+            # regenerating from scratch (fresh inversion, fresh enumeration)
+            # equals both the pipeline's next round and pulling back
+            fresh = hilbert_basis(post, DualBasis(post), h1,
+                                  end_map_after(history, k))
+            assert report.rounds[k + 1].generators == fresh
             before = report.rounds[k].generators
-            after = report.rounds[k + 1].generators
             prev = {m.exponent_vector(sorted(m.exponents)): m.expansion
                     for m in before}
             new = {m.exponent_vector(sorted(m.exponents)): m.expansion
-                   for m in after}
+                   for m in fresh}
             assert set(prev) == set(new)
             for vec, expansion in prev.items():
                 assert pullback_vertex_cycle(history, event, expansion) \

@@ -1,6 +1,8 @@
 """Command-line interface: exit codes, output determinism, JSON round-trips."""
 
+import ast
 import json
+import pathlib
 
 import pytest
 
@@ -225,3 +227,28 @@ def test_splice_eqs_failure(files, capsys):
     code, _, err = run(capsys, "splice-eqs", files["monofail"])
     assert code == 2
     assert "monomial condition" in err
+
+
+# --- internal errors ----------------------------------------------------------------
+
+
+def test_internal_failure_is_exit_4(files, capsys, monkeypatch):
+    import splicemult.linalg as linalg
+
+    monkeypatch.setattr(linalg, "matrices_equal", lambda a, b: False)
+    code, out, err = run(capsys, "mult", files["h12"], "--uac")
+    assert code == 4
+    assert out == ""
+    assert err.startswith("internal error: Smith normal form check")
+
+
+def test_no_assert_in_source():
+    """Internal checks raise InternalError; `python -O` strips asserts."""
+    import splicemult
+
+    package = pathlib.Path(splicemult.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found = [node.lineno for node in ast.walk(tree)
+                 if isinstance(node, ast.Assert)]
+        assert found == [], f"{path.name} asserts at lines {found}"

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from splicemult import (
     GraphHistory,
@@ -29,6 +30,7 @@ from splicemult.errors import (
     ParseError,
     TooSmallError,
 )
+from splicemult.linalg import is_negative_definite
 
 from conftest import graph_json, random_trees
 
@@ -194,6 +196,30 @@ def test_history_end_map_tracks_blowups(tree_h12):
     # end map is a bijection onto the current ends
     assert sorted(hist.end_map.values()) == sorted(hist.current.ends)
     assert hist.replay() == hist.current
+
+
+@st.composite
+def weighted_trees(draw):
+    """Weights in [-4, -1] on a random tree: often indefinite."""
+    n = draw(st.integers(2, 9))
+    weights = {i: draw(st.integers(-4, -1)) for i in range(1, n + 1)}
+    edges = [(draw(st.integers(1, i - 1)), i) for i in range(2, n + 1)]
+    return weights, edges
+
+
+@given(weighted_trees())
+def test_leaf_first_definiteness_matches_general_test(tree):
+    weights, edges = tree
+    matrix = [[weights[i] if i == j else 0 for j in sorted(weights)]
+              for i in sorted(weights)]
+    for a, b in edges:
+        matrix[a - 1][b - 1] = matrix[b - 1][a - 1] = 1
+    try:
+        ResolutionGraph(weights, edges)
+        accepted = True
+    except NotNegativeDefiniteError:
+        accepted = False
+    assert accepted == is_negative_definite(matrix)
 
 
 # --- pullback ---------------------------------------------------------------------

@@ -4,9 +4,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from splicemult import (
+    DualBasis,
+    GraphHistory,
     QCycle,
+    ResolutionGraph,
     discriminant_group,
     dual_cycles,
     enumerate_subgroups,
@@ -18,7 +22,13 @@ from splicemult import (
     to_dual_coordinates,
     trivial_subgroup,
 )
-from splicemult.errors import CapExceededError, GraphMismatchError
+from splicemult.errors import (
+    CapExceededError,
+    GraphMismatchError,
+    IndexMismatchError,
+    NotNegativeDefiniteError,
+)
+from splicemult.linalg import identity_matrix, mat_mul
 
 from conftest import H12_DUAL_ROWS, random_trees
 
@@ -251,3 +261,55 @@ def test_subgroup_membership_and_pairing_consistency():
             ra, rb = group.representative(a), group.representative(b)
             direct = basis.pairing(ra, rb)
             assert (direct - group.pairing(a, b)).denominator == 1
+
+
+# --- dual basis carried through blowups ---------------------------------------------
+
+
+@st.composite
+def blowup_histories(draw):
+    """A random negative definite tree and a random sequence of edge and
+    end blowups on it.  Vertex ids are multiples of 3, so fresh ids land
+    at the front and in the middle of the sorted vertex order."""
+    n = draw(st.integers(2, 7))
+    weights = {3 * i: draw(st.integers(-6, -1)) for i in range(1, n + 1)}
+    edges = [(3 * draw(st.integers(1, i - 1)), 3 * i) for i in range(2, n + 1)]
+    try:
+        g = ResolutionGraph(weights, edges)
+    except NotNegativeDefiniteError:
+        assume(False)
+    history = GraphHistory(g)
+    for is_edge, pick in draw(st.lists(st.tuples(st.booleans(),
+                                                 st.integers(0, 99)),
+                                       max_size=6)):
+        if is_edge:
+            edges = history.current.edges
+            history.blowup_edge(*edges[pick % len(edges)])
+        else:
+            labels = sorted(history.end_map)
+            history.blowup_end(labels[pick % len(labels)])
+    return history
+
+
+@given(blowup_histories())
+def test_pulled_back_basis_equals_fresh_inversion(history):
+    basis = DualBasis(history.initial)
+    for event in history.events:
+        basis = DualBasis.pulled_back(history, event, basis)
+    g = history.current
+    assert basis.graph == g
+    assert basis.matrix == DualBasis(g).matrix
+    neg = [[-x for x in row] for row in g.intersection_matrix()]
+    assert mat_mul(basis.matrix, neg) == identity_matrix(len(g))
+
+
+def test_pulled_back_rejects_wrong_basis(a2_chain, tree_h12):
+    history = GraphHistory(a2_chain)
+    event = history.blowup_edge(1, 2)
+    with pytest.raises(IndexMismatchError):
+        DualBasis.pulled_back(history, event, DualBasis(tree_h12))
+
+
+def test_discriminant_group_rejects_foreign_basis(a2_chain, tree_h12):
+    with pytest.raises(GraphMismatchError):
+        discriminant_group(a2_chain, dual_cycles(tree_h12))

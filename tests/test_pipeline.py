@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from splicemult import (
+    DualBasis,
     GraphHistory,
     PipelineConfig,
     ResolutionGraph,
@@ -31,7 +32,7 @@ from splicemult.errors import (
     NotMinimalError,
 )
 
-from conftest import H12_TABLE
+from conftest import H12_TABLE, end_map_after
 
 STRICT = PipelineConfig(mode="strict")
 
@@ -249,18 +250,23 @@ def test_mode_equivalence_random():
 
 
 def test_pullback_coherence(tree_h60, a2_chain):
-    """After each edge blowup, generators recomputed from scratch equal the
+    """After each edge blowup, generators recomputed from scratch (fresh
+    inversion and enumeration) equal the pipeline's next round and the
     pullbacks of the previous round's generators."""
     for g in (tree_h60, a2_chain):
         report = _uac(g)
+        h1 = trivial_subgroup(discriminant_group(g))
         for k, event in enumerate(report.history.events):
             assert event.kind == "edge"
+            post = report.history.graph_after(k)
+            fresh = hilbert_basis(post, DualBasis(post), h1,
+                                  end_map_after(report.history, k))
+            assert report.rounds[k + 1].generators == fresh
             before = report.rounds[k]
-            after = report.rounds[k + 1]
             prev = {m.exponent_vector(sorted(m.exponents)): m.expansion
                     for m in before.generators}
             new = {m.exponent_vector(sorted(m.exponents)): m.expansion
-                   for m in after.generators}
+                   for m in fresh}
             assert set(prev) == set(new)
             for vec, expansion in prev.items():
                 pulled = pullback_vertex_cycle(report.history, event,
@@ -268,6 +274,42 @@ def test_pullback_coherence(tree_h60, a2_chain):
                 assert pulled == new[vec]
                 assert to_dual_coordinates(pulled)[:len(expansion.coeffs)] == \
                     to_dual_coordinates(expansion)
+
+
+def test_no_inversion_inside_pipeline(tree_h60, monkeypatch):
+    """The blown-up bases come from pullback, never from a new inversion."""
+    import splicemult.lattice as lattice
+    import splicemult.linalg as linalg
+
+    h1 = trivial_subgroup(discriminant_group(tree_h60))
+    original = linalg.invert_rational_matrix
+    sizes = []
+
+    def counting(a):
+        sizes.append(len(a))
+        return original(a)
+
+    monkeypatch.setattr(linalg, "invert_rational_matrix", counting)
+    monkeypatch.setattr(lattice, "invert_rational_matrix", counting)
+    for config, blowups in ((None, 3), (STRICT, 5)):
+        report = run_pipeline(tree_h60, h1, config)
+        assert len(report.history.events) == blowups
+        assert report.multiplicity == 6
+    assert sizes == []
+    DualBasis(tree_h60)  # the counter does see an inversion
+    assert sizes == [10]
+
+
+def test_uac_star_24_blowups():
+    """UAC of star(-1; -3,-4,-5,-7): the Brieskorn complete intersection
+    V(3,4,5,7), multiplicity 3 * 4 (Neumann 1983), in both modes."""
+    g = ResolutionGraph({1: -1, 2: -3, 3: -4, 4: -5, 5: -7},
+                        [(1, 2), (1, 3), (1, 4), (1, 5)])
+    optimized = _uac(g)
+    strict = _uac(g, STRICT)
+    assert optimized.multiplicity == strict.multiplicity == 12
+    assert len(optimized.history.events) == 24
+    assert len(strict.history.events) == 28
 
 
 # --- guards -----------------------------------------------------------------------
