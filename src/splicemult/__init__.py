@@ -35,7 +35,6 @@ from .graph import (
     graph_from_dict,
     is_minimal,
     parse_and_validate,
-    parse_graph,
     pullback_vertex_cycle,
 )
 from .lattice import (
@@ -49,7 +48,6 @@ from .lattice import (
     flat_subgroup,
     full_subgroup,
     intersect,
-    perp_member,
     subgroup,
     to_dual_coordinates,
     trivial_subgroup,
@@ -67,8 +65,6 @@ from .monomial import (
     HilbertBasis,
     MonomialCycle,
     base_point_set,
-    branch_cycle,
-    coefficient,
     gcd_cycle,
     hilbert_basis,
     monomial_condition,

@@ -66,7 +66,7 @@ def _load_graph(path):
         return parse_and_validate(fh.read())
 
 
-def _load_subgroup(path, graph, group, cap):
+def _load_subgroup(path, graph, group):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
@@ -84,7 +84,7 @@ def _load_subgroup(path, graph, group, cap):
             raise ParseError(
                 f"each generator must be a list of {n} integers "
                 "(sorted-vertex-id order)")
-    return subgroup(gens, group, cap)
+    return subgroup(gens, group)
 
 
 def _fmt_dual_combo(graph, coords):
@@ -189,18 +189,18 @@ def cmd_mult(args):
     g = _load_graph(args.graph)
     config = _config_from_args(args)
     basis = dual_cycles(g)
-    report = monomial_condition(g, basis, config.search_cap)
+    report = monomial_condition(g, basis)
     if not report.satisfied:
         bad = ", ".join(f"node {e.node} branch {list(e.branch)}"
                         for e in report.failures())
         raise MonomialConditionError(f"monomial condition fails at: {bad}")
     group = discriminant_group(g, basis)
     if args.uac:
-        h1 = trivial_subgroup(group, config.group_cap)
+        h1 = trivial_subgroup(group)
     elif args.quotient:
-        h1 = full_subgroup(group, config.group_cap)
+        h1 = full_subgroup(group)
     else:
-        h1 = _load_subgroup(args.subgroup, g, group, config.group_cap)
+        h1 = _load_subgroup(args.subgroup, g, group)
     result = run_pipeline(g, h1, config)
     if args.json:
         _emit_json(result.to_dict())
@@ -233,14 +233,14 @@ def cmd_table(args):
     g = _load_graph(args.graph)
     config = _config_from_args(args)
     basis = dual_cycles(g)
-    report = monomial_condition(g, basis, config.search_cap)
+    report = monomial_condition(g, basis)
     if not report.satisfied:
         raise MonomialConditionError("monomial condition fails")
     group = discriminant_group(g, basis)
     rows = []
-    for h1 in enumerate_subgroups(group, config.group_cap):
+    for h1 in enumerate_subgroups(group):
         result = run_pipeline(g, h1, config)
-        flat = flat_subgroup(h1, config.group_cap)
+        flat = flat_subgroup(h1)
         rows.append({
             "subgroup": _fmt_subgroup(h1),
             "elements": [list(nf) for nf in h1.canonical_elements],

@@ -231,9 +231,6 @@ def parse_and_validate(text):
     return graph_from_dict(obj)
 
 
-parse_graph = parse_and_validate
-
-
 def is_minimal(g):
     """True when no (-1)-vertex of valence <= 2 exists (nothing blow-downable)."""
     return all(g.weight(v) != -1 or g.degree(v) >= 3 for v in g.vertex_ids)
@@ -388,27 +385,6 @@ class GraphHistory:
             if e is event:
                 return k
         raise IndexMismatchError("event does not belong to this history")
-
-    def replay(self):
-        """Re-apply all events from the initial graph (sanity check)."""
-        g = self.initial
-        for event in self._events:
-            if event.kind == "edge":
-                g, ev = blowup_edge(g, *event.center)
-            else:
-                g, ev = blowup_end_point(g, event.center[0])
-            if ev != event:
-                raise IndexMismatchError("recorded event does not replay")
-        return g
-
-    def pullback_to_current(self, cycle):
-        """Pull a cycle on any recorded graph forward to the current graph."""
-        for k, g in enumerate(self._graphs):
-            if cycle.graph == g:
-                for event in self._events[k:]:
-                    cycle = pullback_vertex_cycle(self, event, cycle)
-                return cycle
-        raise IndexMismatchError("cycle does not live on a recorded graph")
 
 
 def pullback_vertex_cycle(history, event, cycle):

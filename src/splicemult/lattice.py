@@ -3,14 +3,16 @@
 The cycle lattice L is freely generated by the vertices; the dual lattice
 L* is generated by the dual cycles E_v* with E_v* . E_w = -delta_vw, i.e.
 the columns of B = (-I)^{-1}.  The finite quotient H = L*/L is computed
-from the Smith normal form of -I and drives all subgroup arithmetic, which
-is done by explicit element enumeration (exactness beats cleverness at the
-orders that occur here).
+from the Smith normal form of -I, which identifies H with Z^r / diag(d) Z^r
+for the invariant factors d.  A subgroup H1 is the lattice between
+diag(d) Z^r and Z^r that is its preimage, stored as a canonical Hermite
+basis: membership, order and index come from that basis, and the elements
+of H1 are listed only when a caller asks for them.
 """
 
 import itertools
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .errors import (
     CapExceededError,
@@ -19,9 +21,16 @@ from .errors import (
     InternalError,
     UnknownVertexError,
 )
-from .linalg import invert_rational_matrix, mat_vec, smith_normal_form
+from .linalg import (
+    _hermite_reduce,
+    invert_rational_matrix,
+    mat_vec,
+    smith_normal_form,
+)
 
-DEFAULT_GROUP_CAP = 5000
+# enumerate_subgroups lists every element of every subgroup for `table`;
+# this bounds that output.
+ENUMERATION_CAP = 5000
 
 
 class QCycle:
@@ -33,7 +42,8 @@ class QCycle:
         if len(coeffs) != len(graph):
             raise GraphMismatchError("coefficient count != vertex count")
         self.graph = graph
-        self.coeffs = tuple(Fraction(c) for c in coeffs)
+        self.coeffs = tuple(c if type(c) is Fraction else Fraction(c)
+                            for c in coeffs)
 
     @classmethod
     def zero(cls, graph):
@@ -232,7 +242,7 @@ class DiscriminantGroup:
     """
 
     __slots__ = ("graph", "basis", "snf", "invariant_factors", "order",
-                 "_slots", "_u", "_uinv")
+                 "_slots", "_u", "_rep_columns")
 
     def __init__(self, graph, basis=None):
         if basis is not None and basis.graph != graph:
@@ -244,15 +254,19 @@ class DiscriminantGroup:
         diag = self.snf.diagonal()
         self._slots = tuple(j for j, d in enumerate(diag) if d > 1)
         self.invariant_factors = tuple(diag[j] for j in self._slots)
-        order = 1
-        for d in diag:
-            order *= d
-        self.order = order
+        self.order = prod(diag)
         self._u = self.snf.U
-        inv = invert_rational_matrix(self._u)
-        if any(x.denominator != 1 for row in inv for x in row):
-            raise InternalError("Smith transform U has a non-integral inverse")
-        self._uinv = [[int(x) for x in row] for row in inv]
+        # U^{-1} = (-I) V S^{-1}, so its slot columns are ((-I) V)[:, j] / d_j.
+        v = self.snf.V
+        columns = []
+        for j, d in zip(self._slots, self.invariant_factors):
+            col = [sum(x * row[j] for x, row in zip(neg_row, v))
+                   for neg_row in neg]
+            if any(x % d for x in col):
+                raise InternalError(
+                    "Smith transform U has a non-integral inverse")
+            columns.append([x // d for x in col])
+        self._rep_columns = tuple(columns)
 
     @property
     def zero(self):
@@ -266,29 +280,17 @@ class DiscriminantGroup:
 
     def representative(self, nf):
         """An integer dual-coordinate vector projecting onto the normal form."""
-        n = len(self.graph)
-        y = [0] * n
-        for j, val in zip(self._slots, nf):
-            y[j] = val
-        return tuple(mat_vec(self._uinv, y))
-
-    def add(self, a, b):
-        return tuple((x + y) % d for x, y, d in
-                     zip(a, b, self.invariant_factors))
-
-    def negate(self, a):
-        return tuple((-x) % d for x, d in zip(a, self.invariant_factors))
+        out = [0] * len(self.graph)
+        for val, col in zip(nf, self._rep_columns):
+            if val:
+                out = [a + val * b for a, b in zip(out, col)]
+        return tuple(out)
 
     def element_order(self, nf):
         out = 1
         for x, d in zip(nf, self.invariant_factors):
             out = lcm(out, d // gcd(d, x))
         return out
-
-    def elements(self):
-        """All normal forms, in lexicographic order."""
-        return [tuple(t) for t in
-                itertools.product(*[range(d) for d in self.invariant_factors])]
 
     def pairing(self, nf1, nf2):
         """The linking pairing H x H -> Q/Z, returned as a Fraction in [0, 1)."""
@@ -303,154 +305,199 @@ def discriminant_group(g, basis=None):
 
 
 class SubgroupData:
-    """A subgroup of the discriminant group with its full element set."""
+    """A subgroup H1 of the discriminant group, stored as a lattice.
 
-    __slots__ = ("group", "generators", "elements", "order", "index",
+    `hnf` is the canonical Hermite basis of the preimage of H1 in the Smith
+    coordinates Z^r.  The preimage contains diag(d) Z^r, so the basis is
+    upper triangular with pivots p_i dividing d_i, and [H : H1] = prod p_i.
+    """
+
+    __slots__ = ("group", "generators", "hnf", "order", "index",
                  "_canonical")
 
-    def __init__(self, group, generators, elements):
+    def __init__(self, group, generators):
         self.group = group
         self.generators = tuple(tuple(_as_vector(group.graph, g))
                                 for g in generators)
-        self.elements = frozenset(elements)
-        self.order = len(self.elements)
-        if group.order % self.order:
-            raise ValueError("element set size does not divide |H|")
-        self.index = group.order // self.order
+        self.hnf = _preimage_basis(group.invariant_factors,
+                                   [group.project(g) for g in self.generators])
+        self.index = _pivot_product(self.hnf)
+        self.order = group.order // self.index
         self._canonical = None
 
     @property
     def canonical_elements(self):
+        """The elements in lexicographic order: sum c_i * row_i mod d over
+        0 <= c_i < d_i / p_i, one normal form per coset of diag(d) Z^r."""
         if self._canonical is None:
-            self._canonical = tuple(sorted(self.elements))
+            d = self.group.invariant_factors
+            ranges = [range(di // row[i])
+                      for i, (di, row) in enumerate(zip(d, self.hnf))]
+            self._canonical = tuple(sorted(
+                tuple(sum(c * row[j] for c, row in zip(cs, self.hnf)) % dj
+                      for j, dj in enumerate(d))
+                for cs in itertools.product(*ranges)))
         return self._canonical
 
-    def contains(self, nf):
-        return nf in self.elements
+    @property
+    def elements(self):
+        return frozenset(self.canonical_elements)
 
-    def contains_vector(self, coords):
-        return self.group.project(coords) in self.elements
+    def contains(self, nf):
+        return _lattice_contains(self.hnf, nf)
 
     def minimal_generators(self):
         """Small deterministic generating set (highest order first)."""
         grp = self.group
         chosen = []
-        span = {grp.zero}
-        for nf in sorted(self.elements,
+        span = _preimage_basis(grp.invariant_factors, chosen)
+        for nf in sorted(self.canonical_elements,
                          key=lambda e: (-grp.element_order(e), e)):
-            if nf in span:
+            if _pivot_product(span) == self.index:
+                break
+            if _lattice_contains(span, nf):
                 continue
             chosen.append(nf)
-            span = _closure(grp, chosen)
-            if len(span) == self.order:
-                break
+            span = _preimage_basis(grp.invariant_factors, chosen)
         return tuple(chosen)
 
     def __eq__(self, other):
         return (isinstance(other, SubgroupData)
                 and self.group.graph == other.group.graph
-                and self.elements == other.elements)
+                and self.hnf == other.hnf)
 
     def __hash__(self):
-        return hash((self.group.graph, self.elements))
+        return hash((self.group.graph, self.hnf))
 
     def __repr__(self):
         return f"SubgroupData(order={self.order}, index={self.index})"
 
 
-def _closure(group, generator_nfs):
-    """Additive closure of the given normal forms (contains zero)."""
-    elems = {group.zero}
-    frontier = [group.zero]
-    while frontier:
-        x = frontier.pop()
-        for g in generator_nfs:
-            y = group.add(x, g)
-            if y not in elems:
-                elems.add(y)
-                frontier.append(y)
-    return elems
+def _preimage_basis(factors, nfs):
+    """Canonical Hermite basis of the lattice spanned by the normal forms
+    and diag(factors); it has full rank, so its first r rows are the basis."""
+    r = len(factors)
+    rows = [list(nf) for nf in nfs]
+    rows += [[d * (i == j) for j in range(r)] for i, d in enumerate(factors)]
+    _, h, _ = _hermite_reduce(rows)
+    return tuple(tuple(row) for row in h[:r])
 
 
-def _check_cap(group, cap):
-    if group.order > cap:
-        raise CapExceededError(
-            f"|H| = {group.order} exceeds the enumeration cap {cap}")
+def _pivot_product(hnf):
+    """Index of the lattice in Z^r: the product of the Hermite pivots."""
+    return prod(row[i] for i, row in enumerate(hnf))
 
 
-def subgroup(generators, group, cap=DEFAULT_GROUP_CAP):
+def _lattice_contains(hnf, x):
+    """Membership in an upper triangular lattice basis by back substitution."""
+    x = list(x)
+    for i, row in enumerate(hnf):
+        q, rem = divmod(x[i], row[i])
+        if rem:
+            return False
+        if q:
+            x = [a - q * b for a, b in zip(x, row)]
+    return True
+
+
+def subgroup(generators, group):
     """Subgroup of H generated by dual-coordinate integer vectors."""
-    _check_cap(group, cap)
-    nfs = [group.project(g) for g in generators]
-    return SubgroupData(group, generators, _closure(group, nfs))
+    return SubgroupData(group, generators)
 
 
-def trivial_subgroup(group, cap=DEFAULT_GROUP_CAP):
-    return subgroup([], group, cap)
+def trivial_subgroup(group):
+    return subgroup([], group)
 
 
-def full_subgroup(group, cap=DEFAULT_GROUP_CAP):
+def full_subgroup(group):
     """H itself, generated by the classes of all dual cycles E_v*."""
     n = len(group.graph)
     gens = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    sub = subgroup(gens, group, cap)
+    sub = subgroup(gens, group)
     if sub.order != group.order:
         raise InternalError(
             f"the dual cycles generate {sub.order} of {group.order} classes")
     return sub
 
 
-def perp_member(coords, h1):
-    """Whether the class of sum coords_v E_v* pairs integrally with H1.
+def _reduced(group, row):
+    return tuple(x % d for x, d in zip(row, group.invariant_factors))
 
-    This is the computational content of membership in Theta^{-1}(H1-perp):
-    a character is trivial on H1 exactly when all pairings against the
-    generators are integers.
+
+def flat_subgroup(h1):
+    """H1-flat: all classes of H pairing integrally with every element of H1.
+
+    In Smith coordinates, x lies in H1-flat exactly when
+    sum_j x_j * b(e_j, h) is an integer for every Hermite row h of H1.
+    Over a common denominator D these are congruences A x = 0 mod D, whose
+    solutions are the first r coordinates of the integer left kernel of the
+    stacked matrix [A^T; D * Id].
     """
-    basis = h1.group.basis
-    return all(basis.pairing(coords, g).denominator == 1
-               for g in h1.generators)
-
-
-def flat_subgroup(h1, cap=DEFAULT_GROUP_CAP):
-    """H1-flat: all classes of H pairing integrally with every element of H1."""
     group = h1.group
-    _check_cap(group, cap)
-    kept = []
-    for nf in group.elements():
-        rep = group.representative(nf)
-        if all(group.basis.pairing(rep, g).denominator == 1
-               for g in h1.generators):
-            kept.append(nf)
-    data = SubgroupData(group, [], kept)
-    gens = [group.representative(nf) for nf in data.minimal_generators()]
-    return SubgroupData(group, gens, kept)
+    r = len(group.invariant_factors)
+    units = [tuple(int(i == j) for j in range(r)) for i in range(r)]
+    pairs = [[group.pairing(e, h) for h in h1.hnf] for e in units]
+    den = lcm(1, *(x.denominator for row in pairs for x in row))
+    stacked = [[int(x * den) for x in row] for row in pairs]
+    stacked += [[den * (i == j) for j in range(r)] for i in range(r)]
+    u, _, rank = _hermite_reduce(stacked)
+    gens = [group.representative(_reduced(group, row[:r]))
+            for row in u[rank:]]
+    flat = SubgroupData(group, gens)
+    if flat.order * h1.order != group.order:
+        raise InternalError(
+            f"|H1| * |H1-flat| = {h1.order} * {flat.order} != |H|")
+    return flat
 
 
-def enumerate_subgroups(group, cap=DEFAULT_GROUP_CAP):
-    """Every subgroup of H exactly once, deterministically ordered.
+def _torsion_tails(below, m, start):
+    """Every t with 0 <= t_j < p_j and m * t in the span of `below`.
 
-    Brute-force closure search; order is (subgroup order, sorted element
-    list).
+    `below` is a canonical Hermite basis whose row k has its pivot p_k at
+    column start + k.  Column by column, m * t_c must equal acc_c + q * p_k
+    for the combination acc of earlier rows, a linear congruence in t_c.
     """
-    _check_cap(group, cap)
-    all_elems = group.elements()
-    trivial = frozenset({group.zero})
-    seen = {trivial}
-    queue = [trivial]
-    while queue:
-        current = queue.pop()
-        gens = sorted(current)
-        for x in all_elems:
-            if x in current:
+    partial = [((), (0,) * (start + len(below)))]
+    for k, row in enumerate(below):
+        c, p = start + k, row[start + k]
+        g = gcd(m, p)
+        step = p // g
+        nxt = []
+        for t, acc in partial:
+            if acc[c] % g:
                 continue
-            bigger = frozenset(_closure(group, gens + [x]))
-            if bigger not in seen:
-                seen.add(bigger)
-                queue.append(bigger)
+            first = (acc[c] // g) * pow(m // g, -1, step) % step
+            for x in range(first, p, step):
+                q = (m * x - acc[c]) // p
+                nxt.append((t + (x,),
+                            tuple(a + q * b for a, b in zip(acc, row))))
+        partial = nxt
+    return [t for t, _ in partial]
+
+
+def enumerate_subgroups(group):
+    """Every subgroup of H exactly once, ordered by (order, sorted elements).
+
+    Subgroups correspond one-to-one to the canonical Hermite bases of the
+    lattices between diag(d) Z^r and Z^r.  These are built from the last
+    row up: row i is (0, ..., 0, p, t) with p | d_i and 0 <= t_j < p_j, and
+    it must put d_i e_i into the lattice, i.e. (d_i / p) * t must lie in the
+    span of the rows below it.
+    """
+    if group.order > ENUMERATION_CAP:
+        raise CapExceededError(f"|H| = {group.order} exceeds the "
+                               f"enumeration cap {ENUMERATION_CAP}")
+    d = group.invariant_factors
+    bases = [()]
+    for i in reversed(range(len(d))):
+        bases = [((0,) * i + (p,) + t,) + below
+                 for below in bases
+                 for p in range(1, d[i] + 1) if d[i] % p == 0
+                 for t in _torsion_tails(below, d[i] // p, i + 1)]
     out = []
-    for elems in sorted(seen, key=lambda s: (len(s), sorted(s))):
-        data = SubgroupData(group, [], elems)
-        gens = [group.representative(nf) for nf in data.minimal_generators()]
-        out.append(SubgroupData(group, gens, elems))
+    for hnf in bases:
+        nfs = [_reduced(group, row) for row in hnf]
+        out.append(SubgroupData(group, [group.representative(nf)
+                                        for nf in nfs if any(nf)]))
+    out.sort(key=lambda s: (s.order, s.canonical_elements))
     return out

@@ -282,12 +282,13 @@ def smith_normal_form(a):
     return SnfResult(U=u, S=s, V=v)
 
 
-def hermite_normal_form(a):
-    """Canonical row Hermite normal form of a full-row-rank integer matrix.
+def _hermite_reduce(a):
+    """Row-reduce an integer matrix to canonical Hermite form.
 
-    Returns HnfResult(U, H) with U*A = H, U unimodular, pivots positive and
-    entries above each pivot reduced into [0, pivot).  Raises
-    RankDeficientError when the rows are dependent over the rationals.
+    Returns (U, H, rank) with U*A = H and U unimodular.  The first `rank`
+    rows of H are the echelon rows, with positive pivots and entries above
+    each pivot reduced into [0, pivot); the remaining rows are zero, so the
+    matching rows of U span the left kernel of A.
     """
     rows = len(a)
     cols = len(a[0]) if rows else 0
@@ -311,7 +312,18 @@ def hermite_normal_form(a):
                 h[i] = [x - q * y for x, y in zip(h[i], h[r])]
                 u[i] = [x - q * y for x, y in zip(u[i], u[r])]
         r += 1
-    if r < rows:
+    return u, h, r
+
+
+def hermite_normal_form(a):
+    """Canonical row Hermite normal form of a full-row-rank integer matrix.
+
+    Returns HnfResult(U, H) with U*A = H, U unimodular, pivots positive and
+    entries above each pivot reduced into [0, pivot).  Raises
+    RankDeficientError when the rows are dependent over the rationals.
+    """
+    u, h, rank = _hermite_reduce(a)
+    if rank < len(a):
         raise RankDeficientError("matrix does not have full row rank")
     if not matrices_equal(mat_mul(u, copy_matrix(a)), h):
         raise InternalError("Hermite normal form check U*A == H failed")

@@ -14,7 +14,6 @@ from math import lcm
 from .errors import (
     CapExceededError,
     EmptySetError,
-    InternalError,
     MonomialConditionError,
     UnknownVertexError,
 )
@@ -23,11 +22,6 @@ from .lattice import QCycle, _as_vector
 
 DEFAULT_BOX_CAP = 10 ** 8
 DEFAULT_SEARCH_CAP = 2_000_000
-
-
-def coefficient(d, v):
-    """M_v(D): the coefficient of E_v in the cycle D."""
-    return d.coefficient(v)
 
 
 class MonomialCycle:
@@ -236,45 +230,6 @@ def monomial_condition(g, basis, cap=DEFAULT_SEARCH_CAP):
                 witnesses=tuple(witnesses),
             ))
     return MonomialConditionReport(graph=g, entries=tuple(entries))
-
-
-# --- branch cycles (node duals relative to one branch) -------------------------
-
-
-def branch_cycle(g, basis, w, branch):
-    """The cycle D = n_i E^x + n E_w* attached to a branch of w.
-
-    E^x is the dual of the smallest end inside the branch, taken in the
-    subgraph induced on the branch; n_i clears its denominators and
-    n = (n_i E^x) . E_w.  Then D - n E_w* is effective, integral and
-    supported on the branch.
-    """
-    from .linalg import invert_rational_matrix
-
-    branch = frozenset(branch)
-    if branch not in set(branches(g, w)):
-        raise ValueError(f"{sorted(branch)} is not a branch of {w}")
-    sub_ids = sorted(branch)
-    pos = {v: i for i, v in enumerate(sub_ids)}
-    neg = [[0] * len(sub_ids) for _ in sub_ids]
-    for i, v in enumerate(sub_ids):
-        neg[i][i] = -g.weight(v)
-        for u in g.neighbors(v):
-            if u in pos:
-                neg[i][pos[u]] = -1
-    end_in_branch = min(e for e in g.ends if e in branch)
-    column = pos[end_in_branch]
-    inv = invert_rational_matrix(neg)
-    x = [row[column] for row in inv]
-    n_i = lcm(*(c.denominator for c in x))
-    attach = next(v for v in g.neighbors(w) if v in branch)
-    n = n_i * x[pos[attach]]
-    if n.denominator != 1 or n <= 0:
-        raise InternalError(f"branch multiplier {n} is not a positive integer")
-    d = n * basis.dual_cycle(w)
-    scaled = {v: n_i * c for v, c in zip(sub_ids, x)}
-    d = d + QCycle.from_coefficients(g, scaled)
-    return int(n), d
 
 
 # --- base points ----------------------------------------------------------------

@@ -35,15 +35,12 @@ class PipelineConfig:
     mode: str = MODE_OPTIMIZED
     max_blowups: int = 64
     max_box: int = 10 ** 8
-    group_cap: int = 5000
-    search_cap: int = 2_000_000
     allow_non_minimal: bool = False
 
     def __post_init__(self):
         if self.mode not in (MODE_STRICT, MODE_OPTIMIZED):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if min(self.max_blowups, self.max_box, self.group_cap,
-               self.search_cap) <= 0:
+        if min(self.max_blowups, self.max_box) <= 0:
             raise ValueError("caps must be positive")
 
 
@@ -208,7 +205,7 @@ def _optimized_end_decisions(history, basis, z, gens):
     return decisions, blow_label
 
 
-def resolve_base_points(graph_or_history, basis, h1, z, gens, config):
+def resolve_base_points(graph_or_history, basis, z, gens, config):
     """Base-point stage of one round, in the configured mode.
 
     Strict mode ignores z/gens and blows up every base point of the current
@@ -262,7 +259,7 @@ def run_pipeline(g, h1, config=None):
     base_decisions = []
     if config.mode == MODE_STRICT:
         history, base_decisions = resolve_base_points(
-            history, basis, h1, None, None, config)
+            history, basis, None, None, config)
 
     rounds = []
     gens = None
@@ -288,7 +285,7 @@ def run_pipeline(g, h1, config=None):
         if config.mode == MODE_OPTIMIZED:
             before = len(history.events)
             history, decisions = resolve_base_points(
-                history, basis, h1, z, gens, config)
+                history, basis, z, gens, config)
             record.end_decisions = tuple(decisions)
             base_decisions.extend(decisions)
             if len(history.events) > before:
@@ -339,4 +336,4 @@ def multiplicity_of_quotient(g, config=None, group=None):
     config = config or PipelineConfig()
     if group is None:
         group = discriminant_group(g)
-    return run_pipeline(g, full_subgroup(group, config.group_cap), config)
+    return run_pipeline(g, full_subgroup(group), config)

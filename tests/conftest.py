@@ -138,6 +138,59 @@ def end_map_after(history, k):
     return end_map
 
 
+def star(centre, arms):
+    """Star graph: vertex 1 of weight `centre` joined to one leaf per arm."""
+    weights = {1: centre}
+    weights.update({k: w for k, w in enumerate(arms, start=2)})
+    return ResolutionGraph(weights, [(1, k) for k in weights if k != 1])
+
+
+def closure(group, nfs):
+    """Brute-force additive closure of normal forms in H (contains zero)."""
+    factors = group.invariant_factors
+    elems = {group.zero}
+    frontier = [group.zero]
+    while frontier:
+        x = frontier.pop()
+        for g in nfs:
+            y = tuple((a + b) % d for a, b, d in zip(x, g, factors))
+            if y not in elems:
+                elems.add(y)
+                frontier.append(y)
+    return frozenset(elems)
+
+
+def subgroups_oracle(group):
+    """Every subgroup of H as an element set, found by closing each known
+    subgroup under one more element until nothing new appears."""
+    import itertools
+
+    everything = list(itertools.product(*map(range, group.invariant_factors)))
+    seen = {closure(group, [])}
+    queue = list(seen)
+    while queue:
+        current = queue.pop()
+        for x in everything:
+            if x not in current:
+                bigger = closure(group, sorted(current) + [x])
+                if bigger not in seen:
+                    seen.add(bigger)
+                    queue.append(bigger)
+    return seen
+
+
+def perp_member(coords, h1):
+    """Whether the class of sum coords_v E_v* pairs integrally with H1.
+
+    This is the computational content of membership in Theta^{-1}(H1-perp):
+    a character is trivial on H1 exactly when all pairings against the
+    generators are integers.
+    """
+    basis = h1.group.basis
+    return all(basis.pairing(coords, g).denominator == 1
+               for g in h1.generators)
+
+
 def graph_json(g):
     import json
 

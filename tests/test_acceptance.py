@@ -224,7 +224,7 @@ def test_criterion_10_base_point_closure(tree_h12):
     basis = dual_cycles(tree_h12)
     assert base_point_set(tree_h12, basis) == {3, 4}
     history, decisions = resolve_base_points(
-        GraphHistory(tree_h12), basis, None, None, None, STRICT)
+        GraphHistory(tree_h12), basis, None, None, STRICT)
     assert sorted(d.end for d in decisions) == [3, 4]
     blown = history.current
     assert base_point_set(blown, dual_cycles(blown)) == frozenset()

@@ -8,7 +8,7 @@ import pytest
 
 from splicemult.cli import main
 
-from conftest import graph_json
+from conftest import graph_json, star
 
 
 @pytest.fixture()
@@ -227,6 +227,18 @@ def test_splice_eqs_failure(files, capsys):
     code, _, err = run(capsys, "splice-eqs", files["monofail"])
     assert code == 2
     assert "monomial condition" in err
+
+
+def test_only_table_enumerates_large_groups(capsys, tmp_path):
+    path = tmp_path / "star.json"
+    path.write_text(graph_json(star(-3, [-7, -7, -7, -7])))
+    code, out, err = run(capsys, "table", str(path))
+    assert code == 3 and out == ""
+    assert err == "error: |H| = 5831 exceeds the enumeration cap 5000\n"
+    code, out, _ = run(capsys, "mult", str(path), "--uac")
+    assert code == 0
+    assert out.startswith("|H| = 5831  |H1| = 1  index |H/H1| = 5831\n")
+    assert out.endswith("multiplicity = 49\n")
 
 
 # --- internal errors ----------------------------------------------------------------

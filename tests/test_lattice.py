@@ -1,5 +1,6 @@
 """Dual cycles, intersection pairing, discriminant group, subgroups."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -17,7 +18,6 @@ from splicemult import (
     flat_subgroup,
     full_subgroup,
     intersect,
-    perp_member,
     subgroup,
     to_dual_coordinates,
     trivial_subgroup,
@@ -30,7 +30,18 @@ from splicemult.errors import (
 )
 from splicemult.linalg import identity_matrix, mat_mul
 
-from conftest import H12_DUAL_ROWS, random_trees
+from conftest import (
+    H12_DUAL_ROWS,
+    closure,
+    perp_member,
+    random_trees,
+    star,
+    subgroups_oracle,
+)
+
+
+def _all_classes(group):
+    return list(itertools.product(*map(range, group.invariant_factors)))
 
 
 # --- dual cycles -------------------------------------------------------------
@@ -170,7 +181,7 @@ def test_projection_kills_integral_cycles(all_test_graphs):
 
 def test_representative_section(tree_h12):
     group = discriminant_group(tree_h12)
-    for nf in group.elements():
+    for nf in _all_classes(group):
         assert group.project(group.representative(nf)) == nf
 
 
@@ -185,10 +196,17 @@ def test_subgroup_orders_h12(tree_h12):
     assert trivial.order == 1 and trivial.index == 12
 
 
-def test_subgroup_cap(tree_h12):
-    group = discriminant_group(tree_h12)
-    with pytest.raises(CapExceededError):
-        subgroup([{1: 1}], group, cap=3)
+def test_subgroup_cap():
+    """Only the enumeration of all subgroups is capped; one subgroup of a
+    group over the cap is still a lattice with an order and an index."""
+    group = discriminant_group(star(-3, [-7, -7, -7, -7]))
+    assert group.order == 5831
+    h1 = subgroup([{2: 1}], group)
+    assert h1.elements == closure(group, [group.project({2: 1})])
+    assert h1.order == 119 and h1.index == 49
+    assert full_subgroup(group).order == 5831
+    with pytest.raises(CapExceededError, match="exceeds the enumeration cap"):
+        enumerate_subgroups(group)
 
 
 def test_full_subgroup(tree_h12):
@@ -237,6 +255,57 @@ def test_enumerate_subgroups_h12(tree_h12):
     assert subs == enumerate_subgroups(group)
 
 
+# Z/2 x Z/2 x Z/4, Z/2 x Z/4 x Z/4, Z/3 x Z/3 x Z/3 and Z/2^4
+RANK_3_AND_4_GRAPHS = [
+    star(-3, [-2, -2, -2, -2]),
+    ResolutionGraph({1: -2, 2: -2, 3: -2, 4: -2, 5: -2, 6: -4, 7: -4},
+                    [(1, 2), (2, 3), (1, 4), (3, 5), (3, 6), (3, 7)]),
+    ResolutionGraph({1: -2, 2: -3, 3: -2, 4: -2, 5: -4, 6: -3, 7: -3},
+                    [(1, 2), (1, 3), (3, 4), (1, 5), (1, 6), (1, 7)]),
+    star(-3, [-2, -2, -2, -2, -2]),
+]
+
+# cyclic groups and Z/2 x Z/6 among them
+SMALL_TREES = random_trees(seed=31, count=40, max_vertices=9, max_ends=7,
+                           max_order=64)
+
+
+def test_enumerate_subgroups_matches_closure_oracle():
+    ranks = set()
+    for g in SMALL_TREES + RANK_3_AND_4_GRAPHS:
+        group = discriminant_group(g)
+        ranks.add(len(group.invariant_factors))
+        subs = enumerate_subgroups(group)
+        assert {s.elements for s in subs} == subgroups_oracle(group)
+        assert len(subs) == len(set(subs))
+        for s in subs:
+            assert closure(group, [group.project(v)
+                                   for v in s.generators]) == s.elements
+    assert ranks == {1, 2, 3, 4}
+
+
+@st.composite
+def groups_and_generators(draw):
+    g = draw(st.sampled_from(SMALL_TREES + RANK_3_AND_4_GRAPHS))
+    n = len(g.vertex_ids)
+    gens = draw(st.lists(st.lists(st.integers(-5, 5), min_size=n,
+                                  max_size=n), max_size=3))
+    return g, gens
+
+
+@given(groups_and_generators())
+def test_subgroup_matches_closure(case):
+    g, gens = case
+    group = discriminant_group(g)
+    h1 = subgroup(gens, group)
+    expected = closure(group, [group.project(v) for v in gens])
+    assert h1.elements == expected
+    assert h1.order == len(expected)
+    assert h1.index * h1.order == group.order
+    for nf in _all_classes(group):
+        assert h1.contains(nf) == (nf in expected)
+
+
 def test_enumerate_subgroups_z3(a2_chain):
     group = discriminant_group(a2_chain)
     assert len(enumerate_subgroups(group)) == 2
@@ -254,7 +323,7 @@ def test_subgroup_membership_and_pairing_consistency():
         basis = dual_cycles(g)
         group = discriminant_group(g, basis)
         rng = random.Random(g.vertex_ids[-1])
-        elems = group.elements()
+        elems = _all_classes(group)
         for _ in range(5):
             a = rng.choice(elems)
             b = rng.choice(elems)

@@ -7,9 +7,6 @@ import pytest
 from splicemult import (
     QCycle,
     base_point_set,
-    branch_cycle,
-    branches,
-    coefficient,
     discriminant_group,
     dual_cycles,
     gcd_cycle,
@@ -27,6 +24,9 @@ from splicemult.errors import (
 )
 
 
+from conftest import perp_member
+
+
 def _exponent_sets(entry):
     return {m.monomial_string() for m in entry.witnesses}
 
@@ -36,11 +36,11 @@ def _exponent_sets(entry):
 
 def test_coefficient_h12(tree_h12):
     basis = dual_cycles(tree_h12)
-    assert coefficient(basis.dual_cycle(1), 5) == 1
-    assert coefficient(basis.dual_cycle(3), 8) == 5
-    assert coefficient(QCycle.zero(tree_h12), 7) == 0
+    assert basis.dual_cycle(1).coefficient(5) == 1
+    assert basis.dual_cycle(3).coefficient(8) == 5
+    assert QCycle.zero(tree_h12).coefficient(7) == 0
     with pytest.raises(UnknownVertexError):
-        coefficient(QCycle.zero(tree_h12), 99)
+        QCycle.zero(tree_h12).coefficient(99)
 
 
 # --- monomial condition ----------------------------------------------------------
@@ -87,43 +87,6 @@ def test_monomial_condition_failure(monomial_fail_graph):
                                 dual_cycles(monomial_fail_graph))
     assert not report.satisfied
     assert report.failures()
-
-
-# --- branch cycles -----------------------------------------------------------------
-
-
-def test_branch_cycle_h12(tree_h12):
-    basis = dual_cycles(tree_h12)
-    n, d = branch_cycle(tree_h12, basis, 5, frozenset({1}))
-    assert n == 1
-    e1 = QCycle.from_coefficients(tree_h12, {1: 1})
-    assert d == e1 + basis.dual_cycle(5)
-
-
-def test_branch_cycle_chain(a2_chain):
-    basis = dual_cycles(a2_chain)
-    n, d = branch_cycle(a2_chain, basis, 1, frozenset({2}))
-    assert n == 1
-    assert d == QCycle.from_coefficients(a2_chain, {2: 1}) + basis.dual_cycle(1)
-
-
-def test_branch_cycle_postcondition(all_test_graphs):
-    for g in all_test_graphs:
-        basis = dual_cycles(g)
-        for w in g.vertex_ids:
-            for br in branches(g, w):
-                n, d = branch_cycle(g, basis, w, br)
-                assert n >= 1
-                diff = d - n * basis.dual_cycle(w)
-                assert diff.is_integral() and diff.is_effective()
-                assert all(diff.coefficient(v) == 0
-                           for v in g.vertex_ids if v not in br)
-
-
-def test_branch_cycle_rejects_non_branch(tree_h12):
-    basis = dual_cycles(tree_h12)
-    with pytest.raises(ValueError):
-        branch_cycle(tree_h12, basis, 5, frozenset({1, 2}))
 
 
 # --- base points ------------------------------------------------------------------
@@ -211,8 +174,6 @@ def test_hilbert_basis_h12_e1(tree_h12):
 
 
 def test_hilbert_basis_members_pass_perp(tree_h12):
-    from splicemult import perp_member
-
     basis = dual_cycles(tree_h12)
     group = discriminant_group(tree_h12, basis)
     for gens in ([{1: 1}], [{3: 1}], [{3: 2}], [{1: 1, 3: 3}]):
@@ -230,8 +191,6 @@ def test_hilbert_basis_generates_monoid(tree_h12):
     """Every member of the ord-bounded box decomposes as a nonnegative
     integer combination of the returned generators."""
     import itertools
-
-    from splicemult import perp_member
 
     basis = dual_cycles(tree_h12)
     group = discriminant_group(tree_h12, basis)

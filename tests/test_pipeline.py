@@ -32,7 +32,7 @@ from splicemult.errors import (
     NotMinimalError,
 )
 
-from conftest import H12_TABLE, end_map_after
+from conftest import H12_TABLE, end_map_after, star
 
 STRICT = PipelineConfig(mode="strict")
 
@@ -87,7 +87,7 @@ def test_gcd_condition_pruning_sound(tree_h12, tree_h60, a2_chain):
 def test_strict_pass_h12(tree_h12):
     basis = dual_cycles(tree_h12)
     history, decisions = resolve_base_points(
-        GraphHistory(tree_h12), basis, None, None, None, STRICT)
+        GraphHistory(tree_h12), basis, None, None, STRICT)
     assert [(d.end, d.action) for d in decisions] == [
         (3, "strict_blowup"), (4, "strict_blowup")]
     assert len(history.events) == 2
@@ -96,7 +96,7 @@ def test_strict_pass_h12(tree_h12):
 
 def test_strict_pass_chain_is_empty(a2_chain):
     history, decisions = resolve_base_points(
-        GraphHistory(a2_chain), dual_cycles(a2_chain), None, None, None,
+        GraphHistory(a2_chain), dual_cycles(a2_chain), None, None,
         STRICT)
     assert decisions == [] and len(history.events) == 0
 
@@ -310,6 +310,23 @@ def test_uac_star_24_blowups():
     assert optimized.multiplicity == strict.multiplicity == 12
     assert len(optimized.history.events) == 24
     assert len(strict.history.events) == 28
+
+
+@pytest.mark.parametrize("arms, order, mult, blowups", [
+    ([-7, -7, -7, -7], 5831, 49, 0),
+    ([-5, -5, -5, -5, -7], 9000, 125, 5),
+])
+def test_uac_star_beyond_enumeration_cap(arms, order, mult, blowups):
+    """|H| above the table's enumeration cap: the UAC of star(-3; arms) is
+    Brieskorn V(arms) with multiplicity the product of all but the two
+    largest exponents (Neumann 1983), in both modes."""
+    g = star(-3, arms)
+    group = discriminant_group(g)
+    assert group.order == full_subgroup(group).order == order
+    for config in (None, STRICT):
+        report = _uac(g, config)
+        assert report.multiplicity == mult
+        assert len(report.history.events) == blowups
 
 
 # --- guards -----------------------------------------------------------------------
