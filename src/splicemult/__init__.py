@@ -3,27 +3,11 @@ surface singularities, computed from the weighted dual graph of the
 resolution and a subgroup of the discriminant group."""
 
 from .errors import (
-    BadWeightError,
     CapExceededError,
-    EmptySetError,
-    GraphMismatchError,
-    IndexMismatchError,
+    ConditionError,
+    InputError,
     InternalError,
-    MaxBlowupsExceededError,
-    MonomialConditionError,
-    NonIntegerMultiplicityError,
-    NotAnEdgeError,
-    NotAnEndError,
-    NotATreeError,
-    NotMinimalError,
-    NotNegativeDefiniteError,
-    NotSymmetricError,
-    ParseError,
-    RankDeficientError,
-    SingularMatrixError,
     SpliceMultError,
-    TooSmallError,
-    UnknownVertexError,
 )
 from .graph import (
     BlowupEvent,
@@ -70,6 +54,7 @@ from .monomial import (
     monomial_condition,
     monomial_cycle,
     neumann_wahl_system,
+    require_monomial_condition,
 )
 from .pipeline import (
     EdgeCheckResult,

@@ -3,33 +3,15 @@
 Five subcommands: validate, invariants, mult, table, splice-eqs.  Output is
 fully deterministic; rationals are printed as exact "p/q" strings, never as
 floats.  Exit codes: 0 success, 1 input/validation problem, 2 mathematical
-precondition failure, 3 resource cap hit, 4 internal error (a failed
-consistency check, i.e. a bug).
+precondition failure, 3 resource cap hit, 4 internal error (a bug).  Each
+error family in errors.py carries its own code.
 """
 
 import argparse
 import json
-import os
 import sys
 
-from .errors import (
-    BadWeightError,
-    CapExceededError,
-    GraphMismatchError,
-    InternalError,
-    MaxBlowupsExceededError,
-    MonomialConditionError,
-    NonIntegerMultiplicityError,
-    NotAnEdgeError,
-    NotAnEndError,
-    NotATreeError,
-    NotMinimalError,
-    NotNegativeDefiniteError,
-    ParseError,
-    SpliceMultError,
-    TooSmallError,
-    UnknownVertexError,
-)
+from .errors import ConditionError, InputError, InternalError, SpliceMultError
 from .graph import is_minimal, parse_and_validate
 from .lattice import (
     discriminant_group,
@@ -38,23 +20,17 @@ from .lattice import (
     flat_subgroup,
     full_subgroup,
     subgroup,
-    to_dual_coordinates,
     trivial_subgroup,
 )
-from .monomial import base_point_set, monomial_condition, neumann_wahl_system
+from .monomial import (
+    base_point_set,
+    monomial_condition,
+    neumann_wahl_system,
+    require_monomial_condition,
+)
 from .pipeline import PipelineConfig, run_pipeline
 
 EXIT_OK = 0
-EXIT_INPUT = 1
-EXIT_CONDITION = 2
-EXIT_CAP = 3
-EXIT_INTERNAL = 4
-
-_INPUT_ERRORS = (ParseError, NotATreeError, NotNegativeDefiniteError,
-                 BadWeightError, TooSmallError, UnknownVertexError,
-                 NotAnEdgeError, NotAnEndError, GraphMismatchError,
-                 OSError)
-_CAP_ERRORS = (CapExceededError, MaxBlowupsExceededError)
 
 
 def _emit_json(obj):
@@ -71,17 +47,17 @@ def _load_subgroup(path, graph, group):
         try:
             obj = json.load(fh)
         except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc}") from None
+            raise InputError(f"invalid JSON: {exc}") from None
     if not isinstance(obj, dict) or "generators" not in obj:
-        raise ParseError("subgroup document needs a 'generators' field")
+        raise InputError("subgroup document needs a 'generators' field")
     gens = obj["generators"]
     if not isinstance(gens, list):
-        raise ParseError("'generators' must be a list of integer vectors")
+        raise InputError("'generators' must be a list of integer vectors")
     n = len(graph)
     for vec in gens:
         if (not isinstance(vec, list) or len(vec) != n
                 or not all(type(x) is int for x in vec)):
-            raise ParseError(
+            raise InputError(
                 f"each generator must be a list of {n} integers "
                 "(sorted-vertex-id order)")
     return subgroup(gens, group)
@@ -117,16 +93,15 @@ def _fmt_subgroup(sub):
 def cmd_validate(args):
     g = _load_graph(args.graph)
     if not is_minimal(g):
-        print("graph is valid but not minimal: it has a blow-downable "
-              "(-1)-vertex", file=sys.stderr)
-        return EXIT_INPUT
+        raise ConditionError("graph is valid but not minimal: it has a "
+                             "blow-downable (-1)-vertex")
     report = monomial_condition(g, dual_cycles(g))
     if not report.satisfied:
         print("monomial condition FAILS:")
         for entry in report.failures():
             print(f"  node {entry.node}, branch {list(entry.branch)}: "
                   "no admissible monomial")
-        return EXIT_CONDITION
+        return ConditionError.exit_code
     print(f"ok: {len(g)} vertices, ends {list(g.ends)}, "
           f"nodes {list(g.nodes)}, monomial condition holds")
     return EXIT_OK
@@ -169,16 +144,10 @@ def _det(g):
 
 
 def _config_from_args(args):
-    raw = os.environ.get("SPLICEMULT_MAX_BOX", "")
-    try:
-        max_box = int(raw) if raw else 10 ** 8
-    except ValueError:
-        raise ParseError(
-            f"SPLICEMULT_MAX_BOX must be an integer, got {raw!r}") from None
-    kwargs = {"max_box": max_box}
+    kwargs = {}
     if getattr(args, "mode", None):
         kwargs["mode"] = args.mode
-    if getattr(args, "max_blowups", None):
+    if getattr(args, "max_blowups", None) is not None:
         kwargs["max_blowups"] = args.max_blowups
     if getattr(args, "allow_non_minimal", False):
         kwargs["allow_non_minimal"] = True
@@ -189,11 +158,7 @@ def cmd_mult(args):
     g = _load_graph(args.graph)
     config = _config_from_args(args)
     basis = dual_cycles(g)
-    report = monomial_condition(g, basis)
-    if not report.satisfied:
-        bad = ", ".join(f"node {e.node} branch {list(e.branch)}"
-                        for e in report.failures())
-        raise MonomialConditionError(f"monomial condition fails at: {bad}")
+    require_monomial_condition(g, basis)
     group = discriminant_group(g, basis)
     if args.uac:
         h1 = trivial_subgroup(group)
@@ -223,7 +188,8 @@ def cmd_mult(args):
                 ev = rnd.blowup
                 print(f"  blowup {ev.kind} at {list(ev.center)} -> "
                       f"new vertex {ev.new_vertex}")
-    print(f"Z = {_fmt_dual_combo(result.z_final.graph, to_dual_coordinates(result.z_final))}")
+    z_text = _fmt_dual_combo(result.z_final.graph, result.rounds[-1].z_dual)
+    print(f"Z = {z_text}")
     print(f"Z.Z = {result.zz}")
     print(f"multiplicity = {result.multiplicity}")
     return EXIT_OK
@@ -233,14 +199,13 @@ def cmd_table(args):
     g = _load_graph(args.graph)
     config = _config_from_args(args)
     basis = dual_cycles(g)
-    report = monomial_condition(g, basis)
-    if not report.satisfied:
-        raise MonomialConditionError("monomial condition fails")
+    require_monomial_condition(g, basis)
     group = discriminant_group(g, basis)
     rows = []
     for h1 in enumerate_subgroups(group):
         result = run_pipeline(g, h1, config)
         flat = flat_subgroup(h1)
+        z_graph, z_dual = result.z_final.graph, result.rounds[-1].z_dual
         rows.append({
             "subgroup": _fmt_subgroup(h1),
             "elements": [list(nf) for nf in h1.canonical_elements],
@@ -248,11 +213,9 @@ def cmd_table(args):
             "flat_elements": [list(nf) for nf in flat.canonical_elements],
             "order": h1.order,
             "index": h1.index,
-            "Z_dual": {str(v): str(c) for v, c in
-                       zip(result.z_final.graph.vertex_ids,
-                           to_dual_coordinates(result.z_final))},
-            "Z": _fmt_dual_combo(result.z_final.graph,
-                                 to_dual_coordinates(result.z_final)),
+            "Z_dual": {str(v): str(c)
+                       for v, c in zip(z_graph.vertex_ids, z_dual)},
+            "Z": _fmt_dual_combo(z_graph, z_dual),
             "ZZ": str(result.zz),
             "multiplicity": result.multiplicity,
         })
@@ -288,8 +251,17 @@ def cmd_splice_eqs(args):
 # --- driver ---------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are input errors (exit 1); argparse's own code, 2, is
+    the precondition failure code here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(InputError.exit_code, f"{self.prog}: error: {message}\n")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="splicemult",
         description="Exact multiplicities of abelian covers of splice "
                     "quotient singularities from resolution graphs.")
@@ -338,26 +310,20 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except InternalError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
-    except _CAP_ERRORS as exc:
+    except SpliceMultError as exc:
+        internal = exc.exit_code == InternalError.exit_code
+        print(f"{'internal error' if internal else 'error'}: {exc}",
+              file=sys.stderr)
+        return exc.exit_code
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
-    except (MonomialConditionError, NonIntegerMultiplicityError,
-            NotMinimalError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONDITION
-    except _INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (SpliceMultError, ValueError) as exc:  # anything else unexpected
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return InputError.exit_code
+    except Exception as exc:  # an unclassified exception is a bug
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return InternalError.exit_code
 
 
 if __name__ == "__main__":

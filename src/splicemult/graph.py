@@ -12,17 +12,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (
-    BadWeightError,
-    IndexMismatchError,
-    NotAnEdgeError,
-    NotAnEndError,
-    NotATreeError,
-    NotNegativeDefiniteError,
-    ParseError,
-    TooSmallError,
-    UnknownVertexError,
-)
+from .errors import InputError, InternalError
 
 
 def _is_int(x):
@@ -39,12 +29,12 @@ class ResolutionGraph:
         """weights: mapping vertex id -> weight; edges: iterable of id pairs."""
         items = sorted(weights.items())
         if any(not _is_int(v) or not _is_int(w) for v, w in items):
-            raise ParseError("vertex ids and weights must be integers")
+            raise InputError("vertex ids and weights must be integers")
         if len(items) < 2:
-            raise TooSmallError("a resolution graph needs at least 2 vertices")
+            raise InputError("a resolution graph needs at least 2 vertices")
         for v, w in items:
             if w >= 0:
-                raise BadWeightError(f"vertex {v} has weight {w} >= 0")
+                raise InputError(f"vertex {v} has weight {w} >= 0")
         self._ids = tuple(v for v, _ in items)
         self._pos = {v: i for i, v in enumerate(self._ids)}
         self._weights = {v: w for v, w in items}
@@ -54,12 +44,12 @@ class ResolutionGraph:
         for pair in edges:
             a, b = pair
             if a not in self._pos or b not in self._pos:
-                raise ParseError(f"edge {pair!r} references an unknown vertex")
+                raise InputError(f"edge {pair!r} references an unknown vertex")
             if a == b:
-                raise NotATreeError(f"self-loop at vertex {a}")
+                raise InputError(f"self-loop at vertex {a}")
             key = (min(a, b), max(a, b))
             if key in seen:
-                raise NotATreeError(f"duplicate edge {key}")
+                raise InputError(f"duplicate edge {key}")
             seen.add(key)
             adj[a].append(b)
             adj[b].append(a)
@@ -67,12 +57,12 @@ class ResolutionGraph:
         self._adj = {v: tuple(sorted(ns)) for v, ns in adj.items()}
 
         if len(self._edges) != len(self._ids) - 1 or not self._connected():
-            raise NotATreeError("graph is not a connected tree")
+            raise InputError("graph is not a connected tree")
 
         self._imatrix = None
         self._hash = None
         if not self._negative_definite():
-            raise NotNegativeDefiniteError(
+            raise InputError(
                 "intersection matrix is not negative definite")
 
     def _negative_definite(self):
@@ -130,7 +120,7 @@ class ResolutionGraph:
         try:
             return self._pos[v]
         except KeyError:
-            raise UnknownVertexError(f"vertex {v} is not in the graph") from None
+            raise InternalError(f"vertex {v} is not in the graph") from None
 
     def weight(self, v):
         self.index(v)
@@ -196,28 +186,28 @@ class ResolutionGraph:
 def graph_from_dict(obj):
     """Build a validated graph from a parsed input document."""
     if not isinstance(obj, dict):
-        raise ParseError("graph document must be a JSON object")
+        raise InputError("graph document must be a JSON object")
     try:
         vertices = obj["vertices"]
         edges = obj["edges"]
     except (KeyError, TypeError):
-        raise ParseError("graph document needs 'vertices' and 'edges'") from None
+        raise InputError("graph document needs 'vertices' and 'edges'") from None
     if not isinstance(vertices, list) or not isinstance(edges, list):
-        raise ParseError("'vertices' and 'edges' must be lists")
+        raise InputError("'vertices' and 'edges' must be lists")
     weights = {}
     for entry in vertices:
         if not isinstance(entry, dict) or "id" not in entry or "weight" not in entry:
-            raise ParseError(f"bad vertex entry {entry!r}")
+            raise InputError(f"bad vertex entry {entry!r}")
         v, w = entry["id"], entry["weight"]
         if not _is_int(v) or not _is_int(w):
-            raise ParseError(f"bad vertex entry {entry!r}")
+            raise InputError(f"bad vertex entry {entry!r}")
         if v in weights:
-            raise ParseError(f"duplicate vertex id {v}")
+            raise InputError(f"duplicate vertex id {v}")
         weights[v] = w
     pairs = []
     for e in edges:
         if not isinstance(e, list) or len(e) != 2 or not all(_is_int(x) for x in e):
-            raise ParseError(f"bad edge entry {e!r}")
+            raise InputError(f"bad edge entry {e!r}")
         pairs.append((e[0], e[1]))
     return ResolutionGraph(weights, pairs)
 
@@ -227,7 +217,7 @@ def parse_and_validate(text):
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from None
+        raise InputError(f"invalid JSON: {exc}") from None
     return graph_from_dict(obj)
 
 
@@ -296,7 +286,7 @@ def blowup_edge(g, v, w):
     follow by pullback (DualBasis.pulled_back), with no new inversion.
     """
     if not g.has_edge(v, w):
-        raise NotAnEdgeError(f"({v}, {w}) is not an edge")
+        raise InternalError(f"({v}, {w}) is not an edge")
     u = _fresh_id(g)
     weights = {x: g.weight(x) for x in g.vertex_ids}
     changes = ((v, weights[v], weights[v] - 1), (w, weights[w], weights[w] - 1))
@@ -318,7 +308,7 @@ def blowup_end_point(g, i):
     """
     g.index(i)
     if g.degree(i) != 1:
-        raise NotAnEndError(f"vertex {i} is not an end")
+        raise InternalError(f"vertex {i} is not an end")
     u = _fresh_id(g)
     weights = {x: g.weight(x) for x in g.vertex_ids}
     changes = ((i, weights[i], weights[i] - 1),)
@@ -373,7 +363,7 @@ class GraphHistory:
 
     def blowup_end(self, label):
         if label not in self._end_map:
-            raise NotAnEndError(f"{label} is not a tracked end index")
+            raise InternalError(f"{label} is not a tracked end index")
         g2, event = blowup_end_point(self.current, self._end_map[label])
         self._graphs.append(g2)
         self._events.append(event)
@@ -384,7 +374,7 @@ class GraphHistory:
         for k, e in enumerate(self._events):
             if e is event:
                 return k
-        raise IndexMismatchError("event does not belong to this history")
+        raise InternalError("event does not belong to this history")
 
 
 def pullback_vertex_cycle(history, event, cycle):
@@ -399,7 +389,7 @@ def pullback_vertex_cycle(history, event, cycle):
     k = history.event_index(event)
     pre, post = history.graph_before(k), history.graph_after(k)
     if cycle.graph != pre:
-        raise IndexMismatchError("cycle is not indexed by the pre-event graph")
+        raise InternalError("cycle is not indexed by the pre-event graph")
     coeffs = {v: cycle.coefficient(v) for v in pre.vertex_ids}
     coeffs[event.new_vertex] = sum(cycle.coefficient(v) for v in event.center)
     return QCycle.from_coefficients(post, coeffs)

@@ -14,13 +14,7 @@ import itertools
 from fractions import Fraction
 from math import gcd, lcm, prod
 
-from .errors import (
-    CapExceededError,
-    GraphMismatchError,
-    IndexMismatchError,
-    InternalError,
-    UnknownVertexError,
-)
+from .errors import CapExceededError, InternalError
 from .linalg import (
     _hermite_reduce,
     invert_rational_matrix,
@@ -40,7 +34,7 @@ class QCycle:
 
     def __init__(self, graph, coeffs):
         if len(coeffs) != len(graph):
-            raise GraphMismatchError("coefficient count != vertex count")
+            raise InternalError("coefficient count != vertex count")
         self.graph = graph
         self.coeffs = tuple(c if type(c) is Fraction else Fraction(c)
                             for c in coeffs)
@@ -54,7 +48,7 @@ class QCycle:
         """Build from a map vertex id -> coefficient (missing ids mean 0)."""
         for v in mapping:
             if v not in graph:
-                raise UnknownVertexError(f"vertex {v} is not in the graph")
+                raise InternalError(f"vertex {v} is not in the graph")
         return cls(graph, [mapping.get(v, 0) for v in graph.vertex_ids])
 
     def coefficient(self, v):
@@ -68,7 +62,7 @@ class QCycle:
 
     def _check(self, other):
         if self.graph != other.graph:
-            raise GraphMismatchError("cycles live on different graphs")
+            raise InternalError("cycles live on different graphs")
 
     def __add__(self, other):
         self._check(other)
@@ -174,7 +168,7 @@ class DualBasis:
         k = history.event_index(event)
         pre, post = history.graph_before(k), history.graph_after(k)
         if basis.graph != pre:
-            raise IndexMismatchError(
+            raise InternalError(
                 "basis is not indexed by the pre-event graph")
         centre = [pre.index(c) for c in event.center]
         at_new = [sum(row[c] for c in centre) for row in basis.matrix]
@@ -225,11 +219,11 @@ def _as_vector(graph, coords):
     if isinstance(coords, dict):
         for v in coords:
             if v not in graph:
-                raise UnknownVertexError(f"vertex {v} is not in the graph")
+                raise InternalError(f"vertex {v} is not in the graph")
         return [coords.get(v, 0) for v in graph.vertex_ids]
     coords = list(coords)
     if len(coords) != len(graph):
-        raise GraphMismatchError("coordinate vector has wrong length")
+        raise InternalError("coordinate vector has wrong length")
     return coords
 
 
@@ -246,7 +240,7 @@ class DiscriminantGroup:
 
     def __init__(self, graph, basis=None):
         if basis is not None and basis.graph != graph:
-            raise GraphMismatchError("dual basis was built on another graph")
+            raise InternalError("dual basis was built on another graph")
         self.graph = graph
         self.basis = basis if basis is not None else DualBasis(graph)
         neg = [[-x for x in row] for row in graph.intersection_matrix()]
@@ -410,14 +404,18 @@ def trivial_subgroup(group):
 
 
 def full_subgroup(group):
-    """H itself, generated by the classes of all dual cycles E_v*."""
-    n = len(group.graph)
-    gens = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    sub = subgroup(gens, group)
+    """H itself, generated by the representatives of the r unit classes
+    of the Smith coordinates."""
+    r = len(group.invariant_factors)
+    sub = subgroup([group.representative(e) for e in _units(r)], group)
     if sub.order != group.order:
         raise InternalError(
-            f"the dual cycles generate {sub.order} of {group.order} classes")
+            f"the unit classes generate {sub.order} of {group.order} classes")
     return sub
+
+
+def _units(r):
+    return [tuple(int(i == j) for j in range(r)) for i in range(r)]
 
 
 def _reduced(group, row):
@@ -435,8 +433,7 @@ def flat_subgroup(h1):
     """
     group = h1.group
     r = len(group.invariant_factors)
-    units = [tuple(int(i == j) for j in range(r)) for i in range(r)]
-    pairs = [[group.pairing(e, h) for h in h1.hnf] for e in units]
+    pairs = [[group.pairing(e, h) for h in h1.hnf] for e in _units(r)]
     den = lcm(1, *(x.denominator for row in pairs for x in row))
     stacked = [[int(x * den) for x in row] for row in pairs]
     stacked += [[den * (i == j) for j in range(r)] for i in range(r)]

@@ -9,12 +9,7 @@ resolution graphs (a few dozen vertices).
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (
-    InternalError,
-    NotSymmetricError,
-    RankDeficientError,
-    SingularMatrixError,
-)
+from .errors import InternalError
 
 
 def identity_matrix(n):
@@ -51,7 +46,7 @@ def matrices_equal(a, b):
 def _check_square(a):
     n = len(a)
     if n == 0 or any(len(row) != n for row in a):
-        raise ValueError("square matrix required")
+        raise InternalError("square matrix required")
     return n
 
 
@@ -100,7 +95,7 @@ def determinant(a):
 def invert_rational_matrix(a):
     """Exact inverse of a square matrix over the rationals (Gauss-Jordan).
 
-    Raises SingularMatrixError when the determinant vanishes.
+    Raises InternalError when the determinant vanishes.
     """
     n = _check_square(a)
     m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
@@ -108,7 +103,7 @@ def invert_rational_matrix(a):
     for col in range(n):
         pivot_row = next((i for i in range(col, n) if m[i][col] != 0), None)
         if pivot_row is None:
-            raise SingularMatrixError("matrix is singular")
+            raise InternalError("matrix is singular")
         m[col], m[pivot_row] = m[pivot_row], m[col]
         p = m[col][col]
         m[col] = [x / p for x in m[col]]
@@ -320,11 +315,11 @@ def hermite_normal_form(a):
 
     Returns HnfResult(U, H) with U*A = H, U unimodular, pivots positive and
     entries above each pivot reduced into [0, pivot).  Raises
-    RankDeficientError when the rows are dependent over the rationals.
+    InternalError when the rows are dependent over the rationals.
     """
     u, h, rank = _hermite_reduce(a)
     if rank < len(a):
-        raise RankDeficientError("matrix does not have full row rank")
+        raise InternalError("matrix does not have full row rank")
     if not matrices_equal(mat_mul(u, copy_matrix(a)), h):
         raise InternalError("Hermite normal form check U*A == H failed")
     return HnfResult(U=u, H=h)
@@ -342,7 +337,7 @@ def is_negative_definite(a):
     for i in range(n):
         for j in range(i + 1, n):
             if a[i][j] != a[j][i]:
-                raise NotSymmetricError("matrix is not symmetric")
+                raise InternalError("matrix is not symmetric")
     m = [[Fraction(-x) for x in row] for row in a]
     for k in range(n):
         p = m[k][k]

@@ -11,17 +11,12 @@ import itertools
 from dataclasses import dataclass
 from math import lcm
 
-from .errors import (
-    CapExceededError,
-    EmptySetError,
-    MonomialConditionError,
-    UnknownVertexError,
-)
+from .errors import CapExceededError, ConditionError, InternalError
 from .graph import branches
 from .lattice import QCycle, _as_vector
 
-DEFAULT_BOX_CAP = 10 ** 8
-DEFAULT_SEARCH_CAP = 2_000_000
+BOX_CAP = 10 ** 8  # points in a Hilbert-basis enumeration box
+SEARCH_CAP = 2_000_000  # nodes of one knapsack search
 
 
 class MonomialCycle:
@@ -68,9 +63,9 @@ def monomial_cycle(basis, exponents, end_map=None):
     total = QCycle.zero(g)
     for label, a in exponents.items():
         if label not in end_map:
-            raise UnknownVertexError(f"{label} is not a tracked end index")
+            raise InternalError(f"{label} is not a tracked end index")
         if a < 0:
-            raise ValueError("exponents must be nonnegative")
+            raise InternalError("exponents must be nonnegative")
         exps[label] = a
         if a:
             total = total + a * basis.dual_cycle(end_map[label])
@@ -113,7 +108,7 @@ def _representable(target, weights):
     return bool((bits >> t) & 1)
 
 
-def _exact_solutions(target, weights, cap=DEFAULT_SEARCH_CAP):
+def _exact_solutions(target, weights):
     """All nonnegative integer vectors a with sum a_k * weights_k = target.
 
     Finite because the weights are strictly positive; the recursion counts
@@ -127,7 +122,7 @@ def _exact_solutions(target, weights, cap=DEFAULT_SEARCH_CAP):
 
     def rec(idx, remaining, partial):
         counter[0] += 1
-        if counter[0] > cap:
+        if counter[0] > SEARCH_CAP:
             raise CapExceededError("knapsack search bound exceeded")
         if idx == len(ws):
             if remaining == 0:
@@ -185,7 +180,7 @@ def _minimal_vectors(vectors):
     return kept
 
 
-def admissible_monomials(g, basis, node, branch, cap=DEFAULT_SEARCH_CAP):
+def admissible_monomials(g, basis, node, branch):
     """All minimal monomial cycles D with D - E_node* effective, integral and
     supported on the branch.
 
@@ -200,7 +195,7 @@ def admissible_monomials(g, basis, node, branch, cap=DEFAULT_SEARCH_CAP):
     weights = [basis.entry(node, e) for e in branch_ends]
     node_dual = basis.dual_cycle(node)
     witnesses = []
-    for combo in _exact_solutions(target, weights, cap):
+    for combo in _exact_solutions(target, weights):
         d = QCycle.zero(g)
         for a, e in zip(combo, branch_ends):
             if a:
@@ -217,12 +212,12 @@ def admissible_monomials(g, basis, node, branch, cap=DEFAULT_SEARCH_CAP):
     return out
 
 
-def monomial_condition(g, basis, cap=DEFAULT_SEARCH_CAP):
+def monomial_condition(g, basis):
     """Check every (node, branch) pair for admissible monomials."""
     entries = []
     for node in g.nodes:
         for branch in branches(g, node):
-            witnesses = admissible_monomials(g, basis, node, branch, cap)
+            witnesses = admissible_monomials(g, basis, node, branch)
             entries.append(BranchMonomials(
                 node=node,
                 branch=tuple(sorted(branch)),
@@ -230,6 +225,17 @@ def monomial_condition(g, basis, cap=DEFAULT_SEARCH_CAP):
                 witnesses=tuple(witnesses),
             ))
     return MonomialConditionReport(graph=g, entries=tuple(entries))
+
+
+def require_monomial_condition(g, basis):
+    """The monomial condition report; ConditionError naming every failing
+    (node, branch) pair when it does not hold."""
+    report = monomial_condition(g, basis)
+    if not report.satisfied:
+        bad = ", ".join(f"node {e.node} branch {list(e.branch)}"
+                        for e in report.failures())
+        raise ConditionError(f"monomial condition fails at: {bad}")
+    return report
 
 
 # --- base points ----------------------------------------------------------------
@@ -282,7 +288,7 @@ class HilbertBasis:
         did.  So only the expansions are rebuilt, on the new basis.
         """
         if tuple(sorted(end_map)) != self.labels:
-            raise UnknownVertexError("end map does not match the end labels")
+            raise InternalError("end map does not match the end labels")
         gens = tuple(monomial_cycle(basis, m.exponents, end_map)
                      for m in self.generators)
         return HilbertBasis(graph=basis.graph, labels=self.labels,
@@ -304,7 +310,7 @@ def _generator_vectors(g, h1):
     return vecs
 
 
-def hilbert_basis(g, basis, h1, end_map=None, cap=DEFAULT_BOX_CAP):
+def hilbert_basis(g, basis, h1, end_map=None):
     """Minimal generating set of the monoid of H1-invariant monomial cycles.
 
     For each end the additive order of its pairing vector bounds the box:
@@ -326,9 +332,9 @@ def hilbert_basis(g, basis, h1, end_map=None, cap=DEFAULT_BOX_CAP):
     volume = 1
     for o in orders:
         volume *= o + 1
-    if volume > cap:
+    if volume > BOX_CAP:
         raise CapExceededError(
-            f"enumeration box volume {volume} exceeds the cap {cap}")
+            f"enumeration box volume {volume} exceeds the cap {BOX_CAP}")
 
     # integer residue form of the congruences, one modulus per generator
     k = len(gen_vecs)
@@ -374,7 +380,7 @@ def gcd_cycle(generators):
     """
     gens = list(generators)
     if not gens:
-        raise EmptySetError("gcd of an empty generator set")
+        raise InternalError("gcd of an empty generator set")
     expansions = [m.expansion if isinstance(m, MonomialCycle) else m
                   for m in gens]
     g = expansions[0].graph
@@ -416,13 +422,9 @@ def _skeleton_choice(witnesses):
     return min(witnesses, key=key)
 
 
-def neumann_wahl_system(g, basis, cap=DEFAULT_SEARCH_CAP):
+def neumann_wahl_system(g, basis):
     """Splice equation skeletons, one block of delta_v - 2 equations per node."""
-    report = monomial_condition(g, basis, cap)
-    if not report.satisfied:
-        bad = ", ".join(f"node {e.node} branch {list(e.branch)}"
-                        for e in report.failures())
-        raise MonomialConditionError(f"monomial condition fails at: {bad}")
+    report = require_monomial_condition(g, basis)
     by_node = {}
     for entry in report.entries:
         by_node.setdefault(entry.node, []).append(entry)

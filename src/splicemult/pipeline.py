@@ -10,19 +10,9 @@ result is an internal error, never something to round.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (
-    GraphMismatchError,
-    MaxBlowupsExceededError,
-    NonIntegerMultiplicityError,
-    NotMinimalError,
-)
+from .errors import CapExceededError, ConditionError, InputError, InternalError
 from .graph import GraphHistory, is_minimal
-from .lattice import (
-    DualBasis,
-    full_subgroup,
-    intersect,
-    to_dual_coordinates,
-)
+from .lattice import DualBasis, full_subgroup, intersect, to_dual_coordinates
 from .linalg import determinant
 from .monomial import base_point_set, gcd_cycle, hilbert_basis
 
@@ -34,14 +24,13 @@ MODE_OPTIMIZED = "optimized"
 class PipelineConfig:
     mode: str = MODE_OPTIMIZED
     max_blowups: int = 64
-    max_box: int = 10 ** 8
     allow_non_minimal: bool = False
 
     def __post_init__(self):
         if self.mode not in (MODE_STRICT, MODE_OPTIMIZED):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if min(self.max_blowups, self.max_box) <= 0:
-            raise ValueError("caps must be positive")
+            raise InputError(f"unknown mode {self.mode!r}")
+        if self.max_blowups <= 0:
+            raise InputError("caps must be positive")
 
 
 @dataclass(frozen=True)
@@ -126,7 +115,7 @@ class PipelineReport:
             "Z_final": {
                 "vertex": _cycle_json(self.z_final),
                 "dual": _dual_json(self.z_final.graph,
-                                   to_dual_coordinates(self.z_final)),
+                                   self.rounds[-1].z_dual),
             },
             "ZZ": str(self.zz),
             "multiplicity": self.multiplicity,
@@ -142,8 +131,9 @@ def _dual_json(graph, coords):
     return {str(v): str(c) for v, c in zip(graph.vertex_ids, coords)}
 
 
-def check_gcd_condition(g, z, gens):
-    """Edge-by-edge gcd check against the generator list.
+def check_gcd_condition(g, z, z_dual, gens):
+    """Edge-by-edge gcd check against the generator list; z_dual holds
+    Z's dual coordinates, (-Z . E_v)_v.
 
     An edge (v, w) passes when one generator attains both M_v(Z) and
     M_w(Z).  Edges with Z . E_v = 0 or Z . E_w = 0 are additionally marked
@@ -151,8 +141,7 @@ def check_gcd_condition(g, z, gens):
     so a witness must exist anyway (the full test still runs and the two
     answers are cross-checked by the test suite).
     """
-    zero_dot = {v: x == 0
-                for v, x in zip(g.vertex_ids, to_dual_coordinates(z))}
+    zero_dot = {v: x == 0 for v, x in zip(g.vertex_ids, z_dual)}
     results = []
     for v, w in g.edges:
         mv, mw = z.coefficient(v), z.coefficient(w)
@@ -248,11 +237,11 @@ def run_pipeline(g, h1, config=None):
     config = config or PipelineConfig()
     minimal = is_minimal(g)
     if not minimal and not config.allow_non_minimal:
-        raise NotMinimalError(
+        raise ConditionError(
             "input graph has a blow-downable (-1)-vertex; pass the override "
             "to proceed anyway")
     if h1.group.graph != g:
-        raise GraphMismatchError("subgroup was built on a different graph")
+        raise InternalError("subgroup was built on a different graph")
 
     history = GraphHistory(g)
     basis = h1.group.basis
@@ -267,15 +256,14 @@ def run_pipeline(g, h1, config=None):
     while True:
         events = history.events
         if len(events) > config.max_blowups:
-            raise MaxBlowupsExceededError(
+            raise CapExceededError(
                 f"more than {config.max_blowups} blowups")
         for event in events[pulled:]:
             basis = DualBasis.pulled_back(history, event, basis)
         pulled = len(events)
         current = history.current
         if gens is None:
-            gens = hilbert_basis(current, basis, h1, end_map=history.end_map,
-                                 cap=config.max_box)
+            gens = hilbert_basis(current, basis, h1, end_map=history.end_map)
         else:
             gens = gens.pulled_back(basis, history.end_map)
         z = gcd_cycle(gens)
@@ -293,7 +281,7 @@ def run_pipeline(g, h1, config=None):
                 rounds.append(record)
                 continue
 
-        checks = check_gcd_condition(current, z, gens)
+        checks = check_gcd_condition(current, z, record.z_dual, gens)
         record.edge_checks = tuple(checks)
         failing = sorted(c.edge for c in checks if not c.passed)
         if failing:
@@ -307,7 +295,7 @@ def run_pipeline(g, h1, config=None):
     zz = intersect(z, z)
     multiplicity = h1.index * (-zz)
     if multiplicity <= 0 or multiplicity.denominator != 1:
-        raise NonIntegerMultiplicityError(
+        raise InternalError(
             f"|H/H1| * (-Z.Z) = {multiplicity} is not a positive integer; "
             "this is a bug or a violated input assumption")
 

@@ -6,6 +6,7 @@ import pathlib
 
 import pytest
 
+from splicemult import ResolutionGraph
 from splicemult.cli import main
 
 from conftest import graph_json, star
@@ -66,6 +67,18 @@ def test_validate_monomial_failure_is_exit_2(files, capsys):
 
 def test_validate_missing_file(files, capsys):
     assert run(capsys, "validate", files["h12"] + ".nope")[0] == 1
+
+
+def test_validate_non_minimal_is_exit_2(capsys, tmp_path):
+    """Like `mult`, `validate` reports a non-minimal graph as a failed
+    precondition."""
+    path = tmp_path / "nonmin.json"
+    path.write_text(graph_json(ResolutionGraph({1: -2, 2: -1}, [(1, 2)])))
+    code, out, err = run(capsys, "validate", str(path))
+    assert (code, out) == (2, "")
+    assert err == ("error: graph is valid but not minimal: it has a "
+                   "blow-downable (-1)-vertex\n")
+    assert run(capsys, "mult", str(path), "--uac")[0] == 2
 
 
 # --- invariants -------------------------------------------------------------------
@@ -148,11 +161,42 @@ def test_mult_monomial_failure(files, capsys):
     assert "monomial condition" in err
 
 
-def test_mult_box_cap_env(files, capsys, monkeypatch):
+def test_mult_box_cap_env(files, capsys, monkeypatch, tmp_path):
+    """The box cap is a fixed constant: the environment does not move it,
+    and the quotient of star(-2; -5,-7,-11) (604^3 box points) hits it."""
     monkeypatch.setenv("SPLICEMULT_MAX_BOX", "1")
-    code, _, err = run(capsys, "mult", files["h12"], "--quotient")
-    assert code == 3
-    assert "cap" in err
+    assert run(capsys, "mult", files["h12"], "--quotient")[0] == 0
+    path = tmp_path / "star.json"
+    path.write_text(graph_json(star(-2, [-5, -7, -11])))
+    code, out, err = run(capsys, "mult", str(path), "--quotient")
+    assert (code, out) == (3, "")
+    assert err == ("error: enumeration box volume 220348864 exceeds the "
+                   "cap 100000000\n")
+
+
+def test_mult_max_blowups_zero_is_input_error(capsys, tmp_path):
+    """0 is not a silent "use the default": 24 blowups are needed here."""
+    path = tmp_path / "star.json"
+    path.write_text(graph_json(star(-1, [-3, -4, -5, -7])))
+    code, out, err = run(capsys, "mult", str(path), "--uac",
+                         "--max-blowups", "0")
+    assert (code, out, err) == (1, "", "error: caps must be positive\n")
+    code, _, err = run(capsys, "mult", str(path), "--uac",
+                       "--max-blowups", "1")
+    assert (code, err) == (3, "error: more than 1 blowups\n")
+
+
+def test_usage_error_is_exit_1(files, capsys):
+    """argparse's own exit code 2 would read as a precondition failure."""
+    for argv in (["mult", files["h12"]], ["frobnicate"],
+                 ["mult", files["h12"], "--uac", "--mode", "lazy"]):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 1
+        assert "usage:" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as info:
+        main(["mult", "--help"])
+    assert info.value.code == 0
 
 
 def test_mult_bad_subgroup_file(files, capsys, tmp_path):
@@ -193,6 +237,14 @@ def test_table_chain(files, capsys):
     data = json.loads(out)
     assert [(r["order"], r["multiplicity"]) for r in data["rows"]] == \
         [(1, 1), (3, 2)]
+
+
+def test_table_monomial_failure_lists_pairs(files, capsys):
+    code, out, err = run(capsys, "table", files["monofail"])
+    assert (code, out) == (2, "")
+    _, _, mult_err = run(capsys, "mult", files["monofail"], "--uac")
+    assert err == mult_err
+    assert err.startswith("error: monomial condition fails at: node ")
 
 
 def test_table_determinism(files, capsys):
@@ -254,13 +306,47 @@ def test_internal_failure_is_exit_4(files, capsys, monkeypatch):
     assert err.startswith("internal error: Smith normal form check")
 
 
-def test_no_assert_in_source():
-    """Internal checks raise InternalError; `python -O` strips asserts."""
+@pytest.mark.parametrize("exc", [ValueError("math domain error"),
+                                 TypeError("unsupported operand")])
+def test_unclassified_exception_is_exit_4(files, capsys, monkeypatch, exc):
+    """A builtin exception escaping a stage is a bug, never invalid input."""
+    import splicemult.cli as cli
+
+    def broken(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "run_pipeline", broken)
+    code, out, err = run(capsys, "mult", files["h12"], "--uac")
+    assert (code, out) == (4, "")
+    assert err == f"internal error: {type(exc).__name__}: {exc}\n"
+
+
+def _source_trees():
     import splicemult
 
     package = pathlib.Path(splicemult.__file__).parent
     for path in sorted(package.glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
+        yield path.name, ast.parse(path.read_text(), filename=str(path))
+
+
+def test_every_raise_is_a_family_error():
+    """Each raise names one of the four families, whose class fixes the
+    exit code, or re-raises."""
+    families = {"InputError", "ConditionError", "CapExceededError",
+                "InternalError"}
+    for name, tree in _source_trees():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Raise) or node.exc is None:
+                continue
+            target = node.exc.func if isinstance(node.exc, ast.Call) \
+                else node.exc
+            assert isinstance(target, ast.Name) and target.id in families, \
+                f"{name}:{node.lineno} raises {ast.unparse(node.exc)}"
+
+
+def test_no_assert_in_source():
+    """Internal checks raise InternalError; `python -O` strips asserts."""
+    for name, tree in _source_trees():
         found = [node.lineno for node in ast.walk(tree)
                  if isinstance(node, ast.Assert)]
-        assert found == [], f"{path.name} asserts at lines {found}"
+        assert found == [], f"{name} asserts at lines {found}"

@@ -6,11 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from splicemult.errors import (
-    NotSymmetricError,
-    RankDeficientError,
-    SingularMatrixError,
-)
+from splicemult.errors import InternalError
 from splicemult.linalg import (
     determinant,
     hermite_normal_form,
@@ -64,7 +60,7 @@ def test_invert_h12_matches_reference_duals():
 
 
 def test_invert_singular():
-    with pytest.raises(SingularMatrixError):
+    with pytest.raises(InternalError, match="matrix is singular"):
         invert_rational_matrix([[1, 2], [2, 4]])
 
 
@@ -171,9 +167,9 @@ def test_hnf_h12_determinant():
 
 
 def test_hnf_rank_deficient():
-    with pytest.raises(RankDeficientError):
+    with pytest.raises(InternalError, match="does not have full row rank"):
         hermite_normal_form([[1, 2], [2, 4]])
-    with pytest.raises(RankDeficientError):
+    with pytest.raises(InternalError, match="does not have full row rank"):
         hermite_normal_form([[1, 2], [0, 1], [1, 1]])  # 3 rows in rank 2
 
 
@@ -225,7 +221,7 @@ def test_negative_definite_examples():
 
 
 def test_negative_definite_requires_symmetry():
-    with pytest.raises(NotSymmetricError):
+    with pytest.raises(InternalError, match="matrix is not symmetric"):
         is_negative_definite([[-2, 1], [0, -2]])
 
 

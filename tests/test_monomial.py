@@ -9,6 +9,7 @@ from splicemult import (
     base_point_set,
     discriminant_group,
     dual_cycles,
+    full_subgroup,
     gcd_cycle,
     hilbert_basis,
     monomial_condition,
@@ -16,15 +17,9 @@ from splicemult import (
     subgroup,
     trivial_subgroup,
 )
-from splicemult.errors import (
-    CapExceededError,
-    EmptySetError,
-    MonomialConditionError,
-    UnknownVertexError,
-)
+from splicemult.errors import CapExceededError, ConditionError, InternalError
 
-
-from conftest import perp_member
+from conftest import perp_member, star
 
 
 def _exponent_sets(entry):
@@ -39,7 +34,7 @@ def test_coefficient_h12(tree_h12):
     assert basis.dual_cycle(1).coefficient(5) == 1
     assert basis.dual_cycle(3).coefficient(8) == 5
     assert QCycle.zero(tree_h12).coefficient(7) == 0
-    with pytest.raises(UnknownVertexError):
+    with pytest.raises(InternalError, match="vertex 99 is not in the graph"):
         QCycle.zero(tree_h12).coefficient(99)
 
 
@@ -213,11 +208,17 @@ def test_hilbert_basis_generates_monoid(tree_h12):
             assert decomposes(vec)
 
 
-def test_hilbert_basis_box_cap(tree_h12):
-    basis = dual_cycles(tree_h12)
-    group = discriminant_group(tree_h12, basis)
-    with pytest.raises(CapExceededError):
-        hilbert_basis(tree_h12, basis, subgroup([{3: 1}], group), cap=10)
+def test_hilbert_basis_box_cap():
+    """The quotient of star(-2; -5,-7,-11): each end pairs with H = Z/603
+    with order 603, so the box holds 604^3 = 220,348,864 points, over the
+    fixed cap; the check comes before any enumeration."""
+    g = star(-2, [-5, -7, -11])
+    basis = dual_cycles(g)
+    h1 = full_subgroup(discriminant_group(g, basis))
+    with pytest.raises(CapExceededError,
+                       match="enumeration box volume 220348864 exceeds "
+                             "the cap 100000000"):
+        hilbert_basis(g, basis, h1)
 
 
 def test_hilbert_basis_oracle_small(tree_h12, a2_chain):
@@ -265,7 +266,7 @@ def test_gcd_cycle_bounds(all_test_graphs):
 
 
 def test_gcd_cycle_empty():
-    with pytest.raises(EmptySetError):
+    with pytest.raises(InternalError, match="gcd of an empty generator set"):
         gcd_cycle([])
 
 
@@ -295,7 +296,8 @@ def test_nw_system_chain_empty(a2_chain):
 
 
 def test_nw_system_rejects_failing_graph(monomial_fail_graph):
-    with pytest.raises(MonomialConditionError):
+    with pytest.raises(ConditionError, match="monomial condition fails at: "
+                                             "node"):
         neumann_wahl_system(monomial_fail_graph,
                             dual_cycles(monomial_fail_graph))
 

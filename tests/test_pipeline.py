@@ -26,10 +26,10 @@ from splicemult import (
     trivial_subgroup,
 )
 from splicemult.errors import (
-    GraphMismatchError,
-    MaxBlowupsExceededError,
-    NonIntegerMultiplicityError,
-    NotMinimalError,
+    CapExceededError,
+    ConditionError,
+    InputError,
+    InternalError,
 )
 
 from conftest import H12_TABLE, end_map_after, star
@@ -44,11 +44,16 @@ def _uac(g, config=None):
 # --- gcd condition -----------------------------------------------------------------
 
 
+def _gcd_checks(g, gens):
+    z = gcd_cycle(gens)
+    return check_gcd_condition(g, z, to_dual_coordinates(z), gens)
+
+
 def test_gcd_condition_h12_all_pass(tree_h12):
     basis = dual_cycles(tree_h12)
     group = discriminant_group(tree_h12, basis)
     gens = hilbert_basis(tree_h12, basis, trivial_subgroup(group))
-    checks = check_gcd_condition(tree_h12, gcd_cycle(gens), gens)
+    checks = _gcd_checks(tree_h12, gens)
     assert all(c.passed for c in checks)
     assert {c.edge for c in checks} == set(tree_h12.edges)
 
@@ -57,7 +62,7 @@ def test_gcd_condition_h60_fails_at_node_edge(tree_h60):
     basis = dual_cycles(tree_h60)
     group = discriminant_group(tree_h60, basis)
     gens = hilbert_basis(tree_h60, basis, trivial_subgroup(group))
-    checks = check_gcd_condition(tree_h60, gcd_cycle(gens), gens)
+    checks = _gcd_checks(tree_h60, gens)
     assert [c.edge for c in checks if not c.passed] == [(1, 5)]
 
 
@@ -65,7 +70,7 @@ def test_gcd_condition_chain_fails(a2_chain):
     basis = dual_cycles(a2_chain)
     group = discriminant_group(a2_chain, basis)
     gens = hilbert_basis(a2_chain, basis, trivial_subgroup(group))
-    checks = check_gcd_condition(a2_chain, gcd_cycle(gens), gens)
+    checks = _gcd_checks(a2_chain, gens)
     assert [c.edge for c in checks if not c.passed] == [(1, 2)]
 
 
@@ -76,7 +81,7 @@ def test_gcd_condition_pruning_sound(tree_h12, tree_h60, a2_chain):
         group = discriminant_group(g, basis)
         for h1 in (trivial_subgroup(group), full_subgroup(group)):
             gens = hilbert_basis(g, basis, h1)
-            for check in check_gcd_condition(g, gcd_cycle(gens), gens):
+            for check in _gcd_checks(g, gens):
                 if check.pruned_by_zero:
                     assert check.witness is not None
 
@@ -335,7 +340,7 @@ def test_uac_star_beyond_enumeration_cap(arms, order, mult, blowups):
 def test_larger_three_node_graph():
     """20 vertices, three nodes, |H| = 1440: the loop stays fast and both
     modes agree; the full-subgroup box correctly trips the enumeration cap."""
-    from splicemult import CapExceededError, multiplicity_of_quotient as moq
+    from splicemult import multiplicity_of_quotient as moq
 
     edges = [(1, 5), (2, 5), (5, 6), (6, 7), (7, 8), (8, 9), (9, 3), (8, 10),
              (10, 4), (8, 11), (11, 12), (12, 13), (13, 14), (14, 15),
@@ -359,7 +364,7 @@ def test_larger_three_node_graph():
     assert run_pipeline(g, h1).multiplicity == \
         run_pipeline(g, h1, STRICT).multiplicity == 36
 
-    with pytest.raises(CapExceededError):
+    with pytest.raises(CapExceededError, match="enumeration box volume"):
         moq(g)
 
 
@@ -384,10 +389,10 @@ def test_classical_double_points():
 
 def test_max_blowups_cap(a2_chain, tree_h60):
     group60 = discriminant_group(tree_h60)
-    with pytest.raises(MaxBlowupsExceededError):
+    with pytest.raises(CapExceededError, match="more than 2 blowups"):
         run_pipeline(tree_h60, trivial_subgroup(group60),
                      PipelineConfig(max_blowups=2))
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError, match="caps must be positive"):
         PipelineConfig(max_blowups=0)
     # one blowup is enough for the chain
     group = discriminant_group(a2_chain)
@@ -398,7 +403,7 @@ def test_max_blowups_cap(a2_chain, tree_h60):
 def test_non_minimal_guard():
     g = ResolutionGraph({1: -2, 2: -1}, [(1, 2)])
     group = discriminant_group(g)
-    with pytest.raises(NotMinimalError):
+    with pytest.raises(ConditionError, match="blow-downable"):
         run_pipeline(g, full_subgroup(group))
     report = run_pipeline(g, full_subgroup(group),
                           PipelineConfig(allow_non_minimal=True))
@@ -408,7 +413,7 @@ def test_non_minimal_guard():
 
 def test_wrong_graph_subgroup(tree_h12, a2_chain):
     group = discriminant_group(a2_chain)
-    with pytest.raises(GraphMismatchError):
+    with pytest.raises(InternalError, match="built on a different graph"):
         run_pipeline(tree_h12, trivial_subgroup(group))
 
 
@@ -419,16 +424,16 @@ def test_non_integer_multiplicity_guard(tree_h60, monkeypatch):
 
     real_check = pipeline_module.check_gcd_condition
 
-    def everything_passes(g, z, gens):
+    def everything_passes(g, z, z_dual, gens):
         return [pipeline_module.EdgeCheckResult(
             edge=c.edge, passed=True, witness=c.witness,
             pruned_by_zero=c.pruned_by_zero)
-            for c in real_check(g, z, gens)]
+            for c in real_check(g, z, z_dual, gens)]
 
     monkeypatch.setattr(pipeline_module, "check_gcd_condition",
                         everything_passes)
     group = discriminant_group(tree_h60)
-    with pytest.raises(NonIntegerMultiplicityError):
+    with pytest.raises(InternalError, match=r"= 21/5 is not a positive integer"):
         run_pipeline(tree_h60, trivial_subgroup(group))
 
 
