@@ -48,6 +48,7 @@ from .linalg import (
 from .monomial import (
     HilbertBasis,
     MonomialCycle,
+    ZeroSumSearch,
     base_point_set,
     gcd_cycle,
     hilbert_basis,

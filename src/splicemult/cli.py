@@ -174,10 +174,9 @@ def cmd_mult(args):
           f"index |H/H1| = {result.index}")
     if args.trace:
         for k, rnd in enumerate(result.rounds, start=1):
-            print(f"round {k}: {len(rnd.generators)} generators, "
-                  f"Z = {_fmt_dual_combo(rnd.graph, rnd.z_dual)}")
+            print(f"round {k}: Z = {_fmt_dual_combo(rnd.graph, rnd.z_dual)}")
             for dec in rnd.end_decisions:
-                extra = (f" (generator {dec.witness})"
+                extra = (f" (witness {dec.witness})"
                          if dec.witness is not None else "")
                 print(f"  end {dec.end}: {dec.action}{extra}")
             for chk in rnd.edge_checks:

@@ -28,8 +28,8 @@ class ConditionError(SpliceMultError):
 
 
 class CapExceededError(SpliceMultError):
-    """A resource cap was hit: group order, search box, knapsack nodes or
-    the number of blowups."""
+    """A resource cap was hit: group order, |H1| for the zero-sum search,
+    Hilbert-basis box, knapsack nodes or the number of blowups."""
 
     exit_code = 3
 

@@ -1,15 +1,19 @@
-"""Monomial cycles: the monomial condition, base points, Hilbert bases.
+"""Monomial cycles: the monomial condition, base points, the minima of the
+H1-invariant monoid, and Hilbert bases.
 
 A monomial cycle is a nonnegative integer combination of end duals E_i*;
 it stands for the monomial prod z_i^{a_i} in the end-curve variables.  All
-searches reduce to integer knapsack problems after clearing denominators
-(every denominator divides |det I(E)|), and every dual-basis entry is
-strictly positive, which makes all bounds finite.
+searches reduce to integer problems after clearing denominators (every
+denominator divides |det I(E)|), and every dual-basis entry is strictly
+positive, which makes all bounds finite.
 """
 
+import heapq
 import itertools
 from dataclasses import dataclass
-from math import lcm
+from fractions import Fraction
+from math import gcd, lcm
+from operator import add, mod
 
 from .errors import CapExceededError, ConditionError, InternalError
 from .graph import branches
@@ -17,6 +21,7 @@ from .lattice import QCycle, _as_vector
 
 BOX_CAP = 10 ** 8  # points in a Hilbert-basis enumeration box
 SEARCH_CAP = 2_000_000  # nodes of one knapsack search
+RESIDUE_CAP = 10 ** 5  # |H1|: the most classes a zero-sum search settles
 
 
 class MonomialCycle:
@@ -36,13 +41,7 @@ class MonomialCycle:
         return tuple(self.exponents.get(l, 0) for l in labels)
 
     def monomial_string(self):
-        parts = []
-        for label, a in self.exponents.items():
-            if a == 1:
-                parts.append(f"z{label}")
-            elif a > 1:
-                parts.append(f"z{label}^{a}")
-        return "*".join(parts) if parts else "1"
+        return monomial_string(self.exponents)
 
     def __eq__(self, other):
         return (isinstance(other, MonomialCycle)
@@ -51,6 +50,17 @@ class MonomialCycle:
 
     def __repr__(self):
         return f"MonomialCycle({self.monomial_string()})"
+
+
+def monomial_string(exponents):
+    """The monomial prod z_label^a of an exponent map, e.g. "z2*z3^2"."""
+    parts = []
+    for label, a in sorted(exponents.items()):
+        if a == 1:
+            parts.append(f"z{label}")
+        elif a > 1:
+            parts.append(f"z{label}^{a}")
+    return "*".join(parts) if parts else "1"
 
 
 def monomial_cycle(basis, exponents, end_map=None):
@@ -108,11 +118,11 @@ def _representable(target, weights):
     return bool((bits >> t) & 1)
 
 
-def _exact_solutions(target, weights):
+def _exact_solutions(target, weights, where):
     """All nonnegative integer vectors a with sum a_k * weights_k = target.
 
     Finite because the weights are strictly positive; the recursion counts
-    its nodes against the cap.
+    its nodes against the cap, and `where` names the search in the error.
     """
     t, ws = _clear_denominators(target, weights)
     if t < 0:
@@ -123,7 +133,9 @@ def _exact_solutions(target, weights):
     def rec(idx, remaining, partial):
         counter[0] += 1
         if counter[0] > SEARCH_CAP:
-            raise CapExceededError("knapsack search bound exceeded")
+            raise CapExceededError(
+                f"knapsack search bound exceeded: more than {SEARCH_CAP} "
+                f"nodes (SEARCH_CAP) at {where}")
         if idx == len(ws):
             if remaining == 0:
                 out.append(tuple(partial))
@@ -195,7 +207,8 @@ def admissible_monomials(g, basis, node, branch):
     weights = [basis.entry(node, e) for e in branch_ends]
     node_dual = basis.dual_cycle(node)
     witnesses = []
-    for combo in _exact_solutions(target, weights):
+    where = f"node {node}, branch {sorted(branch)}"
+    for combo in _exact_solutions(target, weights, where):
         d = QCycle.zero(g)
         for a, e in zip(combo, branch_ends):
             if a:
@@ -257,7 +270,181 @@ def base_point_set(g, basis):
     return frozenset(out)
 
 
-# --- Hilbert basis of the congruence submonoid ----------------------------------
+# --- the monoid of H1-invariant monomial cycles -----------------------------------
+
+
+def _generator_vectors(g, h1):
+    """H1's generator vectors re-keyed onto a (possibly blown-up) graph.
+
+    Vertex ids persist through blowups, so a dual-coordinate vector on the
+    original graph extends by zeros; that extension IS the pullback class.
+    """
+    source = h1.group.graph
+    vecs = []
+    for gen in h1.generators:
+        as_map = {v: c for v, c in zip(source.vertex_ids, gen)}
+        vecs.append(_as_vector(g, as_map))
+    return vecs
+
+
+def _congruences(basis, h1, vertices):
+    """The integer form of "pairs integrally with H1" on the end duals.
+
+    Returns one modulus m_j per generator of H1 and, for each end vertex,
+    the tuple of residues r_j = m_j * (E_v* . gen_j) mod m_j.  The monomial
+    cycle sum_i a_i E_i* pairs integrally with H1 exactly when
+    sum_i a_i r_ij = 0 mod m_j for every j.  Both are blowup invariants.
+    """
+    gen_vecs = _generator_vectors(basis.graph, h1)
+    pairings = [[basis.pairing({v: 1}, gv) for gv in gen_vecs]
+                for v in vertices]
+    moduli = tuple(lcm(*(row[j].denominator for row in pairings))
+                   for j in range(len(gen_vecs)))
+    residues = tuple(
+        tuple((p.numerator * (m // p.denominator)) % m
+              for p, m in zip(row, moduli))
+        for row in pairings)
+    return moduli, residues
+
+
+def _class_steps(residues, moduli):
+    """Number the classes reachable from class 0 (which gets 0) and
+    tabulate, per end label, the class one step along that end leads to."""
+    zero = (0,) * len(moduli)
+    index, order = {zero: 0}, [zero]
+    tables = {l: [] for l in residues}
+    for c in order:  # grows while it is read
+        for l, table in tables.items():
+            n = tuple(map(mod, map(add, c, residues[l]), moduli))
+            if n not in index:
+                index[n] = len(order)
+                order.append(n)
+            table.append(index[n])
+    return tables
+
+
+class ZeroSumSearch:
+    """Minima of M_v over the nonzero H1-invariant monomial cycles.
+
+    A monomial cycle pairs integrally with H1 exactly when its ends'
+    residues sum to the zero class of prod Z/m_j (see `_congruences`), so a
+    nonzero member is a walk from class 0 back to class 0 in which end i
+    is a step by its residue, weighted |H| * M_v(E_i*) (an integer: every
+    dual entry has a denominator dividing |det I(E)| = |H|, which blowups
+    keep).  Dijkstra over the classes finds the lightest such walk; the
+    residues are characters of H1, so at most |H1| classes are settled.
+
+    Every dual entry is positive, so a member attaining min M_v is a
+    Hilbert-basis generator and the minimum over all nonzero members is
+    the minimum over the generators.  Z_v, the edge checks and the end
+    witnesses need only these minima, so no Hilbert basis is built.
+
+    Results are kept by vertex tuple and removed end.  Vertex ids persist
+    through blowups and E'_i* = pi*(E_i*) keeps every old vertex's
+    weights, so after `advance` only the keys that involve a new vertex
+    are searched again.
+    """
+
+    def __init__(self, basis, h1, end_map=None):
+        if h1.order > RESIDUE_CAP:
+            raise CapExceededError(
+                f"zero-sum search: |H1| = {h1.order} residue classes "
+                f"exceed the cap {RESIDUE_CAP}")
+        if end_map is None:
+            end_map = {e: e for e in basis.graph.ends}
+        self.labels = tuple(sorted(end_map))
+        moduli, residues = _congruences(
+            basis, h1, [end_map[l] for l in self.labels])
+        self._steps = _class_steps(dict(zip(self.labels, residues)), moduli)
+        self._units = {l: tuple(int(l == m) for m in self.labels)
+                       for l in self.labels}
+        self._scale = h1.group.order
+        self._memo = {}
+        self.advance(basis, end_map)
+
+    def advance(self, basis, end_map):
+        """Continue on a blown-up graph, given its dual basis and end map."""
+        if tuple(sorted(end_map)) != self.labels:
+            raise InternalError("end map does not match the end labels")
+        self._basis = basis
+        self._end_map = dict(end_map)
+
+    def _weights(self, v):
+        out = {}
+        for label, e in self._end_map.items():
+            w = self._scale * self._basis.entry(v, e)
+            if w.denominator != 1:
+                raise InternalError(
+                    f"|H| * M_{v}(E_{e}*) = {w} is not an integer")
+            out[label] = w.numerator
+        return out
+
+    def least(self, vertices, without=None):
+        """The least nonzero member with exponent 0 at end `without`, as
+        ((M_v for v in vertices), {label: exponent}); None when there is
+        none.  Members are ordered by the M_v lexicographically, then by
+        degree, then by exponent vector: the graded-lex order in which
+        `hilbert_basis` lists its generators."""
+        key = (tuple(vertices), without)
+        if key not in self._memo:
+            per_vertex = [self._weights(v) for v in vertices]
+            keys = {l: (*(w[l] for w in per_vertex), 1, *self._units[l])
+                    for l in self.labels if l != without}
+            total = self._shortest(keys)
+            found = None
+            if total is not None:
+                k = len(vertices)
+                found = (tuple(Fraction(x, self._scale) for x in total[:k]),
+                         {l: a for l, a in zip(self.labels, total[k + 1:])
+                          if a})
+            self._memo[key] = found
+        return self._memo[key]
+
+    def z(self):
+        """The gcd cycle Z on the current graph: Z_v = min M_v."""
+        g = self._basis.graph
+        return QCycle(g, [self.least((v,))[0][0] for v in g.vertex_ids])
+
+    def _shortest(self, keys):
+        """Dijkstra from a virtual source, one step along each end in
+        `keys` to its residue class, until class 0 is settled.  Step keys
+        are tuples of nonnegative integers, lexicographically positive and
+        added componentwise, so the least key of a walk back to class 0 is
+        found; the key carries the walk's exponents itself."""
+        moves = [(w, self._steps[l]) for l, w in keys.items()]
+        size = len(self._steps[self.labels[0]])
+        best = [None] * size  # least key found so far, per class
+        for w, table in moves:
+            c = table[0]
+            if best[c] is None or w < best[c]:
+                best[c] = w
+        heap = [(w, c) for c, w in enumerate(best) if w is not None]
+        heapq.heapify(heap)
+        settled = bytearray(size)
+        while heap:
+            total, c = heapq.heappop(heap)
+            if c == 0:
+                return total
+            if settled[c]:
+                continue
+            settled[c] = 1
+            bound = best[0]  # no walk at or above it can improve on it
+            for w, table in moves:
+                n = table[c]
+                if settled[n]:
+                    continue
+                nt = tuple(map(add, total, w))
+                if bound is not None and nt >= bound:
+                    continue
+                if best[n] is None or nt < best[n]:
+                    best[n] = nt
+                    heapq.heappush(heap, (nt, n))
+                    if n == 0:
+                        bound = nt
+        return None
+
+
+# --- the full Hilbert basis (a reference for the search above) --------------------
 
 
 @dataclass(frozen=True)
@@ -279,36 +466,6 @@ class HilbertBasis:
     def __getitem__(self, k):
         return self.generators[k]
 
-    def pulled_back(self, basis, end_map):
-        """The same monoid's generators on a blown-up graph.
-
-        The exponent set is a blowup invariant: an old end's dual pulls
-        back (E'_i* = pi*(E_i*)), and the leaf that takes over an end's
-        curve variable pairs with the pulled-back H1 exactly like that end
-        did.  So only the expansions are rebuilt, on the new basis.
-        """
-        if tuple(sorted(end_map)) != self.labels:
-            raise InternalError("end map does not match the end labels")
-        gens = tuple(monomial_cycle(basis, m.exponents, end_map)
-                     for m in self.generators)
-        return HilbertBasis(graph=basis.graph, labels=self.labels,
-                            end_vertices=tuple(end_map[l] for l in self.labels),
-                            orders=self.orders, generators=gens)
-
-
-def _generator_vectors(g, h1):
-    """H1's generator vectors re-keyed onto a (possibly blown-up) graph.
-
-    Vertex ids persist through blowups, so a dual-coordinate vector on the
-    original graph extends by zeros; that extension IS the pullback class.
-    """
-    source = h1.group.graph
-    vecs = []
-    for gen in h1.generators:
-        as_map = {v: c for v, c in zip(source.vertex_ids, gen)}
-        vecs.append(_as_vector(g, as_map))
-    return vecs
-
 
 def hilbert_basis(g, basis, h1, end_map=None):
     """Minimal generating set of the monoid of H1-invariant monomial cycles.
@@ -316,18 +473,16 @@ def hilbert_basis(g, basis, h1, end_map=None):
     For each end the additive order of its pairing vector bounds the box:
     ord_i * e_i is always a member, so any member with a_i > ord_i splits
     off a copy of it.  Enumerating the box [0, ord_i]^ends and keeping the
-    componentwise-minimal members is therefore exact.
+    componentwise-minimal members is therefore exact.  The pipeline uses
+    ZeroSumSearch instead; this is the reference it is tested against.
     """
     if end_map is None:
         end_map = {e: e for e in g.ends}
     labels = tuple(sorted(end_map))
     vertices = tuple(end_map[l] for l in labels)
-    gen_vecs = _generator_vectors(g, h1)
-
-    pairings = []
-    for v in vertices:
-        pairings.append([basis.pairing({v: 1}, gv) for gv in gen_vecs])
-    orders = tuple(lcm(*(p.denominator for p in row)) for row in pairings)
+    moduli, residues = _congruences(basis, h1, vertices)
+    orders = tuple(lcm(*(m // gcd(m, r) for m, r in zip(moduli, row)))
+                   for row in residues)
 
     volume = 1
     for o in orders:
@@ -336,31 +491,14 @@ def hilbert_basis(g, basis, h1, end_map=None):
         raise CapExceededError(
             f"enumeration box volume {volume} exceeds the cap {BOX_CAP}")
 
-    # integer residue form of the congruences, one modulus per generator
-    k = len(gen_vecs)
-    moduli = []
-    residues = []
-    for j in range(k):
-        m = lcm(*(pairings[i][j].denominator for i in range(len(vertices))))
-        moduli.append(m)
-        residues.append([
-            (pairings[i][j].numerator * (m // pairings[i][j].denominator)) % m
-            for i in range(len(vertices))])
-
+    # one congruence per generator of H1
+    rows = [(m, col) for m, col in zip(moduli, zip(*residues)) if m > 1]
     members = []
     for combo in itertools.product(*(range(o + 1) for o in orders)):
         if not any(combo):
             continue
-        ok = True
-        for j in range(k):
-            m = moduli[j]
-            if m == 1:
-                continue
-            row = residues[j]
-            if sum(a * r for a, r in zip(combo, row)) % m:
-                ok = False
-                break
-        if ok:
+        if all(sum(a * r for a, r in zip(combo, col)) % m == 0
+               for m, col in rows):
             members.append(combo)
 
     generators = []

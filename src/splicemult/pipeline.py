@@ -1,10 +1,11 @@
 """The multiplicity pipeline: base points, GCD condition, blowup loop.
 
 One run computes the multiplicity of the abelian cover attached to a
-subgroup H1 of the discriminant group: rounds of Hilbert-basis computation
-and gcd extraction alternate with blowups until every local check passes,
-and the answer is |H/H1| * (-Z.Z).  Everything is exact; a non-integer
-result is an internal error, never something to round.
+subgroup H1 of the discriminant group: rounds that find the gcd cycle Z
+and the local checks by shortest zero-sum searches alternate with blowups
+until every local check passes, and the answer is |H/H1| * (-Z.Z).
+Everything is exact; a non-integer result is an internal error, never
+something to round.
 """
 
 from dataclasses import dataclass
@@ -14,7 +15,7 @@ from .errors import CapExceededError, ConditionError, InputError, InternalError
 from .graph import GraphHistory, is_minimal
 from .lattice import DualBasis, full_subgroup, intersect, to_dual_coordinates
 from .linalg import determinant
-from .monomial import base_point_set, gcd_cycle, hilbert_basis
+from .monomial import ZeroSumSearch, base_point_set, monomial_string
 
 MODE_STRICT = "strict"
 MODE_OPTIMIZED = "optimized"
@@ -30,18 +31,19 @@ class PipelineConfig:
         if self.mode not in (MODE_STRICT, MODE_OPTIMIZED):
             raise InputError(f"unknown mode {self.mode!r}")
         if self.max_blowups <= 0:
-            raise InputError("caps must be positive")
+            raise InputError(
+                f"max_blowups must be positive, got {self.max_blowups}")
 
 
 @dataclass(frozen=True)
 class EdgeCheckResult:
-    """Local gcd check at one edge: passed iff a single generator attains
-    both coefficient minima (sums of two or more generators always exceed
-    them, since all coefficients are positive)."""
+    """Local gcd check at one edge: passed iff a single monomial cycle
+    attains both coefficient minima (it is then a Hilbert-basis generator,
+    since all coefficients are positive)."""
 
     edge: tuple
     passed: bool
-    witness: object  # generator index or None
+    witness: object  # monomial string of a witness, or None
     pruned_by_zero: bool
 
     def to_dict(self):
@@ -59,7 +61,7 @@ class EndDecision:
 
     end: int  # original end index
     action: str  # 'witness' | 'not_base_point' | 'blowup' | 'strict_blowup'
-    witness: object = None  # generator index for action == 'witness'
+    witness: object = None  # monomial string for action == 'witness'
 
     def to_dict(self):
         return {"end": self.end, "action": self.action, "witness": self.witness}
@@ -68,7 +70,6 @@ class EndDecision:
 @dataclass
 class RoundRecord:
     graph: object
-    generators: object  # HilbertBasis
     z: object  # QCycle
     z_dual: tuple
     end_decisions: tuple = ()
@@ -77,7 +78,6 @@ class RoundRecord:
 
     def to_dict(self):
         return {
-            "generator_count": len(self.generators),
             "Z_vertex": _cycle_json(self.z),
             "Z_dual": _dual_json(self.graph, self.z_dual),
             "end_decisions": [d.to_dict() for d in self.end_decisions],
@@ -131,12 +131,13 @@ def _dual_json(graph, coords):
     return {str(v): str(c) for v, c in zip(graph.vertex_ids, coords)}
 
 
-def check_gcd_condition(g, z, z_dual, gens):
-    """Edge-by-edge gcd check against the generator list; z_dual holds
-    Z's dual coordinates, (-Z . E_v)_v.
+def check_gcd_condition(g, z, z_dual, search):
+    """Edge-by-edge gcd check; z_dual holds Z's dual coordinates,
+    (-Z . E_v)_v, and search is the round's ZeroSumSearch.
 
-    An edge (v, w) passes when one generator attains both M_v(Z) and
-    M_w(Z).  Edges with Z . E_v = 0 or Z . E_w = 0 are additionally marked
+    An edge (v, w) passes when the lexicographically least (M_v, M_w) over
+    the monoid is (M_v(Z), M_w(Z)): one member, a generator, attains both
+    minima.  Edges with Z . E_v = 0 or Z . E_w = 0 are additionally marked
     pruned_by_zero: the gcd condition holds along the whole curve there,
     so a witness must exist anyway (the full test still runs and the two
     answers are cross-checked by the test suite).
@@ -144,13 +145,12 @@ def check_gcd_condition(g, z, z_dual, gens):
     zero_dot = {v: x == 0 for v, x in zip(g.vertex_ids, z_dual)}
     results = []
     for v, w in g.edges:
-        mv, mw = z.coefficient(v), z.coefficient(w)
-        witness = None
-        for k, gen in enumerate(gens):
-            exp = gen.expansion
-            if exp.coefficient(v) == mv and exp.coefficient(w) == mw:
-                witness = k
-                break
+        (mv, mw), exps = search.least((v, w))
+        if mv != z.coefficient(v):
+            raise InternalError(
+                f"edge search at ({v}, {w}) found M_{v} = {mv}, "
+                f"but Z_{v} = {z.coefficient(v)}")
+        witness = monomial_string(exps) if mw == z.coefficient(w) else None
         pruned = zero_dot[v] or zero_dot[w]
         results.append(EdgeCheckResult(edge=(v, w),
                                        passed=witness is not None or pruned,
@@ -159,13 +159,13 @@ def check_gcd_condition(g, z, z_dual, gens):
     return results
 
 
-def _optimized_end_decisions(history, basis, z, gens):
+def _optimized_end_decisions(history, basis, z, search):
     """Per-end acceptance test after Z is known (cheap blowup avoidance).
 
-    An end is safe when some generator attains the minimum there with
-    exponent zero (its monomial does not vanish at the end-curve point), or
-    when the end is not a base point at all.  Otherwise the point must be
-    blown up and the round restarted.
+    An end is safe when some member with exponent zero there attains the
+    minimum of M_v at its vertex v (that generator's monomial does not
+    vanish at the end-curve point), or when the end is not a base point
+    at all.  Otherwise the point must be blown up and the round restarted.
     """
     g = history.current
     end_map = history.end_map
@@ -174,14 +174,10 @@ def _optimized_end_decisions(history, basis, z, gens):
     blow_label = None
     for label in sorted(end_map):
         v = end_map[label]
-        mz = z.coefficient(v)
-        witness = None
-        for k, gen in enumerate(gens):
-            if gen.expansion.coefficient(v) == mz and gen.exponents[label] == 0:
-                witness = k
-                break
-        if witness is not None:
-            decisions.append(EndDecision(label, "witness", witness))
+        found = search.least((v,), without=label)
+        if found is not None and found[0][0] == z.coefficient(v):
+            decisions.append(EndDecision(label, "witness",
+                                         monomial_string(found[1])))
             continue
         if base_vertices is None:
             base_vertices = base_point_set(g, basis)
@@ -194,10 +190,10 @@ def _optimized_end_decisions(history, basis, z, gens):
     return decisions, blow_label
 
 
-def resolve_base_points(graph_or_history, basis, z, gens, config):
+def resolve_base_points(graph_or_history, basis, z, search, config):
     """Base-point stage of one round, in the configured mode.
 
-    Strict mode ignores z/gens and blows up every base point of the current
+    Strict mode ignores z/search and blows up every base point of the current
     graph once (done before any monoid computation).  Optimized mode applies
     the per-end acceptance test and performs at most the first required
     blowup; the caller restarts the round when the history has grown.
@@ -215,7 +211,8 @@ def resolve_base_points(graph_or_history, basis, z, gens, config):
             history.blowup_end(label)
             decisions.append(EndDecision(label, "strict_blowup"))
         return history, decisions
-    decisions, blow_label = _optimized_end_decisions(history, basis, z, gens)
+    decisions, blow_label = _optimized_end_decisions(history, basis, z,
+                                                     search)
     if blow_label is not None:
         history.blowup_end(blow_label)
     return history, decisions
@@ -224,13 +221,13 @@ def resolve_base_points(graph_or_history, basis, z, gens, config):
 def run_pipeline(g, h1, config=None):
     """Full multiplicity computation for the cover attached to H1.
 
-    Rounds: Hilbert basis on the current graph, Z = componentwise gcd,
-    base-point stage, then edge checks; the lexicographically least failing
-    edge is blown up and the next round starts.  Nothing is rebuilt from
-    scratch after a blowup: the dual basis starts as h1.group.basis and is
-    pulled back through each new event in O(n^2) (DualBasis.pulled_back),
-    and the Hilbert basis is enumerated once, in the first round, after
-    which only its expansions are rebuilt (HilbertBasis.pulled_back).
+    Rounds: Z on the current graph, base-point stage, then edge checks;
+    the lexicographically least failing edge is blown up and the next round
+    starts.  Nothing is rebuilt from scratch after a blowup: the dual basis
+    starts as h1.group.basis and is pulled back through each new event in
+    O(n^2) (DualBasis.pulled_back), and one ZeroSumSearch serves every
+    round, searching again only for the new vertex, its edges and a moved
+    end.
     Terminates with multiplicity = |H/H1| * (-Z.Z), always a positive
     integer.
     """
@@ -251,29 +248,30 @@ def run_pipeline(g, h1, config=None):
             history, basis, None, None, config)
 
     rounds = []
-    gens = None
+    search = None
     pulled = 0  # events already applied to basis
     while True:
         events = history.events
+        current = history.current
         if len(events) > config.max_blowups:
             raise CapExceededError(
-                f"more than {config.max_blowups} blowups")
+                f"more than {config.max_blowups} blowups (the graph has "
+                f"grown to {len(current)} vertices)")
         for event in events[pulled:]:
             basis = DualBasis.pulled_back(history, event, basis)
         pulled = len(events)
-        current = history.current
-        if gens is None:
-            gens = hilbert_basis(current, basis, h1, end_map=history.end_map)
+        if search is None:
+            search = ZeroSumSearch(basis, h1, history.end_map)
         else:
-            gens = gens.pulled_back(basis, history.end_map)
-        z = gcd_cycle(gens)
-        record = RoundRecord(graph=current, generators=gens, z=z,
+            search.advance(basis, history.end_map)
+        z = search.z()
+        record = RoundRecord(graph=current, z=z,
                              z_dual=to_dual_coordinates(z))
 
         if config.mode == MODE_OPTIMIZED:
             before = len(history.events)
             history, decisions = resolve_base_points(
-                history, basis, z, gens, config)
+                history, basis, z, search, config)
             record.end_decisions = tuple(decisions)
             base_decisions.extend(decisions)
             if len(history.events) > before:
@@ -281,7 +279,7 @@ def run_pipeline(g, h1, config=None):
                 rounds.append(record)
                 continue
 
-        checks = check_gcd_condition(current, z, record.z_dual, gens)
+        checks = check_gcd_condition(current, z, record.z_dual, search)
         record.edge_checks = tuple(checks)
         failing = sorted(c.edge for c in checks if not c.passed)
         if failing:

@@ -4,9 +4,9 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import settings
+from hypothesis import assume, settings, strategies as st
 
-from splicemult import ResolutionGraph
+from splicemult import GraphHistory, InputError, ResolutionGraph
 
 # Property tests draw the same examples on every run.
 settings.register_profile("deterministic", derandomize=True, database=None,
@@ -254,3 +254,104 @@ def hilbert_oracle(g, basis, h1, volume_cap=100_000):
         return False
 
     return {vec for vec in members if not decomposable(vec)}
+
+
+@st.composite
+def blowup_histories(draw):
+    """A random negative definite tree and a random sequence of edge and
+    end blowups on it.  Vertex ids are multiples of 3, so fresh ids land
+    at the front and in the middle of the sorted vertex order."""
+    n = draw(st.integers(2, 7))
+    weights = {3 * i: draw(st.integers(-6, -1)) for i in range(1, n + 1)}
+    edges = [(3 * draw(st.integers(1, i - 1)), 3 * i) for i in range(2, n + 1)]
+    try:
+        g = ResolutionGraph(weights, edges)
+    except InputError:  # not negative definite
+        assume(False)
+    history = GraphHistory(g)
+    for is_edge, pick in draw(st.lists(st.tuples(st.booleans(),
+                                                 st.integers(0, 99)),
+                                       max_size=6)):
+        if is_edge:
+            edges = history.current.edges
+            history.blowup_edge(*edges[pick % len(edges)])
+        else:
+            labels = sorted(history.end_map)
+            history.blowup_end(labels[pick % len(labels)])
+    return history
+
+
+# --- generator scans over a full Hilbert basis (the reference verdicts) --------
+
+
+def scan_edge_witness(gens, z, v, w):
+    """The first generator attaining both M_v(Z) and M_w(Z), or None."""
+    mv, mw = z.coefficient(v), z.coefficient(w)
+    return next((m for m in gens if m.expansion.coefficient(v) == mv
+                 and m.expansion.coefficient(w) == mw), None)
+
+
+def scan_end_witness(gens, z, label, v):
+    """The first generator with exponent 0 at end `label` attaining M_v(Z)
+    at the end's vertex v, or None."""
+    mv = z.coefficient(v)
+    return next((m for m in gens if m.exponents[label] == 0
+                 and m.expansion.coefficient(v) == mv), None)
+
+
+def round_end_map(history, graph):
+    """The end map of the round that ran on `graph`."""
+    if graph is history.initial:
+        return {e: e for e in graph.ends}
+    k = next(k for k in range(len(history.events))
+             if history.graph_after(k) is graph)
+    return end_map_after(history, k)
+
+
+def assert_rounds_match_hilbert_basis(report, h1):
+    """Every round's Z, end witnesses and edge verdicts against a fresh
+    inversion and a fresh box-enumerated Hilbert basis on its graph: each
+    witness is the first generator, in the basis's graded-lex order, that
+    the old generator scan would have picked."""
+    from splicemult import DualBasis, gcd_cycle, hilbert_basis
+
+    def text(m):
+        return None if m is None else m.monomial_string()
+
+    for rnd in report.rounds:
+        g = rnd.graph
+        end_map = round_end_map(report.history, g)
+        gens = hilbert_basis(g, DualBasis(g), h1, end_map)
+        assert rnd.z == gcd_cycle(gens)
+        for dec in rnd.end_decisions:
+            scanned = scan_end_witness(gens, rnd.z, dec.end, end_map[dec.end])
+            assert (dec.action == "witness") == (scanned is not None)
+            assert dec.witness == text(scanned)
+        for check in rnd.edge_checks:
+            scanned = scan_edge_witness(gens, rnd.z, *check.edge)
+            assert check.witness == text(scanned)
+            assert check.passed == (scanned is not None
+                                    or check.pruned_by_zero)
+
+
+# --- Laufer's algorithm (an oracle outside the pipeline's algebra) --------------
+
+
+def laufer_z_min(g):
+    """Artin's fundamental cycle by Laufer's algorithm, as {v: coefficient},
+    with its arithmetic genus p_a(Z) = 1 + (Z.Z + K.Z) / 2, where
+    K.E_v = -E_v.E_v - 2.  The graph is rational exactly when p_a = 0, and
+    then the singularity's multiplicity is -Z_min^2 (Artin)."""
+    z = {v: 1 for v in g.vertex_ids}
+
+    def dot_vertex(v):
+        return g.weight(v) * z[v] + sum(z[u] for u in g.neighbors(v))
+
+    while True:
+        bad = next((v for v in g.vertex_ids if dot_vertex(v) > 0), None)
+        if bad is None:
+            break
+        z[bad] += 1
+    zz = sum(z[v] * dot_vertex(v) for v in g.vertex_ids)
+    kz = sum(z[v] * (-g.weight(v) - 2) for v in g.vertex_ids)
+    return z, zz, 1 + (zz + kz) // 2

@@ -162,16 +162,43 @@ def test_mult_monomial_failure(files, capsys):
 
 
 def test_mult_box_cap_env(files, capsys, monkeypatch, tmp_path):
-    """The box cap is a fixed constant: the environment does not move it,
-    and the quotient of star(-2; -5,-7,-11) (604^3 box points) hits it."""
+    """No box cap stands between `mult` and an answer: the environment
+    variable that once set one is ignored, and the quotient of
+    star(-2; -5,-7,-11), whose Hilbert-basis box has 604^3 points, answers
+    19 (Laufer: -Z_min^2 of this rational graph)."""
     monkeypatch.setenv("SPLICEMULT_MAX_BOX", "1")
     assert run(capsys, "mult", files["h12"], "--quotient")[0] == 0
     path = tmp_path / "star.json"
     path.write_text(graph_json(star(-2, [-5, -7, -11])))
     code, out, err = run(capsys, "mult", str(path), "--quotient")
+    assert (code, err) == (0, "")
+    assert out.startswith("|H| = 603  |H1| = 603  index |H/H1| = 1\n")
+    assert out.endswith("multiplicity = 19\n")
+
+
+def test_mult_residue_cap(capsys, tmp_path):
+    """The zero-sum search settles at most |H1| classes and refuses an H1
+    above its cap before searching; H1 = 0 on the same graph answers
+    Neumann's 11 * 13."""
+    path = tmp_path / "star.json"
+    path.write_text(graph_json(star(-3, [-11, -13, -17, -19])))
+    code, out, err = run(capsys, "mult", str(path), "--quotient")
     assert (code, out) == (3, "")
-    assert err == ("error: enumeration box volume 220348864 exceeds the "
-                   "cap 100000000\n")
+    assert err == ("error: zero-sum search: |H1| = 125667 residue classes "
+                   "exceed the cap 100000\n")
+    code, out, _ = run(capsys, "mult", str(path), "--uac")
+    assert code == 0 and out.endswith("multiplicity = 143\n")
+
+
+def test_mult_trace_names_witness_monomials(files, capsys):
+    """--trace prints Z per round and each witness as its monomial."""
+    code, out, _ = run(capsys, "mult", files["h12"], "--subgroup",
+                       files["sub_e1_2e3"], "--trace")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[1].startswith("round 1: Z = ")
+    assert "  end 2: witness (witness z1)" in lines
+    assert "generator" not in out
 
 
 def test_mult_max_blowups_zero_is_input_error(capsys, tmp_path):
@@ -180,10 +207,12 @@ def test_mult_max_blowups_zero_is_input_error(capsys, tmp_path):
     path.write_text(graph_json(star(-1, [-3, -4, -5, -7])))
     code, out, err = run(capsys, "mult", str(path), "--uac",
                          "--max-blowups", "0")
-    assert (code, out, err) == (1, "", "error: caps must be positive\n")
+    assert (code, out, err) == (
+        1, "", "error: max_blowups must be positive, got 0\n")
     code, _, err = run(capsys, "mult", str(path), "--uac",
                        "--max-blowups", "1")
-    assert (code, err) == (3, "error: more than 1 blowups\n")
+    assert (code, err) == (3, "error: more than 1 blowups (the graph has "
+                              "grown to 7 vertices)\n")
 
 
 def test_usage_error_is_exit_1(files, capsys):

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import given, strategies as st
 
 from splicemult import (
     DualBasis,
@@ -22,11 +22,12 @@ from splicemult import (
     to_dual_coordinates,
     trivial_subgroup,
 )
-from splicemult.errors import CapExceededError, InputError, InternalError
+from splicemult.errors import CapExceededError, InternalError
 from splicemult.linalg import identity_matrix, mat_mul
 
 from conftest import (
     H12_DUAL_ROWS,
+    blowup_histories,
     closure,
     perp_member,
     random_trees,
@@ -328,31 +329,6 @@ def test_subgroup_membership_and_pairing_consistency():
 
 
 # --- dual basis carried through blowups ---------------------------------------------
-
-
-@st.composite
-def blowup_histories(draw):
-    """A random negative definite tree and a random sequence of edge and
-    end blowups on it.  Vertex ids are multiples of 3, so fresh ids land
-    at the front and in the middle of the sorted vertex order."""
-    n = draw(st.integers(2, 7))
-    weights = {3 * i: draw(st.integers(-6, -1)) for i in range(1, n + 1)}
-    edges = [(3 * draw(st.integers(1, i - 1)), 3 * i) for i in range(2, n + 1)]
-    try:
-        g = ResolutionGraph(weights, edges)
-    except InputError:  # not negative definite
-        assume(False)
-    history = GraphHistory(g)
-    for is_edge, pick in draw(st.lists(st.tuples(st.booleans(),
-                                                 st.integers(0, 99)),
-                                       max_size=6)):
-        if is_edge:
-            edges = history.current.edges
-            history.blowup_edge(*edges[pick % len(edges)])
-        else:
-            labels = sorted(history.end_map)
-            history.blowup_end(labels[pick % len(labels)])
-    return history
 
 
 @given(blowup_histories())

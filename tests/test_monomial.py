@@ -77,6 +77,16 @@ def test_monomial_condition_vacuous_for_chain(a2_chain):
     assert report.satisfied and report.entries == ()
 
 
+def test_knapsack_cap_names_cap_and_branch(tree_h12, monkeypatch):
+    import splicemult.monomial as monomial
+
+    monkeypatch.setattr(monomial, "SEARCH_CAP", 3)
+    with pytest.raises(CapExceededError, match=(
+            r"^knapsack search bound exceeded: more than 3 nodes "
+            r"\(SEARCH_CAP\) at node 5, branch \[3, 4, 6, 7, 8, 9, 10\]$")):
+        monomial_condition(tree_h12, dual_cycles(tree_h12))
+
+
 def test_monomial_condition_failure(monomial_fail_graph):
     report = monomial_condition(monomial_fail_graph,
                                 dual_cycles(monomial_fail_graph))

@@ -10,11 +10,11 @@ from splicemult import (
     GraphHistory,
     PipelineConfig,
     ResolutionGraph,
+    ZeroSumSearch,
     check_gcd_condition,
     discriminant_group,
     dual_cycles,
     full_subgroup,
-    gcd_cycle,
     hilbert_basis,
     intersect,
     multiplicity_of_quotient,
@@ -32,7 +32,13 @@ from splicemult.errors import (
     InternalError,
 )
 
-from conftest import H12_TABLE, end_map_after, star
+from conftest import (
+    H12_TABLE,
+    assert_rounds_match_hilbert_basis,
+    end_map_after,
+    laufer_z_min,
+    star,
+)
 
 STRICT = PipelineConfig(mode="strict")
 
@@ -44,44 +50,37 @@ def _uac(g, config=None):
 # --- gcd condition -----------------------------------------------------------------
 
 
-def _gcd_checks(g, gens):
-    z = gcd_cycle(gens)
-    return check_gcd_condition(g, z, to_dual_coordinates(z), gens)
+def _gcd_checks(g, h1):
+    search = ZeroSumSearch(h1.group.basis, h1)
+    z = search.z()
+    return check_gcd_condition(g, z, to_dual_coordinates(z), search)
 
 
 def test_gcd_condition_h12_all_pass(tree_h12):
-    basis = dual_cycles(tree_h12)
-    group = discriminant_group(tree_h12, basis)
-    gens = hilbert_basis(tree_h12, basis, trivial_subgroup(group))
-    checks = _gcd_checks(tree_h12, gens)
+    group = discriminant_group(tree_h12)
+    checks = _gcd_checks(tree_h12, trivial_subgroup(group))
     assert all(c.passed for c in checks)
     assert {c.edge for c in checks} == set(tree_h12.edges)
 
 
 def test_gcd_condition_h60_fails_at_node_edge(tree_h60):
-    basis = dual_cycles(tree_h60)
-    group = discriminant_group(tree_h60, basis)
-    gens = hilbert_basis(tree_h60, basis, trivial_subgroup(group))
-    checks = _gcd_checks(tree_h60, gens)
+    group = discriminant_group(tree_h60)
+    checks = _gcd_checks(tree_h60, trivial_subgroup(group))
     assert [c.edge for c in checks if not c.passed] == [(1, 5)]
 
 
 def test_gcd_condition_chain_fails(a2_chain):
-    basis = dual_cycles(a2_chain)
-    group = discriminant_group(a2_chain, basis)
-    gens = hilbert_basis(a2_chain, basis, trivial_subgroup(group))
-    checks = _gcd_checks(a2_chain, gens)
+    group = discriminant_group(a2_chain)
+    checks = _gcd_checks(a2_chain, trivial_subgroup(group))
     assert [c.edge for c in checks if not c.passed] == [(1, 2)]
 
 
 def test_gcd_condition_pruning_sound(tree_h12, tree_h60, a2_chain):
     """Every edge justified by Z.E_v = 0 also has an explicit witness."""
     for g in (tree_h12, tree_h60, a2_chain):
-        basis = dual_cycles(g)
-        group = discriminant_group(g, basis)
+        group = discriminant_group(g)
         for h1 in (trivial_subgroup(group), full_subgroup(group)):
-            gens = hilbert_basis(g, basis, h1)
-            for check in _gcd_checks(g, gens):
+            for check in _gcd_checks(g, h1):
                 if check.pruned_by_zero:
                     assert check.witness is not None
 
@@ -120,14 +119,20 @@ def test_optimized_h12_no_end_blowups(tree_h12):
 
 def test_optimized_h12_e1_witness_decision(tree_h12):
     """With H1 = <E_1*>, end 1 is accepted through a generator with equal
-    coefficient and zero exponent (the z2*z3 witness)."""
+    coefficient and zero exponent: z4^2, the first such generator in
+    graded-lex order (z2*z3 and z2^2 qualify too).  Every round agrees with
+    a fresh Hilbert basis on its graph."""
     group = discriminant_group(tree_h12)
-    report = run_pipeline(tree_h12, subgroup([{1: 1}], group))
+    h1 = subgroup([{1: 1}], group)
+    report = run_pipeline(tree_h12, h1)
     decision = next(d for d in report.base_point_decisions if d.end == 1)
-    assert decision.action == "witness"
-    witness = report.rounds[0].generators[decision.witness]
+    assert (decision.action, decision.witness) == ("witness", "z4^2")
+    basis = dual_cycles(tree_h12)
+    witness = next(m for m in hilbert_basis(tree_h12, basis, h1)
+                   if m.monomial_string() == decision.witness)
     assert witness.exponents[1] == 0
     assert witness.expansion.coefficient(1) == report.z_final.coefficient(1)
+    assert_rounds_match_hilbert_basis(report, h1)
 
 
 # --- full pipeline runs ---------------------------------------------------------
@@ -255,21 +260,23 @@ def test_mode_equivalence_random():
 
 
 def test_pullback_coherence(tree_h60, a2_chain):
-    """After each edge blowup, generators recomputed from scratch (fresh
-    inversion and enumeration) equal the pipeline's next round and the
-    pullbacks of the previous round's generators."""
+    """Each round's Z, witnesses and verdicts equal those read off a fresh
+    inversion and enumeration on its graph, and after each edge blowup the
+    fresh generators are the pullbacks of those before it."""
     for g in (tree_h60, a2_chain):
         report = _uac(g)
         h1 = trivial_subgroup(discriminant_group(g))
+        assert_rounds_match_hilbert_basis(report, h1)
         for k, event in enumerate(report.history.events):
             assert event.kind == "edge"
+            pre = report.history.graph_before(k)
             post = report.history.graph_after(k)
             fresh = hilbert_basis(post, DualBasis(post), h1,
                                   end_map_after(report.history, k))
-            assert report.rounds[k + 1].generators == fresh
-            before = report.rounds[k]
+            before = hilbert_basis(pre, DualBasis(pre), h1,
+                                   end_map_after(report.history, k - 1))
             prev = {m.exponent_vector(sorted(m.exponents)): m.expansion
-                    for m in before.generators}
+                    for m in before}
             new = {m.exponent_vector(sorted(m.exponents)): m.expansion
                    for m in fresh}
             assert set(prev) == set(new)
@@ -303,6 +310,34 @@ def test_no_inversion_inside_pipeline(tree_h60, monkeypatch):
     assert sizes == []
     DualBasis(tree_h60)  # the counter does see an inversion
     assert sizes == [10]
+
+
+def test_no_hilbert_basis_inside_pipeline(tree_h12, tree_h60, monkeypatch):
+    """Z and the local checks come from the zero-sum search: no run, in
+    either mode, enumerates a Hilbert basis or takes a gcd of generators."""
+    import splicemult.monomial as monomial
+    import splicemult.pipeline as pipeline
+
+    calls = []
+
+    def forbidden(name):
+        def call(*args, **kwargs):
+            calls.append(name)
+            raise AssertionError(f"{name} called inside the pipeline")
+        return call
+
+    for module in (monomial, pipeline):
+        for name in ("hilbert_basis", "gcd_cycle"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden(name))
+    from splicemult import enumerate_subgroups
+
+    for config in (None, STRICT):
+        for h1 in enumerate_subgroups(discriminant_group(tree_h12)):
+            run_pipeline(tree_h12, h1, config)
+        assert _uac(tree_h60, config).multiplicity == 6
+        assert multiplicity_of_quotient(tree_h60, config).multiplicity >= 1
+    assert calls == []
 
 
 def test_uac_star_24_blowups():
@@ -339,7 +374,8 @@ def test_uac_star_beyond_enumeration_cap(arms, order, mult, blowups):
 
 def test_larger_three_node_graph():
     """20 vertices, three nodes, |H| = 1440: the loop stays fast and both
-    modes agree; the full-subgroup box correctly trips the enumeration cap."""
+    modes agree; the quotient, whose Hilbert-basis box exceeds the
+    enumeration cap, is rational with -Z_min^2 = 8 (Laufer, Artin)."""
     from splicemult import multiplicity_of_quotient as moq
 
     edges = [(1, 5), (2, 5), (5, 6), (6, 7), (7, 8), (8, 9), (9, 3), (8, 10),
@@ -364,8 +400,9 @@ def test_larger_three_node_graph():
     assert run_pipeline(g, h1).multiplicity == \
         run_pipeline(g, h1, STRICT).multiplicity == 36
 
-    with pytest.raises(CapExceededError, match="enumeration box volume"):
-        moq(g)
+    z_min, zz, genus = laufer_z_min(g)
+    assert (zz, genus) == (-8, 0)
+    assert moq(g).multiplicity == moq(g, STRICT).multiplicity == 8
 
 
 def test_classical_double_points():
@@ -389,10 +426,12 @@ def test_classical_double_points():
 
 def test_max_blowups_cap(a2_chain, tree_h60):
     group60 = discriminant_group(tree_h60)
-    with pytest.raises(CapExceededError, match="more than 2 blowups"):
+    with pytest.raises(CapExceededError, match=r"^more than 2 blowups \(the "
+                       r"graph has grown to 13 vertices\)$"):
         run_pipeline(tree_h60, trivial_subgroup(group60),
                      PipelineConfig(max_blowups=2))
-    with pytest.raises(InputError, match="caps must be positive"):
+    with pytest.raises(InputError, match="^max_blowups must be positive, "
+                                         "got 0$"):
         PipelineConfig(max_blowups=0)
     # one blowup is enough for the chain
     group = discriminant_group(a2_chain)
@@ -450,6 +489,9 @@ def test_report_json_fields(tree_h60):
     assert len(data["rounds"]) == 4
     for rnd in data["rounds"]:
         assert {"Z_vertex", "Z_dual", "edge_checks", "blowup"} <= set(rnd)
+        assert "generator_count" not in rnd
+        for check in rnd["edge_checks"]:
+            assert check["witness"] is None or check["witness"].startswith("z")
     assert len(data["trace"]) == 3
     # serialization round-trips through JSON
     text = json.dumps(data, indent=2, sort_keys=True)
