@@ -8,6 +8,7 @@ error family in errors.py carries its own code.
 """
 
 import argparse
+import functools
 import json
 import sys
 
@@ -308,8 +309,14 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The parser of this process, built on first use."""
+    return build_parser()
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except SpliceMultError as exc:

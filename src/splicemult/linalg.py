@@ -2,8 +2,9 @@
 
 Matrices are plain lists of lists over Python ints or fractions.Fraction.
 Everything runs on arbitrary-precision arithmetic; floating point is never
-used.  Classical elimination is fast enough at the matrix sizes produced by
-resolution graphs (a few dozen vertices).
+used.  Determinants and the inverse use fraction-free (Bareiss) elimination,
+whose divisions are all exact, so they run in integers; Smith and Hermite
+forms use unimodular row and column operations.
 """
 
 from dataclasses import dataclass
@@ -93,25 +94,35 @@ def determinant(a):
 
 
 def invert_rational_matrix(a):
-    """Exact inverse of a square matrix over the rationals (Gauss-Jordan).
+    """Exact inverse of a square integer matrix (fraction-free Gauss-Jordan).
 
+    Bareiss elimination on [A | Id]: every division is exact, so the work
+    stays in the integers.  It ends with d * Id on the left, d = +-det A,
+    and d * A^{-1} on the right; the Fractions are built only then.
     Raises InternalError when the determinant vanishes.
     """
     n = _check_square(a)
-    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+    if any(type(x) is not int for row in a for x in row):
+        raise InternalError("fraction-free inversion needs integer entries")
+    m = [list(row) + [int(i == j) for j in range(n)]
          for i, row in enumerate(a)]
-    for col in range(n):
-        pivot_row = next((i for i in range(col, n) if m[i][col] != 0), None)
+    prev = 1
+    for k in range(n):
+        pivot_row = next((i for i in range(k, n) if m[i][k] != 0), None)
         if pivot_row is None:
             raise InternalError("matrix is singular")
-        m[col], m[pivot_row] = m[pivot_row], m[col]
-        p = m[col][col]
-        m[col] = [x / p for x in m[col]]
+        m[k], m[pivot_row] = m[pivot_row], m[k]
+        pivot, row_k = m[k][k], m[k]
         for i in range(n):
-            if i != col and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [x - f * y for x, y in zip(m[i], m[col])]
-    return [row[n:] for row in m]
+            if i != k:
+                f = m[i][k]
+                m[i] = [(pivot * x - f * y) // prev
+                        for x, y in zip(m[i], row_k)]
+        prev = pivot
+    d = prev
+    if any(m[i][i] != d for i in range(n)):
+        raise InternalError("Bareiss inversion did not end at d * Id")
+    return [[Fraction(x, d) for x in row[n:]] for row in m]
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add, mod
+from operator import add, mod, sub
 
 from .errors import CapExceededError, ConditionError, InternalError
 from .graph import branches
@@ -119,13 +119,22 @@ def _representable(target, weights):
 
 
 def _exact_solutions(target, weights, where):
-    """All nonnegative integer vectors a with sum a_k * weights_k = target.
+    """All nonnegative integer vectors a with sum a_k * weights_k = target,
+    in lexicographic order.
 
-    Finite because the weights are strictly positive; the recursion counts
-    its nodes against the cap, and `where` names the search in the error.
+    Finite because the weights are strictly positive.  A partial vector is
+    extended only when the gcd of the weights still to come divides what
+    remains, so each level steps its exponent along one residue class.  The
+    recursion counts its nodes against the cap, and `where` names the
+    search in the error.
     """
     t, ws = _clear_denominators(target, weights)
-    if t < 0:
+    if not ws:
+        return [()] if t == 0 else []
+    tails = [0] * (len(ws) + 1)  # tails[k] = gcd(ws[k:]); gcd() = 0
+    for k in reversed(range(len(ws))):
+        tails[k] = gcd(ws[k], tails[k + 1])
+    if t < 0 or t % tails[0]:
         return []
     out = []
     counter = [0]
@@ -136,16 +145,17 @@ def _exact_solutions(target, weights, where):
             raise CapExceededError(
                 f"knapsack search bound exceeded: more than {SEARCH_CAP} "
                 f"nodes (SEARCH_CAP) at {where}")
-        if idx == len(ws):
-            if remaining == 0:
-                out.append(tuple(partial))
-            return
         w = ws[idx]
         if idx == len(ws) - 1:
             if remaining % w == 0:
                 out.append(tuple(partial + [remaining // w]))
             return
-        for a in range(remaining // w + 1):
+        # the a with rest | remaining - a * w form one class modulo
+        # rest / h, because h = gcd(w, rest) divides remaining
+        rest, h = tails[idx + 1], tails[idx]
+        step = rest // h
+        first = (remaining // h) * pow(w // h, -1, step) % step
+        for a in range(first, remaining // w + 1, step):
             rec(idx + 1, remaining - a * w, partial + [a])
 
     rec(0, t, [])
@@ -200,28 +210,38 @@ def admissible_monomials(g, basis, node, branch):
     D . E_j = -a_j, while (D - E_node*) . E_j >= 0 because the difference is
     effective without an E_j component; hence a_j = 0.  Matching the
     coefficient at the node itself then bounds the search.
+
+    The tests run in integers: the columns of E_node* and of the branch's
+    end duals are scaled by the lcm `den` of their denominators.  The
+    candidates solve an equation with positive weights, so no two are
+    comparable and every one that passes is minimal.
     """
     branch = frozenset(branch)
     branch_ends = sorted(e for e in g.ends if e in branch)
-    target = basis.entry(node, node)
-    weights = [basis.entry(node, e) for e in branch_ends]
-    node_dual = basis.dual_cycle(node)
-    witnesses = []
+    cols = [g.index(v) for v in [node] + branch_ends]
+    den = lcm(*(row[c].denominator for row in basis.matrix for c in cols))
+    scaled = [[row[c].numerator * (den // row[c].denominator)
+               for row in basis.matrix] for c in cols]
+    node_col, end_cols = scaled[0], scaled[1:]
+    at_node = g.index(node)
+    inside = [v in branch for v in g.vertex_ids]
     where = f"node {node}, branch {sorted(branch)}"
-    for combo in _exact_solutions(target, weights, where):
-        d = QCycle.zero(g)
-        for a, e in zip(combo, branch_ends):
+    found = []
+    for combo in _exact_solutions(node_col[at_node],
+                                  [col[at_node] for col in end_cols], where):
+        d = [0] * len(g)
+        for a, col in zip(combo, end_cols):
             if a:
-                d = d + a * basis.dual_cycle(e)
-        diff = d - node_dual
-        if diff.is_integral() and diff.is_effective() and all(
-                diff.coefficient(v) == 0
-                for v in g.vertex_ids if v not in branch):
-            witnesses.append(combo)
+                d = [x + a * y for x, y in zip(d, col)]
+        if all((x >= 0 and x % den == 0) if ins else x == 0
+               for x, ins in zip(map(sub, d, node_col), inside)):
+            found.append((sum(combo), combo, d))
     out = []
-    for combo in _minimal_vectors(witnesses):
-        exps = {e: a for e, a in zip(branch_ends, combo)}
-        out.append(monomial_cycle(basis, exps))
+    for _, combo, d in sorted(found):
+        exps = dict.fromkeys(g.ends, 0)
+        exps.update(zip(branch_ends, combo))
+        out.append(MonomialCycle(
+            exps, QCycle(g, [Fraction(x, den) for x in d])))
     return out
 
 

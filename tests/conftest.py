@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import assume, settings, strategies as st
@@ -355,3 +356,104 @@ def laufer_z_min(g):
     zz = sum(z[v] * dot_vertex(v) for v in g.vertex_ids)
     kz = sum(z[v] * (-g.weight(v) - 2) for v in g.vertex_ids)
     return z, zz, 1 + (zz + kz) // 2
+
+
+# --- Fraction references for the integer front end -------------------------------
+
+
+def invert_by_fractions(a):
+    """Inverse of a square matrix by Gauss-Jordan over Fractions: divide the
+    pivot row by its pivot, then clear the pivot column in every other row.
+    Raises InternalError("matrix is singular") when no pivot is left."""
+    from splicemult import InternalError
+
+    n = len(a)
+    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(a)]
+    for col in range(n):
+        pivot_row = next((i for i in range(col, n) if m[i][col] != 0), None)
+        if pivot_row is None:
+            raise InternalError("matrix is singular")
+        m[col], m[pivot_row] = m[pivot_row], m[col]
+        p = m[col][col]
+        m[col] = [x / p for x in m[col]]
+        for i in range(n):
+            if i != col and m[i][col] != 0:
+                f = m[i][col]
+                m[i] = [x - f * y for x, y in zip(m[i], m[col])]
+    return [row[n:] for row in m]
+
+
+def knapsack_by_enumeration(target, weights):
+    """Every nonnegative integer vector a with sum a_k * weights_k = target,
+    in lexicographic order, by plain enumeration (no pruning; the weights
+    must be positive)."""
+    den = lcm(Fraction(target).denominator,
+              *(Fraction(w).denominator for w in weights))
+    ws = [int(w * den) for w in weights]
+    out = []
+
+    def extend(k, remaining, partial):
+        if k == len(ws):
+            if remaining == 0:
+                out.append(partial)
+            return
+        for a in range(remaining // ws[k] + 1):
+            extend(k + 1, remaining - a * ws[k], partial + (a,))
+
+    if target >= 0:
+        extend(0, int(target * den), ())
+    return out
+
+
+def admissible_monomials_by_fractions(g, basis, node, branch):
+    """The minimal monomial cycles D with D - E_node* effective, integral and
+    zero outside the branch, by summing QCycles over every solution of the
+    node's knapsack equation and keeping the componentwise-minimal ones in
+    graded-lex order."""
+    from splicemult import QCycle, monomial_cycle
+
+    branch = frozenset(branch)
+    branch_ends = sorted(e for e in g.ends if e in branch)
+    weights = [basis.entry(node, e) for e in branch_ends]
+    node_dual = basis.dual_cycle(node)
+    witnesses = []
+    for combo in knapsack_by_enumeration(basis.entry(node, node), weights):
+        d = QCycle.zero(g)
+        for a, e in zip(combo, branch_ends):
+            if a:
+                d = d + a * basis.dual_cycle(e)
+        diff = d - node_dual
+        if diff.is_integral() and diff.is_effective() and all(
+                diff.coefficient(v) == 0
+                for v in g.vertex_ids if v not in branch):
+            witnesses.append(combo)
+    minimal = []
+    for v in sorted(witnesses, key=lambda v: (sum(v), v)):
+        if not any(all(x <= y for x, y in zip(k, v)) for k in minimal):
+            minimal.append(v)
+    return [monomial_cycle(basis, dict(zip(branch_ends, combo)))
+            for combo in minimal]
+
+
+@st.composite
+def multi_node_trees(draw):
+    """A random negative definite tree with at least two nodes: two centres
+    joined by a chain, two or three arms at each, and up to three more
+    vertices hung anywhere."""
+    gap = draw(st.integers(0, 2))
+    edges = [(k, k + 1) for k in range(1, gap + 2)]  # centres 1 and gap + 2
+    n = gap + 2
+    for centre in (1, gap + 2):
+        for _ in range(draw(st.integers(2, 3))):
+            n += 1
+            edges.append((centre, n))
+    for _ in range(draw(st.integers(0, 3))):
+        n += 1
+        edges.append((draw(st.integers(1, n - 1)), n))
+    weights = {v: draw(st.sampled_from([-1, -2, -2, -2, -3, -3, -4, -5]))
+               for v in range(1, n + 1)}
+    try:
+        return ResolutionGraph(weights, edges)
+    except InputError:  # not negative definite
+        assume(False)

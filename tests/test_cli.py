@@ -3,6 +3,7 @@
 import ast
 import json
 import pathlib
+import sys
 
 import pytest
 
@@ -379,3 +380,20 @@ def test_no_assert_in_source():
         found = [node.lineno for node in ast.walk(tree)
                  if isinstance(node, ast.Assert)]
         assert found == [], f"{name} asserts at lines {found}"
+
+
+def test_runtime_imports_only_the_standard_library():
+    """Every import in the package is from the standard library or the
+    package itself, so it runs on a bare Python."""
+    for name, tree in _source_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            for module in modules:
+                top = module.split(".")[0]
+                assert top in sys.stdlib_module_names or top == "splicemult", \
+                    f"{name}:{node.lineno} imports {module}"

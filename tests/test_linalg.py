@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from splicemult.errors import InternalError
 from splicemult.linalg import (
@@ -18,7 +19,12 @@ from splicemult.linalg import (
     smith_normal_form,
 )
 
-from conftest import H12_DUAL_ROWS, H12_WEIGHTS, TWO_NODE_EDGES
+from conftest import (
+    H12_DUAL_ROWS,
+    H12_WEIGHTS,
+    TWO_NODE_EDGES,
+    invert_by_fractions,
+)
 
 
 def _intersection_matrix(weights, edges):
@@ -73,6 +79,38 @@ def test_invert_times_original_is_identity():
             continue
         prod = mat_mul(invert_rational_matrix(a), a)
         assert matrices_equal(prod, identity_matrix(n))
+
+
+@st.composite
+def _square_matrices(draw):
+    """Integer matrices of size 1-8, dense or sparse; some start with zero
+    leading pivots, so the elimination has to swap rows."""
+    n = draw(st.integers(1, 8))
+    entry = st.integers(-9, 9)
+    if draw(st.booleans()):  # sparse
+        entry = st.one_of(st.just(0), st.just(0), st.just(0), entry)
+    a = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    for k in range(draw(st.integers(0, n - 1))):
+        a[k][k] = 0
+    return a
+
+
+@given(_square_matrices())
+def test_invert_matches_fraction_gauss_jordan(a):
+    try:
+        expected = invert_by_fractions(a)
+    except InternalError as exc:
+        assert str(exc) == "matrix is singular"
+        with pytest.raises(InternalError, match="^matrix is singular$"):
+            invert_rational_matrix(a)
+        return
+    assert invert_rational_matrix(a) == expected
+
+
+@pytest.mark.parametrize("entry", [Fraction(1, 2), Fraction(3)])
+def test_invert_rejects_fraction_entries(entry):
+    with pytest.raises(InternalError, match="integer entries"):
+        invert_rational_matrix([[2, 1], [1, entry]])
 
 
 # --- Smith normal form -----------------------------------------------------------

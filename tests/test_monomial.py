@@ -1,12 +1,15 @@
 """Monomial condition, base points, Hilbert bases, gcd cycles, skeletons."""
 
 from fractions import Fraction
+from math import prod
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
 from splicemult import (
     QCycle,
     base_point_set,
+    branches,
     discriminant_group,
     dual_cycles,
     full_subgroup,
@@ -18,8 +21,15 @@ from splicemult import (
     trivial_subgroup,
 )
 from splicemult.errors import CapExceededError, ConditionError, InternalError
+from splicemult.monomial import _exact_solutions
 
-from conftest import perp_member, star
+from conftest import (
+    admissible_monomials_by_fractions,
+    knapsack_by_enumeration,
+    multi_node_trees,
+    perp_member,
+    star,
+)
 
 
 def _exponent_sets(entry):
@@ -92,6 +102,50 @@ def test_monomial_condition_failure(monomial_fail_graph):
                                 dual_cycles(monomial_fail_graph))
     assert not report.satisfied
     assert report.failures()
+
+
+@given(multi_node_trees())
+def test_monomial_condition_matches_fraction_reference(g):
+    """Entries, witness order, exponents, expansions and the verdict equal
+    those of the QCycle computation over an unpruned knapsack."""
+    basis = dual_cycles(g)
+    # the reference enumerates every prefix of the node's knapsack equation
+    assume(all(prod(basis.entry(node, node) // basis.entry(node, e) + 1
+                    for e in sorted(e for e in g.ends if e in branch)[:-1])
+               <= 20000
+               for node in g.nodes for branch in branches(g, node)))
+    report = monomial_condition(g, basis)
+    expected = [(node, tuple(sorted(branch)),
+                 admissible_monomials_by_fractions(g, basis, node, branch))
+                for node in g.nodes for branch in branches(g, node)]
+    assert [(e.node, e.branch) for e in report.entries] == \
+        [(node, branch) for node, branch, _ in expected]
+    for entry, (_, _, witnesses) in zip(report.entries, expected):
+        assert entry.ends == tuple(e for e in g.ends if e in entry.branch)
+        assert [(m.exponents, m.expansion) for m in entry.witnesses] == \
+            [(m.exponents, m.expansion) for m in witnesses]
+        assert entry.satisfied == bool(witnesses)
+    assert report.satisfied == all(w for _, _, w in expected)
+
+
+@st.composite
+def _knapsacks(draw):
+    """Positive weights (some with denominators, some sharing factors) and a
+    target near a small combination of them, with a bounded search space."""
+    weights = draw(st.lists(
+        st.builds(Fraction, st.sampled_from([1, 2, 3, 4, 6, 9, 10, 12, 15, 35]),
+                  st.sampled_from([1, 1, 2, 3])), max_size=5))
+    target = sum(draw(st.integers(0, 3)) * w for w in weights)
+    target += Fraction(draw(st.integers(0, 2)), draw(st.sampled_from([1, 2])))
+    assume(prod(target / w + 1 for w in weights) <= 20000)
+    return weights, target
+
+
+@given(_knapsacks())
+def test_pruned_knapsack_matches_enumeration(instance):
+    weights, target = instance
+    assert _exact_solutions(target, weights, "test") == \
+        knapsack_by_enumeration(target, weights)
 
 
 # --- base points ------------------------------------------------------------------
