@@ -118,7 +118,7 @@ def cmd_invariants(args):
             "vertices": list(g.vertex_ids),
             "ends": list(g.ends),
             "nodes": list(g.nodes),
-            "det": _det(g),
+            "det": group.det,
             "order": group.order,
             "invariant_factors": list(group.invariant_factors),
             "dual_matrix": [[str(x) for x in row] for row in basis.matrix],
@@ -126,7 +126,7 @@ def cmd_invariants(args):
         })
         return EXIT_OK
     print(f"vertices: {len(g)}  ends: {list(g.ends)}  nodes: {list(g.nodes)}")
-    print(f"det I(E) = {_det(g)}")
+    print(f"det I(E) = {group.det}")
     factors = " x ".join(f"Z/{d}" for d in group.invariant_factors) or "trivial"
     print(f"|H| = {group.order}  ({factors})")
     print("dual cycles (rows E_v* in vertex order "
@@ -136,12 +136,6 @@ def cmd_invariants(args):
         print(f"  E{v}* = ({row})")
     print(f"base points: {sorted(base)}")
     return EXIT_OK
-
-
-def _det(g):
-    from .linalg import determinant
-
-    return determinant(g.intersection_matrix())
 
 
 def _config_from_args(args):

@@ -10,7 +10,6 @@ each original end's curve variable.
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import InputError, InternalError
 
@@ -66,12 +65,17 @@ class ResolutionGraph:
                 "intersection matrix is not negative definite")
 
     def _negative_definite(self):
-        """Symmetric elimination of -I(E) in O(n), leaves first.
+        """Symmetric elimination of -I(E) in O(n), leaves first, in integers.
 
         By Sylvester's criterion -I(E) is positive definite iff every pivot
         of a symmetric elimination is positive, in any elimination order.
         On a tree, eliminating a leaf creates no fill-in: it only subtracts
         1/pivot from the diagonal entry of its one remaining neighbour.
+        Rooted at any vertex, the pivot at v is P_v / Q_v, where P_v is the
+        determinant of -I(E) on the subtree below v and Q_v = prod_c P_c
+        over v's children:  P_v = -w_v * Q_v - Q_v * sum_c Q_c / P_c.  The
+        sum is kept over the common denominator Q_v, so no division is
+        made, and the form is negative definite iff every P_v > 0.
         """
         root = self._ids[0]
         parent = {root: None}
@@ -81,12 +85,16 @@ class ResolutionGraph:
                 if u not in parent:
                     parent[u] = v
                     order.append(u)
-        diag = {v: Fraction(-w) for v, w in self._weights.items()}
+        q = dict.fromkeys(order, 1)  # Q_v over the children seen so far
+        s = dict.fromkeys(order, 0)  # Q_v * sum_c Q_c / P_c over them
         for v in reversed(order):
-            if diag[v] <= 0:
+            det = -self._weights[v] * q[v] - s[v]
+            if det <= 0:
                 return False
-            if parent[v] is not None:
-                diag[parent[v]] -= 1 / diag[v]
+            p = parent[v]
+            if p is not None:
+                s[p] = s[p] * det + q[v] * q[p]
+                q[p] *= det
         return True
 
     def _connected(self):

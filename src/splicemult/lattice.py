@@ -2,17 +2,21 @@
 
 The cycle lattice L is freely generated by the vertices; the dual lattice
 L* is generated by the dual cycles E_v* with E_v* . E_w = -delta_vw, i.e.
-the columns of B = (-I)^{-1}.  The finite quotient H = L*/L is computed
-from the Smith normal form of -I, which identifies H with Z^r / diag(d) Z^r
-for the invariant factors d.  A subgroup H1 is the lattice between
-diag(d) Z^r and Z^r that is its preimage, stored as a canonical Hermite
-basis: membership, order and index come from that basis, and the elements
-of H1 are listed only when a caller asks for them.
+the columns of B = (-I)^{-1}.  B is carried as integer numerators over one
+denominator |H| = det(-I), so pairings and the flat subgroup's congruences
+run in integers and a Fraction is built only for a result.  The finite
+quotient H = L*/L is computed from the Smith normal form of -I, which
+identifies H with Z^r / diag(d) Z^r for the invariant factors d.  A
+subgroup H1 is the lattice between diag(d) Z^r and Z^r that is its
+preimage, stored as a canonical Hermite basis: membership, order and index
+come from that basis, and the elements of H1 are listed only when a caller
+asks for them.
 """
 
 import itertools
 from fractions import Fraction
 from math import gcd, lcm, prod
+from operator import mul
 
 from .errors import CapExceededError, InternalError
 from .linalg import (
@@ -104,25 +108,14 @@ class QCycle:
 
     # --- intersection pairing -----------------------------------------------
 
-    def _apply_form(self):
-        """I(E) applied to the coefficient vector, via the adjacency lists."""
-        g = self.graph
-        out = []
-        for v in g.vertex_ids:
-            val = g.weight(v) * self.coefficient(v)
-            for u in g.neighbors(v):
-                val += self.coefficient(u)
-            out.append(val)
-        return out
-
     def dot_vertex(self, v):
         """Intersection number D . E_v."""
         i = self.graph.index(v)
-        return self._apply_form()[i]
+        return _apply_form(self.graph, self.coeffs)[i]
 
     def dot(self, other):
         self._check(other)
-        applied = other._apply_form()
+        applied = _apply_form(other.graph, other.coeffs)
         return sum(a * b for a, b in zip(self.coeffs, applied))
 
 
@@ -131,28 +124,46 @@ def intersect(d1, d2):
     return d1.dot(d2)
 
 
+def _apply_form(graph, values):
+    """I(E) applied to a coefficient vector, via the adjacency lists."""
+    at = dict(zip(graph.vertex_ids, values))
+    return [graph.weight(v) * at[v] + sum(at[u] for u in graph.neighbors(v))
+            for v in graph.vertex_ids]
+
+
 def to_dual_coordinates(d):
     """Coordinates of a cycle in the dual basis: (-D . E_v)_v.
 
+    The form is applied to integer numerators over the lcm of the
+    coefficients' denominators, and one Fraction is built per coordinate.
     Expanding sum_v coord_v * E_v* reproduces the cycle exactly.
     """
-    return tuple(-x for x in d._apply_form())
+    den = lcm(*(c.denominator for c in d.coeffs))
+    nums = [c.numerator * (den // c.denominator) for c in d.coeffs]
+    return tuple(Fraction(-x, den) for x in _apply_form(d.graph, nums))
 
 
 class DualBasis:
-    """The matrix B = (-I)^{-1}; column v holds the coefficients of E_v*.
+    """The matrix B = (-I)^{-1} = num / den; column v holds the
+    coefficients of E_v*.
 
-    The constructor inverts -I exactly.  A blown-up graph's basis instead
-    comes from `pulled_back`, which updates the previous basis in O(n^2)
-    without any inversion.
+    `num` is an integer matrix and den = det(-I) = |H|: every dual entry
+    has a denominator dividing |H|, so one common denominator carries the
+    whole basis and the pairings run in integers, building one Fraction
+    per result.  The constructor inverts -I exactly.  A blown-up graph's
+    basis instead comes from `pulled_back`, which updates the previous
+    basis in O(n^2) without any inversion; blowups keep |det I(E)|, so
+    `den` never changes.
     """
 
-    __slots__ = ("graph", "matrix", "_duals")
+    __slots__ = ("graph", "num", "den", "_duals")
 
     def __init__(self, graph):
         neg = [[-x for x in row] for row in graph.intersection_matrix()]
+        num, den = invert_rational_matrix(neg)
         self.graph = graph
-        self.matrix = [tuple(row) for row in invert_rational_matrix(neg)]
+        self.num = [tuple(row) for row in num]
+        self.den = den
         self._duals = {}
 
     @classmethod
@@ -163,7 +174,8 @@ class DualBasis:
         E'_v* = pi*(E_v*): the old entries stay and the new vertex u gets
         sum_{c in centre} B[c][v].  The new vertex's own dual is
         E_u* = E_u + sum_{c in centre} pi*(E_c*), whose entry at u is
-        1 + sum_{c, c' in centre} B[c][c'].
+        1 + sum_{c, c' in centre} B[c][c'].  Over the common denominator
+        that diagonal numerator is den + sum_{c, c'} num[c][c'].
         """
         k = history.event_index(event)
         pre, post = history.graph_before(k), history.graph_after(k)
@@ -171,42 +183,50 @@ class DualBasis:
             raise InternalError(
                 "basis is not indexed by the pre-event graph")
         centre = [pre.index(c) for c in event.center]
-        at_new = [sum(row[c] for c in centre) for row in basis.matrix]
+        at_new = [sum(row[c] for c in centre) for row in basis.num]
         p = post.index(event.new_vertex)
-        matrix = [row[:p] + (x,) + row[p:]
-                  for row, x in zip(basis.matrix, at_new)]
+        num = [row[:p] + (x,) + row[p:] for row, x in zip(basis.num, at_new)]
         new_row = list(at_new)
-        new_row.insert(p, 1 + sum(at_new[c] for c in centre))
-        matrix.insert(p, tuple(new_row))
+        new_row.insert(p, basis.den + sum(at_new[c] for c in centre))
+        num.insert(p, tuple(new_row))
         obj = cls.__new__(cls)
         obj.graph = post
-        obj.matrix = matrix
+        obj.num = num
+        obj.den = basis.den
         obj._duals = {}
         return obj
 
+    @property
+    def matrix(self):
+        """B itself as rows of Fractions (a view built on each call)."""
+        den = self.den
+        return [tuple(Fraction(x, den) for x in row) for row in self.num]
+
     def entry(self, a, b):
         """Coefficient of E_a in E_b* (symmetric; equals -E_a* . E_b*)."""
-        return self.matrix[self.graph.index(a)][self.graph.index(b)]
+        return Fraction(self.num[self.graph.index(a)][self.graph.index(b)],
+                        self.den)
 
     def dual_cycle(self, v):
         """The cycle E_v* with E_v* . E_w = -delta_vw; all entries positive."""
         if v not in self._duals:
-            j = self.graph.index(v)
-            self._duals[v] = QCycle(self.graph,
-                                    [row[j] for row in self.matrix])
+            self._duals[v] = QCycle(
+                self.graph,
+                [Fraction(x, self.den) for x in self.num[self.graph.index(v)]])
         return self._duals[v]
 
     def expand(self, coords):
         """The cycle sum_v coords_v * E_v* in vertex coordinates (= B @ c)."""
         vec = _as_vector(self.graph, coords)
-        return QCycle(self.graph, mat_vec(self.matrix, vec))
+        return QCycle(self.graph,
+                      [Fraction(x, self.den) for x in mat_vec(self.num, vec)])
 
     def pairing(self, c1, c2):
         """Intersection of two dual-basis combinations: -c1^T B c2."""
         v1 = _as_vector(self.graph, c1)
         v2 = _as_vector(self.graph, c2)
-        applied = mat_vec(self.matrix, v2)
-        return -sum(a * b for a, b in zip(v1, applied))
+        applied = mat_vec(self.num, v2)
+        return Fraction(-sum(map(mul, v1, applied)), self.den)
 
 
 def dual_cycles(g):
@@ -232,11 +252,13 @@ class DiscriminantGroup:
 
     With U(-I)V = S, the class of a dual-coordinate vector c is U c reduced
     modulo the diagonal; only diagonal entries > 1 contribute.  Elements are
-    normal-form tuples over the invariant factors.
+    normal-form tuples over the invariant factors.  The dual basis's common
+    denominator is det(-I) = |H|, so det I(E) = (-1)^n |H| needs no
+    elimination of its own.
     """
 
     __slots__ = ("graph", "basis", "snf", "invariant_factors", "order",
-                 "_slots", "_u", "_rep_columns")
+                 "det", "_slots", "_u", "_rep_columns")
 
     def __init__(self, graph, basis=None):
         if basis is not None and basis.graph != graph:
@@ -249,6 +271,10 @@ class DiscriminantGroup:
         self._slots = tuple(j for j, d in enumerate(diag) if d > 1)
         self.invariant_factors = tuple(diag[j] for j in self._slots)
         self.order = prod(diag)
+        if self.basis.den != self.order:
+            raise InternalError(f"dual basis denominator {self.basis.den} "
+                                f"!= |H| = {self.order}")
+        self.det = (-1) ** len(graph) * self.order
         self._u = self.snf.U
         # U^{-1} = (-I) V S^{-1}, so its slot columns are ((-I) V)[:, j] / d_j.
         v = self.snf.V
@@ -429,13 +455,21 @@ def flat_subgroup(h1):
     sum_j x_j * b(e_j, h) is an integer for every Hermite row h of H1.
     Over a common denominator D these are congruences A x = 0 mod D, whose
     solutions are the first r coordinates of the integer left kernel of the
-    stacked matrix [A^T; D * Id].
+    stacked matrix [A^T; D * Id].  The numerators of the pairings over |H|
+    come from one product of `num` with each Hermite row's representative;
+    D is the least common denominator they leave.
     """
     group = h1.group
+    basis = group.basis
     r = len(group.invariant_factors)
-    pairs = [[group.pairing(e, h) for h in h1.hnf] for e in _units(r)]
-    den = lcm(1, *(x.denominator for row in pairs for x in row))
-    stacked = [[int(x * den) for x in row] for row in pairs]
+    units = [group.representative(e) for e in _units(r)]
+    nums = []  # nums[h][e]: |H| * b(e_e, h), an integer
+    for h in h1.hnf:
+        applied = mat_vec(basis.num, group.representative(h))
+        nums.append([-sum(map(mul, u, applied)) for u in units])
+    scale = gcd(basis.den, *(x for row in nums for x in row))
+    den = basis.den // scale
+    stacked = [[(x // scale) % den for x in row] for row in zip(*nums)]
     stacked += [[den * (i == j) for j in range(r)] for i in range(r)]
     u, _, rank = _hermite_reduce(stacked)
     gens = [group.representative(_reduced(group, row[:r]))

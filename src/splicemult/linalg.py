@@ -3,8 +3,10 @@
 Matrices are plain lists of lists over Python ints or fractions.Fraction.
 Everything runs on arbitrary-precision arithmetic; floating point is never
 used.  Determinants and the inverse use fraction-free (Bareiss) elimination,
-whose divisions are all exact, so they run in integers; Smith and Hermite
-forms use unimodular row and column operations.
+whose divisions are all exact, so they run in integers: the inverse comes
+back as integer numerators over one positive denominator |det A|, which
+for -I(E) is |H|.  Smith and Hermite forms use unimodular row and column
+operations.
 """
 
 from dataclasses import dataclass
@@ -94,12 +96,13 @@ def determinant(a):
 
 
 def invert_rational_matrix(a):
-    """Exact inverse of a square integer matrix (fraction-free Gauss-Jordan).
+    """Exact inverse of a square integer matrix (fraction-free Gauss-Jordan),
+    as the pair (num, d) with d = |det A| > 0 and A^{-1} = num / d.
 
     Bareiss elimination on [A | Id]: every division is exact, so the work
     stays in the integers.  It ends with d * Id on the left, d = +-det A,
-    and d * A^{-1} on the right; the Fractions are built only then.
-    Raises InternalError when the determinant vanishes.
+    and d * A^{-1} on the right; no Fraction is built.  Raises
+    InternalError when the determinant vanishes.
     """
     n = _check_square(a)
     if any(type(x) is not int for row in a for x in row):
@@ -122,7 +125,8 @@ def invert_rational_matrix(a):
     d = prev
     if any(m[i][i] != d for i in range(n)):
         raise InternalError("Bareiss inversion did not end at d * Id")
-    return [[Fraction(x, d) for x in row[n:]] for row in m]
+    sign = 1 if d > 0 else -1
+    return [[sign * x for x in row[n:]] for row in m], sign * d
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,12 @@ H1-invariant monoid, and Hilbert bases.
 
 A monomial cycle is a nonnegative integer combination of end duals E_i*;
 it stands for the monomial prod z_i^{a_i} in the end-curve variables.  All
-searches reduce to integer problems after clearing denominators (every
-denominator divides |det I(E)|), and every dual-basis entry is strictly
-positive, which makes all bounds finite.
+searches run in integers: the dual basis is carried as integer numerators
+over one denominator |H| = |det I(E)| (every dual entry's denominator
+divides it), which the knapsacks, the residue congruences and the zero-sum
+search read directly, and the zero-sum search packs each of its tuple keys
+into one int.  Every dual-basis entry is strictly positive, which makes
+all bounds finite.
 """
 
 import heapq
@@ -13,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add, mod, sub
+from operator import add, mod, mul, sub
 
 from .errors import CapExceededError, ConditionError, InternalError
 from .graph import branches
@@ -95,13 +98,13 @@ def _clear_denominators(target, weights):
     return t, ws
 
 
-def _representable(target, weights):
-    """Whether target is a nonnegative integer combination of the weights.
+def _representable(t, ws):
+    """Whether the integer t is a nonnegative integer combination of the
+    integer weights ws.
 
-    Bitset dynamic programming on the cleared-denominator problem; bit v of
-    the accumulator records that value v is reachable.
+    Bitset dynamic programming; bit v of the accumulator records that
+    value v is reachable.
     """
-    t, ws = _clear_denominators(target, weights)
     if t == 0:
         return True
     if t < 0:
@@ -211,18 +214,17 @@ def admissible_monomials(g, basis, node, branch):
     effective without an E_j component; hence a_j = 0.  Matching the
     coefficient at the node itself then bounds the search.
 
-    The tests run in integers: the columns of E_node* and of the branch's
-    end duals are scaled by the lcm `den` of their denominators.  The
+    The tests run in integers, on the columns of `num` for E_node* and
+    the branch's end duals, all over the one denominator den = |H|.  The
     candidates solve an equation with positive weights, so no two are
     comparable and every one that passes is minimal.
     """
     branch = frozenset(branch)
     branch_ends = sorted(e for e in g.ends if e in branch)
-    cols = [g.index(v) for v in [node] + branch_ends]
-    den = lcm(*(row[c].denominator for row in basis.matrix for c in cols))
-    scaled = [[row[c].numerator * (den // row[c].denominator)
-               for row in basis.matrix] for c in cols]
-    node_col, end_cols = scaled[0], scaled[1:]
+    den = basis.den
+    # num is symmetric, so its rows are the columns E_v*
+    node_col, *end_cols = [basis.num[g.index(v)]
+                           for v in [node] + branch_ends]
     at_node = g.index(node)
     inside = [v in branch for v in g.vertex_ids]
     where = f"node {node}, branch {sorted(branch)}"
@@ -279,13 +281,19 @@ def base_point_set(g, basis):
 
     End i is a base point exactly when M_i(E_i*) is NOT a nonnegative
     integer combination of { M_i(E_j*) : j another end }.
+
+    The test runs on row i of `num` divided by its gcd, so the bitset is
+    no longer than the lcm of the entries' own denominators makes it.
     """
     ends = g.ends
     out = set()
     for i in ends:
-        target = basis.entry(i, i)
-        weights = [basis.entry(i, j) for j in ends if j != i]
-        if not _representable(target, weights):
+        row = basis.num[g.index(i)]
+        target = row[g.index(i)]
+        weights = [row[g.index(j)] for j in ends if j != i]
+        common = gcd(target, *weights)
+        if not _representable(target // common,
+                              [w // common for w in weights]):
             out.add(i)
     return frozenset(out)
 
@@ -314,17 +322,22 @@ def _congruences(basis, h1, vertices):
     the tuple of residues r_j = m_j * (E_v* . gen_j) mod m_j.  The monomial
     cycle sum_i a_i E_i* pairs integrally with H1 exactly when
     sum_i a_i r_ij = 0 mod m_j for every j.  Both are blowup invariants.
+
+    E_v* . gen_j = -(num @ gen_j)_v / |H|, so the rows of `num` at the
+    end vertices are applied once per generator; m_j is |H| over the gcd
+    of |H| and those numerators.
     """
-    gen_vecs = _generator_vectors(basis.graph, h1)
-    pairings = [[basis.pairing({v: 1}, gv) for gv in gen_vecs]
-                for v in vertices]
-    moduli = tuple(lcm(*(row[j].denominator for row in pairings))
-                   for j in range(len(gen_vecs)))
-    residues = tuple(
-        tuple((p.numerator * (m // p.denominator)) % m
-              for p, m in zip(row, moduli))
-        for row in pairings)
-    return moduli, residues
+    g, den = basis.graph, basis.den
+    rows = [basis.num[g.index(v)] for v in vertices]
+    moduli, columns = [], []
+    for gv in _generator_vectors(g, h1):
+        nums = [-sum(map(mul, row, gv)) for row in rows]
+        scale = gcd(den, *nums)
+        moduli.append(den // scale)
+        columns.append([(x // scale) % (den // scale) for x in nums])
+    residues = tuple(tuple(col[k] for col in columns)
+                     for k in range(len(rows)))
+    return tuple(moduli), residues
 
 
 def _class_steps(residues, moduli):
@@ -349,7 +362,7 @@ class ZeroSumSearch:
     A monomial cycle pairs integrally with H1 exactly when its ends'
     residues sum to the zero class of prod Z/m_j (see `_congruences`), so a
     nonzero member is a walk from class 0 back to class 0 in which end i
-    is a step by its residue, weighted |H| * M_v(E_i*) (an integer: every
+    is a step by its residue, weighted |H| * M_v(E_i*) = num[v][i] (every
     dual entry has a denominator dividing |det I(E)| = |H|, which blowups
     keep).  Dijkstra over the classes finds the lightest such walk; the
     residues are characters of H1, so at most |H1| classes are settled.
@@ -373,31 +386,34 @@ class ZeroSumSearch:
         if end_map is None:
             end_map = {e: e for e in basis.graph.ends}
         self.labels = tuple(sorted(end_map))
+        self._scale = h1.group.order
+        self._check_scale(basis)
         moduli, residues = _congruences(
             basis, h1, [end_map[l] for l in self.labels])
         self._steps = _class_steps(dict(zip(self.labels, residues)), moduli)
         self._units = {l: tuple(int(l == m) for m in self.labels)
                        for l in self.labels}
-        self._scale = h1.group.order
         self._memo = {}
         self.advance(basis, end_map)
+
+    def _check_scale(self, basis):
+        if basis.den != self._scale:
+            raise InternalError(
+                f"dual basis denominator {basis.den} != |H| = {self._scale}")
 
     def advance(self, basis, end_map):
         """Continue on a blown-up graph, given its dual basis and end map."""
         if tuple(sorted(end_map)) != self.labels:
             raise InternalError("end map does not match the end labels")
+        self._check_scale(basis)
         self._basis = basis
         self._end_map = dict(end_map)
 
     def _weights(self, v):
-        out = {}
-        for label, e in self._end_map.items():
-            w = self._scale * self._basis.entry(v, e)
-            if w.denominator != 1:
-                raise InternalError(
-                    f"|H| * M_{v}(E_{e}*) = {w} is not an integer")
-            out[label] = w.numerator
-        return out
+        """|H| * M_v(E_i*) per end label: the integer row of `num` at v."""
+        g = self._basis.graph
+        row = self._basis.num[g.index(v)]
+        return {label: row[g.index(e)] for label, e in self._end_map.items()}
 
     def least(self, vertices, without=None):
         """The least nonzero member with exponent 0 at end `without`, as
@@ -427,12 +443,32 @@ class ZeroSumSearch:
 
     def _shortest(self, keys):
         """Dijkstra from a virtual source, one step along each end in
-        `keys` to its residue class, until class 0 is settled.  Step keys
-        are tuples of nonnegative integers, lexicographically positive and
-        added componentwise, so the least key of a walk back to class 0 is
-        found; the key carries the walk's exponents itself."""
-        moves = [(w, self._steps[l]) for l, w in keys.items()]
+        `keys` to its residue class, until class 0 is settled; returns the
+        least key of a walk back to class 0 as a tuple, or None.
+
+        Step keys are tuples (M_v..., 1, unit exponent vector) of
+        nonnegative integers, compared lexicographically and added
+        componentwise; the key carries the walk's exponents itself.  Each
+        is packed into one int, one field of `width` bits per component,
+        most significant first.  A least walk visits each of the `size`
+        classes at most once, so no key a search builds exceeds (size + 1)
+        times the largest step component in any field: no field carries
+        into the next, and int order and addition are tuple order and
+        addition.  The unpacked answer is checked against its exponents.
+        """
+        if not keys:
+            return None
         size = len(self._steps[self.labels[0]])
+        fields = len(next(iter(keys.values())))
+        width = ((size + 1) * max(map(max, keys.values()))).bit_length()
+
+        def pack(key):
+            out = 0
+            for x in key:
+                out = (out << width) | x
+            return out
+
+        moves = [(pack(w), self._steps[l]) for l, w in keys.items()]
         best = [None] * size  # least key found so far, per class
         for w, table in moves:
             c = table[0]
@@ -444,7 +480,7 @@ class ZeroSumSearch:
         while heap:
             total, c = heapq.heappop(heap)
             if c == 0:
-                return total
+                return self._unpacked(total, keys, fields, width)
             if settled[c]:
                 continue
             settled[c] = 1
@@ -453,7 +489,7 @@ class ZeroSumSearch:
                 n = table[c]
                 if settled[n]:
                     continue
-                nt = tuple(map(add, total, w))
+                nt = total + w
                 if bound is not None and nt >= bound:
                     continue
                 if best[n] is None or nt < best[n]:
@@ -462,6 +498,26 @@ class ZeroSumSearch:
                     if n == 0:
                         bound = nt
         return None
+
+    def _unpacked(self, packed, keys, fields, width):
+        """The tuple of a packed key, which must be the sum of the step
+        keys its own exponent fields count."""
+        mask = (1 << width) - 1
+        total = tuple((packed >> (width * (fields - 1 - i))) & mask
+                      for i in range(fields))
+        exps = dict(zip(self.labels, total[fields - len(self.labels):]))
+        expected = [0] * fields
+        for label, a in exps.items():
+            if not a:
+                continue
+            if label not in keys:
+                raise InternalError(
+                    f"zero-sum search used end {label}, which it excludes")
+            expected = [x + a * y for x, y in zip(expected, keys[label])]
+        if tuple(expected) != total:
+            raise InternalError(
+                f"zero-sum search key {total} is not the sum of its steps")
+        return total
 
 
 # --- the full Hilbert basis (a reference for the search above) --------------------

@@ -14,7 +14,6 @@ from fractions import Fraction
 from .errors import CapExceededError, ConditionError, InputError, InternalError
 from .graph import GraphHistory, is_minimal
 from .lattice import DualBasis, full_subgroup, intersect, to_dual_coordinates
-from .linalg import determinant
 from .monomial import ZeroSumSearch, base_point_set, monomial_string
 
 MODE_STRICT = "strict"
@@ -300,7 +299,7 @@ def run_pipeline(g, h1, config=None):
     return PipelineReport(
         graph=g,
         mode=config.mode,
-        det=determinant(g.intersection_matrix()),
+        det=h1.group.det,
         invariant_factors=h1.group.invariant_factors,
         order=h1.group.order,
         h1_order=h1.order,

@@ -335,6 +335,71 @@ def assert_rounds_match_hilbert_basis(report, h1):
                                     or check.pruned_by_zero)
 
 
+# --- the zero-sum search with tuple keys (the reference for packed keys) --------
+
+
+def tuple_key_least(search, vertices, without=None):
+    """ZeroSumSearch.least by the plain tuple-key Dijkstra: weights
+    |H| * M_v(E_i*) from Fraction entries, step keys (M_v..., 1, unit
+    exponent vector) compared as tuples and added componentwise.  Reads
+    the search's class tables, labels and current basis; keeps no memo."""
+    import heapq
+    from operator import add
+
+    from splicemult import InternalError
+
+    basis, scale = search._basis, search._scale
+    per_vertex = []
+    for v in vertices:
+        weights = {}
+        for label, e in search._end_map.items():
+            w = scale * basis.entry(v, e)
+            if w.denominator != 1:
+                raise InternalError(f"|H| * M_{v}(E_{e}*) = {w}")
+            weights[label] = w.numerator
+        per_vertex.append(weights)
+    labels = search.labels
+    moves = [((*(w[l] for w in per_vertex), 1,
+               *(int(l == m) for m in labels)), search._steps[l])
+             for l in labels if l != without]
+    size = len(search._steps[labels[0]])
+    best = [None] * size
+    for w, table in moves:
+        c = table[0]
+        if best[c] is None or w < best[c]:
+            best[c] = w
+    heap = [(w, c) for c, w in enumerate(best) if w is not None]
+    heapq.heapify(heap)
+    settled = bytearray(size)
+    total = None
+    while heap:
+        key, c = heapq.heappop(heap)
+        if c == 0:
+            total = key
+            break
+        if settled[c]:
+            continue
+        settled[c] = 1
+        bound = best[0]
+        for w, table in moves:
+            n = table[c]
+            if settled[n]:
+                continue
+            nt = tuple(map(add, key, w))
+            if bound is not None and nt >= bound:
+                continue
+            if best[n] is None or nt < best[n]:
+                best[n] = nt
+                heapq.heappush(heap, (nt, n))
+                if n == 0:
+                    bound = nt
+    if total is None:
+        return None
+    k = len(vertices)
+    return (tuple(Fraction(x, scale) for x in total[:k]),
+            {l: a for l, a in zip(labels, total[k + 1:]) if a})
+
+
 # --- Laufer's algorithm (an oracle outside the pipeline's algebra) --------------
 
 

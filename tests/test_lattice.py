@@ -23,12 +23,13 @@ from splicemult import (
     trivial_subgroup,
 )
 from splicemult.errors import CapExceededError, InternalError
-from splicemult.linalg import identity_matrix, mat_mul
+from splicemult.linalg import determinant, identity_matrix, mat_mul
 
 from conftest import (
     H12_DUAL_ROWS,
     blowup_histories,
     closure,
+    invert_by_fractions,
     perp_member,
     random_trees,
     star,
@@ -343,6 +344,29 @@ def test_pulled_back_basis_equals_fresh_inversion(history):
     assert mat_mul(basis.matrix, neg) == identity_matrix(len(g))
 
 
+@given(blowup_histories())
+def test_basis_is_integer_numerators_over_det(history):
+    """A fresh and a pulled-back basis both hold integers num over
+    den = |det I(E)| = |H| with num (-I) = den Id, and entry() equals the
+    Fraction Gauss-Jordan inverse."""
+    pulled = [DualBasis(history.initial)]
+    for event in history.events:
+        pulled.append(DualBasis.pulled_back(history, event, pulled[-1]))
+    fresh = [DualBasis(b.graph) for b in pulled[1:]]
+    for basis in pulled + fresh:
+        g = basis.graph
+        neg = [[-x for x in row] for row in g.intersection_matrix()]
+        assert all(type(x) is int for row in basis.num for x in row)
+        assert mat_mul(basis.num, neg) == [
+            [basis.den * (i == j) for j in range(len(g))]
+            for i in range(len(g))]
+        assert basis.den == abs(determinant(g.intersection_matrix()))
+        assert basis.den == discriminant_group(g, basis).order
+        reference = invert_by_fractions(neg)
+        assert [[basis.entry(a, b) for b in g.vertex_ids]
+                for a in g.vertex_ids] == reference
+
+
 def test_pulled_back_rejects_wrong_basis(a2_chain, tree_h12):
     history = GraphHistory(a2_chain)
     event = history.blowup_edge(1, 2)
@@ -353,3 +377,13 @@ def test_pulled_back_rejects_wrong_basis(a2_chain, tree_h12):
 def test_discriminant_group_rejects_foreign_basis(a2_chain, tree_h12):
     with pytest.raises(InternalError, match="built on another graph"):
         discriminant_group(a2_chain, dual_cycles(tree_h12))
+
+
+def test_discriminant_group_checks_basis_denominator(tree_h12):
+    """det I(E) is read off the basis's denominator, so a denominator
+    other than |H| is an internal error, not a wrong determinant."""
+    basis = dual_cycles(tree_h12)
+    assert discriminant_group(tree_h12, basis).det == 12  # (-1)^10 * 12
+    basis.den = 24
+    with pytest.raises(InternalError, match="denominator 24 != .H. = 12"):
+        discriminant_group(tree_h12, basis)

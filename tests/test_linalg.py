@@ -47,20 +47,29 @@ def _random_int_matrix(rng, rows, cols, bound=6):
 # --- inversion -----------------------------------------------------------------
 
 
+def _inverse(a):
+    """The Fraction view num / d of the fraction-free inverse; d is
+    |det a|, positive."""
+    num, d = invert_rational_matrix(a)
+    assert d == abs(determinant(a)) > 0
+    assert all(type(x) is int for row in num for x in row)
+    return [[Fraction(x, d) for x in row] for row in num]
+
+
 def test_invert_2x2():
-    inv = invert_rational_matrix([[-2, 1], [1, -2]])
+    inv = _inverse([[-2, 1], [1, -2]])
     assert inv == [[Fraction(-2, 3), Fraction(-1, 3)],
                    [Fraction(-1, 3), Fraction(-2, 3)]]
 
 
 def test_invert_identity():
-    assert invert_rational_matrix(identity_matrix(3)) == [
+    assert _inverse(identity_matrix(3)) == [
         [Fraction(int(i == j)) for j in range(3)] for i in range(3)]
 
 
 def test_invert_h12_matches_reference_duals():
     m = _intersection_matrix(H12_WEIGHTS, TWO_NODE_EDGES)
-    inv = invert_rational_matrix(m)
+    inv = _inverse(m)
     for v, row in H12_DUAL_ROWS.items():
         assert tuple(-x for x in inv[v - 1]) == row
 
@@ -77,7 +86,7 @@ def test_invert_times_original_is_identity():
         a = _random_int_matrix(rng, n, n)
         if determinant(a) == 0:
             continue
-        prod = mat_mul(invert_rational_matrix(a), a)
+        prod = mat_mul(_inverse(a), a)
         assert matrices_equal(prod, identity_matrix(n))
 
 
@@ -104,7 +113,7 @@ def test_invert_matches_fraction_gauss_jordan(a):
         with pytest.raises(InternalError, match="^matrix is singular$"):
             invert_rational_matrix(a)
         return
-    assert invert_rational_matrix(a) == expected
+    assert _inverse(a) == expected
 
 
 @pytest.mark.parametrize("entry", [Fraction(1, 2), Fraction(3)])

@@ -3,14 +3,17 @@ at its cap."""
 
 from math import lcm
 
-from hypothesis import assume, given, strategies as st
+import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from splicemult import (
     DualBasis,
     InputError,
+    InternalError,
     ResolutionGraph,
     ZeroSumSearch,
     discriminant_group,
+    full_subgroup,
     gcd_cycle,
     hilbert_basis,
     monomial_cycle,
@@ -22,6 +25,8 @@ from conftest import (
     end_map_after,
     scan_edge_witness,
     scan_end_witness,
+    star,
+    tuple_key_least,
 )
 
 BOX_LIMIT = 40_000  # points of the reference enumeration per example
@@ -133,3 +138,80 @@ def test_carried_results_equal_fresh_search(case):
         assert _everything(search, post, end_map) == \
             _everything(fresh, post, end_map)
         assert search.z() == fresh.z()
+
+
+# --- packed keys against the tuple-key reference ------------------------------
+
+
+def _queries(g):
+    """Every query the pipeline makes on g: each vertex, each edge, and
+    each end with its own exponent removed."""
+    return ([((v,), None) for v in g.vertex_ids] + [(e, None) for e in g.edges]
+            + [((e,), e) for e in g.ends])
+
+
+def _assert_packed_matches_tuples(g, h1):
+    search = ZeroSumSearch(h1.group.basis, h1)
+    for vertices, without in _queries(g):
+        assert search.least(vertices, without) == \
+            tuple_key_least(search, vertices, without)
+
+
+@st.composite
+def wide_trees_and_subgroups(draw):
+    """Random trees, or 3-4 arm stars with arm weights down to -19, whose
+    |H| often runs into the thousands; H1 is H itself or random."""
+    if draw(st.booleans()):
+        arms = draw(st.lists(st.integers(2, 19), min_size=3, max_size=4))
+        try:
+            g = star(draw(st.integers(-3, -1)), [-a for a in arms])
+        except InputError:  # not negative definite
+            assume(False)
+    else:
+        n = draw(st.integers(2, 7))
+        weights = {i: draw(st.integers(-9, -1)) for i in range(1, n + 1)}
+        edges = [(draw(st.integers(1, i - 1)), i) for i in range(2, n + 1)]
+        try:
+            g = ResolutionGraph(weights, edges)
+        except InputError:
+            assume(False)
+    group = discriminant_group(g)
+    assume(group.order <= 20_000)
+    h1 = (full_subgroup(group) if draw(st.booleans())
+          else _random_subgroup(draw, g))
+    return g, h1
+
+
+@settings(max_examples=30)
+@given(wide_trees_and_subgroups())
+def test_packed_search_matches_tuple_keys(case):
+    """The packed-int Dijkstra returns the tuple-key search's least member,
+    values and exponents, on every query."""
+    _assert_packed_matches_tuples(*case)
+
+
+@pytest.mark.parametrize("centre, arms", [
+    (-2, [7, 11, 13]),      # |H| = 1691
+    (-3, [11, 13, 17]),     # |H| = 6742
+    (-2, [3, 5, 7, 11]),    # |H| = 1424
+])
+def test_packed_search_matches_tuple_keys_on_large_quotients(centre, arms):
+    """H1 = H with |H1| in the thousands: the longest walks, where packed
+    fields come closest to their width."""
+    g = star(centre, [-a for a in arms])
+    h1 = full_subgroup(discriminant_group(g))
+    assert h1.order >= 1000
+    _assert_packed_matches_tuples(g, h1)
+
+
+def test_search_checks_basis_denominator(tree_h12):
+    """The search reads |H| * M_v(E_i*) straight from `num`, which needs
+    den = |H| on every basis it is given."""
+    h1 = full_subgroup(discriminant_group(tree_h12))
+    search = ZeroSumSearch(h1.group.basis, h1)
+    wrong = DualBasis(tree_h12)
+    wrong.den = 6
+    with pytest.raises(InternalError, match="denominator 6 != .H. = 12"):
+        search.advance(wrong, {e: e for e in tree_h12.ends})
+    with pytest.raises(InternalError, match="denominator 6 != .H. = 12"):
+        ZeroSumSearch(wrong, h1)
