@@ -21,8 +21,8 @@ def _is_int(x):
 class ResolutionGraph:
     """Immutable vertex-weighted tree with negative definite form."""
 
-    __slots__ = ("_ids", "_pos", "_weights", "_edges", "_adj", "_imatrix",
-                 "_hash")
+    __slots__ = ("_ids", "_pos", "_weights", "_edges", "_adj", "_ends",
+                 "_nodes", "_imatrix", "_hash")
 
     def __init__(self, weights, edges):
         """weights: mapping vertex id -> weight; edges: iterable of id pairs."""
@@ -57,6 +57,8 @@ class ResolutionGraph:
 
         if len(self._edges) != len(self._ids) - 1 or not self._connected():
             raise InputError("graph is not a connected tree")
+        self._ends = tuple(v for v in self._ids if len(self._adj[v]) == 1)
+        self._nodes = tuple(v for v in self._ids if len(self._adj[v]) >= 3)
 
         self._imatrix = None
         self._hash = None
@@ -147,11 +149,13 @@ class ResolutionGraph:
 
     @property
     def ends(self):
-        return tuple(v for v in self._ids if len(self._adj[v]) == 1)
+        """Vertices of valence 1, in id order."""
+        return self._ends
 
     @property
     def nodes(self):
-        return tuple(v for v in self._ids if len(self._adj[v]) >= 3)
+        """Vertices of valence >= 3, in id order."""
+        return self._nodes
 
     def intersection_matrix(self):
         """Symmetric matrix: weights on the diagonal, 1 for each edge."""

@@ -28,13 +28,31 @@ RESIDUE_CAP = 10 ** 5  # |H1|: the most classes a zero-sum search settles
 
 
 class MonomialCycle:
-    """Exponent vector over end indices plus its vertex-basis expansion."""
+    """Exponent vector over end indices plus its vertex-basis expansion.
 
-    __slots__ = ("exponents", "expansion")
+    The expansion is held as integer numerators over the dual basis's
+    denominator den = |H|; the QCycle `expansion` is built from them the
+    first time it is read, so a witness that is only counted or printed
+    never builds a Fraction.
+    """
 
-    def __init__(self, exponents, expansion):
+    __slots__ = ("exponents", "_graph", "_num", "_den", "_expansion")
+
+    def __init__(self, exponents, graph, num, den):
         self.exponents = dict(sorted(exponents.items()))
-        self.expansion = expansion
+        self._graph = graph
+        self._num = tuple(num)
+        self._den = den
+        self._expansion = None
+
+    @property
+    def expansion(self):
+        """sum_i a_i E_i* in vertex coordinates, as a QCycle."""
+        if self._expansion is None:
+            den = self._den
+            self._expansion = QCycle(
+                self._graph, [Fraction(x, den) for x in self._num])
+        return self._expansion
 
     @property
     def degree(self):
@@ -73,7 +91,7 @@ def monomial_cycle(basis, exponents, end_map=None):
     if end_map is None:
         end_map = {e: e for e in g.ends}
     exps = {}
-    total = QCycle.zero(g)
+    total = [0] * len(g)
     for label, a in exponents.items():
         if label not in end_map:
             raise InternalError(f"{label} is not a tracked end index")
@@ -81,10 +99,11 @@ def monomial_cycle(basis, exponents, end_map=None):
             raise InternalError("exponents must be nonnegative")
         exps[label] = a
         if a:
-            total = total + a * basis.dual_cycle(end_map[label])
+            row = basis.num[g.index(end_map[label])]
+            total = [x + a * y for x, y in zip(total, row)]
     for label in end_map:
         exps.setdefault(label, 0)
-    return MonomialCycle(exps, total)
+    return MonomialCycle(exps, g, total, basis.den)
 
 
 # --- integer knapsack helpers -------------------------------------------------
@@ -127,9 +146,14 @@ def _exact_solutions(target, weights, where):
 
     Finite because the weights are strictly positive.  A partial vector is
     extended only when the gcd of the weights still to come divides what
-    remains, so each level steps its exponent along one residue class.  The
-    recursion counts its nodes against the cap, and `where` names the
-    search in the error.
+    remains, so each level steps its exponent along one residue class, and
+    that class and its inverse are worked out once per level.  The search
+    is a depth-first walk over an explicit stack: a node adds its children
+    to the node count when it expands them, so the count (capped at
+    SEARCH_CAP, and `where` names the search in the error) is the number of
+    nodes of the recursion "one call per prefix".  At the last level the
+    pruning leaves one exponent, remaining / weight, so every child of the
+    second-last level is a solution and is written out in that closed form.
     """
     t, ws = _clear_denominators(target, weights)
     if not ws:
@@ -139,30 +163,45 @@ def _exact_solutions(target, weights, where):
         tails[k] = gcd(ws[k], tails[k + 1])
     if t < 0 or t % tails[0]:
         return []
+    count = 1  # the root
+    if count > SEARCH_CAP:
+        _search_cap_exceeded(where)
+    last = len(ws) - 1
+    w_last = ws[last]
+    if not last:
+        return [(t // w_last,)]
+    # the a with rest | remaining - a * w form one class modulo
+    # step = rest / h, because h = gcd(w, rest) divides remaining
+    levels = []
+    for k in range(last):
+        w, h, rest = ws[k], tails[k], tails[k + 1]
+        levels.append((w, h, rest // h, pow(w // h, -1, rest // h)))
     out = []
-    counter = [0]
-
-    def rec(idx, remaining, partial):
-        counter[0] += 1
-        if counter[0] > SEARCH_CAP:
-            raise CapExceededError(
-                f"knapsack search bound exceeded: more than {SEARCH_CAP} "
-                f"nodes (SEARCH_CAP) at {where}")
-        w = ws[idx]
-        if idx == len(ws) - 1:
-            if remaining % w == 0:
-                out.append(tuple(partial + [remaining // w]))
-            return
-        # the a with rest | remaining - a * w form one class modulo
-        # rest / h, because h = gcd(w, rest) divides remaining
-        rest, h = tails[idx + 1], tails[idx]
-        step = rest // h
-        first = (remaining // h) * pow(w // h, -1, step) % step
-        for a in range(first, remaining // w + 1, step):
-            rec(idx + 1, remaining - a * w, partial + [a])
-
-    rec(0, t, [])
+    stack = [(0, t, ())]  # (level, remaining, exponents so far)
+    while stack:
+        k, remaining, head = stack.pop()
+        w, h, step, inv = levels[k]
+        first = (remaining // h) * inv % step
+        top = remaining // w
+        if first > top:
+            continue
+        count += (top - first) // step + 1
+        if count > SEARCH_CAP:
+            _search_cap_exceeded(where)
+        children = range(first, top + 1, step)
+        if k == last - 1:
+            out.extend([head + (a, (remaining - a * w) // w_last)
+                        for a in children])
+        else:  # pushed in reverse, so the least exponent is expanded first
+            stack.extend([(k + 1, remaining - a * w, head + (a,))
+                          for a in reversed(children)])
     return out
+
+
+def _search_cap_exceeded(where):
+    raise CapExceededError(
+        f"knapsack search bound exceeded: more than {SEARCH_CAP} "
+        f"nodes (SEARCH_CAP) at {where}")
 
 
 # --- monomial condition -------------------------------------------------------
@@ -212,12 +251,32 @@ def admissible_monomials(g, basis, node, branch):
     Ends outside the branch are forced to exponent zero: for such an end j,
     D . E_j = -a_j, while (D - E_node*) . E_j >= 0 because the difference is
     effective without an E_j component; hence a_j = 0.  Matching the
-    coefficient at the node itself then bounds the search.
+    coefficient at the node itself is a knapsack equation with positive
+    weights, whose solutions are the candidates; no two are comparable, so
+    every one that passes is minimal.
 
-    The tests run in integers, on the columns of `num` for E_node* and
-    the branch's end duals, all over the one denominator den = |H|.  The
-    candidates solve an equation with positive weights, so no two are
-    comparable and every one that passes is minimal.
+    Everything runs in integers, on the columns of `num` for E_node* and
+    the branch's end duals, all over the one denominator den = |H|.  A
+    candidate is first tested for integrality at the branch's ends (its
+    numerators there congruent to E_node*'s modulo den); only one that
+    passes has its vector built and given the full test.  By the lemma
+    below the two tests agree on every candidate.  Write v = node and
+    Y = D - E_v*, so Y_v = 0.
+    - Zero off the branch: on a tree, (E_i*)_x (E_v*)_v = (E_i*)_v (E_v*)_x
+      whenever the path from i to x runs through v.  Every end i of D lies
+      in the branch, so for x off the branch D_x = D_v (E_v*)_x / (E_v*)_v
+      = (E_v*)_x, and Y_x = 0.
+    - Integral: Y lies in L*, and its coefficient at an end e is
+      -Y . E_e*.  The classes of the ends generate L*/L, so Y pairs
+      integrally with all of L* once it does with every E_e*: Y is in L.
+      Off the branch Y vanishes, so the branch's ends suffice.
+    - Effective: Y is supported on the branch, and Y . E_x = -a_x <= 0 for
+      every x in it (a_x = 0 unless x is an end).  The branch is connected
+      and its form negative definite, so minus the inverse of its form has
+      positive entries, and Y >= 0.
+    The full test (effective, integral, zero off the branch) still runs on
+    every candidate that passes the first, so the verdict never rests on
+    the lemma.
     """
     branch = frozenset(branch)
     branch_ends = sorted(e for e in g.ends if e in branch)
@@ -226,11 +285,17 @@ def admissible_monomials(g, basis, node, branch):
     node_col, *end_cols = [basis.num[g.index(v)]
                            for v in [node] + branch_ends]
     at_node = g.index(node)
+    at_ends = [g.index(e) for e in branch_ends]
+    # per end coordinate: E_node*'s residue and the end duals' numerators
+    checks = [(node_col[j] % den, [col[j] for col in end_cols])
+              for j in at_ends]
     inside = [v in branch for v in g.vertex_ids]
     where = f"node {node}, branch {sorted(branch)}"
     found = []
     for combo in _exact_solutions(node_col[at_node],
                                   [col[at_node] for col in end_cols], where):
+        if any(sum(map(mul, combo, row)) % den != r for r, row in checks):
+            continue
         d = [0] * len(g)
         for a, col in zip(combo, end_cols):
             if a:
@@ -242,8 +307,7 @@ def admissible_monomials(g, basis, node, branch):
     for _, combo, d in sorted(found):
         exps = dict.fromkeys(g.ends, 0)
         exps.update(zip(branch_ends, combo))
-        out.append(MonomialCycle(
-            exps, QCycle(g, [Fraction(x, den) for x in d])))
+        out.append(MonomialCycle(exps, g, d, den))
     return out
 
 

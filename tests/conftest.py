@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import assume, settings, strategies as st
@@ -471,18 +471,52 @@ def knapsack_by_enumeration(target, weights):
     return out
 
 
+def knapsack_by_recursion(target, weights):
+    """The gcd-pruned knapsack as one recursive call per prefix, with no
+    cap: (every solution in lexicographic order, number of calls).  The
+    weights must be positive integers and the target an integer."""
+    ws = list(weights)
+    if not ws:
+        return ([()] if target == 0 else []), 0
+    tails = [0] * (len(ws) + 1)  # tails[k] = gcd(ws[k:]); gcd() = 0
+    for k in reversed(range(len(ws))):
+        tails[k] = gcd(ws[k], tails[k + 1])
+    if target < 0 or target % tails[0]:
+        return [], 0
+    out = []
+    counter = [0]
+
+    def rec(idx, remaining, partial):
+        counter[0] += 1
+        w = ws[idx]
+        if idx == len(ws) - 1:
+            if remaining % w == 0:
+                out.append(tuple(partial + [remaining // w]))
+            return
+        # the a with rest | remaining - a * w form one class modulo
+        # rest / h, because h = gcd(w, rest) divides remaining
+        rest, h = tails[idx + 1], tails[idx]
+        step = rest // h
+        first = (remaining // h) * pow(w // h, -1, step) % step
+        for a in range(first, remaining // w + 1, step):
+            rec(idx + 1, remaining - a * w, partial + [a])
+
+    rec(0, target, [])
+    return out, counter[0]
+
+
 def admissible_monomials_by_fractions(g, basis, node, branch):
     """The minimal monomial cycles D with D - E_node* effective, integral and
     zero outside the branch, by summing QCycles over every solution of the
     node's knapsack equation and keeping the componentwise-minimal ones in
-    graded-lex order."""
-    from splicemult import QCycle, monomial_cycle
+    graded-lex order; each as (exponents over every end, QCycle D)."""
+    from splicemult import QCycle
 
     branch = frozenset(branch)
     branch_ends = sorted(e for e in g.ends if e in branch)
     weights = [basis.entry(node, e) for e in branch_ends]
     node_dual = basis.dual_cycle(node)
-    witnesses = []
+    witnesses = {}
     for combo in knapsack_by_enumeration(basis.entry(node, node), weights):
         d = QCycle.zero(g)
         for a, e in zip(combo, branch_ends):
@@ -492,13 +526,17 @@ def admissible_monomials_by_fractions(g, basis, node, branch):
         if diff.is_integral() and diff.is_effective() and all(
                 diff.coefficient(v) == 0
                 for v in g.vertex_ids if v not in branch):
-            witnesses.append(combo)
+            witnesses[combo] = d
     minimal = []
     for v in sorted(witnesses, key=lambda v: (sum(v), v)):
         if not any(all(x <= y for x, y in zip(k, v)) for k in minimal):
             minimal.append(v)
-    return [monomial_cycle(basis, dict(zip(branch_ends, combo)))
-            for combo in minimal]
+    out = []
+    for combo in minimal:
+        exps = dict.fromkeys(g.ends, 0)
+        exps.update(zip(branch_ends, combo))
+        out.append((exps, witnesses[combo]))
+    return out
 
 
 @st.composite

@@ -16,16 +16,19 @@ from splicemult import (
     gcd_cycle,
     hilbert_basis,
     monomial_condition,
+    monomial_cycle,
     neumann_wahl_system,
     subgroup,
     trivial_subgroup,
 )
 from splicemult.errors import CapExceededError, ConditionError, InternalError
+import splicemult.monomial as monomial
 from splicemult.monomial import _exact_solutions
 
 from conftest import (
     admissible_monomials_by_fractions,
     knapsack_by_enumeration,
+    knapsack_by_recursion,
     multi_node_trees,
     perp_member,
     star,
@@ -123,9 +126,48 @@ def test_monomial_condition_matches_fraction_reference(g):
     for entry, (_, _, witnesses) in zip(report.entries, expected):
         assert entry.ends == tuple(e for e in g.ends if e in entry.branch)
         assert [(m.exponents, m.expansion) for m in entry.witnesses] == \
-            [(m.exponents, m.expansion) for m in witnesses]
+            witnesses
         assert entry.satisfied == bool(witnesses)
     assert report.satisfied == all(w for _, _, w in expected)
+
+
+@given(multi_node_trees())
+def test_end_integral_solutions_are_witnesses(g):
+    """For every solution D of a node's knapsack equation with D - E_node*
+    integral at the branch's ends, D - E_node* is effective, integral and
+    zero off the branch: the lemma behind testing the ends first."""
+    basis = dual_cycles(g)
+    assume(all(prod(basis.entry(node, node) // basis.entry(node, e) + 1
+                    for e in sorted(e for e in g.ends if e in branch)[:-1])
+               <= 20000
+               for node in g.nodes for branch in branches(g, node)))
+    for node in g.nodes:
+        node_dual = basis.dual_cycle(node)
+        for branch in branches(g, node):
+            ends = sorted(e for e in g.ends if e in branch)
+            for combo in _exact_solutions(
+                    basis.entry(node, node),
+                    [basis.entry(node, e) for e in ends], "test"):
+                if any((sum(a * basis.entry(e, i) for a, i in zip(combo, ends))
+                        - basis.entry(e, node)).denominator != 1
+                       for e in ends):
+                    continue
+                diff = sum((a * basis.dual_cycle(i)
+                            for a, i in zip(combo, ends)),
+                           QCycle.zero(g)) - node_dual
+                assert diff.is_integral() and diff.is_effective()
+                assert all(diff.coefficient(v) == 0
+                           for v in g.vertex_ids if v not in branch)
+
+
+def test_monomial_cycle_expansion_is_sum_of_duals(tree_h60):
+    basis = dual_cycles(tree_h60)
+    exps = {e: k for k, e in enumerate(tree_h60.ends)}
+    m = monomial_cycle(basis, exps)
+    assert m.expansion == sum((a * basis.dual_cycle(e)
+                               for e, a in exps.items()),
+                              QCycle.zero(tree_h60))
+    assert m.degree == sum(exps.values())
 
 
 @st.composite
@@ -146,6 +188,35 @@ def test_pruned_knapsack_matches_enumeration(instance):
     weights, target = instance
     assert _exact_solutions(target, weights, "test") == \
         knapsack_by_enumeration(target, weights)
+
+
+@st.composite
+def _integer_knapsacks(draw):
+    """Positive integer weights, many sharing factors, and a target, with
+    the unpruned search space bounded."""
+    weights = draw(st.lists(st.one_of(
+        st.sampled_from([2, 3, 4, 6, 9, 10, 12, 14, 15, 21, 35]),
+        st.integers(1, 60)), max_size=5))
+    target = draw(st.integers(0, 300))
+    assume(prod(target // w + 1 for w in weights[:-1]) <= 20000)
+    return weights, target
+
+
+@given(_integer_knapsacks())
+def test_flat_knapsack_matches_recursion_and_its_node_count(instance):
+    """The flat search returns the recursion's solutions, and trips the cap
+    exactly when the recursion makes more than SEARCH_CAP calls."""
+    weights, target = instance
+    expected, count = knapsack_by_recursion(target, weights)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(monomial, "SEARCH_CAP", count)
+        assert _exact_solutions(target, weights, "test") == expected
+        if count:
+            mp.setattr(monomial, "SEARCH_CAP", count - 1)
+            with pytest.raises(CapExceededError, match=(
+                    rf"^knapsack search bound exceeded: more than "
+                    rf"{count - 1} nodes \(SEARCH_CAP\) at test$")):
+                _exact_solutions(target, weights, "test")
 
 
 # --- base points ------------------------------------------------------------------
