@@ -60,11 +60,9 @@ from .monomial import (
 from .pipeline import (
     EdgeCheckResult,
     EndDecision,
-    PipelineConfig,
     PipelineReport,
     check_gcd_condition,
     multiplicity_of_quotient,
-    resolve_base_points,
     run_pipeline,
 )
 

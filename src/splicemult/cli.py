@@ -29,7 +29,7 @@ from .monomial import (
     neumann_wahl_system,
     require_monomial_condition,
 )
-from .pipeline import PipelineConfig, run_pipeline
+from .pipeline import MAX_BLOWUPS, run_pipeline
 
 EXIT_OK = 0
 
@@ -138,20 +138,8 @@ def cmd_invariants(args):
     return EXIT_OK
 
 
-def _config_from_args(args):
-    kwargs = {}
-    if getattr(args, "mode", None):
-        kwargs["mode"] = args.mode
-    if getattr(args, "max_blowups", None) is not None:
-        kwargs["max_blowups"] = args.max_blowups
-    if getattr(args, "allow_non_minimal", False):
-        kwargs["allow_non_minimal"] = True
-    return PipelineConfig(**kwargs)
-
-
 def cmd_mult(args):
     g = _load_graph(args.graph)
-    config = _config_from_args(args)
     basis = dual_cycles(g)
     require_monomial_condition(g, basis)
     group = discriminant_group(g, basis)
@@ -161,7 +149,8 @@ def cmd_mult(args):
         h1 = full_subgroup(group)
     else:
         h1 = _load_subgroup(args.subgroup, g, group)
-    result = run_pipeline(g, h1, config)
+    result = run_pipeline(g, h1, max_blowups=args.max_blowups,
+                          allow_non_minimal=args.allow_non_minimal)
     if args.json:
         _emit_json(result.to_dict())
         return EXIT_OK
@@ -191,13 +180,12 @@ def cmd_mult(args):
 
 def cmd_table(args):
     g = _load_graph(args.graph)
-    config = _config_from_args(args)
     basis = dual_cycles(g)
     require_monomial_condition(g, basis)
     group = discriminant_group(g, basis)
     rows = []
     for h1 in enumerate_subgroups(group):
-        result = run_pipeline(g, h1, config)
+        result = run_pipeline(g, h1)
         flat = flat_subgroup(h1)
         z_graph, z_dual = result.z_final.graph, result.rounds[-1].z_dual
         rows.append({
@@ -279,19 +267,15 @@ def build_parser():
                      help="universal abelian cover (H1 = 0)")
     src.add_argument("--quotient", action="store_true",
                      help="the singularity itself (H1 = H)")
-    p.add_argument("--mode", choices=["strict", "optimized"],
-                   default="optimized")
     p.add_argument("--trace", action="store_true",
                    help="print every round of the blowup loop")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--max-blowups", type=int, default=None)
+    p.add_argument("--max-blowups", type=int, default=MAX_BLOWUPS)
     p.add_argument("--allow-non-minimal", action="store_true")
     p.set_defaults(func=cmd_mult)
 
     p = sub.add_parser("table", help="multiplicities for every subgroup of H")
     p.add_argument("graph")
-    p.add_argument("--mode", choices=["strict", "optimized"],
-                   default="optimized")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_table)
 

@@ -97,9 +97,6 @@ class QCycle:
 
     # --- cycle predicates -------------------------------------------------------
 
-    def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
-
     def is_integral(self):
         return all(c.denominator == 1 for c in self.coeffs)
 

@@ -23,10 +23,6 @@ def copy_matrix(a):
     return [list(row) for row in a]
 
 
-def transpose(a):
-    return [list(col) for col in zip(*a)]
-
-
 def mat_mul(a, b):
     rows, inner, cols = len(a), len(b), len(b[0])
     return [

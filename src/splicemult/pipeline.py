@@ -16,22 +16,7 @@ from .graph import GraphHistory, is_minimal
 from .lattice import DualBasis, full_subgroup, intersect, to_dual_coordinates
 from .monomial import ZeroSumSearch, base_point_set, monomial_string
 
-MODE_STRICT = "strict"
-MODE_OPTIMIZED = "optimized"
-
-
-@dataclass(frozen=True)
-class PipelineConfig:
-    mode: str = MODE_OPTIMIZED
-    max_blowups: int = 64
-    allow_non_minimal: bool = False
-
-    def __post_init__(self):
-        if self.mode not in (MODE_STRICT, MODE_OPTIMIZED):
-            raise InputError(f"unknown mode {self.mode!r}")
-        if self.max_blowups <= 0:
-            raise InputError(
-                f"max_blowups must be positive, got {self.max_blowups}")
+MAX_BLOWUPS = 64  # default cap on the blowups of one run
 
 
 @dataclass(frozen=True)
@@ -59,7 +44,7 @@ class EndDecision:
     """Outcome of the base-point analysis at one end in one round."""
 
     end: int  # original end index
-    action: str  # 'witness' | 'not_base_point' | 'blowup' | 'strict_blowup'
+    action: str  # 'witness' | 'not_base_point' | 'blowup'
     witness: object = None  # monomial string for action == 'witness'
 
     def to_dict(self):
@@ -88,7 +73,6 @@ class RoundRecord:
 @dataclass
 class PipelineReport:
     graph: object
-    mode: str
     det: int
     invariant_factors: tuple
     order: int
@@ -96,11 +80,15 @@ class PipelineReport:
     index: int
     history: object  # GraphHistory
     rounds: list
-    base_point_decisions: tuple
     z_final: object  # QCycle on the final graph
     zz: Fraction
     multiplicity: int
     input_minimal: bool = True
+
+    @property
+    def base_point_decisions(self):
+        """Every round's end decisions, in order."""
+        return tuple(d for r in self.rounds for d in r.end_decisions)
 
     def to_dict(self):
         return {
@@ -108,7 +96,6 @@ class PipelineReport:
             "H_invariant_factors": list(self.invariant_factors),
             "H1_order": self.h1_order,
             "index": self.index,
-            "mode": self.mode,
             "input_minimal": self.input_minimal,
             "rounds": [r.to_dict() for r in self.rounds],
             "Z_final": {
@@ -158,19 +145,18 @@ def check_gcd_condition(g, z, z_dual, search):
     return results
 
 
-def _optimized_end_decisions(history, basis, z, search):
-    """Per-end acceptance test after Z is known (cheap blowup avoidance).
+def _end_decisions(history, basis, z, search):
+    """Per-end test of one round, after Z is known.
 
-    An end is safe when some member with exponent zero there attains the
-    minimum of M_v at its vertex v (that generator's monomial does not
+    An end is settled when some member with exponent zero there attains
+    the minimum of M_v at its vertex v (that generator's monomial does not
     vanish at the end-curve point), or when the end is not a base point
-    at all.  Otherwise the point must be blown up and the round restarted.
+    at all.  The first end that is neither is blown up, and the round ends
+    there.  Returns (decisions, the blowup event or None).
     """
-    g = history.current
     end_map = history.end_map
     base_vertices = None
     decisions = []
-    blow_label = None
     for label in sorted(end_map):
         v = end_map[label]
         found = search.least((v,), without=label)
@@ -179,50 +165,24 @@ def _optimized_end_decisions(history, basis, z, search):
                                          monomial_string(found[1])))
             continue
         if base_vertices is None:
-            base_vertices = base_point_set(g, basis)
+            base_vertices = base_point_set(history.current, basis)
         if v not in base_vertices:
             decisions.append(EndDecision(label, "not_base_point"))
             continue
         decisions.append(EndDecision(label, "blowup"))
-        blow_label = label
-        break
-    return decisions, blow_label
+        return tuple(decisions), history.blowup_end(label)
+    return tuple(decisions), None
 
 
-def resolve_base_points(graph_or_history, basis, z, search, config):
-    """Base-point stage of one round, in the configured mode.
-
-    Strict mode ignores z/search and blows up every base point of the current
-    graph once (done before any monoid computation).  Optimized mode applies
-    the per-end acceptance test and performs at most the first required
-    blowup; the caller restarts the round when the history has grown.
-    Returns (history, decisions).
-    """
-    history = (graph_or_history if isinstance(graph_or_history, GraphHistory)
-               else GraphHistory(graph_or_history))
-    if config.mode == MODE_STRICT:
-        g = history.current
-        blown = base_point_set(g, basis)
-        labels = sorted(label for label, v in history.end_map.items()
-                        if v in blown)
-        decisions = []
-        for label in labels:
-            history.blowup_end(label)
-            decisions.append(EndDecision(label, "strict_blowup"))
-        return history, decisions
-    decisions, blow_label = _optimized_end_decisions(history, basis, z,
-                                                     search)
-    if blow_label is not None:
-        history.blowup_end(blow_label)
-    return history, decisions
-
-
-def run_pipeline(g, h1, config=None):
+def run_pipeline(g, h1, *, max_blowups=MAX_BLOWUPS, allow_non_minimal=False):
     """Full multiplicity computation for the cover attached to H1.
 
-    Rounds: Z on the current graph, base-point stage, then edge checks;
-    the lexicographically least failing edge is blown up and the next round
-    starts.  Nothing is rebuilt from scratch after a blowup: the dual basis
+    Rounds: Z on the current graph, then the end tests, then the edge
+    checks.  A round ends with a blowup at the first end that has no
+    witness and is a base point, else at the lexicographically least
+    failing edge, and the next round starts; it ends without one once
+    every end has a witness or is not a base point and every edge passes.
+    Nothing is rebuilt from scratch after a blowup: the dual basis
     starts as h1.group.basis and is pulled back through each new event in
     O(n^2) (DualBasis.pulled_back), and one ZeroSumSearch serves every
     round, searching again only for the new vertex, its edges and a moved
@@ -230,9 +190,10 @@ def run_pipeline(g, h1, config=None):
     Terminates with multiplicity = |H/H1| * (-Z.Z), always a positive
     integer.
     """
-    config = config or PipelineConfig()
+    if max_blowups <= 0:
+        raise InputError(f"max_blowups must be positive, got {max_blowups}")
     minimal = is_minimal(g)
-    if not minimal and not config.allow_non_minimal:
+    if not minimal and not allow_non_minimal:
         raise ConditionError(
             "input graph has a blow-downable (-1)-vertex; pass the override "
             "to proceed anyway")
@@ -241,53 +202,29 @@ def run_pipeline(g, h1, config=None):
 
     history = GraphHistory(g)
     basis = h1.group.basis
-    base_decisions = []
-    if config.mode == MODE_STRICT:
-        history, base_decisions = resolve_base_points(
-            history, basis, None, None, config)
-
+    search = ZeroSumSearch(basis, h1, history.end_map)
     rounds = []
-    search = None
-    pulled = 0  # events already applied to basis
     while True:
-        events = history.events
         current = history.current
-        if len(events) > config.max_blowups:
-            raise CapExceededError(
-                f"more than {config.max_blowups} blowups (the graph has "
-                f"grown to {len(current)} vertices)")
-        for event in events[pulled:]:
-            basis = DualBasis.pulled_back(history, event, basis)
-        pulled = len(events)
-        if search is None:
-            search = ZeroSumSearch(basis, h1, history.end_map)
-        else:
-            search.advance(basis, history.end_map)
         z = search.z()
         record = RoundRecord(graph=current, z=z,
                              z_dual=to_dual_coordinates(z))
-
-        if config.mode == MODE_OPTIMIZED:
-            before = len(history.events)
-            history, decisions = resolve_base_points(
-                history, basis, z, search, config)
-            record.end_decisions = tuple(decisions)
-            base_decisions.extend(decisions)
-            if len(history.events) > before:
-                record.blowup = history.events[-1]
-                rounds.append(record)
-                continue
-
-        checks = check_gcd_condition(current, z, record.z_dual, search)
-        record.edge_checks = tuple(checks)
-        failing = sorted(c.edge for c in checks if not c.passed)
-        if failing:
-            event = history.blowup_edge(*failing[0])
-            record.blowup = event
-            rounds.append(record)
-            continue
         rounds.append(record)
-        break
+        record.end_decisions, record.blowup = _end_decisions(
+            history, basis, z, search)
+        if record.blowup is None:
+            checks = check_gcd_condition(current, z, record.z_dual, search)
+            record.edge_checks = tuple(checks)
+            failing = sorted(c.edge for c in checks if not c.passed)
+            if not failing:
+                break
+            record.blowup = history.blowup_edge(*failing[0])
+        if len(history.events) > max_blowups:
+            raise CapExceededError(
+                f"more than {max_blowups} blowups (the graph has "
+                f"grown to {len(history.current)} vertices)")
+        basis = DualBasis.pulled_back(history, record.blowup, basis)
+        search.advance(basis, history.end_map)
 
     zz = intersect(z, z)
     multiplicity = h1.index * (-zz)
@@ -298,7 +235,6 @@ def run_pipeline(g, h1, config=None):
 
     return PipelineReport(
         graph=g,
-        mode=config.mode,
         det=h1.group.det,
         invariant_factors=h1.group.invariant_factors,
         order=h1.group.order,
@@ -306,7 +242,6 @@ def run_pipeline(g, h1, config=None):
         index=h1.index,
         history=history,
         rounds=rounds,
-        base_point_decisions=tuple(base_decisions),
         z_final=z,
         zz=zz,
         multiplicity=int(multiplicity),
@@ -314,11 +249,10 @@ def run_pipeline(g, h1, config=None):
     )
 
 
-def multiplicity_of_quotient(g, config=None, group=None):
+def multiplicity_of_quotient(g, group=None):
     """Multiplicity of the underlying singularity itself (H1 = H)."""
     from .lattice import discriminant_group
 
-    config = config or PipelineConfig()
     if group is None:
         group = discriminant_group(g)
-    return run_pipeline(g, full_subgroup(group), config)
+    return run_pipeline(g, full_subgroup(group))

@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 import pytest
 from hypothesis import assume, settings, strategies as st
@@ -333,6 +333,51 @@ def assert_rounds_match_hilbert_basis(report, h1):
             assert check.witness == text(scanned)
             assert check.passed == (scanned is not None
                                     or check.pruned_by_zero)
+
+
+def assert_resolved(report, h1, box_cap=50_000):
+    """The run stopped on a resolved graph.  On its final graph, from a
+    fresh inversion: Z is the report's, every end has a witness or is not
+    a base point, and every edge has a witness or Z.E = 0 at one of its
+    vertices.  Minima come from a fresh box-enumerated Hilbert basis when
+    the box has at most `box_cap` points, else from a fresh ZeroSumSearch
+    (checked against hilbert_basis in test_search.py)."""
+    from splicemult import (DualBasis, ZeroSumSearch, base_point_set,
+                            gcd_cycle, hilbert_basis)
+    from splicemult.monomial import _congruences
+
+    history = report.history
+    g, end_map = history.current, history.end_map
+    labels = sorted(end_map)
+    basis = DualBasis(g)
+    moduli, residues = _congruences(basis, h1, [end_map[l] for l in labels])
+    volume = prod(lcm(*(m // gcd(m, r) for m, r in zip(moduli, row))) + 1
+                  for row in residues)
+    if volume <= box_cap:
+        gens = hilbert_basis(g, basis, h1, end_map)
+        z = gcd_cycle(gens)
+
+        def least(vertices, without=None):
+            return min(((tuple(m.expansion.coefficient(v) for v in vertices),
+                         m.exponents) for m in gens
+                        if without is None or m.exponents[without] == 0),
+                       key=lambda found: found[0], default=None)
+    else:
+        search = ZeroSumSearch(basis, h1, end_map)
+        z = search.z()
+        least = search.least
+    assert z == report.z_final
+    base = base_point_set(g, basis)
+    for label in labels:
+        v = end_map[label]
+        found = least((v,), without=label)
+        assert (found is not None and found[0][0] == z.coefficient(v)
+                or v not in base), f"end {label} is an open base point"
+    for v, w in g.edges:
+        found = least((v, w))
+        assert (found[0] == (z.coefficient(v), z.coefficient(w))
+                or z.dot_vertex(v) == 0 or z.dot_vertex(w) == 0), \
+            f"edge {(v, w)} has no witness and Z.E != 0"
 
 
 # --- the zero-sum search with tuple keys (the reference for packed keys) --------

@@ -12,7 +12,6 @@ from fractions import Fraction
 from splicemult import (
     DualBasis,
     GraphHistory,
-    PipelineConfig,
     QCycle,
     base_point_set,
     discriminant_group,
@@ -25,7 +24,6 @@ from splicemult import (
     multiplicity_of_quotient,
     neumann_wahl_system,
     pullback_vertex_cycle,
-    resolve_base_points,
     run_pipeline,
     subgroup,
     to_dual_coordinates,
@@ -36,14 +34,12 @@ from splicemult.linalg import smith_normal_form
 from conftest import (
     H12_DUAL_ROWS,
     H12_TABLE,
+    assert_resolved,
     assert_rounds_match_hilbert_basis,
     end_map_after,
     hilbert_oracle,
     random_trees,
 )
-
-STRICT = PipelineConfig(mode="strict")
-
 
 def _passed(n, message):
     print(f"criterion {n:2d}: PASS — {message}")
@@ -124,17 +120,15 @@ def test_criterion_05_a2_oracle(a2_chain):
 def test_criterion_06_mode_equivalence(tree_h12, tree_h60, a2_chain):
     group12 = discriminant_group(tree_h12)
     for h1 in enumerate_subgroups(group12):
-        assert run_pipeline(tree_h12, h1).multiplicity == \
-            run_pipeline(tree_h12, h1, STRICT).multiplicity
+        assert_resolved(run_pipeline(tree_h12, h1), h1)
     for g in (tree_h12, tree_h60):
-        group = discriminant_group(g)
-        assert run_pipeline(g, trivial_subgroup(group)).multiplicity == \
-            run_pipeline(g, trivial_subgroup(group), STRICT).multiplicity
+        h1 = trivial_subgroup(discriminant_group(g))
+        assert_resolved(run_pipeline(g, h1), h1)
     groupc = discriminant_group(a2_chain)
     for h1 in (trivial_subgroup(groupc), full_subgroup(groupc)):
-        assert run_pipeline(a2_chain, h1).multiplicity == \
-            run_pipeline(a2_chain, h1, STRICT).multiplicity
-    _passed(6, "strict and optimized agree on every tested subgroup")
+        assert_resolved(run_pipeline(a2_chain, h1), h1)
+    _passed(6, "every tested run stops with each end witnessed or not a "
+               "base point and each edge witnessed or Z.E = 0")
 
 
 def test_criterion_07_hilbert_oracle_random():
@@ -226,12 +220,12 @@ def test_criterion_09_blowup_coherence(tree_h60, a2_chain):
 def test_criterion_10_base_point_closure(tree_h12):
     basis = dual_cycles(tree_h12)
     assert base_point_set(tree_h12, basis) == {3, 4}
-    history, decisions = resolve_base_points(
-        GraphHistory(tree_h12), basis, None, None, STRICT)
-    assert sorted(d.end for d in decisions) == [3, 4]
+    history = GraphHistory(tree_h12)
+    for label in (3, 4):
+        history.blowup_end(label)
     blown = history.current
     assert base_point_set(blown, dual_cycles(blown)) == frozenset()
-    _passed(10, "after the strict pass the base-point set is empty")
+    _passed(10, "after blowing up ends 3 and 4 the base-point set is empty")
 
 
 def test_criterion_11_splice_skeletons(tree_h12, tree_h60):

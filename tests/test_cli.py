@@ -149,11 +149,24 @@ def test_mult_json_roundtrip_and_determinism(files, capsys):
     assert json.dumps(data, indent=2, sort_keys=True) + "\n" == out1
 
 
-def test_mult_strict_mode(files, capsys):
-    code, out, _ = run(capsys, "mult", files["h60"], "--uac",
-                       "--mode", "strict")
-    assert code == 0
-    assert "multiplicity = 6" in out
+def test_mult_has_one_stopping_rule(files, capsys, tmp_path):
+    """There is no loop to choose: `--mode` is a usage error on `mult` and
+    `table`, the JSON report names no mode, and the quotient of
+    star(-1; -3,-5,-6,-7,-7) blows the new leaf of arm 2 up again and
+    answers 21."""
+    for argv in (["mult", files["h60"], "--uac", "--mode", "strict"],
+                 ["table", files["h12"], "--mode", "optimized"]):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 1
+        assert "unrecognized arguments: --mode" in capsys.readouterr().err
+    code, out, _ = run(capsys, "mult", files["h60"], "--quotient", "--json")
+    assert code == 0 and "mode" not in json.loads(out)
+    path = tmp_path / "star.json"
+    path.write_text(graph_json(star(-1, [-3, -5, -6, -7, -7])))
+    code, out, err = run(capsys, "mult", str(path), "--quotient")
+    assert (code, err) == (0, "")
+    assert out.endswith("\nmultiplicity = 21\n")
 
 
 def test_mult_monomial_failure(files, capsys):
@@ -219,7 +232,7 @@ def test_mult_max_blowups_zero_is_input_error(capsys, tmp_path):
 def test_usage_error_is_exit_1(files, capsys):
     """argparse's own exit code 2 would read as a precondition failure."""
     for argv in (["mult", files["h12"]], ["frobnicate"],
-                 ["mult", files["h12"], "--uac", "--mode", "lazy"]):
+                 ["mult", files["h12"], "--uac", "--max-blowups", "many"]):
         with pytest.raises(SystemExit) as info:
             main(argv)
         assert info.value.code == 1

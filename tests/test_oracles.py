@@ -1,24 +1,23 @@
 """Multiplicities against formulas that share none of the pipeline's
 algebra: Neumann's for Brieskorn complete intersections and Artin's for
-rational singularities, in both pipeline modes."""
+rational singularities; and the stopping rule checked on every run over
+stars."""
 
 from hypothesis import assume, given, strategies as st
 
 from splicemult import (
     InputError,
-    PipelineConfig,
     ResolutionGraph,
     discriminant_group,
     dual_cycles,
+    full_subgroup,
     monomial_condition,
     multiplicity_of_quotient,
     run_pipeline,
     trivial_subgroup,
 )
 
-from conftest import laufer_z_min, star
-
-MODES = (PipelineConfig(), PipelineConfig(mode="strict"))
+from conftest import assert_resolved, laufer_z_min, star
 
 
 @st.composite
@@ -43,8 +42,19 @@ def test_uac_of_star_is_brieskorn(case):
     for a in sorted(alphas)[:-2]:
         expected *= a
     h1 = trivial_subgroup(discriminant_group(g))
-    for config in MODES:
-        assert run_pipeline(g, h1, config).multiplicity == expected
+    assert run_pipeline(g, h1).multiplicity == expected
+
+
+@given(brieskorn_stars())
+def test_star_runs_stop_resolved(case):
+    """On stars with |H| <= 3000, the universal abelian cover and the
+    quotient both stop on a graph where every end has a witness or is not
+    a base point and every edge has a witness or Z.E = 0."""
+    g, _ = case
+    group = discriminant_group(g)
+    assume(group.order <= 3000)
+    for h1 in (trivial_subgroup(group), full_subgroup(group)):
+        assert_resolved(run_pipeline(g, h1), h1)
 
 
 @st.composite
@@ -70,5 +80,4 @@ def test_rational_quotient_is_minus_z_min_squared(case):
     """Artin: a rational singularity has multiplicity -Z_min^2, with Z_min
     from Laufer's algorithm; H1 = H gives the singularity itself."""
     g, expected = case
-    for config in MODES:
-        assert multiplicity_of_quotient(g, config).multiplicity == expected
+    assert multiplicity_of_quotient(g).multiplicity == expected

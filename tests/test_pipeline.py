@@ -7,8 +7,6 @@ import pytest
 
 from splicemult import (
     DualBasis,
-    GraphHistory,
-    PipelineConfig,
     ResolutionGraph,
     ZeroSumSearch,
     check_gcd_condition,
@@ -19,7 +17,6 @@ from splicemult import (
     intersect,
     multiplicity_of_quotient,
     pullback_vertex_cycle,
-    resolve_base_points,
     run_pipeline,
     subgroup,
     to_dual_coordinates,
@@ -34,17 +31,15 @@ from splicemult.errors import (
 
 from conftest import (
     H12_TABLE,
+    assert_resolved,
     assert_rounds_match_hilbert_basis,
     end_map_after,
     laufer_z_min,
     star,
 )
 
-STRICT = PipelineConfig(mode="strict")
-
-
-def _uac(g, config=None):
-    return run_pipeline(g, trivial_subgroup(discriminant_group(g)), config)
+def _uac(g):
+    return run_pipeline(g, trivial_subgroup(discriminant_group(g)))
 
 
 # --- gcd condition -----------------------------------------------------------------
@@ -86,23 +81,6 @@ def test_gcd_condition_pruning_sound(tree_h12, tree_h60, a2_chain):
 
 
 # --- base-point resolution ---------------------------------------------------------
-
-
-def test_strict_pass_h12(tree_h12):
-    basis = dual_cycles(tree_h12)
-    history, decisions = resolve_base_points(
-        GraphHistory(tree_h12), basis, None, None, STRICT)
-    assert [(d.end, d.action) for d in decisions] == [
-        (3, "strict_blowup"), (4, "strict_blowup")]
-    assert len(history.events) == 2
-    assert sorted(history.end_map) == [1, 2, 3, 4]
-
-
-def test_strict_pass_chain_is_empty(a2_chain):
-    history, decisions = resolve_base_points(
-        GraphHistory(a2_chain), dual_cycles(a2_chain), None, None,
-        STRICT)
-    assert decisions == [] and len(history.events) == 0
 
 
 def test_optimized_h12_no_end_blowups(tree_h12):
@@ -198,21 +176,22 @@ def test_table_h12(tree_h12):
 
 
 def test_mode_equivalence(tree_h12, tree_h60, a2_chain):
+    """Every run on the paper graphs and the A_2 chain stops on a resolved
+    graph: the one stopping rule leaves no open end or failing edge."""
     from splicemult import enumerate_subgroups
 
     group = discriminant_group(tree_h12)
     for h1 in enumerate_subgroups(group):
-        assert run_pipeline(tree_h12, h1).multiplicity == \
-            run_pipeline(tree_h12, h1, STRICT).multiplicity
-    assert _uac(tree_h60).multiplicity == _uac(tree_h60, STRICT).multiplicity
-    assert _uac(a2_chain).multiplicity == _uac(a2_chain, STRICT).multiplicity
-    assert multiplicity_of_quotient(a2_chain).multiplicity == \
-        multiplicity_of_quotient(a2_chain, STRICT).multiplicity
+        assert_resolved(run_pipeline(tree_h12, h1), h1)
+    for g in (tree_h60, a2_chain):
+        group = discriminant_group(g)
+        for h1 in (trivial_subgroup(group), full_subgroup(group)):
+            assert_resolved(run_pipeline(g, h1), h1)
 
 
 def test_optimized_end_blowup_path():
-    """A case where the optimized mode cannot avoid an end blowup: end 7 is
-    a base point with no exponent-zero witness, end 4 is saved by one."""
+    """A case where an end blowup cannot be avoided: end 7 is a base point
+    with no exponent-zero witness, end 4 is saved by one."""
     g = ResolutionGraph({1: -2, 2: -2, 3: -4, 4: -2, 5: -2, 6: -3, 7: -2,
                          8: -2},
                         [(1, 2), (1, 4), (1, 5), (2, 3), (2, 7), (3, 8),
@@ -224,19 +203,18 @@ def test_optimized_end_blowup_path():
     group = discriminant_group(g, basis)
     h1 = subgroup([{1: 1, 2: 1, 3: 2, 4: 2}], group)
     assert h1.order == 13 and h1.index == 1
-    opt = run_pipeline(g, h1)
-    assert [(e.kind, e.center) for e in opt.history.events] == [("end", (7,))]
-    assert [d.end for d in opt.base_point_decisions
+    report = run_pipeline(g, h1)
+    assert [(e.kind, e.center) for e in report.history.events] == [
+        ("end", (7,))]
+    assert [d.end for d in report.base_point_decisions
             if d.action == "blowup"] == [7]
-    strict = run_pipeline(g, h1, STRICT)
-    assert [(e.kind, e.center) for e in strict.history.events] == [
-        ("end", (4,)), ("end", (7,))]
-    assert opt.multiplicity == strict.multiplicity == 7
+    assert report.multiplicity == 7
+    assert_resolved(report, h1)
 
 
 def test_mode_equivalence_random():
-    """Strict and optimized agree on random graphs passing the monomial
-    condition, with random subgroups."""
+    """Random graphs passing the monomial condition, with random
+    subgroups: every run stops on a resolved graph."""
     import random as _random
 
     from splicemult import is_minimal, monomial_condition
@@ -252,22 +230,26 @@ def test_mode_equivalence_random():
         gens = [{v: rng.randint(0, 2) for v in g.vertex_ids}
                 for _ in range(rng.randint(0, 2))]
         h1 = subgroup(gens, group)
-        opt = run_pipeline(g, h1)
-        strict = run_pipeline(g, h1, STRICT)
-        assert opt.multiplicity == strict.multiplicity >= 1
+        report = run_pipeline(g, h1)
+        assert report.multiplicity >= 1
+        assert_resolved(report, h1)
         checked += 1
     assert checked >= 30
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 6")
 def test_mode_equivalence_five_arm_stars():
-    """Two quotients on which the modes disagree today (optimized 21 and 6,
-    strict 20 and 4): optimized blows a new leaf up again, strict blows each
-    base point up once, so their stopping rules differ."""
-    for arms in ((-3, -5, -6, -7, -7), (-5, -5, -5, -6, -6)):
+    """Three quotients on which a loop that blew each base point up once,
+    before any search, stopped with an open end and answered 20, 4 and 4:
+    a new leaf can again be a base point without a witness, and the loop
+    blows it up again.  The final graphs are checked against their full
+    Hilbert bases (boxes of 193,600 to 266,175 points)."""
+    for arms, mult in (((-3, -5, -6, -7, -7), 21), ((-3, -6, -6, -7, -7), 6),
+                       ((-5, -5, -5, -6, -6), 6)):
         g = star(-1, arms)
-        assert multiplicity_of_quotient(g).multiplicity == \
-            multiplicity_of_quotient(g, STRICT).multiplicity
+        report = multiplicity_of_quotient(g)
+        assert report.multiplicity == mult
+        assert_resolved(report, full_subgroup(discriminant_group(g)),
+                        box_cap=300_000)
 
 
 def test_pullback_coherence(tree_h60, a2_chain):
@@ -314,18 +296,17 @@ def test_no_inversion_inside_pipeline(tree_h60, monkeypatch):
 
     monkeypatch.setattr(linalg, "invert_rational_matrix", counting)
     monkeypatch.setattr(lattice, "invert_rational_matrix", counting)
-    for config, blowups in ((None, 3), (STRICT, 5)):
-        report = run_pipeline(tree_h60, h1, config)
-        assert len(report.history.events) == blowups
-        assert report.multiplicity == 6
+    report = run_pipeline(tree_h60, h1)
+    assert len(report.history.events) == 3
+    assert report.multiplicity == 6
     assert sizes == []
     DualBasis(tree_h60)  # the counter does see an inversion
     assert sizes == [10]
 
 
 def test_no_hilbert_basis_inside_pipeline(tree_h12, tree_h60, monkeypatch):
-    """Z and the local checks come from the zero-sum search: no run, in
-    either mode, enumerates a Hilbert basis or takes a gcd of generators."""
+    """Z and the local checks come from the zero-sum search: no run
+    enumerates a Hilbert basis or takes a gcd of generators."""
     import splicemult.monomial as monomial
     import splicemult.pipeline as pipeline
 
@@ -343,24 +324,28 @@ def test_no_hilbert_basis_inside_pipeline(tree_h12, tree_h60, monkeypatch):
                 monkeypatch.setattr(module, name, forbidden(name))
     from splicemult import enumerate_subgroups
 
-    for config in (None, STRICT):
-        for h1 in enumerate_subgroups(discriminant_group(tree_h12)):
-            run_pipeline(tree_h12, h1, config)
-        assert _uac(tree_h60, config).multiplicity == 6
-        assert multiplicity_of_quotient(tree_h60, config).multiplicity >= 1
+    runs = [(run_pipeline(tree_h12, h1), h1)
+            for h1 in enumerate_subgroups(discriminant_group(tree_h12))]
+    group60 = discriminant_group(tree_h60)
+    for h1 in (trivial_subgroup(group60), full_subgroup(group60)):
+        runs.append((run_pipeline(tree_h60, h1), h1))
+    assert runs[-2][0].multiplicity == 6
+    assert runs[-1][0].multiplicity >= 1
     assert calls == []
+    monkeypatch.undo()
+    for report, h1 in runs:
+        assert_resolved(report, h1)
 
 
 def test_uac_star_24_blowups():
     """UAC of star(-1; -3,-4,-5,-7): the Brieskorn complete intersection
-    V(3,4,5,7), multiplicity 3 * 4 (Neumann 1983), in both modes."""
+    V(3,4,5,7), multiplicity 3 * 4 (Neumann 1983)."""
     g = ResolutionGraph({1: -1, 2: -3, 3: -4, 4: -5, 5: -7},
                         [(1, 2), (1, 3), (1, 4), (1, 5)])
-    optimized = _uac(g)
-    strict = _uac(g, STRICT)
-    assert optimized.multiplicity == strict.multiplicity == 12
-    assert len(optimized.history.events) == 24
-    assert len(strict.history.events) == 28
+    report = _uac(g)
+    assert report.multiplicity == 12
+    assert len(report.history.events) == 24
+    assert_resolved(report, trivial_subgroup(discriminant_group(g)))
 
 
 @pytest.mark.parametrize("arms, order, mult, blowups", [
@@ -370,22 +355,22 @@ def test_uac_star_24_blowups():
 def test_uac_star_beyond_enumeration_cap(arms, order, mult, blowups):
     """|H| above the table's enumeration cap: the UAC of star(-3; arms) is
     Brieskorn V(arms) with multiplicity the product of all but the two
-    largest exponents (Neumann 1983), in both modes."""
+    largest exponents (Neumann 1983)."""
     g = star(-3, arms)
     group = discriminant_group(g)
     assert group.order == full_subgroup(group).order == order
-    for config in (None, STRICT):
-        report = _uac(g, config)
-        assert report.multiplicity == mult
-        assert len(report.history.events) == blowups
+    report = _uac(g)
+    assert report.multiplicity == mult
+    assert len(report.history.events) == blowups
+    assert_resolved(report, trivial_subgroup(group))
 
 
 # --- guards -----------------------------------------------------------------------
 
 
 def test_larger_three_node_graph():
-    """20 vertices, three nodes, |H| = 1440: the loop stays fast and both
-    modes agree; the quotient, whose Hilbert-basis box exceeds the
+    """20 vertices, three nodes, |H| = 1440: the loop stays fast and every
+    run stops resolved; the quotient, whose Hilbert-basis box exceeds the
     enumeration cap, is rational with -Z_min^2 = 8 (Laufer, Artin)."""
     from splicemult import multiplicity_of_quotient as moq
 
@@ -400,20 +385,23 @@ def test_larger_three_node_graph():
     assert group.order == 1440
     assert group.invariant_factors == (12, 120)
 
-    uac_opt = run_pipeline(g, trivial_subgroup(group))
-    uac_strict = run_pipeline(g, trivial_subgroup(group), STRICT)
-    assert uac_opt.multiplicity == uac_strict.multiplicity == 48
-    assert uac_opt.zz == Fraction(-1, 30)
-    assert len(uac_opt.history.events) == 3
+    uac = run_pipeline(g, trivial_subgroup(group))
+    assert uac.multiplicity == 48
+    assert uac.zz == Fraction(-1, 30)
+    assert len(uac.history.events) == 3
+    assert_resolved(uac, trivial_subgroup(group))
 
     h1 = subgroup([{1: 1, 3: 1}], group)
     assert h1.order == 12
-    assert run_pipeline(g, h1).multiplicity == \
-        run_pipeline(g, h1, STRICT).multiplicity == 36
+    report = run_pipeline(g, h1)
+    assert report.multiplicity == 36
+    assert_resolved(report, h1)
 
     z_min, zz, genus = laufer_z_min(g)
     assert (zz, genus) == (-8, 0)
-    assert moq(g).multiplicity == moq(g, STRICT).multiplicity == 8
+    report = moq(g)
+    assert report.multiplicity == 8
+    assert_resolved(report, full_subgroup(group))
 
 
 def test_classical_double_points():
@@ -439,15 +427,14 @@ def test_max_blowups_cap(a2_chain, tree_h60):
     group60 = discriminant_group(tree_h60)
     with pytest.raises(CapExceededError, match=r"^more than 2 blowups \(the "
                        r"graph has grown to 13 vertices\)$"):
-        run_pipeline(tree_h60, trivial_subgroup(group60),
-                     PipelineConfig(max_blowups=2))
+        run_pipeline(tree_h60, trivial_subgroup(group60), max_blowups=2)
     with pytest.raises(InputError, match="^max_blowups must be positive, "
                                          "got 0$"):
-        PipelineConfig(max_blowups=0)
+        run_pipeline(tree_h60, trivial_subgroup(group60), max_blowups=0)
     # one blowup is enough for the chain
     group = discriminant_group(a2_chain)
     assert run_pipeline(a2_chain, trivial_subgroup(group),
-                        PipelineConfig(max_blowups=1)).multiplicity == 1
+                        max_blowups=1).multiplicity == 1
 
 
 def test_non_minimal_guard():
@@ -455,8 +442,7 @@ def test_non_minimal_guard():
     group = discriminant_group(g)
     with pytest.raises(ConditionError, match="blow-downable"):
         run_pipeline(g, full_subgroup(group))
-    report = run_pipeline(g, full_subgroup(group),
-                          PipelineConfig(allow_non_minimal=True))
+    report = run_pipeline(g, full_subgroup(group), allow_non_minimal=True)
     assert report.input_minimal is False
     assert report.multiplicity >= 1
 
@@ -496,7 +482,6 @@ def test_report_json_fields(tree_h60):
     assert data["H1_order"] == 1 and data["index"] == 60
     assert data["ZZ"] == "-1/10"
     assert data["multiplicity"] == 6
-    assert data["mode"] == "optimized"
     assert len(data["rounds"]) == 4
     for rnd in data["rounds"]:
         assert {"Z_vertex", "Z_dual", "edge_checks", "blowup"} <= set(rnd)
