@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add, mod, mul, sub
+from operator import mul, sub
 
 from .errors import CapExceededError, ConditionError, InternalError
 from .graph import branches
@@ -24,7 +24,7 @@ from .lattice import QCycle, _as_vector
 
 BOX_CAP = 10 ** 8  # points in a Hilbert-basis enumeration box
 SEARCH_CAP = 2_000_000  # nodes of one knapsack search
-RESIDUE_CAP = 10 ** 5  # |H1|: the most classes a zero-sum search settles
+RESIDUE_CAP = 10 ** 5  # |H1|: bounds the classes a zero-sum search tabulates
 
 
 class MonomialCycle:
@@ -406,18 +406,50 @@ def _congruences(basis, h1, vertices):
 
 def _class_steps(residues, moduli):
     """Number the classes reachable from class 0 (which gets 0) and
-    tabulate, per end label, the class one step along that end leads to."""
-    zero = (0,) * len(moduli)
-    index, order = {zero: 0}, [zero]
-    tables = {l: [] for l in residues}
-    for c in order:  # grows while it is read
-        for l, table in tables.items():
-            n = tuple(map(mod, map(add, c, residues[l]), moduli))
-            if n not in index:
-                index[n] = len(order)
-                order.append(n)
-            table.append(index[n])
-    return tables
+    tabulate, per end label, the class one step along that end leads to;
+    also the negation table, class -c for each class c.
+
+    The reachable classes are the subgroup K that the residues generate,
+    built one residue r at a time: if t is the least t >= 1 with t r in K,
+    the cosets K, K + r, ..., K + (t - 1) r are disjoint and their union
+    is the subgroup K and r generate.  The classes are held as one column
+    per modulus, so each of these steps, a step along an end and a
+    negation is one pass over each column, and each class is named by
+    its mixed-radix code."""
+    strides = [1]
+    for m in moduli:
+        strides.append(strides[-1] * m)
+
+    def codes(columns, size):
+        if not columns:
+            return [0] * size
+        out = columns[0]  # stride 1
+        for xs, stride in zip(columns[1:], strides[1:]):
+            out = [c + x * stride for c, x in zip(out, xs)]
+        return out
+
+    columns, size = [[0] for _ in moduli], 1
+    index = {0: 0}  # class number by code
+    for r in residues.values():
+        if sum(map(mul, r, strides)) in index:
+            continue  # t = 1
+        order = lcm(*(m // gcd(d, m) for d, m in zip(r, moduli)))
+        multiples = [[s * d % m for s in range(order)]
+                     for d, m in zip(r, moduli)]
+        t = next((s for s, c in enumerate(codes(multiples, order))
+                  if s and c in index), order)
+        columns = [[(x + y) % m for y in ys[:t] for x in xs]
+                   for xs, ys, m in zip(columns, multiples, moduli)]
+        size *= t
+        index = dict(zip(codes(columns, size), range(size)))
+    tables = {}
+    for l, r in residues.items():
+        stepped = [[(x + d) % m for x in xs] if d else xs
+                   for xs, d, m in zip(columns, r, moduli)]
+        tables[l] = [index[c] for c in codes(stepped, size)]
+    negated = [[-x % m for x in xs] for xs, m in zip(columns, moduli)]
+    negation = [index[c] for c in codes(negated, size)]
+    return tables, negation
 
 
 class ZeroSumSearch:
@@ -428,18 +460,22 @@ class ZeroSumSearch:
     nonzero member is a walk from class 0 back to class 0 in which end i
     is a step by its residue, weighted |H| * M_v(E_i*) = num[v][i] (every
     dual entry has a denominator dividing |det I(E)| = |H|, which blowups
-    keep).  Dijkstra over the classes finds the lightest such walk; the
-    residues are characters of H1, so at most |H1| classes are settled.
+    keep).  A shortest-path search over the classes finds the lightest such
+    walk.  The residues are characters of H1, so there are at most |H1|
+    classes; they form a group, and the search meets itself in the middle
+    (see `_shortest`), settling only the classes whose least walk weighs
+    less than about half the answer.
 
     Every dual entry is positive, so a member attaining min M_v is a
     Hilbert-basis generator and the minimum over all nonzero members is
     the minimum over the generators.  Z_v, the edge checks and the end
     witnesses need only these minima, so no Hilbert basis is built.
 
-    Results are kept by vertex tuple and removed end.  Vertex ids persist
-    through blowups and E'_i* = pi*(E_i*) keeps every old vertex's
-    weights, so after `advance` only the keys that involve a new vertex
-    are searched again.
+    Results are kept by vertex tuple and removed end, and an end or edge
+    query is read off the vertex queries' members whenever one of them is
+    the answer (see `least`).  Vertex ids persist through blowups and
+    E'_i* = pi*(E_i*) keeps every old vertex's weights, so after `advance`
+    only the keys that involve a new vertex are searched again.
     """
 
     def __init__(self, basis, h1, end_map=None):
@@ -454,7 +490,8 @@ class ZeroSumSearch:
         self._check_scale(basis)
         moduli, residues = _congruences(
             basis, h1, [end_map[l] for l in self.labels])
-        self._steps = _class_steps(dict(zip(self.labels, residues)), moduli)
+        self._steps, self._negation = _class_steps(
+            dict(zip(self.labels, residues)), moduli)
         self._units = {l: tuple(int(l == m) for m in self.labels)
                        for l in self.labels}
         self._memo = {}
@@ -484,21 +521,53 @@ class ZeroSumSearch:
         ((M_v for v in vertices), {label: exponent}); None when there is
         none.  Members are ordered by the M_v lexicographically, then by
         degree, then by exponent vector: the graded-lex order in which
-        `hilbert_basis` lists its generators."""
+        `hilbert_basis` lists its generators.
+
+        An end query ((v,), label) or an edge query (v, w) runs no search
+        when the member of a vertex query ((x,), None), x among its
+        vertices, has exponent 0 at `without` and attains Z_y at every
+        vertex y of the query (for an end query, Z_v itself): that member
+        is then the answer.  It is least in (degree, exponents) among the
+        members attaining Z_x, a set that holds every member attaining
+        Z_y at each y, and it is one of these; so no member with exponent
+        0 at `without` is less in the order above.
+        """
         key = (tuple(vertices), without)
         if key not in self._memo:
-            per_vertex = [self._weights(v) for v in vertices]
-            keys = {l: (*(w[l] for w in per_vertex), 1, *self._units[l])
-                    for l in self.labels if l != without}
-            total = self._shortest(keys)
-            found = None
-            if total is not None:
-                k = len(vertices)
-                found = (tuple(Fraction(x, self._scale) for x in total[:k]),
-                         {l: a for l, a in zip(self.labels, total[k + 1:])
-                          if a})
+            found = self._from_vertex_queries(*key)
+            if found is None:
+                found = self._searched(*key)
             self._memo[key] = found
         return self._memo[key]
+
+    def _from_vertex_queries(self, vertices, without):
+        """The member of a vertex query that answers this query, as `least`
+        describes, or None when none does."""
+        if without is None and len(vertices) == 1:
+            return None  # a vertex query itself
+        minima = [self.least((x,)) for x in vertices]
+        z = tuple(found[0][0] for found in minima)
+        # |H| * Z_x is an integer: every dual entry's denominator divides |H|
+        targets = [x.numerator * (self._scale // x.denominator) for x in z]
+        weights = [self._weights(v) for v in vertices]
+        for _, exps in minima:
+            if without not in exps and all(
+                    sum(a * w[l] for l, a in exps.items()) == t
+                    for w, t in zip(weights, targets)):
+                return z, exps
+        return None
+
+    def _searched(self, vertices, without):
+        """The answer to a query from `_shortest`."""
+        per_vertex = [self._weights(v) for v in vertices]
+        keys = {l: (*(w[l] for w in per_vertex), 1, *self._units[l])
+                for l in self.labels if l != without}
+        total = self._shortest(keys)
+        if total is None:
+            return None
+        k = len(vertices)
+        return (tuple(Fraction(x, self._scale) for x in total[:k]),
+                {l: a for l, a in zip(self.labels, total[k + 1:]) if a})
 
     def z(self):
         """The gcd cycle Z on the current graph: Z_v = min M_v."""
@@ -506,25 +575,59 @@ class ZeroSumSearch:
         return QCycle(g, [self.least((v,))[0][0] for v in g.vertex_ids])
 
     def _shortest(self, keys):
-        """Dijkstra from a virtual source, one step along each end in
-        `keys` to its residue class, until class 0 is settled; returns the
-        least key of a walk back to class 0 as a tuple, or None.
+        """The least key of a nonempty walk from class 0 back to class 0
+        by the steps in `keys`, as a tuple, or None when there is none.
 
         Step keys are tuples (M_v..., 1, unit exponent vector) of
         nonnegative integers, compared lexicographically and added
-        componentwise; the key carries the walk's exponents itself.  Each
-        is packed into one int, one field of `width` bits per component,
-        most significant first.  A least walk visits each of the `size`
-        classes at most once, so no key a search builds exceeds (size + 1)
-        times the largest step component in any field: no field carries
-        into the next, and int order and addition are tuple order and
-        addition.  The unpacked answer is checked against its exponents.
+        componentwise.  This order is total and additive (a < b gives
+        a + c < b + c), and a key carries its walk's exponents, so the
+        least key is one member, the one `least` describes.
+
+        Dijkstra from class 0, whose key 0 is the empty walk, settles each
+        class c at the least key d(c) of a walk from 0 to c.  The steps of
+        a walk can be taken in any order, and a walk from n back to 0,
+        translated by -n, is a walk from 0 to -n with the same key.  So
+        whenever a settled class c is relaxed along a step of key w to a
+        class n whose negation -n is settled, d(c) + w + d(-n) is the key
+        of a member; it is recorded as a candidate whether or not n is
+        settled (n = 0 gives d(c) + w, and a single step that lands on
+        class 0 is the relaxation of class 0 itself).
+
+        The search stops as soon as twice the least key left to pop is at
+        least the best candidate B, and pushes no label whose double
+        reaches B.  Then B is the least member A.  B >= A always; suppose
+        B > A at the stop.  Let 0 = P_0 < P_1 < ... < P_k = A be the keys
+        of the prefixes of a least walk and c_0, ..., c_k its classes, and
+        take the last prefix j with 2 P_j < A; the rest after step j + 1
+        has a key S = A - P_{j+1} with 2 S <= A.  Its class c_j has
+        d(c_j) <= P_j, and the negated class after the next step has
+        d(-c_{j+1}) <= S (the rest, translated), both less than half of A.
+        No label on their least walks was pruned, since each doubles to
+        less than A < B, so both classes were settled before the least key
+        left doubled to B or more (or the heap ran out).  Whichever of the
+        two was settled last was relaxed along step j + 1 with the other
+        already settled: c_j steps to c_{j+1}, or -c_{j+1} steps to -c_j.
+        Either relaxation recorded a candidate of at most
+        d(c_j) + w + d(-c_{j+1}) <= A < B, a contradiction.
+
+        Each key is packed into one int, one field of `width` bits per
+        component, most significant first.  A least walk to a class visits
+        no class twice (cutting out a loop lowers the key), so a settled
+        key has at most `size` - 1 steps, a label at most `size`, a
+        candidate at most 2 * `size` - 1 and a doubled label 2 * `size`.
+        No key the search builds exceeds (2 * size + 2) times the largest
+        step component in any field: no field carries into the next, and
+        int order, addition and doubling are tuple order, addition and
+        doubling.  Every such key is below 2^(width * fields), where B
+        starts.  The unpacked answer is checked against its exponents.
         """
         if not keys:
             return None
-        size = len(self._steps[self.labels[0]])
+        negation = self._negation
+        size = len(negation)
         fields = len(next(iter(keys.values())))
-        width = ((size + 1) * max(map(max, keys.values()))).bit_length()
+        width = ((2 * size + 2) * max(map(max, keys.values()))).bit_length()
 
         def pack(key):
             out = 0
@@ -533,35 +636,30 @@ class ZeroSumSearch:
             return out
 
         moves = [(pack(w), self._steps[l]) for l, w in keys.items()]
-        best = [None] * size  # least key found so far, per class
-        for w, table in moves:
-            c = table[0]
-            if best[c] is None or w < best[c]:
-                best[c] = w
-        heap = [(w, c) for c, w in enumerate(best) if w is not None]
-        heapq.heapify(heap)
-        settled = bytearray(size)
-        while heap:
-            total, c = heapq.heappop(heap)
-            if c == 0:
-                return self._unpacked(total, keys, fields, width)
-            if settled[c]:
+        settled = [None] * size  # d(c) once class c is settled
+        tentative = [None] * size  # least key pushed so far, per class
+        ceiling = 1 << (width * fields)  # above every key the fields hold
+        best = ceiling  # least candidate member so far
+        heap = [(0, 0)]
+        while heap and 2 * heap[0][0] < best:
+            d, c = heapq.heappop(heap)
+            if settled[c] is not None:
                 continue
-            settled[c] = 1
-            bound = best[0]  # no walk at or above it can improve on it
+            settled[c] = d
             for w, table in moves:
                 n = table[c]
-                if settled[n]:
+                nd = d + w
+                back = settled[negation[n]]
+                if back is not None and nd + back < best:
+                    best = nd + back
+                if settled[n] is not None or 2 * nd >= best:
                     continue
-                nt = total + w
-                if bound is not None and nt >= bound:
-                    continue
-                if best[n] is None or nt < best[n]:
-                    best[n] = nt
-                    heapq.heappush(heap, (nt, n))
-                    if n == 0:
-                        bound = nt
-        return None
+                if tentative[n] is None or nd < tentative[n]:
+                    tentative[n] = nd
+                    heapq.heappush(heap, (nd, n))
+        if best == ceiling:
+            return None
+        return self._unpacked(best, keys, fields, width)
 
     def _unpacked(self, packed, keys, fields, width):
         """The tuple of a packed key, which must be the sum of the step

@@ -269,6 +269,11 @@ def blowup_histories(draw):
         g = ResolutionGraph(weights, edges)
     except InputError:  # not negative definite
         assume(False)
+    return draw_blowups(draw, g)
+
+
+def draw_blowups(draw, g):
+    """A GraphHistory of g with up to six random edge and end blowups."""
     history = GraphHistory(g)
     for is_edge, pick in draw(st.lists(st.tuples(st.booleans(),
                                                  st.integers(0, 99)),

@@ -1,7 +1,9 @@
 """Pipeline: gcd checks, base-point resolution, the blowup loop, reports."""
 
+import heapq
 import json
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -363,6 +365,34 @@ def test_uac_star_beyond_enumeration_cap(arms, order, mult, blowups):
     assert report.multiplicity == mult
     assert len(report.history.events) == blowups
     assert_resolved(report, trivial_subgroup(group))
+
+
+def test_quotient_of_a_tree_with_a_large_group(monkeypatch):
+    """A 12-vertex tree with |H| = 34,126 (tree 144 of the benchmark
+    corpus), the slow case of a one-sided search, whose 29 searches each
+    settled nearly every class: the answer is 15 on a resolved graph, and
+    the searches of the whole run pop fewer heap entries than ten times
+    |H| (the one-sided search popped 892,705, 26 times |H|)."""
+    from splicemult import monomial
+
+    weights = [-4, -3, -2, -3, -3, -3, -4, -2, -3, -4, -2, -2]
+    parents = [1, 1, 2, 3, 2, 4, 4, 7, 2, 6, 3]
+    g = ResolutionGraph(dict(enumerate(weights, start=1)),
+                        [(p, k + 2) for k, p in enumerate(parents)])
+    pops = []
+
+    def heappop(heap):
+        pops.append(1)
+        return heapq.heappop(heap)
+
+    monkeypatch.setattr(monomial, "heapq", SimpleNamespace(
+        heappop=heappop, heappush=heapq.heappush))
+    report = multiplicity_of_quotient(g)
+    monkeypatch.undo()
+    assert report.order == 34126
+    assert report.multiplicity == 15
+    assert len(pops) < 10 * report.order
+    assert_resolved(report, full_subgroup(discriminant_group(g)))
 
 
 # --- guards -----------------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""The zero-sum search: against a full Hilbert basis, through blowups, and
-at its cap."""
+"""The zero-sum search: against a full Hilbert basis, through blowups,
+against the one-sided tuple-key search, and at its cap."""
 
 from math import lcm
 
@@ -18,10 +18,12 @@ from splicemult import (
     hilbert_basis,
     monomial_cycle,
     subgroup,
+    trivial_subgroup,
 )
 
 from conftest import (
     blowup_histories,
+    draw_blowups,
     end_map_after,
     scan_edge_witness,
     scan_end_witness,
@@ -202,6 +204,166 @@ def test_packed_search_matches_tuple_keys_on_large_quotients(centre, arms):
     h1 = full_subgroup(discriminant_group(g))
     assert h1.order >= 1000
     _assert_packed_matches_tuples(g, h1)
+
+
+# --- meeting in the middle and reusing the vertex members ---------------------
+
+
+def _assert_queries_match_one_sided(search, g, end_map):
+    """After z(), every vertex, edge and end query equals the one-sided
+    tuple-key search's answer."""
+    search.z()
+    for v in g.vertex_ids:
+        assert search.least((v,)) == tuple_key_least(search, (v,))
+    for edge in g.edges:
+        assert search.least(edge) == tuple_key_least(search, edge)
+    for label, v in sorted(end_map.items()):
+        assert search.least((v,), label) == \
+            tuple_key_least(search, (v,), label)
+
+
+@st.composite
+def graphs_subgroups_and_blowups(draw):
+    """A random tree or a 3-4 arm star; H1 = H, a random H1 or H1 = 0;
+    then random edge and end blowups."""
+    if draw(st.booleans()):
+        arms = draw(st.lists(st.integers(2, 13), min_size=3, max_size=4))
+        try:
+            g = star(draw(st.integers(-3, -1)), [-a for a in arms])
+        except InputError:  # not negative definite
+            assume(False)
+    else:
+        n = draw(st.integers(2, 7))
+        weights = {i: draw(st.integers(-7, -1)) for i in range(1, n + 1)}
+        edges = [(draw(st.integers(1, i - 1)), i) for i in range(2, n + 1)]
+        try:
+            g = ResolutionGraph(weights, edges)
+        except InputError:
+            assume(False)
+    group = discriminant_group(g)
+    make = draw(st.sampled_from([full_subgroup, trivial_subgroup, None]))
+    h1 = make(group) if make else _random_subgroup(draw, g)
+    assume(h1.order <= 1500)
+    return draw_blowups(draw, g), h1
+
+
+@settings(max_examples=40)
+@given(graphs_subgroups_and_blowups())
+def test_meet_in_the_middle_matches_one_sided_search(case):
+    """The two-sided search and the answers read off the vertex members
+    equal the one-sided search on every end and edge query, on the input
+    graph and again after each blowup."""
+    history, h1 = case
+    basis = h1.group.basis
+    search = ZeroSumSearch(basis, h1)
+    g = history.initial
+    _assert_queries_match_one_sided(search, g, {e: e for e in g.ends})
+    for k, event in enumerate(history.events):
+        basis = DualBasis.pulled_back(history, event, basis)
+        end_map = end_map_after(history, k)
+        search.advance(basis, end_map)
+        _assert_queries_match_one_sided(search, history.graph_after(k),
+                                        end_map)
+
+
+def _h12_search(tree_h12, gens, end_map=None):
+    group = discriminant_group(tree_h12)
+    vectors = [[gen.get(v, 0) for v in tree_h12.vertex_ids] for gen in gens]
+    return ZeroSumSearch(group.basis, subgroup(vectors, group), end_map)
+
+
+def test_end_of_residue_zero_is_a_one_step_member(tree_h12):
+    """H1 = <E_1*> on h12: end 1 pairs integrally with H1, so its single
+    step lands on class 0 and z1 alone is a member; the other ends do
+    not."""
+    search = _h12_search(tree_h12, [{1: 1}])
+    assert [search._steps[l][0] == 0 for l in search.labels] == \
+        [True, False, False, False]
+    assert search.least((1,)) == tuple_key_least(search, (1,))
+    assert search.least((1,))[1] == {1: 1}
+    _assert_queries_match_one_sided(search, tree_h12,
+                                    {e: e for e in tree_h12.ends})
+
+
+def _reachable(search, labels):
+    """The classes the steps of `labels` reach from class 0."""
+    seen, frontier = {0}, [0]
+    while frontier:
+        c = frontier.pop()
+        for l in labels:
+            n = search._steps[l][c]
+            if n not in seen:
+                seen.add(n)
+                frontier.append(n)
+    return seen
+
+
+def test_remaining_ends_reach_a_proper_subgroup(tree_h12):
+    """With only ends 1 and 3 tracked under H1 = H on h12, their classes
+    fill H (12 classes), but end 3 alone reaches 6: the search without
+    end 1 never settles half of the classes, negations included."""
+    search = _h12_search(tree_h12, [{1: 1}, {3: 1}], {1: 1, 3: 3})
+    assert len(search._negation) == 12
+    assert len(_reachable(search, [3])) == 6
+    for vertices in [(3,), (1,), (5,), (5, 6)]:
+        assert search.least(vertices, without=1) == \
+            tuple_key_least(search, vertices, without=1)
+
+
+def test_query_with_no_member(tree_h12):
+    """With end 3 the only tracked end, the query without it has no step
+    at all and no member."""
+    search = _h12_search(tree_h12, [{1: 1}, {3: 1}], {3: 3})
+    assert search.least((3,), without=3) is None
+    assert tuple_key_least(search, (3,), without=3) is None
+    assert search.least((3,)) == tuple_key_least(search, (3,))
+
+
+def test_universal_abelian_cover_has_one_class(tree_h12):
+    """|H1| = 1: every step lands on class 0, so every least member is a
+    single end."""
+    search = _h12_search(tree_h12, [])
+    assert len(search._negation) == 1
+    _assert_queries_match_one_sided(search, tree_h12,
+                                    {e: e for e in tree_h12.ends})
+    for v in tree_h12.vertex_ids:
+        assert sum(search.least((v,))[1].values()) == 1
+
+
+@pytest.mark.parametrize("name", ["star", "h12"])
+def test_vertex_members_decide_queries_without_search(name, tree_h12,
+                                                      monkeypatch):
+    """After z(), an edge query whose answer a vertex member attains, and
+    an end query whose vertex member has exponent 0 there, run no
+    Dijkstra; every other one runs exactly one, and every answer equals
+    the one-sided search's."""
+    g = star(-3, [-3] * 5) if name == "star" else tree_h12
+    h1 = full_subgroup(discriminant_group(g))
+    search = ZeroSumSearch(h1.group.basis, h1)
+    z = search.z()
+    members = {v: monomial_cycle(h1.group.basis, search.least((v,))[1])
+               for v in g.vertex_ids}
+    calls = []
+    shortest = ZeroSumSearch._shortest
+    monkeypatch.setattr(ZeroSumSearch, "_shortest",
+                        lambda self, keys: calls.append(keys)
+                        or shortest(self, keys))
+    decided = 0
+    for v, w in g.edges:
+        attains = any(all(members[x].expansion.coefficient(y)
+                          == z.coefficient(y) for y in (v, w))
+                      for x in (v, w))
+        before = len(calls)
+        assert search.least((v, w)) == tuple_key_least(search, (v, w))
+        assert len(calls) - before == (0 if attains else 1)
+        decided += attains
+    for e in g.ends:
+        attains = members[e].exponents[e] == 0
+        before = len(calls)
+        assert search.least((e,), e) == tuple_key_least(search, (e,), e)
+        assert len(calls) - before == (0 if attains else 1)
+        decided += attains
+    assert decided > 0
 
 
 def test_search_checks_basis_denominator(tree_h12):
