@@ -31,9 +31,7 @@ from .lattice import (
     enumerate_subgroups,
     flat_subgroup,
     full_subgroup,
-    intersect,
     subgroup,
-    to_dual_coordinates,
     trivial_subgroup,
 )
 from .linalg import (

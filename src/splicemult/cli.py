@@ -11,6 +11,7 @@ import argparse
 import functools
 import json
 import sys
+from json.encoder import encode_basestring_ascii as _encode_str
 
 from .errors import ConditionError, InputError, InternalError, SpliceMultError
 from .graph import is_minimal, parse_and_validate
@@ -35,7 +36,71 @@ EXIT_OK = 0
 
 
 def _emit_json(obj):
-    print(json.dumps(obj, indent=2, sort_keys=True))
+    """Print obj as print(json.dumps(obj, indent=2, sort_keys=True)) does,
+    byte for byte.  With `indent` set the standard library falls back to
+    its pure-Python encoder; this one joins each container's items once
+    and escapes strings with the C `encode_basestring_ascii`.  The top two
+    levels are written item by item, so no copy of the whole document is
+    held (a `--json` report grows with rounds x vertices)."""
+    write = sys.stdout.write
+    for piece in _json_pieces(obj, "\n", 2):
+        write(piece)
+    write("\n")
+
+
+def _json_pieces(obj, newline, levels):
+    """The text of obj in pieces: the items of its top `levels` levels of
+    containers one by one, everything below them joined by _json_text."""
+    if not levels or not obj or type(obj) not in (dict, list, tuple):
+        yield _json_text(obj, newline)
+        return
+    inner = newline + "  "
+    if type(obj) is dict:
+        items = ((_encode_str(k) + ": ", v) for k, v in sorted(obj.items()))
+        sep, close = "{" + inner, newline + "}"
+    else:
+        items = (("", v) for v in obj)
+        sep, close = "[" + inner, newline + "]"
+    for prefix, value in items:
+        yield sep + prefix
+        yield from _json_pieces(value, inner, levels - 1)
+        sep = "," + inner
+    yield close
+
+
+def _json_text(obj, newline):
+    """json.dumps(obj, indent=2, sort_keys=True) for the documents the
+    commands print, built from exact dicts with str keys, lists, tuples,
+    str, int, bool and None.  `newline` is the line break plus the
+    indentation of obj's level.  A str item is escaped where it stands,
+    without a recursive call."""
+    t = type(obj)
+    if t is str:
+        return _encode_str(obj)
+    if t is dict:
+        if not obj:
+            return "{}"
+        inner = newline + "  "
+        return "{" + inner + ("," + inner).join([
+            _encode_str(k) + ": "
+            + (_encode_str(v) if type(v) is str else _json_text(v, inner))
+            for k, v in sorted(obj.items())]) + newline + "}"
+    if t is list or t is tuple:
+        if not obj:
+            return "[]"
+        inner = newline + "  "
+        return "[" + inner + ("," + inner).join([
+            _encode_str(v) if type(v) is str else _json_text(v, inner)
+            for v in obj]) + newline + "]"
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if t is int:
+        return repr(obj)
+    raise InternalError(f"cannot write a {t.__name__} as JSON")
 
 
 def _load_graph(path):

@@ -289,6 +289,17 @@ def _fresh_id(g):
     return i
 
 
+def _blown_up(weights, edges):
+    """The graph a blowup derives.  The constructor runs every check on
+    it; a blowup of a negative definite tree is again one, so a failed
+    check is a bug, not invalid input."""
+    try:
+        return ResolutionGraph(weights, edges)
+    except InputError as exc:
+        raise InternalError(
+            f"blowup produced an invalid graph: {exc}") from exc
+
+
 def blowup_edge(g, v, w):
     """Blow up the intersection point of the edge (v, w).
 
@@ -309,7 +320,7 @@ def blowup_edge(g, v, w):
     edges = [e for e in g.edges if e != key] + [(v, u), (u, w)]
     event = BlowupEvent(kind="edge", center=key, new_vertex=u,
                         weight_changes=changes)
-    return ResolutionGraph(weights, edges), event
+    return _blown_up(weights, edges), event
 
 
 def blowup_end_point(g, i):
@@ -329,7 +340,7 @@ def blowup_end_point(g, i):
     edges = list(g.edges) + [(i, u)]
     event = BlowupEvent(kind="end", center=(i,), new_vertex=u,
                         weight_changes=changes)
-    return ResolutionGraph(weights, edges), event
+    return _blown_up(weights, edges), event
 
 
 class GraphHistory:

@@ -103,42 +103,6 @@ class QCycle:
     def is_effective(self):
         return all(c >= 0 for c in self.coeffs)
 
-    # --- intersection pairing -----------------------------------------------
-
-    def dot_vertex(self, v):
-        """Intersection number D . E_v."""
-        i = self.graph.index(v)
-        return _apply_form(self.graph, self.coeffs)[i]
-
-    def dot(self, other):
-        self._check(other)
-        applied = _apply_form(other.graph, other.coeffs)
-        return sum(a * b for a, b in zip(self.coeffs, applied))
-
-
-def intersect(d1, d2):
-    """Exact intersection number d1 . d2 (symmetric, bilinear)."""
-    return d1.dot(d2)
-
-
-def _apply_form(graph, values):
-    """I(E) applied to a coefficient vector, via the adjacency lists."""
-    at = dict(zip(graph.vertex_ids, values))
-    return [graph.weight(v) * at[v] + sum(at[u] for u in graph.neighbors(v))
-            for v in graph.vertex_ids]
-
-
-def to_dual_coordinates(d):
-    """Coordinates of a cycle in the dual basis: (-D . E_v)_v.
-
-    The form is applied to integer numerators over the lcm of the
-    coefficients' denominators, and one Fraction is built per coordinate.
-    Expanding sum_v coord_v * E_v* reproduces the cycle exactly.
-    """
-    den = lcm(*(c.denominator for c in d.coeffs))
-    nums = [c.numerator * (den // c.denominator) for c in d.coeffs]
-    return tuple(Fraction(-x, den) for x in _apply_form(d.graph, nums))
-
 
 class DualBasis:
     """The matrix B = (-I)^{-1} = num / den; column v holds the

@@ -518,10 +518,11 @@ class ZeroSumSearch:
 
     def least(self, vertices, without=None):
         """The least nonzero member with exponent 0 at end `without`, as
-        ((M_v for v in vertices), {label: exponent}); None when there is
-        none.  Members are ordered by the M_v lexicographically, then by
-        degree, then by exponent vector: the graded-lex order in which
-        `hilbert_basis` lists its generators.
+        ((|H| * M_v for v in vertices), {label: exponent}); None when there
+        is none.  The values are integers: every dual entry's denominator
+        divides |H|.  Members are ordered by the M_v lexicographically,
+        then by degree, then by exponent vector: the graded-lex order in
+        which `hilbert_basis` lists its generators.
 
         An end query ((v,), label) or an edge query (v, w) runs no search
         when the member of a vertex query ((x,), None), x among its
@@ -547,13 +548,11 @@ class ZeroSumSearch:
             return None  # a vertex query itself
         minima = [self.least((x,)) for x in vertices]
         z = tuple(found[0][0] for found in minima)
-        # |H| * Z_x is an integer: every dual entry's denominator divides |H|
-        targets = [x.numerator * (self._scale // x.denominator) for x in z]
         weights = [self._weights(v) for v in vertices]
         for _, exps in minima:
             if without not in exps and all(
                     sum(a * w[l] for l, a in exps.items()) == t
-                    for w, t in zip(weights, targets)):
+                    for w, t in zip(weights, z)):
                 return z, exps
         return None
 
@@ -566,13 +565,14 @@ class ZeroSumSearch:
         if total is None:
             return None
         k = len(vertices)
-        return (tuple(Fraction(x, self._scale) for x in total[:k]),
+        return (total[:k],
                 {l: a for l, a in zip(self.labels, total[k + 1:]) if a})
 
     def z(self):
-        """The gcd cycle Z on the current graph: Z_v = min M_v."""
+        """The gcd cycle Z on the current graph, Z_v = min M_v, as the
+        integers |H| * Z_v in vertex order."""
         g = self._basis.graph
-        return QCycle(g, [self.least((v,))[0][0] for v in g.vertex_ids])
+        return tuple(self.least((v,))[0][0] for v in g.vertex_ids)
 
     def _shortest(self, keys):
         """The least key of a nonempty walk from class 0 back to class 0

@@ -5,15 +5,18 @@ subgroup H1 of the discriminant group: rounds that find the gcd cycle Z
 and the local checks by shortest zero-sum searches alternate with blowups
 until every local check passes, and the answer is |H/H1| * (-Z.Z).
 Everything is exact; a non-integer result is an internal error, never
-something to round.
+something to round.  The loop runs in integers over den = |H|: Z as
+|H| * Z_v, its dual coordinates as |H| * (-Z.E_v) and Z.Z as |H|^2 * Z.Z.
+A Fraction is built only when a report's rational values are read.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .errors import CapExceededError, ConditionError, InputError, InternalError
 from .graph import GraphHistory, is_minimal
-from .lattice import DualBasis, full_subgroup, intersect, to_dual_coordinates
+from .lattice import DualBasis, QCycle, full_subgroup
 from .monomial import ZeroSumSearch, base_point_set, monomial_string
 
 MAX_BLOWUPS = 64  # default cap on the blowups of one run
@@ -53,17 +56,37 @@ class EndDecision:
 
 @dataclass
 class RoundRecord:
+    """One round of the loop on `graph`.  Z is carried as the integers
+    |H| * Z_v and its dual coordinates as |H| * (-Z.E_v), both in vertex
+    order over den = |H|; `z` and `z_dual` build the rational values when
+    they are read."""
+
     graph: object
-    z: object  # QCycle
-    z_dual: tuple
+    den: int
+    z_num: tuple
+    z_dual_num: tuple
     end_decisions: tuple = ()
     edge_checks: tuple = ()
     blowup: object = None  # BlowupEvent or None
 
-    def to_dict(self):
+    @property
+    def z(self):
+        """Z as a QCycle on this round's graph."""
+        return QCycle(self.graph, [Fraction(x, self.den) for x in self.z_num])
+
+    @property
+    def z_dual(self):
+        """Z's dual coordinates (-Z.E_v)_v."""
+        return tuple(Fraction(x, self.den) for x in self.z_dual_num)
+
+    def to_dict(self, text=None):
+        """The JSON form; `text` is a report's shared numerator-to-string
+        map (see _FractionText), a fresh one when omitted."""
+        if text is None:
+            text = _FractionText(self.den)
         return {
-            "Z_vertex": _cycle_json(self.z),
-            "Z_dual": _dual_json(self.graph, self.z_dual),
+            "Z_vertex": _json_map(self.graph, self.z_num, text),
+            "Z_dual": _json_map(self.graph, self.z_dual_num, text),
             "end_decisions": [d.to_dict() for d in self.end_decisions],
             "edge_checks": [c.to_dict() for c in self.edge_checks],
             "blowup": self.blowup.to_dict() if self.blowup else None,
@@ -75,15 +98,24 @@ class PipelineReport:
     graph: object
     det: int
     invariant_factors: tuple
-    order: int
+    order: int  # |H|, the denominator of every round's numerators
     h1_order: int
     index: int
     history: object  # GraphHistory
     rounds: list
-    z_final: object  # QCycle on the final graph
-    zz: Fraction
+    zz_num: int  # |H|^2 * Z.Z
     multiplicity: int
     input_minimal: bool = True
+
+    @property
+    def z_final(self):
+        """Z on the final graph, as a QCycle."""
+        return self.rounds[-1].z
+
+    @property
+    def zz(self):
+        """Z.Z as a Fraction."""
+        return Fraction(self.zz_num, self.order ** 2)
 
     @property
     def base_point_decisions(self):
@@ -91,17 +123,18 @@ class PipelineReport:
         return tuple(d for r in self.rounds for d in r.end_decisions)
 
     def to_dict(self):
+        text = _FractionText(self.order)
+        last = self.rounds[-1]
         return {
             "det": self.det,
             "H_invariant_factors": list(self.invariant_factors),
             "H1_order": self.h1_order,
             "index": self.index,
             "input_minimal": self.input_minimal,
-            "rounds": [r.to_dict() for r in self.rounds],
+            "rounds": [r.to_dict(text) for r in self.rounds],
             "Z_final": {
-                "vertex": _cycle_json(self.z_final),
-                "dual": _dual_json(self.z_final.graph,
-                                   self.rounds[-1].z_dual),
+                "vertex": _json_map(last.graph, last.z_num, text),
+                "dual": _json_map(last.graph, last.z_dual_num, text),
             },
             "ZZ": str(self.zz),
             "multiplicity": self.multiplicity,
@@ -109,17 +142,33 @@ class PipelineReport:
         }
 
 
-def _cycle_json(cycle):
-    return {str(v): str(c) for v, c in cycle.as_dict().items()}
+class _FractionText(dict):
+    """str(Fraction(x, den)) by numerator x, each built on first use."""
+
+    def __init__(self, den):
+        super().__init__()
+        self.den = den
+
+    def __missing__(self, x):
+        out = self[x] = str(Fraction(x, self.den))
+        return out
 
 
-def _dual_json(graph, coords):
-    return {str(v): str(c) for v, c in zip(graph.vertex_ids, coords)}
+def _json_map(graph, nums, text):
+    return {str(v): text[x] for v, x in zip(graph.vertex_ids, nums)}
 
 
-def check_gcd_condition(g, z, z_dual, search):
-    """Edge-by-edge gcd check; z_dual holds Z's dual coordinates,
-    (-Z . E_v)_v, and search is the round's ZeroSumSearch.
+def _dual_numerators(g, z):
+    """|H| * (-Z.E_v) in vertex order, from |H| * Z_v: one integer pass
+    of the intersection form."""
+    at = dict(zip(g.vertex_ids, z))
+    return tuple(-g.weight(v) * at[v] - sum(at[u] for u in g.neighbors(v))
+                 for v in g.vertex_ids)
+
+
+def check_gcd_condition(g, z, z_dual, search, known=None):
+    """Edge-by-edge gcd check.  z and z_dual hold |H| * Z_v and
+    |H| * (-Z.E_v) in vertex order, and search is the run's ZeroSumSearch.
 
     An edge (v, w) passes when the lexicographically least (M_v, M_w) over
     the monoid is (M_v(Z), M_w(Z)): one member, a generator, attains both
@@ -127,26 +176,37 @@ def check_gcd_condition(g, z, z_dual, search):
     pruned_by_zero: the gcd condition holds along the whole curve there,
     so a witness must exist anyway (the full test still runs and the two
     answers are cross-checked by the test suite).
+
+    `known` maps (edge, pruned_by_zero) to the result of an earlier round
+    of the same run and is filled in here.  Vertex ids persist through
+    blowups, and an old vertex keeps its minima (see ZeroSumSearch), so a
+    result depends only on its edge and that flag.
     """
-    zero_dot = {v: x == 0 for v, x in zip(g.vertex_ids, z_dual)}
+    if known is None:
+        known = {}
+    at = dict(zip(g.vertex_ids, z))
+    zero_dot = dict(zip(g.vertex_ids, [x == 0 for x in z_dual]))
     results = []
     for v, w in g.edges:
-        (mv, mw), exps = search.least((v, w))
-        if mv != z.coefficient(v):
-            raise InternalError(
-                f"edge search at ({v}, {w}) found M_{v} = {mv}, "
-                f"but Z_{v} = {z.coefficient(v)}")
-        witness = monomial_string(exps) if mw == z.coefficient(w) else None
-        pruned = zero_dot[v] or zero_dot[w]
-        results.append(EdgeCheckResult(edge=(v, w),
-                                       passed=witness is not None or pruned,
-                                       witness=witness,
-                                       pruned_by_zero=pruned))
+        key = ((v, w), zero_dot[v] or zero_dot[w])
+        result = known.get(key)
+        if result is None:
+            (mv, mw), exps = search.least((v, w))
+            if mv != at[v]:
+                raise InternalError(
+                    f"edge search at ({v}, {w}) found |H| * M_{v} = {mv}, "
+                    f"but |H| * Z_{v} = {at[v]}")
+            witness = monomial_string(exps) if mw == at[w] else None
+            result = known[key] = EdgeCheckResult(
+                edge=(v, w), passed=witness is not None or key[1],
+                witness=witness, pruned_by_zero=key[1])
+        results.append(result)
     return results
 
 
 def _end_decisions(history, basis, z, search):
-    """Per-end test of one round, after Z is known.
+    """Per-end test of one round, after Z (|H| * Z_v in vertex order) is
+    known.
 
     An end is settled when some member with exponent zero there attains
     the minimum of M_v at its vertex v (that generator's monomial does not
@@ -154,18 +214,19 @@ def _end_decisions(history, basis, z, search):
     at all.  The first end that is neither is blown up, and the round ends
     there.  Returns (decisions, the blowup event or None).
     """
+    current = history.current
     end_map = history.end_map
     base_vertices = None
     decisions = []
     for label in sorted(end_map):
         v = end_map[label]
         found = search.least((v,), without=label)
-        if found is not None and found[0][0] == z.coefficient(v):
+        if found is not None and found[0][0] == z[current.index(v)]:
             decisions.append(EndDecision(label, "witness",
                                          monomial_string(found[1])))
             continue
         if base_vertices is None:
-            base_vertices = base_point_set(history.current, basis)
+            base_vertices = base_point_set(current, basis)
         if v not in base_vertices:
             decisions.append(EndDecision(label, "not_base_point"))
             continue
@@ -184,9 +245,10 @@ def run_pipeline(g, h1, *, max_blowups=MAX_BLOWUPS, allow_non_minimal=False):
     every end has a witness or is not a base point and every edge passes.
     Nothing is rebuilt from scratch after a blowup: the dual basis
     starts as h1.group.basis and is pulled back through each new event in
-    O(n^2) (DualBasis.pulled_back), and one ZeroSumSearch serves every
+    O(n^2) (DualBasis.pulled_back), one ZeroSumSearch serves every
     round, searching again only for the new vertex, its edges and a moved
-    end.
+    end, and an edge check is made again only for a new edge or a changed
+    Z.E = 0 flag.
     Terminates with multiplicity = |H/H1| * (-Z.Z), always a positive
     integer.
     """
@@ -203,17 +265,19 @@ def run_pipeline(g, h1, *, max_blowups=MAX_BLOWUPS, allow_non_minimal=False):
     history = GraphHistory(g)
     basis = h1.group.basis
     search = ZeroSumSearch(basis, h1, history.end_map)
+    known_edges = {}  # check_gcd_condition's results, kept across rounds
     rounds = []
     while True:
         current = history.current
         z = search.z()
-        record = RoundRecord(graph=current, z=z,
-                             z_dual=to_dual_coordinates(z))
+        record = RoundRecord(graph=current, den=basis.den, z_num=z,
+                             z_dual_num=_dual_numerators(current, z))
         rounds.append(record)
         record.end_decisions, record.blowup = _end_decisions(
             history, basis, z, search)
         if record.blowup is None:
-            checks = check_gcd_condition(current, z, record.z_dual, search)
+            checks = check_gcd_condition(current, z, record.z_dual_num,
+                                         search, known_edges)
             record.edge_checks = tuple(checks)
             failing = sorted(c.edge for c in checks if not c.passed)
             if not failing:
@@ -226,12 +290,15 @@ def run_pipeline(g, h1, *, max_blowups=MAX_BLOWUPS, allow_non_minimal=False):
         basis = DualBasis.pulled_back(history, record.blowup, basis)
         search.advance(basis, history.end_map)
 
-    zz = intersect(z, z)
-    multiplicity = h1.index * (-zz)
-    if multiplicity <= 0 or multiplicity.denominator != 1:
+    # |H|^2 * Z.Z = -sum_v (|H| * Z_v) * (|H| * (-Z.E_v))
+    zz_num = -sum(map(mul, record.z_num, record.z_dual_num))
+    square = basis.den ** 2
+    multiplicity, rest = divmod(-h1.index * zz_num, square)
+    if multiplicity <= 0 or rest:
         raise InternalError(
-            f"|H/H1| * (-Z.Z) = {multiplicity} is not a positive integer; "
-            "this is a bug or a violated input assumption")
+            f"|H/H1| * (-Z.Z) = {Fraction(-h1.index * zz_num, square)} is "
+            "not a positive integer; this is a bug or a violated input "
+            "assumption")
 
     return PipelineReport(
         graph=g,
@@ -242,9 +309,8 @@ def run_pipeline(g, h1, *, max_blowups=MAX_BLOWUPS, allow_non_minimal=False):
         index=h1.index,
         history=history,
         rounds=rounds,
-        z_final=z,
-        zz=zz,
-        multiplicity=int(multiplicity),
+        zz_num=zz_num,
+        multiplicity=multiplicity,
         input_minimal=minimal,
     )
 

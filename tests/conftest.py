@@ -198,6 +198,34 @@ def graph_json(g):
     return json.dumps(g.to_dict())
 
 
+# --- the intersection form on rational cycles (references for the loop) ------
+
+
+def _apply_form(graph, values):
+    """I(E) applied to a coefficient vector, via the adjacency lists."""
+    at = dict(zip(graph.vertex_ids, values))
+    return [graph.weight(v) * at[v] + sum(at[u] for u in graph.neighbors(v))
+            for v in graph.vertex_ids]
+
+
+def dot_vertex(d, v):
+    """Intersection number D . E_v of a QCycle."""
+    return _apply_form(d.graph, d.coeffs)[d.graph.index(v)]
+
+
+def intersect(d1, d2):
+    """Exact intersection number d1 . d2 of two QCycles, in Fractions."""
+    d1._check(d2)
+    return sum(a * b for a, b in zip(d1.coeffs,
+                                     _apply_form(d2.graph, d2.coeffs)))
+
+
+def to_dual_coordinates(d):
+    """Coordinates of a QCycle in the dual basis, (-D . E_v)_v, in
+    Fractions; expanding sum_v coord_v * E_v* gives the cycle back."""
+    return tuple(-x for x in _apply_form(d.graph, d.coeffs))
+
+
 def hilbert_oracle(g, basis, h1, volume_cap=100_000):
     """Brute-force minimal-element computation over the full ord-bounded box.
 
@@ -208,8 +236,6 @@ def hilbert_oracle(g, basis, h1, volume_cap=100_000):
     volume_cap.
     """
     import itertools
-
-    from splicemult import intersect
 
     ends = g.ends
     source = h1.group.graph
@@ -347,8 +373,8 @@ def assert_resolved(report, h1, box_cap=50_000):
     vertices.  Minima come from a fresh box-enumerated Hilbert basis when
     the box has at most `box_cap` points, else from a fresh ZeroSumSearch
     (checked against hilbert_basis in test_search.py)."""
-    from splicemult import (DualBasis, ZeroSumSearch, base_point_set,
-                            gcd_cycle, hilbert_basis)
+    from splicemult import (DualBasis, QCycle, ZeroSumSearch,
+                            base_point_set, gcd_cycle, hilbert_basis)
     from splicemult.monomial import _congruences
 
     history = report.history
@@ -369,8 +395,12 @@ def assert_resolved(report, h1, box_cap=50_000):
                        key=lambda found: found[0], default=None)
     else:
         search = ZeroSumSearch(basis, h1, end_map)
-        z = search.z()
-        least = search.least
+        z = QCycle(g, [Fraction(x, basis.den) for x in search.z()])
+
+        def least(vertices, without=None):
+            found = search.least(vertices, without)
+            return found and (tuple(Fraction(x, basis.den)
+                                    for x in found[0]), found[1])
     assert z == report.z_final
     base = base_point_set(g, basis)
     for label in labels:
@@ -381,7 +411,7 @@ def assert_resolved(report, h1, box_cap=50_000):
     for v, w in g.edges:
         found = least((v, w))
         assert (found[0] == (z.coefficient(v), z.coefficient(w))
-                or z.dot_vertex(v) == 0 or z.dot_vertex(w) == 0), \
+                or dot_vertex(z, v) == 0 or dot_vertex(z, w) == 0), \
             f"edge {(v, w)} has no witness and Z.E != 0"
 
 
@@ -446,8 +476,7 @@ def tuple_key_least(search, vertices, without=None):
     if total is None:
         return None
     k = len(vertices)
-    return (tuple(Fraction(x, scale) for x in total[:k]),
-            {l: a for l, a in zip(labels, total[k + 1:]) if a})
+    return (total[:k], {l: a for l, a in zip(labels, total[k + 1:]) if a})
 
 
 # --- Laufer's algorithm (an oracle outside the pipeline's algebra) --------------

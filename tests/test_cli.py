@@ -1,11 +1,15 @@
 """Command-line interface: exit codes, output determinism, JSON round-trips."""
 
 import ast
+import contextlib
+import io
 import json
 import pathlib
 import sys
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from splicemult import ResolutionGraph
 from splicemult.cli import main
@@ -336,7 +340,76 @@ def test_only_table_enumerates_large_groups(capsys, tmp_path):
     assert out.endswith("multiplicity = 49\n")
 
 
+# --- the JSON emitter ---------------------------------------------------------------
+
+
+_JSON_STRINGS = st.one_of(
+    st.text(max_size=8),
+    st.text(st.sampled_from('"\\/\x00\x01\x1f\x7f\n\t\r\x08\x0c a'
+                            '\u00e9\u2028\ud800\U0001f600'), max_size=8))
+_JSON_TREES = st.recursive(
+    st.one_of(st.none(), st.booleans(), _JSON_STRINGS,
+              st.integers(-2 ** 70, 2 ** 70), st.integers()),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=3).map(tuple),
+        st.dictionaries(st.one_of(_JSON_STRINGS,
+                                  st.sampled_from(["10", "2", "1", "", "B",
+                                                   "a"])),
+                        children, max_size=4)),
+    max_leaves=25)
+
+
+@given(_JSON_TREES)
+def test_emitter_equals_the_standard_library(obj):
+    """_emit_json prints what print(json.dumps(obj, indent=2,
+    sort_keys=True)) prints, for trees of every depth: escapes, non-ASCII
+    and lone surrogates, ints beyond 64 bits, empty and nested containers,
+    and keys whose string order differs from their numeric order."""
+    from splicemult.cli import _emit_json
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _emit_json(obj)
+    assert out.getvalue() == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def test_emitter_refuses_what_it_cannot_write(capsys):
+    """A value outside its JSON subset is a bug in the document, not
+    something to guess a text for."""
+    from splicemult import InternalError
+    from splicemult.cli import _json_text
+
+    for obj in (1.5, {"a": [Fraction(1, 2)]}, {1: "a"}):
+        with pytest.raises((InternalError, TypeError)):
+            _json_text(obj, "\n")
+
+
+@pytest.mark.parametrize("graph", ["h12", "h60"])
+@pytest.mark.parametrize("argv", [["mult", "--uac"], ["mult", "--quotient"],
+                                  ["table"], ["invariants"]])
+def test_json_commands_print_what_json_dumps_prints(files, capsys, graph,
+                                                    argv):
+    code, out, _ = run(capsys, argv[0], files[graph], *argv[1:], "--json")
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
 # --- internal errors ----------------------------------------------------------------
+
+
+def test_invalid_blowup_is_exit_4(files, capsys, monkeypatch):
+    """A blown-up graph that fails a constructor check is reported as a
+    bug: h60 needs three edge blowups, and every graph above its ten
+    vertices is refused here."""
+    original = ResolutionGraph._negative_definite
+    monkeypatch.setattr(ResolutionGraph, "_negative_definite",
+                        lambda self: len(self) <= 10 and original(self))
+    code, out, err = run(capsys, "mult", files["h60"], "--uac")
+    assert (code, out) == (4, "")
+    assert err == ("internal error: blowup produced an invalid graph: "
+                   "intersection matrix is not negative definite\n")
+
 
 
 def test_internal_failure_is_exit_4(files, capsys, monkeypatch):

@@ -15,7 +15,6 @@ from splicemult import (
     branches,
     discriminant_group,
     dual_cycles,
-    intersect,
     is_minimal,
     parse_and_validate,
     pullback_vertex_cycle,
@@ -23,7 +22,7 @@ from splicemult import (
 from splicemult.errors import InputError, InternalError
 from splicemult.linalg import is_negative_definite
 
-from conftest import graph_json, random_trees
+from conftest import graph_json, intersect, random_trees
 
 
 # --- parsing and validation -----------------------------------------------------
@@ -245,6 +244,24 @@ def test_fresh_id_fills_gaps():
     assert event.new_vertex == 1  # smallest unused positive id
     g3, event2 = blowup_end_point(g2, 30)
     assert event2.new_vertex == 2
+
+
+def test_blowup_failing_a_constructor_check_is_an_internal_error(
+        tree_h12, monkeypatch):
+    """A blowup of a valid graph is valid again, so a derived graph that
+    fails a check of the constructor is a bug (exit 4), never invalid
+    input (exit 1); the constructor still runs every check on it."""
+    original = ResolutionGraph._negative_definite
+    monkeypatch.setattr(ResolutionGraph, "_negative_definite",
+                        lambda self: len(self) <= 10 and original(self))
+    message = ("^blowup produced an invalid graph: intersection matrix is "
+               "not negative definite$")
+    with pytest.raises(InternalError, match=message):
+        blowup_edge(tree_h12, 1, 5)
+    with pytest.raises(InternalError, match=message):
+        blowup_end_point(tree_h12, 1)
+    with pytest.raises(InternalError, match=message):
+        GraphHistory(tree_h12).blowup_end(2)
 
 
 def test_pullback_preserves_pairing_chain(a2_chain):

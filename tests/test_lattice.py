@@ -17,9 +17,7 @@ from splicemult import (
     enumerate_subgroups,
     flat_subgroup,
     full_subgroup,
-    intersect,
     subgroup,
-    to_dual_coordinates,
     trivial_subgroup,
 )
 from splicemult.errors import CapExceededError, InternalError
@@ -29,11 +27,14 @@ from conftest import (
     H12_DUAL_ROWS,
     blowup_histories,
     closure,
+    dot_vertex,
+    intersect,
     invert_by_fractions,
     perp_member,
     random_trees,
     star,
     subgroups_oracle,
+    to_dual_coordinates,
 )
 
 
@@ -62,7 +63,7 @@ def test_dual_defining_property(all_test_graphs):
         for a in g.vertex_ids:
             ea = basis.dual_cycle(a)
             for b in g.vertex_ids:
-                assert ea.dot_vertex(b) == (-1 if a == b else 0)
+                assert dot_vertex(ea, b) == (-1 if a == b else 0)
             assert all(c > 0 for c in ea.coeffs)
 
 

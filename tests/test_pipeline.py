@@ -2,10 +2,13 @@
 
 import heapq
 import json
+import sys
 from fractions import Fraction
+from operator import mul
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from splicemult import (
     DualBasis,
@@ -16,12 +19,10 @@ from splicemult import (
     dual_cycles,
     full_subgroup,
     hilbert_basis,
-    intersect,
     multiplicity_of_quotient,
     pullback_vertex_cycle,
     run_pipeline,
     subgroup,
-    to_dual_coordinates,
     trivial_subgroup,
 )
 from splicemult.errors import (
@@ -30,14 +31,19 @@ from splicemult.errors import (
     InputError,
     InternalError,
 )
+from splicemult.pipeline import _dual_numerators
 
 from conftest import (
     H12_TABLE,
     assert_resolved,
     assert_rounds_match_hilbert_basis,
+    draw_blowups,
     end_map_after,
+    intersect,
     laufer_z_min,
+    round_end_map,
     star,
+    to_dual_coordinates,
 )
 
 def _uac(g):
@@ -50,7 +56,7 @@ def _uac(g):
 def _gcd_checks(g, h1):
     search = ZeroSumSearch(h1.group.basis, h1)
     z = search.z()
-    return check_gcd_condition(g, z, to_dual_coordinates(z), search)
+    return check_gcd_condition(g, z, _dual_numerators(g, z), search)
 
 
 def test_gcd_condition_h12_all_pass(tree_h12):
@@ -395,6 +401,101 @@ def test_quotient_of_a_tree_with_a_large_group(monkeypatch):
     assert_resolved(report, full_subgroup(discriminant_group(g)))
 
 
+# --- the loop in integers ---------------------------------------------------------
+
+
+@st.composite
+def blown_up_trees_and_subgroups(draw):
+    """A random tree after up to six random edge and end blowups (so not
+    minimal, and run with the override), with H1 = 0, H1 = H or a random
+    subgroup of its discriminant group."""
+    n = draw(st.integers(2, 6))
+    weights = {i: draw(st.integers(-6, -1)) for i in range(1, n + 1)}
+    edges = [(draw(st.integers(1, i - 1)), i) for i in range(2, n + 1)]
+    try:
+        g = ResolutionGraph(weights, edges)
+    except InputError:  # not negative definite
+        assume(False)
+    g = draw_blowups(draw, g).current
+    group = discriminant_group(g)
+    make = draw(st.sampled_from([full_subgroup, trivial_subgroup, None]))
+    if make is None:
+        gens = draw(st.lists(st.lists(st.integers(-3, 3), min_size=len(g),
+                                      max_size=len(g)), max_size=2))
+        h1 = subgroup(gens, group)
+    else:
+        h1 = make(group)
+    assume(h1.order <= 1000)
+    return g, h1
+
+
+def _count_fractions(monkeypatch):
+    """Replace `Fraction` in every splicemult module with a wrapper that
+    records each call; returns the record."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return Fraction(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("splicemult") and hasattr(module, "Fraction"):
+            monkeypatch.setattr(module, "Fraction", counting)
+    return calls
+
+
+@settings(max_examples=40)
+@given(blown_up_trees_and_subgroups())
+def test_no_fraction_before_the_report_is_read(case):
+    """The loop runs in integers: no Fraction is built before run_pipeline
+    returns, and the report's rational values are built when read."""
+    g, h1 = case
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        calls = _count_fractions(monkeypatch)
+        report = run_pipeline(g, h1, allow_non_minimal=True)
+        assert calls == []
+        report.zz
+        assert calls != []
+
+
+@settings(max_examples=40)
+@given(blown_up_trees_and_subgroups())
+def test_rounds_in_integers_match_the_rational_form(case):
+    """Every round's integer Z.E and Z.Z equal the Fraction form applied
+    to the round's Z, and its carried edge checks equal a fresh
+    check_gcd_condition with a fresh search on that round's graph."""
+    g, h1 = case
+    report = run_pipeline(g, h1, allow_non_minimal=True)
+    history = report.history
+    for rnd in report.rounds:
+        z = rnd.z
+        assert rnd.z_dual == to_dual_coordinates(z)
+        zz = -sum(map(mul, rnd.z_num, rnd.z_dual_num))
+        assert Fraction(zz, rnd.den ** 2) == intersect(z, z)
+        fresh = ZeroSumSearch(DualBasis(rnd.graph), h1,
+                              round_end_map(history, rnd.graph))
+        assert fresh.z() == rnd.z_num
+        if rnd.edge_checks:
+            assert list(rnd.edge_checks) == check_gcd_condition(
+                rnd.graph, rnd.z_num, rnd.z_dual_num, fresh)
+    assert report.zz == intersect(report.z_final, report.z_final)
+    assert report.multiplicity == report.index * -report.zz
+
+
+def test_edge_check_is_made_again_when_its_flag_changes():
+    """On the chain -3, -3, -6 (vertex 1 in the middle) with an H1 of
+    order 9, the blowup of the edge (1, 2) makes Z.E_1 = 0: the edge
+    (1, 3), which passed by a witness in round 1, is checked again and is
+    now also pruned by zero."""
+    g = ResolutionGraph({1: -3, 2: -3, 3: -6}, [(1, 2), (1, 3)])
+    h1 = subgroup([[-3, 3, 2]], discriminant_group(g))
+    report = run_pipeline(g, h1)
+    assert [[(c.passed, c.pruned_by_zero) for c in rnd.edge_checks
+             if c.edge == (1, 3)] for rnd in report.rounds] == [
+        [(True, False)], [(True, True)], [(True, True)]]
+    assert_resolved(report, h1)
+
+
 # --- guards -----------------------------------------------------------------------
 
 
@@ -490,11 +591,11 @@ def test_non_integer_multiplicity_guard(tree_h60, monkeypatch):
 
     real_check = pipeline_module.check_gcd_condition
 
-    def everything_passes(g, z, z_dual, gens):
+    def everything_passes(*args):
         return [pipeline_module.EdgeCheckResult(
             edge=c.edge, passed=True, witness=c.witness,
             pruned_by_zero=c.pruned_by_zero)
-            for c in real_check(g, z, z_dual, gens)]
+            for c in real_check(*args)]
 
     monkeypatch.setattr(pipeline_module, "check_gcd_condition",
                         everything_passes)

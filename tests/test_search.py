@@ -1,6 +1,7 @@
 """The zero-sum search: against a full Hilbert basis, through blowups,
 against the one-sided tuple-key search, and at its cap."""
 
+from fractions import Fraction
 from math import lcm
 
 import pytest
@@ -10,6 +11,7 @@ from splicemult import (
     DualBasis,
     InputError,
     InternalError,
+    QCycle,
     ResolutionGraph,
     ZeroSumSearch,
     discriminant_group,
@@ -44,6 +46,11 @@ def _box_volume(basis, h1):
     return volume
 
 
+def _fractions(nums, den):
+    """Integer numerators over den as Fractions."""
+    return tuple(Fraction(x, den) for x in nums)
+
+
 def _random_subgroup(draw, g):
     n = len(g)
     gens = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n,
@@ -76,14 +83,15 @@ def test_search_matches_hilbert_basis(case):
     search = ZeroSumSearch(basis, h1)
     gens = hilbert_basis(g, basis, h1)
     vectors = {m.exponent_vector(search.labels) for m in gens}
-    z = search.z()
+    z = QCycle(g, _fractions(search.z(), basis.den))
     assert z == gcd_cycle(gens)
 
     def generator(found, vertices):
         values, exps = found
         m = monomial_cycle(basis, exps)
         assert m.exponent_vector(search.labels) in vectors
-        assert values == tuple(m.expansion.coefficient(v) for v in vertices)
+        assert _fractions(values, basis.den) == tuple(
+            m.expansion.coefficient(v) for v in vertices)
         return m
 
     for v in g.vertex_ids:
@@ -92,7 +100,8 @@ def test_search_matches_hilbert_basis(case):
         found = search.least((v, w))
         m = generator(found, (v, w))
         scanned = scan_edge_witness(gens, z, v, w)
-        if found[0] == (z.coefficient(v), z.coefficient(w)):
+        if _fractions(found[0], basis.den) == (z.coefficient(v),
+                                               z.coefficient(w)):
             assert scanned == m
         else:
             assert scanned is None
@@ -104,7 +113,8 @@ def test_search_matches_hilbert_basis(case):
             continue
         m = generator(found, (e,))
         assert m.exponents[e] == 0
-        assert scanned == (m if found[0][0] == z.coefficient(e) else None)
+        assert scanned == (m if Fraction(found[0][0], basis.den)
+                           == z.coefficient(e) else None)
 
 
 @st.composite
@@ -340,7 +350,7 @@ def test_vertex_members_decide_queries_without_search(name, tree_h12,
     g = star(-3, [-3] * 5) if name == "star" else tree_h12
     h1 = full_subgroup(discriminant_group(g))
     search = ZeroSumSearch(h1.group.basis, h1)
-    z = search.z()
+    z = QCycle(g, _fractions(search.z(), h1.group.basis.den))
     members = {v: monomial_cycle(h1.group.basis, search.least((v,))[1])
                for v in g.vertex_ids}
     calls = []
