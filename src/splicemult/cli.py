@@ -161,11 +161,11 @@ def cmd_validate(args):
     if not is_minimal(g):
         raise ConditionError("graph is valid but not minimal: it has a "
                              "blow-downable (-1)-vertex")
-    report = monomial_condition(g, dual_cycles(g))
-    if not report.satisfied:
+    failures = monomial_condition(g, dual_cycles(g))
+    if failures:
         print("monomial condition FAILS:")
-        for entry in report.failures():
-            print(f"  node {entry.node}, branch {list(entry.branch)}: "
+        for node, branch in failures:
+            print(f"  node {node}, branch {list(branch)}: "
                   "no admissible monomial")
         return ConditionError.exit_code
     print(f"ok: {len(g)} vertices, ends {list(g.ends)}, "
@@ -236,7 +236,8 @@ def cmd_mult(args):
                 ev = rnd.blowup
                 print(f"  blowup {ev.kind} at {list(ev.center)} -> "
                       f"new vertex {ev.new_vertex}")
-    z_text = _fmt_dual_combo(result.z_final.graph, result.rounds[-1].z_dual)
+    final = result.rounds[-1]
+    z_text = _fmt_dual_combo(final.graph, final.z_dual)
     print(f"Z = {z_text}")
     print(f"Z.Z = {result.zz}")
     print(f"multiplicity = {result.multiplicity}")
@@ -252,7 +253,8 @@ def cmd_table(args):
     for h1 in enumerate_subgroups(group):
         result = run_pipeline(g, h1)
         flat = flat_subgroup(h1)
-        z_graph, z_dual = result.z_final.graph, result.rounds[-1].z_dual
+        final = result.rounds[-1]
+        z_graph, z_dual = final.graph, final.z_dual
         rows.append({
             "subgroup": _fmt_subgroup(h1),
             "elements": [list(nf) for nf in h1.canonical_elements],

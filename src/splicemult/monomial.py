@@ -9,6 +9,10 @@ divides it), which the knapsacks, the residue congruences and the zero-sum
 search read directly, and the zero-sum search packs each of its tuple keys
 into one int.  Every dual-basis entry is strictly positive, which makes
 all bounds finite.
+
+The witness search of the monomial condition, `admissible_monomials`, is
+one lazy generator: deciding the condition reads the first witness of each
+(node, branch) pair, and only the splice-equation skeletons read them all.
 """
 
 import heapq
@@ -109,14 +113,6 @@ def monomial_cycle(basis, exponents, end_map=None):
 # --- integer knapsack helpers -------------------------------------------------
 
 
-def _clear_denominators(target, weights):
-    """Scale a rational target and weights to integers by their lcm."""
-    den = lcm(target.denominator, *(w.denominator for w in weights))
-    t = target.numerator * (den // target.denominator)
-    ws = [w.numerator * (den // w.denominator) for w in weights]
-    return t, ws
-
-
 def _representable(t, ws):
     """Whether the integer t is a nonnegative integer combination of the
     integer weights ws.
@@ -140,9 +136,10 @@ def _representable(t, ws):
     return bool((bits >> t) & 1)
 
 
-def _exact_solutions(target, weights, where):
-    """All nonnegative integer vectors a with sum a_k * weights_k = target,
-    in lexicographic order.
+def _exact_solutions(t, ws, where):
+    """Yield every nonnegative integer vector a with sum a_k * ws_k = t, for
+    an integer target t and positive integer weights ws, in lexicographic
+    order.
 
     Finite because the weights are strictly positive.  A partial vector is
     extended only when the gcd of the weights still to come divides what
@@ -151,32 +148,35 @@ def _exact_solutions(target, weights, where):
     is a depth-first walk over an explicit stack: a node adds its children
     to the node count when it expands them, so the count (capped at
     SEARCH_CAP, and `where` names the search in the error) is the number of
-    nodes of the recursion "one call per prefix".  At the last level the
-    pruning leaves one exponent, remaining / weight, so every child of the
+    nodes of the recursion "one call per prefix" visited so far.  A caller
+    that stops early has counted a prefix of the same walk, so it trips the
+    cap only where the full search would.  At the last level the pruning
+    leaves one exponent, remaining / weight, so every child of the
     second-last level is a solution and is written out in that closed form.
     """
-    t, ws = _clear_denominators(target, weights)
     if not ws:
-        return [()] if t == 0 else []
+        if t == 0:
+            yield ()
+        return
     tails = [0] * (len(ws) + 1)  # tails[k] = gcd(ws[k:]); gcd() = 0
     for k in reversed(range(len(ws))):
         tails[k] = gcd(ws[k], tails[k + 1])
     if t < 0 or t % tails[0]:
-        return []
+        return
     count = 1  # the root
     if count > SEARCH_CAP:
         _search_cap_exceeded(where)
     last = len(ws) - 1
     w_last = ws[last]
     if not last:
-        return [(t // w_last,)]
+        yield (t // w_last,)
+        return
     # the a with rest | remaining - a * w form one class modulo
     # step = rest / h, because h = gcd(w, rest) divides remaining
     levels = []
     for k in range(last):
         w, h, rest = ws[k], tails[k], tails[k + 1]
         levels.append((w, h, rest // h, pow(w // h, -1, rest // h)))
-    out = []
     stack = [(0, t, ())]  # (level, remaining, exponents so far)
     while stack:
         k, remaining, head = stack.pop()
@@ -190,12 +190,11 @@ def _exact_solutions(target, weights, where):
             _search_cap_exceeded(where)
         children = range(first, top + 1, step)
         if k == last - 1:
-            out.extend([head + (a, (remaining - a * w) // w_last)
-                        for a in children])
+            for a in children:
+                yield head + (a, (remaining - a * w) // w_last)
         else:  # pushed in reverse, so the least exponent is expanded first
             stack.extend([(k + 1, remaining - a * w, head + (a,))
                           for a in reversed(children)])
-    return out
 
 
 def _search_cap_exceeded(where):
@@ -205,33 +204,6 @@ def _search_cap_exceeded(where):
 
 
 # --- monomial condition -------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class BranchMonomials:
-    """Minimal admissible monomials for one (node, branch) pair."""
-
-    node: int
-    branch: tuple
-    ends: tuple
-    witnesses: tuple  # of MonomialCycle, graded-lex order
-
-    @property
-    def satisfied(self):
-        return bool(self.witnesses)
-
-
-@dataclass(frozen=True)
-class MonomialConditionReport:
-    graph: object
-    entries: tuple
-
-    @property
-    def satisfied(self):
-        return all(e.satisfied for e in self.entries)
-
-    def failures(self):
-        return [e for e in self.entries if not e.satisfied]
 
 
 def _minimal_vectors(vectors):
@@ -245,15 +217,18 @@ def _minimal_vectors(vectors):
 
 
 def admissible_monomials(g, basis, node, branch):
-    """All minimal monomial cycles D with D - E_node* effective, integral and
-    supported on the branch.
+    """Yield the minimal monomial cycles D with D - E_node* effective,
+    integral and supported on the branch, each as soon as it is found, in
+    the lexicographic order of its exponents at the branch's ends.
 
     Ends outside the branch are forced to exponent zero: for such an end j,
     D . E_j = -a_j, while (D - E_node*) . E_j >= 0 because the difference is
     effective without an E_j component; hence a_j = 0.  Matching the
     coefficient at the node itself is a knapsack equation with positive
     weights, whose solutions are the candidates; no two are comparable, so
-    every one that passes is minimal.
+    every one that passes is minimal.  The search is lazy: the monomial
+    condition reads one witness per pair and stops it there, and only the
+    splice equations read them all.
 
     Everything runs in integers, on the columns of `num` for E_node* and
     the branch's end duals, all over the one denominator den = |H|.  A
@@ -291,7 +266,6 @@ def admissible_monomials(g, basis, node, branch):
               for j in at_ends]
     inside = [v in branch for v in g.vertex_ids]
     where = f"node {node}, branch {sorted(branch)}"
-    found = []
     for combo in _exact_solutions(node_col[at_node],
                                   [col[at_node] for col in end_cols], where):
         if any(sum(map(mul, combo, row)) % den != r for r, row in checks):
@@ -302,39 +276,40 @@ def admissible_monomials(g, basis, node, branch):
                 d = [x + a * y for x, y in zip(d, col)]
         if all((x >= 0 and x % den == 0) if ins else x == 0
                for x, ins in zip(map(sub, d, node_col), inside)):
-            found.append((sum(combo), combo, d))
-    out = []
-    for _, combo, d in sorted(found):
-        exps = dict.fromkeys(g.ends, 0)
-        exps.update(zip(branch_ends, combo))
-        out.append(MonomialCycle(exps, g, d, den))
-    return out
+            exps = dict.fromkeys(g.ends, 0)
+            exps.update(zip(branch_ends, combo))
+            yield MonomialCycle(exps, g, d, den)
+
+
+def _pairs(g):
+    """Every (node, sorted branch tuple) pair, by node and then in
+    `branches` order."""
+    for node in g.nodes:
+        for branch in branches(g, node):
+            yield node, tuple(sorted(branch))
 
 
 def monomial_condition(g, basis):
-    """Check every (node, branch) pair for admissible monomials."""
-    entries = []
-    for node in g.nodes:
-        for branch in branches(g, node):
-            witnesses = admissible_monomials(g, basis, node, branch)
-            entries.append(BranchMonomials(
-                node=node,
-                branch=tuple(sorted(branch)),
-                ends=tuple(e for e in g.ends if e in branch),
-                witnesses=tuple(witnesses),
-            ))
-    return MonomialConditionReport(graph=g, entries=tuple(entries))
+    """The (node, sorted branch tuple) pairs with no admissible monomial, in
+    node and branch order; empty exactly when the condition holds.  Each
+    pair's search stops at its first witness."""
+    return [(node, branch) for node, branch in _pairs(g)
+            if next(admissible_monomials(g, basis, node, branch), None)
+            is None]
+
+
+def _raise_failures(failures):
+    bad = ", ".join(f"node {node} branch {list(branch)}"
+                    for node, branch in failures)
+    raise ConditionError(f"monomial condition fails at: {bad}")
 
 
 def require_monomial_condition(g, basis):
-    """The monomial condition report; ConditionError naming every failing
-    (node, branch) pair when it does not hold."""
-    report = monomial_condition(g, basis)
-    if not report.satisfied:
-        bad = ", ".join(f"node {e.node} branch {list(e.branch)}"
-                        for e in report.failures())
-        raise ConditionError(f"monomial condition fails at: {bad}")
-    return report
+    """ConditionError naming every failing (node, branch) pair when the
+    monomial condition does not hold."""
+    failures = monomial_condition(g, basis)
+    if failures:
+        _raise_failures(failures)
 
 
 # --- base points ----------------------------------------------------------------
@@ -791,30 +766,33 @@ class NodeSystem:
 
 def _skeleton_choice(witnesses):
     """Deterministic pick among minimal admissible monomials: smallest
-    maximal exponent, then lowest degree, then lexicographic."""
+    maximal exponent, then lowest degree, then lexicographic; None when
+    there are none."""
     def key(m):
         exps = tuple(m.exponents[l] for l in sorted(m.exponents))
         return (max(exps), sum(exps), exps)
-    return min(witnesses, key=key)
+    return min(witnesses, key=key, default=None)
 
 
 def neumann_wahl_system(g, basis):
-    """Splice equation skeletons, one block of delta_v - 2 equations per node."""
-    report = require_monomial_condition(g, basis)
-    by_node = {}
-    for entry in report.entries:
-        by_node.setdefault(entry.node, []).append(entry)
+    """Splice equation skeletons, one block of delta_v - 2 equations per
+    node.  The one caller that reads every witness of every pair."""
+    chosen = [(node, branch,
+               _skeleton_choice(admissible_monomials(g, basis, node, branch)))
+              for node, branch in _pairs(g)]
+    failures = [(node, branch) for node, branch, m in chosen if m is None]
+    if failures:
+        _raise_failures(failures)
     systems = []
     for node in g.nodes:
-        entries = by_node.get(node, [])
-        chosen = tuple(_skeleton_choice(e.witnesses) for e in entries)
+        entries = [(branch, m) for v, branch, m in chosen if v == node]
         delta = len(entries)
         rows = tuple(tuple(j ** i for j in range(1, delta + 1))
                      for i in range(delta - 2))
         systems.append(NodeSystem(
             node=node,
-            branches=tuple(e.branch for e in entries),
-            monomials=chosen,
+            branches=tuple(branch for branch, _ in entries),
+            monomials=tuple(m for _, m in entries),
             coefficients=rows,
         ))
     return systems

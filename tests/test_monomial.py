@@ -1,7 +1,7 @@
 """Monomial condition, base points, Hilbert bases, gcd cycles, skeletons."""
 
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -23,7 +23,11 @@ from splicemult import (
 )
 from splicemult.errors import CapExceededError, ConditionError, InternalError
 import splicemult.monomial as monomial
-from splicemult.monomial import _exact_solutions
+from splicemult.monomial import (
+    _exact_solutions,
+    _skeleton_choice,
+    admissible_monomials,
+)
 
 from conftest import (
     admissible_monomials_by_fractions,
@@ -35,8 +39,23 @@ from conftest import (
 )
 
 
-def _exponent_sets(entry):
-    return {m.monomial_string() for m in entry.witnesses}
+def _check_against_reference(g, basis):
+    """Every pair's witnesses, as a set of (exponents, expansion), and its
+    verdict equal the reference's; returns the yielded witnesses by
+    (node, sorted branch)."""
+    found = {}
+    for node in g.nodes:
+        for branch in branches(g, node):
+            got = list(admissible_monomials(g, basis, node, branch))
+            ref = admissible_monomials_by_fractions(g, basis, node, branch)
+            assert len(got) == len(ref)
+            assert {tuple(sorted(m.exponents.items())): m.expansion
+                    for m in got} == \
+                {tuple(sorted(exps.items())): d for exps, d in ref}
+            found[(node, tuple(sorted(branch)))] = got
+    assert monomial_condition(g, basis) == [
+        key for key, got in found.items() if not got]
+    return found
 
 
 # --- coefficient extraction ---------------------------------------------------
@@ -55,27 +74,29 @@ def test_coefficient_h12(tree_h12):
 
 
 def test_monomial_condition_h12(tree_h12):
-    report = monomial_condition(tree_h12, dual_cycles(tree_h12))
-    assert report.satisfied
-    by_key = {(e.node, e.branch): e for e in report.entries}
-    assert _exponent_sets(by_key[(5, (1,))]) == {"z1^2"}
-    assert _exponent_sets(by_key[(5, (2,))]) == {"z2^2"}
-    assert _exponent_sets(by_key[(5, (3, 4, 6, 7, 8, 9, 10))]) == {"z3*z4"}
-    assert _exponent_sets(by_key[(8, (3, 9))]) == {"z3^3"}
-    assert _exponent_sets(by_key[(8, (4, 10))]) == {"z4^3"}
-    # five incomparable minimal witnesses on the branch through both ends
-    assert _exponent_sets(by_key[(8, (1, 2, 5, 6, 7))]) == {
-        "z1*z2^9", "z1^3*z2^7", "z1^5*z2^5", "z1^7*z2^3", "z1^9*z2"}
+    basis = dual_cycles(tree_h12)
+    assert monomial_condition(tree_h12, basis) == []
+    found = _check_against_reference(tree_h12, basis)
+    strings = {key: {m.monomial_string() for m in ws}
+               for key, ws in found.items()}
+    assert strings[(5, (1,))] == {"z1^2"}
+    assert strings[(5, (2,))] == {"z2^2"}
+    assert strings[(5, (3, 4, 6, 7, 8, 9, 10))] == {"z3*z4"}
+    assert strings[(8, (3, 9))] == {"z3^3"}
+    assert strings[(8, (4, 10))] == {"z4^3"}
+    # five incomparable minimal witnesses on the branch through both ends,
+    # yielded in lexicographic order of their exponents
+    assert [m.monomial_string() for m in found[(8, (1, 2, 5, 6, 7))]] == [
+        "z1*z2^9", "z1^3*z2^7", "z1^5*z2^5", "z1^7*z2^3", "z1^9*z2"]
 
 
 def test_monomial_condition_witnesses_satisfy_definition(tree_h12, tree_h60):
     for g in (tree_h12, tree_h60):
         basis = dual_cycles(g)
-        report = monomial_condition(g, basis)
-        for entry in report.entries:
-            node_dual = basis.dual_cycle(entry.node)
-            branch = set(entry.branch)
-            for witness in entry.witnesses:
+        found = _check_against_reference(g, basis)
+        for (node, branch), witnesses in found.items():
+            node_dual = basis.dual_cycle(node)
+            for witness in witnesses:
                 diff = witness.expansion - node_dual
                 assert diff.is_integral() and diff.is_effective()
                 assert all(diff.coefficient(v) == 0
@@ -86,49 +107,91 @@ def test_monomial_condition_witnesses_satisfy_definition(tree_h12, tree_h60):
 
 
 def test_monomial_condition_vacuous_for_chain(a2_chain):
-    report = monomial_condition(a2_chain, dual_cycles(a2_chain))
-    assert report.satisfied and report.entries == ()
+    basis = dual_cycles(a2_chain)
+    assert monomial_condition(a2_chain, basis) == []
+    assert _check_against_reference(a2_chain, basis) == {}
 
 
 def test_knapsack_cap_names_cap_and_branch(tree_h12, monkeypatch):
-    import splicemult.monomial as monomial
-
+    """The splice equations read every witness, so their search runs to
+    the end of each pair and trips a small cap at the first pair whose
+    full search exceeds it."""
     monkeypatch.setattr(monomial, "SEARCH_CAP", 3)
     with pytest.raises(CapExceededError, match=(
             r"^knapsack search bound exceeded: more than 3 nodes "
             r"\(SEARCH_CAP\) at node 5, branch \[3, 4, 6, 7, 8, 9, 10\]$")):
-        monomial_condition(tree_h12, dual_cycles(tree_h12))
+        neumann_wahl_system(tree_h12, dual_cycles(tree_h12))
+
+
+def test_decision_counts_nodes_up_to_the_first_witness(monkeypatch):
+    """At node 5 the branch through the centre has ten knapsack nodes;
+    the decision stops at the first witness, within a cap of 8, where the
+    splice equations, which read every witness, exceed it."""
+    from splicemult import ResolutionGraph
+
+    g = ResolutionGraph({1: -3, 2: -4, 3: -3, 4: -3, 5: -4, 6: -2, 7: -2},
+                        [(1, 2), (1, 3), (1, 4), (1, 5), (5, 6), (5, 7)])
+    basis = dual_cycles(g)
+    monkeypatch.setattr(monomial, "SEARCH_CAP", 8)
+    assert monomial_condition(g, basis) == []
+    with pytest.raises(CapExceededError, match=(
+            r"^knapsack search bound exceeded: more than 8 nodes "
+            r"\(SEARCH_CAP\) at node 5, branch \[1, 2, 3, 4\]$")):
+        neumann_wahl_system(g, basis)
 
 
 def test_monomial_condition_failure(monomial_fail_graph):
-    report = monomial_condition(monomial_fail_graph,
-                                dual_cycles(monomial_fail_graph))
-    assert not report.satisfied
-    assert report.failures()
+    basis = dual_cycles(monomial_fail_graph)
+    assert monomial_condition(monomial_fail_graph, basis) == [(5, (3, 4, 6))]
+    found = _check_against_reference(monomial_fail_graph, basis)
+    assert found[(5, (3, 4, 6))] == []
+    with pytest.raises(ConditionError, match=(
+            r"^monomial condition fails at: node 5 branch \[3, 4, 6\]$")):
+        monomial.require_monomial_condition(monomial_fail_graph, basis)
+
+
+def _reference_sized(g, basis):
+    """The reference enumerates every prefix of each node's knapsack
+    equation; keep it small."""
+    return all(prod(basis.entry(node, node) // basis.entry(node, e) + 1
+                    for e in sorted(e for e in g.ends if e in branch)[:-1])
+               <= 20000
+               for node in g.nodes for branch in branches(g, node))
 
 
 @given(multi_node_trees())
 def test_monomial_condition_matches_fraction_reference(g):
-    """Entries, witness order, exponents, expansions and the verdict equal
-    those of the QCycle computation over an unpruned knapsack."""
+    """Per pair, the set of yielded witnesses (exponents and expansions)
+    and the verdict equal those of the QCycle computation over an unpruned
+    knapsack, and the witnesses come in lexicographic exponent order."""
     basis = dual_cycles(g)
-    # the reference enumerates every prefix of the node's knapsack equation
-    assume(all(prod(basis.entry(node, node) // basis.entry(node, e) + 1
-                    for e in sorted(e for e in g.ends if e in branch)[:-1])
-               <= 20000
-               for node in g.nodes for branch in branches(g, node)))
-    report = monomial_condition(g, basis)
-    expected = [(node, tuple(sorted(branch)),
-                 admissible_monomials_by_fractions(g, basis, node, branch))
-                for node in g.nodes for branch in branches(g, node)]
-    assert [(e.node, e.branch) for e in report.entries] == \
-        [(node, branch) for node, branch, _ in expected]
-    for entry, (_, _, witnesses) in zip(report.entries, expected):
-        assert entry.ends == tuple(e for e in g.ends if e in entry.branch)
-        assert [(m.exponents, m.expansion) for m in entry.witnesses] == \
-            witnesses
-        assert entry.satisfied == bool(witnesses)
-    assert report.satisfied == all(w for _, _, w in expected)
+    assume(_reference_sized(g, basis))
+    for (node, branch), witnesses in _check_against_reference(
+            g, basis).items():
+        ends = sorted(e for e in g.ends if e in branch)
+        vectors = [m.exponent_vector(ends) for m in witnesses]
+        assert vectors == sorted(vectors)
+
+
+@given(multi_node_trees())
+def test_splice_equations_pick_the_reference_choice(g):
+    """neumann_wahl_system picks, per pair, what _skeleton_choice picks
+    over the reference's witness list."""
+    basis = dual_cycles(g)
+    assume(_reference_sized(g, basis))
+    expected = {}
+    for node in g.nodes:
+        for branch in branches(g, node):
+            ref = admissible_monomials_by_fractions(g, basis, node, branch)
+            expected[(node, tuple(sorted(branch)))] = _skeleton_choice(
+                [monomial_cycle(basis, exps) for exps, _ in ref])
+    if any(m is None for m in expected.values()):
+        with pytest.raises(ConditionError):
+            neumann_wahl_system(g, basis)
+        return
+    got = {(s.node, branch): m for s in neumann_wahl_system(g, basis)
+           for branch, m in zip(s.branches, s.monomials)}
+    assert got == expected
 
 
 @given(multi_node_trees())
@@ -137,17 +200,18 @@ def test_end_integral_solutions_are_witnesses(g):
     integral at the branch's ends, D - E_node* is effective, integral and
     zero off the branch: the lemma behind testing the ends first."""
     basis = dual_cycles(g)
-    assume(all(prod(basis.entry(node, node) // basis.entry(node, e) + 1
-                    for e in sorted(e for e in g.ends if e in branch)[:-1])
-               <= 20000
-               for node in g.nodes for branch in branches(g, node)))
+    assume(_reference_sized(g, basis))
+
+    def scaled(a, b):  # |H| * (E_a*)_b, an integer
+        return basis.num[g.index(a)][g.index(b)]
+
     for node in g.nodes:
         node_dual = basis.dual_cycle(node)
         for branch in branches(g, node):
             ends = sorted(e for e in g.ends if e in branch)
-            for combo in _exact_solutions(
-                    basis.entry(node, node),
-                    [basis.entry(node, e) for e in ends], "test"):
+            for combo in list(_exact_solutions(
+                    scaled(node, node),
+                    [scaled(node, e) for e in ends], "test")):
                 if any((sum(a * basis.entry(e, i) for a, i in zip(combo, ends))
                         - basis.entry(e, node)).denominator != 1
                        for e in ends):
@@ -185,9 +249,13 @@ def _knapsacks(draw):
 
 @given(_knapsacks())
 def test_pruned_knapsack_matches_enumeration(instance):
+    """On the instance scaled to integers by the lcm of its denominators,
+    the search yields the unpruned enumeration's solutions, in order."""
     weights, target = instance
-    assert _exact_solutions(target, weights, "test") == \
-        knapsack_by_enumeration(target, weights)
+    den = lcm(target.denominator, *(w.denominator for w in weights))
+    assert list(_exact_solutions(int(target * den),
+                                 [int(w * den) for w in weights], "test")) \
+        == knapsack_by_enumeration(target, weights)
 
 
 @st.composite
@@ -210,13 +278,25 @@ def test_flat_knapsack_matches_recursion_and_its_node_count(instance):
     expected, count = knapsack_by_recursion(target, weights)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(monomial, "SEARCH_CAP", count)
-        assert _exact_solutions(target, weights, "test") == expected
+        assert list(_exact_solutions(target, weights, "test")) == expected
         if count:
             mp.setattr(monomial, "SEARCH_CAP", count - 1)
             with pytest.raises(CapExceededError, match=(
                     rf"^knapsack search bound exceeded: more than "
                     rf"{count - 1} nodes \(SEARCH_CAP\) at test$")):
-                _exact_solutions(target, weights, "test")
+                list(_exact_solutions(target, weights, "test"))
+
+
+@given(_integer_knapsacks())
+def test_first_knapsack_solution_stays_within_the_full_count(instance):
+    """With SEARCH_CAP at the recursion's full node count, taking only the
+    first solution never trips the cap and gives the recursion's first."""
+    weights, target = instance
+    expected, count = knapsack_by_recursion(target, weights)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(monomial, "SEARCH_CAP", count)
+        assert next(_exact_solutions(target, weights, "test"), None) == \
+            (expected[0] if expected else None)
 
 
 # --- base points ------------------------------------------------------------------

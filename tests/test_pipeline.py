@@ -231,7 +231,7 @@ def test_mode_equivalence_random():
     checked = 0
     for g in random_trees(seed=909, count=40):
         basis = dual_cycles(g)
-        if not is_minimal(g) or not monomial_condition(g, basis).satisfied:
+        if not is_minimal(g) or monomial_condition(g, basis):
             continue
         group = discriminant_group(g, basis)
         rng = _random.Random(sum(g.vertex_ids) + g.weight(g.vertex_ids[0]))
