@@ -16,6 +16,7 @@ from json.encoder import encode_basestring_ascii as _encode_str
 from .errors import ConditionError, InputError, InternalError, SpliceMultError
 from .graph import is_minimal, parse_and_validate
 from .lattice import (
+    _FractionText,
     discriminant_group,
     dual_cycles,
     enumerate_subgroups,
@@ -178,6 +179,7 @@ def cmd_invariants(args):
     basis = dual_cycles(g)
     group = discriminant_group(g, basis)
     base = base_point_set(g, basis)
+    text = _FractionText(basis.den)
     if args.json:
         _emit_json({
             "vertices": list(g.vertex_ids),
@@ -186,7 +188,7 @@ def cmd_invariants(args):
             "det": group.det,
             "order": group.order,
             "invariant_factors": list(group.invariant_factors),
-            "dual_matrix": [[str(x) for x in row] for row in basis.matrix],
+            "dual_matrix": [[text[x] for x in row] for row in basis.num],
             "base_points": sorted(base),
         })
         return EXIT_OK
@@ -196,9 +198,8 @@ def cmd_invariants(args):
     print(f"|H| = {group.order}  ({factors})")
     print("dual cycles (rows E_v* in vertex order "
           f"{list(g.vertex_ids)}):")
-    for v in g.vertex_ids:
-        row = " ".join(str(basis.entry(w, v)) for w in g.vertex_ids)
-        print(f"  E{v}* = ({row})")
+    for v, row in zip(g.vertex_ids, basis.num):
+        print(f"  E{v}* = ({' '.join(text[x] for x in row)})")
     print(f"base points: {sorted(base)}")
     return EXIT_OK
 

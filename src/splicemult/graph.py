@@ -67,6 +67,9 @@ class ResolutionGraph:
                 "intersection matrix is not negative definite")
 
     def _negative_definite(self):
+        return self._eliminate_leaves() is not None
+
+    def _eliminate_leaves(self):
         """Symmetric elimination of -I(E) in O(n), leaves first, in integers.
 
         By Sylvester's criterion -I(E) is positive definite iff every pivot
@@ -78,6 +81,11 @@ class ResolutionGraph:
         over v's children:  P_v = -w_v * Q_v - Q_v * sum_c Q_c / P_c.  The
         sum is kept over the common denominator Q_v, so no division is
         made, and the form is negative definite iff every P_v > 0.
+
+        Rooted at the first vertex id, returns (order, parent, P, Q): the
+        vertices in breadth-first order, each one's parent (None at the
+        root) and the maps v -> P_v and v -> Q_v; or None at the first
+        pivot that is not positive.
         """
         root = self._ids[0]
         parent = {root: None}
@@ -87,17 +95,43 @@ class ResolutionGraph:
                 if u not in parent:
                     parent[u] = v
                     order.append(u)
+        below = {}
         q = dict.fromkeys(order, 1)  # Q_v over the children seen so far
         s = dict.fromkeys(order, 0)  # Q_v * sum_c Q_c / P_c over them
         for v in reversed(order):
-            det = -self._weights[v] * q[v] - s[v]
+            det = below[v] = -self._weights[v] * q[v] - s[v]
             if det <= 0:
-                return False
+                return None
             p = parent[v]
             if p is not None:
                 s[p] = s[p] * det + q[v] * q[p]
                 q[p] *= det
-        return True
+        return order, parent, below, q
+
+    def branch_determinants(self):
+        """det(-I(E)) and the branch determinants of every directed edge.
+
+        Returns (det, branch), where branch[p, c] = D(p -> c) is det(-I)
+        on the component holding c when the edge (p, c) is cut.  The
+        leaf-first elimination gives D(parent -> c) = P_c; one pass from
+        the root gives the other direction.  Cutting an edge (v, c) splits
+        -I into two blocks joined by one entry -1, so
+        det = D(v -> c) D(c -> v) - R(v -> c) R(c -> v), where R(v -> c) is
+        the determinant of c's component with c removed (1 when that is
+        empty): Q_c for a child c, and prod_{y != c} D(v -> y) on v's
+        side.  Each division is exact.  O(n) integer steps, no recursion.
+        """
+        order, parent, below, rest = self._eliminate_leaves()
+        det = below[order[0]]
+        branch = {}
+        for v in order:
+            p = parent[v]
+            around = rest[v] if p is None else rest[v] * branch[v, p]
+            for c in self._adj[v]:
+                if c != p:
+                    pc = branch[v, c] = below[c]
+                    branch[c, v] = (det + rest[c] * (around // pc)) // pc
+        return det, branch
 
     def _connected(self):
         start = self._ids[0]
@@ -306,7 +340,7 @@ def blowup_edge(g, v, w):
     Inserts a fresh (-1)-vertex between v and w and decrements both their
     weights.  The constructor re-validates the new graph, negative
     definiteness included, by an O(n) leaf-first elimination.  Dual cycles
-    follow by pullback (DualBasis.pulled_back), with no new inversion.
+    follow by pullback (DualBasis.pulled_back), with no new solve.
     """
     if not g.has_edge(v, w):
         raise InternalError(f"({v}, {w}) is not an edge")

@@ -19,12 +19,7 @@ from math import gcd, lcm, prod
 from operator import mul
 
 from .errors import CapExceededError, InternalError
-from .linalg import (
-    _hermite_reduce,
-    invert_rational_matrix,
-    mat_vec,
-    smith_normal_form,
-)
+from .linalg import _hermite_reduce, mat_vec, smith_normal_form
 
 # enumerate_subgroups lists every element of every subgroup for `table`;
 # this bounds that output.
@@ -111,20 +106,21 @@ class DualBasis:
     `num` is an integer matrix and den = det(-I) = |H|: every dual entry
     has a denominator dividing |H|, so one common denominator carries the
     whole basis and the pairings run in integers, building one Fraction
-    per result.  The constructor inverts -I exactly.  A blown-up graph's
-    basis instead comes from `pulled_back`, which updates the previous
-    basis in O(n^2) without any inversion; blowups keep |det I(E)|, so
-    `den` never changes.
+    per result.  The constructor solves -I on the tree (_tree_solve) by
+    the path formula of Eisenbud and Neumann: num[u][v] is the product of
+    the determinants of the components of the graph minus the path from u
+    to v, O(n^2) integer steps from the branch determinants; it then
+    checks num (-I) = den Id entry by entry, over the edges, and raises
+    InternalError on a mismatch.  A blown-up graph's basis instead
+    comes from `pulled_back`, which updates the previous basis in O(n^2);
+    blowups keep |det I(E)|, so `den` never changes.
     """
 
     __slots__ = ("graph", "num", "den", "_duals")
 
     def __init__(self, graph):
-        neg = [[-x for x in row] for row in graph.intersection_matrix()]
-        num, den = invert_rational_matrix(neg)
         self.graph = graph
-        self.num = [tuple(row) for row in num]
-        self.den = den
+        self.num, self.den = _tree_solve(graph)
         self._duals = {}
 
     @classmethod
@@ -190,9 +186,79 @@ class DualBasis:
         return Fraction(-sum(map(mul, v1, applied)), self.den)
 
 
+def _tree_solve(graph):
+    """(num, den) with num / den = (-I(E))^{-1} and den = det(-I), from
+    the branch determinants and the path formula, checked against -I."""
+    den, branch = graph.branch_determinants()
+    num = _path_numerators(graph, branch)
+    _check_inverse(graph, num, den)
+    return num, den
+
+
+def _path_numerators(graph, branch):
+    """The numerators det(-I) * (-I)^{-1} on a tree, from the branch
+    determinants D(p -> c) of graph.branch_determinants.
+
+    num[u][u] = prod_y D(u -> y) over the neighbours y of u.  Walking from
+    u, a step from v to its neighbour x takes x off the graph as well: the
+    component D(v -> x) is divided out (exactly, it is a factor) and the
+    components D(x -> z) of its other neighbours z come in, whose product
+    is R(v -> x) = num[x][x] / D(x -> v).  Iterative, one walk per row.
+    """
+    ids = graph.vertex_ids
+    full = [prod(branch[v, y] for y in graph.neighbors(v)) for v in ids]
+    steps = [[(graph.index(x), branch[v, x],
+               full[graph.index(x)] // branch[x, v])
+              for x in graph.neighbors(v)] for v in ids]
+    num = []
+    for u, diagonal in enumerate(full):
+        row = [0] * len(ids)
+        row[u] = diagonal
+        stack = [(u, u)]
+        while stack:
+            v, back = stack.pop()
+            here = row[v]
+            for x, d, r in steps[v]:
+                if x != back:
+                    row[x] = here // d * r
+                    stack.append((x, v))
+        num.append(tuple(row))
+    return num
+
+
+def _check_inverse(graph, num, den):
+    """Raise InternalError unless num (-I) = den Id, one row at a time
+    over the edges: (row (-I))_v = -w_v row_v - sum of row over v's
+    neighbours."""
+    diagonal = [-w for w in map(graph.weight, graph.vertex_ids)]
+    edges = [(graph.index(a), graph.index(b)) for a, b in graph.edges]
+    for u, row in enumerate(num):
+        out = list(map(mul, diagonal, row))
+        for a, b in edges:
+            out[a] -= row[b]
+            out[b] -= row[a]
+        out[u] -= den
+        if any(out):
+            raise InternalError(
+                f"tree solve check num * (-I) == {den} * Id failed "
+                f"at row {graph.vertex_ids[u]}")
+
+
 def dual_cycles(g):
     """Dual basis of a validated graph."""
     return DualBasis(g)
+
+
+class _FractionText(dict):
+    """str(Fraction(x, den)) by numerator x, each built on first use."""
+
+    def __init__(self, den):
+        super().__init__()
+        self.den = den
+
+    def __missing__(self, x):
+        out = self[x] = str(Fraction(x, self.den))
+        return out
 
 
 def _as_vector(graph, coords):

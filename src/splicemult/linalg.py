@@ -4,13 +4,16 @@ Matrices are plain lists of lists over Python ints or fractions.Fraction.
 Everything runs on arbitrary-precision arithmetic; floating point is never
 used.  Determinants and the inverse use fraction-free (Bareiss) elimination,
 whose divisions are all exact, so they run in integers: the inverse comes
-back as integer numerators over one positive denominator |det A|, which
-for -I(E) is |H|.  Smith and Hermite forms use unimodular row and column
-operations.
+back as integer numerators over one positive denominator |det A|.  No
+command inverts here: the dual basis (-I(E))^{-1} of a tree comes from the
+path formula on its branch determinants (lattice.DualBasis), which checks
+itself against -I, and the general inverse is the reference the tests hold
+it to.  Smith and Hermite forms use unimodular row and column operations.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .errors import InternalError
 
@@ -24,11 +27,8 @@ def copy_matrix(a):
 
 
 def mat_mul(a, b):
-    rows, inner, cols = len(a), len(b), len(b[0])
-    return [
-        [sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols)]
-        for i in range(rows)
-    ]
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
 def mat_vec(a, v):

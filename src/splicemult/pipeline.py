@@ -16,7 +16,7 @@ from operator import mul
 
 from .errors import CapExceededError, ConditionError, InputError, InternalError
 from .graph import GraphHistory, is_minimal
-from .lattice import DualBasis, QCycle, full_subgroup
+from .lattice import DualBasis, QCycle, _FractionText, full_subgroup
 from .monomial import ZeroSumSearch, base_point_set, monomial_string
 
 MAX_BLOWUPS = 64  # default cap on the blowups of one run
@@ -140,18 +140,6 @@ class PipelineReport:
             "multiplicity": self.multiplicity,
             "trace": [e.to_dict() for e in self.history.events],
         }
-
-
-class _FractionText(dict):
-    """str(Fraction(x, den)) by numerator x, each built on first use."""
-
-    def __init__(self, den):
-        super().__init__()
-        self.den = den
-
-    def __missing__(self, x):
-        out = self[x] = str(Fraction(x, self.den))
-        return out
 
 
 def _json_map(graph, nums, text):

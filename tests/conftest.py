@@ -1,6 +1,7 @@
 """Shared fixtures: reference graphs and frozen expected values."""
 
 import random
+import sys
 from fractions import Fraction
 from math import gcd, lcm, prod
 
@@ -342,7 +343,7 @@ def round_end_map(history, graph):
 
 def assert_rounds_match_hilbert_basis(report, h1):
     """Every round's Z, end witnesses and edge verdicts against a fresh
-    inversion and a fresh box-enumerated Hilbert basis on its graph: each
+    dual basis and a fresh box-enumerated Hilbert basis on its graph: each
     witness is the first generator, in the basis's graded-lex order, that
     the old generator scan would have picked."""
     from splicemult import DualBasis, gcd_cycle, hilbert_basis
@@ -368,7 +369,7 @@ def assert_rounds_match_hilbert_basis(report, h1):
 
 def assert_resolved(report, h1, box_cap=50_000):
     """The run stopped on a resolved graph.  On its final graph, from a
-    fresh inversion: Z is the report's, every end has a witness or is not
+    fresh dual basis: Z is the report's, every end has a witness or is not
     a base point, and every edge has a witness or Z.E = 0 at one of its
     vertices.  Minima come from a fresh box-enumerated Hilbert basis when
     the box has at most `box_cap` points, else from a fresh ZeroSumSearch
@@ -503,6 +504,16 @@ def laufer_z_min(g):
 
 
 # --- Fraction references for the integer front end -------------------------------
+
+
+def replace_everywhere(monkeypatch, original, replacement):
+    """Replace a function under every splicemult module attribute that
+    refers to it (callers bind it with `from .x import y`)."""
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("splicemult"):
+            for name, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, name, replacement)
 
 
 def invert_by_fractions(a):

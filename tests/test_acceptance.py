@@ -200,7 +200,7 @@ def test_criterion_09_blowup_coherence(tree_h60, a2_chain):
                 prod *= d
             assert prod == order
             # generators enumerated from scratch on either side of the
-            # blowup (fresh inversions) are pullbacks of each other
+            # blowup (fresh dual bases) are pullbacks of each other
             fresh = hilbert_basis(post, DualBasis(post), h1,
                                   end_map_after(history, k))
             before = hilbert_basis(pre, DualBasis(pre), h1,

@@ -14,7 +14,7 @@ from hypothesis import given, strategies as st
 from splicemult import ResolutionGraph
 from splicemult.cli import main
 
-from conftest import graph_json, star
+from conftest import graph_json, replace_everywhere, star
 
 
 @pytest.fixture()
@@ -420,6 +420,40 @@ def test_internal_failure_is_exit_4(files, capsys, monkeypatch):
     assert code == 4
     assert out == ""
     assert err.startswith("internal error: Smith normal form check")
+
+
+def test_wrong_branch_determinant_is_exit_4(files, capsys, monkeypatch):
+    """The tree solve checks num (-I) = den Id: one wrong D(p -> c) is an
+    internal error, whichever command builds the dual basis."""
+    original = ResolutionGraph.branch_determinants
+
+    def tampered(self):
+        det, branch = original(self)
+        branch[5, 6] += 1
+        return det, branch
+
+    monkeypatch.setattr(ResolutionGraph, "branch_determinants", tampered)
+    for argv in (["invariants", files["h12"]], ["validate", files["h12"]],
+                 ["mult", files["h12"], "--uac"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (4, "")
+        assert err == ("internal error: tree solve check num * (-I) == "
+                       "12 * Id failed at row 1\n")
+
+
+def test_no_command_inverts_by_bareiss(files, capsys, monkeypatch):
+    """Every dual basis comes from the tree solve or a pullback."""
+    import splicemult.linalg as linalg
+
+    def forbidden(a):
+        raise AssertionError("invert_rational_matrix called")
+
+    replace_everywhere(monkeypatch, linalg.invert_rational_matrix, forbidden)
+    for argv in (["validate"], ["invariants"], ["invariants", "--json"],
+                 ["splice-eqs"], ["mult", "--uac", "--json"],
+                 ["mult", "--quotient"], ["table", "--json"]):
+        code, out, err = run(capsys, argv[0], files["h60"], *argv[1:])
+        assert (code, err) == (0, "")
 
 
 @pytest.mark.parametrize("exc", [ValueError("math domain error"),

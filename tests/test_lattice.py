@@ -1,17 +1,20 @@
 """Dual cycles, intersection pairing, discriminant group, subgroups."""
 
+import inspect
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from splicemult import (
     DualBasis,
     GraphHistory,
     QCycle,
     ResolutionGraph,
+    branches,
     discriminant_group,
     dual_cycles,
     enumerate_subgroups,
@@ -20,16 +23,24 @@ from splicemult import (
     subgroup,
     trivial_subgroup,
 )
-from splicemult.errors import CapExceededError, InternalError
-from splicemult.linalg import determinant, identity_matrix, mat_mul
+from splicemult.errors import CapExceededError, InputError, InternalError
+from splicemult.lattice import _tree_solve
+from splicemult.linalg import (
+    determinant,
+    identity_matrix,
+    invert_rational_matrix,
+    mat_mul,
+)
 
 from conftest import (
     H12_DUAL_ROWS,
     blowup_histories,
     closure,
     dot_vertex,
+    draw_blowups,
     intersect,
     invert_by_fractions,
+    multi_node_trees,
     perp_member,
     random_trees,
     star,
@@ -65,6 +76,137 @@ def test_dual_defining_property(all_test_graphs):
             for b in g.vertex_ids:
                 assert dot_vertex(ea, b) == (-1 if a == b else 0)
             assert all(c > 0 for c in ea.coeffs)
+
+
+# --- the tree solve: path formula over branch determinants -------------------------
+
+
+def _negated(g):
+    return [[-x for x in row] for row in g.intersection_matrix()]
+
+
+@st.composite
+def chain_armed_star_histories(draw):
+    """A centre with three to five arms, each a chain of one to three
+    vertices, then random blowups (draw_blowups)."""
+    weights, edges = {1: draw(st.integers(-4, -1))}, []
+    for _ in range(draw(st.integers(3, 5))):
+        prev = 1
+        for _ in range(draw(st.integers(1, 3))):
+            v = len(weights) + 1
+            weights[v] = draw(st.integers(-6, -2))
+            edges.append((prev, v))
+            prev = v
+    try:
+        g = ResolutionGraph(weights, edges)
+    except InputError:  # not negative definite
+        assume(False)
+    return draw_blowups(draw, g)
+
+
+@st.composite
+def multi_node_histories(draw):
+    return draw_blowups(draw, draw(multi_node_trees()))
+
+
+@given(st.one_of(blowup_histories(), chain_armed_star_histories(),
+                 multi_node_histories()))
+def test_tree_solve_equals_bareiss(history):
+    """On a random tree, a star with chain arms or a tree with two nodes,
+    and on every graph their blowups pass through, the tree solve's
+    (num, den) is the Bareiss inverse of -I(E)."""
+    graphs = [history.initial] + [history.graph_after(k)
+                                  for k in range(len(history.events))]
+    for g in graphs:
+        num, den = invert_rational_matrix(_negated(g))
+        assert _tree_solve(g) == ([tuple(row) for row in num], den)
+
+
+@given(blowup_histories())
+def test_branch_determinants_are_component_determinants(history):
+    """D(v -> y) is det(-I) on the component of the graph minus v that
+    holds y, and det is det(-I) on the whole graph."""
+    g = history.current
+    det, branch = g.branch_determinants()
+    assert det == determinant(_negated(g))
+    assert len(branch) == 2 * len(g.edges)
+    neg = _negated(g)
+    for v in g.vertex_ids:
+        for comp in branches(g, v):
+            (y,) = comp & set(g.neighbors(v))
+            rows = [g.index(x) for x in sorted(comp)]
+            assert branch[v, y] == determinant(
+                [[neg[i][j] for j in rows] for i in rows])
+
+
+def test_tree_solve_of_a_300_vertex_caterpillar():
+    """A spine of 150 (-3)-vertices, each with one (-2)-leaf: no recursion
+    on the way (the limit is set just above the caller's depth), and the
+    integers stay exact.  Leaves eliminated, the spine is a continuant in
+    5/2, so det = 2^150 * c_150; the entry between the spine's ends is
+    2^150, the 150 leaves left off the path; and num (-I) = den Id."""
+    k = 150
+    weights = {i: -3 for i in range(1, k + 1)}
+    weights.update({k + i: -2 for i in range(1, k + 1)})
+    edges = [(i, i + 1) for i in range(1, k)]
+    edges += [(i, k + i) for i in range(1, k + 1)]
+    g = ResolutionGraph(weights, edges)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 30)
+    try:
+        basis = DualBasis(g)
+    finally:
+        sys.setrecursionlimit(limit)
+    c_prev, c = Fraction(1), Fraction(5, 2)
+    for _ in range(k - 1):
+        c_prev, c = c, Fraction(5, 2) * c - c_prev
+    assert basis.den == 2 ** k * c
+    assert basis.den.bit_length() > 300
+    assert basis.num[g.index(1)][g.index(k)] == 2 ** k
+    neg = _negated(g)
+    support = [[(w, x) for w, x in enumerate(col) if x] for col in neg]
+    for u, row in enumerate(basis.num):
+        assert all(type(x) is int and x > 0 for x in row)
+        assert [sum(row[w] * x for w, x in col) for col in support] == [
+            basis.den * (u == v) for v in range(len(g))]
+
+
+def test_tree_solve_check_catches_a_wrong_branch_determinant(
+        tree_h12, monkeypatch):
+    """Every directed edge's D(p -> c), and det itself, is read: one of
+    them off by one makes the check num (-I) = den Id fail."""
+    original = ResolutionGraph.branch_determinants
+    det, branch = original(tree_h12)
+    for key in [None] + sorted(branch):
+        def tampered(self, key=key):
+            det, branch = original(self)
+            if key is None:
+                return det + 1, branch
+            branch[key] += 1
+            return det, branch
+
+        monkeypatch.setattr(ResolutionGraph, "branch_determinants", tampered)
+        with pytest.raises(InternalError,
+                           match=r"^tree solve check num \* \(-I\) == "):
+            DualBasis(tree_h12)
+
+
+def test_tree_solve_check_catches_a_wrong_numerator(tree_h12, monkeypatch):
+    import splicemult.lattice as lattice
+
+    original = lattice._path_numerators
+    n = len(tree_h12)
+    for u, v in itertools.product(range(n), repeat=2):
+        def tampered(graph, branch, u=u, v=v):
+            num = [list(row) for row in original(graph, branch)]
+            num[u][v] -= 1
+            return num
+
+        monkeypatch.setattr(lattice, "_path_numerators", tampered)
+        with pytest.raises(InternalError, match=(
+                rf"^tree solve check num \* \(-I\) == 12 \* Id failed "
+                rf"at row {tree_h12.vertex_ids[u]}$")):
+            DualBasis(tree_h12)
 
 
 # --- intersection ---------------------------------------------------------------

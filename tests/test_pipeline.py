@@ -41,6 +41,7 @@ from conftest import (
     end_map_after,
     intersect,
     laufer_z_min,
+    replace_everywhere,
     round_end_map,
     star,
     to_dual_coordinates,
@@ -262,7 +263,7 @@ def test_mode_equivalence_five_arm_stars():
 
 def test_pullback_coherence(tree_h60, a2_chain):
     """Each round's Z, witnesses and verdicts equal those read off a fresh
-    inversion and enumeration on its graph, and after each edge blowup the
+    dual basis and enumeration on its graph, and after each edge blowup the
     fresh generators are the pullbacks of those before it."""
     for g in (tree_h60, a2_chain):
         report = _uac(g)
@@ -290,26 +291,34 @@ def test_pullback_coherence(tree_h60, a2_chain):
 
 
 def test_no_inversion_inside_pipeline(tree_h60, monkeypatch):
-    """The blown-up bases come from pullback, never from a new inversion."""
+    """The blown-up bases come from pullback, never from a new tree solve,
+    and no basis comes from the Bareiss inversion."""
     import splicemult.lattice as lattice
     import splicemult.linalg as linalg
 
     h1 = trivial_subgroup(discriminant_group(tree_h60))
-    original = linalg.invert_rational_matrix
-    sizes = []
+    solve, bareiss = lattice._tree_solve, linalg.invert_rational_matrix
+    sizes, inversions = [], []
 
-    def counting(a):
-        sizes.append(len(a))
-        return original(a)
+    def counting(g):
+        sizes.append(len(g))
+        return solve(g)
 
-    monkeypatch.setattr(linalg, "invert_rational_matrix", counting)
-    monkeypatch.setattr(lattice, "invert_rational_matrix", counting)
+    def counting_bareiss(a):
+        inversions.append(len(a))
+        return bareiss(a)
+
+    monkeypatch.setattr(lattice, "_tree_solve", counting)
+    replace_everywhere(monkeypatch, bareiss, counting_bareiss)
     report = run_pipeline(tree_h60, h1)
     assert len(report.history.events) == 3
     assert report.multiplicity == 6
     assert sizes == []
-    DualBasis(tree_h60)  # the counter does see an inversion
+    DualBasis(tree_h60)  # the counter does see a tree solve
     assert sizes == [10]
+    assert inversions == []
+    linalg.invert_rational_matrix([[2]])  # and the other one an inversion
+    assert inversions == [1]
 
 
 def test_no_hilbert_basis_inside_pipeline(tree_h12, tree_h60, monkeypatch):

@@ -135,7 +135,7 @@ def _everything(search, g, end_map):
 def test_carried_results_equal_fresh_search(case):
     """One search advanced through random edge and end blowups, queried at
     every stage so that later stages reuse earlier results, answers as a
-    fresh search on each graph after a fresh inversion does."""
+    fresh search on each graph after a fresh tree solve does."""
     history, h1 = case
     basis = h1.group.basis
     search = ZeroSumSearch(basis, h1)
