@@ -42,18 +42,21 @@ def _emit_json(obj):
     its pure-Python encoder; this one joins each container's items once
     and escapes strings with the C `encode_basestring_ascii`.  The top two
     levels are written item by item, so no copy of the whole document is
-    held (a `--json` report grows with rounds x vertices)."""
+    held (a `--json` report grows with rounds x vertices).  One memo of
+    container texts lives for the call (see _json_text): a report places
+    the same dict at many positions, and its text is joined once per
+    indentation."""
     write = sys.stdout.write
-    for piece in _json_pieces(obj, "\n", 2):
+    for piece in _json_pieces(obj, "\n", 2, {}):
         write(piece)
     write("\n")
 
 
-def _json_pieces(obj, newline, levels):
+def _json_pieces(obj, newline, levels, memo):
     """The text of obj in pieces: the items of its top `levels` levels of
     containers one by one, everything below them joined by _json_text."""
     if not levels or not obj or type(obj) not in (dict, list, tuple):
-        yield _json_text(obj, newline)
+        yield _json_text(obj, newline, memo)
         return
     inner = newline + "  "
     if type(obj) is dict:
@@ -64,43 +67,56 @@ def _json_pieces(obj, newline, levels):
         sep, close = "[" + inner, newline + "]"
     for prefix, value in items:
         yield sep + prefix
-        yield from _json_pieces(value, inner, levels - 1)
+        yield from _json_pieces(value, inner, levels - 1, memo)
         sep = "," + inner
     yield close
 
 
-def _json_text(obj, newline):
+def _json_text(obj, newline, memo=None):
     """json.dumps(obj, indent=2, sort_keys=True) for the documents the
     commands print, built from exact dicts with str keys, lists, tuples,
     str, int, bool and None.  `newline` is the line break plus the
     indentation of obj's level.  A str item is escaped where it stands,
-    without a recursive call."""
+    without a recursive call.
+
+    `memo` maps (id, newline) of each nonempty container written so far
+    to its text, so a container placed at several positions of the same
+    depth is joined once; a fresh one when omitted.  Ids are not reused
+    while the document holds every container, so a memo must not outlive
+    the document's writing, and an edit between two writings is seen."""
     t = type(obj)
     if t is str:
         return _encode_str(obj)
-    if t is dict:
+    if t is int:
+        return repr(obj)
+    if t is dict or t is list or t is tuple:
         if not obj:
-            return "{}"
+            return "{}" if t is dict else "[]"
+        if memo is None:
+            memo = {}
+        key = (id(obj), newline)
+        text = memo.get(key)
+        if text is not None:
+            return text
         inner = newline + "  "
-        return "{" + inner + ("," + inner).join([
-            _encode_str(k) + ": "
-            + (_encode_str(v) if type(v) is str else _json_text(v, inner))
-            for k, v in sorted(obj.items())]) + newline + "}"
-    if t is list or t is tuple:
-        if not obj:
-            return "[]"
-        inner = newline + "  "
-        return "[" + inner + ("," + inner).join([
-            _encode_str(v) if type(v) is str else _json_text(v, inner)
-            for v in obj]) + newline + "]"
+        if t is dict:
+            text = "{" + inner + ("," + inner).join([
+                _encode_str(k) + ": " + (_encode_str(v) if type(v) is str
+                                         else _json_text(v, inner, memo))
+                for k, v in sorted(obj.items())]) + newline + "}"
+        else:
+            text = "[" + inner + ("," + inner).join([
+                _encode_str(v) if type(v) is str
+                else _json_text(v, inner, memo)
+                for v in obj]) + newline + "]"
+        memo[key] = text
+        return text
     if obj is None:
         return "null"
     if obj is True:
         return "true"
     if obj is False:
         return "false"
-    if t is int:
-        return repr(obj)
     raise InternalError(f"cannot write a {t.__name__} as JSON")
 
 

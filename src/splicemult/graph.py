@@ -9,9 +9,14 @@ each original end's curve variable.
 """
 
 import json
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 
 from .errors import InputError, InternalError
+
+
+NOT_A_TREE = "graph is not a connected tree"
+NOT_DEFINITE = "intersection matrix is not negative definite"
 
 
 def _is_int(x):
@@ -55,18 +60,19 @@ class ResolutionGraph:
         self._edges = tuple(sorted(seen))
         self._adj = {v: tuple(sorted(ns)) for v, ns in adj.items()}
 
-        if len(self._edges) != len(self._ids) - 1 or not self._connected():
-            raise InputError("graph is not a connected tree")
+        if len(self._edges) != len(self._ids) - 1:
+            raise InputError(NOT_A_TREE)
         self._ends = tuple(v for v in self._ids if len(self._adj[v]) == 1)
         self._nodes = tuple(v for v in self._ids if len(self._adj[v]) >= 3)
 
         self._imatrix = None
         self._hash = None
         if not self._negative_definite():
-            raise InputError(
-                "intersection matrix is not negative definite")
+            raise InputError(NOT_DEFINITE)
 
     def _negative_definite(self):
+        """Whether the form is negative definite; InputError(NOT_A_TREE)
+        first when the n - 1 edges do not connect the graph."""
         return self._eliminate_leaves() is not None
 
     def _eliminate_leaves(self):
@@ -85,7 +91,10 @@ class ResolutionGraph:
         Rooted at the first vertex id, returns (order, parent, P, Q): the
         vertices in breadth-first order, each one's parent (None at the
         root) and the maps v -> P_v and v -> Q_v; or None at the first
-        pivot that is not positive.
+        pivot that is not positive.  The breadth-first pass is also the
+        connectivity test: with n - 1 edges the graph is a tree exactly
+        when the pass reaches every vertex, and InputError(NOT_A_TREE) is
+        raised, before any pivot, when it does not.
         """
         root = self._ids[0]
         parent = {root: None}
@@ -95,6 +104,8 @@ class ResolutionGraph:
                 if u not in parent:
                     parent[u] = v
                     order.append(u)
+        if len(order) != len(self._ids):
+            raise InputError(NOT_A_TREE)
         below = {}
         q = dict.fromkeys(order, 1)  # Q_v over the children seen so far
         s = dict.fromkeys(order, 0)  # Q_v * sum_c Q_c / P_c over them
@@ -132,17 +143,6 @@ class ResolutionGraph:
                     pc = branch[v, c] = below[c]
                     branch[c, v] = (det + rest[c] * (around // pc)) // pc
         return det, branch
-
-    def _connected(self):
-        start = self._ids[0]
-        seen = {start}
-        stack = [start]
-        while stack:
-            for u in self._adj[stack.pop()]:
-                if u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-        return len(seen) == len(self._ids)
 
     # --- basic queries ------------------------------------------------------
 
@@ -317,44 +317,97 @@ class BlowupEvent:
 
 
 def _fresh_id(g):
-    i = 1
-    while i in g:
-        i += 1
-    return i
+    """The least positive integer that is not a vertex id.  Sorted, the
+    positive ids p_0 < p_1 < ... have p_k = k + 1 up to the first gap and
+    p_k > k + 1 from there on, so the gap is found by bisection, and at
+    once when the ids are 1..n."""
+    ids = g.vertex_ids
+    first = bisect_right(ids, 0)
+    count = len(ids) - first
+    if ids[-1] == count:
+        return count + 1
+    return 1 + bisect_left(range(count), True,
+                           key=lambda k: ids[first + k] > k + 1)
 
 
-def _blown_up(weights, edges):
-    """The graph a blowup derives.  The constructor runs every check on
-    it; a blowup of a negative definite tree is again one, so a failed
-    check is a bug, not invalid input."""
+def _blown_up(g, event):
+    """The graph that `event` derives from g.
+
+    g's validated tables are copied and patched where the blowup changes
+    them: the new vertex u of weight -1, the centre's new weights, and u
+    put on the centre's edge (an edge blowup) or hung off the centre (an
+    end blowup).  The checks of the constructor run again: the changed
+    weights must be negative, the graph a tree (n - 1 edges, connected)
+    and the form negative definite, the last two by the same O(n)
+    leaf-first elimination.  A blowup of a negative definite tree is
+    again one, so a failed check is a bug, not invalid input.
+    """
+    u, centre = event.new_vertex, event.center
+    h = ResolutionGraph.__new__(ResolutionGraph)
+    ids = list(g._ids)
+    insort(ids, u)
+    h._ids = tuple(ids)
+    h._pos = dict(zip(ids, range(len(ids))))
+    weights = h._weights = dict(g._weights)
+    weights[u] = -1
+    for v, _, w in event.weight_changes:
+        weights[v] = w
+    around = {v: set(g._adj[v]) for v in centre}
+    around[u] = set(centre)
+    edges = list(g._edges)
+    if event.kind == "edge":
+        v, w = centre
+        edges.remove(centre)
+        around[v].remove(w)
+        around[w].remove(v)
+    for v in centre:
+        around[v].add(u)
+        insort(edges, (min(u, v), max(u, v)))
+    h._edges = tuple(edges)
+    adj = h._adj = dict(g._adj)
+    for v, ns in around.items():
+        adj[v] = tuple(sorted(ns))
+    h._ends = tuple(sorted([v for v in g._ends if v not in around]
+                           + [v for v in around if len(adj[v]) == 1]))
+    h._nodes = tuple(sorted([v for v in g._nodes if v not in around]
+                            + [v for v in around if len(adj[v]) >= 3]))
+    h._imatrix = None
+    h._hash = None
+    reason = _failed_check(h, event)
+    if reason is not None:
+        raise InternalError(f"blowup produced an invalid graph: {reason}")
+    return h
+
+
+def _failed_check(h, event):
+    """The first check of the constructor that the graph h, derived by
+    `event`, fails, as the constructor words it; None when all pass."""
+    for v, _, w in event.weight_changes:
+        if w >= 0:
+            return f"vertex {v} has weight {w} >= 0"
+    if len(h._edges) != len(h._ids) - 1:
+        return NOT_A_TREE
     try:
-        return ResolutionGraph(weights, edges)
+        return None if h._negative_definite() else NOT_DEFINITE
     except InputError as exc:
-        raise InternalError(
-            f"blowup produced an invalid graph: {exc}") from exc
+        return str(exc)
 
 
 def blowup_edge(g, v, w):
     """Blow up the intersection point of the edge (v, w).
 
     Inserts a fresh (-1)-vertex between v and w and decrements both their
-    weights.  The constructor re-validates the new graph, negative
-    definiteness included, by an O(n) leaf-first elimination.  Dual cycles
-    follow by pullback (DualBasis.pulled_back), with no new solve.
+    weights.  The new graph is derived from g's tables and checked again,
+    negative definiteness included (see _blown_up).  Dual cycles follow by
+    pullback, E'_x* = pi*(E_x*), with no new solve.
     """
     if not g.has_edge(v, w):
         raise InternalError(f"({v}, {w}) is not an edge")
-    u = _fresh_id(g)
-    weights = {x: g.weight(x) for x in g.vertex_ids}
-    changes = ((v, weights[v], weights[v] - 1), (w, weights[w], weights[w] - 1))
-    weights[v] -= 1
-    weights[w] -= 1
-    weights[u] = -1
-    key = (min(v, w), max(v, w))
-    edges = [e for e in g.edges if e != key] + [(v, u), (u, w)]
-    event = BlowupEvent(kind="edge", center=key, new_vertex=u,
-                        weight_changes=changes)
-    return _blown_up(weights, edges), event
+    wv, ww = g.weight(v), g.weight(w)
+    event = BlowupEvent(kind="edge", center=(min(v, w), max(v, w)),
+                        new_vertex=_fresh_id(g),
+                        weight_changes=((v, wv, wv - 1), (w, ww, ww - 1)))
+    return _blown_up(g, event), event
 
 
 def blowup_end_point(g, i):
@@ -366,15 +419,10 @@ def blowup_end_point(g, i):
     g.index(i)
     if g.degree(i) != 1:
         raise InternalError(f"vertex {i} is not an end")
-    u = _fresh_id(g)
-    weights = {x: g.weight(x) for x in g.vertex_ids}
-    changes = ((i, weights[i], weights[i] - 1),)
-    weights[i] -= 1
-    weights[u] = -1
-    edges = list(g.edges) + [(i, u)]
-    event = BlowupEvent(kind="end", center=(i,), new_vertex=u,
-                        weight_changes=changes)
-    return _blown_up(weights, edges), event
+    wi = g.weight(i)
+    event = BlowupEvent(kind="end", center=(i,), new_vertex=_fresh_id(g),
+                        weight_changes=((i, wi, wi - 1),))
+    return _blown_up(g, event), event
 
 
 class GraphHistory:

@@ -111,9 +111,10 @@ class DualBasis:
     the determinants of the components of the graph minus the path from u
     to v, O(n^2) integer steps from the branch determinants; it then
     checks num (-I) = den Id entry by entry, over the edges, and raises
-    InternalError on a mismatch.  A blown-up graph's basis instead
-    comes from `pulled_back`, which updates the previous basis in O(n^2);
-    blowups keep |det I(E)|, so `den` never changes.
+    InternalError on a mismatch.  The blowup loop solves only the input
+    graph: past it, the zero-sum search carries the rows it reads by the
+    pullback E'_x* = pi*(E_x*) (see monomial.ZeroSumSearch), and blowups
+    keep |det I(E)|, so `den` is |H| throughout.
     """
 
     __slots__ = ("graph", "num", "den", "_duals")
@@ -122,36 +123,6 @@ class DualBasis:
         self.graph = graph
         self.num, self.den = _tree_solve(graph)
         self._duals = {}
-
-    @classmethod
-    def pulled_back(cls, history, event, basis):
-        """The dual basis of the graph after `event`, from the one before it.
-
-        Blowing up a point is a pullback pi*, so for an old vertex v,
-        E'_v* = pi*(E_v*): the old entries stay and the new vertex u gets
-        sum_{c in centre} B[c][v].  The new vertex's own dual is
-        E_u* = E_u + sum_{c in centre} pi*(E_c*), whose entry at u is
-        1 + sum_{c, c' in centre} B[c][c'].  Over the common denominator
-        that diagonal numerator is den + sum_{c, c'} num[c][c'].
-        """
-        k = history.event_index(event)
-        pre, post = history.graph_before(k), history.graph_after(k)
-        if basis.graph != pre:
-            raise InternalError(
-                "basis is not indexed by the pre-event graph")
-        centre = [pre.index(c) for c in event.center]
-        at_new = [sum(row[c] for c in centre) for row in basis.num]
-        p = post.index(event.new_vertex)
-        num = [row[:p] + (x,) + row[p:] for row, x in zip(basis.num, at_new)]
-        new_row = list(at_new)
-        new_row.insert(p, basis.den + sum(at_new[c] for c in centre))
-        num.insert(p, tuple(new_row))
-        obj = cls.__new__(cls)
-        obj.graph = post
-        obj.num = num
-        obj.den = basis.den
-        obj._duals = {}
-        return obj
 
     @property
     def matrix(self):

@@ -17,6 +17,7 @@ one lazy generator: deciding the condition reads the first witness of each
 
 import heapq
 import itertools
+from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -315,26 +316,31 @@ def require_monomial_condition(g, basis):
 # --- base points ----------------------------------------------------------------
 
 
-def base_point_set(g, basis):
-    """Ends whose coefficient target is not a combination of the others.
+def is_base_point(row, k):
+    """Whether the end in slot k of an end row is a base point.
 
-    End i is a base point exactly when M_i(E_i*) is NOT a nonnegative
-    integer combination of { M_i(E_j*) : j another end }.
-
-    The test runs on row i of `num` divided by its gcd, so the bitset is
-    no longer than the lcm of the entries' own denominators makes it.
+    `row` holds |H| * M_i(E_j*) for the end i and every end j, in some
+    order of the ends, with i itself in slot k.  End i is a base point
+    exactly when M_i(E_i*) is NOT a nonnegative integer combination of
+    { M_i(E_j*) : j another end }.  The test runs on the row divided by
+    its gcd, so the bitset is no longer than the lcm of the entries' own
+    denominators makes it.
     """
+    target = row[k]
+    weights = [*row[:k], *row[k + 1:]]
+    common = gcd(target, *weights)
+    return not _representable(target // common,
+                              [w // common for w in weights])
+
+
+def base_point_set(g, basis):
+    """The ends of g that are base points (see is_base_point), from the
+    end rows of its dual basis."""
     ends = g.ends
-    out = set()
-    for i in ends:
-        row = basis.num[g.index(i)]
-        target = row[g.index(i)]
-        weights = [row[g.index(j)] for j in ends if j != i]
-        common = gcd(target, *weights)
-        if not _representable(target // common,
-                              [w // common for w in weights]):
-            out.add(i)
-    return frozenset(out)
+    columns = [g.index(j) for j in ends]
+    return frozenset(
+        i for k, i in enumerate(ends)
+        if is_base_point([basis.num[g.index(i)][c] for c in columns], k))
 
 
 # --- the monoid of H1-invariant monomial cycles -----------------------------------
@@ -448,9 +454,21 @@ class ZeroSumSearch:
 
     Results are kept by vertex tuple and removed end, and an end or edge
     query is read off the vertex queries' members whenever one of them is
-    the answer (see `least`).  Vertex ids persist through blowups and
-    E'_i* = pi*(E_i*) keeps every old vertex's weights, so after `advance`
-    only the keys that involve a new vertex are searched again.
+    the answer (see `least`).
+
+    The search follows the blowups of its graph (`advance`) with no dual
+    basis: it reads only the end-weight row of each vertex v, the
+    integers |H| * M_v(E_i*) in label order (`row`).  Blowing up is a
+    pullback: E'_x* = pi*(E_x*) for every old vertex x, and the end dual
+    that moves onto a new leaf u is E'_u* = E_u + pi*(E_i*).  pi* keeps
+    every old coefficient and puts at u the sum of the coefficients at
+    the centre.  So an old vertex keeps its row (its entry at a moved
+    label is still E_i*'s), its minima and every result kept for it, and
+    the new vertex's row is the sum of its centre's rows, label by label,
+    plus |H| (the 1 of E_u at u) at the label of an end that moved onto
+    it.  Vertex ids persist, so only the keys that involve a new vertex
+    are searched again.  A row not read yet comes from the first basis at
+    the first end vertices.
     """
 
     def __init__(self, basis, h1, end_map=None):
@@ -458,38 +476,56 @@ class ZeroSumSearch:
             raise CapExceededError(
                 f"zero-sum search: |H1| = {h1.order} residue classes "
                 f"exceed the cap {RESIDUE_CAP}")
+        if basis.den != h1.group.order:
+            raise InternalError(
+                f"dual basis denominator {basis.den} != |H| = "
+                f"{h1.group.order}")
+        g = basis.graph
         if end_map is None:
-            end_map = {e: e for e in basis.graph.ends}
+            end_map = {e: e for e in g.ends}
         self.labels = tuple(sorted(end_map))
-        self._scale = h1.group.order
-        self._check_scale(basis)
-        moduli, residues = _congruences(
-            basis, h1, [end_map[l] for l in self.labels])
+        self._scale = basis.den
+        ends = [end_map[l] for l in self.labels]
+        moduli, residues = _congruences(basis, h1, ends)
         self._steps, self._negation = _class_steps(
             dict(zip(self.labels, residues)), moduli)
         self._units = {l: tuple(int(l == m) for m in self.labels)
                        for l in self.labels}
         self._memo = {}
-        self.advance(basis, end_map)
-
-    def _check_scale(self, basis):
-        if basis.den != self._scale:
-            raise InternalError(
-                f"dual basis denominator {basis.den} != |H| = {self._scale}")
-
-    def advance(self, basis, end_map):
-        """Continue on a blown-up graph, given its dual basis and end map."""
-        if tuple(sorted(end_map)) != self.labels:
-            raise InternalError("end map does not match the end labels")
-        self._check_scale(basis)
-        self._basis = basis
+        self._basis = basis  # the first basis: rows not read yet
+        self._end_columns = [g.index(e) for e in ends]
+        self._rows = {}
         self._end_map = dict(end_map)
+        self._vertices = list(g.vertex_ids)
 
-    def _weights(self, v):
-        """|H| * M_v(E_i*) per end label: the integer row of `num` at v."""
-        g = self._basis.graph
-        row = self._basis.num[g.index(v)]
-        return {label: row[g.index(e)] for label, e in self._end_map.items()}
+    def row(self, v):
+        """|H| * M_v(E_i*) for each end label i, in label order: the
+        integer row of v's dual-basis numerators at the current ends."""
+        row = self._rows.get(v)
+        if row is None:
+            g = self._basis.graph
+            full = self._basis.num[g.index(v)]
+            row = self._rows[v] = tuple(full[c] for c in self._end_columns)
+        return row
+
+    def advance(self, event):
+        """Continue on the graph after the blowup `event` (see the class
+        docstring): the new vertex gets its row, and an end blowup moves
+        its end's label onto the new leaf."""
+        u = event.new_vertex
+        if u in self._rows or u in self._basis.graph:
+            raise InternalError(f"vertex {u} is already in the search")
+        new = [sum(column) for column in zip(*map(self.row, event.center))]
+        if event.kind == "end":
+            i = event.center[0]
+            label = next((l for l, v in self._end_map.items() if v == i),
+                         None)
+            if label is None:
+                raise InternalError(f"vertex {i} carries no end label")
+            new[self.labels.index(label)] += self._scale
+            self._end_map[label] = u
+        self._rows[u] = tuple(new)
+        insort(self._vertices, u)
 
     def least(self, vertices, without=None):
         """The least nonzero member with exponent 0 at end `without`, as
@@ -523,19 +559,19 @@ class ZeroSumSearch:
             return None  # a vertex query itself
         minima = [self.least((x,)) for x in vertices]
         z = tuple(found[0][0] for found in minima)
-        weights = [self._weights(v) for v in vertices]
+        rows = [dict(zip(self.labels, self.row(v))) for v in vertices]
         for _, exps in minima:
             if without not in exps and all(
                     sum(a * w[l] for l, a in exps.items()) == t
-                    for w, t in zip(weights, z)):
+                    for w, t in zip(rows, z)):
                 return z, exps
         return None
 
     def _searched(self, vertices, without):
         """The answer to a query from `_shortest`."""
-        per_vertex = [self._weights(v) for v in vertices]
-        keys = {l: (*(w[l] for w in per_vertex), 1, *self._units[l])
-                for l in self.labels if l != without}
+        columns = zip(*map(self.row, vertices))
+        keys = {l: (*column, 1, *self._units[l])
+                for l, column in zip(self.labels, columns) if l != without}
         total = self._shortest(keys)
         if total is None:
             return None
@@ -546,8 +582,7 @@ class ZeroSumSearch:
     def z(self):
         """The gcd cycle Z on the current graph, Z_v = min M_v, as the
         integers |H| * Z_v in vertex order."""
-        g = self._basis.graph
-        return tuple(self.least((v,))[0][0] for v in g.vertex_ids)
+        return tuple(self.least((v,))[0][0] for v in self._vertices)
 
     def _shortest(self, keys):
         """The least key of a nonempty walk from class 0 back to class 0

@@ -16,8 +16,8 @@ from operator import mul
 
 from .errors import CapExceededError, ConditionError, InputError, InternalError
 from .graph import GraphHistory, is_minimal
-from .lattice import DualBasis, QCycle, _FractionText, full_subgroup
-from .monomial import ZeroSumSearch, base_point_set, monomial_string
+from .lattice import QCycle, _FractionText, full_subgroup
+from .monomial import ZeroSumSearch, is_base_point, monomial_string
 
 MAX_BLOWUPS = 64  # default cap on the blowups of one run
 
@@ -79,17 +79,21 @@ class RoundRecord:
         """Z's dual coordinates (-Z.E_v)_v."""
         return tuple(Fraction(x, self.den) for x in self.z_dual_num)
 
-    def to_dict(self, text=None):
+    def to_dict(self, text=None, shared=None):
         """The JSON form; `text` is a report's shared numerator-to-string
-        map (see _FractionText), a fresh one when omitted."""
+        map (see _FractionText) and `shared` its record-to-dict map (see
+        PipelineReport.to_dict), fresh ones when omitted."""
         if text is None:
             text = _FractionText(self.den)
+        if shared is None:
+            shared = {}
+        blowup = self.blowup
         return {
             "Z_vertex": _json_map(self.graph, self.z_num, text),
             "Z_dual": _json_map(self.graph, self.z_dual_num, text),
-            "end_decisions": [d.to_dict() for d in self.end_decisions],
-            "edge_checks": [c.to_dict() for c in self.edge_checks],
-            "blowup": self.blowup.to_dict() if self.blowup else None,
+            "end_decisions": _shared_dicts(self.end_decisions, shared),
+            "edge_checks": _shared_dicts(self.edge_checks, shared),
+            "blowup": _shared_dicts((blowup,), shared)[0] if blowup else None,
         }
 
 
@@ -123,35 +127,61 @@ class PipelineReport:
         return tuple(d for r in self.rounds for d in r.end_decisions)
 
     def to_dict(self):
+        """The JSON form.  An end decision or edge check that recurs from
+        round to round (the loop keeps one object for each, see
+        run_pipeline) has one dict object in it, and so do each round's
+        blowup and its entry in `trace`, and the last round's Z maps and
+        `Z_final`: each is built once, and the CLI's emitter joins a
+        shared container's text once per depth (see cli._emit_json).  A
+        caller that edits one of them edits it at every place it
+        appears."""
         text = _FractionText(self.order)
-        last = self.rounds[-1]
+        shared = {}
+        rounds = [r.to_dict(text, shared) for r in self.rounds]
         return {
             "det": self.det,
             "H_invariant_factors": list(self.invariant_factors),
             "H1_order": self.h1_order,
             "index": self.index,
             "input_minimal": self.input_minimal,
-            "rounds": [r.to_dict(text) for r in self.rounds],
+            "rounds": rounds,
             "Z_final": {
-                "vertex": _json_map(last.graph, last.z_num, text),
-                "dual": _json_map(last.graph, last.z_dual_num, text),
+                "vertex": rounds[-1]["Z_vertex"],
+                "dual": rounds[-1]["Z_dual"],
             },
             "ZZ": str(self.zz),
             "multiplicity": self.multiplicity,
-            "trace": [e.to_dict() for e in self.history.events],
+            "trace": _shared_dicts(self.history.events, shared),
         }
 
 
 def _json_map(graph, nums, text):
-    return {str(v): text[x] for v, x in zip(graph.vertex_ids, nums)}
+    return dict(zip(map(str, graph.vertex_ids), map(text.__getitem__, nums)))
+
+
+def _shared_dicts(records, shared):
+    """The records' to_dict() forms, one dict per record object, kept in
+    `shared` by the object's id: the report holds every record while its
+    to_dict runs, so no id is reused."""
+    out = []
+    for record in records:
+        form = shared.get(id(record))
+        if form is None:
+            form = shared[id(record)] = record.to_dict()
+        out.append(form)
+    return out
 
 
 def _dual_numerators(g, z):
-    """|H| * (-Z.E_v) in vertex order, from |H| * Z_v: one integer pass
-    of the intersection form."""
-    at = dict(zip(g.vertex_ids, z))
-    return tuple(-g.weight(v) * at[v] - sum(at[u] for u in g.neighbors(v))
-                 for v in g.vertex_ids)
+    """|H| * (-Z.E_v) in vertex order, from |H| * Z_v in vertex order."""
+    return tuple(_dual_at(g, z, v) for v in g.vertex_ids)
+
+
+def _dual_at(g, z, v):
+    """|H| * (-Z.E_v) from z = |H| * Z in g's vertex order: one row of the
+    intersection form."""
+    return (-g.weight(v) * z[g.index(v)]
+            - sum(z[g.index(u)] for u in g.neighbors(v)))
 
 
 def check_gcd_condition(g, z, z_dual, search, known=None):
@@ -172,55 +202,80 @@ def check_gcd_condition(g, z, z_dual, search, known=None):
     """
     if known is None:
         known = {}
-    at = dict(zip(g.vertex_ids, z))
-    zero_dot = dict(zip(g.vertex_ids, [x == 0 for x in z_dual]))
-    results = []
-    for v, w in g.edges:
-        key = ((v, w), zero_dot[v] or zero_dot[w])
-        result = known.get(key)
-        if result is None:
-            (mv, mw), exps = search.least((v, w))
-            if mv != at[v]:
-                raise InternalError(
-                    f"edge search at ({v}, {w}) found |H| * M_{v} = {mv}, "
-                    f"but |H| * Z_{v} = {at[v]}")
-            witness = monomial_string(exps) if mw == at[w] else None
-            result = known[key] = EdgeCheckResult(
-                edge=(v, w), passed=witness is not None or key[1],
-                witness=witness, pruned_by_zero=key[1])
-        results.append(result)
-    return results
+    index = g.index
+    return [_edge_check(edge, z, z_dual, index(edge[0]), index(edge[1]),
+                        search, known)
+            for edge in g.edges]
 
 
-def _end_decisions(history, basis, z, search):
+def _edge_check(edge, z, z_dual, i, j, search, known):
+    """The check of one edge, whose vertices sit at positions i and j of
+    z and z_dual (see check_gcd_condition)."""
+    key = (edge, not z_dual[i] or not z_dual[j])
+    result = known.get(key)
+    if result is None:
+        v, w = edge
+        (mv, mw), exps = search.least(edge)
+        if mv != z[i]:
+            raise InternalError(
+                f"edge search at ({v}, {w}) found |H| * M_{v} = {mv}, "
+                f"but |H| * Z_{v} = {z[i]}")
+        witness = monomial_string(exps) if mw == z[j] else None
+        result = known[key] = EdgeCheckResult(
+            edge=edge, passed=witness is not None or key[1],
+            witness=witness, pruned_by_zero=key[1])
+    return result
+
+
+def _end_decisions(history, z, search, decided):
     """Per-end test of one round, after Z (|H| * Z_v in vertex order) is
     known.
 
     An end is settled when some member with exponent zero there attains
     the minimum of M_v at its vertex v (that generator's monomial does not
     vanish at the end-curve point), or when the end is not a base point
-    at all.  The first end that is neither is blown up, and the round ends
-    there.  Returns (decisions, the blowup event or None).
+    at all, read off v's row of end weights.  The first end that is
+    neither is blown up, and the round ends there.  Returns (decisions,
+    the blowup event or None).
+
+    `decided` maps (label, vertex) to the decision of an earlier round of
+    the same run and is filled in here: the vertex keeps its row and Z_v
+    through blowups (see ZeroSumSearch), so the decision never changes.
     """
     current = history.current
-    end_map = history.end_map
-    base_vertices = None
     decisions = []
-    for label in sorted(end_map):
-        v = end_map[label]
-        found = search.least((v,), without=label)
-        if found is not None and found[0][0] == z[current.index(v)]:
-            decisions.append(EndDecision(label, "witness",
-                                         monomial_string(found[1])))
-            continue
-        if base_vertices is None:
-            base_vertices = base_point_set(current, basis)
-        if v not in base_vertices:
-            decisions.append(EndDecision(label, "not_base_point"))
-            continue
-        decisions.append(EndDecision(label, "blowup"))
-        return tuple(decisions), history.blowup_end(label)
+    for label, v in sorted(history.end_map.items()):
+        decision = decided.get((label, v))
+        if decision is None:
+            found = search.least((v,), without=label)
+            if found is not None and found[0][0] == z[current.index(v)]:
+                decision = EndDecision(label, "witness",
+                                       monomial_string(found[1]))
+            elif not is_base_point(search.row(v), search.labels.index(label)):
+                decision = EndDecision(label, "not_base_point")
+            else:
+                decision = EndDecision(label, "blowup")
+            decided[label, v] = decision
+        decisions.append(decision)
+        if decision.action == "blowup":
+            return tuple(decisions), history.blowup_end(label)
     return tuple(decisions), None
+
+
+def _recheck_edges(g, z, z_dual, search, known, touched, checks, failing):
+    """Check again every edge of g at a vertex in `touched`, updating the
+    map `checks` from edge to result and the set of `failing` edges."""
+    index = g.index
+    for v in touched:
+        for x in g.neighbors(v):
+            edge = (v, x) if v < x else (x, v)
+            result = checks[edge] = _edge_check(
+                edge, z, z_dual, index(edge[0]), index(edge[1]), search,
+                known)
+            if result.passed:
+                failing.discard(edge)
+            else:
+                failing.add(edge)
 
 
 def run_pipeline(g, h1, *, max_blowups=MAX_BLOWUPS, allow_non_minimal=False):
@@ -231,14 +286,21 @@ def run_pipeline(g, h1, *, max_blowups=MAX_BLOWUPS, allow_non_minimal=False):
     witness and is a base point, else at the lexicographically least
     failing edge, and the next round starts; it ends without one once
     every end has a witness or is not a base point and every edge passes.
-    Nothing is rebuilt from scratch after a blowup: the dual basis
-    starts as h1.group.basis and is pulled back through each new event in
-    O(n^2) (DualBasis.pulled_back), one ZeroSumSearch serves every
-    round, searching again only for the new vertex, its edges and a moved
-    end, and an edge check is made again only for a new edge or a changed
-    Z.E = 0 flag.
     Terminates with multiplicity = |H/H1| * (-Z.Z), always a positive
     integer.
+
+    Only the first round works on the whole graph.  After that a round
+    costs what its blowup changed, by the pullback identities of
+    ZeroSumSearch: vertex ids persist, and an old vertex keeps its row of
+    end weights, its Z_v and every search result.  So one search serves
+    every round and is carried by rows, with no dual basis past the
+    input's; Z gains one entry, Z_u for the new vertex u, and Z.E_v
+    changes only on the centre and u; an edge is checked again only when
+    it touches a vertex whose Z.E_v changed or that is new since the last
+    edge check (collected across rounds that blow up an end, which run no
+    edge check); and each end decision is made once per (end, vertex).
+    An edge blowup moves no end, so every end settled before it stays
+    settled: all end blowups come before the first edge check.
     """
     if max_blowups <= 0:
         raise InputError(f"max_blowups must be positive, got {max_blowups}")
@@ -251,36 +313,58 @@ def run_pipeline(g, h1, *, max_blowups=MAX_BLOWUPS, allow_non_minimal=False):
         raise InternalError("subgroup was built on a different graph")
 
     history = GraphHistory(g)
-    basis = h1.group.basis
-    search = ZeroSumSearch(basis, h1, history.end_map)
-    known_edges = {}  # check_gcd_condition's results, kept across rounds
+    search = ZeroSumSearch(h1.group.basis, h1)
+    den = h1.group.order
+    z = list(search.z())
+    z_dual = list(_dual_numerators(g, z))
+    decided = {}  # _end_decisions' results, kept across rounds
+    known = {}  # check_gcd_condition's results, kept across rounds
+    checks = None  # edge -> result at the last edge check, None before it
+    failing = set()  # the edges that failed there
+    touched = set()  # vertices new or with a new Z.E_v since then
     rounds = []
     while True:
         current = history.current
-        z = search.z()
-        record = RoundRecord(graph=current, den=basis.den, z_num=z,
-                             z_dual_num=_dual_numerators(current, z))
+        record = RoundRecord(graph=current, den=den, z_num=tuple(z),
+                             z_dual_num=tuple(z_dual))
         rounds.append(record)
         record.end_decisions, record.blowup = _end_decisions(
-            history, basis, z, search)
+            history, z, search, decided)
         if record.blowup is None:
-            checks = check_gcd_condition(current, z, record.z_dual_num,
-                                         search, known_edges)
-            record.edge_checks = tuple(checks)
-            failing = sorted(c.edge for c in checks if not c.passed)
+            if checks is None:
+                results = check_gcd_condition(current, z, z_dual, search,
+                                              known)
+                checks = dict(zip(current.edges, results))
+                failing = {c.edge for c in results if not c.passed}
+            else:
+                _recheck_edges(current, z, z_dual, search, known, touched,
+                               checks, failing)
+            touched.clear()
+            record.edge_checks = tuple(map(checks.__getitem__,
+                                           current.edges))
             if not failing:
                 break
-            record.blowup = history.blowup_edge(*failing[0])
+            edge = min(failing)
+            failing.remove(edge)
+            del checks[edge]
+            record.blowup = history.blowup_edge(*edge)
         if len(history.events) > max_blowups:
             raise CapExceededError(
                 f"more than {max_blowups} blowups (the graph has "
                 f"grown to {len(history.current)} vertices)")
-        basis = DualBasis.pulled_back(history, record.blowup, basis)
-        search.advance(basis, history.end_map)
+        event, blown = record.blowup, history.current
+        search.advance(event)
+        u = event.new_vertex
+        at = blown.index(u)
+        z.insert(at, search.least((u,))[0][0])
+        z_dual.insert(at, 0)
+        for v in (*event.center, u):
+            z_dual[blown.index(v)] = _dual_at(blown, z, v)
+        touched.update(event.center, (u,))
 
     # |H|^2 * Z.Z = -sum_v (|H| * Z_v) * (|H| * (-Z.E_v))
     zz_num = -sum(map(mul, record.z_num, record.z_dual_num))
-    square = basis.den ** 2
+    square = den ** 2
     multiplicity, rest = divmod(-h1.index * zz_num, square)
     if multiplicity <= 0 or rest:
         raise InternalError(

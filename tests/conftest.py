@@ -227,6 +227,35 @@ def to_dual_coordinates(d):
     return tuple(-x for x in _apply_form(d.graph, d.coeffs))
 
 
+def pulled_back(history, event, basis):
+    """The dual basis of the graph after `event`, from the one before it:
+    the reference for the rows that ZeroSumSearch carries.
+
+    Blowing up a point is a pullback pi*, so for an old vertex v,
+    E'_v* = pi*(E_v*): the old entries stay and the new vertex u gets
+    sum_{c in centre} B[c][v].  The new vertex's own dual is
+    E_u* = E_u + sum_{c in centre} pi*(E_c*), whose entry at u is
+    1 + sum_{c, c' in centre} B[c][c'].  Over the common denominator
+    that diagonal numerator is den + sum_{c, c'} num[c][c'].  O(n^2).
+    """
+    from splicemult import DualBasis, InternalError
+
+    k = history.event_index(event)
+    pre, post = history.graph_before(k), history.graph_after(k)
+    if basis.graph != pre:
+        raise InternalError("basis is not indexed by the pre-event graph")
+    centre = [pre.index(c) for c in event.center]
+    at_new = [sum(row[c] for c in centre) for row in basis.num]
+    p = post.index(event.new_vertex)
+    num = [row[:p] + (x,) + row[p:] for row, x in zip(basis.num, at_new)]
+    new_row = list(at_new)
+    new_row.insert(p, basis.den + sum(at_new[c] for c in centre))
+    num.insert(p, tuple(new_row))
+    out = DualBasis.__new__(DualBasis)
+    out.graph, out.num, out.den, out._duals = post, num, basis.den, {}
+    return out
+
+
 def hilbert_oracle(g, basis, h1, volume_cap=100_000):
     """Brute-force minimal-element computation over the full ord-bounded box.
 
@@ -419,21 +448,26 @@ def assert_resolved(report, h1, box_cap=50_000):
 # --- the zero-sum search with tuple keys (the reference for packed keys) --------
 
 
-def tuple_key_least(search, vertices, without=None):
+def tuple_key_least(search, vertices, without=None, basis=None,
+                    end_map=None):
     """ZeroSumSearch.least by the plain tuple-key Dijkstra: weights
-    |H| * M_v(E_i*) from Fraction entries, step keys (M_v..., 1, unit
-    exponent vector) compared as tuples and added componentwise.  Reads
-    the search's class tables, labels and current basis; keeps no memo."""
+    |H| * M_v(E_i*) from the Fraction entries of `basis` at the ends of
+    `end_map` (by default the search's first basis and its end map), step
+    keys (M_v..., 1, unit exponent vector) compared as tuples and added
+    componentwise.  Reads the search's class tables and labels; keeps no
+    memo."""
     import heapq
     from operator import add
 
     from splicemult import InternalError
 
-    basis, scale = search._basis, search._scale
+    if basis is None:
+        basis, end_map = search._basis, search._end_map
+    scale = search._scale
     per_vertex = []
     for v in vertices:
         weights = {}
-        for label, e in search._end_map.items():
+        for label, e in end_map.items():
             w = scale * basis.entry(v, e)
             if w.denominator != 1:
                 raise InternalError(f"|H| * M_{v}(E_{e}*) = {w}")

@@ -374,6 +374,57 @@ def test_emitter_equals_the_standard_library(obj):
     assert out.getvalue() == json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+@st.composite
+def _json_with_shared_containers(draw):
+    """A JSON tree that places the same few dict, list or tuple objects at
+    several positions, at equal and at different depths."""
+    shared = draw(st.lists(_JSON_TREES.filter(
+        lambda x: type(x) in (dict, list, tuple) and x), min_size=1,
+        max_size=3))
+
+    def place(depth):
+        kind = draw(st.integers(0, 2 if depth else 0))
+        if kind == 0:
+            return draw(st.sampled_from(shared))
+        items = [place(depth - 1) for _ in range(draw(st.integers(1, 3)))]
+        if kind == 1:
+            return items
+        return {str(k): item for k, item in enumerate(items)}
+
+    return [place(draw(st.integers(0, 4))) for _ in range(3)]
+
+
+def _emitted(obj):
+    from splicemult.cli import _emit_json
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _emit_json(obj)
+    return out.getvalue()
+
+
+@given(_json_with_shared_containers())
+def test_emitter_writes_shared_containers_like_the_standard_library(obj):
+    """A container placed at several positions and depths is written as
+    json.dumps writes it at each of them: the memo of container texts is
+    keyed by indentation as well as by object."""
+    assert _emitted(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def test_emitter_memo_lives_for_one_call():
+    """A second call on an edited document prints the edited text: no
+    container text is kept from one call to the next."""
+    shared = {"edge": [1, 2], "passed": True}
+    doc = {"rounds": [[shared, shared], {"x": [shared]}], "last": shared}
+    first = _emitted(doc)
+    assert first == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    shared["passed"] = False
+    shared["edge"].append(3)
+    second = _emitted(doc)
+    assert second != first
+    assert second == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
 def test_emitter_refuses_what_it_cannot_write(capsys):
     """A value outside its JSON subset is a bug in the document, not
     something to guess a text for."""

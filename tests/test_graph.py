@@ -22,7 +22,7 @@ from splicemult import (
 from splicemult.errors import InputError, InternalError
 from splicemult.linalg import is_negative_definite
 
-from conftest import graph_json, intersect, random_trees
+from conftest import blowup_histories, graph_json, intersect, random_trees
 
 
 # --- parsing and validation -----------------------------------------------------
@@ -59,6 +59,14 @@ def test_parse_rejects_cycle():
 def test_parse_rejects_disconnected():
     with pytest.raises(InputError, match="not a connected tree"):
         ResolutionGraph({1: -2, 2: -2, 3: -2, 4: -2}, [(1, 2), (3, 4)])
+
+
+def test_tree_check_comes_before_definiteness():
+    """n - 1 edges that leave a vertex out: the breadth-first pass of the
+    definiteness test finds it, and names the tree, not the form."""
+    with pytest.raises(InputError, match="^graph is not a connected tree$"):
+        ResolutionGraph({1: -1, 2: -1, 3: -1, 4: -1},
+                        [(1, 2), (2, 3), (3, 1)])
 
 
 def test_parse_rejects_too_small():
@@ -244,6 +252,64 @@ def test_fresh_id_fills_gaps():
     assert event.new_vertex == 1  # smallest unused positive id
     g3, event2 = blowup_end_point(g2, 30)
     assert event2.new_vertex == 2
+
+
+def _replayed(pre, event):
+    """The graph after `event`, built by the constructor from pre's
+    weights and edges."""
+    u = event.new_vertex
+    weights = {v: pre.weight(v) for v in pre.vertex_ids}
+    weights.update((v, w) for v, _, w in event.weight_changes)
+    weights[u] = -1
+    edges = [e for e in pre.edges
+             if event.kind != "edge" or e != event.center]
+    edges += [(c, u) for c in event.center]
+    return ResolutionGraph(weights, edges)
+
+
+@given(blowup_histories())
+def test_derived_graphs_equal_constructor_built_graphs(history):
+    """A blown-up graph, patched from its parent's tables, is the graph
+    the constructor builds from the blown-up weights and edges: equal,
+    with the same hash, vertex order and positions, ends, nodes,
+    neighbours, intersection matrix and branch determinants.  The ids are
+    multiples of 3, so new vertices land inside the vertex order."""
+    for k, event in enumerate(history.events):
+        derived = history.graph_after(k)
+        built = _replayed(history.graph_before(k), event)
+        assert derived == built and hash(derived) == hash(built)
+        assert (derived.vertex_ids, derived.edges, derived.ends,
+                derived.nodes) == (built.vertex_ids, built.edges, built.ends,
+                                   built.nodes)
+        for v in built.vertex_ids:
+            assert derived.index(v) == built.index(v)
+            assert derived.neighbors(v) == built.neighbors(v)
+            assert derived.weight(v) == built.weight(v)
+        assert derived.intersection_matrix() == built.intersection_matrix()
+        assert derived.branch_determinants() == built.branch_determinants()
+
+
+def test_blowup_with_a_nonnegative_weight_is_an_internal_error(tree_h12):
+    """The derived graph's changed weights are checked as the constructor
+    checks them."""
+    from splicemult.graph import BlowupEvent, _blown_up
+
+    event = BlowupEvent(kind="edge", center=(1, 5), new_vertex=11,
+                        weight_changes=((1, -2, 0), (5, -2, -3)))
+    with pytest.raises(InternalError, match="^blowup produced an invalid "
+                       "graph: vertex 1 has weight 0 >= 0$"):
+        _blown_up(tree_h12, event)
+
+
+@given(st.sets(st.integers(-3, 12), min_size=2, max_size=9))
+def test_fresh_id_is_the_least_unused_positive_id(ids):
+    """The bisection over the sorted ids agrees with a scan of 1, 2, ...,
+    also when ids are zero or negative."""
+    from splicemult.graph import _fresh_id
+
+    chain = sorted(ids)
+    g = ResolutionGraph(dict.fromkeys(chain, -2), zip(chain, chain[1:]))
+    assert _fresh_id(g) == next(i for i in range(1, 20) if i not in ids)
 
 
 def test_blowup_failing_a_constructor_check_is_an_internal_error(

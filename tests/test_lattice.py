@@ -42,6 +42,7 @@ from conftest import (
     invert_by_fractions,
     multi_node_trees,
     perp_member,
+    pulled_back,
     random_trees,
     star,
     subgroups_oracle,
@@ -479,7 +480,7 @@ def test_subgroup_membership_and_pairing_consistency():
 def test_pulled_back_basis_equals_fresh_inversion(history):
     basis = DualBasis(history.initial)
     for event in history.events:
-        basis = DualBasis.pulled_back(history, event, basis)
+        basis = pulled_back(history, event, basis)
     g = history.current
     assert basis.graph == g
     assert basis.matrix == DualBasis(g).matrix
@@ -494,7 +495,7 @@ def test_basis_is_integer_numerators_over_det(history):
     Fraction Gauss-Jordan inverse."""
     pulled = [DualBasis(history.initial)]
     for event in history.events:
-        pulled.append(DualBasis.pulled_back(history, event, pulled[-1]))
+        pulled.append(pulled_back(history, event, pulled[-1]))
     fresh = [DualBasis(b.graph) for b in pulled[1:]]
     for basis in pulled + fresh:
         g = basis.graph
@@ -514,7 +515,7 @@ def test_pulled_back_rejects_wrong_basis(a2_chain, tree_h12):
     history = GraphHistory(a2_chain)
     event = history.blowup_edge(1, 2)
     with pytest.raises(InternalError, match="not indexed by the pre-event"):
-        DualBasis.pulled_back(history, event, DualBasis(tree_h12))
+        pulled_back(history, event, DualBasis(tree_h12))
 
 
 def test_discriminant_group_rejects_foreign_basis(a2_chain, tree_h12):

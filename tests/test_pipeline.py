@@ -14,6 +14,7 @@ from splicemult import (
     DualBasis,
     ResolutionGraph,
     ZeroSumSearch,
+    base_point_set,
     check_gcd_condition,
     discriminant_group,
     dual_cycles,
@@ -31,7 +32,8 @@ from splicemult.errors import (
     InputError,
     InternalError,
 )
-from splicemult.pipeline import _dual_numerators
+from splicemult.monomial import monomial_string
+from splicemult.pipeline import EndDecision, _dual_numerators
 
 from conftest import (
     H12_TABLE,
@@ -417,10 +419,13 @@ def test_quotient_of_a_tree_with_a_large_group(monkeypatch):
 def blown_up_trees_and_subgroups(draw):
     """A random tree after up to six random edge and end blowups (so not
     minimal, and run with the override), with H1 = 0, H1 = H or a random
-    subgroup of its discriminant group."""
+    subgroup of its discriminant group.  Ids are 1..n or multiples of 3,
+    so new vertices also land inside the vertex order."""
     n = draw(st.integers(2, 6))
-    weights = {i: draw(st.integers(-6, -1)) for i in range(1, n + 1)}
-    edges = [(draw(st.integers(1, i - 1)), i) for i in range(2, n + 1)]
+    step = draw(st.sampled_from([1, 3]))  # 3: the loop fills id gaps
+    weights = {step * i: draw(st.integers(-6, -1)) for i in range(1, n + 1)}
+    edges = [(step * draw(st.integers(1, i - 1)), step * i)
+             for i in range(2, n + 1)]
     try:
         g = ResolutionGraph(weights, edges)
     except InputError:  # not negative definite
@@ -467,12 +472,31 @@ def test_no_fraction_before_the_report_is_read(case):
         assert calls != []
 
 
+def _end_decisions_from_scratch(g, end_map, z, search, base):
+    """The end rule on one round's graph: the ends in label order, each
+    settled by a witness or by not being in `base`, up to the first that
+    is neither."""
+    decisions = []
+    for label, v in sorted(end_map.items()):
+        found = search.least((v,), without=label)
+        if found is not None and found[0][0] == z[g.index(v)]:
+            decisions.append(EndDecision(label, "witness",
+                                         monomial_string(found[1])))
+        elif v not in base:
+            decisions.append(EndDecision(label, "not_base_point"))
+        else:
+            decisions.append(EndDecision(label, "blowup"))
+            break
+    return decisions
+
+
 @settings(max_examples=40)
 @given(blown_up_trees_and_subgroups())
 def test_rounds_in_integers_match_the_rational_form(case):
     """Every round's integer Z.E and Z.Z equal the Fraction form applied
-    to the round's Z, and its carried edge checks equal a fresh
-    check_gcd_condition with a fresh search on that round's graph."""
+    to the round's Z, and its carried Z, end decisions and edge checks
+    equal those made from scratch on that round's graph: a fresh search on
+    a fresh dual basis, base points from base_point_set."""
     g, h1 = case
     report = run_pipeline(g, h1, allow_non_minimal=True)
     history = report.history
@@ -481,9 +505,14 @@ def test_rounds_in_integers_match_the_rational_form(case):
         assert rnd.z_dual == to_dual_coordinates(z)
         zz = -sum(map(mul, rnd.z_num, rnd.z_dual_num))
         assert Fraction(zz, rnd.den ** 2) == intersect(z, z)
-        fresh = ZeroSumSearch(DualBasis(rnd.graph), h1,
-                              round_end_map(history, rnd.graph))
+        basis = DualBasis(rnd.graph)
+        end_map = round_end_map(history, rnd.graph)
+        fresh = ZeroSumSearch(basis, h1, end_map)
         assert fresh.z() == rnd.z_num
+        assert rnd.z_dual_num == _dual_numerators(rnd.graph, rnd.z_num)
+        assert list(rnd.end_decisions) == _end_decisions_from_scratch(
+            rnd.graph, end_map, rnd.z_num, fresh,
+            base_point_set(rnd.graph, basis))
         if rnd.edge_checks:
             assert list(rnd.edge_checks) == check_gcd_condition(
                 rnd.graph, rnd.z_num, rnd.z_dual_num, fresh)

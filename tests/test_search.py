@@ -22,11 +22,13 @@ from splicemult import (
     subgroup,
     trivial_subgroup,
 )
+from splicemult.graph import BlowupEvent, blowup_edge
 
 from conftest import (
     blowup_histories,
     draw_blowups,
     end_map_after,
+    pulled_back,
     scan_edge_witness,
     scan_end_witness,
     star,
@@ -137,19 +139,63 @@ def test_carried_results_equal_fresh_search(case):
     every stage so that later stages reuse earlier results, answers as a
     fresh search on each graph after a fresh tree solve does."""
     history, h1 = case
-    basis = h1.group.basis
-    search = ZeroSumSearch(basis, h1)
+    search = ZeroSumSearch(h1.group.basis, h1)
     g = history.initial
     _everything(search, g, {e: e for e in g.ends})
     for k, event in enumerate(history.events):
-        basis = DualBasis.pulled_back(history, event, basis)
         post = history.graph_after(k)
         end_map = end_map_after(history, k)
-        search.advance(basis, end_map)
+        search.advance(event)
         fresh = ZeroSumSearch(DualBasis(post), h1, end_map)
         assert _everything(search, post, end_map) == \
             _everything(fresh, post, end_map)
         assert search.z() == fresh.z()
+
+
+def _end_columns(basis, end_map):
+    """Each vertex's row of `basis` numerators at the ends of `end_map`,
+    in label order."""
+    g = basis.graph
+    columns = [g.index(end_map[l]) for l in sorted(end_map)]
+    return {v: tuple(row[c] for c in columns)
+            for v, row in zip(g.vertex_ids, basis.num)}
+
+
+@given(blowup_histories())
+def test_carried_rows_are_the_end_columns_of_the_dual_basis(history):
+    """The rows the search carries through edge and end blowups (ids
+    with gaps, so new vertices land inside the vertex order) equal the end
+    columns of a fresh dual basis and of the O(n^2) pullback of the
+    previous basis, after every step.  Rows are read before the first
+    step only in part, so later steps also read untouched first rows."""
+    g = history.initial
+    group = discriminant_group(g)
+    search = ZeroSumSearch(group.basis, trivial_subgroup(group))
+    search.row(g.vertex_ids[0])
+    pulled = group.basis
+    for k, event in enumerate(history.events):
+        search.advance(event)
+        pulled = pulled_back(history, event, pulled)
+        post = history.graph_after(k)
+        end_map = end_map_after(history, k)
+        expected = _end_columns(DualBasis(post), end_map)
+        assert expected == _end_columns(pulled, end_map)
+        assert {v: search.row(v) for v in post.vertex_ids} == expected
+
+
+def test_advance_refuses_an_event_of_another_graph(tree_h12):
+    """An event whose new vertex the search already has, or whose centre
+    it does not know, is an internal error."""
+    h1 = trivial_subgroup(discriminant_group(tree_h12))
+    search = ZeroSumSearch(h1.group.basis, h1)
+    _, event = blowup_edge(tree_h12, 1, 5)
+    search.advance(event)
+    with pytest.raises(InternalError, match="vertex 11 is already"):
+        search.advance(event)
+    foreign = BlowupEvent(kind="end", center=(20,), new_vertex=30,
+                          weight_changes=((20, -2, -3),))
+    with pytest.raises(InternalError, match="vertex 20 is not in the graph"):
+        search.advance(foreign)
 
 
 # --- packed keys against the tuple-key reference ------------------------------
@@ -219,17 +265,21 @@ def test_packed_search_matches_tuple_keys_on_large_quotients(centre, arms):
 # --- meeting in the middle and reusing the vertex members ---------------------
 
 
-def _assert_queries_match_one_sided(search, g, end_map):
-    """After z(), every vertex, edge and end query equals the one-sided
-    tuple-key search's answer."""
+def _assert_queries_match_one_sided(search, basis, end_map):
+    """After z(), every vertex, edge and end query on the graph of `basis`
+    equals the one-sided tuple-key search's answer from that basis."""
+    g = basis.graph
+
+    def reference(vertices, without=None):
+        return tuple_key_least(search, vertices, without, basis, end_map)
+
     search.z()
     for v in g.vertex_ids:
-        assert search.least((v,)) == tuple_key_least(search, (v,))
+        assert search.least((v,)) == reference((v,))
     for edge in g.edges:
-        assert search.least(edge) == tuple_key_least(search, edge)
+        assert search.least(edge) == reference(edge)
     for label, v in sorted(end_map.items()):
-        assert search.least((v,), label) == \
-            tuple_key_least(search, (v,), label)
+        assert search.least((v,), label) == reference((v,), label)
 
 
 @st.composite
@@ -267,13 +317,12 @@ def test_meet_in_the_middle_matches_one_sided_search(case):
     basis = h1.group.basis
     search = ZeroSumSearch(basis, h1)
     g = history.initial
-    _assert_queries_match_one_sided(search, g, {e: e for e in g.ends})
+    _assert_queries_match_one_sided(search, basis, {e: e for e in g.ends})
     for k, event in enumerate(history.events):
-        basis = DualBasis.pulled_back(history, event, basis)
-        end_map = end_map_after(history, k)
-        search.advance(basis, end_map)
-        _assert_queries_match_one_sided(search, history.graph_after(k),
-                                        end_map)
+        search.advance(event)
+        _assert_queries_match_one_sided(
+            search, DualBasis(history.graph_after(k)),
+            end_map_after(history, k))
 
 
 def _h12_search(tree_h12, gens, end_map=None):
@@ -291,7 +340,7 @@ def test_end_of_residue_zero_is_a_one_step_member(tree_h12):
         [True, False, False, False]
     assert search.least((1,)) == tuple_key_least(search, (1,))
     assert search.least((1,))[1] == {1: 1}
-    _assert_queries_match_one_sided(search, tree_h12,
+    _assert_queries_match_one_sided(search, search._basis,
                                     {e: e for e in tree_h12.ends})
 
 
@@ -334,7 +383,7 @@ def test_universal_abelian_cover_has_one_class(tree_h12):
     single end."""
     search = _h12_search(tree_h12, [])
     assert len(search._negation) == 1
-    _assert_queries_match_one_sided(search, tree_h12,
+    _assert_queries_match_one_sided(search, search._basis,
                                     {e: e for e in tree_h12.ends})
     for v in tree_h12.vertex_ids:
         assert sum(search.least((v,))[1].values()) == 1
@@ -378,12 +427,10 @@ def test_vertex_members_decide_queries_without_search(name, tree_h12,
 
 def test_search_checks_basis_denominator(tree_h12):
     """The search reads |H| * M_v(E_i*) straight from `num`, which needs
-    den = |H| on every basis it is given."""
+    den = |H| on the basis it is given; blowups carry that scale (see
+    test_carried_rows_are_the_end_columns_of_the_dual_basis)."""
     h1 = full_subgroup(discriminant_group(tree_h12))
-    search = ZeroSumSearch(h1.group.basis, h1)
     wrong = DualBasis(tree_h12)
     wrong.den = 6
-    with pytest.raises(InternalError, match="denominator 6 != .H. = 12"):
-        search.advance(wrong, {e: e for e in tree_h12.ends})
     with pytest.raises(InternalError, match="denominator 6 != .H. = 12"):
         ZeroSumSearch(wrong, h1)
