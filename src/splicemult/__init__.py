@@ -35,10 +35,8 @@ from .lattice import (
     trivial_subgroup,
 )
 from .linalg import (
-    HnfResult,
     SnfResult,
     determinant,
-    hermite_normal_form,
     invert_rational_matrix,
     is_negative_definite,
     smith_normal_form,

@@ -36,8 +36,9 @@ class CapExceededError(SpliceMultError):
 
 class InternalError(SpliceMultError):
     """An internal consistency check or internal-API precondition failed
-    (for example U*A*V != S after a Smith form, or a cycle on the wrong
-    graph).  The command line validates every document first, so this is
-    always a bug in the package, never bad input."""
+    (for example a largest invariant factor that is not the exponent of
+    H, or a cycle on the wrong graph).  The command line validates every
+    document first, so this is always a bug in the package, never bad
+    input."""
 
     exit_code = 4

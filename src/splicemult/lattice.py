@@ -6,11 +6,14 @@ the columns of B = (-I)^{-1}.  B is carried as integer numerators over one
 denominator |H| = det(-I), so pairings and the flat subgroup's congruences
 run in integers and a Fraction is built only for a result.  The finite
 quotient H = L*/L is computed from the Smith normal form of -I, which
-identifies H with Z^r / diag(d) Z^r for the invariant factors d.  A
-subgroup H1 is the lattice between diag(d) Z^r and Z^r that is its
-preimage, stored as a canonical Hermite basis: membership, order and index
-come from that basis, and the elements of H1 are listed only when a caller
-asks for them.
+identifies H with Z^r / diag(d) Z^r for the invariant factors d.  The
+factors are read and checked against B on every command; the Smith
+coordinates (rows of U, representatives from V) are rebuilt from the
+form's operation log and certified only when a caller projects onto them
+or lifts from them (see DiscriminantGroup).  A subgroup H1 is the lattice
+between diag(d) Z^r and Z^r that is its preimage, stored as a canonical
+Hermite basis: membership, order and index come from that basis, and the
+elements of H1 are listed only when a caller asks for them.
 """
 
 import itertools
@@ -19,7 +22,7 @@ from math import gcd, lcm, prod
 from operator import mul
 
 from .errors import CapExceededError, InternalError
-from .linalg import _hermite_reduce, mat_vec, smith_normal_form
+from .linalg import _hermite_reduce, _replay, mat_vec, smith_normal_form
 
 # enumerate_subgroups lists every element of every subgroup for `table`;
 # this bounds that output.
@@ -199,20 +202,33 @@ def _path_numerators(graph, branch):
 
 def _check_inverse(graph, num, den):
     """Raise InternalError unless num (-I) = den Id, one row at a time
-    over the edges: (row (-I))_v = -w_v row_v - sum of row over v's
-    neighbours."""
-    diagonal = [-w for w in map(graph.weight, graph.vertex_ids)]
-    edges = [(graph.index(a), graph.index(b)) for a, b in graph.edges]
+    over the edges (_apply_form)."""
+    form = _form(graph)
     for u, row in enumerate(num):
-        out = list(map(mul, diagonal, row))
-        for a, b in edges:
-            out[a] -= row[b]
-            out[b] -= row[a]
+        out = _apply_form(form, row)
         out[u] -= den
         if any(out):
             raise InternalError(
                 f"tree solve check num * (-I) == {den} * Id failed "
                 f"at row {graph.vertex_ids[u]}")
+
+
+def _form(graph):
+    """-I(E) as its diagonal -w_v and its edges as index pairs, in vertex
+    order."""
+    return ([-w for w in map(graph.weight, graph.vertex_ids)],
+            [(graph.index(a), graph.index(b)) for a, b in graph.edges])
+
+
+def _apply_form(form, vec):
+    """(-I) vec, which is also vec (-I): entry v is -w_v vec_v minus the
+    sum of vec over v's neighbours.  O(n) on a tree."""
+    diagonal, edges = form
+    out = list(map(mul, diagonal, vec))
+    for a, b in edges:
+        out[a] -= vec[b]
+        out[b] -= vec[a]
+    return out
 
 
 def dual_cycles(g):
@@ -248,15 +264,38 @@ def _as_vector(graph, coords):
 class DiscriminantGroup:
     """H = L*/L presented through the Smith normal form of -I(E).
 
-    With U(-I)V = S, the class of a dual-coordinate vector c is U c reduced
-    modulo the diagonal; only diagonal entries > 1 contribute.  Elements are
-    normal-form tuples over the invariant factors.  The dual basis's common
-    denominator is det(-I) = |H|, so det I(E) = (-1)^n |H| needs no
-    elimination of its own.
+    In dual coordinates L* is Z^n and E_v is column v of -I, so
+    H = Z^n / (-I) Z^n.  With U(-I)V = S, the class of c is U c reduced
+    modulo the diagonal; only the slots j with d_j > 1 contribute.
+    Elements are normal-form tuples over the invariant factors.  The dual
+    basis's common denominator is det(-I) = |H|, so det I(E) = (-1)^n |H|
+    needs no elimination of its own.
+
+    The invariant factors, `order` and `det` are read off S when the
+    group is built, and two checks tie them to the dual basis num / den,
+    which the tree solve gives independently: prod d = den, and
+    d_r = den / gcd(den, every entry of num).  The right side is the
+    exponent of H, the least e with e (-I)^{-1} integral; the exponent of
+    prod Z/d_j is the largest factor d_r.
+
+    The Smith coordinates are built on the first `project` or
+    `representative` call, since only those read U and V: the slot rows
+    U_j of U, and the representatives rep_k = ((-I) V)[:, k] / d_k, the
+    slot columns of U^{-1} = (-I) V S^{-1}.  They are certified when
+    built, so that project is an isomorphism H -> prod Z/d_j:
+      - U_j (-I) = 0 mod d_j for every slot j, checked over the edges: the
+        map c -> (U_j c mod d_j)_j kills L, so it induces a homomorphism
+        phi: H -> prod Z/d_j;
+      - U_j . rep_k = delta_jk mod d_j: phi(rep_k) is the k-th unit
+        vector, so phi is onto;
+      - |H| = den = prod d_j, checked above, so phi is a bijection of
+        finite sets of one size: an isomorphism, with `representative`
+        its inverse on normal forms.
+    A failed check raises InternalError and names the check.
     """
 
     __slots__ = ("graph", "basis", "snf", "invariant_factors", "order",
-                 "det", "_slots", "_u", "_rep_columns")
+                 "det", "_slots", "_coordinates")
 
     def __init__(self, graph, basis=None):
         if basis is not None and basis.graph != graph:
@@ -269,22 +308,28 @@ class DiscriminantGroup:
         self._slots = tuple(j for j, d in enumerate(diag) if d > 1)
         self.invariant_factors = tuple(diag[j] for j in self._slots)
         self.order = prod(diag)
-        if self.basis.den != self.order:
-            raise InternalError(f"dual basis denominator {self.basis.den} "
+        den = self.basis.den
+        if den != self.order:
+            raise InternalError(f"dual basis denominator {den} "
                                 f"!= |H| = {self.order}")
+        entries = itertools.chain.from_iterable(self.basis.num)
+        exponent = den // gcd(den, *entries)
+        largest = self.invariant_factors[-1] if self.invariant_factors else 1
+        if largest != exponent:
+            raise InternalError(
+                f"Smith normal form check d_r == exponent of H failed: "
+                f"d_r = {largest}, |H| / gcd(|H|, num) = {exponent}")
         self.det = (-1) ** len(graph) * self.order
-        self._u = self.snf.U
-        # U^{-1} = (-I) V S^{-1}, so its slot columns are ((-I) V)[:, j] / d_j.
-        v = self.snf.V
-        columns = []
-        for j, d in zip(self._slots, self.invariant_factors):
-            col = [sum(x * row[j] for x, row in zip(neg_row, v))
-                   for neg_row in neg]
-            if any(x % d for x in col):
-                raise InternalError(
-                    "Smith transform U has a non-integral inverse")
-            columns.append([x // d for x in col])
-        self._rep_columns = tuple(columns)
+        self._coordinates = None
+
+    def _coords(self):
+        """(slot rows of U, representatives), built and certified on first
+        use."""
+        if self._coordinates is None:
+            rows, reps = _smith_coordinates(self)
+            _certify_coordinates(self, rows, reps)
+            self._coordinates = rows, reps
+        return self._coordinates
 
     @property
     def zero(self):
@@ -293,13 +338,14 @@ class DiscriminantGroup:
     def project(self, coords):
         """Normal form of the class of sum_v coords_v * E_v*."""
         vec = _as_vector(self.graph, coords)
-        y = mat_vec(self._u, vec)
-        return tuple(y[j] % d for j, d in zip(self._slots, self.invariant_factors))
+        rows, _ = self._coords()
+        return tuple(sum(map(mul, row, vec)) % d
+                     for row, d in zip(rows, self.invariant_factors))
 
     def representative(self, nf):
         """An integer dual-coordinate vector projecting onto the normal form."""
         out = [0] * len(self.graph)
-        for val, col in zip(nf, self._rep_columns):
+        for val, col in zip(nf, self._coords()[1]):
             if val:
                 out = [a + val * b for a, b in zip(out, col)]
         return tuple(out)
@@ -315,6 +361,40 @@ class DiscriminantGroup:
         val = self.basis.pairing(self.representative(nf1),
                                  self.representative(nf2))
         return val - (val.numerator // val.denominator)
+
+
+def _smith_coordinates(group):
+    """The slot rows U_j of U and the representatives
+    rep_k = ((-I) V)[:, k] / d_k (see DiscriminantGroup)."""
+    u, v = group.snf.U, group.snf.V
+    form = _form(group.graph)
+    rows = tuple(tuple(u[j]) for j in group._slots)
+    reps = []
+    for j, d in zip(group._slots, group.invariant_factors):
+        col = _apply_form(form, [row[j] for row in v])
+        if any(x % d for x in col):
+            raise InternalError("Smith transform U has a non-integral inverse")
+        reps.append(tuple(x // d for x in col))
+    return rows, tuple(reps)
+
+
+def _certify_coordinates(group, rows, reps):
+    """Raise InternalError unless U_j (-I) = 0 mod d_j and
+    U_j . rep_k = delta_jk mod d_j for all slots j, k: the isomorphism
+    certificate of DiscriminantGroup, in O(r n + r^2 n)."""
+    form = _form(group.graph)
+    ids = group.graph.vertex_ids
+    for j, (row, d) in enumerate(zip(rows, group.invariant_factors)):
+        for v, x in zip(ids, _apply_form(form, row)):
+            if x % d:
+                raise InternalError(
+                    f"Smith normal form check U_j * (-I) == 0 mod d_j "
+                    f"failed: j = {j}, d_j = {d}, column E{v}")
+        for k, rep in enumerate(reps):
+            if (sum(map(mul, row, rep)) - (j == k)) % d:
+                raise InternalError(
+                    f"Smith normal form check U_j * rep_k == delta_jk "
+                    f"mod d_j failed: j = {j}, k = {k}, d_j = {d}")
 
 
 def discriminant_group(g, basis=None):
@@ -397,7 +477,7 @@ def _preimage_basis(factors, nfs):
     r = len(factors)
     rows = [list(nf) for nf in nfs]
     rows += [[d * (i == j) for j in range(r)] for i, d in enumerate(factors)]
-    _, h, _ = _hermite_reduce(rows)
+    h, _, _ = _hermite_reduce(rows)
     return tuple(tuple(row) for row in h[:r])
 
 
@@ -469,7 +549,8 @@ def flat_subgroup(h1):
     den = basis.den // scale
     stacked = [[(x // scale) % den for x in row] for row in zip(*nums)]
     stacked += [[den * (i == j) for j in range(r)] for i in range(r)]
-    u, _, rank = _hermite_reduce(stacked)
+    _, rank, log = _hermite_reduce(stacked)
+    u = _replay(log, len(stacked))
     gens = [group.representative(_reduced(group, row[:r]))
             for row in u[rank:]]
     flat = SubgroupData(group, gens)

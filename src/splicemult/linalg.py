@@ -8,12 +8,18 @@ back as integer numerators over one positive denominator |det A|.  No
 command inverts here: the dual basis (-I(E))^{-1} of a tree comes from the
 path formula on its branch determinants (lattice.DualBasis), which checks
 itself against -I, and the general inverse is the reference the tests hold
-it to.  Smith and Hermite forms use unimodular row and column operations.
+it to.
+
+Smith and Hermite forms eliminate on the matrix alone and log each
+unimodular row and column operation; a transform is rebuilt from its log
+only when a caller reads it, by replaying the same operations on Id.  No
+dense product checks a decomposition here: the discriminant group checks
+what it reads of the Smith form against the dual basis (see
+lattice.DiscriminantGroup).
 """
 
-from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
-from operator import mul
 
 from .errors import InternalError
 
@@ -26,20 +32,8 @@ def copy_matrix(a):
     return [list(row) for row in a]
 
 
-def mat_mul(a, b):
-    cols = list(zip(*b))
-    return [[sum(map(mul, row, col)) for col in cols] for row in a]
-
-
 def mat_vec(a, v):
     return [sum(row[k] * v[k] for k in range(len(v))) for row in a]
-
-
-def matrices_equal(a, b):
-    return len(a) == len(b) and all(
-        len(ra) == len(rb) and all(x == y for x, y in zip(ra, rb))
-        for ra, rb in zip(a, b)
-    )
 
 
 def _check_square(a):
@@ -125,31 +119,94 @@ def invert_rational_matrix(a):
     return [[sign * x for x in row[n:]] for row in m], sign * d
 
 
-@dataclass(frozen=True)
 class SnfResult:
     """Smith normal decomposition U*A*V = S with U, V unimodular and the
-    diagonal of S nonnegative with d1 | d2 | ... ."""
+    diagonal of S nonnegative with d1 | d2 | ... .
 
-    U: list
-    S: list
-    V: list
+    smith_normal_form eliminates on S alone and logs every unimodular row
+    and column operation.  U and V are rebuilt from the logs on first
+    read, by replaying the row log on Id (U = R_k ... R_1) and the column
+    log on Id (V = C_1 ... C_k) with the functions the elimination
+    applied to S.
+    """
+
+    def __init__(self, S, row_ops, col_ops):
+        self.S = S
+        self._row_ops = row_ops
+        self._col_ops = col_ops
+
+    @cached_property
+    def U(self):
+        return _replay(self._row_ops, len(self.S))
+
+    @cached_property
+    def V(self):
+        return _replay(self._col_ops, len(self.S[0]) if self.S else 0)
 
     def diagonal(self):
         return [self.S[i][i] for i in range(min(len(self.S), len(self.S[0])))]
 
 
-@dataclass(frozen=True)
-class HnfResult:
-    """Row Hermite decomposition U*A = H with U unimodular, H in canonical
-    form: positive pivots, entries above each pivot reduced into [0, pivot)."""
-
-    U: list
-    H: list
+# The unimodular operations, applied in place to a list of rows.  An op is
+# logged as (function, arguments); _replay applies the same log to Id.
 
 
-def _row_reduce_pair(m, u, i1, i2, j):
-    """Left-multiply rows i1, i2 of m (and u) by a unimodular 2x2 matrix so
-    that m[i1][j] divides everything it must and m[i2][j] becomes 0.
+def _swap_rows(m, i, k):
+    m[i], m[k] = m[k], m[i]
+
+
+def _add_row(m, i, k, q):
+    """Row i -= q * row k."""
+    m[i] = [s - q * t for s, t in zip(m[i], m[k])]
+
+
+def _mix_rows(m, i, k, x, y, p, q):
+    """Rows (i, k) <- [[x, y], [p, q]] (rows i, k); the determinant is 1."""
+    r1, r2 = m[i], m[k]
+    m[i] = [x * s + y * t for s, t in zip(r1, r2)]
+    m[k] = [p * s + q * t for s, t in zip(r1, r2)]
+
+
+def _negate_row(m, i):
+    m[i] = [-x for x in m[i]]
+
+
+def _swap_cols(m, j, k):
+    for row in m:
+        row[j], row[k] = row[k], row[j]
+
+
+def _add_col(m, j, k, q):
+    """Column j -= q * column k."""
+    for row in m:
+        row[j] -= q * row[k]
+
+
+def _mix_cols(m, j, k, x, y, p, q):
+    """Columns (j, k) <- (x col j + y col k, p col j + q col k)."""
+    for row in m:
+        s, t = row[j], row[k]
+        row[j] = x * s + y * t
+        row[k] = p * s + q * t
+
+
+def _apply(m, log, fn, *args):
+    fn(m, *args)
+    log.append((fn, args))
+
+
+def _replay(log, size):
+    """The product of the logged operations, applied in order to Id."""
+    m = identity_matrix(size)
+    for fn, args in log:
+        fn(m, *args)
+    return m
+
+
+def _row_reduce_pair(m, log, i1, i2, j):
+    """Left-multiply rows i1, i2 of m by a unimodular 2x2 matrix so that
+    m[i1][j] divides everything it must and m[i2][j] becomes 0; the
+    operation is appended to log.
 
     The divisible case is an elementary operation that leaves row i1 alone;
     otherwise the pivot strictly shrinks to gcd(a, b), which bounds the
@@ -159,25 +216,18 @@ def _row_reduce_pair(m, u, i1, i2, j):
     if b == 0:
         return
     if a == 0:
-        m[i1], m[i2] = m[i2], m[i1]
-        u[i1], u[i2] = u[i2], u[i1]
-        return
-    if b % a == 0:
-        q = b // a
-        m[i2] = [s - q * t for s, t in zip(m[i2], m[i1])]
-        u[i2] = [s - q * t for s, t in zip(u[i2], u[i1])]
-        return
-    g, x, y = _xgcd(a, b)
-    p, q = -(b // g), a // g  # second row of the transform, det = +1
-    for mat in (m, u):
-        r1, r2 = mat[i1], mat[i2]
-        mat[i1] = [x * s + y * t for s, t in zip(r1, r2)]
-        mat[i2] = [p * s + q * t for s, t in zip(r1, r2)]
+        _apply(m, log, _swap_rows, i1, i2)
+    elif b % a == 0:
+        _apply(m, log, _add_row, i2, i1, b // a)
+    else:
+        g, x, y = _xgcd(a, b)
+        # second row of the transform, det = +1
+        _apply(m, log, _mix_rows, i1, i2, x, y, -(b // g), a // g)
 
 
-def _col_reduce_pair(m, v, j1, j2, i):
-    """Right-multiply columns j1, j2 of m (and v) by a unimodular 2x2 matrix
-    so that m[i][j1] divides everything it must and m[i][j2] becomes 0.
+def _col_reduce_pair(m, log, j1, j2, i):
+    """Right-multiply columns j1, j2 of m by a unimodular 2x2 matrix so that
+    m[i][j1] divides everything it must and m[i][j2] becomes 0.
 
     Mirror image of _row_reduce_pair; the divisible case leaves column j1
     untouched.
@@ -186,75 +236,68 @@ def _col_reduce_pair(m, v, j1, j2, i):
     if b == 0:
         return
     if a == 0:
-        for row in m:
-            row[j1], row[j2] = row[j2], row[j1]
-        for row in v:
-            row[j1], row[j2] = row[j2], row[j1]
-        return
-    if b % a == 0:
-        q = b // a
-        for mat in (m, v):
-            for row in mat:
-                row[j2] -= q * row[j1]
-        return
-    g, x, y = _xgcd(a, b)
-    p, q = -(b // g), a // g
-    for mat in (m, v):
-        for row in mat:
-            s, t = row[j1], row[j2]
-            row[j1] = x * s + y * t
-            row[j2] = p * s + q * t
+        _apply(m, log, _swap_cols, j1, j2)
+    elif b % a == 0:
+        _apply(m, log, _add_col, j2, j1, b // a)
+    else:
+        g, x, y = _xgcd(a, b)
+        _apply(m, log, _mix_cols, j1, j2, x, y, -(b // g), a // g)
 
 
 def smith_normal_form(a):
-    """Smith normal form of an integer matrix with transform tracking.
+    """Smith normal form of an integer matrix, with its transforms logged.
 
     Returns SnfResult(U, S, V) with U*A*V = S exactly, U and V unimodular,
     the diagonal of S nonnegative and each entry dividing the next.  For a
     nonsingular square matrix the product of the diagonal equals |det A|.
+    The elimination runs on S and logs its operations; U and V are built
+    from the logs only when read (see SnfResult).
+
+    Step t moves the first nonzero entry of least magnitude (row by row)
+    into the pivot slot; an entry of magnitude 1 ends the scan, since none
+    can be smaller.  Then it alternates clearing the pivot column and row.
     """
     rows = len(a)
     cols = len(a[0]) if rows else 0
     s = copy_matrix(a)
-    u = identity_matrix(rows)
-    v = identity_matrix(cols)
+    row_ops, col_ops = [], []
     r = min(rows, cols)
 
     for t in range(r):
-        # move a nonzero entry of smallest magnitude into the pivot slot
-        pivot = None
+        best = 0
         for i in range(t, rows):
+            row = s[i]
             for j in range(t, cols):
-                if s[i][j] != 0 and (pivot is None
-                                     or abs(s[i][j]) < abs(s[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
+                x = row[j]
+                if x and (not best or abs(x) < best):
+                    best, pi, pj = abs(x), i, j
+                    if best == 1:
+                        break
+            if best == 1:
+                break
+        if not best:
             break
-        pi, pj = pivot
         if pi != t:
-            s[t], s[pi] = s[pi], s[t]
-            u[t], u[pi] = u[pi], u[t]
+            _apply(s, row_ops, _swap_rows, t, pi)
         if pj != t:
-            for row in s:
-                row[t], row[pj] = row[pj], row[t]
-            for row in v:
-                row[t], row[pj] = row[pj], row[t]
+            _apply(s, col_ops, _swap_cols, t, pj)
         # alternate clearing the pivot column and row until both are clean
         while True:
             for i in range(t + 1, rows):
-                _row_reduce_pair(s, u, t, i, t)
-            if all(s[t][j] == 0 for j in range(t + 1, cols)):
+                if s[i][t]:
+                    _row_reduce_pair(s, row_ops, t, i, t)
+            if not any(s[t][t + 1:]):
                 break
             for j in range(t + 1, cols):
-                _col_reduce_pair(s, v, t, j, t)
-            if all(s[i][t] == 0 for i in range(t + 1, rows)):
+                if s[t][j]:
+                    _col_reduce_pair(s, col_ops, t, j, t)
+            if not any(s[i][t] for i in range(t + 1, rows)):
                 break
 
     # normalize signs on the diagonal
     for t in range(r):
         if s[t][t] < 0:
-            s[t] = [-x for x in s[t]]
-            u[t] = [-x for x in u[t]]
+            _apply(s, row_ops, _negate_row, t)
 
     # enforce the divisibility chain d_t | d_{t+1}
     changed = True
@@ -267,39 +310,34 @@ def smith_normal_form(a):
             changed = True
             # fold the next diagonal entry into column t, then re-reduce the
             # 2x2 block; result is diag(gcd, lcm) up to sign
-            for i in range(rows):
-                s[i][t] += s[i][t + 1]
-            for i in range(cols):
-                v[i][t] += v[i][t + 1]
+            _apply(s, col_ops, _add_col, t, t + 1, -1)
             while True:
-                _row_reduce_pair(s, u, t, t + 1, t)
+                _row_reduce_pair(s, row_ops, t, t + 1, t)
                 if s[t][t + 1] == 0:
                     break
-                _col_reduce_pair(s, v, t, t + 1, t)
+                _col_reduce_pair(s, col_ops, t, t + 1, t)
                 if s[t + 1][t] == 0:
                     break
             for k in (t, t + 1):
                 if s[k][k] < 0:
-                    s[k] = [-x for x in s[k]]
-                    u[k] = [-x for x in u[k]]
+                    _apply(s, row_ops, _negate_row, k)
 
-    if not matrices_equal(mat_mul(mat_mul(u, copy_matrix(a)), v), s):
-        raise InternalError("Smith normal form check U*A*V == S failed")
-    return SnfResult(U=u, S=s, V=v)
+    return SnfResult(s, row_ops, col_ops)
 
 
 def _hermite_reduce(a):
     """Row-reduce an integer matrix to canonical Hermite form.
 
-    Returns (U, H, rank) with U*A = H and U unimodular.  The first `rank`
-    rows of H are the echelon rows, with positive pivots and entries above
-    each pivot reduced into [0, pivot); the remaining rows are zero, so the
-    matching rows of U span the left kernel of A.
+    Returns (H, rank, log): the first `rank` rows of H are the echelon
+    rows, with positive pivots and entries above each pivot reduced into
+    [0, pivot), and the remaining rows are zero.  `log` holds the row
+    operations; _replay(log, len(a)) is the unimodular U with U*A = H, and
+    its rows past `rank` span the left kernel of A.
     """
     rows = len(a)
     cols = len(a[0]) if rows else 0
     h = copy_matrix(a)
-    u = identity_matrix(rows)
+    log = []
     r = 0
     for j in range(cols):
         if r == rows:
@@ -307,33 +345,16 @@ def _hermite_reduce(a):
         if all(h[i][j] == 0 for i in range(r, rows)):
             continue
         for i in range(r + 1, rows):
-            _row_reduce_pair(h, u, r, i, j)
+            _row_reduce_pair(h, log, r, i, j)
         if h[r][j] < 0:
-            h[r] = [-x for x in h[r]]
-            u[r] = [-x for x in u[r]]
+            _apply(h, log, _negate_row, r)
         p = h[r][j]
         for i in range(r):
             q = h[i][j] // p  # floor division leaves h[i][j] in [0, p)
             if q:
-                h[i] = [x - q * y for x, y in zip(h[i], h[r])]
-                u[i] = [x - q * y for x, y in zip(u[i], u[r])]
+                _apply(h, log, _add_row, i, r, q)
         r += 1
-    return u, h, r
-
-
-def hermite_normal_form(a):
-    """Canonical row Hermite normal form of a full-row-rank integer matrix.
-
-    Returns HnfResult(U, H) with U*A = H, U unimodular, pivots positive and
-    entries above each pivot reduced into [0, pivot).  Raises
-    InternalError when the rows are dependent over the rationals.
-    """
-    u, h, rank = _hermite_reduce(a)
-    if rank < len(a):
-        raise InternalError("matrix does not have full row rank")
-    if not matrices_equal(mat_mul(u, copy_matrix(a)), h):
-        raise InternalError("Hermite normal form check U*A == H failed")
-    return HnfResult(U=u, H=h)
+    return h, r, log
 
 
 def is_negative_definite(a):

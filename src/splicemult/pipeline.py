@@ -264,18 +264,24 @@ def _end_decisions(history, z, search, decided):
 
 def _recheck_edges(g, z, z_dual, search, known, touched, checks, failing):
     """Check again every edge of g at a vertex in `touched`, updating the
-    map `checks` from edge to result and the set of `failing` edges."""
+    map `checks` from edge to result and the set of `failing` edges.
+
+    The edges are collected once, so an edge between two touched vertices
+    is checked once, and an edge whose (edge, Z.E = 0 flag) result is in
+    `known` takes it from there (see check_gcd_condition)."""
     index = g.index
-    for v in touched:
-        for x in g.neighbors(v):
-            edge = (v, x) if v < x else (x, v)
-            result = checks[edge] = _edge_check(
-                edge, z, z_dual, index(edge[0]), index(edge[1]), search,
-                known)
-            if result.passed:
-                failing.discard(edge)
-            else:
-                failing.add(edge)
+    edges = dict.fromkeys((v, x) if v < x else (x, v)
+                          for v in touched for x in g.neighbors(v))
+    for edge in edges:
+        i, j = index(edge[0]), index(edge[1])
+        result = known.get((edge, not z_dual[i] or not z_dual[j]))
+        if result is None:
+            result = _edge_check(edge, z, z_dual, i, j, search, known)
+        checks[edge] = result
+        if result.passed:
+            failing.discard(edge)
+        else:
+            failing.add(edge)
 
 
 def run_pipeline(g, h1, *, max_blowups=MAX_BLOWUPS, allow_non_minimal=False):

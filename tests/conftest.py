@@ -8,7 +8,9 @@ from math import gcd, lcm, prod
 import pytest
 from hypothesis import assume, settings, strategies as st
 
-from splicemult import GraphHistory, InputError, ResolutionGraph
+from splicemult import (GraphHistory, InputError, InternalError,
+                        ResolutionGraph)
+from splicemult.linalg import _hermite_reduce, _replay, _xgcd, identity_matrix
 
 # Property tests draw the same examples on every run.
 settings.register_profile("deterministic", derandomize=True, database=None,
@@ -535,6 +537,152 @@ def laufer_z_min(g):
     zz = sum(z[v] * dot_vertex(v) for v in g.vertex_ids)
     kz = sum(z[v] * (-g.weight(v) - 2) for v in g.vertex_ids)
     return z, zz, 1 + (zz + kz) // 2
+
+
+# --- dense references for the Smith and Hermite forms ---------------------------
+
+
+def mat_mul(a, b):
+    cols = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in cols]
+            for row in a]
+
+
+def matrices_equal(a, b):
+    return len(a) == len(b) and all(
+        len(ra) == len(rb) and all(x == y for x, y in zip(ra, rb))
+        for ra, rb in zip(a, b))
+
+
+def _row_pair_tracked(m, u, i1, i2, j):
+    """Rows i1, i2 of m and u times a unimodular 2x2 matrix, so that
+    m[i2][j] becomes 0."""
+    a, b = m[i1][j], m[i2][j]
+    if b == 0:
+        return
+    if a == 0:
+        m[i1], m[i2] = m[i2], m[i1]
+        u[i1], u[i2] = u[i2], u[i1]
+        return
+    if b % a == 0:
+        q = b // a
+        m[i2] = [s - q * t for s, t in zip(m[i2], m[i1])]
+        u[i2] = [s - q * t for s, t in zip(u[i2], u[i1])]
+        return
+    g, x, y = _xgcd(a, b)
+    p, q = -(b // g), a // g
+    for mat in (m, u):
+        r1, r2 = mat[i1], mat[i2]
+        mat[i1] = [x * s + y * t for s, t in zip(r1, r2)]
+        mat[i2] = [p * s + q * t for s, t in zip(r1, r2)]
+
+
+def _col_pair_tracked(m, v, j1, j2, i):
+    """Columns j1, j2 of m and v times a unimodular 2x2 matrix, so that
+    m[i][j2] becomes 0."""
+    a, b = m[i][j1], m[i][j2]
+    if b == 0:
+        return
+    if a == 0:
+        for row in m + v:
+            row[j1], row[j2] = row[j2], row[j1]
+        return
+    if b % a == 0:
+        q = b // a
+        for row in m + v:
+            row[j2] -= q * row[j1]
+        return
+    g, x, y = _xgcd(a, b)
+    p, q = -(b // g), a // g
+    for row in m + v:
+        s, t = row[j1], row[j2]
+        row[j1] = x * s + y * t
+        row[j2] = p * s + q * t
+
+
+def eager_smith_normal_form(a):
+    """The Smith form with both transforms tracked at every step and
+    checked by U*A*V == S: (U, S, V).  The pivot rule and the operations
+    are linalg.smith_normal_form's, which must give the same triple."""
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    s = [list(row) for row in a]
+    u = identity_matrix(rows)
+    v = identity_matrix(cols)
+    r = min(rows, cols)
+    for t in range(r):
+        pivot = None
+        for i in range(t, rows):
+            for j in range(t, cols):
+                if s[i][j] != 0 and (pivot is None or abs(s[i][j])
+                                     < abs(s[pivot[0]][pivot[1]])):
+                    pivot = (i, j)
+        if pivot is None:
+            break
+        pi, pj = pivot
+        if pi != t:
+            s[t], s[pi] = s[pi], s[t]
+            u[t], u[pi] = u[pi], u[t]
+        if pj != t:
+            for row in s + v:
+                row[t], row[pj] = row[pj], row[t]
+        while True:
+            for i in range(t + 1, rows):
+                _row_pair_tracked(s, u, t, i, t)
+            if all(s[t][j] == 0 for j in range(t + 1, cols)):
+                break
+            for j in range(t + 1, cols):
+                _col_pair_tracked(s, v, t, j, t)
+            if all(s[i][t] == 0 for i in range(t + 1, rows)):
+                break
+    for t in range(r):
+        if s[t][t] < 0:
+            s[t] = [-x for x in s[t]]
+            u[t] = [-x for x in u[t]]
+    changed = True
+    while changed:
+        changed = False
+        for t in range(r - 1):
+            dt, dn = s[t][t], s[t + 1][t + 1]
+            if dt == 0 or dn % dt == 0:
+                continue
+            changed = True
+            for row in s + v:
+                row[t] += row[t + 1]
+            while True:
+                _row_pair_tracked(s, u, t, t + 1, t)
+                if s[t][t + 1] == 0:
+                    break
+                _col_pair_tracked(s, v, t, t + 1, t)
+                if s[t + 1][t] == 0:
+                    break
+            for k in (t, t + 1):
+                if s[k][k] < 0:
+                    s[k] = [-x for x in s[k]]
+                    u[k] = [-x for x in u[k]]
+    assert matrices_equal(mat_mul(mat_mul(u, a), v), s)
+    return u, s, v
+
+
+class HnfResult:
+    """Row Hermite decomposition U*A = H with U unimodular, H in canonical
+    form: positive pivots, entries above each pivot reduced into [0, pivot)."""
+
+    def __init__(self, U, H):
+        self.U = U
+        self.H = H
+
+
+def hermite_normal_form(a):
+    """Canonical row Hermite normal form of a full-row-rank integer matrix,
+    from linalg._hermite_reduce, checked by U*A == H.  Raises
+    InternalError when the rows are dependent over the rationals."""
+    h, rank, log = _hermite_reduce(a)
+    if rank < len(a):
+        raise InternalError("matrix does not have full row rank")
+    u = _replay(log, len(a))
+    assert matrices_equal(mat_mul(u, a), h)
+    return HnfResult(U=u, H=h)
 
 
 # --- Fraction references for the integer front end -------------------------------

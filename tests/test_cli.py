@@ -464,13 +464,82 @@ def test_invalid_blowup_is_exit_4(files, capsys, monkeypatch):
 
 
 def test_internal_failure_is_exit_4(files, capsys, monkeypatch):
+    """A wrong invariant factor is an internal error on every command that
+    builds H: Z/12 in place of Z/2 x Z/6 keeps |H| = 12, but the largest
+    factor is not 6, the exponent of H read off the dual basis."""
+    from splicemult.linalg import SnfResult
+
+    original = SnfResult.diagonal
+
+    def merged(self):
+        diag = original(self)
+        diag[-2:] = [1, diag[-2] * diag[-1]]
+        return diag
+
+    monkeypatch.setattr(SnfResult, "diagonal", merged)
+    for argv in (["mult", files["h12"], "--uac"],
+                 ["invariants", files["h12"]], ["table", files["h12"]]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (4, "")
+        assert err == ("internal error: Smith normal form check d_r == "
+                       "exponent of H failed: d_r = 12, "
+                       "|H| / gcd(|H|, num) = 6\n")
+
+
+@pytest.mark.parametrize("wrong, check", [
+    ("slot row", "U_j * (-I) == 0 mod d_j failed: j = 0, d_j = 2, "
+                 "column E5"),
+    ("representative", "U_j * rep_k == delta_jk mod d_j failed: j = 0, "
+                       "k = 0, d_j = 2"),
+], ids=["slot_row", "representative"])
+def test_wrong_smith_coordinates_are_exit_4(files, capsys, monkeypatch,
+                                            wrong, check):
+    """The coordinates are certified when first built: a slot row of U
+    plus E_1 no longer kills -I (E_1 . E_5 = 1 is odd), and a doubled
+    representative projects onto 2 = 0, not 1, mod d_1 = 2."""
+    import splicemult.lattice as lattice
+
+    original = lattice._smith_coordinates
+
+    def tampered(group):
+        rows, reps = original(group)
+        if wrong == "slot row":
+            rows = ((rows[0][0] + 1,) + rows[0][1:],) + rows[1:]
+        else:
+            reps = (tuple(2 * x for x in reps[0]),) + reps[1:]
+        return rows, reps
+
+    monkeypatch.setattr(lattice, "_smith_coordinates", tampered)
+    for argv in (["table", files["h12"]],
+                 ["mult", files["h12"], "--quotient"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (4, "")
+        assert err == f"internal error: Smith normal form check {check}\n"
+
+
+def test_only_coordinate_commands_rebuild_smith_transforms(files, capsys,
+                                                          monkeypatch):
+    """invariants, validate and mult --uac read only the invariant
+    factors, so U and V are never rebuilt from the Smith form's log;
+    table and mult --quotient read the coordinates, which rebuild both."""
     import splicemult.linalg as linalg
 
-    monkeypatch.setattr(linalg, "matrices_equal", lambda a, b: False)
-    code, out, err = run(capsys, "mult", files["h12"], "--uac")
-    assert code == 4
-    assert out == ""
-    assert err.startswith("internal error: Smith normal form check")
+    original = linalg._replay
+    replays = []
+
+    def counted(log, size):
+        replays.append(size)
+        return original(log, size)
+
+    monkeypatch.setattr(linalg, "_replay", counted)
+    for argv, expected in ((["invariants"], 0), (["invariants", "--json"], 0),
+                           (["validate"], 0), (["mult", "--uac"], 0),
+                           (["mult", "--uac", "--json"], 0),
+                           (["mult", "--quotient"], 2), (["table"], 2)):
+        replays.clear()
+        code, _, err = run(capsys, argv[0], files["h60"], *argv[1:])
+        assert (code, err) == (0, "")
+        assert replays == [10] * expected, argv
 
 
 def test_wrong_branch_determinant_is_exit_4(files, capsys, monkeypatch):

@@ -29,7 +29,7 @@ from splicemult.linalg import (
     determinant,
     identity_matrix,
     invert_rational_matrix,
-    mat_mul,
+    smith_normal_form,
 )
 
 from conftest import (
@@ -38,8 +38,10 @@ from conftest import (
     closure,
     dot_vertex,
     draw_blowups,
+    eager_smith_normal_form,
     intersect,
     invert_by_fractions,
+    mat_mul,
     multi_node_trees,
     perp_member,
     pulled_back,
@@ -121,6 +123,18 @@ def test_tree_solve_equals_bareiss(history):
     for g in graphs:
         num, den = invert_rational_matrix(_negated(g))
         assert _tree_solve(g) == ([tuple(row) for row in num], den)
+
+
+@given(st.one_of(blowup_histories(), chain_armed_star_histories(),
+                 multi_node_histories()))
+def test_snf_of_every_history_graph_equals_eager(history):
+    """On -I of every graph a history passes through, the Smith form
+    rebuilt from its log is the eager one, U, S and V alike."""
+    graphs = [history.initial] + [history.graph_after(k)
+                                  for k in range(len(history.events))]
+    for g in graphs:
+        res = smith_normal_form(_negated(g))
+        assert (res.U, res.S, res.V) == eager_smith_normal_form(_negated(g))
 
 
 @given(blowup_histories())

@@ -10,12 +10,9 @@ from hypothesis import given, strategies as st
 from splicemult.errors import InternalError
 from splicemult.linalg import (
     determinant,
-    hermite_normal_form,
     identity_matrix,
     invert_rational_matrix,
     is_negative_definite,
-    mat_mul,
-    matrices_equal,
     smith_normal_form,
 )
 
@@ -23,7 +20,11 @@ from conftest import (
     H12_DUAL_ROWS,
     H12_WEIGHTS,
     TWO_NODE_EDGES,
+    eager_smith_normal_form,
+    hermite_normal_form,
     invert_by_fractions,
+    mat_mul,
+    matrices_equal,
 )
 
 
@@ -188,6 +189,25 @@ def test_snf_random_matrices_against_minor_oracle():
         for k, d in enumerate(diag, start=1):
             prod *= d
             assert prod == _minor_gcd_oracle(a, k)
+
+
+@st.composite
+def _rectangular_matrices(draw):
+    """Integer matrices of 1-6 rows and columns, dense or mostly zero."""
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    entry = st.integers(-12, 12)
+    if draw(st.booleans()):
+        entry = st.one_of(st.just(0), st.just(0), entry)
+    return [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+
+
+@given(_rectangular_matrices())
+def test_snf_log_replays_to_the_eager_transforms(a):
+    """Eliminating on S alone and rebuilding U and V from the operation
+    log gives exactly the triple of the elimination that tracks both
+    transforms at every step."""
+    res = smith_normal_form(a)
+    assert (res.U, res.S, res.V) == eager_smith_normal_form(a)
 
 
 # --- Hermite normal form ---------------------------------------------------------

@@ -534,6 +534,28 @@ def test_edge_check_is_made_again_when_its_flag_changes():
     assert_resolved(report, h1)
 
 
+def test_no_edge_is_searched_for_a_known_result(monkeypatch, tree_h60):
+    """A recheck takes a kept (edge, Z.E = 0 flag) result from `known`
+    and visits an edge between two touched vertices once: over the 24
+    blowups of star(-1; -3,-4,-5,-7) and the three edge blowups of the
+    |H| = 60 graph's cover, every _edge_check call is for a key not yet
+    kept."""
+    import splicemult.pipeline as pipeline
+
+    original = pipeline._edge_check
+    repeats = []
+
+    def watched(edge, z, z_dual, i, j, search, known):
+        if (edge, not z_dual[i] or not z_dual[j]) in known:
+            repeats.append(edge)
+        return original(edge, z, z_dual, i, j, search, known)
+
+    monkeypatch.setattr(pipeline, "_edge_check", watched)
+    assert _uac(star(-1, [-3, -4, -5, -7])).multiplicity == 12
+    assert len(_uac(tree_h60).history.events) == 3
+    assert repeats == []
+
+
 # --- guards -----------------------------------------------------------------------
 
 
