@@ -19,7 +19,6 @@ from .graph import (
     graph_from_dict,
     is_minimal,
     parse_and_validate,
-    pullback_vertex_cycle,
 )
 from .lattice import (
     DiscriminantGroup,

@@ -474,27 +474,3 @@ class GraphHistory:
         self._events.append(event)
         self._end_map[label] = event.new_vertex
         return event
-
-    def event_index(self, event):
-        for k, e in enumerate(self._events):
-            if e is event:
-                return k
-        raise InternalError("event does not belong to this history")
-
-
-def pullback_vertex_cycle(history, event, cycle):
-    """Total transform of a cycle through one blowup event.
-
-    Old coefficients are kept; the new vertex receives the multiplicity of
-    the cycle at the blown-up point, i.e. the sum of the coefficients at the
-    one or two vertices through that point.
-    """
-    from .lattice import QCycle
-
-    k = history.event_index(event)
-    pre, post = history.graph_before(k), history.graph_after(k)
-    if cycle.graph != pre:
-        raise InternalError("cycle is not indexed by the pre-event graph")
-    coeffs = {v: cycle.coefficient(v) for v in pre.vertex_ids}
-    coeffs[event.new_vertex] = sum(cycle.coefficient(v) for v in event.center)
-    return QCycle.from_coefficients(post, coeffs)

@@ -45,14 +45,6 @@ class QCycle:
     def zero(cls, graph):
         return cls(graph, (0,) * len(graph))
 
-    @classmethod
-    def from_coefficients(cls, graph, mapping):
-        """Build from a map vertex id -> coefficient (missing ids mean 0)."""
-        for v in mapping:
-            if v not in graph:
-                raise InternalError(f"vertex {v} is not in the graph")
-        return cls(graph, [mapping.get(v, 0) for v in graph.vertex_ids])
-
     def coefficient(self, v):
         """M_v(D): the coefficient of E_v in this cycle."""
         return self.coeffs[self.graph.index(v)]

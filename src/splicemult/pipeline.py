@@ -185,8 +185,9 @@ def _dual_at(g, z, v):
 
 
 def check_gcd_condition(g, z, z_dual, search, known=None):
-    """Edge-by-edge gcd check.  z and z_dual hold |H| * Z_v and
-    |H| * (-Z.E_v) in vertex order, and search is the run's ZeroSumSearch.
+    """Edge-by-edge gcd check over every edge of g, in g.edges order.  z
+    and z_dual hold |H| * Z_v and |H| * (-Z.E_v) in vertex order, and
+    search is the run's ZeroSumSearch.
 
     An edge (v, w) passes when the lexicographically least (M_v, M_w) over
     the monoid is (M_v(Z), M_w(Z)): one member, a generator, attains both
@@ -196,35 +197,33 @@ def check_gcd_condition(g, z, z_dual, search, known=None):
     answers are cross-checked by the test suite).
 
     `known` maps (edge, pruned_by_zero) to the result of an earlier round
-    of the same run and is filled in here.  Vertex ids persist through
-    blowups, and an old vertex keeps its minima (see ZeroSumSearch), so a
-    result depends only on its edge and that flag.
+    of the same run and is filled in here; the loop checks every edge in
+    every round, and `known` answers each edge that a blowup did not
+    change.  Vertex ids persist through blowups, and an old vertex keeps
+    its minima (see ZeroSumSearch), so a result depends only on its edge
+    and that flag.
     """
     if known is None:
         known = {}
     index = g.index
-    return [_edge_check(edge, z, z_dual, index(edge[0]), index(edge[1]),
-                        search, known)
-            for edge in g.edges]
-
-
-def _edge_check(edge, z, z_dual, i, j, search, known):
-    """The check of one edge, whose vertices sit at positions i and j of
-    z and z_dual (see check_gcd_condition)."""
-    key = (edge, not z_dual[i] or not z_dual[j])
-    result = known.get(key)
-    if result is None:
+    results = []
+    for edge in g.edges:
         v, w = edge
-        (mv, mw), exps = search.least(edge)
-        if mv != z[i]:
-            raise InternalError(
-                f"edge search at ({v}, {w}) found |H| * M_{v} = {mv}, "
-                f"but |H| * Z_{v} = {z[i]}")
-        witness = monomial_string(exps) if mw == z[j] else None
-        result = known[key] = EdgeCheckResult(
-            edge=edge, passed=witness is not None or key[1],
-            witness=witness, pruned_by_zero=key[1])
-    return result
+        i, j = index(v), index(w)
+        key = (edge, not z_dual[i] or not z_dual[j])
+        result = known.get(key)
+        if result is None:
+            (mv, mw), exps = search.least(edge)
+            if mv != z[i]:
+                raise InternalError(
+                    f"edge search at ({v}, {w}) found |H| * M_{v} = {mv}, "
+                    f"but |H| * Z_{v} = {z[i]}")
+            witness = monomial_string(exps) if mw == z[j] else None
+            result = known[key] = EdgeCheckResult(
+                edge=edge, passed=witness is not None or key[1],
+                witness=witness, pruned_by_zero=key[1])
+        results.append(result)
+    return results
 
 
 def _end_decisions(history, z, search, decided):
@@ -262,51 +261,27 @@ def _end_decisions(history, z, search, decided):
     return tuple(decisions), None
 
 
-def _recheck_edges(g, z, z_dual, search, known, touched, checks, failing):
-    """Check again every edge of g at a vertex in `touched`, updating the
-    map `checks` from edge to result and the set of `failing` edges.
-
-    The edges are collected once, so an edge between two touched vertices
-    is checked once, and an edge whose (edge, Z.E = 0 flag) result is in
-    `known` takes it from there (see check_gcd_condition)."""
-    index = g.index
-    edges = dict.fromkeys((v, x) if v < x else (x, v)
-                          for v in touched for x in g.neighbors(v))
-    for edge in edges:
-        i, j = index(edge[0]), index(edge[1])
-        result = known.get((edge, not z_dual[i] or not z_dual[j]))
-        if result is None:
-            result = _edge_check(edge, z, z_dual, i, j, search, known)
-        checks[edge] = result
-        if result.passed:
-            failing.discard(edge)
-        else:
-            failing.add(edge)
-
-
 def run_pipeline(g, h1, *, max_blowups=MAX_BLOWUPS, allow_non_minimal=False):
     """Full multiplicity computation for the cover attached to H1.
 
     Rounds: Z on the current graph, then the end tests, then the edge
     checks.  A round ends with a blowup at the first end that has no
-    witness and is a base point, else at the lexicographically least
-    failing edge, and the next round starts; it ends without one once
+    witness and is a base point, else at the lexicographically least edge
+    whose check fails, and the next round starts; it ends without one once
     every end has a witness or is not a base point and every edge passes.
     Terminates with multiplicity = |H/H1| * (-Z.Z), always a positive
     integer.
 
-    Only the first round works on the whole graph.  After that a round
-    costs what its blowup changed, by the pullback identities of
-    ZeroSumSearch: vertex ids persist, and an old vertex keeps its row of
-    end weights, its Z_v and every search result.  So one search serves
-    every round and is carried by rows, with no dual basis past the
-    input's; Z gains one entry, Z_u for the new vertex u, and Z.E_v
-    changes only on the centre and u; an edge is checked again only when
-    it touches a vertex whose Z.E_v changed or that is new since the last
-    edge check (collected across rounds that blow up an end, which run no
-    edge check); and each end decision is made once per (end, vertex).
-    An edge blowup moves no end, so every end settled before it stays
-    settled: all end blowups come before the first edge check.
+    Each round asks every end and, unless it blows up an end, every edge;
+    the run's caches `decided` (end decisions) and `known` (edge checks)
+    answer whatever a blowup did not change.  They are valid by the
+    pullback identities of ZeroSumSearch: vertex ids persist, and an old
+    vertex keeps its row of end weights, its Z_v and its minima.  So one
+    search serves every round and is carried by rows, with no dual basis
+    past the input's; Z gains one entry, Z_u for the new vertex u, and
+    Z.E_v changes only on the centre and u; and only an end at a new
+    vertex, or an edge that is new or whose Z.E = 0 flag changed, is
+    searched again.
     """
     if max_blowups <= 0:
         raise InputError(f"max_blowups must be positive, got {max_blowups}")
@@ -325,9 +300,6 @@ def run_pipeline(g, h1, *, max_blowups=MAX_BLOWUPS, allow_non_minimal=False):
     z_dual = list(_dual_numerators(g, z))
     decided = {}  # _end_decisions' results, kept across rounds
     known = {}  # check_gcd_condition's results, kept across rounds
-    checks = None  # edge -> result at the last edge check, None before it
-    failing = set()  # the edges that failed there
-    touched = set()  # vertices new or with a new Z.E_v since then
     rounds = []
     while True:
         current = history.current
@@ -337,22 +309,12 @@ def run_pipeline(g, h1, *, max_blowups=MAX_BLOWUPS, allow_non_minimal=False):
         record.end_decisions, record.blowup = _end_decisions(
             history, z, search, decided)
         if record.blowup is None:
-            if checks is None:
-                results = check_gcd_condition(current, z, z_dual, search,
-                                              known)
-                checks = dict(zip(current.edges, results))
-                failing = {c.edge for c in results if not c.passed}
-            else:
-                _recheck_edges(current, z, z_dual, search, known, touched,
-                               checks, failing)
-            touched.clear()
-            record.edge_checks = tuple(map(checks.__getitem__,
-                                           current.edges))
-            if not failing:
+            record.edge_checks = tuple(check_gcd_condition(
+                current, z, z_dual, search, known))
+            edge = next((c.edge for c in record.edge_checks
+                         if not c.passed), None)
+            if edge is None:
                 break
-            edge = min(failing)
-            failing.remove(edge)
-            del checks[edge]
             record.blowup = history.blowup_edge(*edge)
         if len(history.events) > max_blowups:
             raise CapExceededError(
@@ -366,7 +328,6 @@ def run_pipeline(g, h1, *, max_blowups=MAX_BLOWUPS, allow_non_minimal=False):
         z_dual.insert(at, 0)
         for v in (*event.center, u):
             z_dual[blown.index(v)] = _dual_at(blown, z, v)
-        touched.update(event.center, (u,))
 
     # |H|^2 * Z.Z = -sum_v (|H| * Z_v) * (|H| * (-Z.E_v))
     zz_num = -sum(map(mul, record.z_num, record.z_dual_num))

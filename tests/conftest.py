@@ -229,6 +229,25 @@ def to_dual_coordinates(d):
     return tuple(-x for x in _apply_form(d.graph, d.coeffs))
 
 
+def pullback_vertex_cycle(history, event, cycle):
+    """Total transform of a cycle through one blowup event: the reference
+    for the pullback identities that the loop carries.
+
+    Old coefficients are kept; the new vertex receives the multiplicity of
+    the cycle at the blown-up point, i.e. the sum of the coefficients at the
+    one or two vertices through that point.
+    """
+    from splicemult import QCycle
+
+    k = history.events.index(event)
+    pre, post = history.graph_before(k), history.graph_after(k)
+    if cycle.graph != pre:
+        raise InternalError("cycle is not indexed by the pre-event graph")
+    at_new = sum(cycle.coefficient(v) for v in event.center)
+    return QCycle(post, [at_new if v == event.new_vertex
+                         else cycle.coefficient(v) for v in post.vertex_ids])
+
+
 def pulled_back(history, event, basis):
     """The dual basis of the graph after `event`, from the one before it:
     the reference for the rows that ZeroSumSearch carries.
@@ -242,7 +261,7 @@ def pulled_back(history, event, basis):
     """
     from splicemult import DualBasis, InternalError
 
-    k = history.event_index(event)
+    k = history.events.index(event)
     pre, post = history.graph_before(k), history.graph_after(k)
     if basis.graph != pre:
         raise InternalError("basis is not indexed by the pre-event graph")

@@ -22,7 +22,6 @@ from splicemult import (
     hilbert_basis,
     multiplicity_of_quotient,
     neumann_wahl_system,
-    pullback_vertex_cycle,
     run_pipeline,
     subgroup,
     trivial_subgroup,
@@ -38,6 +37,7 @@ from conftest import (
     end_map_after,
     hilbert_oracle,
     intersect,
+    pullback_vertex_cycle,
     random_trees,
     to_dual_coordinates,
 )

@@ -17,12 +17,12 @@ from splicemult import (
     dual_cycles,
     is_minimal,
     parse_and_validate,
-    pullback_vertex_cycle,
 )
 from splicemult.errors import InputError, InternalError
 from splicemult.linalg import is_negative_definite
 
-from conftest import blowup_histories, graph_json, intersect, random_trees
+from conftest import (blowup_histories, graph_json, intersect,
+                      pullback_vertex_cycle, random_trees)
 
 
 # --- parsing and validation -----------------------------------------------------

@@ -8,7 +8,7 @@ from operator import mul
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from splicemult import (
     DualBasis,
@@ -21,7 +21,6 @@ from splicemult import (
     full_subgroup,
     hilbert_basis,
     multiplicity_of_quotient,
-    pullback_vertex_cycle,
     run_pipeline,
     subgroup,
     trivial_subgroup,
@@ -43,6 +42,7 @@ from conftest import (
     end_map_after,
     intersect,
     laufer_z_min,
+    pullback_vertex_cycle,
     replace_everywhere,
     round_end_map,
     star,
@@ -490,8 +490,17 @@ def _end_decisions_from_scratch(g, end_map, z, search, base):
     return decisions
 
 
+_STAR_3457 = star(-1, [-3, -4, -5, -7])
+_CHAIN_336 = ResolutionGraph({1: -3, 2: -3, 3: -6}, [(1, 2), (1, 3)])
+
+
 @settings(max_examples=40)
 @given(blown_up_trees_and_subgroups())
+# the UAC of Brieskorn V(3,4,5,7): 25 rounds with edge checks
+@example((_STAR_3457, trivial_subgroup(discriminant_group(_STAR_3457))))
+# edge (1, 3) is checked again after its Z.E = 0 flag flips
+@example((_CHAIN_336,
+          subgroup([[-3, 3, 2]], discriminant_group(_CHAIN_336))))
 def test_rounds_in_integers_match_the_rational_form(case):
     """Every round's integer Z.E and Z.Z equal the Fraction form applied
     to the round's Z, and its carried Z, end decisions and edge checks
@@ -525,35 +534,27 @@ def test_edge_check_is_made_again_when_its_flag_changes():
     order 9, the blowup of the edge (1, 2) makes Z.E_1 = 0: the edge
     (1, 3), which passed by a witness in round 1, is checked again and is
     now also pruned by zero."""
-    g = ResolutionGraph({1: -3, 2: -3, 3: -6}, [(1, 2), (1, 3)])
-    h1 = subgroup([[-3, 3, 2]], discriminant_group(g))
-    report = run_pipeline(g, h1)
+    h1 = subgroup([[-3, 3, 2]], discriminant_group(_CHAIN_336))
+    report = run_pipeline(_CHAIN_336, h1)
     assert [[(c.passed, c.pruned_by_zero) for c in rnd.edge_checks
              if c.edge == (1, 3)] for rnd in report.rounds] == [
         [(True, False)], [(True, True)], [(True, True)]]
     assert_resolved(report, h1)
 
 
-def test_no_edge_is_searched_for_a_known_result(monkeypatch, tree_h60):
-    """A recheck takes a kept (edge, Z.E = 0 flag) result from `known`
-    and visits an edge between two touched vertices once: over the 24
+def test_no_edge_is_searched_for_a_known_result(tree_h60):
+    """Every round checks every edge against the run's cache `known`, so
+    each (edge, Z.E = 0 flag) result is built once per run: over the 24
     blowups of star(-1; -3,-4,-5,-7) and the three edge blowups of the
-    |H| = 60 graph's cover, every _edge_check call is for a key not yet
-    kept."""
-    import splicemult.pipeline as pipeline
-
-    original = pipeline._edge_check
-    repeats = []
-
-    def watched(edge, z, z_dual, i, j, search, known):
-        if (edge, not z_dual[i] or not z_dual[j]) in known:
-            repeats.append(edge)
-        return original(edge, z, z_dual, i, j, search, known)
-
-    monkeypatch.setattr(pipeline, "_edge_check", watched)
-    assert _uac(star(-1, [-3, -4, -5, -7])).multiplicity == 12
-    assert len(_uac(tree_h60).history.events) == 3
-    assert repeats == []
+    |H| = 60 graph's cover, the rounds' edge checks hold one result object
+    per (edge, pruned_by_zero) pair."""
+    for g, blowups, multiplicity in ((_STAR_3457, 24, 12), (tree_h60, 3, 6)):
+        report = _uac(g)
+        assert (len(report.history.events), report.multiplicity) == (
+            blowups, multiplicity)
+        checks = [c for rnd in report.rounds for c in rnd.edge_checks]
+        assert len(set(map(id, checks))) == len(
+            {(c.edge, c.pruned_by_zero) for c in checks})
 
 
 # --- guards -----------------------------------------------------------------------
