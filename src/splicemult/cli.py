@@ -2,9 +2,13 @@
 
 Five subcommands: validate, invariants, mult, table, splice-eqs.  Output is
 fully deterministic; rationals are printed as exact "p/q" strings, never as
-floats.  Exit codes: 0 success, 1 input/validation problem, 2 mathematical
-precondition failure, 3 resource cap hit, 4 internal error (a bug).  Each
-error family in errors.py carries its own code.
+floats.  `--json` output is byte for byte what json.dumps(..., indent=2,
+sort_keys=True) prints: `mult --json` is written straight from the
+report's integer rounds (_emit_report), the other documents by a generic
+emitter (_emit_json).  Exit codes: 0 success, 1 input/validation
+problem, 2 mathematical precondition failure, 3 resource cap hit, 4
+internal error (a bug).  Each error family in errors.py carries its own
+code.
 """
 
 import argparse
@@ -12,6 +16,7 @@ import functools
 import json
 import sys
 from json.encoder import encode_basestring_ascii as _encode_str
+from operator import add
 
 from .errors import ConditionError, InputError, InternalError, SpliceMultError
 from .graph import is_minimal, parse_and_validate
@@ -39,51 +44,17 @@ EXIT_OK = 0
 def _emit_json(obj):
     """Print obj as print(json.dumps(obj, indent=2, sort_keys=True)) does,
     byte for byte.  With `indent` set the standard library falls back to
-    its pure-Python encoder; this one joins each container's items once
-    and escapes strings with the C `encode_basestring_ascii`.  The top two
-    levels are written item by item, so no copy of the whole document is
-    held (a `--json` report grows with rounds x vertices).  One memo of
-    container texts lives for the call (see _json_text): a report places
-    the same dict at many positions, and its text is joined once per
-    indentation."""
-    write = sys.stdout.write
-    for piece in _json_pieces(obj, "\n", 2, {}):
-        write(piece)
-    write("\n")
+    its pure-Python encoder; _json_text joins each container's items once
+    and escapes strings with the C `encode_basestring_ascii`."""
+    sys.stdout.write(_json_text(obj, "\n") + "\n")
 
 
-def _json_pieces(obj, newline, levels, memo):
-    """The text of obj in pieces: the items of its top `levels` levels of
-    containers one by one, everything below them joined by _json_text."""
-    if not levels or not obj or type(obj) not in (dict, list, tuple):
-        yield _json_text(obj, newline, memo)
-        return
-    inner = newline + "  "
-    if type(obj) is dict:
-        items = ((_encode_str(k) + ": ", v) for k, v in sorted(obj.items()))
-        sep, close = "{" + inner, newline + "}"
-    else:
-        items = (("", v) for v in obj)
-        sep, close = "[" + inner, newline + "]"
-    for prefix, value in items:
-        yield sep + prefix
-        yield from _json_pieces(value, inner, levels - 1, memo)
-        sep = "," + inner
-    yield close
-
-
-def _json_text(obj, newline, memo=None):
+def _json_text(obj, newline):
     """json.dumps(obj, indent=2, sort_keys=True) for the documents the
     commands print, built from exact dicts with str keys, lists, tuples,
     str, int, bool and None.  `newline` is the line break plus the
     indentation of obj's level.  A str item is escaped where it stands,
-    without a recursive call.
-
-    `memo` maps (id, newline) of each nonempty container written so far
-    to its text, so a container placed at several positions of the same
-    depth is joined once; a fresh one when omitted.  Ids are not reused
-    while the document holds every container, so a memo must not outlive
-    the document's writing, and an edit between two writings is seen."""
+    without a recursive call."""
     t = type(obj)
     if t is str:
         return _encode_str(obj)
@@ -92,25 +63,15 @@ def _json_text(obj, newline, memo=None):
     if t is dict or t is list or t is tuple:
         if not obj:
             return "{}" if t is dict else "[]"
-        if memo is None:
-            memo = {}
-        key = (id(obj), newline)
-        text = memo.get(key)
-        if text is not None:
-            return text
         inner = newline + "  "
         if t is dict:
-            text = "{" + inner + ("," + inner).join([
+            return "{" + inner + ("," + inner).join([
                 _encode_str(k) + ": " + (_encode_str(v) if type(v) is str
-                                         else _json_text(v, inner, memo))
+                                         else _json_text(v, inner))
                 for k, v in sorted(obj.items())]) + newline + "}"
-        else:
-            text = "[" + inner + ("," + inner).join([
-                _encode_str(v) if type(v) is str
-                else _json_text(v, inner, memo)
-                for v in obj]) + newline + "]"
-        memo[key] = text
-        return text
+        return "[" + inner + ("," + inner).join([
+            _encode_str(v) if type(v) is str else _json_text(v, inner)
+            for v in obj]) + newline + "]"
     if obj is None:
         return "null"
     if obj is True:
@@ -118,6 +79,83 @@ def _json_text(obj, newline, memo=None):
     if obj is False:
         return "false"
     raise InternalError(f"cannot write a {t.__name__} as JSON")
+
+
+def _emit_report(report):
+    """Print a PipelineReport as `mult --json` does: the text
+    json.dumps(form, indent=2, sort_keys=True) gives for its JSON form,
+    written from the integer rounds with no dict of the form built.
+
+    The form has the report's scalars, `rounds`, `Z_final` (the last
+    round's Z maps) and `trace` (the blowups).  A round has its Z maps
+    `Z_vertex` and `Z_dual`, vertex id string -> "p/q" string, and its
+    `blowup`, `edge_checks` and `end_decisions`; a record (BlowupEvent,
+    EdgeCheckResult, EndDecision) is the dict of its fields,
+    vars(record).  A Z map is sorted as text, as sort_keys sorts it, so
+    "10" precedes "2".  A record that recurs from round to round is one
+    object (see run_pipeline), and its text is joined once; a blowup is
+    written in its round and in `trace`, at two depths.  A round is
+    written map by map and list by list, so no text of a whole round or
+    of the document is joined: the document grows with rounds x
+    vertices."""
+    write = sys.stdout.write
+    n2, n4, n6, n8 = ("\n" + " " * k for k in (2, 4, 6, 8))  # indentation
+    value = _FractionText(report.order, quote='"')
+    final = report.rounds[-1]
+
+    def keys(newline):  # every round's vertices are the final graph's
+        return {v: f'{newline}"{v}": ' for v in final.graph.vertex_ids}
+
+    def z_map(key, graph, nums, newline):
+        # a key text ends in '"', which sorts before any character of an
+        # id, so the entries sort as their ids' strings do
+        return "{" + ",".join(sorted(map(
+            add, map(key.__getitem__, graph.vertex_ids),
+            map(value.__getitem__, nums)))) + newline + "}"
+
+    record_texts = {}  # id(record) -> its text in a round's list
+
+    def records(items):
+        if not items:
+            return "[]"
+        out = []
+        for record in items:
+            text = record_texts.get(id(record))
+            if text is None:
+                text = record_texts[id(record)] = (
+                    n8 + _json_text(vars(record), n8))
+            out.append(text)
+        return "[" + ",".join(out) + n6 + "]"
+
+    key = keys(n6)
+    write(f'{{{n2}"H1_order": {report.h1_order},'
+          f'{n2}"H_invariant_factors": '
+          f'{_json_text(report.invariant_factors, n2)},'
+          f'{n2}"ZZ": "{report.zz!s}",'
+          f'{n2}"Z_final": {{{n4}"dual": '
+          f'{z_map(key, final.graph, final.z_dual_num, n4)},'
+          f'{n4}"vertex": {z_map(key, final.graph, final.z_num, n4)}{n2}}},'
+          f'{n2}"det": {report.det},{n2}"index": {report.index},'
+          f'{n2}"input_minimal": {_json_text(report.input_minimal, n2)},'
+          f'{n2}"multiplicity": {report.multiplicity},{n2}"rounds": [')
+    key = keys(n8)
+    sep = n4
+    for rnd in report.rounds:
+        g = rnd.graph
+        blowup = ("null" if rnd.blowup is None
+                  else _json_text(vars(rnd.blowup), n6))
+        write(f'{sep}{{{n6}"Z_dual": ')
+        write(z_map(key, g, rnd.z_dual_num, n6))
+        write(f',{n6}"Z_vertex": ')
+        write(z_map(key, g, rnd.z_num, n6))
+        write(f',{n6}"blowup": {blowup},{n6}"edge_checks": ')
+        write(records(rnd.edge_checks))
+        write(f',{n6}"end_decisions": ')
+        write(records(rnd.end_decisions))
+        write(n4 + "}")
+        sep = "," + n4
+    trace = [vars(event) for event in report.history.events]
+    write(f'{n2}],{n2}"trace": {_json_text(trace, n2)}\n}}\n')
 
 
 def _load_graph(path):
@@ -234,7 +272,7 @@ def cmd_mult(args):
     result = run_pipeline(g, h1, max_blowups=args.max_blowups,
                           allow_non_minimal=args.allow_non_minimal)
     if args.json:
-        _emit_json(result.to_dict())
+        _emit_report(result)
         return EXIT_OK
     print(f"|H| = {result.order}  |H1| = {result.h1_order}  "
           f"index |H/H1| = {result.index}")

@@ -307,14 +307,6 @@ class BlowupEvent:
     new_vertex: int
     weight_changes: tuple  # of (vertex, old weight, new weight)
 
-    def to_dict(self):
-        return {
-            "kind": self.kind,
-            "center": list(self.center),
-            "new_vertex": self.new_vertex,
-            "weight_changes": [list(c) for c in self.weight_changes],
-        }
-
 
 def _fresh_id(g):
     """The least positive integer that is not a vertex id.  Sorted, the

@@ -229,14 +229,18 @@ def dual_cycles(g):
 
 
 class _FractionText(dict):
-    """str(Fraction(x, den)) by numerator x, each built on first use."""
+    """str(Fraction(x, den)) by numerator x, with `quote` on both sides,
+    each built on first use.  den is positive."""
 
-    def __init__(self, den):
+    def __init__(self, den, quote=""):
         super().__init__()
         self.den = den
+        self.quote = quote
 
     def __missing__(self, x):
-        out = self[x] = str(Fraction(x, self.den))
+        g = gcd(x, self.den)
+        text = str(x // g) if g == self.den else f"{x // g}/{self.den // g}"
+        out = self[x] = self.quote + text + self.quote
         return out
 
 

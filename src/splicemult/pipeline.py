@@ -16,7 +16,7 @@ from operator import mul
 
 from .errors import CapExceededError, ConditionError, InputError, InternalError
 from .graph import GraphHistory, is_minimal
-from .lattice import QCycle, _FractionText, full_subgroup
+from .lattice import QCycle, full_subgroup
 from .monomial import ZeroSumSearch, is_base_point, monomial_string
 
 MAX_BLOWUPS = 64  # default cap on the blowups of one run
@@ -33,14 +33,6 @@ class EdgeCheckResult:
     witness: object  # monomial string of a witness, or None
     pruned_by_zero: bool
 
-    def to_dict(self):
-        return {
-            "edge": list(self.edge),
-            "passed": self.passed,
-            "witness": self.witness,
-            "pruned_by_zero": self.pruned_by_zero,
-        }
-
 
 @dataclass(frozen=True)
 class EndDecision:
@@ -49,9 +41,6 @@ class EndDecision:
     end: int  # original end index
     action: str  # 'witness' | 'not_base_point' | 'blowup'
     witness: object = None  # monomial string for action == 'witness'
-
-    def to_dict(self):
-        return {"end": self.end, "action": self.action, "witness": self.witness}
 
 
 @dataclass
@@ -78,23 +67,6 @@ class RoundRecord:
     def z_dual(self):
         """Z's dual coordinates (-Z.E_v)_v."""
         return tuple(Fraction(x, self.den) for x in self.z_dual_num)
-
-    def to_dict(self, text=None, shared=None):
-        """The JSON form; `text` is a report's shared numerator-to-string
-        map (see _FractionText) and `shared` its record-to-dict map (see
-        PipelineReport.to_dict), fresh ones when omitted."""
-        if text is None:
-            text = _FractionText(self.den)
-        if shared is None:
-            shared = {}
-        blowup = self.blowup
-        return {
-            "Z_vertex": _json_map(self.graph, self.z_num, text),
-            "Z_dual": _json_map(self.graph, self.z_dual_num, text),
-            "end_decisions": _shared_dicts(self.end_decisions, shared),
-            "edge_checks": _shared_dicts(self.edge_checks, shared),
-            "blowup": _shared_dicts((blowup,), shared)[0] if blowup else None,
-        }
 
 
 @dataclass
@@ -125,51 +97,6 @@ class PipelineReport:
     def base_point_decisions(self):
         """Every round's end decisions, in order."""
         return tuple(d for r in self.rounds for d in r.end_decisions)
-
-    def to_dict(self):
-        """The JSON form.  An end decision or edge check that recurs from
-        round to round (the loop keeps one object for each, see
-        run_pipeline) has one dict object in it, and so do each round's
-        blowup and its entry in `trace`, and the last round's Z maps and
-        `Z_final`: each is built once, and the CLI's emitter joins a
-        shared container's text once per depth (see cli._emit_json).  A
-        caller that edits one of them edits it at every place it
-        appears."""
-        text = _FractionText(self.order)
-        shared = {}
-        rounds = [r.to_dict(text, shared) for r in self.rounds]
-        return {
-            "det": self.det,
-            "H_invariant_factors": list(self.invariant_factors),
-            "H1_order": self.h1_order,
-            "index": self.index,
-            "input_minimal": self.input_minimal,
-            "rounds": rounds,
-            "Z_final": {
-                "vertex": rounds[-1]["Z_vertex"],
-                "dual": rounds[-1]["Z_dual"],
-            },
-            "ZZ": str(self.zz),
-            "multiplicity": self.multiplicity,
-            "trace": _shared_dicts(self.history.events, shared),
-        }
-
-
-def _json_map(graph, nums, text):
-    return dict(zip(map(str, graph.vertex_ids), map(text.__getitem__, nums)))
-
-
-def _shared_dicts(records, shared):
-    """The records' to_dict() forms, one dict per record object, kept in
-    `shared` by the object's id: the report holds every record while its
-    to_dict runs, so no id is reused."""
-    out = []
-    for record in records:
-        form = shared.get(id(record))
-        if form is None:
-            form = shared[id(record)] = record.to_dict()
-        out.append(form)
-    return out
 
 
 def _dual_numerators(g, z):

@@ -1,5 +1,6 @@
 """Shared fixtures: reference graphs and frozen expected values."""
 
+import itertools
 import random
 import sys
 from fractions import Fraction
@@ -167,8 +168,6 @@ def closure(group, nfs):
 def subgroups_oracle(group):
     """Every subgroup of H as an element set, found by closing each known
     subgroup under one more element until nothing new appears."""
-    import itertools
-
     everything = list(itertools.product(*map(range, group.invariant_factors)))
     seen = {closure(group, [])}
     queue = list(seen)
@@ -199,6 +198,56 @@ def graph_json(g):
     import json
 
     return json.dumps(g.to_dict())
+
+
+def relabel(g, f):
+    """g with each vertex id v replaced by f(v)."""
+    return ResolutionGraph({f(v): g.weight(v) for v in g.vertex_ids},
+                           [(f(a), f(b)) for a, b in g.edges])
+
+
+# --- the JSON form of a report (the reference for `mult --json`) -------------
+
+
+def report_dict(report):
+    """The JSON form of a PipelineReport as a tree of dicts and lists:
+    `mult --json` prints json.dumps(report_dict(report), indent=2,
+    sort_keys=True).  A Z map sends each vertex id, as a string, to its
+    coefficient as a "p/q" string."""
+
+    def z_map(rnd, nums):
+        return {str(v): str(Fraction(x, rnd.den))
+                for v, x in zip(rnd.graph.vertex_ids, nums)}
+
+    def blowup(event):
+        return {"kind": event.kind, "center": list(event.center),
+                "new_vertex": event.new_vertex,
+                "weight_changes": [list(c) for c in event.weight_changes]}
+
+    rounds = [{
+        "Z_vertex": z_map(rnd, rnd.z_num),
+        "Z_dual": z_map(rnd, rnd.z_dual_num),
+        "end_decisions": [{"end": d.end, "action": d.action,
+                           "witness": d.witness} for d in rnd.end_decisions],
+        "edge_checks": [{"edge": list(c.edge), "passed": c.passed,
+                         "witness": c.witness,
+                         "pruned_by_zero": c.pruned_by_zero}
+                        for c in rnd.edge_checks],
+        "blowup": None if rnd.blowup is None else blowup(rnd.blowup),
+    } for rnd in report.rounds]
+    return {
+        "det": report.det,
+        "H_invariant_factors": list(report.invariant_factors),
+        "H1_order": report.h1_order,
+        "index": report.index,
+        "input_minimal": report.input_minimal,
+        "rounds": rounds,
+        "Z_final": {"vertex": rounds[-1]["Z_vertex"],
+                    "dual": rounds[-1]["Z_dual"]},
+        "ZZ": str(report.zz),
+        "multiplicity": report.multiplicity,
+        "trace": [blowup(event) for event in report.history.events],
+    }
 
 
 # --- the intersection form on rational cycles (references for the loop) ------
@@ -286,8 +335,6 @@ def hilbert_oracle(g, basis, h1, volume_cap=100_000):
     set of generator exponent vectors, or None when the box would exceed
     volume_cap.
     """
-    import itertools
-
     ends = g.ends
     source = h1.group.graph
     gen_expansions = [
@@ -556,6 +603,101 @@ def laufer_z_min(g):
     zz = sum(z[v] * dot_vertex(v) for v in g.vertex_ids)
     kz = sum(z[v] * (-g.weight(v) - 2) for v in g.vertex_ids)
     return z, zz, 1 + (zz + kz) // 2
+
+
+# --- Pinkham and Demazure (Z on stars, outside the pipeline's algebra) ---------
+
+
+def chain_star(centre, arms):
+    """Star whose vertex 1 of weight `centre` carries one chain per arm,
+    each arm's weights listed from the centre outwards; the ids run 2, 3,
+    ... arm by arm."""
+    weights, edges = {1: centre}, []
+    for arm in arms:
+        previous = 1
+        for w in arm:
+            v = len(weights) + 1
+            weights[v] = w
+            edges.append((previous, v))
+            previous = v
+    return ResolutionGraph(weights, edges)
+
+
+@st.composite
+def chain_armed_stars(draw):
+    """Stars with 3-5 chain arms of 1-3 vertices of weight -7..-2, a centre
+    of weight -4..-1 and |H| <= 2000."""
+    from splicemult import discriminant_group
+
+    arms = draw(st.lists(st.lists(st.integers(-7, -2), min_size=1,
+                                  max_size=3), min_size=3, max_size=5))
+    try:
+        g = chain_star(draw(st.integers(-4, -1)), arms)
+    except InputError:  # not negative definite
+        assume(False)
+    assume(discriminant_group(g).order <= 2000)
+    return g
+
+
+def pinkham_demazure_z(g):
+    """The maximal ideal cycle Z_max of a star with chain arms, as {v:
+    coefficient}, from the graded ring R = sum_k H^0(P^1, O(floor(kD)))
+    (Pinkham 1977, Demazure 1988).
+
+    With centre weight -b and arm i's Seifert invariants alpha_i / beta_i
+    = [b_1, ..., b_s] (read from the centre outwards), R_k != 0 exactly
+    when deg floor(kD) = k*b - sum_i ceil(k*beta_i/alpha_i) >= 0.  A
+    homogeneous f of degree k vanishes to order k on the central curve,
+    and its strict transform meets an arm only at the end curve, so the
+    arm's valuations follow v_{j+1} = b_j v_j - v_{j-1} from v_0 = k, with
+    b_s v_s - v_{s-1} >= 0 at the end curve; the least v_1 gives the least
+    valuations.  Z_max is the componentwise minimum over every such k."""
+    (centre,) = g.nodes
+    b = -g.weight(centre)
+    arms = []
+    for start in g.neighbors(centre):
+        arm = [centre, start]
+        while g.degree(arm[-1]) == 2:
+            arm.append(next(u for u in g.neighbors(arm[-1]) if u != arm[-2]))
+        arms.append(arm[1:])
+
+    def valuations(arm, k, v1):
+        """v_1 .. v_s, and b_s v_s - v_{s-1}."""
+        vals = [k, v1]
+        for v in arm:
+            vals.append(-g.weight(v) * vals[-1] - vals[-2])
+        return vals[1:-1], vals[-1]
+
+    seifert = []
+    for arm in arms:
+        alpha, beta = 1, 0
+        for v in reversed(arm):
+            alpha, beta = -g.weight(v) * alpha - beta, alpha
+        seifert.append((alpha, beta))
+
+    def least(arm, k):
+        """The least v_1 .. v_s: the end condition is affine in v_1."""
+        c = valuations(arm, k, 0)[1]
+        a = valuations(arm, k, 1)[1] - c
+        return valuations(arm, k, -(c // a))[0]
+
+    # v_j >= k * rate_v, the valuations of the real least v_1 at k = 1
+    rate = {centre: 1}
+    for arm in arms:
+        c = valuations(arm, 1, 0)[1]
+        a = valuations(arm, 1, 1)[1] - c
+        rate.update(zip(arm, valuations(arm, 1, Fraction(-c, a))[0]))
+    z = None
+    for k in itertools.count(1):
+        if z is not None and all(k * rate[v] >= z[v] for v in z):
+            return z
+        if k * b < sum(-(-k * beta // alpha) for alpha, beta in seifert):
+            continue
+        candidate = {centre: k}
+        for arm in arms:
+            candidate.update(zip(arm, least(arm, k)))
+        z = candidate if z is None else {v: min(z[v], candidate[v])
+                                         for v in z}
 
 
 # --- dense references for the Smith and Hermite forms ---------------------------

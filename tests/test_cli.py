@@ -9,12 +9,30 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
-from splicemult import ResolutionGraph
-from splicemult.cli import main
+from splicemult import (
+    CapExceededError,
+    InputError,
+    ResolutionGraph,
+    discriminant_group,
+    full_subgroup,
+    run_pipeline,
+    subgroup,
+    trivial_subgroup,
+)
+from splicemult.cli import _emit_report, main
 
-from conftest import graph_json, replace_everywhere, star
+from conftest import (
+    H60_WEIGHTS,
+    TWO_NODE_EDGES,
+    chain_armed_stars,
+    graph_json,
+    relabel,
+    replace_everywhere,
+    report_dict,
+    star,
+)
 
 
 @pytest.fixture()
@@ -406,12 +424,11 @@ def _emitted(obj):
 @given(_json_with_shared_containers())
 def test_emitter_writes_shared_containers_like_the_standard_library(obj):
     """A container placed at several positions and depths is written as
-    json.dumps writes it at each of them: the memo of container texts is
-    keyed by indentation as well as by object."""
+    json.dumps writes it at each of them, indented for each depth."""
     assert _emitted(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def test_emitter_memo_lives_for_one_call():
+def test_emitter_keeps_no_text_between_calls():
     """A second call on an edited document prints the edited text: no
     container text is kept from one call to the next."""
     shared = {"edge": [1, 2], "passed": True}
@@ -423,6 +440,64 @@ def test_emitter_memo_lives_for_one_call():
     second = _emitted(doc)
     assert second != first
     assert second == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+@st.composite
+def _runs(draw):
+    """A star with chain arms or a random tree, with H1 = 0, H1 = H or a
+    random subgroup, and its ids sent through a map that may make them
+    multi-digit, gapped or negative, so that their string order is not
+    the vertex order and fresh ids land among them."""
+    if draw(st.booleans()):
+        g = draw(chain_armed_stars())
+    else:
+        n = draw(st.integers(2, 7))
+        weights = {i: draw(st.integers(-6, -2)) for i in range(1, n + 1)}
+        edges = [(draw(st.integers(1, i - 1)), i) for i in range(2, n + 1)]
+        try:
+            g = ResolutionGraph(weights, edges)
+        except InputError:  # not negative definite
+            assume(False)
+    scale = draw(st.sampled_from([1, 3, 10, 11]))
+    shift = draw(st.sampled_from([0, 7, -1, -20]))
+    g = relabel(g, lambda v: scale * v + shift)
+    group = discriminant_group(g)
+    make = draw(st.sampled_from([full_subgroup, trivial_subgroup, None]))
+    if make is None:
+        gens = draw(st.lists(st.lists(st.integers(-3, 3), min_size=len(g),
+                                      max_size=len(g)), max_size=2))
+        h1 = subgroup(gens, group)
+    else:
+        h1 = make(group)
+    assume(h1.order <= 1000)
+    return g, h1
+
+
+def _case(g, make=trivial_subgroup):
+    return g, make(discriminant_group(g))
+
+
+@given(_runs())
+# 24 edge blowups, 25 rounds
+@example(_case(star(-1, [-3, -4, -5, -7])))
+# 3 edge blowups; the new ids 11-13 sort before "2" as strings
+@example(_case(ResolutionGraph(H60_WEIGHTS, TWO_NODE_EDGES)))
+# 3 end blowups
+@example(_case(star(-1, [-3, -5, -6, -7, -7]), full_subgroup))
+def test_report_writer_prints_the_json_form(case):
+    """`mult --json` writes its report straight from the integer rounds;
+    it prints what json.dumps prints for the report's JSON form, built as
+    dicts by conftest.report_dict."""
+    g, h1 = case
+    try:
+        report = run_pipeline(g, h1)
+    except CapExceededError:
+        assume(False)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _emit_report(report)
+    assert out.getvalue() == json.dumps(report_dict(report), indent=2,
+                                        sort_keys=True) + "\n"
 
 
 def test_emitter_refuses_what_it_cannot_write(capsys):

@@ -3,6 +3,8 @@ algebra: Neumann's for Brieskorn complete intersections and Artin's for
 rational singularities; and the stopping rule checked on every run over
 stars."""
 
+from itertools import permutations
+
 import pytest
 from hypothesis import assume, given, strategies as st
 
@@ -11,6 +13,7 @@ from splicemult import (
     ResolutionGraph,
     discriminant_group,
     dual_cycles,
+    enumerate_subgroups,
     full_subgroup,
     monomial_condition,
     multiplicity_of_quotient,
@@ -18,7 +21,14 @@ from splicemult import (
     trivial_subgroup,
 )
 
-from conftest import assert_resolved, laufer_z_min, star
+from conftest import (
+    assert_resolved,
+    chain_armed_stars,
+    chain_star,
+    laufer_z_min,
+    pinkham_demazure_z,
+    star,
+)
 
 
 @st.composite
@@ -97,3 +107,52 @@ def test_quotient_of_minimally_elliptic_star_is_two():
     _, zz, genus = laufer_z_min(g)
     assert (zz, genus) == (-1, 1)
     assert multiplicity_of_quotient(g).multiplicity == 2
+
+
+@given(chain_armed_stars())
+def test_quotient_z_of_a_star_is_pinkham_demazure(g):
+    """Pinkham and Demazure: on a star with chain arms the invariant
+    monomials of H1 = H attain the maximal ideal cycle Z_max of the graded
+    ring, so round 1's Z is Z_max at every vertex."""
+    assume(not monomial_condition(g, dual_cycles(g)))
+    z = multiplicity_of_quotient(g).rounds[0].z
+    assert z.as_dict() == pinkham_demazure_z(g)
+
+
+def test_pinkham_demazure_on_e8():
+    """E8 (a -2 centre with chains of -2 curves of lengths 1, 2 and 4) is
+    rational, so Z_max = Z_min, with 6 at the centre."""
+    g = chain_star(-2, [[-2], [-2, -2], [-2, -2, -2, -2]])
+    z_min, zz, genus = laufer_z_min(g)
+    assert (zz, genus) == (-2, 0)
+    assert pinkham_demazure_z(g) == z_min
+    assert z_min[1] == 6
+
+
+@st.composite
+def trees_with_small_groups(draw):
+    """Random trees with weights -2..-4 (so minimal), |H| <= 200 and the
+    monomial condition holding."""
+    n = draw(st.integers(2, 7))
+    weights = {i: draw(st.sampled_from([-2, -2, -2, -3, -3, -4]))
+               for i in range(1, n + 1)}
+    edges = [(draw(st.integers(1, i - 1)), i) for i in range(2, n + 1)]
+    try:
+        g = ResolutionGraph(weights, edges)
+    except InputError:  # not negative definite
+        assume(False)
+    assume(discriminant_group(g).order <= 200)
+    assume(not monomial_condition(g, dual_cycles(g)))
+    return g
+
+
+@given(trees_with_small_groups())
+def test_cover_multiplicity_is_bounded_by_the_degree(g):
+    """For H1 < H2 the map X_{H1} -> X_{H2} is finite of degree [H2 : H1],
+    so mult(X_{H1}) <= [H2 : H1] * mult(X_{H2}), on every containment pair
+    of the subgroup lattice."""
+    subs = list(enumerate_subgroups(discriminant_group(g)))
+    runs = [(h, run_pipeline(g, h).multiplicity) for h in subs]
+    for (h1, m1), (h2, m2) in permutations(runs, 2):
+        if h1.order < h2.order and all(map(h2.contains, h1.hnf)):
+            assert m1 <= h2.order // h1.order * m2

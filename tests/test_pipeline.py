@@ -1,6 +1,8 @@
 """Pipeline: gcd checks, base-point resolution, the blowup loop, reports."""
 
+import contextlib
 import heapq
+import io
 import json
 import sys
 from fractions import Fraction
@@ -25,6 +27,7 @@ from splicemult import (
     subgroup,
     trivial_subgroup,
 )
+from splicemult.cli import _emit_report
 from splicemult.errors import (
     CapExceededError,
     ConditionError,
@@ -667,7 +670,10 @@ def test_non_integer_multiplicity_guard(tree_h60, monkeypatch):
 
 def test_report_json_fields(tree_h60):
     report = _uac(tree_h60)
-    data = report.to_dict()
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _emit_report(report)
+    data = json.loads(out.getvalue())
     assert data["det"] == 60
     assert data["H_invariant_factors"] == list(
         discriminant_group(tree_h60).invariant_factors)
