@@ -69,9 +69,8 @@ def _json_text(obj, newline):
                 _encode_str(k) + ": " + (_encode_str(v) if type(v) is str
                                          else _json_text(v, inner))
                 for k, v in sorted(obj.items())]) + newline + "}"
-        return "[" + inner + ("," + inner).join([
-            _encode_str(v) if type(v) is str else _json_text(v, inner)
-            for v in obj]) + newline + "]"
+        return _items([_encode_str(v) if type(v) is str
+                       else _json_text(v, inner) for v in obj], newline)
     if obj is None:
         return "null"
     if obj is True:
@@ -79,6 +78,39 @@ def _json_text(obj, newline):
     if obj is False:
         return "false"
     raise InternalError(f"cannot write a {t.__name__} as JSON")
+
+
+def _items(texts, newline):
+    """The JSON list of the item texts, its "[" indented as `newline`."""
+    inner = newline + "  "
+    body = ("," + inner).join(texts)
+    return "[" + inner + body + newline + "]" if body else "[]"
+
+
+# One template per record type of a report: the text that
+# _json_text(vars(record), newline) gives, "{" indented as `newline`.
+def _edge_check_text(c, newline):
+    i = newline + "  "
+    return (f'{{{i}"edge": {_items(map(repr, c.edge), i)},'
+            f'{i}"passed": {_json_text(c.passed, i)},'
+            f'{i}"pruned_by_zero": {_json_text(c.pruned_by_zero, i)},'
+            f'{i}"witness": {_json_text(c.witness, i)}{newline}}}')
+
+
+def _end_decision_text(d, newline):
+    i = newline + "  "
+    return (f'{{{i}"action": {_encode_str(d.action)},{i}"end": {d.end!r},'
+            f'{i}"witness": {_json_text(d.witness, i)}{newline}}}')
+
+
+def _blowup_text(e, newline):
+    i = newline + "  "
+    changes = _items([_items(map(repr, c), i + "  ")
+                      for c in e.weight_changes], i)
+    return (f'{{{i}"center": {_items(map(repr, e.center), i)},'
+            f'{i}"kind": {_encode_str(e.kind)},'
+            f'{i}"new_vertex": {e.new_vertex!r},'
+            f'{i}"weight_changes": {changes}{newline}}}')
 
 
 def _emit_report(report):
@@ -89,14 +121,14 @@ def _emit_report(report):
     The form has the report's scalars, `rounds`, `Z_final` (the last
     round's Z maps) and `trace` (the blowups).  A round has its Z maps
     `Z_vertex` and `Z_dual`, vertex id string -> "p/q" string, and its
-    `blowup`, `edge_checks` and `end_decisions`; a record (BlowupEvent,
-    EdgeCheckResult, EndDecision) is the dict of its fields,
-    vars(record).  A Z map is sorted as text, as sort_keys sorts it, so
-    "10" precedes "2".  A record that recurs from round to round is one
-    object (see run_pipeline), and its text is joined once; a blowup is
-    written in its round and in `trace`, at two depths.  A round is
-    written map by map and list by list, so no text of a whole round or
-    of the document is joined: the document grows with rounds x
+    `blowup`, `edge_checks` and `end_decisions`; a record is vars(record),
+    written by its type's template (`_blowup_text`, `_edge_check_text`,
+    `_end_decision_text`).  A Z map is sorted as text, as sort_keys sorts
+    it, so "10" precedes "2".  A record that recurs from round to round
+    is one object (see run_pipeline), and its text is joined once; a
+    blowup is written in its round and in `trace`, at two depths.  A
+    round is written map by map and list by list, so no text of a whole
+    round or of the document is joined: the document grows with rounds x
     vertices."""
     write = sys.stdout.write
     n2, n4, n6, n8 = ("\n" + " " * k for k in (2, 4, 6, 8))  # indentation
@@ -115,17 +147,14 @@ def _emit_report(report):
 
     record_texts = {}  # id(record) -> its text in a round's list
 
-    def records(items):
-        if not items:
-            return "[]"
+    def records(items, template):
         out = []
         for record in items:
             text = record_texts.get(id(record))
             if text is None:
-                text = record_texts[id(record)] = (
-                    n8 + _json_text(vars(record), n8))
+                text = record_texts[id(record)] = template(record, n8)
             out.append(text)
-        return "[" + ",".join(out) + n6 + "]"
+        return _items(out, n6)
 
     key = keys(n6)
     write(f'{{{n2}"H1_order": {report.h1_order},'
@@ -143,19 +172,19 @@ def _emit_report(report):
     for rnd in report.rounds:
         g = rnd.graph
         blowup = ("null" if rnd.blowup is None
-                  else _json_text(vars(rnd.blowup), n6))
+                  else _blowup_text(rnd.blowup, n6))
         write(f'{sep}{{{n6}"Z_dual": ')
         write(z_map(key, g, rnd.z_dual_num, n6))
         write(f',{n6}"Z_vertex": ')
         write(z_map(key, g, rnd.z_num, n6))
         write(f',{n6}"blowup": {blowup},{n6}"edge_checks": ')
-        write(records(rnd.edge_checks))
+        write(records(rnd.edge_checks, _edge_check_text))
         write(f',{n6}"end_decisions": ')
-        write(records(rnd.end_decisions))
+        write(records(rnd.end_decisions, _end_decision_text))
         write(n4 + "}")
         sep = "," + n4
-    trace = [vars(event) for event in report.history.events]
-    write(f'{n2}],{n2}"trace": {_json_text(trace, n2)}\n}}\n')
+    trace = [_blowup_text(event, n4) for event in report.history.events]
+    write(f'{n2}],{n2}"trace": {_items(trace, n2)}\n}}\n')
 
 
 def _load_graph(path):

@@ -6,9 +6,11 @@ it stands for the monomial prod z_i^{a_i} in the end-curve variables.  All
 searches run in integers: the dual basis is carried as integer numerators
 over one denominator |H| = |det I(E)| (every dual entry's denominator
 divides it), which the knapsacks, the residue congruences and the zero-sum
-search read directly, and the zero-sum search packs each of its tuple keys
-into one int.  Every dual-basis entry is strictly positive, which makes
-all bounds finite.
+search read directly.  The zero-sum search packs each key (M_v...,
+degree, exponents) into one int: the degree and exponent fields have one
+layout for the whole run, the M_v fields a width per query, and an answer
+is read back and checked in O(ends).  Every dual-basis entry is strictly
+positive, which makes all bounds finite.
 
 The witness search of the monomial condition, `admissible_monomials`, is
 one lazy generator: deciding the condition reads the first witness of each
@@ -21,7 +23,7 @@ from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul, sub
+from operator import lshift, mul, sub
 
 from .errors import CapExceededError, ConditionError, InternalError
 from .graph import branches
@@ -119,7 +121,8 @@ def _representable(t, ws):
     integer weights ws.
 
     Bitset dynamic programming; bit v of the accumulator records that
-    value v is reachable.
+    value v is reachable.  Shifts by w, 2w, 4w, ... up to t add every
+    multiple of a weight w up to t in O(log(t / w)) passes.
     """
     if t == 0:
         return True
@@ -128,12 +131,9 @@ def _representable(t, ws):
     mask = (1 << (t + 1)) - 1
     bits = 1
     for w in ws:
-        if w <= 0 or w > t:
-            continue
-        prev = -1
-        while bits != prev:
-            prev = bits
+        while 0 < w <= t:
             bits = (bits | (bits << w)) & mask
+            w *= 2
     return bool((bits >> t) & 1)
 
 
@@ -456,6 +456,11 @@ class ZeroSumSearch:
     query is read off the vertex queries' members whenever one of them is
     the answer (see `least`).
 
+    Keys are ints (see `_shortest`): the degree and exponent fields have
+    one layout for the run, each label's step packed there once, and a
+    query packs its row entries above them and checks its answer, read
+    back with shifts and masks, against its exponents in O(ends).
+
     The search follows the blowups of its graph (`advance`) with no dual
     basis: it reads only the end-weight row of each vertex v, the
     integers |H| * M_v(E_i*) in label order (`row`).  Blowing up is a
@@ -489,8 +494,13 @@ class ZeroSumSearch:
         moduli, residues = _congruences(basis, h1, ends)
         self._steps, self._negation = _class_steps(
             dict(zip(self.labels, residues)), moduli)
-        self._units = {l: tuple(int(l == m) for m in self.labels)
-                       for l in self.labels}
+        # the degree and exponent fields of every key (see `_shortest`)
+        count = len(self.labels)
+        self._field = b = (2 * len(self._negation) + 2).bit_length()
+        self._low = b * (count + 1)
+        self._suffixes = [1 << b * count | 1 << b * i
+                          for i in reversed(range(count))]
+        self._slots = {l: i for i, l in enumerate(self.labels)}
         self._memo = {}
         self._basis = basis  # the first basis: rows not read yet
         self._end_columns = [g.index(e) for e in ends]
@@ -559,40 +569,64 @@ class ZeroSumSearch:
             return None  # a vertex query itself
         minima = [self.least((x,)) for x in vertices]
         z = tuple(found[0][0] for found in minima)
-        rows = [dict(zip(self.labels, self.row(v))) for v in vertices]
+        rows = [self.row(v) for v in vertices]
+        slots = self._slots
         for _, exps in minima:
             if without not in exps and all(
-                    sum(a * w[l] for l, a in exps.items()) == t
-                    for w, t in zip(rows, z)):
+                    sum(a * row[slots[l]] for l, a in exps.items()) == t
+                    for row, t in zip(rows, z)):
                 return z, exps
         return None
 
     def _searched(self, vertices, without):
-        """The answer to a query from `_shortest`."""
-        columns = zip(*map(self.row, vertices))
-        keys = {l: (*column, 1, *self._units[l])
-                for l, column in zip(self.labels, columns) if l != without}
-        total = self._shortest(keys)
-        if total is None:
+        """The answer to a query from `_shortest`, read back from its
+        packed key and checked against its exponents in O(ends)."""
+        rows = [self.row(v) for v in vertices]
+        low, field, count = self._low, self._field, len(self.labels)
+        width = ((2 * len(self._negation) + 2)
+                 * max(map(max, rows))).bit_length()
+        shifts = [low + width * j for j in reversed(range(len(rows)))]
+        top = low + width * len(rows)  # above the M_v fields
+        moves = [(sum(map(lshift, column, shifts)) | suffix, self._steps[l])
+                 for l, suffix, column
+                 in zip(self.labels, self._suffixes, zip(*rows))
+                 if l != without]
+        best = self._shortest(moves, 1 << top)
+        if best is None:
             return None
-        k = len(vertices)
-        return (total[:k],
-                {l: a for l, a in zip(self.labels, total[k + 1:]) if a})
+        mask = (1 << field) - 1
+        exps = {l: a for i, l in enumerate(self.labels, 1)
+                if (a := (best >> field * (count - i)) & mask)}
+        degree = (best >> field * count) & mask
+        values = tuple((best >> s) & ((1 << width) - 1) for s in shifts)
+        if without in exps:
+            raise InternalError(
+                f"zero-sum search used end {without}, which it excludes")
+        slots = self._slots
+        if (best >> top or degree != sum(exps.values())
+                or any(t != sum(a * row[slots[l]] for l, a in exps.items())
+                       for row, t in zip(rows, values))):
+            total = (*values, degree, *(exps.get(l, 0) for l in self.labels))
+            raise InternalError(
+                f"zero-sum search key {total} is not the sum of its steps")
+        return values, exps
 
     def z(self):
         """The gcd cycle Z on the current graph, Z_v = min M_v, as the
         integers |H| * Z_v in vertex order."""
         return tuple(self.least((v,))[0][0] for v in self._vertices)
 
-    def _shortest(self, keys):
-        """The least key of a nonempty walk from class 0 back to class 0
-        by the steps in `keys`, as a tuple, or None when there is none.
+    def _shortest(self, moves, ceiling):
+        """The least key of a nonempty walk from class 0 back to class 0 by
+        the steps `moves`, pairs (step key, class table), or None when
+        there is none.  Every key is below `ceiling`.
 
-        Step keys are tuples (M_v..., 1, unit exponent vector) of
-        nonnegative integers, compared lexicographically and added
-        componentwise.  This order is total and additive (a < b gives
-        a + c < b + c), and a key carries its walk's exponents, so the
-        least key is one member, the one `least` describes.
+        A key stands for the tuple (M_v..., degree, exponent vector) of a
+        walk, of nonnegative integers compared lexicographically and added
+        componentwise; a step's degree is 1 and its exponent vector a unit
+        vector.  This order is total and additive (a < b gives a + c <
+        b + c), and a key carries its walk's exponents, so the least key is
+        one member, the one `least` describes.
 
         Dijkstra from class 0, whose key 0 is the empty walk, settles each
         class c at the least key d(c) of a walk from 0 to c.  The steps of
@@ -621,34 +655,22 @@ class ZeroSumSearch:
         Either relaxation recorded a candidate of at most
         d(c_j) + w + d(-c_{j+1}) <= A < B, a contradiction.
 
-        Each key is packed into one int, one field of `width` bits per
-        component, most significant first.  A least walk to a class visits
-        no class twice (cutting out a loop lowers the key), so a settled
-        key has at most `size` - 1 steps, a label at most `size`, a
-        candidate at most 2 * `size` - 1 and a doubled label 2 * `size`.
-        No key the search builds exceeds (2 * size + 2) times the largest
-        step component in any field: no field carries into the next, and
-        int order, addition and doubling are tuple order, addition and
-        doubling.  Every such key is below 2^(width * fields), where B
-        starts.  The unpacked answer is checked against its exponents.
+        Each key is one int, its fields most significant first.  A least
+        walk to a class visits no class twice (cutting out a loop lowers
+        the key), so a settled key has at most `size` - 1 steps, a label
+        at most `size`, a candidate at most 2 * `size` - 1 and a doubled
+        label 2 * `size`.  So no field exceeds 2 * size + 2 times its
+        largest step component: 1 in the degree and exponent fields, of
+        (2 * size + 2).bit_length() bits for the whole run, and the
+        largest row entry in the M_v fields, of a width set per query.
+        No field carries into the next, so int order, addition and
+        doubling are tuple order, addition and doubling, and every key is
+        below `ceiling`, where B starts.
         """
-        if not keys:
-            return None
         negation = self._negation
         size = len(negation)
-        fields = len(next(iter(keys.values())))
-        width = ((2 * size + 2) * max(map(max, keys.values()))).bit_length()
-
-        def pack(key):
-            out = 0
-            for x in key:
-                out = (out << width) | x
-            return out
-
-        moves = [(pack(w), self._steps[l]) for l, w in keys.items()]
         settled = [None] * size  # d(c) once class c is settled
         tentative = [None] * size  # least key pushed so far, per class
-        ceiling = 1 << (width * fields)  # above every key the fields hold
         best = ceiling  # least candidate member so far
         heap = [(0, 0)]
         while heap and 2 * heap[0][0] < best:
@@ -667,29 +689,7 @@ class ZeroSumSearch:
                 if tentative[n] is None or nd < tentative[n]:
                     tentative[n] = nd
                     heapq.heappush(heap, (nd, n))
-        if best == ceiling:
-            return None
-        return self._unpacked(best, keys, fields, width)
-
-    def _unpacked(self, packed, keys, fields, width):
-        """The tuple of a packed key, which must be the sum of the step
-        keys its own exponent fields count."""
-        mask = (1 << width) - 1
-        total = tuple((packed >> (width * (fields - 1 - i))) & mask
-                      for i in range(fields))
-        exps = dict(zip(self.labels, total[fields - len(self.labels):]))
-        expected = [0] * fields
-        for label, a in exps.items():
-            if not a:
-                continue
-            if label not in keys:
-                raise InternalError(
-                    f"zero-sum search used end {label}, which it excludes")
-            expected = [x + a * y for x, y in zip(expected, keys[label])]
-        if tuple(expected) != total:
-            raise InternalError(
-                f"zero-sum search key {total} is not the sum of its steps")
-        return total
+        return None if best == ceiling else best
 
 
 # --- the full Hilbert basis (a reference for the search above) --------------------

@@ -21,7 +21,15 @@ from splicemult import (
     subgroup,
     trivial_subgroup,
 )
-from splicemult.cli import _emit_report, main
+from splicemult.cli import (
+    _blowup_text,
+    _edge_check_text,
+    _emit_report,
+    _end_decision_text,
+    main,
+)
+from splicemult.graph import BlowupEvent
+from splicemult.pipeline import EdgeCheckResult, EndDecision
 
 from conftest import (
     H60_WEIGHTS,
@@ -498,6 +506,37 @@ def test_report_writer_prints_the_json_form(case):
         _emit_report(report)
     assert out.getvalue() == json.dumps(report_dict(report), indent=2,
                                         sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("template, record", [
+    (_edge_check_text, EdgeCheckResult(edge=(3, 10), passed=True,
+                                       witness="z1*z2^3",
+                                       pruned_by_zero=False)),
+    (_edge_check_text, EdgeCheckResult(edge=(-2, 7), passed=False,
+                                       witness=None, pruned_by_zero=True)),
+    (_end_decision_text, EndDecision(end=4, action="witness",
+                                     witness="z-3^2")),
+    (_end_decision_text, EndDecision(end=1, action="blowup")),
+    (_blowup_text, BlowupEvent(kind="edge", center=(1, 5), new_vertex=11,
+                               weight_changes=((1, -2, -3), (5, -2, -3)))),
+    (_blowup_text, BlowupEvent(kind="end", center=(-4,), new_vertex=12,
+                               weight_changes=((-4, -2, -3),))),
+])
+def test_record_templates_write_every_field(template, record):
+    """Each record type's template writes every field of its dataclass,
+    and no other key, as json.dumps writes vars(record) at the top level
+    and as the generic emitter writes it at the depths of a report: a new
+    field cannot vanish from `mult --json`."""
+    from dataclasses import fields
+
+    from splicemult.cli import _json_text
+
+    text = template(record, "\n")
+    assert set(json.loads(text)) == {f.name for f in fields(record)}
+    assert text == json.dumps(vars(record), indent=2, sort_keys=True)
+    for depth in (4, 6, 8):
+        newline = "\n" + " " * depth
+        assert template(record, newline) == _json_text(vars(record), newline)
 
 
 def test_emitter_refuses_what_it_cannot_write(capsys):

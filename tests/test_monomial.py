@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import lcm, prod
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from splicemult import (
     QCycle,
@@ -25,6 +25,7 @@ from splicemult.errors import CapExceededError, ConditionError, InternalError
 import splicemult.monomial as monomial
 from splicemult.monomial import (
     _exact_solutions,
+    _representable,
     _skeleton_choice,
     admissible_monomials,
 )
@@ -315,6 +316,22 @@ def _representable_oracle(target, weights):
             return True
         k += 1
     return False
+
+
+@given(st.integers(0, 40), st.lists(st.integers(1, 60), max_size=3),
+       st.integers(1, 5), st.booleans())
+@example(0, [3], 1, False)
+@example(7, [9, 20], 1, False)
+@example(4, [2], 1, False)
+@example(13, [4, 6], 2, True)
+def test_representable_matches_oracle(t, weights, common, repeat):
+    """The doubling-shift bitset against the plain recursive search:
+    targets from 0, weights above the target, a repeated weight and a
+    common factor of target and weights."""
+    if repeat and weights:
+        weights = weights + weights[:1]
+    t, weights = common * t, [common * w for w in weights]
+    assert _representable(t, weights) == _representable_oracle(t, weights)
 
 
 def test_base_points_h12(tree_h12):

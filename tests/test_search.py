@@ -262,6 +262,42 @@ def test_packed_search_matches_tuple_keys_on_large_quotients(centre, arms):
     _assert_packed_matches_tuples(g, h1)
 
 
+@pytest.mark.parametrize("a, b", [(2, 50), (3, 300), (7, 11)])
+def test_exponent_and_degree_fields_at_their_bound(a, b):
+    """The chain (-a, -b) with H1 = H has |H1| = ab - 1 classes, and end 1
+    alone steps through all of them: without end 2 the least member is
+    z1^(ab - 1), whose exponent and degree are the number of classes,
+    close to the bound 2 * |H1| + 2 that sizes their fields."""
+    g = ResolutionGraph({1: -a, 2: -b}, [(1, 2)])
+    h1 = full_subgroup(discriminant_group(g))
+    search = ZeroSumSearch(h1.group.basis, h1)
+    assert len(search._negation) == a * b - 1
+    found = search.least((1,), without=2)
+    assert found[1] == {1: a * b - 1}
+    assert found == tuple_key_least(search, (1,), without=2)
+    _assert_queries_match_one_sided(search, search._basis, {1: 1, 2: 2})
+
+
+@pytest.mark.parametrize("shift, message", [
+    (lambda search: search._suffixes[0], "not the sum of its steps"),
+    (lambda search: 1 << search._field * 4, "not the sum of its steps"),
+    (lambda search: 1 << 200, "not the sum of its steps"),
+    (lambda search: search._suffixes[3], "used end 4, which it excludes"),
+])
+def test_search_checks_its_answer(tree_h12, monkeypatch, shift, message):
+    """An answer that is not the sum of the steps its exponents count (one
+    exponent too many, a degree too high, or bits above the top field),
+    or that uses the excluded end, is an internal error."""
+    h1 = full_subgroup(discriminant_group(tree_h12))
+    search = ZeroSumSearch(h1.group.basis, h1)
+    shortest = ZeroSumSearch._shortest
+    monkeypatch.setattr(ZeroSumSearch, "_shortest",
+                        lambda self, *args: shortest(self, *args)
+                        + shift(self))
+    with pytest.raises(InternalError, match=message):
+        search._searched((4,), 4)
+
+
 # --- meeting in the middle and reusing the vertex members ---------------------
 
 
@@ -405,8 +441,8 @@ def test_vertex_members_decide_queries_without_search(name, tree_h12,
     calls = []
     shortest = ZeroSumSearch._shortest
     monkeypatch.setattr(ZeroSumSearch, "_shortest",
-                        lambda self, keys: calls.append(keys)
-                        or shortest(self, keys))
+                        lambda self, *args: calls.append(args)
+                        or shortest(self, *args))
     decided = 0
     for v, w in g.edges:
         attains = any(all(members[x].expansion.coefficient(y)
