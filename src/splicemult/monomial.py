@@ -9,8 +9,9 @@ divides it), which the knapsacks, the residue congruences and the zero-sum
 search read directly.  The zero-sum search packs each key (M_v...,
 degree, exponents) into one int: the degree and exponent fields have one
 layout for the whole run, the M_v fields a width per query, and an answer
-is read back and checked in O(ends).  Every dual-basis entry is strictly
-positive, which makes all bounds finite.
+is read back and checked in O(ends); with one class (|H1| = 1) it reads
+each answer off the rows.  Every dual-basis entry is strictly positive,
+which makes all bounds finite.
 
 The witness search of the monomial condition, `admissible_monomials`, is
 one lazy generator: deciding the condition reads the first witness of each
@@ -456,6 +457,13 @@ class ZeroSumSearch:
     query is read off the vertex queries' members whenever one of them is
     the answer (see `least`).
 
+    With one class (|H1| = 1, the universal abelian cover) no search runs:
+    every end step lands on class 0, so each step is a member, and every
+    dual entry is positive, so a walk of two or more steps is heavier in
+    every M_v than each of its steps.  The answer is the least single
+    step, read off the rows.  Among steps with equal rows the last label
+    wins, since its unit exponent vector is the least.
+
     Keys are ints (see `_shortest`): the degree and exponent fields have
     one layout for the run, each label's step packed there once, and a
     query packs its row entries above them and checks its answer, read
@@ -553,12 +561,23 @@ class ZeroSumSearch:
         members attaining Z_x, a set that holds every member attaining
         Z_y at each y, and it is one of these; so no member with exponent
         0 at `without` is less in the order above.
+
+        A one-class run (|H1| = 1) answers every query with the single end
+        step, other than `without`, of least (M_v..., exponents): the last
+        label among equal rows (see the class docstring).
         """
         key = (tuple(vertices), without)
         if key not in self._memo:
-            found = self._from_vertex_queries(*key)
-            if found is None:
-                found = self._searched(*key)
+            if len(self._negation) == 1:
+                best = label = None
+                for l, values in zip(self.labels, zip(*map(self.row, key[0]))):
+                    if l != without and (best is None or values <= best):
+                        best, label = values, l
+                found = None if label is None else (best, {label: 1})
+            else:
+                found = self._from_vertex_queries(*key)
+                if found is None:
+                    found = self._searched(*key)
             self._memo[key] = found
         return self._memo[key]
 

@@ -161,6 +161,30 @@ def test_mult_subgroup_file(files, capsys):
     assert "multiplicity = 2" in out
 
 
+def test_one_class_runs_print_the_uac_report(tmp_path, capsys):
+    """A run has one class whenever |H1| = 1, whatever the command: the
+    zero and the empty generator lists of star(-1; -3,-4,-5,-7), and the
+    quotient of star(-1; -2,-3,-7), where |H| = 1, print the --uac JSON
+    byte for byte.  V(2,3,7) is a double point (Neumann's product 2)."""
+    def mult(g, *args):
+        path = tmp_path / "graph.json"
+        path.write_text(graph_json(g))
+        code, out, err = run(capsys, "mult", str(path), *args, "--json")
+        assert (code, err) == (0, "")
+        return out
+
+    g = star(-1, [-3, -4, -5, -7])
+    uac = mult(g, "--uac")
+    for gens in ([[0] * 5], []):
+        sub = tmp_path / "sub.json"
+        sub.write_text(json.dumps({"generators": gens}))
+        assert mult(g, "--subgroup", str(sub)) == uac
+    g = star(-1, [-2, -3, -7])
+    uac = mult(g, "--uac")
+    assert mult(g, "--quotient") == uac
+    assert json.loads(uac)["multiplicity"] == 2
+
+
 def test_mult_uac_trace_h60(files, capsys):
     code, out, _ = run(capsys, "mult", files["h60"], "--uac", "--trace")
     assert code == 0

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from splicemult import (
     DualBasis,
+    GraphHistory,
     InputError,
     InternalError,
     QCycle,
@@ -414,15 +415,39 @@ def test_query_with_no_member(tree_h12):
     assert search.least((3,)) == tuple_key_least(search, (3,))
 
 
-def test_universal_abelian_cover_has_one_class(tree_h12):
+def test_universal_abelian_cover_has_one_class(tree_h12, monkeypatch):
     """|H1| = 1: every step lands on class 0, so every least member is a
-    single end."""
-    search = _h12_search(tree_h12, [])
-    assert len(search._negation) == 1
-    _assert_queries_match_one_sided(search, search._basis,
-                                    {e: e for e in tree_h12.ends})
-    for v in tree_h12.vertex_ids:
-        assert sum(search.least((v,))[1].values()) == 1
+    single end, read off the rows with no search and no vertex-member
+    pass, on the input graph and after end and edge blowups.  The centre
+    of star(-3; -3^5) has equal entries at all five ends: the last label's
+    step is the least key."""
+    for method in ("_shortest", "_searched", "_from_vertex_queries"):
+        monkeypatch.setattr(ZeroSumSearch, method, lambda self, *args,
+                            method=method: pytest.fail(f"{method} ran"))
+    tied = star(-3, [-3] * 5)
+    for g in (tree_h12, tied):
+        group = discriminant_group(g)
+        search = ZeroSumSearch(group.basis, trivial_subgroup(group))
+        assert len(search._negation) == 1
+        _assert_queries_match_one_sided(search, group.basis,
+                                        {e: e for e in g.ends})
+        for v in g.vertex_ids:
+            assert sum(search.least((v,))[1].values()) == 1
+        if g is tied:
+            assert len(set(search.row(1))) == 1
+            assert search.least((1,))[1] == {6: 1}
+        history = GraphHistory(g)
+        blowups = [("end", 2), ("edge", g.edges[0]), ("end", 3),
+                   ("edge", g.edges[-1])]
+        for k, (kind, at) in enumerate(blowups):
+            if kind == "end":
+                history.blowup_end(at)
+            else:
+                history.blowup_edge(*at)
+            search.advance(history.events[k])
+            _assert_queries_match_one_sided(
+                search, DualBasis(history.graph_after(k)),
+                end_map_after(history, k))
 
 
 @pytest.mark.parametrize("name", ["star", "h12"])
