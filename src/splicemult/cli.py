@@ -21,11 +21,10 @@ from operator import add
 from .errors import ConditionError, InputError, InternalError, SpliceMultError
 from .graph import is_minimal, parse_and_validate
 from .lattice import (
+    SubgroupLattice,
     _FractionText,
     discriminant_group,
     dual_cycles,
-    enumerate_subgroups,
-    flat_subgroup,
     full_subgroup,
     subgroup,
     trivial_subgroup,
@@ -226,15 +225,9 @@ def _fmt_dual_combo(graph, coords):
     return " + ".join(terms) if terms else "0"
 
 
-def _fmt_nf(nf):
-    return "(" + ",".join(str(x) for x in nf) + ")"
-
-
-def _fmt_subgroup(sub):
-    gens = sub.minimal_generators()
-    if not gens:
-        return "{0}"
-    return "<" + ", ".join(_fmt_nf(nf) for nf in gens) + ">"
+def _factors_text(group):
+    """H as a product of cyclic groups, "Z/2 x Z/6", or "trivial"."""
+    return " x ".join(f"Z/{d}" for d in group.invariant_factors) or "trivial"
 
 
 # --- subcommands ---------------------------------------------------------------
@@ -277,8 +270,7 @@ def cmd_invariants(args):
         return EXIT_OK
     print(f"vertices: {len(g)}  ends: {list(g.ends)}  nodes: {list(g.nodes)}")
     print(f"det I(E) = {group.det}")
-    factors = " x ".join(f"Z/{d}" for d in group.invariant_factors) or "trivial"
-    print(f"|H| = {group.order}  ({factors})")
+    print(f"|H| = {group.order}  ({_factors_text(group)})")
     print("dual cycles (rows E_v* in vertex order "
           f"{list(g.vertex_ids)}):")
     for v, row in zip(g.vertex_ids, basis.num):
@@ -329,21 +321,27 @@ def cmd_mult(args):
 
 
 def cmd_table(args):
+    """One row per subgroup H1 of H: H1, H1-flat, |H1|, Z and the
+    multiplicity.  The rows share one SubgroupLattice: every subgroup is
+    enumerated and named once, H1-flat is looked up among them, and
+    flat_subgroup runs once per pair {H1, H1-flat}, each pair certified
+    by the pairing matrix."""
     g = _load_graph(args.graph)
     basis = dual_cycles(g)
     require_monomial_condition(g, basis)
     group = discriminant_group(g, basis)
+    lattice = SubgroupLattice(group)
     rows = []
-    for h1 in enumerate_subgroups(group):
+    for h1 in lattice.subgroups:
         result = run_pipeline(g, h1)
-        flat = flat_subgroup(h1)
+        flat = lattice.flat(h1)
         final = result.rounds[-1]
         z_graph, z_dual = final.graph, final.z_dual
         rows.append({
-            "subgroup": _fmt_subgroup(h1),
-            "elements": [list(nf) for nf in h1.canonical_elements],
-            "flat": _fmt_subgroup(flat),
-            "flat_elements": [list(nf) for nf in flat.canonical_elements],
+            "subgroup": lattice.name(h1),
+            "elements": h1.canonical_elements,
+            "flat": lattice.name(flat),
+            "flat_elements": flat.canonical_elements,
             "order": h1.order,
             "index": h1.index,
             "Z_dual": {str(v): str(c)
@@ -360,9 +358,7 @@ def cmd_table(args):
         })
         return EXIT_OK
     print(f"|H| = {group.order}, {len(rows)} subgroups "
-          f"(elements written in Z/" +
-          " x Z/".join(str(d) for d in group.invariant_factors) +
-          " normal form)")
+          f"(elements written in {_factors_text(group)} normal form)")
     header = f"{'H1':<24} {'H1_flat':<24} {'|H1|':>4}  {'Z':<28} mult"
     print(header)
     for row in rows:

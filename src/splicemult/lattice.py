@@ -288,10 +288,15 @@ class DiscriminantGroup:
         finite sets of one size: an isomorphism, with `representative`
         its inverse on normal forms.
     A failed check raises InternalError and names the check.
+
+    `pairing_matrix` is the symmetric r x r integer matrix
+    P_jk = -rep_j^T num rep_k mod |H| = |H| b(e_j, e_k) mod |H| of the
+    linking form b on the unit classes, built on first use from the
+    representatives: |H| b(x, y) = x^T P y mod |H| for normal forms x, y.
     """
 
     __slots__ = ("graph", "basis", "snf", "invariant_factors", "order",
-                 "det", "_slots", "_coordinates")
+                 "det", "_slots", "_coordinates", "_pairing")
 
     def __init__(self, graph, basis=None):
         if basis is not None and basis.graph != graph:
@@ -317,6 +322,7 @@ class DiscriminantGroup:
                 f"d_r = {largest}, |H| / gcd(|H|, num) = {exponent}")
         self.det = (-1) ** len(graph) * self.order
         self._coordinates = None
+        self._pairing = None
 
     def _coords(self):
         """(slot rows of U, representatives), built and certified on first
@@ -326,6 +332,18 @@ class DiscriminantGroup:
             _certify_coordinates(self, rows, reps)
             self._coordinates = rows, reps
         return self._coordinates
+
+    def pairing_matrix(self):
+        """P_jk = |H| b(e_j, e_k) mod |H| (see above), built on first use
+        with one product of `num` per unit class."""
+        if self._pairing is None:
+            reps = self._coords()[1]
+            applied = [mat_vec(self.basis.num, rep) for rep in reps]
+            self._pairing = tuple(
+                tuple(-sum(map(mul, rep, col)) % self.order
+                      for col in applied)
+                for rep in reps)
+        return self._pairing
 
     @property
     def zero(self):
@@ -418,6 +436,22 @@ class SubgroupData:
         self.index = _pivot_product(self.hnf)
         self.order = group.order // self.index
         self._canonical = None
+
+    @classmethod
+    def _from_basis(cls, group, hnf):
+        """The subgroup whose canonical Hermite basis is `hnf`, with no
+        projection and no reduction; its generators are the
+        representatives of the basis's nonzero rows mod d."""
+        self = cls.__new__(cls)
+        self.group = group
+        nfs = (_reduced(group, row) for row in hnf)
+        self.generators = tuple(group.representative(nf) for nf in nfs
+                                if any(nf))
+        self.hnf = hnf
+        self.index = _pivot_product(hnf)
+        self.order = group.order // self.index
+        self._canonical = None
+        return self
 
     @property
     def canonical_elements(self):
@@ -523,37 +557,65 @@ def _reduced(group, row):
 
 
 def flat_subgroup(h1):
-    """H1-flat: all classes of H pairing integrally with every element of H1.
+    """H1-flat = H1^perp: all classes of H pairing integrally with every
+    element of H1.
 
     In Smith coordinates, x lies in H1-flat exactly when
     sum_j x_j * b(e_j, h) is an integer for every Hermite row h of H1.
-    Over a common denominator D these are congruences A x = 0 mod D, whose
-    solutions are the first r coordinates of the integer left kernel of the
-    stacked matrix [A^T; D * Id].  The numerators of the pairings over |H|
-    come from one product of `num` with each Hermite row's representative;
-    D is the least common denominator they leave.
+    The numerators of these pairings over |H| are the entries of hnf * P,
+    P the group's (symmetric) pairing matrix: O(r^3), with no product of
+    `num`.  Over their least common denominator D they are congruences
+    A x = 0 mod D, whose solutions are the first r coordinates of the
+    integer left kernel of the stacked matrix [A^T; D * Id]; they span the
+    preimage of the flat, whose canonical Hermite basis the flat is built
+    from.  `table` computes one flat per pair {H1, H1-flat} and certifies
+    the pair (see SubgroupLattice).
     """
     group = h1.group
-    basis = group.basis
     r = len(group.invariant_factors)
-    units = [group.representative(e) for e in _units(r)]
-    nums = []  # nums[h][e]: |H| * b(e_e, h), an integer
-    for h in h1.hnf:
-        applied = mat_vec(basis.num, group.representative(h))
-        nums.append([-sum(map(mul, u, applied)) for u in units])
-    scale = gcd(basis.den, *(x for row in nums for x in row))
-    den = basis.den // scale
+    pairing = group.pairing_matrix()
+    # nums[h][e] = |H| * b(h, e_e) mod |H|
+    nums = [[sum(map(mul, h, row)) for row in pairing] for h in h1.hnf]
+    scale = gcd(group.order, *(x for row in nums for x in row))
+    den = group.order // scale
     stacked = [[(x // scale) % den for x in row] for row in zip(*nums)]
     stacked += [[den * (i == j) for j in range(r)] for i in range(r)]
     _, rank, log = _hermite_reduce(stacked)
     u = _replay(log, len(stacked))
-    gens = [group.representative(_reduced(group, row[:r]))
-            for row in u[rank:]]
-    flat = SubgroupData(group, gens)
+    flat = SubgroupData._from_basis(group, _preimage_basis(
+        group.invariant_factors, [row[:r] for row in u[rank:]]))
     if flat.order * h1.order != group.order:
         raise InternalError(
             f"|H1| * |H1-flat| = {h1.order} * {flat.order} != |H|")
     return flat
+
+
+def _certify_flat(h1, flat):
+    """Raise InternalError unless `flat` is H1^perp and H1 is flat^perp.
+
+    The pairing is perfect, so |H1^perp| = |H| / |H1|.  If every Hermite
+    row of H1 pairs integrally with every Hermite row of `flat` (x^T P y
+    = 0 mod |H|), then flat lies in H1^perp and H1 in flat^perp, as the
+    rows generate the two subgroups; with |H1| * |flat| = |H| both
+    inclusions are equalities.  O(r^4).
+    """
+    group = h1.group
+    if h1.order * flat.order != group.order:
+        raise InternalError(
+            f"flat check |H1| * |H1-flat| == |H| failed for "
+            f"H1 = {_fmt_subgroup(h1)}, H1-flat = {_fmt_subgroup(flat)}: "
+            f"{h1.order} * {flat.order} != {group.order}")
+    pairing = group.pairing_matrix()
+    for h in h1.hnf:
+        applied = [sum(map(mul, h, row)) for row in pairing]
+        for k in flat.hnf:
+            x = sum(map(mul, applied, k)) % group.order
+            if x:
+                raise InternalError(
+                    f"flat pairing check failed: {_fmt_subgroup(flat)} is "
+                    f"not the flat of {_fmt_subgroup(h1)}: the Hermite rows "
+                    f"{_fmt_nf(h)} and {_fmt_nf(k)} pair to "
+                    f"{Fraction(x, group.order)}, not to 0")
 
 
 def _torsion_tails(below, m, start):
@@ -588,7 +650,9 @@ def enumerate_subgroups(group):
     lattices between diag(d) Z^r and Z^r.  These are built from the last
     row up: row i is (0, ..., 0, p, t) with p | d_i and 0 <= t_j < p_j, and
     it must put d_i e_i into the lattice, i.e. (d_i / p) * t must lie in the
-    span of the rows below it.
+    span of the rows below it.  Each subgroup is built from its basis
+    (SubgroupData._from_basis), with no projection and no reduction; its
+    generators are the representatives of the nonzero rows.
     """
     if group.order > ENUMERATION_CAP:
         raise CapExceededError(f"|H| = {group.order} exceeds the "
@@ -600,10 +664,60 @@ def enumerate_subgroups(group):
                  for below in bases
                  for p in range(1, d[i] + 1) if d[i] % p == 0
                  for t in _torsion_tails(below, d[i] // p, i + 1)]
-    out = []
-    for hnf in bases:
-        nfs = [_reduced(group, row) for row in hnf]
-        out.append(SubgroupData(group, [group.representative(nf)
-                                        for nf in nfs if any(nf)]))
+    out = [SubgroupData._from_basis(group, hnf) for hnf in bases]
     out.sort(key=lambda s: (s.order, s.canonical_elements))
     return out
+
+
+class SubgroupLattice:
+    """Every subgroup of H, each built once, with the flat involution and
+    the printed names, for `table`.
+
+    `subgroups` is enumerate_subgroups(group).  `flat(h1)` is H1-flat, one
+    of `subgroups`, found by its Hermite basis.  The linking form is
+    perfect, so (H1-flat)-flat = H1: flat_subgroup runs once per pair
+    {H1, H1-flat}, and the pair is certified (_certify_flat) and recorded
+    in both directions.  `name(sub)` is the printed name, built on first
+    use; the element list is the subgroup's own `canonical_elements`.
+    """
+
+    __slots__ = ("subgroups", "_by_basis", "_flats", "_names")
+
+    def __init__(self, group):
+        self.subgroups = enumerate_subgroups(group)
+        self._by_basis = {s.hnf: s for s in self.subgroups}
+        self._flats = {}  # Hermite basis -> the enumerated flat
+        self._names = {}  # Hermite basis -> printed name
+
+    def flat(self, h1):
+        flat = self._flats.get(h1.hnf)
+        if flat is None:
+            computed = flat_subgroup(h1)
+            flat = self._by_basis.get(computed.hnf)
+            if flat is None:
+                raise InternalError(
+                    f"the flat {_fmt_subgroup(computed)} of "
+                    f"{self.name(h1)} is not among the "
+                    f"{len(self.subgroups)} enumerated subgroups")
+            _certify_flat(h1, flat)
+            self._flats[h1.hnf] = flat
+            self._flats[flat.hnf] = h1
+        return flat
+
+    def name(self, sub):
+        text = self._names.get(sub.hnf)
+        if text is None:
+            text = self._names[sub.hnf] = _fmt_subgroup(sub)
+        return text
+
+
+def _fmt_nf(nf):
+    return "(" + ",".join(str(x) for x in nf) + ")"
+
+
+def _fmt_subgroup(sub):
+    """The printed name: {0}, or its minimal generators as normal forms."""
+    gens = sub.minimal_generators()
+    if not gens:
+        return "{0}"
+    return "<" + ", ".join(_fmt_nf(nf) for nf in gens) + ">"

@@ -150,6 +150,51 @@ def star(centre, arms):
     return ResolutionGraph(weights, [(1, k) for k in weights if k != 1])
 
 
+# Z/2 x Z/2 x Z/4, Z/2 x Z/4 x Z/4, Z/3 x Z/3 x Z/3 and Z/2^4
+RANK_3_AND_4_GRAPHS = [
+    star(-3, [-2, -2, -2, -2]),
+    ResolutionGraph({1: -2, 2: -2, 3: -2, 4: -2, 5: -2, 6: -4, 7: -4},
+                    [(1, 2), (2, 3), (1, 4), (3, 5), (3, 6), (3, 7)]),
+    ResolutionGraph({1: -2, 2: -3, 3: -2, 4: -2, 5: -4, 6: -3, 7: -3},
+                    [(1, 2), (1, 3), (3, 4), (1, 5), (1, 6), (1, 7)]),
+    star(-3, [-2, -2, -2, -2, -2]),
+]
+
+
+def table_by_rows(g):
+    """The `table --json` document of g built row by row, with no shared
+    subgroup lattice: flat_subgroup, _fmt_subgroup and the element lists
+    run for every row, flat or not."""
+    from splicemult import (discriminant_group, enumerate_subgroups,
+                            flat_subgroup, run_pipeline)
+    from splicemult.cli import _fmt_dual_combo
+    from splicemult.lattice import _fmt_subgroup
+
+    group = discriminant_group(g)
+    rows = []
+    for h1 in enumerate_subgroups(group):
+        result = run_pipeline(g, h1)
+        flat = flat_subgroup(h1)
+        final = result.rounds[-1]
+        z_graph, z_dual = final.graph, final.z_dual
+        rows.append({
+            "subgroup": _fmt_subgroup(h1),
+            "elements": [list(nf) for nf in h1.canonical_elements],
+            "flat": _fmt_subgroup(flat),
+            "flat_elements": [list(nf) for nf in flat.canonical_elements],
+            "order": h1.order,
+            "index": h1.index,
+            "Z_dual": {str(v): str(c)
+                       for v, c in zip(z_graph.vertex_ids, z_dual)},
+            "Z": _fmt_dual_combo(z_graph, z_dual),
+            "ZZ": str(result.zz),
+            "multiplicity": result.multiplicity,
+        })
+    return {"order": group.order,
+            "invariant_factors": list(group.invariant_factors),
+            "rows": rows}
+
+
 def closure(group, nfs):
     """Brute-force additive closure of normal forms in H (contains zero)."""
     factors = group.invariant_factors

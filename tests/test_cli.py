@@ -32,7 +32,9 @@ from splicemult.graph import BlowupEvent
 from splicemult.pipeline import EdgeCheckResult, EndDecision
 
 from conftest import (
+    H12_WEIGHTS,
     H60_WEIGHTS,
+    RANK_3_AND_4_GRAPHS,
     TWO_NODE_EDGES,
     chain_armed_stars,
     graph_json,
@@ -40,6 +42,7 @@ from conftest import (
     replace_everywhere,
     report_dict,
     star,
+    table_by_rows,
 )
 
 
@@ -350,6 +353,64 @@ def test_table_determinism(files, capsys):
     assert out1 == out2
 
 
+def test_table_trivial_group_header(capsys, tmp_path):
+    """|H| = 1 is named "trivial", as `invariants` names it; the JSON form
+    has no invariant factors."""
+    path = tmp_path / "star237.json"
+    path.write_text(graph_json(star(-1, [-2, -3, -7])))
+    code, out, _ = run(capsys, "table", str(path))
+    assert code == 0
+    assert out.splitlines()[0] == \
+        "|H| = 1, 1 subgroups (elements written in trivial normal form)"
+    code, out, _ = run(capsys, "table", str(path), "--json")
+    data = json.loads(out)
+    assert (data["order"], data["invariant_factors"]) == (1, [])
+    assert [(r["subgroup"], r["flat"]) for r in data["rows"]] == \
+        [("{0}", "{0}")]
+
+
+# h12, h60 and D4 have 5, 6 and 4 pairs {H1, H1-flat}: D4's three
+# subgroups of order 2 are their own flats, and so are two of the four of
+# order 3 in (Z/3)^2.
+_TABLE_GRAPHS = {
+    "h12": (ResolutionGraph(H12_WEIGHTS, TWO_NODE_EDGES), 5),
+    "h60": (ResolutionGraph(H60_WEIGHTS, TWO_NODE_EDGES), 6),
+    "d4": (star(-2, [-2, -2, -2]), 4),
+    "z3_squared": (star(-1, [-3, -3, -6]), 4),
+}
+_TABLE_GRAPHS.update({f"rank_{k}": (g, None)
+                      for k, g in enumerate(RANK_3_AND_4_GRAPHS)})
+
+
+@pytest.mark.parametrize("name", list(_TABLE_GRAPHS))
+def test_table_json_matches_row_by_row_reference(capsys, tmp_path,
+                                                 monkeypatch, name):
+    """The rows share one subgroup lattice, and print what a row-by-row
+    computation prints; flat_subgroup runs once per pair {H1, H1-flat}."""
+    from splicemult import flat_subgroup
+
+    g, pairs = _TABLE_GRAPHS[name]
+    reference = table_by_rows(g)
+    if pairs is not None:
+        assert pairs == len({frozenset((r["subgroup"], r["flat"]))
+                             for r in reference["rows"]})
+    path = tmp_path / f"{name}.json"
+    path.write_text(graph_json(g))
+    calls = []
+
+    def spy(h1):
+        calls.append(h1.hnf)
+        return flat_subgroup(h1)
+
+    replace_everywhere(monkeypatch, flat_subgroup, spy)
+    code, out, _ = run(capsys, "table", str(path), "--json")
+    assert code == 0
+    assert out == json.dumps(reference, indent=2, sort_keys=True) + "\n"
+    assert len(calls) == len({frozenset((r["subgroup"], r["flat"]))
+                              for r in reference["rows"]})
+    assert len(set(calls)) == len(calls)
+
+
 # --- splice-eqs --------------------------------------------------------------------
 
 
@@ -599,6 +660,57 @@ def test_invalid_blowup_is_exit_4(files, capsys, monkeypatch):
     assert err == ("internal error: blowup produced an invalid graph: "
                    "intersection matrix is not negative definite\n")
 
+
+
+def _flat_of_h12_row(monkeypatch, row, pick):
+    """Make flat_subgroup answer `pick(group, true flat)` for the h12 row
+    printed as `row`, and the true flat for every other row."""
+    from splicemult import enumerate_subgroups, flat_subgroup
+    from splicemult.lattice import _fmt_subgroup
+
+    def wrong(h1):
+        flat = flat_subgroup(h1)
+        if _fmt_subgroup(h1) == row:
+            return pick(enumerate_subgroups(h1.group), flat)
+        return flat
+
+    replace_everywhere(monkeypatch, flat_subgroup, wrong)
+
+
+@pytest.mark.parametrize("pick, message", [
+    # <(0,1)> has order 6, as the flat <(1,2)> has, but E_1* pairs with it
+    (lambda subs, flat: next(s for s in subs if s.order == flat.order
+                             and s != flat),
+     "flat pairing check failed: <(0,1)> is not the flat of <(1,0)>: the "
+     "Hermite rows (1,0) and (0,1) pair to 1/2, not to 0"),
+    # {0} pairs to 0 with everything, but has the wrong order
+    (lambda subs, flat: subs[0],
+     "flat check |H1| * |H1-flat| == |H| failed for H1 = <(1,0)>, "
+     "H1-flat = {0}: 2 * 1 != 12"),
+], ids=["pairing", "order"])
+def test_wrong_flat_is_exit_4(files, capsys, monkeypatch, pick, message):
+    """`table` certifies each pair {H1, H1-flat} it records, whatever
+    flat_subgroup answered."""
+    _flat_of_h12_row(monkeypatch, "<(1,0)>", pick)
+    for argv in (["table", files["h12"]], ["table", files["h12"], "--json"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (4, "")
+        assert err == f"internal error: {message}\n"
+
+
+def test_flat_missing_from_enumeration_is_exit_4(files, capsys,
+                                                 monkeypatch):
+    """A flat that is not among the enumerated subgroups is a bug with a
+    message of its own, not a KeyError: here the enumeration leaves H out,
+    the flat of {0}."""
+    from splicemult import enumerate_subgroups
+
+    replace_everywhere(monkeypatch, enumerate_subgroups,
+                       lambda group: enumerate_subgroups(group)[:-1])
+    code, out, err = run(capsys, "table", files["h12"])
+    assert (code, out) == (4, "")
+    assert err == ("internal error: the flat <(0,1), (1,1)> of {0} is not "
+                   "among the 9 enumerated subgroups\n")
 
 
 def test_internal_failure_is_exit_4(files, capsys, monkeypatch):

@@ -5,6 +5,7 @@ import itertools
 import random
 import sys
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -24,7 +25,7 @@ from splicemult import (
     trivial_subgroup,
 )
 from splicemult.errors import CapExceededError, InputError, InternalError
-from splicemult.lattice import _tree_solve
+from splicemult.lattice import _certify_flat, _tree_solve, _units
 from splicemult.linalg import (
     determinant,
     identity_matrix,
@@ -34,6 +35,7 @@ from splicemult.linalg import (
 
 from conftest import (
     H12_DUAL_ROWS,
+    RANK_3_AND_4_GRAPHS,
     blowup_histories,
     closure,
     dot_vertex,
@@ -410,16 +412,6 @@ def test_enumerate_subgroups_h12(tree_h12):
     assert subs == enumerate_subgroups(group)
 
 
-# Z/2 x Z/2 x Z/4, Z/2 x Z/4 x Z/4, Z/3 x Z/3 x Z/3 and Z/2^4
-RANK_3_AND_4_GRAPHS = [
-    star(-3, [-2, -2, -2, -2]),
-    ResolutionGraph({1: -2, 2: -2, 3: -2, 4: -2, 5: -2, 6: -4, 7: -4},
-                    [(1, 2), (2, 3), (1, 4), (3, 5), (3, 6), (3, 7)]),
-    ResolutionGraph({1: -2, 2: -3, 3: -2, 4: -2, 5: -4, 6: -3, 7: -3},
-                    [(1, 2), (1, 3), (3, 4), (1, 5), (1, 6), (1, 7)]),
-    star(-3, [-2, -2, -2, -2, -2]),
-]
-
 # cyclic groups and Z/2 x Z/6 among them
 SMALL_TREES = random_trees(seed=31, count=40, max_vertices=9, max_ends=7,
                            max_order=64)
@@ -436,7 +428,39 @@ def test_enumerate_subgroups_matches_closure_oracle():
         for s in subs:
             assert closure(group, [group.project(v)
                                    for v in s.generators]) == s.elements
+            # built from its basis, as subgroup() builds it from generators
+            rebuilt = subgroup(s.generators, group)
+            assert (rebuilt.hnf, rebuilt.order, rebuilt.index) == \
+                (s.hnf, s.order, s.index)
+        # the pairing matrix against the pairing of the representatives
+        units = _units(len(group.invariant_factors))
+        pairing = group.pairing_matrix()
+        for j, ej in enumerate(units):
+            for k, ek in enumerate(units):
+                assert (pairing[j][k] - group.order * group.pairing(ej, ek)) \
+                    % group.order == 0
     assert ranks == {1, 2, 3, 4}
+
+
+def test_flat_matches_pairing_oracle():
+    """H1-flat is every class pairing integrally with H1's generators,
+    the pairing read through the representatives and the dual basis, not
+    through the pairing matrix; it is an involution, and each enumerated
+    pair passes its certificate."""
+    for g in SMALL_TREES + RANK_3_AND_4_GRAPHS:
+        group = discriminant_group(g)
+        units = _units(len(group.invariant_factors))
+        subs = enumerate_subgroups(group)
+        for s in subs:
+            gens = [group.project(v) for v in s.generators]
+            against = [[group.pairing(e, nf) for e in units] for nf in gens]
+            perp = {x for x in _all_classes(group)
+                    if all(sum(map(mul, x, row)).denominator == 1
+                           for row in against)}
+            flat = flat_subgroup(s)
+            assert flat.elements == perp
+            assert flat_subgroup(flat) == s
+            _certify_flat(s, flat)
 
 
 @st.composite
