@@ -70,6 +70,8 @@ def _json_text(obj, newline):
                 for k, v in sorted(obj.items())]) + newline + "}"
         return _items([_encode_str(v) if type(v) is str
                        else _json_text(v, inner) for v in obj], newline)
+    if t is _Text:
+        return obj
     if obj is None:
         return "null"
     if obj is True:
@@ -77,6 +79,10 @@ def _json_text(obj, newline):
     if obj is False:
         return "false"
     raise InternalError(f"cannot write a {t.__name__} as JSON")
+
+
+class _Text(str):
+    """JSON text written for where it stands; _json_text copies it."""
 
 
 def _items(texts, newline):
@@ -331,6 +337,14 @@ def cmd_table(args):
     require_monomial_condition(g, basis)
     group = discriminant_group(g, basis)
     lattice = SubgroupLattice(group)
+    listed = {}  # Hermite basis -> its element list as JSON text
+
+    def elements(sub):  # written once, at the depth of a row's values
+        if args.json and sub.hnf not in listed:
+            listed[sub.hnf] = _Text(
+                _json_text(sub.canonical_elements, "\n      "))
+        return listed.get(sub.hnf)
+
     rows = []
     for h1 in lattice.subgroups:
         result = run_pipeline(g, h1)
@@ -339,9 +353,9 @@ def cmd_table(args):
         z_graph, z_dual = final.graph, final.z_dual
         rows.append({
             "subgroup": lattice.name(h1),
-            "elements": h1.canonical_elements,
+            "elements": elements(h1),
             "flat": lattice.name(flat),
-            "flat_elements": flat.canonical_elements,
+            "flat_elements": elements(flat),
             "order": h1.order,
             "index": h1.index,
             "Z_dual": {str(v): str(c)

@@ -6,6 +6,11 @@ diagonal, 1 for every edge) is negative definite.  Graphs are immutable;
 blowups return a fresh graph together with a bookkeeping event, and a
 GraphHistory strings events together while tracking which vertex carries
 each original end's curve variable.
+
+The constructor checks negative definiteness by a leaf-first elimination
+of the tree rooted at its least id and keeps that rooted tree, which the
+branch determinants, the tree solve (lattice) and the branches of the
+monomial condition (monomial) read instead of walking the tree again.
 """
 
 import json
@@ -19,20 +24,16 @@ NOT_A_TREE = "graph is not a connected tree"
 NOT_DEFINITE = "intersection matrix is not negative definite"
 
 
-def _is_int(x):
-    return type(x) is int
-
-
 class ResolutionGraph:
     """Immutable vertex-weighted tree with negative definite form."""
 
     __slots__ = ("_ids", "_pos", "_weights", "_edges", "_adj", "_ends",
-                 "_nodes", "_imatrix", "_hash")
+                 "_nodes", "_rooted", "_preorder", "_imatrix", "_hash")
 
     def __init__(self, weights, edges):
         """weights: mapping vertex id -> weight; edges: iterable of id pairs."""
         items = sorted(weights.items())
-        if any(not _is_int(v) or not _is_int(w) for v, w in items):
+        if not {*map(type, weights), *map(type, weights.values())} <= {int}:
             raise InputError("vertex ids and weights must be integers")
         if len(items) < 2:
             raise InputError("a resolution graph needs at least 2 vertices")
@@ -40,8 +41,8 @@ class ResolutionGraph:
             if w >= 0:
                 raise InputError(f"vertex {v} has weight {w} >= 0")
         self._ids = tuple(v for v, _ in items)
-        self._pos = {v: i for i, v in enumerate(self._ids)}
-        self._weights = {v: w for v, w in items}
+        self._pos = dict(zip(self._ids, range(len(items))))
+        self._weights = dict(items)
 
         seen = set()
         adj = {v: [] for v in self._ids}
@@ -51,7 +52,7 @@ class ResolutionGraph:
                 raise InputError(f"edge {pair!r} references an unknown vertex")
             if a == b:
                 raise InputError(f"self-loop at vertex {a}")
-            key = (min(a, b), max(a, b))
+            key = (a, b) if a < b else (b, a)
             if key in seen:
                 raise InputError(f"duplicate edge {key}")
             seen.add(key)
@@ -65,6 +66,7 @@ class ResolutionGraph:
         self._ends = tuple(v for v in self._ids if len(self._adj[v]) == 1)
         self._nodes = tuple(v for v in self._ids if len(self._adj[v]) >= 3)
 
+        self._preorder = None
         self._imatrix = None
         self._hash = None
         if not self._negative_definite():
@@ -72,8 +74,10 @@ class ResolutionGraph:
 
     def _negative_definite(self):
         """Whether the form is negative definite; InputError(NOT_A_TREE)
-        first when the n - 1 edges do not connect the graph."""
-        return self._eliminate_leaves() is not None
+        first when the n - 1 edges do not connect the graph.  Keeps the
+        rooted tree of the elimination (see rooted_tree)."""
+        self._rooted = self._eliminate_leaves()
+        return self._rooted is not None
 
     def _eliminate_leaves(self):
         """Symmetric elimination of -I(E) in O(n), leaves first, in integers.
@@ -96,21 +100,23 @@ class ResolutionGraph:
         when the pass reaches every vertex, and InputError(NOT_A_TREE) is
         raised, before any pivot, when it does not.
         """
+        adj = self._adj
         root = self._ids[0]
         parent = {root: None}
         order = [root]
         for v in order:
-            for u in self._adj[v]:
+            for u in adj[v]:
                 if u not in parent:
                     parent[u] = v
                     order.append(u)
         if len(order) != len(self._ids):
             raise InputError(NOT_A_TREE)
+        weights = self._weights
         below = {}
         q = dict.fromkeys(order, 1)  # Q_v over the children seen so far
         s = dict.fromkeys(order, 0)  # Q_v * sum_c Q_c / P_c over them
         for v in reversed(order):
-            det = below[v] = -self._weights[v] * q[v] - s[v]
+            det = below[v] = -weights[v] * q[v] - s[v]
             if det <= 0:
                 return None
             p = parent[v]
@@ -119,20 +125,43 @@ class ResolutionGraph:
                 q[p] *= det
         return order, parent, below, q
 
+    def rooted_tree(self):
+        """(order, parent, size) of the tree the leaf-first elimination
+        rooted at the first vertex id: the vertices in depth-first
+        preorder, each one's parent (None at the root), and each subtree's
+        size, so that order[i:i + size[v]] is v's subtree for v = order[i].
+        Derived on first use from the elimination's breadth-first order
+        (blown-up graphs seldom need it).  Shared: do not change it."""
+        if self._preorder is None:
+            order, parent, _, _ = self._rooted
+            size = dict.fromkeys(order, 1)
+            for v in order[:0:-1]:
+                size[parent[v]] += size[v]
+            preorder = order[:1] * len(order)
+            free = {order[0]: 1}  # the next free slot in each subtree
+            for v in order[1:]:
+                i = free[parent[v]]
+                free[parent[v]] = i + size[v]
+                free[v] = i + 1
+                preorder[i] = v
+            self._preorder = preorder, parent, size
+        return self._preorder
+
     def branch_determinants(self):
         """det(-I(E)) and the branch determinants of every directed edge.
 
         Returns (det, branch), where branch[p, c] = D(p -> c) is det(-I)
         on the component holding c when the edge (p, c) is cut.  The
-        leaf-first elimination gives D(parent -> c) = P_c; one pass from
-        the root gives the other direction.  Cutting an edge (v, c) splits
-        -I into two blocks joined by one entry -1, so
+        constructor's leaf-first elimination gives D(parent -> c) = P_c;
+        one pass from the root gives the other direction, with no second
+        elimination.  Cutting an edge (v, c) splits -I into two blocks
+        joined by one entry -1, so
         det = D(v -> c) D(c -> v) - R(v -> c) R(c -> v), where R(v -> c) is
         the determinant of c's component with c removed (1 when that is
         empty): Q_c for a child c, and prod_{y != c} D(v -> y) on v's
         side.  Each division is exact.  O(n) integer steps, no recursion.
         """
-        order, parent, below, rest = self._eliminate_leaves()
+        order, parent, below, rest = self._rooted
         det = below[order[0]]
         branch = {}
         for v in order:
@@ -245,14 +274,15 @@ def graph_from_dict(obj):
         if not isinstance(entry, dict) or "id" not in entry or "weight" not in entry:
             raise InputError(f"bad vertex entry {entry!r}")
         v, w = entry["id"], entry["weight"]
-        if not _is_int(v) or not _is_int(w):
+        if type(v) is not int or type(w) is not int:
             raise InputError(f"bad vertex entry {entry!r}")
         if v in weights:
             raise InputError(f"duplicate vertex id {v}")
         weights[v] = w
     pairs = []
     for e in edges:
-        if not isinstance(e, list) or len(e) != 2 or not all(_is_int(x) for x in e):
+        if (not isinstance(e, list) or len(e) != 2
+                or type(e[0]) is not int or type(e[1]) is not int):
             raise InputError(f"bad edge entry {e!r}")
         pairs.append((e[0], e[1]))
     return ResolutionGraph(weights, pairs)
@@ -275,26 +305,24 @@ def is_minimal(g):
 def branches(g, v):
     """Connected components of the graph minus v, one per neighbour of v.
 
-    Components are returned as frozensets ordered by (size, sorted vertex
-    list) so the output is deterministic.
+    Read off the rooted tree (ResolutionGraph.rooted_tree): each child of
+    v contributes its subtree, a slice of the preorder, and unless v is
+    the root the rest of the preorder, outside v's subtree, is the
+    component through v's parent.  Components are returned as frozensets
+    ordered by (size, sorted vertex list) so the output is deterministic.
     """
     g.index(v)
-    comps = []
-    seen = {v}
-    for start in g.neighbors(v):
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        while stack:
-            for u in g.neighbors(stack.pop()):
-                if u not in seen and u not in comp:
-                    comp.add(u)
-                    stack.append(u)
-        seen |= comp
-        comps.append(frozenset(comp))
-    comps.sort(key=lambda c: (len(c), sorted(c)))
-    return tuple(comps)
+    order, parent, size = g.rooted_tree()
+    start = order.index(v)
+    stop = start + size[v]
+    comps = [] if parent[v] is None else [order[:start] + order[stop:]]
+    i = start + 1
+    while i < stop:
+        j = i + size[order[i]]
+        comps.append(order[i:j])
+        i = j
+    comps = sorted(map(sorted, comps), key=lambda c: (len(c), c))
+    return tuple(map(frozenset, comps))
 
 
 @dataclass(frozen=True)
@@ -363,6 +391,7 @@ def _blown_up(g, event):
                            + [v for v in around if len(adj[v]) == 1]))
     h._nodes = tuple(sorted([v for v in g._nodes if v not in around]
                             + [v for v in around if len(adj[v]) >= 3]))
+    h._preorder = None
     h._imatrix = None
     h._hash = None
     reason = _failed_check(h, event)

@@ -19,7 +19,7 @@ elements of H1 are listed only when a caller asks for them.
 import itertools
 from fractions import Fraction
 from math import gcd, lcm, prod
-from operator import mul
+from operator import itemgetter, mul
 
 from .errors import CapExceededError, InternalError
 from .linalg import _hermite_reduce, _replay, mat_vec, smith_normal_form
@@ -104,12 +104,14 @@ class DualBasis:
     per result.  The constructor solves -I on the tree (_tree_solve) by
     the path formula of Eisenbud and Neumann: num[u][v] is the product of
     the determinants of the components of the graph minus the path from u
-    to v, O(n^2) integer steps from the branch determinants; it then
-    checks num (-I) = den Id entry by entry, over the edges, and raises
-    InternalError on a mismatch.  The blowup loop solves only the input
-    graph: past it, the zero-sum search carries the rows it reads by the
-    pullback E'_x* = pi*(E_x*) (see monomial.ZeroSumSearch), and blowups
-    keep |det I(E)|, so `den` is |H| throughout.
+    to v.  The branch determinants come from the graph's own rooted
+    elimination, and each row from its parent's by rerooting, O(n^2)
+    integer steps in all; it then checks num (-I) = den Id entry by
+    entry, over the edges, and raises InternalError on a mismatch.  The
+    blowup loop solves only the input graph: past it, the zero-sum search
+    carries the rows it reads by the pullback E'_x* = pi*(E_x*) (see
+    monomial.ZeroSumSearch), and blowups keep |det I(E)|, so `den` is |H|
+    throughout.
     """
 
     __slots__ = ("graph", "num", "den", "_duals")
@@ -165,31 +167,37 @@ def _path_numerators(graph, branch):
     """The numerators det(-I) * (-I)^{-1} on a tree, from the branch
     determinants D(p -> c) of graph.branch_determinants.
 
-    num[u][u] = prod_y D(u -> y) over the neighbours y of u.  Walking from
-    u, a step from v to its neighbour x takes x off the graph as well: the
-    component D(v -> x) is divided out (exactly, it is a factor) and the
-    components D(x -> z) of its other neighbours z come in, whose product
-    is R(v -> x) = num[x][x] / D(x -> v).  Iterative, one walk per row.
+    num[u][x] is the product of the determinants of the components of the
+    graph minus the path from u to x; num[u][u] = prod_y D(u -> y).  Rows
+    are built in the preorder of graph.rooted_tree.  The root's row takes
+    one pass down the tree: a step to a child x divides out D(p -> x) (a
+    factor, so exactly) and multiplies in R(p -> x) = num[x][x] / D(x -> p),
+    the components below x.  A child u's row is its parent p's rerooted:
+    off u's subtree the path gains u, num[u][x] = num[p][x] / D(p -> u) *
+    R(p -> u); on it the path loses p, num[u][x] = num[p][x] / R(u -> p) *
+    D(u -> p).  Every division is exact.  O(n^2) steps, no recursion.
     """
-    ids = graph.vertex_ids
-    full = [prod(branch[v, y] for y in graph.neighbors(v)) for v in ids]
-    steps = [[(graph.index(x), branch[v, x],
-               full[graph.index(x)] // branch[x, v])
-              for x in graph.neighbors(v)] for v in ids]
-    num = []
-    for u, diagonal in enumerate(full):
-        row = [0] * len(ids)
-        row[u] = diagonal
-        stack = [(u, u)]
-        while stack:
-            v, back = stack.pop()
-            here = row[v]
-            for x, d, r in steps[v]:
-                if x != back:
-                    row[x] = here // d * r
-                    stack.append((x, v))
-        num.append(tuple(row))
-    return num
+    order, parent, size = graph.rooted_tree()
+    full = dict.fromkeys(order, 1)
+    for (v, _), d in branch.items():
+        full[v] *= d
+    root = order[0]
+    down = {root: full[root]}
+    for x in order[1:]:
+        p = parent[x]
+        down[x] = down[p] // branch[p, x] * (full[x] // branch[x, p])
+    rows = {root: list(map(down.__getitem__, order))}
+    for i in range(1, len(order)):
+        u = order[i]
+        p = parent[u]
+        j = i + size[u]
+        off, up = branch[p, u], branch[u, p]  # D(p -> u), D(u -> p)
+        gain, loss = full[u] // up, full[p] // off  # R(p -> u), R(u -> p)
+        rows[u] = [x // loss * up if i <= k < j else x // off * gain
+                   for k, x in enumerate(rows[p])]
+    at = dict(zip(order, range(len(order))))
+    pick = itemgetter(*map(at.__getitem__, graph.vertex_ids))
+    return [pick(rows[v]) for v in graph.vertex_ids]
 
 
 def _check_inverse(graph, num, den):

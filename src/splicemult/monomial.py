@@ -16,6 +16,8 @@ which makes all bounds finite.
 The witness search of the monomial condition, `admissible_monomials`, is
 one lazy generator: deciding the condition reads the first witness of each
 (node, branch) pair, and only the splice-equation skeletons read them all.
+The branches come from the graph's rooted tree, and the tables each pair's
+search reads are built once per graph (_pairs).
 """
 
 import heapq
@@ -24,7 +26,7 @@ from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from operator import lshift, mul, sub
+from operator import lshift, mul, not_, sub
 
 from .errors import CapExceededError, ConditionError, InternalError
 from .graph import branches
@@ -200,6 +202,10 @@ def _exact_solutions(t, ws, where):
 
 
 def _search_cap_exceeded(where):
+    """Raise the cap error at `where`: a text, or a (node, sorted branch)
+    pair, whose text is built only here."""
+    if type(where) is not str:
+        where = f"node {where[0]}, branch {list(where[1])}"
     raise CapExceededError(
         f"knapsack search bound exceeded: more than {SEARCH_CAP} "
         f"nodes (SEARCH_CAP) at {where}")
@@ -253,51 +259,79 @@ def admissible_monomials(g, basis, node, branch):
       positive entries, and Y >= 0.
     The full test (effective, integral, zero off the branch) still runs on
     every candidate that passes the first, so the verdict never rests on
-    the lemma.
+    the lemma.  The search is _witnesses, which monomial_condition and
+    neumann_wahl_system run on tables built once per graph (_pairs).
     """
-    branch = frozenset(branch)
-    branch_ends = sorted(e for e in g.ends if e in branch)
+    return _cycles(g, basis, _pair_tables(g, node, sorted(branch), g.index))
+
+
+def _pair_tables(g, node, branch, index):
+    """(node, the branch as a tuple, its ends, their positions, and the
+    masks of the vertex order inside and outside the branch) for one
+    sorted branch list of `node`; `index` maps a vertex to its
+    position."""
+    inside = set(branch).__contains__
+    ends = list(filter(inside, g.ends))
+    mask = list(map(inside, g.vertex_ids))
+    return (node, tuple(branch), ends, list(map(index, ends)), mask,
+            list(map(not_, mask)))
+
+
+def _witnesses(g, basis, pair):
+    """The witness search of admissible_monomials on one pair's tables
+    (see _pair_tables): yields each witness as (its exponents at the
+    branch's ends, its numerators over den in vertex order)."""
+    node, branch, _, at_ends, inside, outside = pair
     den = basis.den
-    # num is symmetric, so its rows are the columns E_v*
-    node_col, *end_cols = [basis.num[g.index(v)]
-                           for v in [node] + branch_ends]
+    num = basis.num
     at_node = g.index(node)
-    at_ends = [g.index(e) for e in branch_ends]
+    # num is symmetric, so its rows are the columns E_v*
+    node_col = num[at_node]
+    end_cols = [num[j] for j in at_ends]
     # per end coordinate: E_node*'s residue and the end duals' numerators
     checks = [(node_col[j] % den, [col[j] for col in end_cols])
               for j in at_ends]
-    inside = [v in branch for v in g.vertex_ids]
-    where = f"node {node}, branch {sorted(branch)}"
     for combo in _exact_solutions(node_col[at_node],
-                                  [col[at_node] for col in end_cols], where):
+                                  [col[at_node] for col in end_cols],
+                                  (node, branch)):
         if any(sum(map(mul, combo, row)) % den != r for r, row in checks):
             continue
         d = [0] * len(g)
         for a, col in zip(combo, end_cols):
             if a:
                 d = [x + a * y for x, y in zip(d, col)]
-        if all((x >= 0 and x % den == 0) if ins else x == 0
-               for x, ins in zip(map(sub, d, node_col), inside)):
-            exps = dict.fromkeys(g.ends, 0)
-            exps.update(zip(branch_ends, combo))
-            yield MonomialCycle(exps, g, d, den)
+        # D - E_node*: zero outside, nonnegative and integral inside
+        diff = list(map(sub, d, node_col))
+        on = list(itertools.compress(diff, inside))
+        if (not any(itertools.compress(diff, outside)) and min(on) >= 0
+                and not any(x % den for x in on)):
+            yield combo, d
+
+
+def _cycles(g, basis, pair):
+    """The witnesses of one pair (see _witnesses) as MonomialCycles."""
+    ends = pair[2]
+    for combo, d in _witnesses(g, basis, pair):
+        exps = dict.fromkeys(g.ends, 0)
+        exps.update(zip(ends, combo))
+        yield MonomialCycle(exps, g, d, basis.den)
 
 
 def _pairs(g):
-    """Every (node, sorted branch tuple) pair, by node and then in
-    `branches` order."""
+    """The tables of every (node, branch) pair (see _pair_tables), by
+    node and then in `branches` order, with one position map per graph."""
+    index = dict(zip(g.vertex_ids, range(len(g)))).__getitem__
     for node in g.nodes:
         for branch in branches(g, node):
-            yield node, tuple(sorted(branch))
+            yield _pair_tables(g, node, sorted(branch), index)
 
 
 def monomial_condition(g, basis):
     """The (node, sorted branch tuple) pairs with no admissible monomial, in
     node and branch order; empty exactly when the condition holds.  Each
     pair's search stops at its first witness."""
-    return [(node, branch) for node, branch in _pairs(g)
-            if next(admissible_monomials(g, basis, node, branch), None)
-            is None]
+    return [pair[:2] for pair in _pairs(g)
+            if next(_witnesses(g, basis, pair), None) is None]
 
 
 def _raise_failures(failures):
@@ -831,9 +865,8 @@ def _skeleton_choice(witnesses):
 def neumann_wahl_system(g, basis):
     """Splice equation skeletons, one block of delta_v - 2 equations per
     node.  The one caller that reads every witness of every pair."""
-    chosen = [(node, branch,
-               _skeleton_choice(admissible_monomials(g, basis, node, branch)))
-              for node, branch in _pairs(g)]
+    chosen = [(*pair[:2], _skeleton_choice(_cycles(g, basis, pair)))
+              for pair in _pairs(g)]
     failures = [(node, branch) for node, branch, m in chosen if m is None]
     if failures:
         _raise_failures(failures)

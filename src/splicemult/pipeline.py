@@ -111,6 +111,13 @@ def _dual_at(g, z, v):
             - sum(z[g.index(u)] for u in g.neighbors(v)))
 
 
+def _not_antinef(round_number, v, x, den):
+    """Raise the InternalError for a round whose Z has Z.E_v > 0."""
+    raise InternalError(
+        f"antinef check failed in round {round_number}: "
+        f"-Z.E_{v} = {Fraction(x, den)} < 0")
+
+
 def check_gcd_condition(g, z, z_dual, search, known=None):
     """Edge-by-edge gcd check over every edge of g, in g.edges order.  z
     and z_dual hold |H| * Z_v and |H| * (-Z.E_v) in vertex order, and
@@ -209,6 +216,10 @@ def run_pipeline(g, h1, *, max_blowups=MAX_BLOWUPS, allow_non_minimal=False):
     Z.E_v changes only on the centre and u; and only an end at a new
     vertex, or an edge that is new or whose Z.E = 0 flag changed, is
     searched again.
+
+    Z, a minimum of antinef monomial cycles, is antinef: -Z.E_v >= 0.  The
+    first round's vector is checked once, then the at most three entries
+    each blowup rewrites; a negative one is an InternalError.
     """
     if max_blowups <= 0:
         raise InputError(f"max_blowups must be positive, got {max_blowups}")
@@ -225,6 +236,9 @@ def run_pipeline(g, h1, *, max_blowups=MAX_BLOWUPS, allow_non_minimal=False):
     den = h1.group.order
     z = list(search.z())
     z_dual = list(_dual_numerators(g, z))
+    for v, x in zip(g.vertex_ids, z_dual):  # Z is antinef
+        if x < 0:
+            _not_antinef(1, v, x, den)
     decided = {}  # _end_decisions' results, kept across rounds
     known = {}  # check_gcd_condition's results, kept across rounds
     rounds = []
@@ -254,7 +268,9 @@ def run_pipeline(g, h1, *, max_blowups=MAX_BLOWUPS, allow_non_minimal=False):
         z.insert(at, search.least((u,))[0][0])
         z_dual.insert(at, 0)
         for v in (*event.center, u):
-            z_dual[blown.index(v)] = _dual_at(blown, z, v)
+            x = z_dual[blown.index(v)] = _dual_at(blown, z, v)
+            if x < 0:
+                _not_antinef(len(rounds) + 1, v, x, den)
 
     # |H|^2 * Z.Z = -sum_v (|H| * Z_v) * (|H| * (-Z.E_v))
     zz_num = -sum(map(mul, record.z_num, record.z_dual_num))

@@ -1017,6 +1017,30 @@ def admissible_monomials_by_fractions(g, basis, node, branch):
     return out
 
 
+def branches_by_search(g, v):
+    """The components of g minus v, one per neighbour of v, found by a
+    search from each neighbour: the reference for graph.branches, which
+    reads them off the rooted tree.  Ordered by (size, sorted vertex
+    list), as frozensets."""
+    g.index(v)
+    comps = []
+    seen = {v}
+    for start in g.neighbors(v):
+        if start in seen:
+            continue
+        comp = {start}
+        stack = [start]
+        while stack:
+            for u in g.neighbors(stack.pop()):
+                if u not in seen and u not in comp:
+                    comp.add(u)
+                    stack.append(u)
+        seen |= comp
+        comps.append(frozenset(comp))
+    comps.sort(key=lambda c: (len(c), sorted(c)))
+    return tuple(comps)
+
+
 @st.composite
 def multi_node_trees(draw):
     """A random negative definite tree with at least two nodes: two centres

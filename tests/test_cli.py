@@ -645,6 +645,32 @@ def test_json_commands_print_what_json_dumps_prints(files, capsys, graph,
     assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
 
 
+@pytest.mark.parametrize("graph, count", [("h12", 10), ("h60", 12)])
+def test_table_json_writes_each_element_list_once(files, capsys, monkeypatch,
+                                                  graph, count):
+    """A subgroup's element list is its own row's `elements` and its
+    flat's row's `flat_elements`; the text is written once per subgroup
+    and printed in both places."""
+    import splicemult.cli as cli
+
+    original = cli._json_text
+    written = []
+
+    def spy(obj, newline):
+        if type(obj) is tuple and obj and type(obj[0]) is tuple:
+            written.append(obj)
+        return original(obj, newline)
+
+    monkeypatch.setattr(cli, "_json_text", spy)
+    code, out, _ = run(capsys, "table", files[graph], "--json")
+    assert code == 0
+    assert len(written) == len(set(written)) == count
+    rows = json.loads(out)["rows"]
+    assert ({tuple(map(tuple, r["elements"])) for r in rows}
+            == {tuple(map(tuple, r["flat_elements"])) for r in rows}
+            == set(written))
+
+
 # --- internal errors ----------------------------------------------------------------
 
 
@@ -809,6 +835,33 @@ def test_wrong_branch_determinant_is_exit_4(files, capsys, monkeypatch):
         assert (code, out) == (4, "")
         assert err == ("internal error: tree solve check num * (-I) == "
                        "12 * Id failed at row 1\n")
+
+
+@pytest.mark.parametrize("bad_call, where", [
+    (1, "round 1: -Z.E_1 = -1/31 < 0"),  # the first round's vector
+    (6, "round 2: -Z.E_1 = -1/31 < 0"),  # an entry the first blowup rewrites
+])
+def test_negative_dual_coordinate_is_exit_4(tmp_path, capsys, monkeypatch,
+                                            bad_call, where):
+    """Z is antinef in every round: one -Z.E_v made negative (here by
+    |H| * (-Z.E_v) = -1 from one call of _dual_at) is an internal error
+    naming the round and the vertex, with nothing on stdout.  The star
+    has 5 vertices, so call 6 is the first after its first blowup."""
+    import splicemult.pipeline as pipeline
+
+    path = tmp_path / "star.json"
+    path.write_text(graph_json(star(-1, [-3, -4, -5, -7])))
+    original = pipeline._dual_at
+    calls = []
+
+    def tampered(g, z, v):
+        calls.append(v)
+        return -1 if len(calls) == bad_call else original(g, z, v)
+
+    monkeypatch.setattr(pipeline, "_dual_at", tampered)
+    code, out, err = run(capsys, "mult", str(path), "--uac")
+    assert (code, out) == (4, "")
+    assert err == f"internal error: antinef check failed in {where}\n"
 
 
 def test_no_command_inverts_by_bareiss(files, capsys, monkeypatch):

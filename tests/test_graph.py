@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from splicemult import (
     GraphHistory,
@@ -21,8 +21,9 @@ from splicemult import (
 from splicemult.errors import InputError, InternalError
 from splicemult.linalg import is_negative_definite
 
-from conftest import (blowup_histories, graph_json, intersect,
-                      pullback_vertex_cycle, random_trees)
+from conftest import (blowup_histories, branches_by_search,
+                      chain_armed_stars, graph_json, intersect,
+                      multi_node_trees, pullback_vertex_cycle, random_trees)
 
 
 # --- parsing and validation -----------------------------------------------------
@@ -130,6 +131,53 @@ def test_branches_partition(all_test_graphs):
                 assert not (union & c)
                 union |= c
             assert union == set(g.vertex_ids) - {v}
+
+
+def _assert_branches_match_search(g):
+    for v in g.vertex_ids:
+        assert branches(g, v) == branches_by_search(g, v)
+
+
+@given(multi_node_trees())
+def test_branches_match_search_on_multi_node_trees(g):
+    """The rooted tree's subtrees and their complement are the components
+    a search from each neighbour finds, in the same order."""
+    _assert_branches_match_search(g)
+
+
+@settings(suppress_health_check=[HealthCheck.filter_too_much])
+@given(chain_armed_stars())
+def test_branches_match_search_on_chain_armed_stars(g):
+    """Stars rooted at their centre, so every branch is a child's
+    subtree (the strategy drops the stars that are not negative definite
+    or whose |H| exceeds 2000)."""
+    _assert_branches_match_search(g)
+
+
+@given(blowup_histories())
+def test_branches_match_search_after_blowups(history):
+    """A blown-up graph keeps the rooted tree of its own elimination, with
+    new vertices before and between the old ones in id order."""
+    _assert_branches_match_search(history.initial)
+    for k in range(len(history.events)):
+        _assert_branches_match_search(history.graph_after(k))
+
+
+def test_rooted_tree_is_a_preorder_from_the_least_id(tree_h12):
+    """Each vertex's subtree is the slice of the preorder that starts at
+    it, and the root is the least id."""
+    order, parent, size = tree_h12.rooted_tree()
+    assert order[0] == 1 and parent[1] is None
+    assert sorted(order) == list(tree_h12.vertex_ids)
+    for i, v in enumerate(order):
+        below = set(order[i:i + size[v]])
+        assert below == {u for u in order if _descends(u, v, parent)}
+
+
+def _descends(u, v, parent):
+    while u is not None and u != v:
+        u = parent[u]
+    return u == v
 
 
 # --- blowups ---------------------------------------------------------------------

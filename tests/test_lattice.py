@@ -35,7 +35,9 @@ from splicemult.linalg import (
 
 from conftest import (
     H12_DUAL_ROWS,
+    H60_WEIGHTS,
     RANK_3_AND_4_GRAPHS,
+    TWO_NODE_EDGES,
     blowup_histories,
     closure,
     dot_vertex,
@@ -125,6 +127,34 @@ def test_tree_solve_equals_bareiss(history):
     for g in graphs:
         num, den = invert_rational_matrix(_negated(g))
         assert _tree_solve(g) == ([tuple(row) for row in num], den)
+
+
+def test_rerooted_rows_when_the_least_id_is_a_leaf(monomial_fail_graph):
+    """Rooted at the leaf 1, the nodes 5 and 6 lie below it: every other
+    row is its parent's rerooted, and vertex 6's branch {1, 2, 5} is the
+    complement of its subtree.  The rows are the Bareiss inverse's."""
+    g = monomial_fail_graph
+    order, parent, size = g.rooted_tree()
+    assert (order[0], g.degree(order[0])) == (1, 1)
+    assert parent[5] == 1 and parent[6] == 5 and size[6] == 3
+    num, den = invert_rational_matrix(_negated(g))
+    basis = DualBasis(g)
+    assert (basis.num, basis.den) == ([tuple(row) for row in num], den)
+    assert basis.dual_cycle(6).coeffs == tuple(map(Fraction, (
+        "1/3", "1/3", "7/6", "7/6", "4/3", "14/3")))
+
+
+def test_dual_basis_reads_the_constructors_elimination(monkeypatch):
+    """The tree solve reroots the elimination the constructor kept: it
+    eliminates no leaf again."""
+    def forbidden(self):
+        raise AssertionError("_eliminate_leaves called again")
+
+    g = ResolutionGraph(H60_WEIGHTS, TWO_NODE_EDGES)
+    monkeypatch.setattr(ResolutionGraph, "_eliminate_leaves", forbidden)
+    num, den = invert_rational_matrix(_negated(g))
+    basis = DualBasis(g)
+    assert (basis.num, basis.den) == ([tuple(row) for row in num], den)
 
 
 @given(st.one_of(blowup_histories(), chain_armed_star_histories(),
