@@ -23,7 +23,6 @@ from .graph import (
 from .lattice import (
     DiscriminantGroup,
     DualBasis,
-    QCycle,
     SubgroupData,
     discriminant_group,
     dual_cycles,
@@ -48,7 +47,6 @@ from .monomial import (
     gcd_cycle,
     hilbert_basis,
     monomial_condition,
-    monomial_cycle,
     neumann_wahl_system,
     require_monomial_condition,
 )
@@ -57,7 +55,6 @@ from .pipeline import (
     EndDecision,
     PipelineReport,
     check_gcd_condition,
-    multiplicity_of_quotient,
     run_pipeline,
 )
 

@@ -165,7 +165,7 @@ def _emit_report(report):
     write(f'{{{n2}"H1_order": {report.h1_order},'
           f'{n2}"H_invariant_factors": '
           f'{_json_text(report.invariant_factors, n2)},'
-          f'{n2}"ZZ": "{report.zz!s}",'
+          f'{n2}"ZZ": "{_FractionText(report.order ** 2)[report.zz_num]}",'
           f'{n2}"Z_final": {{{n4}"dual": '
           f'{z_map(key, final.graph, final.z_dual_num, n4)},'
           f'{n4}"vertex": {z_map(key, final.graph, final.z_num, n4)}{n2}}},'
@@ -218,16 +218,16 @@ def _load_subgroup(path, graph, group):
     return subgroup(gens, group)
 
 
-def _fmt_dual_combo(graph, coords):
-    """Render a dual-coordinate vector as a combination of E_v*."""
+def _fmt_dual_combo(graph, nums, text):
+    """Render dual coordinates as a combination of E_v*: `nums` are their
+    numerators over text.den in vertex order, and `text` a _FractionText
+    that writes them."""
     terms = []
-    for v, c in zip(graph.vertex_ids, coords):
-        if c == 0:
-            continue
-        if c == 1:
+    for v, x in zip(graph.vertex_ids, nums):
+        if x == text.den:
             terms.append(f"E{v}*")
-        else:
-            terms.append(f"{c}*E{v}*")
+        elif x:
+            terms.append(f"{text[x]}*E{v}*")
     return " + ".join(terms) if terms else "0"
 
 
@@ -303,9 +303,11 @@ def cmd_mult(args):
         return EXIT_OK
     print(f"|H| = {result.order}  |H1| = {result.h1_order}  "
           f"index |H/H1| = {result.index}")
+    text = _FractionText(result.order)
     if args.trace:
         for k, rnd in enumerate(result.rounds, start=1):
-            print(f"round {k}: Z = {_fmt_dual_combo(rnd.graph, rnd.z_dual)}")
+            print(f"round {k}: Z = "
+                  f"{_fmt_dual_combo(rnd.graph, rnd.z_dual_num, text)}")
             for dec in rnd.end_decisions:
                 extra = (f" (witness {dec.witness})"
                          if dec.witness is not None else "")
@@ -319,9 +321,8 @@ def cmd_mult(args):
                 print(f"  blowup {ev.kind} at {list(ev.center)} -> "
                       f"new vertex {ev.new_vertex}")
     final = result.rounds[-1]
-    z_text = _fmt_dual_combo(final.graph, final.z_dual)
-    print(f"Z = {z_text}")
-    print(f"Z.Z = {result.zz}")
+    print(f"Z = {_fmt_dual_combo(final.graph, final.z_dual_num, text)}")
+    print(f"Z.Z = {_FractionText(result.order ** 2)[result.zz_num]}")
     print(f"multiplicity = {result.multiplicity}")
     return EXIT_OK
 
@@ -338,6 +339,7 @@ def cmd_table(args):
     group = discriminant_group(g, basis)
     lattice = SubgroupLattice(group)
     listed = {}  # Hermite basis -> its element list as JSON text
+    text, zz_text = _FractionText(group.order), _FractionText(group.order ** 2)
 
     def elements(sub):  # written once, at the depth of a row's values
         if args.json and sub.hnf not in listed:
@@ -350,7 +352,7 @@ def cmd_table(args):
         result = run_pipeline(g, h1)
         flat = lattice.flat(h1)
         final = result.rounds[-1]
-        z_graph, z_dual = final.graph, final.z_dual
+        z_graph, z_dual = final.graph, final.z_dual_num
         rows.append({
             "subgroup": lattice.name(h1),
             "elements": elements(h1),
@@ -358,10 +360,10 @@ def cmd_table(args):
             "flat_elements": elements(flat),
             "order": h1.order,
             "index": h1.index,
-            "Z_dual": {str(v): str(c)
-                       for v, c in zip(z_graph.vertex_ids, z_dual)},
-            "Z": _fmt_dual_combo(z_graph, z_dual),
-            "ZZ": str(result.zz),
+            "Z_dual": {str(v): text[x]
+                       for v, x in zip(z_graph.vertex_ids, z_dual)},
+            "Z": _fmt_dual_combo(z_graph, z_dual, text),
+            "ZZ": zz_text[result.zz_num],
             "multiplicity": result.multiplicity,
         })
     if args.json:

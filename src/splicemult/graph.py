@@ -232,13 +232,6 @@ class ResolutionGraph:
             self._imatrix = m
         return [list(row) for row in self._imatrix]
 
-    def to_dict(self):
-        return {
-            "vertices": [{"id": v, "weight": self._weights[v]}
-                         for v in self._ids],
-            "edges": [list(e) for e in self._edges],
-        }
-
     # --- identity -------------------------------------------------------------
 
     def _key(self):
@@ -447,7 +440,8 @@ def blowup_end_point(g, i):
 
 
 class GraphHistory:
-    """Append-only record of blowups applied to an initial graph.
+    """Append-only record of the blowups applied to a graph: the graph they
+    lead to (`current`) and the events, in order.
 
     end_map sends each original end index to the vertex currently carrying
     its curve variable: edge blowups never move it, an end-point blowup moves
@@ -455,17 +449,9 @@ class GraphHistory:
     """
 
     def __init__(self, graph):
-        self._graphs = [graph]
+        self.current = graph
         self._events = []
         self._end_map = {e: e for e in graph.ends}
-
-    @property
-    def initial(self):
-        return self._graphs[0]
-
-    @property
-    def current(self):
-        return self._graphs[-1]
 
     @property
     def events(self):
@@ -475,23 +461,16 @@ class GraphHistory:
     def end_map(self):
         return dict(self._end_map)
 
-    def graph_before(self, k):
-        return self._graphs[k]
-
-    def graph_after(self, k):
-        return self._graphs[k + 1]
-
     def blowup_edge(self, v, w):
-        g2, event = blowup_edge(self.current, v, w)
-        self._graphs.append(g2)
+        self.current, event = blowup_edge(self.current, v, w)
         self._events.append(event)
         return event
 
     def blowup_end(self, label):
         if label not in self._end_map:
             raise InternalError(f"{label} is not a tracked end index")
-        g2, event = blowup_end_point(self.current, self._end_map[label])
-        self._graphs.append(g2)
+        self.current, event = blowup_end_point(self.current,
+                                               self._end_map[label])
         self._events.append(event)
         self._end_map[label] = event.new_vertex
         return event

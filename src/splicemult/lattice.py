@@ -1,23 +1,25 @@
-"""Rational cycles, the intersection pairing, and the discriminant group.
+"""The dual basis, the discriminant group and its subgroups.
 
 The cycle lattice L is freely generated by the vertices; the dual lattice
 L* is generated by the dual cycles E_v* with E_v* . E_w = -delta_vw, i.e.
 the columns of B = (-I)^{-1}.  B is carried as integer numerators over one
-denominator |H| = det(-I), so pairings and the flat subgroup's congruences
-run in integers and a Fraction is built only for a result.  The finite
-quotient H = L*/L is computed from the Smith normal form of -I, which
-identifies H with Z^r / diag(d) Z^r for the invariant factors d.  The
-factors are read and checked against B on every command; the Smith
-coordinates (rows of U, representatives from V) are rebuilt from the
-form's operation log and certified only when a caller projects onto them
-or lifts from them (see DiscriminantGroup).  A subgroup H1 is the lattice
-between diag(d) Z^r and Z^r that is its preimage, stored as a canonical
-Hermite basis: membership, order and index come from that basis, and the
-elements of H1 are listed only when a caller asks for them.
+denominator |H| = det(-I), and so is every rational cycle of the program:
+a cycle is the integer vector |H| * D in vertex order.  The linking
+pairing and the flat subgroup's congruences run in integers, and a
+rational value is written as text ("p/q", _FractionText) only when it is
+printed.  The finite quotient H = L*/L is computed from the Smith normal
+form of -I, which identifies H with Z^r / diag(d) Z^r for the invariant
+factors d.  The factors are read and checked against B on every
+command; the Smith coordinates (rows of U, representatives from V) are
+rebuilt from the form's operation log and certified only when a caller
+projects onto them or lifts from them (see DiscriminantGroup).  A
+subgroup H1 is the lattice between diag(d) Z^r and Z^r that is its
+preimage, stored as a canonical Hermite basis: membership, order and
+index come from that basis, and the elements of H1 are listed only when
+a caller asks for them.
 """
 
 import itertools
-from fractions import Fraction
 from math import gcd, lcm, prod
 from operator import itemgetter, mul
 
@@ -29,82 +31,17 @@ from .linalg import _hermite_reduce, _replay, mat_vec, smith_normal_form
 ENUMERATION_CAP = 5000
 
 
-class QCycle:
-    """Rational cycle on a fixed graph, stored in vertex-basis coordinates."""
-
-    __slots__ = ("graph", "coeffs")
-
-    def __init__(self, graph, coeffs):
-        if len(coeffs) != len(graph):
-            raise InternalError("coefficient count != vertex count")
-        self.graph = graph
-        self.coeffs = tuple(c if type(c) is Fraction else Fraction(c)
-                            for c in coeffs)
-
-    @classmethod
-    def zero(cls, graph):
-        return cls(graph, (0,) * len(graph))
-
-    def coefficient(self, v):
-        """M_v(D): the coefficient of E_v in this cycle."""
-        return self.coeffs[self.graph.index(v)]
-
-    def as_dict(self):
-        return {v: c for v, c in zip(self.graph.vertex_ids, self.coeffs)}
-
-    # --- arithmetic -----------------------------------------------------------
-
-    def _check(self, other):
-        if self.graph != other.graph:
-            raise InternalError("cycles live on different graphs")
-
-    def __add__(self, other):
-        self._check(other)
-        return QCycle(self.graph, [a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __sub__(self, other):
-        self._check(other)
-        return QCycle(self.graph, [a - b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __neg__(self):
-        return QCycle(self.graph, [-a for a in self.coeffs])
-
-    def __mul__(self, scalar):
-        return QCycle(self.graph, [a * scalar for a in self.coeffs])
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        return (isinstance(other, QCycle) and self.graph == other.graph
-                and self.coeffs == other.coeffs)
-
-    def __hash__(self):
-        return hash((self.graph, self.coeffs))
-
-    def __repr__(self):
-        parts = ", ".join(f"{v}: {c}" for v, c in self.as_dict().items() if c)
-        return f"QCycle({{{parts}}})"
-
-    # --- cycle predicates -------------------------------------------------------
-
-    def is_integral(self):
-        return all(c.denominator == 1 for c in self.coeffs)
-
-    def is_effective(self):
-        return all(c >= 0 for c in self.coeffs)
-
-
 class DualBasis:
     """The matrix B = (-I)^{-1} = num / den; column v holds the
     coefficients of E_v*.
 
     `num` is an integer matrix and den = det(-I) = |H|: every dual entry
     has a denominator dividing |H|, so one common denominator carries the
-    whole basis and the pairings run in integers, building one Fraction
-    per result.  The constructor solves -I on the tree (_tree_solve) by
-    the path formula of Eisenbud and Neumann: num[u][v] is the product of
-    the determinants of the components of the graph minus the path from u
-    to v.  The branch determinants come from the graph's own rooted
+    whole basis, and its readers (the group's pairing matrix, the
+    monomial searches) run in integers.  The constructor solves -I on
+    the tree (_tree_solve) by the path formula of Eisenbud and Neumann:
+    num[u][v] is the product of the determinants of the components of
+    the graph minus the path from u to v.  The branch determinants come from the graph's own rooted
     elimination, and each row from its parent's by rerooting, O(n^2)
     integer steps in all; it then checks num (-I) = den Id entry by
     entry, over the edges, and raises InternalError on a mismatch.  The
@@ -114,44 +51,11 @@ class DualBasis:
     throughout.
     """
 
-    __slots__ = ("graph", "num", "den", "_duals")
+    __slots__ = ("graph", "num", "den")
 
     def __init__(self, graph):
         self.graph = graph
         self.num, self.den = _tree_solve(graph)
-        self._duals = {}
-
-    @property
-    def matrix(self):
-        """B itself as rows of Fractions (a view built on each call)."""
-        den = self.den
-        return [tuple(Fraction(x, den) for x in row) for row in self.num]
-
-    def entry(self, a, b):
-        """Coefficient of E_a in E_b* (symmetric; equals -E_a* . E_b*)."""
-        return Fraction(self.num[self.graph.index(a)][self.graph.index(b)],
-                        self.den)
-
-    def dual_cycle(self, v):
-        """The cycle E_v* with E_v* . E_w = -delta_vw; all entries positive."""
-        if v not in self._duals:
-            self._duals[v] = QCycle(
-                self.graph,
-                [Fraction(x, self.den) for x in self.num[self.graph.index(v)]])
-        return self._duals[v]
-
-    def expand(self, coords):
-        """The cycle sum_v coords_v * E_v* in vertex coordinates (= B @ c)."""
-        vec = _as_vector(self.graph, coords)
-        return QCycle(self.graph,
-                      [Fraction(x, self.den) for x in mat_vec(self.num, vec)])
-
-    def pairing(self, c1, c2):
-        """Intersection of two dual-basis combinations: -c1^T B c2."""
-        v1 = _as_vector(self.graph, c1)
-        v2 = _as_vector(self.graph, c2)
-        applied = mat_vec(self.num, v2)
-        return Fraction(-sum(map(mul, v1, applied)), self.den)
 
 
 def _tree_solve(graph):
@@ -353,10 +257,6 @@ class DiscriminantGroup:
                 for rep in reps)
         return self._pairing
 
-    @property
-    def zero(self):
-        return (0,) * len(self.invariant_factors)
-
     def project(self, coords):
         """Normal form of the class of sum_v coords_v * E_v*."""
         vec = _as_vector(self.graph, coords)
@@ -377,12 +277,6 @@ class DiscriminantGroup:
         for x, d in zip(nf, self.invariant_factors):
             out = lcm(out, d // gcd(d, x))
         return out
-
-    def pairing(self, nf1, nf2):
-        """The linking pairing H x H -> Q/Z, returned as a Fraction in [0, 1)."""
-        val = self.basis.pairing(self.representative(nf1),
-                                 self.representative(nf2))
-        return val - (val.numerator // val.denominator)
 
 
 def _smith_coordinates(group):
@@ -474,13 +368,6 @@ class SubgroupData:
                       for j, dj in enumerate(d))
                 for cs in itertools.product(*ranges)))
         return self._canonical
-
-    @property
-    def elements(self):
-        return frozenset(self.canonical_elements)
-
-    def contains(self, nf):
-        return _lattice_contains(self.hnf, nf)
 
     def minimal_generators(self):
         """Small deterministic generating set (highest order first)."""
@@ -623,7 +510,7 @@ def _certify_flat(h1, flat):
                     f"flat pairing check failed: {_fmt_subgroup(flat)} is "
                     f"not the flat of {_fmt_subgroup(h1)}: the Hermite rows "
                     f"{_fmt_nf(h)} and {_fmt_nf(k)} pair to "
-                    f"{Fraction(x, group.order)}, not to 0")
+                    f"{_FractionText(group.order)[x]}, not to 0")
 
 
 def _torsion_tails(below, m, start):

@@ -24,13 +24,12 @@ import heapq
 import itertools
 from bisect import insort
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, lcm
 from operator import lshift, mul, not_, sub
 
 from .errors import CapExceededError, ConditionError, InternalError
 from .graph import branches
-from .lattice import QCycle, _as_vector
+from .lattice import _as_vector
 
 BOX_CAP = 10 ** 8  # points in a Hilbert-basis enumeration box
 SEARCH_CAP = 2_000_000  # nodes of one knapsack search
@@ -38,38 +37,16 @@ RESIDUE_CAP = 10 ** 5  # |H1|: bounds the classes a zero-sum search tabulates
 
 
 class MonomialCycle:
-    """Exponent vector over end indices plus its vertex-basis expansion.
+    """A monomial prod z_i^{a_i}: its exponents by end index, and its
+    cycle sum_i a_i E_i* as the integers `num` = |H| * (sum_i a_i E_i*)_v
+    in vertex order over den = |H|."""
 
-    The expansion is held as integer numerators over the dual basis's
-    denominator den = |H|; the QCycle `expansion` is built from them the
-    first time it is read, so a witness that is only counted or printed
-    never builds a Fraction.
-    """
+    __slots__ = ("exponents", "num", "den")
 
-    __slots__ = ("exponents", "_graph", "_num", "_den", "_expansion")
-
-    def __init__(self, exponents, graph, num, den):
+    def __init__(self, exponents, num, den):
         self.exponents = dict(sorted(exponents.items()))
-        self._graph = graph
-        self._num = tuple(num)
-        self._den = den
-        self._expansion = None
-
-    @property
-    def expansion(self):
-        """sum_i a_i E_i* in vertex coordinates, as a QCycle."""
-        if self._expansion is None:
-            den = self._den
-            self._expansion = QCycle(
-                self._graph, [Fraction(x, den) for x in self._num])
-        return self._expansion
-
-    @property
-    def degree(self):
-        return sum(self.exponents.values())
-
-    def exponent_vector(self, labels):
-        return tuple(self.exponents.get(l, 0) for l in labels)
+        self.num = tuple(num)
+        self.den = den
 
     def monomial_string(self):
         return monomial_string(self.exponents)
@@ -77,7 +54,7 @@ class MonomialCycle:
     def __eq__(self, other):
         return (isinstance(other, MonomialCycle)
                 and self.exponents == other.exponents
-                and self.expansion == other.expansion)
+                and self.num == other.num and self.den == other.den)
 
     def __repr__(self):
         return f"MonomialCycle({self.monomial_string()})"
@@ -92,28 +69,6 @@ def monomial_string(exponents):
         elif a > 1:
             parts.append(f"z{label}^{a}")
     return "*".join(parts) if parts else "1"
-
-
-def monomial_cycle(basis, exponents, end_map=None):
-    """Build a monomial cycle; exponent keys are end indices, mapped onto
-    current end vertices by end_map (identity when omitted)."""
-    g = basis.graph
-    if end_map is None:
-        end_map = {e: e for e in g.ends}
-    exps = {}
-    total = [0] * len(g)
-    for label, a in exponents.items():
-        if label not in end_map:
-            raise InternalError(f"{label} is not a tracked end index")
-        if a < 0:
-            raise InternalError("exponents must be nonnegative")
-        exps[label] = a
-        if a:
-            row = basis.num[g.index(end_map[label])]
-            total = [x + a * y for x, y in zip(total, row)]
-    for label in end_map:
-        exps.setdefault(label, 0)
-    return MonomialCycle(exps, g, total, basis.den)
 
 
 # --- integer knapsack helpers -------------------------------------------------
@@ -314,7 +269,7 @@ def _cycles(g, basis, pair):
     for combo, d in _witnesses(g, basis, pair):
         exps = dict.fromkeys(g.ends, 0)
         exps.update(zip(ends, combo))
-        yield MonomialCycle(exps, g, d, basis.den)
+        yield MonomialCycle(exps, d, basis.den)
 
 
 def _pairs(g):
@@ -802,16 +757,22 @@ def hilbert_basis(g, basis, h1, end_map=None):
                for m, col in rows):
             members.append(combo)
 
+    end_rows = [basis.num[basis.graph.index(v)] for v in vertices]
     generators = []
     for combo in _minimal_vectors(members):
-        exps = {l: a for l, a in zip(labels, combo)}
-        generators.append(monomial_cycle(basis, exps, end_map))
+        num = [0] * len(basis.graph)
+        for a, row in zip(combo, end_rows):
+            if a:
+                num = [x + a * y for x, y in zip(num, row)]
+        generators.append(MonomialCycle(dict(zip(labels, combo)), num,
+                                        basis.den))
     return HilbertBasis(graph=g, labels=labels, end_vertices=vertices,
                         orders=orders, generators=tuple(generators))
 
 
 def gcd_cycle(generators):
-    """Componentwise minimum of the generators' expansions.
+    """Componentwise minimum of the generators' cycles, as the integers
+    |H| * Z_v in vertex order (ZeroSumSearch.z() on the same graph).
 
     Every monoid member dominates one of its generator summands in every
     coordinate (all dual entries are positive), so this minimum over the
@@ -820,11 +781,7 @@ def gcd_cycle(generators):
     gens = list(generators)
     if not gens:
         raise InternalError("gcd of an empty generator set")
-    expansions = [m.expansion if isinstance(m, MonomialCycle) else m
-                  for m in gens]
-    g = expansions[0].graph
-    coeffs = [min(e.coeffs[i] for e in expansions) for i in range(len(g))]
-    return QCycle(g, coeffs)
+    return tuple(map(min, zip(*(m.num for m in gens))))
 
 
 # --- Neumann-Wahl equation skeletons ---------------------------------------------

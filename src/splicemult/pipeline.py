@@ -6,17 +6,16 @@ and the local checks by shortest zero-sum searches alternate with blowups
 until every local check passes, and the answer is |H/H1| * (-Z.Z).
 Everything is exact; a non-integer result is an internal error, never
 something to round.  The loop runs in integers over den = |H|: Z as
-|H| * Z_v, its dual coordinates as |H| * (-Z.E_v) and Z.Z as |H|^2 * Z.Z.
-A Fraction is built only when a report's rational values are read.
+|H| * Z_v, its dual coordinates as |H| * (-Z.E_v) and Z.Z as |H|^2 * Z.Z,
+and a report keeps them so: the CLI writes them as "p/q" text.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import mul
 
 from .errors import CapExceededError, ConditionError, InputError, InternalError
 from .graph import GraphHistory, is_minimal
-from .lattice import QCycle, full_subgroup
+from .lattice import _FractionText
 from .monomial import ZeroSumSearch, is_base_point, monomial_string
 
 MAX_BLOWUPS = 64  # default cap on the blowups of one run
@@ -46,9 +45,8 @@ class EndDecision:
 @dataclass
 class RoundRecord:
     """One round of the loop on `graph`.  Z is carried as the integers
-    |H| * Z_v and its dual coordinates as |H| * (-Z.E_v), both in vertex
-    order over den = |H|; `z` and `z_dual` build the rational values when
-    they are read."""
+    z_num = |H| * Z_v and its dual coordinates as z_dual_num =
+    |H| * (-Z.E_v), both in `graph`'s vertex order over den = |H|."""
 
     graph: object
     den: int
@@ -57,16 +55,6 @@ class RoundRecord:
     end_decisions: tuple = ()
     edge_checks: tuple = ()
     blowup: object = None  # BlowupEvent or None
-
-    @property
-    def z(self):
-        """Z as a QCycle on this round's graph."""
-        return QCycle(self.graph, [Fraction(x, self.den) for x in self.z_num])
-
-    @property
-    def z_dual(self):
-        """Z's dual coordinates (-Z.E_v)_v."""
-        return tuple(Fraction(x, self.den) for x in self.z_dual_num)
 
 
 @dataclass
@@ -82,21 +70,6 @@ class PipelineReport:
     zz_num: int  # |H|^2 * Z.Z
     multiplicity: int
     input_minimal: bool = True
-
-    @property
-    def z_final(self):
-        """Z on the final graph, as a QCycle."""
-        return self.rounds[-1].z
-
-    @property
-    def zz(self):
-        """Z.Z as a Fraction."""
-        return Fraction(self.zz_num, self.order ** 2)
-
-    @property
-    def base_point_decisions(self):
-        """Every round's end decisions, in order."""
-        return tuple(d for r in self.rounds for d in r.end_decisions)
 
 
 def _dual_numerators(g, z):
@@ -115,7 +88,7 @@ def _not_antinef(round_number, v, x, den):
     """Raise the InternalError for a round whose Z has Z.E_v > 0."""
     raise InternalError(
         f"antinef check failed in round {round_number}: "
-        f"-Z.E_{v} = {Fraction(x, den)} < 0")
+        f"-Z.E_{v} = {_FractionText(den)[x]} < 0")
 
 
 def check_gcd_condition(g, z, z_dual, search, known=None):
@@ -277,10 +250,10 @@ def run_pipeline(g, h1, *, max_blowups=MAX_BLOWUPS, allow_non_minimal=False):
     square = den ** 2
     multiplicity, rest = divmod(-h1.index * zz_num, square)
     if multiplicity <= 0 or rest:
+        value = _FractionText(square)[-h1.index * zz_num]
         raise InternalError(
-            f"|H/H1| * (-Z.Z) = {Fraction(-h1.index * zz_num, square)} is "
-            "not a positive integer; this is a bug or a violated input "
-            "assumption")
+            f"|H/H1| * (-Z.Z) = {value} is not a positive integer; this is "
+            "a bug or a violated input assumption")
 
     return PipelineReport(
         graph=g,
@@ -296,11 +269,3 @@ def run_pipeline(g, h1, *, max_blowups=MAX_BLOWUPS, allow_non_minimal=False):
         input_minimal=minimal,
     )
 
-
-def multiplicity_of_quotient(g, group=None):
-    """Multiplicity of the underlying singularity itself (H1 = H)."""
-    from .lattice import discriminant_group
-
-    if group is None:
-        group = discriminant_group(g)
-    return run_pipeline(g, full_subgroup(group))

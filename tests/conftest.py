@@ -11,7 +11,9 @@ from hypothesis import assume, settings, strategies as st
 
 from splicemult import (GraphHistory, InputError, InternalError,
                         ResolutionGraph)
-from splicemult.linalg import _hermite_reduce, _replay, _xgcd, identity_matrix
+from splicemult.lattice import _as_vector
+from splicemult.linalg import (_hermite_reduce, _replay, _xgcd,
+                               identity_matrix, mat_vec)
 
 # Property tests draw the same examples on every run.
 settings.register_profile("deterministic", derandomize=True, database=None,
@@ -131,10 +133,40 @@ def random_trees(seed, count, max_vertices=8, max_ends=6, max_order=20):
     return out
 
 
+class RecordedHistory(GraphHistory):
+    """A GraphHistory that keeps the graph after each blowup, for tests
+    that read the graphs on either side of an event."""
+
+    def __init__(self, graph):
+        super().__init__(graph)
+        self.graphs = [graph]
+
+    def blowup_edge(self, v, w):
+        event = super().blowup_edge(v, w)
+        self.graphs.append(self.current)
+        return event
+
+    def blowup_end(self, label):
+        event = super().blowup_end(label)
+        self.graphs.append(self.current)
+        return event
+
+    @property
+    def initial(self):
+        return self.graphs[0]
+
+    def graph_before(self, k):
+        return self.graphs[k]
+
+    def graph_after(self, k):
+        return self.graphs[k + 1]
+
+
 def end_map_after(history, k):
     """End index -> vertex carrying its curve variable on the graph after
-    event k, replayed from the recorded events alone."""
-    end_map = {e: e for e in history.initial.ends}
+    event k, replayed from the recorded events alone (the labels are the
+    original ends)."""
+    end_map = {e: e for e in history.end_map}
     for event in history.events[:k + 1]:
         if event.kind == "end":
             label = next(l for l, v in end_map.items()
@@ -167,7 +199,6 @@ def table_by_rows(g):
     run for every row, flat or not."""
     from splicemult import (discriminant_group, enumerate_subgroups,
                             flat_subgroup, run_pipeline)
-    from splicemult.cli import _fmt_dual_combo
     from splicemult.lattice import _fmt_subgroup
 
     group = discriminant_group(g)
@@ -176,7 +207,7 @@ def table_by_rows(g):
         result = run_pipeline(g, h1)
         flat = flat_subgroup(h1)
         final = result.rounds[-1]
-        z_graph, z_dual = final.graph, final.z_dual
+        z_graph, z_dual = final.graph, round_z_dual(final)
         rows.append({
             "subgroup": _fmt_subgroup(h1),
             "elements": [list(nf) for nf in h1.canonical_elements],
@@ -186,8 +217,8 @@ def table_by_rows(g):
             "index": h1.index,
             "Z_dual": {str(v): str(c)
                        for v, c in zip(z_graph.vertex_ids, z_dual)},
-            "Z": _fmt_dual_combo(z_graph, z_dual),
-            "ZZ": str(result.zz),
+            "Z": dual_combo_text(z_graph, z_dual),
+            "ZZ": str(report_zz(result)),
             "multiplicity": result.multiplicity,
         })
     return {"order": group.order,
@@ -198,8 +229,9 @@ def table_by_rows(g):
 def closure(group, nfs):
     """Brute-force additive closure of normal forms in H (contains zero)."""
     factors = group.invariant_factors
-    elems = {group.zero}
-    frontier = [group.zero]
+    zero = (0,) * len(factors)
+    elems = {zero}
+    frontier = [zero]
     while frontier:
         x = frontier.pop()
         for g in nfs:
@@ -235,14 +267,17 @@ def perp_member(coords, h1):
     generators are integers.
     """
     basis = h1.group.basis
-    return all(basis.pairing(coords, g).denominator == 1
+    return all(dual_pairing(basis, coords, g).denominator == 1
                for g in h1.generators)
 
 
 def graph_json(g):
+    """The input document of a graph, as the CLI reads it."""
     import json
 
-    return json.dumps(g.to_dict())
+    return json.dumps({"vertices": [{"id": v, "weight": g.weight(v)}
+                                    for v in g.vertex_ids],
+                       "edges": [list(e) for e in g.edges]})
 
 
 def relabel(g, f):
@@ -289,10 +324,184 @@ def report_dict(report):
         "rounds": rounds,
         "Z_final": {"vertex": rounds[-1]["Z_vertex"],
                     "dual": rounds[-1]["Z_dual"]},
-        "ZZ": str(report.zz),
+        "ZZ": str(report_zz(report)),
         "multiplicity": report.multiplicity,
         "trace": [blowup(event) for event in report.history.events],
     }
+
+
+# --- rational cycles (Fraction references for the integer cycles) ------------
+
+
+class QCycle:
+    """Rational cycle on a fixed graph, stored in vertex-basis coordinates
+    as Fractions: the reference that the program's integer numerators over
+    |H| are compared with."""
+
+    __slots__ = ("graph", "coeffs")
+
+    def __init__(self, graph, coeffs):
+        if len(coeffs) != len(graph):
+            raise InternalError("coefficient count != vertex count")
+        self.graph = graph
+        self.coeffs = tuple(c if type(c) is Fraction else Fraction(c)
+                            for c in coeffs)
+
+    @classmethod
+    def zero(cls, graph):
+        return cls(graph, (0,) * len(graph))
+
+    def coefficient(self, v):
+        """M_v(D): the coefficient of E_v in this cycle."""
+        return self.coeffs[self.graph.index(v)]
+
+    def _check(self, other):
+        if self.graph != other.graph:
+            raise InternalError("cycles live on different graphs")
+
+    def __add__(self, other):
+        self._check(other)
+        return QCycle(self.graph, [a + b for a, b in zip(self.coeffs,
+                                                         other.coeffs)])
+
+    def __sub__(self, other):
+        self._check(other)
+        return QCycle(self.graph, [a - b for a, b in zip(self.coeffs,
+                                                         other.coeffs)])
+
+    def __mul__(self, scalar):
+        return QCycle(self.graph, [a * scalar for a in self.coeffs])
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        return (isinstance(other, QCycle) and self.graph == other.graph
+                and self.coeffs == other.coeffs)
+
+    def __hash__(self):
+        return hash((self.graph, self.coeffs))
+
+    def __repr__(self):
+        parts = ", ".join(f"{v}: {c}" for v, c in
+                          zip(self.graph.vertex_ids, self.coeffs) if c)
+        return f"QCycle({{{parts}}})"
+
+    def is_integral(self):
+        return all(c.denominator == 1 for c in self.coeffs)
+
+    def is_effective(self):
+        return all(c >= 0 for c in self.coeffs)
+
+
+def cycle(graph, nums, den):
+    """The QCycle with coefficients nums_v / den, nums in vertex order."""
+    return QCycle(graph, [Fraction(x, den) for x in nums])
+
+
+def dual_cycle(basis, v):
+    """E_v* as a QCycle: v's row of the basis over its denominator."""
+    return cycle(basis.graph, basis.num[basis.graph.index(v)], basis.den)
+
+
+def entry(basis, a, b):
+    """The coefficient of E_a in E_b* (symmetric; equals -E_a* . E_b*)."""
+    index = basis.graph.index
+    return Fraction(basis.num[index(a)][index(b)], basis.den)
+
+
+def basis_matrix(basis):
+    """B = (-I)^{-1} as rows of Fractions."""
+    return [tuple(Fraction(x, basis.den) for x in row) for row in basis.num]
+
+
+def expand(basis, coords):
+    """The QCycle sum_v coords_v E_v* (B @ c) of dual coordinates, a
+    mapping or a sequence in vertex order."""
+    vec = _as_vector(basis.graph, coords)
+    return cycle(basis.graph, mat_vec(basis.num, vec), basis.den)
+
+
+def dual_pairing(basis, c1, c2):
+    """The intersection of two combinations of dual cycles, -c1^T B c2."""
+    v1 = _as_vector(basis.graph, c1)
+    v2 = _as_vector(basis.graph, c2)
+    return Fraction(-sum(a * b for a, b in zip(v1, mat_vec(basis.num, v2))),
+                    basis.den)
+
+
+def linking_pairing(group, nf1, nf2):
+    """The linking pairing H x H -> Q/Z of two normal forms, as a Fraction
+    in [0, 1), from their representatives and the dual basis."""
+    val = dual_pairing(group.basis, group.representative(nf1),
+                       group.representative(nf2))
+    return val - (val.numerator // val.denominator)
+
+
+def round_z(rnd):
+    """A round's Z as a QCycle on its graph."""
+    return cycle(rnd.graph, rnd.z_num, rnd.den)
+
+
+def round_z_dual(rnd):
+    """A round's dual coordinates (-Z.E_v)_v as Fractions."""
+    return tuple(Fraction(x, rnd.den) for x in rnd.z_dual_num)
+
+
+def final_z(report):
+    """Z on the final graph of a report, as a QCycle."""
+    return round_z(report.rounds[-1])
+
+
+def report_zz(report):
+    """Z.Z of a report as a Fraction."""
+    return Fraction(report.zz_num, report.order ** 2)
+
+
+def expansion(g, m):
+    """The cycle sum_i a_i E_i* of a MonomialCycle on g, as a QCycle."""
+    return cycle(g, m.num, m.den)
+
+
+def monomial(basis, exponents):
+    """The MonomialCycle of `exponents`, keyed by the ends of the basis's
+    graph, every other end at exponent 0."""
+    from splicemult import MonomialCycle
+
+    g = basis.graph
+    num = [0] * len(g)
+    for label, a in exponents.items():
+        num = [x + a * y for x, y in zip(num, basis.num[g.index(label)])]
+    return MonomialCycle({**dict.fromkeys(g.ends, 0), **exponents}, num,
+                         basis.den)
+
+
+def exponent_vector(m, labels):
+    """A monomial cycle's exponents at `labels`, in that order."""
+    return tuple(m.exponents.get(l, 0) for l in labels)
+
+
+def end_decisions(report):
+    """Every round's end decisions, in order."""
+    return tuple(d for r in report.rounds for d in r.end_decisions)
+
+
+def quotient(g):
+    """The run for H1 = H: the multiplicity of the singularity itself."""
+    from splicemult import discriminant_group, full_subgroup, run_pipeline
+
+    return run_pipeline(g, full_subgroup(discriminant_group(g)))
+
+
+def dual_combo_text(graph, coords):
+    """Dual coordinates (Fractions, in vertex order) written as a
+    combination of E_v*, as `mult` and `table` print Z."""
+    terms = []
+    for v, c in zip(graph.vertex_ids, coords):
+        if c == 1:
+            terms.append(f"E{v}*")
+        elif c:
+            terms.append(f"{c}*E{v}*")
+    return " + ".join(terms) if terms else "0"
 
 
 # --- the intersection form on rational cycles (references for the loop) ------
@@ -323,28 +532,34 @@ def to_dual_coordinates(d):
     return tuple(-x for x in _apply_form(d.graph, d.coeffs))
 
 
-def pullback_vertex_cycle(history, event, cycle):
-    """Total transform of a cycle through one blowup event: the reference
-    for the pullback identities that the loop carries.
+def _check_pre_event(pre, post, event, what):
+    """Raise InternalError unless `pre` is the graph that `event` blew up
+    into `post`."""
+    ids = set(post.vertex_ids) - {event.new_vertex}
+    if (event.new_vertex not in post or set(pre.vertex_ids) != ids
+            or any(v not in pre or pre.weight(v) != w
+                   for v, w, _ in event.weight_changes)):
+        raise InternalError(f"{what} is not indexed by the pre-event graph")
+
+
+def pullback_vertex_cycle(post, event, cycle):
+    """Total transform of a cycle through one blowup event onto the graph
+    `post` after it: the reference for the pullback identities that the
+    loop carries.
 
     Old coefficients are kept; the new vertex receives the multiplicity of
     the cycle at the blown-up point, i.e. the sum of the coefficients at the
     one or two vertices through that point.
     """
-    from splicemult import QCycle
-
-    k = history.events.index(event)
-    pre, post = history.graph_before(k), history.graph_after(k)
-    if cycle.graph != pre:
-        raise InternalError("cycle is not indexed by the pre-event graph")
+    _check_pre_event(cycle.graph, post, event, "cycle")
     at_new = sum(cycle.coefficient(v) for v in event.center)
     return QCycle(post, [at_new if v == event.new_vertex
                          else cycle.coefficient(v) for v in post.vertex_ids])
 
 
-def pulled_back(history, event, basis):
-    """The dual basis of the graph after `event`, from the one before it:
-    the reference for the rows that ZeroSumSearch carries.
+def pulled_back(post, event, basis):
+    """The dual basis of the graph `post` after `event`, from the one
+    before it: the reference for the rows that ZeroSumSearch carries.
 
     Blowing up a point is a pullback pi*, so for an old vertex v,
     E'_v* = pi*(E_v*): the old entries stay and the new vertex u gets
@@ -353,12 +568,10 @@ def pulled_back(history, event, basis):
     1 + sum_{c, c' in centre} B[c][c'].  Over the common denominator
     that diagonal numerator is den + sum_{c, c'} num[c][c'].  O(n^2).
     """
-    from splicemult import DualBasis, InternalError
+    from splicemult import DualBasis
 
-    k = history.events.index(event)
-    pre, post = history.graph_before(k), history.graph_after(k)
-    if basis.graph != pre:
-        raise InternalError("basis is not indexed by the pre-event graph")
+    pre = basis.graph
+    _check_pre_event(pre, post, event, "basis")
     centre = [pre.index(c) for c in event.center]
     at_new = [sum(row[c] for c in centre) for row in basis.num]
     p = post.index(event.new_vertex)
@@ -367,7 +580,7 @@ def pulled_back(history, event, basis):
     new_row.insert(p, basis.den + sum(at_new[c] for c in centre))
     num.insert(p, tuple(new_row))
     out = DualBasis.__new__(DualBasis)
-    out.graph, out.num, out.den, out._duals = post, num, basis.den, {}
+    out.graph, out.num, out.den = post, num, basis.den
     return out
 
 
@@ -383,10 +596,10 @@ def hilbert_oracle(g, basis, h1, volume_cap=100_000):
     ends = g.ends
     source = h1.group.graph
     gen_expansions = [
-        basis.expand({v: c for v, c in zip(source.vertex_ids, gen)})
+        expand(basis, {v: c for v, c in zip(source.vertex_ids, gen)})
         for gen in h1.generators]
     # pairing of E_i* against each generator, via the intersection form
-    pair = {e: [intersect(basis.dual_cycle(e), ge) for ge in gen_expansions]
+    pair = {e: [intersect(dual_cycle(basis, e), ge) for ge in gen_expansions]
             for e in ends}
 
     def member(vec):
@@ -442,8 +655,9 @@ def blowup_histories(draw):
 
 
 def draw_blowups(draw, g):
-    """A GraphHistory of g with up to six random edge and end blowups."""
-    history = GraphHistory(g)
+    """A RecordedHistory of g with up to six random edge and end
+    blowups."""
+    history = RecordedHistory(g)
     for is_edge, pick in draw(st.lists(st.tuples(st.booleans(),
                                                  st.integers(0, 99)),
                                        max_size=6)):
@@ -462,8 +676,9 @@ def draw_blowups(draw, g):
 def scan_edge_witness(gens, z, v, w):
     """The first generator attaining both M_v(Z) and M_w(Z), or None."""
     mv, mw = z.coefficient(v), z.coefficient(w)
-    return next((m for m in gens if m.expansion.coefficient(v) == mv
-                 and m.expansion.coefficient(w) == mw), None)
+    g = z.graph
+    return next((m for m in gens if expansion(g, m).coefficient(v) == mv
+                 and expansion(g, m).coefficient(w) == mw), None)
 
 
 def scan_end_witness(gens, z, label, v):
@@ -471,16 +686,14 @@ def scan_end_witness(gens, z, label, v):
     at the end's vertex v, or None."""
     mv = z.coefficient(v)
     return next((m for m in gens if m.exponents[label] == 0
-                 and m.expansion.coefficient(v) == mv), None)
+                 and expansion(z.graph, m).coefficient(v) == mv), None)
 
 
-def round_end_map(history, graph):
-    """The end map of the round that ran on `graph`."""
-    if graph is history.initial:
-        return {e: e for e in graph.ends}
-    k = next(k for k in range(len(history.events))
-             if history.graph_after(k) is graph)
-    return end_map_after(history, k)
+def round_end_map(report, k):
+    """The end map of round k of a report (0 for the first round)."""
+    if k == 0:
+        return {e: e for e in report.graph.ends}
+    return end_map_after(report.history, k - 1)
 
 
 def assert_rounds_match_hilbert_basis(report, h1):
@@ -493,17 +706,18 @@ def assert_rounds_match_hilbert_basis(report, h1):
     def text(m):
         return None if m is None else m.monomial_string()
 
-    for rnd in report.rounds:
+    for k, rnd in enumerate(report.rounds):
         g = rnd.graph
-        end_map = round_end_map(report.history, g)
+        end_map = round_end_map(report, k)
         gens = hilbert_basis(g, DualBasis(g), h1, end_map)
-        assert rnd.z == gcd_cycle(gens)
+        assert rnd.z_num == gcd_cycle(gens)
+        z = round_z(rnd)
         for dec in rnd.end_decisions:
-            scanned = scan_end_witness(gens, rnd.z, dec.end, end_map[dec.end])
+            scanned = scan_end_witness(gens, z, dec.end, end_map[dec.end])
             assert (dec.action == "witness") == (scanned is not None)
             assert dec.witness == text(scanned)
         for check in rnd.edge_checks:
-            scanned = scan_edge_witness(gens, rnd.z, *check.edge)
+            scanned = scan_edge_witness(gens, z, *check.edge)
             assert check.witness == text(scanned)
             assert check.passed == (scanned is not None
                                     or check.pruned_by_zero)
@@ -516,8 +730,8 @@ def assert_resolved(report, h1, box_cap=50_000):
     vertices.  Minima come from a fresh box-enumerated Hilbert basis when
     the box has at most `box_cap` points, else from a fresh ZeroSumSearch
     (checked against hilbert_basis in test_search.py)."""
-    from splicemult import (DualBasis, QCycle, ZeroSumSearch,
-                            base_point_set, gcd_cycle, hilbert_basis)
+    from splicemult import (DualBasis, ZeroSumSearch, base_point_set,
+                            gcd_cycle, hilbert_basis)
     from splicemult.monomial import _congruences
 
     history = report.history
@@ -529,22 +743,23 @@ def assert_resolved(report, h1, box_cap=50_000):
                   for row in residues)
     if volume <= box_cap:
         gens = hilbert_basis(g, basis, h1, end_map)
-        z = gcd_cycle(gens)
+        z = cycle(g, gcd_cycle(gens), basis.den)
 
         def least(vertices, without=None):
-            return min(((tuple(m.expansion.coefficient(v) for v in vertices),
+            return min(((tuple(expansion(g, m).coefficient(v)
+                               for v in vertices),
                          m.exponents) for m in gens
                         if without is None or m.exponents[without] == 0),
                        key=lambda found: found[0], default=None)
     else:
         search = ZeroSumSearch(basis, h1, end_map)
-        z = QCycle(g, [Fraction(x, basis.den) for x in search.z()])
+        z = cycle(g, search.z(), basis.den)
 
         def least(vertices, without=None):
             found = search.least(vertices, without)
             return found and (tuple(Fraction(x, basis.den)
                                     for x in found[0]), found[1])
-    assert z == report.z_final
+    assert z == final_z(report)
     base = base_point_set(g, basis)
     for label in labels:
         v = end_map[label]
@@ -581,7 +796,7 @@ def tuple_key_least(search, vertices, without=None, basis=None,
     for v in vertices:
         weights = {}
         for label, e in end_map.items():
-            w = scale * basis.entry(v, e)
+            w = scale * entry(basis, v, e)
             if w.denominator != 1:
                 raise InternalError(f"|H| * M_{v}(E_{e}*) = {w}")
             weights[label] = w.numerator
@@ -684,6 +899,29 @@ def chain_armed_stars(draw):
     return g
 
 
+def star_arms(g):
+    """The centre of a star with chain arms, and its arms, each a list of
+    vertices read from the centre outwards."""
+    (centre,) = g.nodes
+    arms = []
+    for start in g.neighbors(centre):
+        arm = [centre, start]
+        while g.degree(arm[-1]) == 2:
+            arm.append(next(u for u in g.neighbors(arm[-1]) if u != arm[-2]))
+        arms.append(arm[1:])
+    return centre, arms
+
+
+def seifert_invariants(g, arm):
+    """(alpha, beta) of an arm, alpha / beta = [b_1, ..., b_s] read from
+    the centre outwards: alpha is det(-I) on the arm's chain, beta on the
+    chain without its first vertex."""
+    alpha, beta = 1, 0
+    for v in reversed(arm):
+        alpha, beta = -g.weight(v) * alpha - beta, alpha
+    return alpha, beta
+
+
 def pinkham_demazure_z(g):
     """The maximal ideal cycle Z_max of a star with chain arms, as {v:
     coefficient}, from the graded ring R = sum_k H^0(P^1, O(floor(kD)))
@@ -697,14 +935,8 @@ def pinkham_demazure_z(g):
     arm's valuations follow v_{j+1} = b_j v_j - v_{j-1} from v_0 = k, with
     b_s v_s - v_{s-1} >= 0 at the end curve; the least v_1 gives the least
     valuations.  Z_max is the componentwise minimum over every such k."""
-    (centre,) = g.nodes
+    centre, arms = star_arms(g)
     b = -g.weight(centre)
-    arms = []
-    for start in g.neighbors(centre):
-        arm = [centre, start]
-        while g.degree(arm[-1]) == 2:
-            arm.append(next(u for u in g.neighbors(arm[-1]) if u != arm[-2]))
-        arms.append(arm[1:])
 
     def valuations(arm, k, v1):
         """v_1 .. v_s, and b_s v_s - v_{s-1}."""
@@ -713,12 +945,7 @@ def pinkham_demazure_z(g):
             vals.append(-g.weight(v) * vals[-1] - vals[-2])
         return vals[1:-1], vals[-1]
 
-    seifert = []
-    for arm in arms:
-        alpha, beta = 1, 0
-        for v in reversed(arm):
-            alpha, beta = -g.weight(v) * alpha - beta, alpha
-        seifert.append((alpha, beta))
+    seifert = [seifert_invariants(g, arm) for arm in arms]
 
     def least(arm, k):
         """The least v_1 .. v_s: the end condition is affine in v_1."""
@@ -988,18 +1215,16 @@ def admissible_monomials_by_fractions(g, basis, node, branch):
     zero outside the branch, by summing QCycles over every solution of the
     node's knapsack equation and keeping the componentwise-minimal ones in
     graded-lex order; each as (exponents over every end, QCycle D)."""
-    from splicemult import QCycle
-
     branch = frozenset(branch)
     branch_ends = sorted(e for e in g.ends if e in branch)
-    weights = [basis.entry(node, e) for e in branch_ends]
-    node_dual = basis.dual_cycle(node)
+    weights = [entry(basis, node, e) for e in branch_ends]
+    node_dual = dual_cycle(basis, node)
     witnesses = {}
-    for combo in knapsack_by_enumeration(basis.entry(node, node), weights):
+    for combo in knapsack_by_enumeration(entry(basis, node, node), weights):
         d = QCycle.zero(g)
         for a, e in zip(combo, branch_ends):
             if a:
-                d = d + a * basis.dual_cycle(e)
+                d = d + a * dual_cycle(basis, e)
         diff = d - node_dual
         if diff.is_integral() and diff.is_effective() and all(
                 diff.coefficient(v) == 0

@@ -12,7 +12,6 @@ from fractions import Fraction
 from splicemult import (
     DualBasis,
     GraphHistory,
-    QCycle,
     base_point_set,
     discriminant_group,
     dual_cycles,
@@ -20,7 +19,6 @@ from splicemult import (
     flat_subgroup,
     full_subgroup,
     hilbert_basis,
-    multiplicity_of_quotient,
     neumann_wahl_system,
     run_pipeline,
     subgroup,
@@ -31,14 +29,23 @@ from splicemult.linalg import smith_normal_form
 from conftest import (
     H12_DUAL_ROWS,
     H12_TABLE,
+    QCycle,
     assert_resolved,
     assert_rounds_match_hilbert_basis,
     dot_vertex,
+    dual_cycle,
     end_map_after,
+    expand,
+    expansion,
+    exponent_vector,
+    final_z,
     hilbert_oracle,
     intersect,
     pullback_vertex_cycle,
+    quotient,
     random_trees,
+    report_zz,
+    round_z,
     to_dual_coordinates,
 )
 
@@ -49,7 +56,7 @@ def _passed(n, message):
 def test_criterion_01_dual_cycle_golden(tree_h12):
     basis = dual_cycles(tree_h12)
     for v, expected in H12_DUAL_ROWS.items():
-        assert basis.dual_cycle(v).coeffs == expected
+        assert dual_cycle(basis, v).coeffs == expected
     _passed(1, "dual cycles E_1*..E_5* equal the reference matrix exactly")
 
 
@@ -75,7 +82,7 @@ def test_criterion_03_subgroup_table(tree_h12):
         assert match.order == row["order"] == h1.order
         assert flat_subgroup(match) == subgroup(row["flat"], group)
         report = run_pipeline(tree_h12, match)
-        assert report.z_final == basis.expand(row["z_dual"])
+        assert final_z(report) == expand(basis, row["z_dual"])
         assert report.multiplicity == row["mult"]
         mults.append(report.multiplicity)
     assert mults == [6, 6, 6, 6, 2, 6, 4, 2, 2, 2]
@@ -87,11 +94,12 @@ def test_criterion_03_subgroup_table(tree_h12):
 def test_criterion_04_h60_end_to_end(tree_h60):
     basis = dual_cycles(tree_h60)
     report = run_pipeline(tree_h60, trivial_subgroup(discriminant_group(tree_h60)))
-    first = report.rounds[0]
-    assert first.z == Fraction(1, 10) * (basis.dual_cycle(1)
-                                         + 3 * basis.dual_cycle(5))
-    assert intersect(first.z, first.z) == Fraction(-7, 100)
-    assert [c.edge for c in first.edge_checks if not c.passed] == [(1, 5)]
+    z = round_z(report.rounds[0])
+    assert z == Fraction(1, 10) * (dual_cycle(basis, 1)
+                                   + 3 * dual_cycle(basis, 5))
+    assert intersect(z, z) == Fraction(-7, 100)
+    assert [c.edge for c in report.rounds[0].edge_checks
+            if not c.passed] == [(1, 5)]
     assert 1 not in base_point_set(tree_h60, basis)
     events = report.history.events
     assert len(events) == 3 and all(e.kind == "edge" for e in events)
@@ -99,7 +107,7 @@ def test_criterion_04_h60_end_to_end(tree_h60):
     assert final.weight(1) == -4
     assert [final.weight(v) for v in (11, 12, 13)] == [-2, -2, -1]
     assert final.weight(5) == -6
-    assert report.zz == Fraction(-1, 10)
+    assert report_zz(report) == Fraction(-1, 10)
     assert report.multiplicity == 6
     _passed(4, "round-1 Z and Z.Z, the failing edge, 3 blowups, mult = 6")
 
@@ -107,13 +115,13 @@ def test_criterion_04_h60_end_to_end(tree_h60):
 def test_criterion_05_a2_oracle(a2_chain):
     group = discriminant_group(a2_chain)
     assert group.invariant_factors == (3,)
-    quotient = multiplicity_of_quotient(a2_chain)
-    assert quotient.z_final == QCycle(a2_chain, (1, 1))
-    assert quotient.multiplicity == 2
+    singularity = quotient(a2_chain)
+    assert final_z(singularity) == QCycle(a2_chain, (1, 1))
+    assert singularity.multiplicity == 2
     uac = run_pipeline(a2_chain, trivial_subgroup(group))
     assert len(uac.history.events) == 1
     assert uac.history.events[0].kind == "edge"
-    assert uac.zz == Fraction(-1, 3)
+    assert report_zz(uac) == Fraction(-1, 3)
     assert uac.multiplicity == 1
     _passed(5, "A_2 chain: H = Z/3, quotient mult 2, cover mult 1")
 
@@ -147,7 +155,7 @@ def test_criterion_07_hilbert_oracle_random():
         if expected is None:
             continue
         hb = hilbert_basis(g, basis, h1)
-        assert {m.exponent_vector(g.ends) for m in hb} == expected
+        assert {exponent_vector(m, g.ends) for m in hb} == expected
         checked += 1
     assert checked >= 50
     _passed(7, f"hilbert_basis matches the brute-force oracle on "
@@ -159,7 +167,7 @@ def test_criterion_08_lattice_identities(all_test_graphs):
     for g in all_test_graphs:
         basis = dual_cycles(g)
         for a in g.vertex_ids:
-            ea = basis.dual_cycle(a)
+            ea = dual_cycle(basis, a)
             assert all(c > 0 for c in ea.coeffs)
             for b in g.vertex_ids:
                 assert dot_vertex(ea, b) == (-1 if a == b else 0)
@@ -171,7 +179,7 @@ def test_criterion_08_lattice_identities(all_test_graphs):
         for _ in range(5):
             d = QCycle(g, [Fraction(rng.randint(-8, 8), rng.randint(1, 5))
                            for _ in g.vertex_ids])
-            assert basis.expand(to_dual_coordinates(d)) == d
+            assert expand(basis, to_dual_coordinates(d)) == d
     _passed(8, "duality, positivity, flat identities, dual round-trip")
 
 
@@ -183,15 +191,15 @@ def test_criterion_09_blowup_coherence(tree_h60, a2_chain):
         report = run_pipeline(g, h1)
         history = report.history
         for k, event in enumerate(history.events):
-            pre, post = history.graph_before(k), history.graph_after(k)
+            pre, post = report.rounds[k].graph, report.rounds[k + 1].graph
             # pairing preserved for random cycles
             for _ in range(4):
                 c1 = QCycle(pre, [Fraction(rng.randint(-6, 6), rng.randint(1, 4))
                                   for _ in pre.vertex_ids])
                 c2 = QCycle(pre, [Fraction(rng.randint(-6, 6), rng.randint(1, 4))
                                   for _ in pre.vertex_ids])
-                p1 = pullback_vertex_cycle(history, event, c1)
-                p2 = pullback_vertex_cycle(history, event, c2)
+                p1 = pullback_vertex_cycle(post, event, c1)
+                p2 = pullback_vertex_cycle(post, event, c2)
                 assert intersect(p1, p2) == intersect(c1, c2)
             # |H| is a blowup invariant (via the SNF diagonal product)
             diag = smith_normal_form(post.intersection_matrix()).diagonal()
@@ -205,14 +213,13 @@ def test_criterion_09_blowup_coherence(tree_h60, a2_chain):
                                   end_map_after(history, k))
             before = hilbert_basis(pre, DualBasis(pre), h1,
                                    end_map_after(history, k - 1))
-            prev = {m.exponent_vector(sorted(m.exponents)): m.expansion
-                    for m in before}
-            new = {m.exponent_vector(sorted(m.exponents)): m.expansion
-                   for m in fresh}
+            prev = {exponent_vector(m, sorted(m.exponents)):
+                    expansion(pre, m) for m in before}
+            new = {exponent_vector(m, sorted(m.exponents)):
+                   expansion(post, m) for m in fresh}
             assert set(prev) == set(new)
-            for vec, expansion in prev.items():
-                assert pullback_vertex_cycle(history, event, expansion) \
-                    == new[vec]
+            for vec, cycle in prev.items():
+                assert pullback_vertex_cycle(post, event, cycle) == new[vec]
         # and every round's Z and witnesses are those a fresh basis gives
         assert_rounds_match_hilbert_basis(report, h1)
     _passed(9, "pairing, |H|, and generators coherent through every blowup")

@@ -47,10 +47,12 @@ from conftest import (
 
 
 @pytest.fixture()
-def files(tmp_path, tree_h12, tree_h60, a2_chain, monomial_fail_graph):
+def files(tmp_path, tree_h12, tree_h60, a2_chain, d4_star,
+          monomial_fail_graph):
     paths = {}
     for name, g in (("h12", tree_h12), ("h60", tree_h60),
-                    ("chain", a2_chain), ("monofail", monomial_fail_graph)):
+                    ("chain", a2_chain), ("d4", d4_star),
+                    ("monofail", monomial_fail_graph)):
         p = tmp_path / f"{name}.json"
         p.write_text(graph_json(g))
         paths[name] = str(p)
@@ -193,6 +195,24 @@ def test_mult_uac_trace_h60(files, capsys):
     assert code == 0
     assert out.count("blowup edge") == 3
     assert "multiplicity = 6" in out
+
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("argv, name", [
+    (("mult", "h60", "--uac", "--trace"), "mult_h60_uac_trace.txt"),
+    (("table", "h12"), "table_h12.txt"),
+    (("table", "d4"), "table_d4.txt"),
+])
+def test_text_output_is_pinned(files, capsys, argv, name):
+    """The whole text output of three commands, byte for byte: every
+    round's Z in dual coordinates, Z.Z = -1/10 for the cover of h60, and
+    every row of the two tables."""
+    command, graph, *flags = argv
+    code, out, err = run(capsys, command, files[graph], *flags)
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / name).read_text()
 
 
 def test_mult_json_roundtrip_and_determinism(files, capsys):

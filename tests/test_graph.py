@@ -8,7 +8,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from splicemult import (
     GraphHistory,
-    QCycle,
     ResolutionGraph,
     blowup_edge,
     blowup_end_point,
@@ -21,9 +20,10 @@ from splicemult import (
 from splicemult.errors import InputError, InternalError
 from splicemult.linalg import is_negative_definite
 
-from conftest import (blowup_histories, branches_by_search,
-                      chain_armed_stars, graph_json, intersect,
-                      multi_node_trees, pullback_vertex_cycle, random_trees)
+from conftest import (QCycle, RecordedHistory, blowup_histories,
+                      branches_by_search, chain_armed_stars, dual_cycle,
+                      graph_json, intersect, multi_node_trees,
+                      pullback_vertex_cycle, random_trees)
 
 
 # --- parsing and validation -----------------------------------------------------
@@ -275,23 +275,24 @@ def test_pullback_dual_cycle_chain(a2_chain):
     basis = dual_cycles(a2_chain)
     hist = GraphHistory(a2_chain)
     event = hist.blowup_edge(1, 2)
-    pb = pullback_vertex_cycle(hist, event, basis.dual_cycle(1))
+    pb = pullback_vertex_cycle(hist.current, event, dual_cycle(basis, 1))
     assert pb.coeffs == (Fraction(2, 3), Fraction(1, 3), Fraction(1))
 
 
 def test_pullback_to_current_composes(a2_chain):
     basis = dual_cycles(a2_chain)
-    hist = GraphHistory(a2_chain)
+    hist = RecordedHistory(a2_chain)
     first = hist.blowup_edge(1, 2)
     second = hist.blowup_edge(1, 3)
+    mid, last = hist.graph_after(0), hist.current
     pulled = pullback_vertex_cycle(
-        hist, second, pullback_vertex_cycle(hist, first,
-                                            basis.dual_cycle(1)))
-    assert pulled == dual_cycles(hist.current).dual_cycle(1)
+        last, second, pullback_vertex_cycle(mid, first,
+                                            dual_cycle(basis, 1)))
+    assert pulled == dual_cycle(dual_cycles(last), 1)
     # starting from an intermediate graph works too
-    mid = dual_cycles(hist.graph_after(0)).dual_cycle(3)
-    assert pullback_vertex_cycle(hist, second, mid) == \
-        dual_cycles(hist.current).dual_cycle(3)
+    assert pullback_vertex_cycle(
+        last, second, dual_cycle(dual_cycles(mid), 3)) == \
+        dual_cycle(dual_cycles(last), 3)
 
 
 def test_fresh_id_fills_gaps():
@@ -382,9 +383,9 @@ def test_pullback_preserves_pairing_chain(a2_chain):
     basis = dual_cycles(a2_chain)
     hist = GraphHistory(a2_chain)
     event = hist.blowup_edge(1, 2)
-    e1, e2 = basis.dual_cycle(1), basis.dual_cycle(2)
-    p1 = pullback_vertex_cycle(hist, event, e1)
-    p2 = pullback_vertex_cycle(hist, event, e2)
+    e1, e2 = dual_cycle(basis, 1), dual_cycle(basis, 2)
+    p1 = pullback_vertex_cycle(hist.current, event, e1)
+    p2 = pullback_vertex_cycle(hist.current, event, e2)
     assert intersect(p1, p1) == intersect(e1, e1) == Fraction(-2, 3)
     assert intersect(p1, p2) == intersect(e1, e2) == Fraction(-1, 3)
 
@@ -394,7 +395,7 @@ def test_pullback_rejects_wrong_graph(a2_chain, tree_h12):
     event = hist.blowup_edge(1, 2)
     wrong = QCycle.zero(tree_h12)
     with pytest.raises(InternalError, match="not indexed by the pre-event"):
-        pullback_vertex_cycle(hist, event, wrong)
+        pullback_vertex_cycle(hist.current, event, wrong)
 
 
 def test_pullback_properties_random():
@@ -418,10 +419,10 @@ def test_pullback_properties_random():
                             for _ in g.vertex_ids])
             c2 = QCycle(g, [Fraction(rng.randint(-6, 6), rng.randint(1, 4))
                             for _ in g.vertex_ids])
-            p1 = pullback_vertex_cycle(hist, event, c1)
-            p2 = pullback_vertex_cycle(hist, event, c2)
+            p1 = pullback_vertex_cycle(new_graph, event, c1)
+            p2 = pullback_vertex_cycle(new_graph, event, c2)
             assert intersect(p1, p2) == intersect(c1, c2)
 
         for v in g.vertex_ids:
-            pb = pullback_vertex_cycle(hist, event, basis.dual_cycle(v))
-            assert pb == new_basis.dual_cycle(v)
+            pb = pullback_vertex_cycle(new_graph, event, dual_cycle(basis, v))
+            assert pb == dual_cycle(new_basis, v)

@@ -22,7 +22,6 @@ from splicemult import (
     dual_cycles,
     full_subgroup,
     hilbert_basis,
-    multiplicity_of_quotient,
     run_pipeline,
     subgroup,
     trivial_subgroup,
@@ -42,12 +41,22 @@ from conftest import (
     assert_resolved,
     assert_rounds_match_hilbert_basis,
     draw_blowups,
+    dual_cycle,
+    end_decisions,
     end_map_after,
+    expand,
+    expansion,
+    exponent_vector,
+    final_z,
     intersect,
     laufer_z_min,
     pullback_vertex_cycle,
+    quotient,
     replace_everywhere,
+    report_zz,
     round_end_map,
+    round_z,
+    round_z_dual,
     star,
     to_dual_coordinates,
 )
@@ -106,7 +115,7 @@ def test_optimized_h12_no_end_blowups(tree_h12):
         report = run_pipeline(tree_h12, h1)
         assert all(e.kind == "edge" for e in report.history.events)
         assert all(d.action in ("witness", "not_base_point")
-                   for d in report.base_point_decisions)
+                   for d in end_decisions(report))
 
 
 def test_optimized_h12_e1_witness_decision(tree_h12):
@@ -117,13 +126,14 @@ def test_optimized_h12_e1_witness_decision(tree_h12):
     group = discriminant_group(tree_h12)
     h1 = subgroup([{1: 1}], group)
     report = run_pipeline(tree_h12, h1)
-    decision = next(d for d in report.base_point_decisions if d.end == 1)
+    decision = next(d for d in end_decisions(report) if d.end == 1)
     assert (decision.action, decision.witness) == ("witness", "z4^2")
     basis = dual_cycles(tree_h12)
     witness = next(m for m in hilbert_basis(tree_h12, basis, h1)
                    if m.monomial_string() == decision.witness)
     assert witness.exponents[1] == 0
-    assert witness.expansion.coefficient(1) == report.z_final.coefficient(1)
+    assert expansion(tree_h12, witness).coefficient(1) == \
+        final_z(report).coefficient(1)
     assert_rounds_match_hilbert_basis(report, h1)
 
 
@@ -133,31 +143,32 @@ def test_optimized_h12_e1_witness_decision(tree_h12):
 def test_uac_h12(tree_h12):
     report = _uac(tree_h12)
     assert report.multiplicity == 6
-    assert report.zz == Fraction(-1, 2)
+    assert report_zz(report) == Fraction(-1, 2)
     assert len(report.history.events) == 0
 
 
 def test_quotient_h12(tree_h12):
-    report = multiplicity_of_quotient(tree_h12)
+    report = quotient(tree_h12)
     assert report.multiplicity == 2
     basis = dual_cycles(tree_h12)
-    assert report.z_final == basis.dual_cycle(5)
+    assert final_z(report) == dual_cycle(basis, 5)
 
 
 def test_uac_h60_full_trace(tree_h60):
     report = _uac(tree_h60)
     basis = dual_cycles(tree_h60)
     first = report.rounds[0]
-    assert first.z == Fraction(1, 10) * (basis.dual_cycle(1)
-                                         + 3 * basis.dual_cycle(5))
-    assert intersect(first.z, first.z) == Fraction(-7, 100)
+    z = round_z(first)
+    assert z == Fraction(1, 10) * (dual_cycle(basis, 1)
+                                   + 3 * dual_cycle(basis, 5))
+    assert intersect(z, z) == Fraction(-7, 100)
     assert [c.edge for c in first.edge_checks if not c.passed] == [(1, 5)]
     assert [(e.kind, e.center) for e in report.history.events] == [
         ("edge", (1, 5)), ("edge", (5, 11)), ("edge", (5, 12))]
     final = report.history.current
     assert {v: final.weight(v) for v in (1, 11, 12, 13, 5)} == {
         1: -4, 11: -2, 12: -2, 13: -1, 5: -6}
-    assert report.zz == Fraction(-1, 10)
+    assert report_zz(report) == Fraction(-1, 10)
     assert report.multiplicity == 6
 
 
@@ -165,15 +176,15 @@ def test_uac_chain(a2_chain):
     report = _uac(a2_chain)
     assert len(report.history.events) == 1
     assert report.history.events[0].kind == "edge"
-    assert report.z_final.coeffs == (Fraction(1, 3), Fraction(1, 3),
+    assert final_z(report).coeffs == (Fraction(1, 3), Fraction(1, 3),
                                      Fraction(1))
-    assert report.zz == Fraction(-1, 3)
+    assert report_zz(report) == Fraction(-1, 3)
     assert report.multiplicity == 1
 
 
 def test_quotient_chain(a2_chain):
-    report = multiplicity_of_quotient(a2_chain)
-    assert report.z_final.coeffs == (1, 1)
+    report = quotient(a2_chain)
+    assert final_z(report).coeffs == (1, 1)
     assert report.multiplicity == 2
     assert len(report.history.events) == 0
 
@@ -186,7 +197,7 @@ def test_table_h12(tree_h12):
         assert h1.order == row["order"]
         report = run_pipeline(tree_h12, h1)
         assert report.multiplicity == row["mult"]
-        assert report.z_final == basis.expand(row["z_dual"])
+        assert final_z(report) == expand(basis, row["z_dual"])
 
 
 def test_mode_equivalence(tree_h12, tree_h60, a2_chain):
@@ -220,7 +231,7 @@ def test_optimized_end_blowup_path():
     report = run_pipeline(g, h1)
     assert [(e.kind, e.center) for e in report.history.events] == [
         ("end", (7,))]
-    assert [d.end for d in report.base_point_decisions
+    assert [d.end for d in end_decisions(report)
             if d.action == "blowup"] == [7]
     assert report.multiplicity == 7
     assert_resolved(report, h1)
@@ -260,7 +271,7 @@ def test_mode_equivalence_five_arm_stars():
     for arms, mult in (((-3, -5, -6, -7, -7), 21), ((-3, -6, -6, -7, -7), 6),
                        ((-5, -5, -5, -6, -6), 6)):
         g = star(-1, arms)
-        report = multiplicity_of_quotient(g)
+        report = quotient(g)
         assert report.multiplicity == mult
         assert_resolved(report, full_subgroup(discriminant_group(g)),
                         box_cap=300_000)
@@ -276,23 +287,21 @@ def test_pullback_coherence(tree_h60, a2_chain):
         assert_rounds_match_hilbert_basis(report, h1)
         for k, event in enumerate(report.history.events):
             assert event.kind == "edge"
-            pre = report.history.graph_before(k)
-            post = report.history.graph_after(k)
+            pre, post = report.rounds[k].graph, report.rounds[k + 1].graph
             fresh = hilbert_basis(post, DualBasis(post), h1,
                                   end_map_after(report.history, k))
             before = hilbert_basis(pre, DualBasis(pre), h1,
                                    end_map_after(report.history, k - 1))
-            prev = {m.exponent_vector(sorted(m.exponents)): m.expansion
-                    for m in before}
-            new = {m.exponent_vector(sorted(m.exponents)): m.expansion
-                   for m in fresh}
+            prev = {exponent_vector(m, sorted(m.exponents)):
+                    expansion(pre, m) for m in before}
+            new = {exponent_vector(m, sorted(m.exponents)):
+                   expansion(post, m) for m in fresh}
             assert set(prev) == set(new)
-            for vec, expansion in prev.items():
-                pulled = pullback_vertex_cycle(report.history, event,
-                                               expansion)
+            for vec, cycle in prev.items():
+                pulled = pullback_vertex_cycle(post, event, cycle)
                 assert pulled == new[vec]
-                assert to_dual_coordinates(pulled)[:len(expansion.coeffs)] == \
-                    to_dual_coordinates(expansion)
+                assert to_dual_coordinates(pulled)[:len(cycle.coeffs)] == \
+                    to_dual_coordinates(cycle)
 
 
 def test_no_inversion_inside_pipeline(tree_h60, monkeypatch):
@@ -407,7 +416,7 @@ def test_quotient_of_a_tree_with_a_large_group(monkeypatch):
 
     monkeypatch.setattr(monomial, "heapq", SimpleNamespace(
         heappop=heappop, heappush=heapq.heappush))
-    report = multiplicity_of_quotient(g)
+    report = quotient(g)
     monkeypatch.undo()
     assert report.order == 34126
     assert report.multiplicity == 15
@@ -464,15 +473,16 @@ def _count_fractions(monkeypatch):
 @settings(max_examples=40)
 @given(blown_up_trees_and_subgroups())
 def test_no_fraction_before_the_report_is_read(case):
-    """The loop runs in integers: no Fraction is built before run_pipeline
-    returns, and the report's rational values are built when read."""
+    """The loop runs in integers, and so does the report: no Fraction is
+    built before run_pipeline returns or while `mult --json` writes the
+    report."""
     g, h1 = case
     with pytest.MonkeyPatch.context() as monkeypatch:
         calls = _count_fractions(monkeypatch)
         report = run_pipeline(g, h1, allow_non_minimal=True)
+        with contextlib.redirect_stdout(io.StringIO()):
+            _emit_report(report)
         assert calls == []
-        report.zz
-        assert calls != []
 
 
 def _end_decisions_from_scratch(g, end_map, z, search, base):
@@ -511,14 +521,13 @@ def test_rounds_in_integers_match_the_rational_form(case):
     a fresh dual basis, base points from base_point_set."""
     g, h1 = case
     report = run_pipeline(g, h1, allow_non_minimal=True)
-    history = report.history
-    for rnd in report.rounds:
-        z = rnd.z
-        assert rnd.z_dual == to_dual_coordinates(z)
+    for k, rnd in enumerate(report.rounds):
+        z = round_z(rnd)
+        assert round_z_dual(rnd) == to_dual_coordinates(z)
         zz = -sum(map(mul, rnd.z_num, rnd.z_dual_num))
         assert Fraction(zz, rnd.den ** 2) == intersect(z, z)
         basis = DualBasis(rnd.graph)
-        end_map = round_end_map(history, rnd.graph)
+        end_map = round_end_map(report, k)
         fresh = ZeroSumSearch(basis, h1, end_map)
         assert fresh.z() == rnd.z_num
         assert rnd.z_dual_num == _dual_numerators(rnd.graph, rnd.z_num)
@@ -528,8 +537,8 @@ def test_rounds_in_integers_match_the_rational_form(case):
         if rnd.edge_checks:
             assert list(rnd.edge_checks) == check_gcd_condition(
                 rnd.graph, rnd.z_num, rnd.z_dual_num, fresh)
-    assert report.zz == intersect(report.z_final, report.z_final)
-    assert report.multiplicity == report.index * -report.zz
+    assert report_zz(report) == intersect(final_z(report), final_z(report))
+    assert report.multiplicity == report.index * -report_zz(report)
 
 
 def test_edge_check_is_made_again_when_its_flag_changes():
@@ -567,7 +576,6 @@ def test_larger_three_node_graph():
     """20 vertices, three nodes, |H| = 1440: the loop stays fast and every
     run stops resolved; the quotient, whose Hilbert-basis box exceeds the
     enumeration cap, is rational with -Z_min^2 = 8 (Laufer, Artin)."""
-    from splicemult import multiplicity_of_quotient as moq
 
     edges = [(1, 5), (2, 5), (5, 6), (6, 7), (7, 8), (8, 9), (9, 3), (8, 10),
              (10, 4), (8, 11), (11, 12), (12, 13), (13, 14), (14, 15),
@@ -582,7 +590,7 @@ def test_larger_three_node_graph():
 
     uac = run_pipeline(g, trivial_subgroup(group))
     assert uac.multiplicity == 48
-    assert uac.zz == Fraction(-1, 30)
+    assert report_zz(uac) == Fraction(-1, 30)
     assert len(uac.history.events) == 3
     assert_resolved(uac, trivial_subgroup(group))
 
@@ -594,7 +602,7 @@ def test_larger_three_node_graph():
 
     z_min, zz, genus = laufer_z_min(g)
     assert (zz, genus) == (-8, 0)
-    report = moq(g)
+    report = quotient(g)
     assert report.multiplicity == 8
     assert_resolved(report, full_subgroup(group))
 
@@ -605,17 +613,17 @@ def test_classical_double_points():
     for n in (2, 3, 4, 5):
         chain = ResolutionGraph({i: -2 for i in range(1, n + 1)},
                                 [(i, i + 1) for i in range(1, n)])
-        assert multiplicity_of_quotient(chain).multiplicity == 2
+        assert quotient(chain).multiplicity == 2
         group = discriminant_group(chain)
         assert run_pipeline(chain, trivial_subgroup(group)).multiplicity == 1
     e8 = ResolutionGraph({i: -2 for i in range(1, 9)},
                          [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7),
                           (5, 8)])
     assert discriminant_group(e8).order == 1
-    assert multiplicity_of_quotient(e8).multiplicity == 2
+    assert quotient(e8).multiplicity == 2
     d4 = ResolutionGraph({1: -2, 2: -2, 3: -2, 4: -2},
                          [(4, 1), (4, 2), (4, 3)])
-    assert multiplicity_of_quotient(d4).multiplicity == 2
+    assert quotient(d4).multiplicity == 2
 
 
 def test_max_blowups_cap(a2_chain, tree_h60):

@@ -9,26 +9,29 @@ from hypothesis import assume, given, settings, strategies as st
 
 from splicemult import (
     DualBasis,
-    GraphHistory,
     InputError,
     InternalError,
-    QCycle,
     ResolutionGraph,
     ZeroSumSearch,
     discriminant_group,
     full_subgroup,
     gcd_cycle,
     hilbert_basis,
-    monomial_cycle,
     subgroup,
     trivial_subgroup,
 )
 from splicemult.graph import BlowupEvent, blowup_edge
 
 from conftest import (
+    RecordedHistory,
     blowup_histories,
+    cycle,
+    dual_pairing,
     draw_blowups,
     end_map_after,
+    expansion,
+    exponent_vector,
+    monomial,
     pulled_back,
     scan_edge_witness,
     scan_end_witness,
@@ -43,7 +46,7 @@ def _box_volume(basis, h1):
     """Points in the box that hilbert_basis enumerates for H1."""
     volume = 1
     for e in basis.graph.ends:
-        order = lcm(*(basis.pairing({e: 1}, gen).denominator
+        order = lcm(*(dual_pairing(basis, {e: 1}, gen).denominator
                       for gen in h1.generators))
         volume *= order + 1
     return volume
@@ -85,16 +88,16 @@ def test_search_matches_hilbert_basis(case):
     basis = h1.group.basis
     search = ZeroSumSearch(basis, h1)
     gens = hilbert_basis(g, basis, h1)
-    vectors = {m.exponent_vector(search.labels) for m in gens}
-    z = QCycle(g, _fractions(search.z(), basis.den))
-    assert z == gcd_cycle(gens)
+    vectors = {exponent_vector(m, search.labels) for m in gens}
+    assert search.z() == gcd_cycle(gens)
+    z = cycle(g, search.z(), basis.den)
 
     def generator(found, vertices):
         values, exps = found
-        m = monomial_cycle(basis, exps)
-        assert m.exponent_vector(search.labels) in vectors
+        m = monomial(basis, exps)
+        assert exponent_vector(m, search.labels) in vectors
         assert _fractions(values, basis.den) == tuple(
-            m.expansion.coefficient(v) for v in vertices)
+            expansion(g, m).coefficient(v) for v in vertices)
         return m
 
     for v in g.vertex_ids:
@@ -176,8 +179,8 @@ def test_carried_rows_are_the_end_columns_of_the_dual_basis(history):
     pulled = group.basis
     for k, event in enumerate(history.events):
         search.advance(event)
-        pulled = pulled_back(history, event, pulled)
         post = history.graph_after(k)
+        pulled = pulled_back(post, event, pulled)
         end_map = end_map_after(history, k)
         expected = _end_columns(DualBasis(post), end_map)
         assert expected == _end_columns(pulled, end_map)
@@ -436,7 +439,7 @@ def test_universal_abelian_cover_has_one_class(tree_h12, monkeypatch):
         if g is tied:
             assert len(set(search.row(1))) == 1
             assert search.least((1,))[1] == {6: 1}
-        history = GraphHistory(g)
+        history = RecordedHistory(g)
         blowups = [("end", 2), ("edge", g.edges[0]), ("end", 3),
                    ("edge", g.edges[-1])]
         for k, (kind, at) in enumerate(blowups):
@@ -460,8 +463,8 @@ def test_vertex_members_decide_queries_without_search(name, tree_h12,
     g = star(-3, [-3] * 5) if name == "star" else tree_h12
     h1 = full_subgroup(discriminant_group(g))
     search = ZeroSumSearch(h1.group.basis, h1)
-    z = QCycle(g, _fractions(search.z(), h1.group.basis.den))
-    members = {v: monomial_cycle(h1.group.basis, search.least((v,))[1])
+    z = cycle(g, search.z(), h1.group.basis.den)
+    members = {v: monomial(h1.group.basis, search.least((v,))[1])
                for v in g.vertex_ids}
     calls = []
     shortest = ZeroSumSearch._shortest
@@ -470,7 +473,7 @@ def test_vertex_members_decide_queries_without_search(name, tree_h12,
                         or shortest(self, *args))
     decided = 0
     for v, w in g.edges:
-        attains = any(all(members[x].expansion.coefficient(y)
+        attains = any(all(expansion(g, members[x]).coefficient(y)
                           == z.coefficient(y) for y in (v, w))
                       for x in (v, w))
         before = len(calls)
