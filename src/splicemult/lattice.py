@@ -12,11 +12,14 @@ form of -I, which identifies H with Z^r / diag(d) Z^r for the invariant
 factors d.  The factors are read and checked against B on every
 command; the Smith coordinates (rows of U, representatives from V) are
 rebuilt from the form's operation log and certified only when a caller
-projects onto them or lifts from them (see DiscriminantGroup).  A
+projects onto them or pairs in them (see DiscriminantGroup).  A
 subgroup H1 is the lattice between diag(d) Z^r and Z^r that is its
-preimage, stored as a canonical Hermite basis: membership, order and
-index come from that basis, and the elements of H1 are listed only when
-a caller asks for them.
+preimage, stored as a canonical Hermite basis and as nothing else:
+generators given as dual-coordinate vectors are projected and reduced
+to that basis at once; membership, order and index come from it; its
+rows' pairings with the unit classes (`pairings`, hnf * P for the
+pairing matrix P) give H1-flat and the zero-sum search's congruences;
+and the elements of H1 are listed only when a caller asks for them.
 """
 
 import itertools
@@ -187,7 +190,7 @@ class DiscriminantGroup:
     prod Z/d_j is the largest factor d_r.
 
     The Smith coordinates are built on the first `project` or
-    `representative` call, since only those read U and V: the slot rows
+    `pairing_matrix` call, since only those read U and V: the slot rows
     U_j of U, and the representatives rep_k = ((-I) V)[:, k] / d_k, the
     slot columns of U^{-1} = (-I) V S^{-1}.  They are certified when
     built, so that project is an isomorphism H -> prod Z/d_j:
@@ -197,8 +200,8 @@ class DiscriminantGroup:
       - U_j . rep_k = delta_jk mod d_j: phi(rep_k) is the k-th unit
         vector, so phi is onto;
       - |H| = den = prod d_j, checked above, so phi is a bijection of
-        finite sets of one size: an isomorphism, with `representative`
-        its inverse on normal forms.
+        finite sets of one size: an isomorphism, under which the unit
+        classes rep_k are a basis of H.
     A failed check raises InternalError and names the check.
 
     `pairing_matrix` is the symmetric r x r integer matrix
@@ -264,14 +267,6 @@ class DiscriminantGroup:
         return tuple(sum(map(mul, row, vec)) % d
                      for row, d in zip(rows, self.invariant_factors))
 
-    def representative(self, nf):
-        """An integer dual-coordinate vector projecting onto the normal form."""
-        out = [0] * len(self.graph)
-        for val, col in zip(nf, self._coords()[1]):
-            if val:
-                out = [a + val * b for a, b in zip(out, col)]
-        return tuple(out)
-
     def element_order(self, nf):
         out = 1
         for x, d in zip(nf, self.invariant_factors):
@@ -322,38 +317,21 @@ class SubgroupData:
     """A subgroup H1 of the discriminant group, stored as a lattice.
 
     `hnf` is the canonical Hermite basis of the preimage of H1 in the Smith
-    coordinates Z^r.  The preimage contains diag(d) Z^r, so the basis is
-    upper triangular with pivots p_i dividing d_i, and [H : H1] = prod p_i.
+    coordinates Z^r, and the only description of H1 that the program
+    keeps.  The preimage contains diag(d) Z^r, so the basis is upper
+    triangular with pivots p_i dividing d_i, and [H : H1] = prod p_i.
+    Membership, order and index come from the basis; its rows generate
+    H1, and their pairings with the unit classes are `pairings(h1)`.
     """
 
-    __slots__ = ("group", "generators", "hnf", "order", "index",
-                 "_canonical")
+    __slots__ = ("group", "hnf", "order", "index", "_canonical")
 
-    def __init__(self, group, generators):
+    def __init__(self, group, hnf):
         self.group = group
-        self.generators = tuple(tuple(_as_vector(group.graph, g))
-                                for g in generators)
-        self.hnf = _preimage_basis(group.invariant_factors,
-                                   [group.project(g) for g in self.generators])
-        self.index = _pivot_product(self.hnf)
-        self.order = group.order // self.index
-        self._canonical = None
-
-    @classmethod
-    def _from_basis(cls, group, hnf):
-        """The subgroup whose canonical Hermite basis is `hnf`, with no
-        projection and no reduction; its generators are the
-        representatives of the basis's nonzero rows mod d."""
-        self = cls.__new__(cls)
-        self.group = group
-        nfs = (_reduced(group, row) for row in hnf)
-        self.generators = tuple(group.representative(nf) for nf in nfs
-                                if any(nf))
         self.hnf = hnf
         self.index = _pivot_product(hnf)
         self.order = group.order // self.index
         self._canonical = None
-        return self
 
     @property
     def canonical_elements(self):
@@ -399,11 +377,15 @@ class SubgroupData:
 def _preimage_basis(factors, nfs):
     """Canonical Hermite basis of the lattice spanned by the normal forms
     and diag(factors); it has full rank, so its first r rows are the basis."""
-    r = len(factors)
-    rows = [list(nf) for nf in nfs]
-    rows += [[d * (i == j) for j in range(r)] for i, d in enumerate(factors)]
-    h, _, _ = _hermite_reduce(rows)
-    return tuple(tuple(row) for row in h[:r])
+    h, _, _ = _hermite_reduce([*map(list, nfs), *_diagonal(factors)])
+    return tuple(tuple(row) for row in h[:len(factors)])
+
+
+def _diagonal(values):
+    """The square matrix diag(values), as a tuple of rows."""
+    r = len(values)
+    return tuple(tuple(x if i == j else 0 for j in range(r))
+                 for i, x in enumerate(values))
 
 
 def _pivot_product(hnf):
@@ -424,31 +406,31 @@ def _lattice_contains(hnf, x):
 
 
 def subgroup(generators, group):
-    """Subgroup of H generated by dual-coordinate integer vectors."""
-    return SubgroupData(group, generators)
+    """Subgroup of H generated by dual-coordinate integer vectors: their
+    classes are projected once and reduced to the Hermite basis."""
+    return SubgroupData(group, _preimage_basis(
+        group.invariant_factors, [group.project(g) for g in generators]))
 
 
 def trivial_subgroup(group):
-    return subgroup([], group)
+    """{0}, whose preimage is diag(d) Z^r itself."""
+    return SubgroupData(group, _diagonal(group.invariant_factors))
 
 
 def full_subgroup(group):
-    """H itself, generated by the representatives of the r unit classes
-    of the Smith coordinates."""
-    r = len(group.invariant_factors)
-    sub = subgroup([group.representative(e) for e in _units(r)], group)
-    if sub.order != group.order:
-        raise InternalError(
-            f"the unit classes generate {sub.order} of {group.order} classes")
-    return sub
+    """H itself, whose preimage is Z^r: the identity basis, since the
+    unit classes of the Smith coordinates are a basis of H (see
+    DiscriminantGroup)."""
+    return SubgroupData(group, _diagonal((1,) * len(group.invariant_factors)))
 
 
-def _units(r):
-    return [tuple(int(i == j) for j in range(r)) for i in range(r)]
-
-
-def _reduced(group, row):
-    return tuple(x % d for x, d in zip(row, group.invariant_factors))
+def pairings(h1):
+    """hnf * P for the group's pairing matrix P: entry (j, k) is
+    |H| b(h_j, e_k) mod |H| for the Hermite row h_j of H1 and the unit
+    class e_k.  P is symmetric, so row j pairs h_j with a normal form x
+    as row_j . x mod |H|.  O(r^3), with no product of `num`."""
+    pairing = h1.group.pairing_matrix()
+    return [[sum(map(mul, h, row)) for row in pairing] for h in h1.hnf]
 
 
 def flat_subgroup(h1):
@@ -457,27 +439,24 @@ def flat_subgroup(h1):
 
     In Smith coordinates, x lies in H1-flat exactly when
     sum_j x_j * b(e_j, h) is an integer for every Hermite row h of H1.
-    The numerators of these pairings over |H| are the entries of hnf * P,
-    P the group's (symmetric) pairing matrix: O(r^3), with no product of
-    `num`.  Over their least common denominator D they are congruences
-    A x = 0 mod D, whose solutions are the first r coordinates of the
-    integer left kernel of the stacked matrix [A^T; D * Id]; they span the
-    preimage of the flat, whose canonical Hermite basis the flat is built
-    from.  `table` computes one flat per pair {H1, H1-flat} and certifies
-    the pair (see SubgroupLattice).
+    The numerators of these pairings over |H| are the entries of
+    `pairings(h1)`, hnf * P.  Over their least common denominator D they
+    are congruences A x = 0 mod D, whose solutions are the first r
+    coordinates of the integer left kernel of the stacked matrix
+    [A^T; D * Id]; they span the preimage of the flat, whose canonical
+    Hermite basis the flat is built from.  `table` computes one flat per
+    pair {H1, H1-flat} and certifies the pair (see SubgroupLattice).
     """
     group = h1.group
     r = len(group.invariant_factors)
-    pairing = group.pairing_matrix()
-    # nums[h][e] = |H| * b(h, e_e) mod |H|
-    nums = [[sum(map(mul, h, row)) for row in pairing] for h in h1.hnf]
+    nums = pairings(h1)
     scale = gcd(group.order, *(x for row in nums for x in row))
     den = group.order // scale
     stacked = [[(x // scale) % den for x in row] for row in zip(*nums)]
-    stacked += [[den * (i == j) for j in range(r)] for i in range(r)]
+    stacked += _diagonal((den,) * r)
     _, rank, log = _hermite_reduce(stacked)
     u = _replay(log, len(stacked))
-    flat = SubgroupData._from_basis(group, _preimage_basis(
+    flat = SubgroupData(group, _preimage_basis(
         group.invariant_factors, [row[:r] for row in u[rank:]]))
     if flat.order * h1.order != group.order:
         raise InternalError(
@@ -545,9 +524,8 @@ def enumerate_subgroups(group):
     lattices between diag(d) Z^r and Z^r.  These are built from the last
     row up: row i is (0, ..., 0, p, t) with p | d_i and 0 <= t_j < p_j, and
     it must put d_i e_i into the lattice, i.e. (d_i / p) * t must lie in the
-    span of the rows below it.  Each subgroup is built from its basis
-    (SubgroupData._from_basis), with no projection and no reduction; its
-    generators are the representatives of the nonzero rows.
+    span of the rows below it.  Each subgroup is its basis, with no
+    projection and no reduction.
     """
     if group.order > ENUMERATION_CAP:
         raise CapExceededError(f"|H| = {group.order} exceeds the "
@@ -559,7 +537,7 @@ def enumerate_subgroups(group):
                  for below in bases
                  for p in range(1, d[i] + 1) if d[i] % p == 0
                  for t in _torsion_tails(below, d[i] // p, i + 1)]
-    out = [SubgroupData._from_basis(group, hnf) for hnf in bases]
+    out = [SubgroupData(group, hnf) for hnf in bases]
     out.sort(key=lambda s: (s.order, s.canonical_elements))
     return out
 

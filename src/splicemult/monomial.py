@@ -5,8 +5,9 @@ A monomial cycle is a nonnegative integer combination of end duals E_i*;
 it stands for the monomial prod z_i^{a_i} in the end-curve variables.  All
 searches run in integers: the dual basis is carried as integer numerators
 over one denominator |H| = |det I(E)| (every dual entry's denominator
-divides it), which the knapsacks, the residue congruences and the zero-sum
-search read directly.  The zero-sum search packs each key (M_v...,
+divides it), which the knapsacks and the zero-sum search read directly;
+the search's residue congruences come from H1's Hermite rows and the
+group's pairing matrix.  The zero-sum search packs each key (M_v...,
 degree, exponents) into one int: the degree and exponent fields have one
 layout for the whole run, the M_v fields a width per query, and an answer
 is read back and checked in O(ends); with one class (|H1| = 1) it reads
@@ -29,7 +30,7 @@ from operator import lshift, mul, not_, sub
 
 from .errors import CapExceededError, ConditionError, InternalError
 from .graph import branches
-from .lattice import _as_vector
+from .lattice import pairings
 
 BOX_CAP = 10 ** 8  # points in a Hilbert-basis enumeration box
 SEARCH_CAP = 2_000_000  # nodes of one knapsack search
@@ -336,43 +337,37 @@ def base_point_set(g, basis):
 # --- the monoid of H1-invariant monomial cycles -----------------------------------
 
 
-def _generator_vectors(g, h1):
-    """H1's generator vectors re-keyed onto a (possibly blown-up) graph.
-
-    Vertex ids persist through blowups, so a dual-coordinate vector on the
-    original graph extends by zeros; that extension IS the pullback class.
-    """
-    source = h1.group.graph
-    vecs = []
-    for gen in h1.generators:
-        as_map = {v: c for v, c in zip(source.vertex_ids, gen)}
-        vecs.append(_as_vector(g, as_map))
-    return vecs
-
-
-def _congruences(basis, h1, vertices):
+def _congruences(h1, labels):
     """The integer form of "pairs integrally with H1" on the end duals.
 
-    Returns one modulus m_j per generator of H1 and, for each end vertex,
-    the tuple of residues r_j = m_j * (E_v* . gen_j) mod m_j.  The monomial
-    cycle sum_i a_i E_i* pairs integrally with H1 exactly when
-    sum_i a_i r_ij = 0 mod m_j for every j.  Both are blowup invariants.
+    Returns one modulus m_j per Hermite row h_j of H1 that is nonzero in
+    H and, for each end label l, the tuple of residues
+    r_j = m_j * b(h_j, E_l*) mod m_j.  The rows generate H1, so the
+    monomial cycle sum_l a_l E_l* pairs integrally with H1 exactly when
+    sum_l a_l r_lj = 0 mod m_j for every j.
 
-    E_v* . gen_j = -(num @ gen_j)_v / |H|, so the rows of `num` at the
-    end vertices are applied once per generator; m_j is |H| over the gcd
-    of |H| and those numerators.
+    |H| b(h_j, E_l*) = h_j^T P nf(E_l*) mod |H|, row j of
+    lattice.pairings(h1) applied to the normal form of E_l*, and m_j is
+    |H| over the gcd of |H| and those numerators.  The normal forms are
+    read by label on the input graph: a blowup keeps every end's class,
+    as the end dual that moves onto a new leaf u is E'_u* = E_u + pi*(E_i*)
+    and pi* keeps pairings.  With H1 = 0 every row is zero in H, and no
+    Smith coordinates are built.
     """
-    g, den = basis.graph, basis.den
-    rows = [basis.num[g.index(v)] for v in vertices]
+    group = h1.group
+    nonzero = [any(x % d for x, d in zip(h, group.invariant_factors))
+               for h in h1.hnf]
+    if not any(nonzero):
+        return (), ((),) * len(labels)
+    den = group.order
+    ends = [group.project({l: 1}) for l in labels]
     moduli, columns = [], []
-    for gv in _generator_vectors(g, h1):
-        nums = [-sum(map(mul, row, gv)) for row in rows]
+    for row in itertools.compress(pairings(h1), nonzero):
+        nums = [sum(map(mul, row, nf)) for nf in ends]
         scale = gcd(den, *nums)
         moduli.append(den // scale)
         columns.append([(x // scale) % (den // scale) for x in nums])
-    residues = tuple(tuple(col[k] for col in columns)
-                     for k in range(len(rows)))
-    return tuple(moduli), residues
+    return tuple(moduli), tuple(zip(*columns))
 
 
 def _class_steps(residues, moduli):
@@ -432,10 +427,14 @@ class ZeroSumSearch:
     is a step by its residue, weighted |H| * M_v(E_i*) = num[v][i] (every
     dual entry has a denominator dividing |det I(E)| = |H|, which blowups
     keep).  A shortest-path search over the classes finds the lightest such
-    walk.  The residues are characters of H1, so there are at most |H1|
-    classes; they form a group, and the search meets itself in the middle
-    (see `_shortest`), settling only the classes whose least walk weighs
-    less than about half the answer.
+    walk.  The residues are characters of H1, and there are exactly |H1|
+    classes: the ends' classes generate H (peel the leaves of the tree)
+    and the linking form is perfect, so the residue map has image
+    H / H1^perp, of order |H1|.  The constructor checks that count when
+    the labels are every end of the input graph; a search given fewer
+    labels may reach fewer classes.  The classes form a group, and the
+    search meets itself in the middle (see `_shortest`), settling only
+    the classes whose least walk weighs less than about half the answer.
 
     Every dual entry is positive, so a member attaining min M_v is a
     Hilbert-basis generator and the minimum over all nonzero members is
@@ -488,9 +487,15 @@ class ZeroSumSearch:
         self.labels = tuple(sorted(end_map))
         self._scale = basis.den
         ends = [end_map[l] for l in self.labels]
-        moduli, residues = _congruences(basis, h1, ends)
+        moduli, residues = _congruences(h1, self.labels)
         self._steps, self._negation = _class_steps(
             dict(zip(self.labels, residues)), moduli)
+        if (len(self._negation) != h1.order
+                and self.labels == h1.group.graph.ends):
+            raise InternalError(
+                f"zero-sum search check |K| == |H1| failed: the end "
+                f"residues generate K with |K| = {len(self._negation)}, "
+                f"|H1| = {h1.order}")
         # the degree and exponent fields of every key (see `_shortest`)
         count = len(self.labels)
         self._field = b = (2 * len(self._negation) + 2).bit_length()
@@ -736,7 +741,7 @@ def hilbert_basis(g, basis, h1, end_map=None):
         end_map = {e: e for e in g.ends}
     labels = tuple(sorted(end_map))
     vertices = tuple(end_map[l] for l in labels)
-    moduli, residues = _congruences(basis, h1, vertices)
+    moduli, residues = _congruences(h1, labels)
     orders = tuple(lcm(*(m // gcd(m, r) for m, r in zip(moduli, row)))
                    for row in residues)
 
@@ -747,8 +752,8 @@ def hilbert_basis(g, basis, h1, end_map=None):
         raise CapExceededError(
             f"enumeration box volume {volume} exceeds the cap {BOX_CAP}")
 
-    # one congruence per generator of H1
-    rows = [(m, col) for m, col in zip(moduli, zip(*residues)) if m > 1]
+    # one congruence per Hermite row of H1 that is nonzero in H
+    rows = list(zip(moduli, zip(*residues)))
     members = []
     for combo in itertools.product(*(range(o + 1) for o in orders)):
         if not any(combo):

@@ -259,16 +259,51 @@ def subgroups_oracle(group):
     return seen
 
 
+def representative(group, nf):
+    """An integer dual-coordinate vector projecting onto the normal form:
+    sum_k nf_k rep_k over the group's certified unit representatives."""
+    out = [0] * len(group.graph)
+    for val, col in zip(nf, group._coords()[1]):
+        if val:
+            out = [a + val * b for a, b in zip(out, col)]
+    return tuple(out)
+
+
+def row_classes(h1):
+    """The normal forms that generate H1: its Hermite rows reduced mod d,
+    those that are nonzero in H."""
+    factors = h1.group.invariant_factors
+    nfs = (tuple(x % d for x, d in zip(h, factors)) for h in h1.hnf)
+    return [nf for nf in nfs if any(nf)]
+
+
+def row_representatives(h1):
+    """Dual-coordinate vectors that generate H1: the representatives of
+    row_classes(h1)."""
+    return [representative(h1.group, nf) for nf in row_classes(h1)]
+
+
+def end_orders(h1, labels):
+    """The order of each end's pairing with H1: the least o with
+    o * E_l* pairing integrally with every generator, as the lcm of the
+    Fraction pairings' denominators on the input graph.  hilbert_basis
+    enumerates the box [0, o_l]^labels."""
+    basis = h1.group.basis
+    gens = row_representatives(h1)
+    return [lcm(*(dual_pairing(basis, {l: 1}, gen).denominator
+                  for gen in gens)) for l in labels]
+
+
 def perp_member(coords, h1):
     """Whether the class of sum coords_v E_v* pairs integrally with H1.
 
     This is the computational content of membership in Theta^{-1}(H1-perp):
     a character is trivial on H1 exactly when all pairings against the
-    generators are integers.
+    generators (row_representatives) are integers.
     """
     basis = h1.group.basis
     return all(dual_pairing(basis, coords, g).denominator == 1
-               for g in h1.generators)
+               for g in row_representatives(h1))
 
 
 def graph_json(g):
@@ -432,8 +467,8 @@ def dual_pairing(basis, c1, c2):
 def linking_pairing(group, nf1, nf2):
     """The linking pairing H x H -> Q/Z of two normal forms, as a Fraction
     in [0, 1), from their representatives and the dual basis."""
-    val = dual_pairing(group.basis, group.representative(nf1),
-                       group.representative(nf2))
+    val = dual_pairing(group.basis, representative(group, nf1),
+                       representative(group, nf2))
     return val - (val.numerator // val.denominator)
 
 
@@ -597,7 +632,7 @@ def hilbert_oracle(g, basis, h1, volume_cap=100_000):
     source = h1.group.graph
     gen_expansions = [
         expand(basis, {v: c for v, c in zip(source.vertex_ids, gen)})
-        for gen in h1.generators]
+        for gen in row_representatives(h1)]
     # pairing of E_i* against each generator, via the intersection form
     pair = {e: [intersect(dual_cycle(basis, e), ge) for ge in gen_expansions]
             for e in ends}
@@ -732,15 +767,12 @@ def assert_resolved(report, h1, box_cap=50_000):
     (checked against hilbert_basis in test_search.py)."""
     from splicemult import (DualBasis, ZeroSumSearch, base_point_set,
                             gcd_cycle, hilbert_basis)
-    from splicemult.monomial import _congruences
 
     history = report.history
     g, end_map = history.current, history.end_map
     labels = sorted(end_map)
     basis = DualBasis(g)
-    moduli, residues = _congruences(basis, h1, [end_map[l] for l in labels])
-    volume = prod(lcm(*(m // gcd(m, r) for m, r in zip(moduli, row))) + 1
-                  for row in residues)
+    volume = prod(o + 1 for o in end_orders(h1, labels))
     if volume <= box_cap:
         gens = hilbert_basis(g, basis, h1, end_map)
         z = cycle(g, gcd_cycle(gens), basis.den)

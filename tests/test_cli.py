@@ -190,13 +190,6 @@ def test_one_class_runs_print_the_uac_report(tmp_path, capsys):
     assert json.loads(uac)["multiplicity"] == 2
 
 
-def test_mult_uac_trace_h60(files, capsys):
-    code, out, _ = run(capsys, "mult", files["h60"], "--uac", "--trace")
-    assert code == 0
-    assert out.count("blowup edge") == 3
-    assert "multiplicity = 6" in out
-
-
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
@@ -207,8 +200,9 @@ GOLDEN = pathlib.Path(__file__).parent / "golden"
 ])
 def test_text_output_is_pinned(files, capsys, argv, name):
     """The whole text output of three commands, byte for byte: every
-    round's Z in dual coordinates, Z.Z = -1/10 for the cover of h60, and
-    every row of the two tables."""
+    round's Z in dual coordinates, the three edge blowups, Z.Z = -1/10
+    and multiplicity 6 for the cover of h60, and the header ("10
+    subgroups") and every row of the two tables."""
     command, graph, *flags = argv
     code, out, err = run(capsys, command, files[graph], *flags)
     assert (code, err) == (0, "")
@@ -328,13 +322,6 @@ def test_mult_bad_subgroup_file(files, capsys, tmp_path):
 
 
 # --- table ------------------------------------------------------------------------
-
-
-def test_table_h12(files, capsys):
-    code, out, _ = run(capsys, "table", files["h12"])
-    assert code == 0
-    lines = [l for l in out.splitlines() if l]
-    assert "10 subgroups" in lines[0]
 
 
 def test_table_h12_json(files, capsys):
@@ -780,6 +767,29 @@ def test_internal_failure_is_exit_4(files, capsys, monkeypatch):
         assert err == ("internal error: Smith normal form check d_r == "
                        "exponent of H failed: d_r = 12, "
                        "|H| / gcd(|H|, num) = 6\n")
+
+
+def test_search_class_count_is_certified(files, capsys, monkeypatch):
+    """The end residues reach exactly |H1| classes (ZeroSumSearch): with
+    the last congruence dropped, the row <(0,3)> of the h12 table, whose
+    one nonzero Hermite row is (0,3), reaches 1 class instead of 2."""
+    import splicemult.monomial as monomial
+
+    original = monomial._congruences
+
+    def dropped(h1, labels):
+        moduli, residues = original(h1, labels)
+        if moduli:
+            moduli, residues = moduli[:-1], tuple(r[:-1] for r in residues)
+        return moduli, residues
+
+    monkeypatch.setattr(monomial, "_congruences", dropped)
+    for argv in (["table", files["h12"]], ["table", files["h12"], "--json"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (4, "")
+        assert err == ("internal error: zero-sum search check |K| == |H1| "
+                       "failed: the end residues generate K with |K| = 1, "
+                       "|H1| = 2\n")
 
 
 @pytest.mark.parametrize("wrong, check", [

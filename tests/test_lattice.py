@@ -25,7 +25,8 @@ from splicemult import (
 )
 from splicemult.errors import CapExceededError, InputError, InternalError
 from splicemult.lattice import (_certify_flat, _lattice_contains,
-                                _tree_solve, _units)
+                                _tree_solve)
+from splicemult.monomial import _congruences
 from splicemult.linalg import (
     determinant,
     identity_matrix,
@@ -57,6 +58,9 @@ from conftest import (
     perp_member,
     pulled_back,
     random_trees,
+    representative,
+    row_classes,
+    row_representatives,
     star,
     subgroups_oracle,
     to_dual_coordinates,
@@ -65,6 +69,11 @@ from conftest import (
 
 def _all_classes(group):
     return list(itertools.product(*map(range, group.invariant_factors)))
+
+
+def _unit_classes(group):
+    r = len(group.invariant_factors)
+    return [tuple(int(i == j) for j in range(r)) for i in range(r)]
 
 
 # --- dual cycles -------------------------------------------------------------
@@ -376,7 +385,7 @@ def test_projection_kills_integral_cycles(all_test_graphs):
 def test_representative_section(tree_h12):
     group = discriminant_group(tree_h12)
     for nf in _all_classes(group):
-        assert group.project(group.representative(nf)) == nf
+        assert group.project(representative(group, nf)) == nf
 
 
 # --- subgroups ---------------------------------------------------------------------
@@ -465,14 +474,15 @@ def test_enumerate_subgroups_matches_closure_oracle():
             subgroups_oracle(group)
         assert len(subs) == len(set(subs))
         for s in subs:
+            gens = row_representatives(s)
             assert closure(group, [group.project(v) for v in
-                                   s.generators]) == set(s.canonical_elements)
+                                   gens]) == set(s.canonical_elements)
             # built from its basis, as subgroup() builds it from generators
-            rebuilt = subgroup(s.generators, group)
+            rebuilt = subgroup(gens, group)
             assert (rebuilt.hnf, rebuilt.order, rebuilt.index) == \
                 (s.hnf, s.order, s.index)
         # the pairing matrix against the pairing of the representatives
-        units = _units(len(group.invariant_factors))
+        units = _unit_classes(group)
         pairing = group.pairing_matrix()
         for j, ej in enumerate(units):
             for k, ek in enumerate(units):
@@ -482,16 +492,16 @@ def test_enumerate_subgroups_matches_closure_oracle():
 
 
 def test_flat_matches_pairing_oracle():
-    """H1-flat is every class pairing integrally with H1's generators,
-    the pairing read through the representatives and the dual basis, not
-    through the pairing matrix; it is an involution, and each enumerated
-    pair passes its certificate."""
+    """H1-flat is every class pairing integrally with H1's nonzero
+    Hermite rows, the pairing read through the representatives and the
+    dual basis, not through the pairing matrix; it is an involution, and
+    each enumerated pair passes its certificate."""
     for g in SMALL_TREES + RANK_3_AND_4_GRAPHS:
         group = discriminant_group(g)
-        units = _units(len(group.invariant_factors))
+        units = _unit_classes(group)
         subs = enumerate_subgroups(group)
         for s in subs:
-            gens = [group.project(v) for v in s.generators]
+            gens = row_classes(s)
             against = [[linking_pairing(group, e, nf) for e in units]
                        for nf in gens]
             perp = {x for x in _all_classes(group)
@@ -501,6 +511,34 @@ def test_flat_matches_pairing_oracle():
             assert set(flat.canonical_elements) == perp
             assert flat_subgroup(flat) == s
             _certify_flat(s, flat)
+
+
+def test_congruences_match_fraction_pairings(tree_h12, d4_star):
+    """The search's congruences against the Fraction intersections: the
+    residues of _congruences(h1, ends) sum to zero exactly when
+    sum a_l E_l* pairs integrally (dual_pairing) with the representative
+    of every nonzero Hermite row of H1.  The rows generate H1, so
+    integrality on them is integrality on all of H1.  Every subgroup of
+    each graph, every exponent vector in [0, 2]^ends, or a seeded sample
+    of 500 where there are more."""
+    rng = random.Random(23)
+    for g in SMALL_TREES + RANK_3_AND_4_GRAPHS + [tree_h12, d4_star]:
+        group = discriminant_group(g)
+        box = list(itertools.product(range(3), repeat=len(g.ends)))
+        if len(box) > 500:
+            box = rng.sample(box, 500)
+        for h1 in enumerate_subgroups(group):
+            moduli, residues = _congruences(h1, g.ends)
+            gens = row_representatives(h1)
+            assert len(moduli) == len(gens)
+            against = [[dual_pairing(group.basis, {l: 1}, gen)
+                        for l in g.ends] for gen in gens]
+            for a in box:
+                zero = all(sum(x * r[j] for x, r in zip(a, residues)) % m == 0
+                           for j, m in enumerate(moduli))
+                integral = all(sum(map(mul, a, row)).denominator == 1
+                               for row in against)
+                assert zero == integral, (g, h1.hnf, a)
 
 
 @st.composite
@@ -546,7 +584,7 @@ def test_subgroup_membership_and_pairing_consistency():
         for _ in range(5):
             a = rng.choice(elems)
             b = rng.choice(elems)
-            ra, rb = group.representative(a), group.representative(b)
+            ra, rb = representative(group, a), representative(group, b)
             direct = dual_pairing(basis, ra, rb)
             assert (direct - linking_pairing(group, a, b)).denominator == 1
 

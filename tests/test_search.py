@@ -2,7 +2,7 @@
 against the one-sided tuple-key search, and at its cap."""
 
 from fractions import Fraction
-from math import lcm
+from math import prod
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -26,9 +26,9 @@ from conftest import (
     RecordedHistory,
     blowup_histories,
     cycle,
-    dual_pairing,
     draw_blowups,
     end_map_after,
+    end_orders,
     expansion,
     exponent_vector,
     monomial,
@@ -44,12 +44,7 @@ BOX_LIMIT = 40_000  # points of the reference enumeration per example
 
 def _box_volume(basis, h1):
     """Points in the box that hilbert_basis enumerates for H1."""
-    volume = 1
-    for e in basis.graph.ends:
-        order = lcm(*(dual_pairing(basis, {e: 1}, gen).denominator
-                      for gen in h1.generators))
-        volume *= order + 1
-    return volume
+    return prod(o + 1 for o in end_orders(h1, basis.graph.ends))
 
 
 def _fractions(nums, den):
