@@ -10,7 +10,9 @@ each original end's curve variable.
 The constructor checks negative definiteness by a leaf-first elimination
 of the tree rooted at its least id and keeps that rooted tree, which the
 branch determinants, the tree solve (lattice) and the branches of the
-monomial condition (monomial) read instead of walking the tree again.
+monomial condition (monomial) read instead of walking the tree again.  A
+blown-up graph carries its parent's elimination, root included, and
+re-checks only the subtree determinants that the blowup changed.
 """
 
 import json
@@ -75,7 +77,8 @@ class ResolutionGraph:
     def _negative_definite(self):
         """Whether the form is negative definite; InputError(NOT_A_TREE)
         first when the n - 1 edges do not connect the graph.  Keeps the
-        rooted tree of the elimination (see rooted_tree)."""
+        rooted tree of the elimination (see rooted_tree).  Blown-up graphs
+        patch their parent's instead (see _blown_up)."""
         self._rooted = self._eliminate_leaves()
         return self._rooted is not None
 
@@ -127,11 +130,13 @@ class ResolutionGraph:
 
     def rooted_tree(self):
         """(order, parent, size) of the tree the leaf-first elimination
-        rooted at the first vertex id: the vertices in depth-first
-        preorder, each one's parent (None at the root), and each subtree's
-        size, so that order[i:i + size[v]] is v's subtree for v = order[i].
-        Derived on first use from the elimination's breadth-first order
-        (blown-up graphs seldom need it).  Shared: do not change it."""
+        rooted: the vertices in depth-first preorder, each one's parent
+        (None at the root), and each subtree's size, so that
+        order[i:i + size[v]] is v's subtree for v = order[i].  The root is
+        the least id of the graph the constructor built, which blowups keep
+        even when a fresh id is smaller.  Derived on first use from the
+        elimination's order, parents before children (and not strictly
+        breadth-first after blowups).  Shared: do not change it."""
         if self._preorder is None:
             order, parent, _, _ = self._rooted
             size = dict.fromkeys(order, 1)
@@ -346,74 +351,107 @@ def _fresh_id(g):
 def _blown_up(g, event):
     """The graph that `event` derives from g.
 
-    g's validated tables are copied and patched where the blowup changes
-    them: the new vertex u of weight -1, the centre's new weights, and u
-    put on the centre's edge (an edge blowup) or hung off the centre (an
-    end blowup).  The checks of the constructor run again: the changed
-    weights must be negative, the graph a tree (n - 1 edges, connected)
-    and the form negative definite, the last two by the same O(n)
-    leaf-first elimination.  A blowup of a negative definite tree is
-    again one, so a failed check is a bug, not invalid input.
+    g's tables are copied and patched where the blowup touches them: the
+    new vertex u of weight -1, the centre's weights and adjacency, the
+    edges, and the ends in an end blowup (the nodes never change).  g's
+    elimination is carried over with g's root: u goes between an edge's
+    parent p and child c, just before c in the order, or under the end i.
+    A blowup keeps the determinant of every subtree holding its point and
+    leaves every other subtree alone, so only P_c and u's P and Q are
+    new.  They are recomputed from h's weights, and must give P_c > 0,
+    P_u = P_c of g and P_p unchanged (an end blowup: P_u = 1, P_i
+    unchanged): so every P of h is positive and the weight changes are
+    exactly the blowup's.  A blowup of a negative definite tree is again
+    one, so a failed check is a bug, not invalid input.
     """
     u, centre = event.new_vertex, event.center
     h = ResolutionGraph.__new__(ResolutionGraph)
-    ids = list(g._ids)
-    insort(ids, u)
-    h._ids = tuple(ids)
-    h._pos = dict(zip(ids, range(len(ids))))
     weights = h._weights = dict(g._weights)
     weights[u] = -1
     for v, _, w in event.weight_changes:
+        if w >= 0:
+            _invalid(f"vertex {v} has weight {w} >= 0")
         weights[v] = w
-    around = {v: set(g._adj[v]) for v in centre}
-    around[u] = set(centre)
+    k = bisect_left(g._ids, u)
+    ids = h._ids = g._ids[:k] + (u,) + g._ids[k:]
+    pos = h._pos = dict(g._pos)
+    for j in range(k, len(ids)):
+        pos[ids[j]] = j
+    adj = h._adj = dict(g._adj)
+    adj[u] = centre
     edges = list(g._edges)
+    order, parent, below, rest = g._rooted
+    parent, below, rest = dict(parent), dict(below), dict(rest)
     if event.kind == "edge":
         v, w = centre
-        edges.remove(centre)
-        around[v].remove(w)
-        around[w].remove(v)
+        del edges[bisect_left(edges, centre)]
+        adj[v], adj[w] = _swapped(adj[v], w, u), _swapped(adj[w], v, u)
+        p, c = (v, w) if parent[w] == v else (w, v)
+        order = list(order)
+        order.insert(order.index(c), u)
+        h._rooted = order, parent, below, rest
+        parent[u], parent[c] = p, u
+        pinned = below[c]
+        below[c] = _pivot(h, c)[0]
+        if below[c] <= 0:
+            _invalid(f"P at vertex {c} is {below[c]}, not positive")
+        below[u], rest[u] = _pivot(h, u)
+        if below[u] != pinned:
+            _invalid(f"P at vertex {u} is {below[u]}, not {pinned} as at "
+                     f"vertex {c} before the blowup")
+        h._ends = g._ends
+    else:
+        (p,) = centre
+        adj[p] = tuple(sorted(adj[p] + (u,)))
+        h._rooted = order + [u], parent, below, rest
+        parent[u] = p
+        below[u], rest[u] = _pivot(h, u)
+        if below[u] != 1:
+            _invalid(f"P at vertex {u} is {below[u]}, not 1")
+        h._ends = tuple(sorted({*g._ends, u} - {p}))
+    value = _pivot(h, p)[0]
+    if value != below[p]:
+        _invalid(f"P at vertex {p} is {value}, not {below[p]} as before "
+                 f"the blowup")
     for v in centre:
-        around[v].add(u)
         insort(edges, (min(u, v), max(u, v)))
     h._edges = tuple(edges)
-    adj = h._adj = dict(g._adj)
-    for v, ns in around.items():
-        adj[v] = tuple(sorted(ns))
-    h._ends = tuple(sorted([v for v in g._ends if v not in around]
-                           + [v for v in around if len(adj[v]) == 1]))
-    h._nodes = tuple(sorted([v for v in g._nodes if v not in around]
-                            + [v for v in around if len(adj[v]) >= 3]))
-    h._preorder = None
-    h._imatrix = None
-    h._hash = None
-    reason = _failed_check(h, event)
-    if reason is not None:
-        raise InternalError(f"blowup produced an invalid graph: {reason}")
+    h._nodes = g._nodes
+    h._preorder = h._imatrix = h._hash = None
     return h
 
 
-def _failed_check(h, event):
-    """The first check of the constructor that the graph h, derived by
-    `event`, fails, as the constructor words it; None when all pass."""
-    for v, _, w in event.weight_changes:
-        if w >= 0:
-            return f"vertex {v} has weight {w} >= 0"
-    if len(h._edges) != len(h._ids) - 1:
-        return NOT_A_TREE
-    try:
-        return None if h._negative_definite() else NOT_DEFINITE
-    except InputError as exc:
-        return str(exc)
+def _pivot(h, v):
+    """(P_v, Q_v) by the elimination recurrence (see _eliminate_leaves)
+    from h's weight at v and the carried P and Q of v's children."""
+    _, parent, below, rest = h._rooted
+    s, q = 0, 1
+    for x in h._adj[v]:
+        if x != parent[v]:
+            s = s * below[x] + rest[x] * q
+            q *= below[x]
+    return -h._weights[v] * q - s, q
+
+
+def _swapped(neighbours, old, new):
+    """The sorted tuple `neighbours` with `old` replaced by `new`."""
+    neighbours = list(neighbours)
+    neighbours.remove(old)
+    insort(neighbours, new)
+    return tuple(neighbours)
+
+
+def _invalid(reason):
+    raise InternalError(f"blowup produced an invalid graph: {reason}")
 
 
 def blowup_edge(g, v, w):
     """Blow up the intersection point of the edge (v, w).
 
     Inserts a fresh (-1)-vertex between v and w and decrements both their
-    weights.  The new graph is derived from g's tables and checked again,
-    negative definiteness included (see _blown_up).  Dual cycles follow by
-    pullback, E'_x* = pi*(E_x*), with no new solve.
+    weights.  The new graph patches g's tables and g's elimination and
+    re-checks the subtree determinants the blowup changed (see _blown_up).
+    Dual cycles follow by pullback, E'_x* = pi*(E_x*), with no new solve.
     """
     if not g.has_edge(v, w):
         raise InternalError(f"({v}, {w}) is not an edge")

@@ -175,6 +175,20 @@ def end_map_after(history, k):
     return end_map
 
 
+def lower_centres_twice(monkeypatch):
+    """Make every blowup event lower each centre vertex by 2 instead of 1:
+    the form stays negative definite, but the blowup identities fail."""
+    from splicemult import graph
+
+    event = graph.BlowupEvent
+
+    def lowered(kind, center, new_vertex, weight_changes):
+        return event(kind, center, new_vertex, tuple(
+            (v, old, new - 1) for v, old, new in weight_changes))
+
+    monkeypatch.setattr(graph, "BlowupEvent", lowered)
+
+
 def star(centre, arms):
     """Star graph: vertex 1 of weight `centre` joined to one leaf per arm."""
     weights = {1: centre}
@@ -918,17 +932,19 @@ def chain_star(centre, arms):
 @st.composite
 def chain_armed_stars(draw):
     """Stars with 3-5 chain arms of 1-3 vertices of weight -7..-2, a centre
-    of weight -4..-1 and |H| <= 2000."""
-    from splicemult import discriminant_group
-
+    of weight -4..-1 and |H| <= 2000.  The arms are drawn first.  With
+    centre weight -b, |H| = a b - c, where a = prod alpha_i and c = sum_i
+    beta_i prod_{j != i} alpha_j (seifert_invariants), and the star is
+    negative definite iff b > sum beta_i / alpha_i, that is iff |H| > 0:
+    so b is drawn from the range where 0 < |H| <= 2000, if there is one."""
     arms = draw(st.lists(st.lists(st.integers(-7, -2), min_size=1,
                                   max_size=3), min_size=3, max_size=5))
-    try:
-        g = chain_star(draw(st.integers(-4, -1)), arms)
-    except InputError:  # not negative definite
-        assume(False)
-    assume(discriminant_group(g).order <= 2000)
-    return g
+    a, c = 1, 0
+    for alpha, beta in map(seifert_invariants, arms):
+        a, c = a * alpha, c * alpha + a * beta
+    lowest, highest = c // a + 1, min(4, (c + 2000) // a)
+    assume(lowest <= highest)
+    return chain_star(-draw(st.integers(lowest, highest)), arms)
 
 
 def star_arms(g):
@@ -944,13 +960,14 @@ def star_arms(g):
     return centre, arms
 
 
-def seifert_invariants(g, arm):
-    """(alpha, beta) of an arm, alpha / beta = [b_1, ..., b_s] read from
-    the centre outwards: alpha is det(-I) on the arm's chain, beta on the
-    chain without its first vertex."""
+def seifert_invariants(weights):
+    """(alpha, beta) of an arm of the given weights -b_1, ..., -b_s, read
+    from the centre outwards, with alpha / beta = [b_1, ..., b_s]: alpha is
+    det(-I) on the arm's chain, beta on the chain without its first
+    vertex."""
     alpha, beta = 1, 0
-    for v in reversed(arm):
-        alpha, beta = -g.weight(v) * alpha - beta, alpha
+    for w in reversed(weights):
+        alpha, beta = -w * alpha - beta, alpha
     return alpha, beta
 
 
@@ -977,7 +994,8 @@ def pinkham_demazure_z(g):
             vals.append(-g.weight(v) * vals[-1] - vals[-2])
         return vals[1:-1], vals[-1]
 
-    seifert = [seifert_invariants(g, arm) for arm in arms]
+    seifert = [seifert_invariants([g.weight(v) for v in arm])
+               for arm in arms]
 
     def least(arm, k):
         """The least v_1 .. v_s: the end condition is affine in v_1."""

@@ -38,6 +38,7 @@ from conftest import (
     TWO_NODE_EDGES,
     chain_armed_stars,
     graph_json,
+    lower_centres_twice,
     relabel,
     replace_everywhere,
     report_dict,
@@ -682,17 +683,34 @@ def test_table_json_writes_each_element_list_once(files, capsys, monkeypatch,
 
 
 def test_invalid_blowup_is_exit_4(files, capsys, monkeypatch):
-    """A blown-up graph that fails a constructor check is reported as a
-    bug: h60 needs three edge blowups, and every graph above its ten
-    vertices is refused here."""
-    original = ResolutionGraph._negative_definite
-    monkeypatch.setattr(ResolutionGraph, "_negative_definite",
-                        lambda self: len(self) <= 10 and original(self))
+    """A blown-up graph that fails its certificate is reported as a bug:
+    h60 needs three edge blowups, and here the first one lowers its
+    centre by 2, which keeps the form definite but breaks P_u = P_c."""
+    lower_centres_twice(monkeypatch)
     code, out, err = run(capsys, "mult", files["h60"], "--uac")
     assert (code, out) == (4, "")
     assert err == ("internal error: blowup produced an invalid graph: "
-                   "intersection matrix is not negative definite\n")
+                   "P at vertex 11 is 36, not 24 as at vertex 5 before "
+                   "the blowup\n")
 
+
+def test_mult_uac_eliminates_leaves_once(files, capsys, monkeypatch):
+    """Each blown-up graph carries its parent's elimination: on h60, with
+    three edge blowups, the leaf-first elimination runs once, on the
+    parsed graph of ten vertices."""
+    original = ResolutionGraph._eliminate_leaves
+    sizes = []
+
+    def counted(self):
+        sizes.append(len(self))
+        return original(self)
+
+    monkeypatch.setattr(ResolutionGraph, "_eliminate_leaves", counted)
+    code, out, _ = run(capsys, "mult", files["h60"], "--uac", "--json")
+    assert code == 0
+    assert [r["blowup"] is not None for r in json.loads(out)["rounds"]] == [
+        True, True, True, False]
+    assert sizes == [10]
 
 
 def _flat_of_h12_row(monkeypatch, row, pick):

@@ -4,9 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from splicemult import (
+    BlowupEvent,
     GraphHistory,
     ResolutionGraph,
     blowup_edge,
@@ -22,8 +23,8 @@ from splicemult.linalg import is_negative_definite
 
 from conftest import (QCycle, RecordedHistory, blowup_histories,
                       branches_by_search, chain_armed_stars, dual_cycle,
-                      graph_json, intersect, multi_node_trees,
-                      pullback_vertex_cycle, random_trees)
+                      graph_json, intersect, lower_centres_twice,
+                      multi_node_trees, pullback_vertex_cycle, random_trees)
 
 
 # --- parsing and validation -----------------------------------------------------
@@ -145,19 +146,17 @@ def test_branches_match_search_on_multi_node_trees(g):
     _assert_branches_match_search(g)
 
 
-@settings(suppress_health_check=[HealthCheck.filter_too_much])
 @given(chain_armed_stars())
 def test_branches_match_search_on_chain_armed_stars(g):
     """Stars rooted at their centre, so every branch is a child's
-    subtree (the strategy drops the stars that are not negative definite
-    or whose |H| exceeds 2000)."""
+    subtree."""
     _assert_branches_match_search(g)
 
 
 @given(blowup_histories())
 def test_branches_match_search_after_blowups(history):
-    """A blown-up graph keeps the rooted tree of its own elimination, with
-    new vertices before and between the old ones in id order."""
+    """A blown-up graph carries its input's rooted tree, patched, with new
+    vertices before and between the old ones in id order."""
     _assert_branches_match_search(history.initial)
     for k in range(len(history.events)):
         _assert_branches_match_search(history.graph_after(k))
@@ -364,19 +363,40 @@ def test_fresh_id_is_the_least_unused_positive_id(ids):
 def test_blowup_failing_a_constructor_check_is_an_internal_error(
         tree_h12, monkeypatch):
     """A blowup of a valid graph is valid again, so a derived graph that
-    fails a check of the constructor is a bug (exit 4), never invalid
-    input (exit 1); the constructor still runs every check on it."""
-    original = ResolutionGraph._negative_definite
-    monkeypatch.setattr(ResolutionGraph, "_negative_definite",
-                        lambda self: len(self) <= 10 and original(self))
-    message = ("^blowup produced an invalid graph: intersection matrix is "
-               "not negative definite$")
-    with pytest.raises(InternalError, match=message):
+    fails its certificate is a bug (exit 4), never invalid input (exit
+    1).  The certificate recomputes P where the blowup identities pin it,
+    so it also refuses weight changes that keep the form definite: here
+    every centre vertex loses 2 instead of 1."""
+    lower_centres_twice(monkeypatch)
+    prefix = "^blowup produced an invalid graph: "
+    with pytest.raises(InternalError, match=prefix + "P at vertex 11 is 24, "
+                       "not 12 as at vertex 5 before the blowup$"):
         blowup_edge(tree_h12, 1, 5)
-    with pytest.raises(InternalError, match=message):
+    with pytest.raises(InternalError, match=prefix + "P at vertex 1 is 24, "
+                       "not 12 as before the blowup$"):
         blowup_end_point(tree_h12, 1)
-    with pytest.raises(InternalError, match=message):
+    with pytest.raises(InternalError, match=prefix + "P at vertex 2 is 3, "
+                       "not 2 as before the blowup$"):
         GraphHistory(tree_h12).blowup_end(2)
+
+
+@pytest.mark.parametrize("center, weight_changes, reason", [
+    # rooted at 1, the edge (7, 8) has child 8, whose two arms (9, 3)
+    # and (10, 4) leave P_8 / Q_8 = 2/3: at weight -1 its P is negative
+    ((7, 8), ((7, -2, -3), (8, -2, -1)), "P at vertex 8 is -3, not positive"),
+    # the parent 1 of the edge (1, 5) loses 2, its child 5 loses 1
+    ((1, 5), ((1, -2, -4), (5, -2, -3)),
+     "P at vertex 1 is 24, not 12 as before the blowup"),
+])
+def test_blowup_certificate_names_the_vertex_and_the_check(
+        tree_h12, center, weight_changes, reason):
+    from splicemult.graph import _blown_up
+
+    event = BlowupEvent(kind="edge", center=center, new_vertex=11,
+                        weight_changes=weight_changes)
+    with pytest.raises(InternalError, match=f"^blowup produced an invalid "
+                       f"graph: {reason}$"):
+        _blown_up(tree_h12, event)
 
 
 def test_pullback_preserves_pairing_chain(a2_chain):

@@ -5,6 +5,7 @@ import itertools
 import random
 import sys
 from fractions import Fraction
+from math import prod
 from operator import mul
 
 import pytest
@@ -171,6 +172,47 @@ def test_dual_basis_reads_the_constructors_elimination(monkeypatch):
     num, den = invert_rational_matrix(_negated(g))
     basis = DualBasis(g)
     assert (basis.num, basis.den) == ([tuple(row) for row in num], den)
+
+
+@given(st.one_of(blowup_histories(), chain_armed_star_histories(),
+                 multi_node_histories()))
+def test_blown_up_graphs_carry_the_elimination(history):
+    """Every graph a history passes through keeps its input's root, lists
+    parents before children, and carries the P and Q of a fresh
+    elimination: P_v = D(parent -> v), P_root = det and Q_v the product
+    of P over v's children, which do not depend on the root."""
+    root = history.initial.rooted_tree()[0][0]
+    graphs = [history.initial] + [history.graph_after(k)
+                                  for k in range(len(history.events))]
+    for g in graphs:
+        order, parent, below, rest = g._rooted
+        assert order[0] == root and parent[root] is None
+        assert sorted(order) == list(g.vertex_ids)
+        place = {v: i for i, v in enumerate(order)}
+        assert all(place[parent[v]] < place[v] and g.has_edge(parent[v], v)
+                   for v in order[1:])
+        fresh = ResolutionGraph(
+            {v: g.weight(v) for v in g.vertex_ids}, g.edges)
+        det, branch = fresh.branch_determinants()
+        assert below[root] == det
+        assert all(below[v] == branch[parent[v], v] for v in order[1:])
+        assert all(rest[v] == prod(below[c] for c in g.neighbors(v)
+                                   if c != parent[v]) for v in order)
+        assert g.branch_determinants() == (det, branch)
+
+        preorder, parent_of, size = g.rooted_tree()
+        assert parent_of == parent and preorder[0] == root
+        for i, v in enumerate(preorder):
+            below_v = {u for u in order if v in _ancestors(u, parent)}
+            assert set(preorder[i:i + size[v]]) == below_v
+
+
+def _ancestors(u, parent):
+    """u and every vertex above it."""
+    path = [u]
+    while parent[path[-1]] is not None:
+        path.append(parent[path[-1]])
+    return path
 
 
 @given(st.one_of(blowup_histories(), chain_armed_star_histories(),
