@@ -92,8 +92,9 @@ def _items(texts, newline):
     return "[" + inner + body + newline + "]" if body else "[]"
 
 
-# One template per record type of a report: the text that
-# _json_text(vars(record), newline) gives, "{" indented as `newline`.
+# One template per record type of a report: the text that _json_text
+# gives for the record's field map (vars of a dataclass, _asdict of the
+# blowup event), "{" indented as `newline`.
 def _edge_check_text(c, newline):
     i = newline + "  "
     return (f'{{{i}"edge": {_items(map(repr, c.edge), i)},'
@@ -126,15 +127,15 @@ def _emit_report(report):
     The form has the report's scalars, `rounds`, `Z_final` (the last
     round's Z maps) and `trace` (the blowups).  A round has its Z maps
     `Z_vertex` and `Z_dual`, vertex id string -> "p/q" string, and its
-    `blowup`, `edge_checks` and `end_decisions`; a record is vars(record),
-    written by its type's template (`_blowup_text`, `_edge_check_text`,
-    `_end_decision_text`).  A Z map is sorted as text, as sort_keys sorts
-    it, so "10" precedes "2".  A record that recurs from round to round
-    is one object (see run_pipeline), and its text is joined once; a
-    blowup is written in its round and in `trace`, at two depths.  A
-    round is written map by map and list by list, so no text of a whole
-    round or of the document is joined: the document grows with rounds x
-    vertices."""
+    `blowup`, `edge_checks` and `end_decisions`; a record is its field
+    map, written by its type's template (`_blowup_text`,
+    `_edge_check_text`, `_end_decision_text`).  A Z map is sorted as
+    text, as sort_keys sorts it, so "10" precedes "2".  A record that
+    recurs from round to round is one object (see run_pipeline), and its
+    text is joined once; a blowup is written in its round and in
+    `trace`, at two depths.  A round is written map by map and list by
+    list, so no text of a whole round or of the document is joined: the
+    document grows with rounds x vertices."""
     write = sys.stdout.write
     n2, n4, n6, n8 = ("\n" + " " * k for k in (2, 4, 6, 8))  # indentation
     value = _FractionText(report.order, quote='"')

@@ -17,7 +17,8 @@ re-checks only the subtree determinants that the blowup changed.
 
 import json
 from bisect import bisect_left, bisect_right, insort
-from dataclasses import dataclass
+from types import MappingProxyType
+from typing import NamedTuple
 
 from .errors import InputError, InternalError
 
@@ -194,6 +195,12 @@ class ResolutionGraph:
     def __contains__(self, v):
         return v in self._pos
 
+    @property
+    def positions(self):
+        """vertex id -> its index in vertex_ids, as a read-only view of
+        the graph's own table."""
+        return MappingProxyType(self._pos)
+
     def index(self, v):
         try:
             return self._pos[v]
@@ -323,10 +330,10 @@ def branches(g, v):
     return tuple(map(frozenset, comps))
 
 
-@dataclass(frozen=True)
-class BlowupEvent:
+class BlowupEvent(NamedTuple):
     """One blowup: kind is 'edge' (center = the two edge vertices) or 'end'
-    (center = the end vertex whose boundary point was blown up)."""
+    (center = the end vertex whose boundary point was blown up).  A named
+    tuple: immutable, and built with no per-field set-up."""
 
     kind: str
     center: tuple

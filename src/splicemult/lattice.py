@@ -208,10 +208,13 @@ class DiscriminantGroup:
     P_jk = -rep_j^T num rep_k mod |H| = |H| b(e_j, e_k) mod |H| of the
     linking form b on the unit classes, built on first use from the
     representatives: |H| b(x, y) = x^T P y mod |H| for normal forms x, y.
+    `end_forms` holds the normal form of every end's dual E_e*, also built
+    on first use: `table` builds one zero-sum search per subgroup of one
+    group, and each reads every end's class.
     """
 
     __slots__ = ("graph", "basis", "snf", "invariant_factors", "order",
-                 "det", "_slots", "_coordinates", "_pairing")
+                 "det", "_slots", "_coordinates", "_pairing", "_ends")
 
     def __init__(self, graph, basis=None):
         if basis is not None and basis.graph != graph:
@@ -238,6 +241,7 @@ class DiscriminantGroup:
         self.det = (-1) ** len(graph) * self.order
         self._coordinates = None
         self._pairing = None
+        self._ends = None
 
     def _coords(self):
         """(slot rows of U, representatives), built and certified on first
@@ -259,6 +263,13 @@ class DiscriminantGroup:
                       for col in applied)
                 for rep in reps)
         return self._pairing
+
+    def end_forms(self):
+        """The normal form of E_e* for each end e, by end, built on first
+        use."""
+        if self._ends is None:
+            self._ends = {e: self.project({e: 1}) for e in self.graph.ends}
+        return self._ends
 
     def project(self, coords):
         """Normal form of the class of sum_v coords_v * E_v*."""

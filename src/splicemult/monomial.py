@@ -5,14 +5,17 @@ A monomial cycle is a nonnegative integer combination of end duals E_i*;
 it stands for the monomial prod z_i^{a_i} in the end-curve variables.  All
 searches run in integers: the dual basis is carried as integer numerators
 over one denominator |H| = |det I(E)| (every dual entry's denominator
-divides it), which the knapsacks and the zero-sum search read directly;
-the search's residue congruences come from H1's Hermite rows and the
-group's pairing matrix.  The zero-sum search packs each key (M_v...,
-degree, exponents) into one int: the degree and exponent fields have one
-layout for the whole run, the M_v fields a width per query, and an answer
-is read back and checked in O(ends); with one class (|H1| = 1) it reads
-each answer off the rows.  Every dual-basis entry is strictly positive,
-which makes all bounds finite.
+divides it), which the knapsacks and the zero-sum search read directly.
+The search's classes are the group K = prod Z/e_i in Smith coordinates:
+one small Smith form of the ends' pairings with H1's Hermite rows (read
+from the group's pairing matrix) gives each end its residue, a class is
+a mixed-radix code, and each step table rotates every digit of the
+codes.  The search packs each key (M_v..., degree, exponents) into one
+int: the degree and exponent fields have one layout for the whole run,
+the M_v fields a width per query, and an answer is read back and
+checked in O(ends); with one class (|H1| = 1) it reads each answer off
+the rows.  Every dual-basis entry is strictly positive, which makes all
+bounds finite.
 
 The witness search of the monomial condition, `admissible_monomials`, is
 one lazy generator: deciding the condition reads the first witness of each
@@ -25,12 +28,13 @@ import heapq
 import itertools
 from bisect import insort
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import lshift, mul, not_, sub
 
 from .errors import CapExceededError, ConditionError, InternalError
 from .graph import branches
 from .lattice import pairings
+from .linalg import smith_normal_form
 
 BOX_CAP = 10 ** 8  # points in a Hilbert-basis enumeration box
 SEARCH_CAP = 2_000_000  # nodes of one knapsack search
@@ -338,21 +342,32 @@ def base_point_set(g, basis):
 
 
 def _congruences(h1, labels):
-    """The integer form of "pairs integrally with H1" on the end duals.
+    """The integer form of "pairs integrally with H1" on the end duals, in
+    the Smith coordinates of the group K of residue classes.
 
-    Returns one modulus m_j per Hermite row h_j of H1 that is nonzero in
-    H and, for each end label l, the tuple of residues
-    r_j = m_j * b(h_j, E_l*) mod m_j.  The rows generate H1, so the
-    monomial cycle sum_l a_l E_l* pairs integrally with H1 exactly when
-    sum_l a_l r_lj = 0 mod m_j for every j.
+    Returns the moduli e_i and, for each end label l, its residue tuple
+    r_l in prod Z/e_i: the monomial cycle sum_l a_l E_l* pairs integrally
+    with H1 exactly when sum_l a_l r_l = 0 in prod Z/e_i.
 
-    |H| b(h_j, E_l*) = h_j^T P nf(E_l*) mod |H|, row j of
-    lattice.pairings(h1) applied to the normal form of E_l*, and m_j is
-    |H| over the gcd of |H| and those numerators.  The normal forms are
-    read by label on the input graph: a blowup keeps every end's class,
-    as the end dual that moves onto a new leaf u is E'_u* = E_u + pi*(E_i*)
-    and pi* keeps pairings.  With H1 = 0 every row is zero in H, and no
-    Smith coordinates are built.
+    The k x s matrix pe has one row per label and one column per Hermite
+    row h_j of H1 that is nonzero in H, with entries |H| b(h_j, E_l*) mod
+    |H|: row j of lattice.pairings(h1) applied to the normal form of E_l*
+    (DiscriminantGroup.end_forms).  The rows generate H1, so the cycle
+    pairs integrally with H1 exactly when a pe = 0 mod |H|.  With
+    U pe V = S (linalg.smith_normal_form) and V unimodular, that is
+    (a U^{-1})_i s_i = 0 mod |H| for each diagonal entry s_i, that is
+    (a U^{-1})_i = 0 mod e_i = |H| / gcd(|H|, s_i).  Since pe V = U^{-1} S,
+    end l's residue in slot i, (U^{-1})_li, is (pe V)_li / s_i; the
+    division must be exact, and an InternalError names the check when it
+    is not.  Slots with e_i = 1 are dropped.  a -> a U^{-1} maps Z^k onto
+    Z^k, so the residues generate all of prod Z/e_i: K is that product,
+    of order prod e_i, and `_class_steps` numbers its classes by their
+    mixed-radix codes.
+
+    The normal forms are read by label on the input graph: a blowup keeps
+    every end's class, as the end dual that moves onto a new leaf u is
+    E'_u* = E_u + pi*(E_i*) and pi* keeps pairings.  With H1 = 0 every
+    row is zero in H, and no Smith coordinates are built.
     """
     group = h1.group
     nonzero = [any(x % d for x, d in zip(h, group.invariant_factors))
@@ -360,81 +375,78 @@ def _congruences(h1, labels):
     if not any(nonzero):
         return (), ((),) * len(labels)
     den = group.order
-    ends = [group.project({l: 1}) for l in labels]
-    moduli, columns = [], []
-    for row in itertools.compress(pairings(h1), nonzero):
-        nums = [sum(map(mul, row, nf)) for nf in ends]
-        scale = gcd(den, *nums)
-        moduli.append(den // scale)
-        columns.append([(x // scale) % (den // scale) for x in nums])
-    return tuple(moduli), tuple(zip(*columns))
+    forms = group.end_forms()
+    rows = list(itertools.compress(pairings(h1), nonzero))
+    pe = [[sum(map(mul, row, forms[l])) % den for row in rows]
+          for l in labels]
+    snf = smith_normal_form(pe)
+    slots = [(i, s, den // gcd(den, s))
+             for i, s in enumerate(snf.diagonal()) if s % den]
+    columns = [[v[i] for v in snf.V] for i, _, _ in slots]
+    residues = []
+    for l, row in zip(labels, pe):
+        residue = []
+        for column, (i, s, e) in zip(columns, slots):
+            x = sum(map(mul, row, column))
+            if x % s:
+                raise InternalError(
+                    f"zero-sum search check s_i | (pe V)_li failed: end "
+                    f"{l}, slot {i}, s_i = {s}, (pe V)_li = {x}")
+            residue.append(x // s % e)
+        residues.append(tuple(residue))
+    return tuple(e for _, _, e in slots), tuple(residues)
 
 
 def _class_steps(residues, moduli):
-    """Number the classes reachable from class 0 (which gets 0) and
-    tabulate, per end label, the class one step along that end leads to;
-    also the negation table, class -c for each class c.
+    """Tabulate, per end label, the class one step along that end leads
+    to, and the negation table, class -c for each class c.
 
-    The reachable classes are the subgroup K that the residues generate,
-    built one residue r at a time: if t is the least t >= 1 with t r in K,
-    the cosets K, K + r, ..., K + (t - 1) r are disjoint and their union
-    is the subgroup K and r generate.  The classes are held as one column
-    per modulus, so each of these steps, a step along an end and a
-    negation is one pass over each column, and each class is named by
-    its mixed-radix code."""
-    strides = [1]
-    for m in moduli:
-        strides.append(strides[-1] * m)
-
-    def codes(columns, size):
-        if not columns:
-            return [0] * size
-        out = columns[0]  # stride 1
-        for xs, stride in zip(columns[1:], strides[1:]):
-            out = [c + x * stride for c, x in zip(out, xs)]
+    A class of K = prod Z/e_i is its mixed-radix code sum_i x_i t_i, with
+    strides t_0 = 1 and t_{i+1} = t_i e_i.  A step by a residue r moves
+    each digit x_i to x_i + r_i mod e_i, a rotation of range(e_i).  Over
+    the codes below t_{i+1}, the table is one block per value x of digit
+    i: the rotation's image of x times t_i, plus the table below t_i.  So
+    a table is built digit by digit, with no class looked up.  Reversing
+    the codes sends every digit x_i to e_i - 1 - x_i, so the negation
+    table, x_i -> -x_i mod e_i, is the step table of (1, ..., 1)
+    reversed."""
+    def stepped(residue):
+        out, stride = [0], 1
+        for d, m in zip(residue, moduli):
+            rotation = list(range(d, m)) + list(range(d))
+            if stride == 1:
+                out = rotation
+            else:
+                out = [b + t for b in [stride * x for x in rotation]
+                       for t in out]
+            stride *= m
         return out
 
-    columns, size = [[0] for _ in moduli], 1
-    index = {0: 0}  # class number by code
-    for r in residues.values():
-        if sum(map(mul, r, strides)) in index:
-            continue  # t = 1
-        order = lcm(*(m // gcd(d, m) for d, m in zip(r, moduli)))
-        multiples = [[s * d % m for s in range(order)]
-                     for d, m in zip(r, moduli)]
-        t = next((s for s, c in enumerate(codes(multiples, order))
-                  if s and c in index), order)
-        columns = [[(x + y) % m for y in ys[:t] for x in xs]
-                   for xs, ys, m in zip(columns, multiples, moduli)]
-        size *= t
-        index = dict(zip(codes(columns, size), range(size)))
-    tables = {}
-    for l, r in residues.items():
-        stepped = [[(x + d) % m for x in xs] if d else xs
-                   for xs, d, m in zip(columns, r, moduli)]
-        tables[l] = [index[c] for c in codes(stepped, size)]
-    negated = [[-x % m for x in xs] for xs, m in zip(columns, moduli)]
-    negation = [index[c] for c in codes(negated, size)]
-    return tables, negation
+    tables = {l: stepped(r) for l, r in residues.items()}
+    return tables, stepped((1,) * len(moduli))[::-1]
 
 
 class ZeroSumSearch:
     """Minima of M_v over the nonzero H1-invariant monomial cycles.
 
     A monomial cycle pairs integrally with H1 exactly when its ends'
-    residues sum to the zero class of prod Z/m_j (see `_congruences`), so a
-    nonzero member is a walk from class 0 back to class 0 in which end i
-    is a step by its residue, weighted |H| * M_v(E_i*) = num[v][i] (every
-    dual entry has a denominator dividing |det I(E)| = |H|, which blowups
-    keep).  A shortest-path search over the classes finds the lightest such
-    walk.  The residues are characters of H1, and there are exactly |H1|
-    classes: the ends' classes generate H (peel the leaves of the tree)
-    and the linking form is perfect, so the residue map has image
-    H / H1^perp, of order |H1|.  The constructor checks that count when
-    the labels are every end of the input graph; a search given fewer
-    labels may reach fewer classes.  The classes form a group, and the
-    search meets itself in the middle (see `_shortest`), settling only
-    the classes whose least walk weighs less than about half the answer.
+    residues sum to the zero class of K = prod Z/e_i, the Smith
+    coordinates of the residues (see `_congruences`), so a nonzero member
+    is a walk from class 0 back to class 0 in which end i is a step by
+    its residue, weighted |H| * M_v(E_i*) = num[v][i] (every dual entry
+    has a denominator dividing |det I(E)| = |H|, which blowups keep).  A
+    shortest-path search over the classes finds the lightest such walk.
+    A class is its mixed-radix code in K, and a step table rotates each
+    digit of the codes (see `_class_steps`).  The residues are characters
+    of H1, and there are exactly |H1| classes: the ends' classes generate
+    H (peel the leaves of the tree) and the linking form is perfect, so
+    the residue map has image H / H1^perp, of order |H1|.  The residues
+    generate K, so |K| = prod e_i, and the constructor checks that it is
+    |H1| when the labels are every end of the input graph; a search given
+    fewer labels may have fewer classes.  The classes form a group, and
+    the search meets itself in the middle (see `_shortest`), settling
+    only the classes whose least walk weighs less than about half the
+    answer.
 
     Every dual entry is positive, so a member attaining min M_v is a
     Hilbert-basis generator and the minimum over all nonzero members is
@@ -488,14 +500,13 @@ class ZeroSumSearch:
         self._scale = basis.den
         ends = [end_map[l] for l in self.labels]
         moduli, residues = _congruences(h1, self.labels)
-        self._steps, self._negation = _class_steps(
-            dict(zip(self.labels, residues)), moduli)
-        if (len(self._negation) != h1.order
-                and self.labels == h1.group.graph.ends):
+        if prod(moduli) != h1.order and self.labels == h1.group.graph.ends:
             raise InternalError(
                 f"zero-sum search check |K| == |H1| failed: the end "
-                f"residues generate K with |K| = {len(self._negation)}, "
+                f"residues generate K with |K| = {prod(moduli)}, "
                 f"|H1| = {h1.order}")
+        self._steps, self._negation = _class_steps(
+            dict(zip(self.labels, residues)), moduli)
         # the degree and exponent fields of every key (see `_shortest`)
         count = len(self.labels)
         self._field = b = (2 * len(self._negation) + 2).bit_length()
@@ -752,7 +763,7 @@ def hilbert_basis(g, basis, h1, end_map=None):
         raise CapExceededError(
             f"enumeration box volume {volume} exceeds the cap {BOX_CAP}")
 
-    # one congruence per Hermite row of H1 that is nonzero in H
+    # one congruence per Smith modulus e_i of the class group K
     rows = list(zip(moduli, zip(*residues)))
     members = []
     for combo in itertools.product(*(range(o + 1) for o in orders)):

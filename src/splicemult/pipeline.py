@@ -112,11 +112,11 @@ def check_gcd_condition(g, z, z_dual, search, known=None):
     """
     if known is None:
         known = {}
-    index = g.index
+    pos = g.positions
     results = []
     for edge in g.edges:
         v, w = edge
-        i, j = index(v), index(w)
+        i, j = pos[v], pos[w]
         key = (edge, not z_dual[i] or not z_dual[j])
         result = known.get(key)
         if result is None:
@@ -148,13 +148,13 @@ def _end_decisions(history, z, search, decided):
     the same run and is filled in here: the vertex keeps its row and Z_v
     through blowups (see ZeroSumSearch), so the decision never changes.
     """
-    current = history.current
+    pos = history.current.positions
     decisions = []
     for label, v in sorted(history.end_map.items()):
         decision = decided.get((label, v))
         if decision is None:
             found = search.least((v,), without=label)
-            if found is not None and found[0][0] == z[current.index(v)]:
+            if found is not None and found[0][0] == z[pos[v]]:
                 decision = EndDecision(label, "witness",
                                        monomial_string(found[1]))
             elif not is_base_point(search.row(v), search.labels.index(label)):

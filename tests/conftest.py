@@ -819,6 +819,84 @@ def assert_resolved(report, h1, box_cap=50_000):
             f"edge {(v, w)} has no witness and Z.E != 0"
 
 
+# --- the zero-sum classes by cosets (the reference for Smith codes) -----------
+
+
+def hermite_congruences(h1, labels):
+    """The search's congruences one Hermite row at a time: one modulus
+    m_j per Hermite row h_j of H1 that is nonzero in H and, for each end
+    label l, the residues r_lj = m_j * b(h_j, E_l*) mod m_j, where m_j is
+    |H| over the gcd of |H| and the numerators |H| b(h_j, E_l*).  The
+    cycle sum_l a_l E_l* pairs integrally with H1 exactly when
+    sum_l a_l r_lj = 0 mod m_j for every j."""
+    from operator import mul
+
+    from splicemult.lattice import pairings
+
+    group = h1.group
+    nonzero = [any(x % d for x, d in zip(h, group.invariant_factors))
+               for h in h1.hnf]
+    if not any(nonzero):
+        return (), ((),) * len(labels)
+    den = group.order
+    ends = [group.project({l: 1}) for l in labels]
+    moduli, columns = [], []
+    for row in itertools.compress(pairings(h1), nonzero):
+        nums = [sum(map(mul, row, nf)) for nf in ends]
+        scale = gcd(den, *nums)
+        moduli.append(den // scale)
+        columns.append([(x // scale) % (den // scale) for x in nums])
+    return tuple(moduli), tuple(zip(*columns))
+
+
+def coset_class_steps(residues, moduli):
+    """The classes reachable from class 0 (which gets 0), numbered by a
+    coset construction, with per end label the table of the class one
+    step along that end leads to, and the negation table.
+
+    The reachable classes are the subgroup K that the residues generate,
+    built one residue r at a time: if t is the least t >= 1 with t r in
+    K, the cosets K, K + r, ..., K + (t - 1) r are disjoint and their
+    union is the subgroup K and r generate.  A class is held as one
+    column per modulus and looked up by its mixed-radix code."""
+    from operator import mul
+
+    strides = [1]
+    for m in moduli:
+        strides.append(strides[-1] * m)
+
+    def codes(columns, size):
+        if not columns:
+            return [0] * size
+        out = columns[0]  # stride 1
+        for xs, stride in zip(columns[1:], strides[1:]):
+            out = [c + x * stride for c, x in zip(out, xs)]
+        return out
+
+    columns, size = [[0] for _ in moduli], 1
+    index = {0: 0}  # class number by code
+    for r in residues.values():
+        if sum(map(mul, r, strides)) in index:
+            continue  # t = 1
+        order = lcm(*(m // gcd(d, m) for d, m in zip(r, moduli)))
+        multiples = [[s * d % m for s in range(order)]
+                     for d, m in zip(r, moduli)]
+        t = next((s for s, c in enumerate(codes(multiples, order))
+                  if s and c in index), order)
+        columns = [[(x + y) % m for y in ys[:t] for x in xs]
+                   for xs, ys, m in zip(columns, multiples, moduli)]
+        size *= t
+        index = dict(zip(codes(columns, size), range(size)))
+    tables = {}
+    for l, r in residues.items():
+        stepped = [[(x + d) % m for x in xs] if d else xs
+                   for xs, d, m in zip(columns, r, moduli)]
+        tables[l] = [index[c] for c in codes(stepped, size)]
+    negated = [[-x % m for x in xs] for xs, m in zip(columns, moduli)]
+    negation = [index[c] for c in codes(negated, size)]
+    return tables, negation
+
+
 # --- the zero-sum search with tuple keys (the reference for packed keys) --------
 
 

@@ -560,9 +560,10 @@ def test_congruences_match_fraction_pairings(tree_h12, d4_star):
     residues of _congruences(h1, ends) sum to zero exactly when
     sum a_l E_l* pairs integrally (dual_pairing) with the representative
     of every nonzero Hermite row of H1.  The rows generate H1, so
-    integrality on them is integrality on all of H1.  Every subgroup of
-    each graph, every exponent vector in [0, 2]^ends, or a seeded sample
-    of 500 where there are more."""
+    integrality on them is integrality on all of H1.  The moduli are the
+    Smith coordinates of the class group K, of order |H1|.  Every
+    subgroup of each graph, every exponent vector in [0, 2]^ends, or a
+    seeded sample of 500 where there are more."""
     rng = random.Random(23)
     for g in SMALL_TREES + RANK_3_AND_4_GRAPHS + [tree_h12, d4_star]:
         group = discriminant_group(g)
@@ -572,7 +573,7 @@ def test_congruences_match_fraction_pairings(tree_h12, d4_star):
         for h1 in enumerate_subgroups(group):
             moduli, residues = _congruences(h1, g.ends)
             gens = row_representatives(h1)
-            assert len(moduli) == len(gens)
+            assert prod(moduli) == h1.order
             against = [[dual_pairing(group.basis, {l: 1}, gen)
                         for l in g.ends] for gen in gens]
             for a in box:

@@ -1,8 +1,12 @@
 """The zero-sum search: against a full Hilbert basis, through blowups,
-against the one-sided tuple-key search, and at its cap."""
+against the one-sided tuple-key search, and at its cap; its classes in
+Smith coordinates against the coset construction."""
 
+import itertools
+import random
 from fractions import Fraction
 from math import prod
+from operator import mul
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -14,6 +18,7 @@ from splicemult import (
     ResolutionGraph,
     ZeroSumSearch,
     discriminant_group,
+    enumerate_subgroups,
     full_subgroup,
     gcd_cycle,
     hilbert_basis,
@@ -21,18 +26,25 @@ from splicemult import (
     trivial_subgroup,
 )
 from splicemult.graph import BlowupEvent, blowup_edge
+from splicemult.monomial import _class_steps, _congruences
 
 from conftest import (
     RecordedHistory,
     blowup_histories,
+    chain_armed_stars,
+    coset_class_steps,
     cycle,
     draw_blowups,
+    dual_pairing,
     end_map_after,
     end_orders,
     expansion,
     exponent_vector,
+    hermite_congruences,
     monomial,
     pulled_back,
+    random_trees,
+    row_representatives,
     scan_edge_witness,
     scan_end_witness,
     star,
@@ -493,3 +505,92 @@ def test_search_checks_basis_denominator(tree_h12):
     wrong.den = 6
     with pytest.raises(InternalError, match="denominator 6 != .H. = 12"):
         ZeroSumSearch(wrong, h1)
+
+
+# --- the classes in Smith coordinates against the coset construction ---------
+
+
+def _walk(tables, labels, a):
+    """The class that a_l steps along each end l lead to from class 0."""
+    c = 0
+    for l, x in zip(labels, a):
+        for _ in range(x):
+            c = tables[l][c]
+    return c
+
+
+def _accepts(moduli, residues, a):
+    """Whether sum_l a_l r_l is the zero class of prod Z/m_j."""
+    return all(sum(x * r[j] for x, r in zip(a, residues)) % m == 0
+               for j, m in enumerate(moduli))
+
+
+def _assert_smith_classes(g, h1, rng):
+    """_congruences and _class_steps on all of g's ends against the Hermite
+    congruences and the coset construction (conftest), and both against
+    the Fraction pairings with H1's nonzero Hermite rows.
+
+    K = prod Z/e_i has |H1| classes, as many as the cosets number; every
+    step table moves each digit of a class code by the end's residue and
+    is a permutation of range(|K|), and negation negates every digit and
+    is an involution.  On the exponent vectors in [0, 2]^ends (or 500 of
+    them, seeded), the residues, the reference congruences, walks along
+    both kinds of step table and the pairings accept the same vectors."""
+    labels = g.ends
+    moduli, residues = _congruences(h1, labels)
+    size = prod(moduli)
+    assert size == h1.order
+    tables, negation = _class_steps(dict(zip(labels, residues)), moduli)
+    ref_moduli, ref_residues = hermite_congruences(h1, labels)
+    ref_tables, ref_negation = coset_class_steps(
+        dict(zip(labels, ref_residues)), ref_moduli)
+    assert len(ref_negation) == size
+
+    codes = list(itertools.product(*(range(m) for m in reversed(moduli))))
+
+    def code(digits):  # digits most significant first
+        c = 0
+        for x, m in zip(digits, reversed(moduli)):
+            c = c * m + x % m
+        return c
+
+    assert [code(x) for x in codes] == list(range(size))
+    for l, r in zip(labels, residues):
+        step = r[::-1]
+        assert tables[l] == [code(map(sum, zip(x, step))) for x in codes]
+        assert sorted(tables[l]) == list(range(size))
+    assert negation == [code(-d for d in x) for x in codes]
+    assert [negation[c] for c in negation] == list(range(size))
+
+    basis = h1.group.basis
+    against = [[dual_pairing(basis, {l: 1}, gen) for l in labels]
+               for gen in row_representatives(h1)]
+    box = list(itertools.product(range(3), repeat=len(labels)))
+    if len(box) > 500:
+        box = rng.sample(box, 500)
+    for a in box:
+        integral = all(sum(map(mul, a, row)).denominator == 1
+                       for row in against)
+        assert _accepts(moduli, residues, a) == integral, (h1.hnf, a)
+        assert _accepts(ref_moduli, ref_residues, a) == integral
+        assert (_walk(tables, labels, a) == 0) == integral
+        assert (_walk(ref_tables, labels, a) == 0) == integral
+
+
+def test_smith_classes_match_cosets_on_every_subgroup(tree_h12, tree_h60):
+    """Every subgroup of h12, h60 and 30 seeded random trees (see
+    _assert_smith_classes)."""
+    rng = random.Random(25)
+    for g in [tree_h12, tree_h60, *random_trees(seed=25, count=30)]:
+        for h1 in enumerate_subgroups(discriminant_group(g)):
+            _assert_smith_classes(g, h1, rng)
+
+
+@given(chain_armed_stars())
+def test_smith_classes_match_cosets_on_chain_armed_stars(g):
+    """Up to 4 subgroups of each star, a seeded sample (see
+    _assert_smith_classes)."""
+    rng = random.Random(len(g))
+    subgroups = enumerate_subgroups(discriminant_group(g))
+    for h1 in rng.sample(subgroups, min(4, len(subgroups))):
+        _assert_smith_classes(g, h1, rng)
