@@ -7,12 +7,12 @@ denominator |H| = det(-I), and so is every rational cycle of the program:
 a cycle is the integer vector |H| * D in vertex order.  The linking
 pairing and the flat subgroup's congruences run in integers, and a
 rational value is written as text ("p/q", _FractionText) only when it is
-printed.  The finite quotient H = L*/L is computed from the Smith normal
-form of -I, which identifies H with Z^r / diag(d) Z^r for the invariant
-factors d.  The factors are read and checked against B on every
-command; the Smith coordinates (rows of U, representatives from V) are
-rebuilt from the form's operation log and certified only when a caller
-projects onto them or pairs in them (see DiscriminantGroup).  A
+printed.  The end duals generate the finite quotient H = L*/L, so its
+invariant factors d are read off the Smith form of B's k x k end block
+and checked against B on every command.  H is Z^r / diag(d) Z^r in the
+Smith coordinates of -I (rows of U, representatives from V), built,
+checked against the end block's factors and certified only when a
+caller projects onto them or pairs in them (see DiscriminantGroup).  A
 subgroup H1 is the lattice between diag(d) Z^r and Z^r that is its
 preimage, stored as a canonical Hermite basis and as nothing else:
 generators given as dual-coordinate vectors are projected and reduced
@@ -173,79 +173,72 @@ def _as_vector(graph, coords):
 
 
 class DiscriminantGroup:
-    """H = L*/L presented through the Smith normal form of -I(E).
+    """H = L*/L, read off the end block of the dual basis.
 
-    In dual coordinates L* is Z^n and E_v is column v of -I, so
-    H = Z^n / (-I) Z^n.  With U(-I)V = S, the class of c is U c reduced
-    modulo the diagonal; only the slots j with d_j > 1 contribute.
-    Elements are normal-form tuples over the invariant factors.  The dual
-    basis's common denominator is det(-I) = |H|, so det I(E) = (-1)^n |H|
-    needs no elimination of its own.
+    In a splice quotient H acts diagonally on the end-curve variables, so
+    the end duals E_e* generate H (peel the leaves of the tree), and the
+    pairing is perfect: a -> sum_l a_l [E_l*] maps Z^k onto H with kernel
+    {a : a N = 0 mod |H|} for the end block N = num[ends][ends] mod |H|
+    (`end_block`, |H| b(E_l*, E_m*) up to sign).  With U N V = S
+    (`end_smith`) the kernel is {a : (a U^{-1})_i = 0 mod e_i},
+    e_i = |H| / gcd(|H|, s_i), so H = prod Z/e_i, and the e_i > 1 in
+    reverse order are the invariant factors d_j.  Two checks tie them to
+    num / den, which the tree solve gives independently: prod e_i = den,
+    which also proves that the ends generate H, and d_r = den / gcd(den,
+    every entry of num), the exponent of H.  den = det(-I) = |H|, so
+    det I(E) = (-1)^n |H| needs no elimination of its own.
 
-    The invariant factors, `order` and `det` are read off S when the
-    group is built, and two checks tie them to the dual basis num / den,
-    which the tree solve gives independently: prod d = den, and
-    d_r = den / gcd(den, every entry of num).  The right side is the
-    exponent of H, the least e with e (-I)^{-1} integral; the exponent of
-    prod Z/d_j is the largest factor d_r.
-
-    The Smith coordinates are built on the first `project` or
-    `pairing_matrix` call, since only those read U and V: the slot rows
-    U_j of U, and the representatives rep_k = ((-I) V)[:, k] / d_k, the
-    slot columns of U^{-1} = (-I) V S^{-1}.  They are certified when
-    built, so that project is an isomorphism H -> prod Z/d_j:
-      - U_j (-I) = 0 mod d_j for every slot j, checked over the edges: the
-        map c -> (U_j c mod d_j)_j kills L, so it induces a homomorphism
-        phi: H -> prod Z/d_j;
-      - U_j . rep_k = delta_jk mod d_j: phi(rep_k) is the k-th unit
-        vector, so phi is onto;
-      - |H| = den = prod d_j, checked above, so phi is a bijection of
-        finite sets of one size: an isomorphism, under which the unit
-        classes rep_k are a basis of H.
-    A failed check raises InternalError and names the check.
+    Elements are normal-form tuples over the d_j in the Smith coordinates
+    of -I, which only `project` and `pairing_matrix` read (`table`,
+    `mult --subgroup`), so they are built on the first such call.  With
+    U(-I)V = S the class of c in H = Z^n / (-I) Z^n is U c modulo the
+    diagonal, whose entries d_j > 1 must be the end block's factors.  The
+    coordinates are the slot rows U_j of U and the representatives
+    rep_k = ((-I) V)[:, k] / d_k, the slot columns of U^{-1}.  They are
+    certified when built: U_j (-I) = 0 mod d_j for every slot j (over the
+    edges), so c -> (U_j c mod d_j)_j kills L and induces a homomorphism
+    phi: H -> prod Z/d_j; U_j . rep_k = delta_jk mod d_j, so phi(rep_k)
+    is the k-th unit vector and phi is onto; and |H| = den = prod d_j, so
+    phi is an isomorphism, under which the unit classes rep_k are a basis
+    of H.  A failed check raises InternalError and names the check.
 
     `pairing_matrix` is the symmetric r x r integer matrix
     P_jk = -rep_j^T num rep_k mod |H| = |H| b(e_j, e_k) mod |H| of the
-    linking form b on the unit classes, built on first use from the
-    representatives: |H| b(x, y) = x^T P y mod |H| for normal forms x, y.
-    `end_forms` holds the normal form of every end's dual E_e*, also built
-    on first use: `table` builds one zero-sum search per subgroup of one
-    group, and each reads every end's class.
+    linking form b on the unit classes: |H| b(x, y) = x^T P y mod |H| for
+    normal forms x, y.  `end_forms` holds the normal form of every end's
+    dual E_e*: `table` builds one zero-sum search per subgroup of one
+    group, and each reads every end's class.  Both are built on first use.
     """
 
-    __slots__ = ("graph", "basis", "snf", "invariant_factors", "order",
-                 "det", "_slots", "_coordinates", "_pairing", "_ends")
+    __slots__ = ("graph", "basis", "end_block", "end_smith", "order", "det",
+                 "invariant_factors", "_coordinates", "_pairing", "_ends")
 
     def __init__(self, graph, basis=None):
         if basis is not None and basis.graph != graph:
             raise InternalError("dual basis was built on another graph")
         self.graph = graph
         self.basis = basis if basis is not None else DualBasis(graph)
-        neg = [[-x for x in row] for row in graph.intersection_matrix()]
-        self.snf = smith_normal_form(neg)
-        diag = self.snf.diagonal()
-        self._slots = tuple(j for j, d in enumerate(diag) if d > 1)
-        self.invariant_factors = tuple(diag[j] for j in self._slots)
-        self.order = prod(diag)
-        den = self.basis.den
+        num, den = self.basis.num, self.basis.den
+        at = [graph.index(e) for e in graph.ends]
+        self.end_block = tuple(tuple(num[i][j] % den for j in at) for i in at)
+        self.end_smith = smith_normal_form(self.end_block)
+        factors = [den // gcd(den, s) for s in self.end_smith.diagonal()]
+        self.invariant_factors = tuple(e for e in reversed(factors) if e > 1)
+        self.order = prod(self.invariant_factors)
         if den != self.order:
-            raise InternalError(f"dual basis denominator {den} "
-                                f"!= |H| = {self.order}")
-        entries = itertools.chain.from_iterable(self.basis.num)
-        exponent = den // gcd(den, *entries)
+            raise InternalError(f"end block check prod e_i == |H| failed: "
+                                f"{self.order} != {den}")
+        exponent = den // gcd(den, *itertools.chain.from_iterable(num))
         largest = self.invariant_factors[-1] if self.invariant_factors else 1
         if largest != exponent:
             raise InternalError(
                 f"Smith normal form check d_r == exponent of H failed: "
                 f"d_r = {largest}, |H| / gcd(|H|, num) = {exponent}")
         self.det = (-1) ** len(graph) * self.order
-        self._coordinates = None
-        self._pairing = None
-        self._ends = None
+        self._coordinates = self._pairing = self._ends = None
 
     def _coords(self):
-        """(slot rows of U, representatives), built and certified on first
-        use."""
+        """(slot rows of U, representatives), built and certified once."""
         if self._coordinates is None:
             rows, reps = _smith_coordinates(self)
             _certify_coordinates(self, rows, reps)
@@ -253,8 +246,8 @@ class DiscriminantGroup:
         return self._coordinates
 
     def pairing_matrix(self):
-        """P_jk = |H| b(e_j, e_k) mod |H| (see above), built on first use
-        with one product of `num` per unit class."""
+        """P_jk = |H| b(e_j, e_k) mod |H| (see above), with one product of
+        `num` per unit class."""
         if self._pairing is None:
             reps = self._coords()[1]
             applied = [mat_vec(self.basis.num, rep) for rep in reps]
@@ -265,8 +258,7 @@ class DiscriminantGroup:
         return self._pairing
 
     def end_forms(self):
-        """The normal form of E_e* for each end e, by end, built on first
-        use."""
+        """The normal form of E_e* by end e."""
         if self._ends is None:
             self._ends = {e: self.project({e: 1}) for e in self.graph.ends}
         return self._ends
@@ -286,14 +278,21 @@ class DiscriminantGroup:
 
 
 def _smith_coordinates(group):
-    """The slot rows U_j of U and the representatives
-    rep_k = ((-I) V)[:, k] / d_k (see DiscriminantGroup)."""
-    u, v = group.snf.U, group.snf.V
+    """Slot rows U_j and representatives rep_k = ((-I) V)[:, k] / d_k of
+    U(-I)V = S, whose d_j > 1 must be the end block's (DiscriminantGroup)."""
     form = _form(group.graph)
-    rows = tuple(tuple(u[j]) for j in group._slots)
+    snf = smith_normal_form(
+        [[-x for x in row] for row in group.graph.intersection_matrix()])
+    slots = [j for j, d in enumerate(snf.diagonal()) if d > 1]
+    factors = tuple(snf.S[j][j] for j in slots)
+    if factors != group.invariant_factors:
+        raise InternalError(
+            f"Smith normal form check factors of -I == factors of the end "
+            f"block failed: {factors} != {group.invariant_factors}")
+    rows = tuple(tuple(snf.U[j]) for j in slots)
     reps = []
-    for j, d in zip(group._slots, group.invariant_factors):
-        col = _apply_form(form, [row[j] for row in v])
+    for j, d in zip(slots, factors):
+        col = _apply_form(form, [row[j] for row in snf.V])
         if any(x % d for x in col):
             raise InternalError("Smith transform U has a non-integral inverse")
         reps.append(tuple(x // d for x in col))
@@ -320,7 +319,7 @@ def _certify_coordinates(group, rows, reps):
 
 
 def discriminant_group(g, basis=None):
-    """H = L*/L with invariant factors from the Smith normal form of I(E)."""
+    """H = L*/L, read off the end block of the dual basis."""
     return DiscriminantGroup(g, basis)
 
 
@@ -359,12 +358,12 @@ class SubgroupData:
         return self._canonical
 
     def minimal_generators(self):
-        """Small deterministic generating set (highest order first)."""
+        """Small generating set: highest order first, ties in lex order."""
         grp = self.group
         chosen = []
         span = _preimage_basis(grp.invariant_factors, chosen)
-        for nf in sorted(self.canonical_elements,
-                         key=lambda e: (-grp.element_order(e), e)):
+        for nf in sorted(self.canonical_elements, key=grp.element_order,
+                         reverse=True):
             if _pivot_product(span) == self.index:
                 break
             if _lattice_contains(span, nf):

@@ -7,15 +7,15 @@ searches run in integers: the dual basis is carried as integer numerators
 over one denominator |H| = |det I(E)| (every dual entry's denominator
 divides it), which the knapsacks and the zero-sum search read directly.
 The search's classes are the group K = prod Z/e_i in Smith coordinates:
-one small Smith form of the ends' pairings with H1's Hermite rows (read
-from the group's pairing matrix) gives each end its residue, a class is
-a mixed-radix code, and each step table rotates every digit of the
-codes.  The search packs each key (M_v..., degree, exponents) into one
-int: the degree and exponent fields have one layout for the whole run,
-the M_v fields a width per query, and an answer is read back and
-checked in O(ends); with one class (|H1| = 1) it reads each answer off
-the rows.  Every dual-basis entry is strictly positive, which makes all
-bounds finite.
+one small Smith form of the ends' pairings with generators of H1 (for
+H1 = H, the group's form of its end block) gives each end its residue,
+a class is a mixed-radix code, and each step table rotates every digit
+of the codes.  The search packs each key (M_v..., degree, exponents)
+into one int: the degree and exponent fields have one layout for the
+whole run, the M_v fields a width per query, and an answer is read back
+and checked in O(ends); with one class (|H1| = 1) it reads each answer
+off the rows.  Every dual-basis entry is strictly positive, which makes
+all bounds finite.
 
 The witness search of the monomial condition, `admissible_monomials`, is
 one lazy generator: deciding the condition reads the first witness of each
@@ -349,37 +349,38 @@ def _congruences(h1, labels):
     r_l in prod Z/e_i: the monomial cycle sum_l a_l E_l* pairs integrally
     with H1 exactly when sum_l a_l r_l = 0 in prod Z/e_i.
 
-    The k x s matrix pe has one row per label and one column per Hermite
-    row h_j of H1 that is nonzero in H, with entries |H| b(h_j, E_l*) mod
-    |H|: row j of lattice.pairings(h1) applied to the normal form of E_l*
-    (DiscriminantGroup.end_forms).  The rows generate H1, so the cycle
-    pairs integrally with H1 exactly when a pe = 0 mod |H|.  With
-    U pe V = S (linalg.smith_normal_form) and V unimodular, that is
-    (a U^{-1})_i s_i = 0 mod |H| for each diagonal entry s_i, that is
-    (a U^{-1})_i = 0 mod e_i = |H| / gcd(|H|, s_i).  Since pe V = U^{-1} S,
-    end l's residue in slot i, (U^{-1})_li, is (pe V)_li / s_i; the
-    division must be exact, and an InternalError names the check when it
-    is not.  Slots with e_i = 1 are dropped.  a -> a U^{-1} maps Z^k onto
-    Z^k, so the residues generate all of prod Z/e_i: K is that product,
-    of order prod e_i, and `_class_steps` numbers its classes by their
-    mixed-radix codes.
+    pe has one row per label and one column per generator g_j of H1,
+    with entries |H| b(g_j, E_l*) mod |H| up to one sign per column, so
+    the cycle pairs integrally with H1 exactly when a pe = 0 mod |H|.
+    For H1 = H the g_j are the end duals, and pe is the group's end block
+    at the labels' rows; for every end, the group has its Smith form.
+    Otherwise the g_j are the Hermite rows of H1 (one zero in H gives a
+    zero column), and pe_lj is row j of lattice.pairings(h1) applied to
+    E_l*'s normal form.  With U pe V = S and V unimodular, a pe = 0 mod
+    |H| is (a U^{-1})_i = 0 mod e_i = |H| / gcd(|H|, s_i), and end l's
+    residue in slot i, (U^{-1})_li, is (pe V)_li / s_i, a division
+    checked to be exact.  Slots with e_i = 1 are dropped.  a -> a U^{-1}
+    is onto, so K is prod Z/e_i, and `_class_steps` numbers its classes
+    by their mixed-radix codes.
 
-    The normal forms are read by label on the input graph: a blowup keeps
-    every end's class, as the end dual that moves onto a new leaf u is
-    E'_u* = E_u + pi*(E_i*) and pi* keeps pairings.  With H1 = 0 every
-    row is zero in H, and no Smith coordinates are built.
+    The end block and the normal forms are read by label on the input
+    graph: a blowup keeps every end's class, as the end dual that moves
+    onto a new leaf u is E'_u* = E_u + pi*(E_i*) and pi* keeps pairings.
+    With H1 = 0 there is no congruence, and no Smith form is built.
     """
-    group = h1.group
-    nonzero = [any(x % d for x, d in zip(h, group.invariant_factors))
-               for h in h1.hnf]
-    if not any(nonzero):
+    if h1.order == 1:
         return (), ((),) * len(labels)
-    den = group.order
-    forms = group.end_forms()
-    rows = list(itertools.compress(pairings(h1), nonzero))
-    pe = [[sum(map(mul, row, forms[l])) % den for row in rows]
-          for l in labels]
-    snf = smith_normal_form(pe)
+    group = h1.group
+    den, ends = group.order, group.graph.ends
+    if h1.index == 1:
+        block = dict(zip(ends, group.end_block))
+        pe = [block[l] for l in labels]
+    else:
+        forms = group.end_forms()
+        pe = [[sum(map(mul, row, forms[l])) % den for row in pairings(h1)]
+              for l in labels]
+    snf = (group.end_smith if h1.index == 1 and labels == ends
+           else smith_normal_form(pe))
     slots = [(i, s, den // gcd(den, s))
              for i, s in enumerate(snf.diagonal()) if s % den]
     columns = [[v[i] for v in snf.V] for i, _, _ in slots]
@@ -439,11 +440,11 @@ class ZeroSumSearch:
     A class is its mixed-radix code in K, and a step table rotates each
     digit of the codes (see `_class_steps`).  The residues are characters
     of H1, and there are exactly |H1| classes: the ends' classes generate
-    H (peel the leaves of the tree) and the linking form is perfect, so
-    the residue map has image H / H1^perp, of order |H1|.  The residues
-    generate K, so |K| = prod e_i, and the constructor checks that it is
-    |H1| when the labels are every end of the input graph; a search given
-    fewer labels may have fewer classes.  The classes form a group, and
+    H (DiscriminantGroup) and the pairing is perfect, so the residue map
+    has image H / H1^perp, of order |H1|.  The residues generate K, so
+    |K| = prod e_i, checked to be |H1| when the labels are every end of
+    the input graph (for H1 = H, the group's prod e_i = den implies it);
+    fewer labels may give fewer classes.  The classes form a group, and
     the search meets itself in the middle (see `_shortest`), settling
     only the classes whose least walk weighs less than about half the
     answer.

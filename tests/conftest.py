@@ -849,6 +849,47 @@ def hermite_congruences(h1, labels):
     return tuple(moduli), tuple(zip(*columns))
 
 
+def pairing_matrix_congruences(h1, labels):
+    """The search's congruences by the pairing matrix, for any H1: the
+    route monomial._congruences takes when [H : H1] > 1 (there with the
+    Hermite rows that are zero in H kept, as zero columns), here also
+    for H1 = H, where the search reads the group's end block instead.
+
+    pe has one row per label and one column per Hermite row h_j of H1
+    that is nonzero in H, with entries |H| b(h_j, E_l*) mod |H| (row j
+    of lattice.pairings(h1) applied to the normal form of E_l*).  With
+    U pe V = S, the moduli are e_i = |H| / gcd(|H|, s_i) > 1 and end l's
+    residue in slot i is (pe V)_li / s_i mod e_i."""
+    from operator import mul
+
+    from splicemult.lattice import pairings
+    from splicemult.linalg import smith_normal_form
+
+    group = h1.group
+    nonzero = [any(x % d for x, d in zip(h, group.invariant_factors))
+               for h in h1.hnf]
+    if not any(nonzero):
+        return (), ((),) * len(labels)
+    den = group.order
+    forms = group.end_forms()
+    rows = list(itertools.compress(pairings(h1), nonzero))
+    pe = [[sum(map(mul, row, forms[l])) % den for row in rows]
+          for l in labels]
+    snf = smith_normal_form(pe)
+    slots = [(i, s, den // gcd(den, s))
+             for i, s in enumerate(snf.diagonal()) if s % den]
+    columns = [[v[i] for v in snf.V] for i, _, _ in slots]
+    residues = []
+    for row in pe:
+        residue = []
+        for column, (_, s, e) in zip(columns, slots):
+            x = sum(map(mul, row, column))
+            assert x % s == 0
+            residue.append(x // s % e)
+        residues.append(tuple(residue))
+    return tuple(e for _, _, e in slots), tuple(residues)
+
+
 def coset_class_steps(residues, moduli):
     """The classes reachable from class 0 (which gets 0), numbered by a
     coset construction, with per end label the table of the class one

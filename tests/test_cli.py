@@ -771,15 +771,17 @@ def test_flat_missing_from_enumeration_is_exit_4(files, capsys,
 
 def test_internal_failure_is_exit_4(files, capsys, monkeypatch):
     """A wrong invariant factor is an internal error on every command that
-    builds H: Z/12 in place of Z/2 x Z/6 keeps |H| = 12, but the largest
-    factor is not 6, the exponent of H read off the dual basis."""
+    builds H: the end block's Smith diagonal (2, 6, 12, 12) with its first
+    two entries merged into (1, 12) gives Z/12 in place of Z/2 x Z/6.
+    That keeps |H| = 12, but the largest factor is not 6, the exponent of
+    H read off the dual basis."""
     from splicemult.linalg import SnfResult
 
     original = SnfResult.diagonal
 
     def merged(self):
         diag = original(self)
-        diag[-2:] = [1, diag[-2] * diag[-1]]
+        diag[:2] = [1, diag[0] * diag[1]]
         return diag
 
     monkeypatch.setattr(SnfResult, "diagonal", merged)
@@ -817,23 +819,32 @@ def test_search_class_count_is_certified(files, capsys, monkeypatch):
 
 def test_inexact_smith_residue_is_exit_4(files, capsys, monkeypatch):
     """An end's residue in slot i is (pe V)_li / s_i, which must divide
-    exactly: with s_0 of the pairing matrix's Smith form multiplied by 5
-    (coprime to |H| = 12, so e_0 stays), end 1's numerator no longer
-    divides, and the search stops before numbering any class."""
+    exactly: with s_0 of pe's Smith form multiplied by 5 (coprime to
+    |H| = 12, so e_0 stays), end 1's numerator no longer divides, and the
+    search stops before numbering any class.  table's first search with
+    classes pairs the ends with a Hermite row of H1 (monomial's Smith
+    form); mult --quotient reads the end block's form, built with H
+    (lattice's)."""
+    import splicemult.lattice as lattice
     import splicemult.monomial as monomial
 
-    original = monomial.smith_normal_form
+    def tampered_in(module):
+        original = module.smith_normal_form
 
-    def tampered(a):
-        snf = original(a)
-        snf.S[0][0] *= 5
-        return snf
+        def tampered(a):
+            snf = original(a)
+            snf.S[0][0] *= 5
+            return snf
 
-    monkeypatch.setattr(monomial, "smith_normal_form", tampered)
-    for argv, s, x in ((["table", files["h12"]], 30, 6),
-                       (["table", files["h12"], "--json"], 30, 6),
-                       (["mult", files["h12"], "--quotient"], 10, 6)):
-        code, out, err = run(capsys, *argv)
+        return tampered
+
+    for module, argv, s, x in (
+            (monomial, ["table", files["h12"]], 30, 6),
+            (monomial, ["table", files["h12"], "--json"], 30, 6),
+            (lattice, ["mult", files["h12"], "--quotient"], 10, 6)):
+        with monkeypatch.context() as patch:
+            patch.setattr(module, "smith_normal_form", tampered_in(module))
+            code, out, err = run(capsys, *argv)
         assert (code, out) == (4, "")
         assert err == ("internal error: zero-sum search check s_i | "
                        f"(pe V)_li failed: end 1, slot 0, s_i = {s}, "
@@ -848,9 +859,10 @@ def test_inexact_smith_residue_is_exit_4(files, capsys, monkeypatch):
 ], ids=["slot_row", "representative"])
 def test_wrong_smith_coordinates_are_exit_4(files, capsys, monkeypatch,
                                             wrong, check):
-    """The coordinates are certified when first built: a slot row of U
-    plus E_1 no longer kills -I (E_1 . E_5 = 1 is odd), and a doubled
-    representative projects onto 2 = 0, not 1, mod d_1 = 2."""
+    """The coordinates are certified when first built, on the commands
+    that read them: a slot row of U plus E_1 no longer kills -I
+    (E_1 . E_5 = 1 is odd), and a doubled representative projects onto
+    2 = 0, not 1, mod d_1 = 2."""
     import splicemult.lattice as lattice
 
     original = lattice._smith_coordinates
@@ -865,20 +877,55 @@ def test_wrong_smith_coordinates_are_exit_4(files, capsys, monkeypatch,
 
     monkeypatch.setattr(lattice, "_smith_coordinates", tampered)
     for argv in (["table", files["h12"]],
-                 ["mult", files["h12"], "--quotient"]):
+                 ["mult", files["h12"], "--subgroup", files["sub_e1_2e3"]]):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (4, "")
         assert err == f"internal error: Smith normal form check {check}\n"
 
 
+def test_smith_factors_of_minus_i_are_the_end_blocks(files, capsys,
+                                                     monkeypatch):
+    """The coordinates come from the Smith form of -I, whose factors must
+    be the end block's: with the last two entries of -I's diagonal merged
+    into (1, 12), the 10 x 10 form claims Z/12 where the 4 x 4 end block
+    gives Z/2 x Z/6.  Only the commands that read coordinates build that
+    form, and each stops on the check; invariants and mult --quotient
+    never see it."""
+    import splicemult.lattice as lattice
+
+    original = lattice.smith_normal_form
+
+    def tampered(a):
+        snf = original(a)
+        if len(a) == 10:
+            s = snf.S
+            s[-2][-2], s[-1][-1] = 1, s[-2][-2] * s[-1][-1]
+        return snf
+
+    monkeypatch.setattr(lattice, "smith_normal_form", tampered)
+    for argv in (["table", files["h12"]],
+                 ["mult", files["h12"], "--subgroup", files["sub_e1_2e3"]]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (4, "")
+        assert err == ("internal error: Smith normal form check factors of "
+                       "-I == factors of the end block failed: (12,) != "
+                       "(2, 6)\n")
+    for argv in (["invariants", files["h12"]],
+                 ["mult", files["h12"], "--quotient"]):
+        code, _, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+
+
 def test_only_coordinate_commands_rebuild_smith_transforms(files, capsys,
                                                           monkeypatch):
-    """invariants, validate and mult --uac read only the invariant
-    factors, so U and V are never rebuilt from the Smith form's log;
-    table and mult --quotient read the coordinates, which rebuild both
-    10 x 10 transforms once.  Every other replay is the V of a zero-sum
-    search's pairing matrix, with one column per Hermite row of H1 that
-    is nonzero in H: 1 x 1, since h60 has one invariant factor."""
+    """Only table and mult --subgroup read the Smith coordinates, which
+    rebuild both 10 x 10 transforms of -I once.  invariants, validate and
+    mult --uac replay nothing: H is read off the end block's diagonal.
+    mult --quotient replays only the 4 x 4 V of the end block's form,
+    which its search reuses for the congruences of H1 = H; table does the
+    same for its row H1 = H.  Every other replay is the V of a zero-sum
+    search's pe, with one column per Hermite row of H1: 1 x 1, since h60
+    has one invariant factor."""
     import splicemult.linalg as linalg
 
     original = linalg._replay
@@ -889,14 +936,19 @@ def test_only_coordinate_commands_rebuild_smith_transforms(files, capsys,
         return original(log, size)
 
     monkeypatch.setattr(linalg, "_replay", counted)
-    for argv, expected in ((["invariants"], 0), (["invariants", "--json"], 0),
-                           (["validate"], 0), (["mult", "--uac"], 0),
-                           (["mult", "--uac", "--json"], 0),
-                           (["mult", "--quotient"], 2), (["table"], 2)):
+    subgroup = ["--subgroup", files["sub_e1_2e3"]]
+    for argv, expected in ((["invariants"], []),
+                           (["invariants", "--json"], []),
+                           (["validate"], []), (["mult", "--uac"], []),
+                           (["mult", "--uac", "--json"], []),
+                           (["mult", "--quotient"], [4]),
+                           (["mult", "--quotient", "--json"], [4]),
+                           (["mult", *subgroup], [10, 10]),
+                           (["table"], [10, 10, 4])):
         replays.clear()
         code, _, err = run(capsys, argv[0], files["h60"], *argv[1:])
         assert (code, err) == (0, "")
-        assert [s for s in replays if s > 1] == [10] * expected, argv
+        assert [s for s in replays if s > 1] == expected, argv
         assert expected or not replays, argv
 
 

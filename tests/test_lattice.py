@@ -3,6 +3,7 @@
 import inspect
 import itertools
 import random
+import re
 import sys
 from fractions import Fraction
 from math import prod
@@ -684,9 +685,11 @@ def test_discriminant_group_rejects_foreign_basis(a2_chain, tree_h12):
 
 def test_discriminant_group_checks_basis_denominator(tree_h12):
     """det I(E) is read off the basis's denominator, so a denominator
-    other than |H| is an internal error, not a wrong determinant."""
+    other than |H| is an internal error, not a wrong determinant: with
+    den = 24 the end block num mod 24 gives prod e_i = 48, not 24."""
     basis = dual_cycles(tree_h12)
     assert discriminant_group(tree_h12, basis).det == 12  # (-1)^10 * 12
     basis.den = 24
-    with pytest.raises(InternalError, match="denominator 24 != .H. = 12"):
+    with pytest.raises(InternalError, match=re.escape(
+            "end block check prod e_i == |H| failed: 48 != 24")):
         discriminant_group(tree_h12, basis)

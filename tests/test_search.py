@@ -1,11 +1,12 @@
 """The zero-sum search: against a full Hilbert basis, through blowups,
 against the one-sided tuple-key search, and at its cap; its classes in
-Smith coordinates against the coset construction."""
+Smith coordinates against the coset construction, and the end block's
+presentation of H against -I's and the pairing matrix's."""
 
 import itertools
 import random
 from fractions import Fraction
-from math import prod
+from math import gcd, lcm, prod
 from operator import mul
 
 import pytest
@@ -35,6 +36,7 @@ from conftest import (
     coset_class_steps,
     cycle,
     draw_blowups,
+    eager_smith_normal_form,
     dual_pairing,
     end_map_after,
     end_orders,
@@ -42,6 +44,8 @@ from conftest import (
     exponent_vector,
     hermite_congruences,
     monomial,
+    multi_node_trees,
+    pairing_matrix_congruences,
     pulled_back,
     random_trees,
     row_representatives,
@@ -594,3 +598,53 @@ def test_smith_classes_match_cosets_on_chain_armed_stars(g):
     subgroups = enumerate_subgroups(discriminant_group(g))
     for h1 in rng.sample(subgroups, min(4, len(subgroups))):
         _assert_smith_classes(g, h1, rng)
+
+
+# --- the end block's presentation of H against -I's ------------------------
+
+
+FACE_LIMIT = 4096  # points of one enumerated face of the box
+
+
+@given(st.one_of(multi_node_trees(), chain_armed_stars()))
+def test_end_block_presents_h_as_minus_i_does(g):
+    """H read off the end block against H read off -I.
+
+    The end block's invariant factors are those of the eager Smith form
+    of -I (conftest), and for H1 = H the end block's congruences accept
+    exactly the exponent vectors that the pairing-matrix congruences
+    (conftest.pairing_matrix_congruences) accept, over the box
+    [0, ord_i]^ends: all of it when it has at most FACE_LIMIT points;
+    otherwise every face spanned by two ends with at most that many
+    points, and 1000 seeded samples of the whole box.  Both number
+    |H| classes."""
+    group = discriminant_group(g)
+    _, s, _ = eager_smith_normal_form(
+        [[-x for x in row] for row in g.intersection_matrix()])
+    assert group.invariant_factors == tuple(
+        s[i][i] for i in range(len(g)) if s[i][i] > 1)
+
+    h1 = full_subgroup(group)
+    labels = g.ends
+    moduli, residues = _congruences(h1, labels)
+    ref_moduli, ref_residues = pairing_matrix_congruences(h1, labels)
+    assert prod(moduli) == prod(ref_moduli) == group.order
+    orders = [lcm(*(m // gcd(m, x) for m, x in zip(moduli, r)))
+              for r in residues]
+    assert orders == [lcm(*(m // gcd(m, x) for m, x in zip(ref_moduli, r)))
+                      for r in ref_residues]
+    ranges = [range(o + 1) for o in orders]
+    if prod(map(len, ranges)) <= FACE_LIMIT:
+        box = list(itertools.product(*ranges))
+    else:
+        rng = random.Random(group.order)
+        box = [tuple(rng.choice(r) for r in ranges) for _ in range(1000)]
+        k = len(labels)
+        for i, j in itertools.combinations(range(k), 2):
+            if len(ranges[i]) * len(ranges[j]) <= FACE_LIMIT:
+                box += [tuple(x if m == i else y if m == j else 0
+                              for m in range(k))
+                        for x in ranges[i] for y in ranges[j]]
+    for a in box:
+        assert (_accepts(moduli, residues, a)
+                == _accepts(ref_moduli, ref_residues, a)), a
