@@ -240,11 +240,16 @@ def _factors_text(group):
 # --- subcommands ---------------------------------------------------------------
 
 
-def cmd_validate(args):
-    g = _load_graph(args.graph)
+def _require_minimal(g):
+    """ConditionError when g has a blow-downable (-1)-vertex."""
     if not is_minimal(g):
         raise ConditionError("graph is valid but not minimal: it has a "
                              "blow-downable (-1)-vertex")
+
+
+def cmd_validate(args):
+    g = _load_graph(args.graph)
+    _require_minimal(g)
     failures = monomial_condition(g, dual_cycles(g))
     if failures:
         print("monomial condition FAILS:")
@@ -335,6 +340,7 @@ def cmd_table(args):
     flat_subgroup runs once per pair {H1, H1-flat}, each pair certified
     by the pairing matrix."""
     g = _load_graph(args.graph)
+    _require_minimal(g)  # table has no override
     basis = dual_cycles(g)
     require_monomial_condition(g, basis)
     group = discriminant_group(g, basis)

@@ -6,6 +6,7 @@ it stands for the monomial prod z_i^{a_i} in the end-curve variables.  All
 searches run in integers: the dual basis is carried as integer numerators
 over one denominator |H| = |det I(E)| (every dual entry's denominator
 divides it), which the knapsacks and the zero-sum search read directly.
+A zero-sum search is built from H1 alone, over every end of its graph.
 The search's classes are the group K = prod Z/e_i in Smith coordinates:
 one small Smith form of the ends' pairings with generators of H1 (for
 H1 = H, the group's form of its end block) gives each end its residue,
@@ -26,7 +27,6 @@ search reads are built once per graph (_pairs).
 
 import heapq
 import itertools
-from bisect import insort
 from dataclasses import dataclass
 from math import gcd, lcm, prod
 from operator import lshift, mul, not_, sub
@@ -341,51 +341,50 @@ def base_point_set(g, basis):
 # --- the monoid of H1-invariant monomial cycles -----------------------------------
 
 
-def _congruences(h1, labels):
+def _congruences(h1):
     """The integer form of "pairs integrally with H1" on the end duals, in
     the Smith coordinates of the group K of residue classes.
 
-    Returns the moduli e_i and, for each end label l, its residue tuple
-    r_l in prod Z/e_i: the monomial cycle sum_l a_l E_l* pairs integrally
-    with H1 exactly when sum_l a_l r_l = 0 in prod Z/e_i.
+    Returns the moduli e_i and, for each end of the group's graph in
+    order, its residue tuple r_l in prod Z/e_i: the monomial cycle
+    sum_l a_l E_l* pairs integrally with H1 exactly when sum_l a_l r_l = 0
+    in prod Z/e_i.
 
-    pe has one row per label and one column per generator g_j of H1,
-    with entries |H| b(g_j, E_l*) mod |H| up to one sign per column, so
-    the cycle pairs integrally with H1 exactly when a pe = 0 mod |H|.
-    For H1 = H the g_j are the end duals, and pe is the group's end block
-    at the labels' rows; for every end, the group has its Smith form.
-    Otherwise the g_j are the Hermite rows of H1 (one zero in H gives a
-    zero column), and pe_lj is row j of lattice.pairings(h1) applied to
-    E_l*'s normal form.  With U pe V = S and V unimodular, a pe = 0 mod
-    |H| is (a U^{-1})_i = 0 mod e_i = |H| / gcd(|H|, s_i), and end l's
-    residue in slot i, (U^{-1})_li, is (pe V)_li / s_i, a division
-    checked to be exact.  Slots with e_i = 1 are dropped.  a -> a U^{-1}
-    is onto, so K is prod Z/e_i, and `_class_steps` numbers its classes
-    by their mixed-radix codes.
+    pe has one row per end and one column per generator g_j of H1, with
+    entries |H| b(g_j, E_l*) mod |H| up to one sign per column, so the
+    cycle pairs integrally with H1 exactly when a pe = 0 mod |H|.  For
+    H1 = H the g_j are the end duals, and pe is the group's end block,
+    whose Smith form the group has.  Otherwise the g_j are the Hermite
+    rows of H1 (one zero in H gives a zero column), and pe_lj is row j of
+    lattice.pairings(h1) applied to E_l*'s normal form.  With U pe V = S
+    and V unimodular, a pe = 0 mod |H| is (a U^{-1})_i = 0 mod e_i =
+    |H| / gcd(|H|, s_i), and end l's residue in slot i, (U^{-1})_li, is
+    (pe V)_li / s_i, a division checked to be exact.  Slots with e_i = 1
+    are dropped.  a -> a U^{-1} is onto, so K is prod Z/e_i, and
+    `_class_steps` numbers its classes by their mixed-radix codes.
 
-    The end block and the normal forms are read by label on the input
-    graph: a blowup keeps every end's class, as the end dual that moves
-    onto a new leaf u is E'_u* = E_u + pi*(E_i*) and pi* keeps pairings.
-    With H1 = 0 there is no congruence, and no Smith form is built.
+    The end block and the normal forms are read on the input graph: a
+    blowup keeps every end's class, as the end dual that moves onto a new
+    leaf u is E'_u* = E_u + pi*(E_i*) and pi* keeps pairings.  With
+    H1 = 0 there is no congruence, and no Smith form is built.
     """
-    if h1.order == 1:
-        return (), ((),) * len(labels)
     group = h1.group
-    den, ends = group.order, group.graph.ends
+    ends = group.graph.ends
+    if h1.order == 1:
+        return (), ((),) * len(ends)
+    den = group.order
     if h1.index == 1:
-        block = dict(zip(ends, group.end_block))
-        pe = [block[l] for l in labels]
+        pe, snf = group.end_block, group.end_smith
     else:
         forms = group.end_forms()
         pe = [[sum(map(mul, row, forms[l])) % den for row in pairings(h1)]
-              for l in labels]
-    snf = (group.end_smith if h1.index == 1 and labels == ends
-           else smith_normal_form(pe))
+              for l in ends]
+        snf = smith_normal_form(pe)
     slots = [(i, s, den // gcd(den, s))
              for i, s in enumerate(snf.diagonal()) if s % den]
     columns = [[v[i] for v in snf.V] for i, _, _ in slots]
     residues = []
-    for l, row in zip(labels, pe):
+    for l, row in zip(ends, pe):
         residue = []
         for column, (i, s, e) in zip(columns, slots):
             x = sum(map(mul, row, column))
@@ -430,21 +429,21 @@ def _class_steps(residues, moduli):
 class ZeroSumSearch:
     """Minima of M_v over the nonzero H1-invariant monomial cycles.
 
-    A monomial cycle pairs integrally with H1 exactly when its ends'
-    residues sum to the zero class of K = prod Z/e_i, the Smith
-    coordinates of the residues (see `_congruences`), so a nonzero member
-    is a walk from class 0 back to class 0 in which end i is a step by
-    its residue, weighted |H| * M_v(E_i*) = num[v][i] (every dual entry
-    has a denominator dividing |det I(E)| = |H|, which blowups keep).  A
-    shortest-path search over the classes finds the lightest such walk.
-    A class is its mixed-radix code in K, and a step table rotates each
-    digit of the codes (see `_class_steps`).  The residues are characters
-    of H1, and there are exactly |H1| classes: the ends' classes generate
-    H (DiscriminantGroup) and the pairing is perfect, so the residue map
+    The monomials are those in every end-curve variable of the graph H1
+    was built on: its ends are the labels.  A monomial cycle pairs
+    integrally with H1 exactly when its ends' residues sum to the zero
+    class of K = prod Z/e_i, the Smith coordinates of the residues (see
+    `_congruences`), so a nonzero member is a walk from class 0 back to
+    class 0 in which end i is a step by its residue, weighted
+    |H| * M_v(E_i*) = num[v][i] (every dual entry has a denominator
+    dividing |det I(E)| = |H|, which blowups keep).  A shortest-path
+    search over the classes finds the lightest such walk.  A class is its
+    mixed-radix code in K, and a step table rotates each digit of the
+    codes (see `_class_steps`).  The residues are characters of H1, and
+    there are exactly |H1| classes: the ends' classes generate H
+    (DiscriminantGroup) and the pairing is perfect, so the residue map
     has image H / H1^perp, of order |H1|.  The residues generate K, so
-    |K| = prod e_i, checked to be |H1| when the labels are every end of
-    the input graph (for H1 = H, the group's prod e_i = den implies it);
-    fewer labels may give fewer classes.  The classes form a group, and
+    |K| = prod e_i, checked to be |H1|.  The classes form a group, and
     the search meets itself in the middle (see `_shortest`), settling
     only the classes whose least walk weighs less than about half the
     answer.
@@ -470,38 +469,32 @@ class ZeroSumSearch:
     query packs its row entries above them and checks its answer, read
     back with shifts and masks, against its exponents in O(ends).
 
-    The search follows the blowups of its graph (`advance`) with no dual
-    basis: it reads only the end-weight row of each vertex v, the
-    integers |H| * M_v(E_i*) in label order (`row`).  Blowing up is a
-    pullback: E'_x* = pi*(E_x*) for every old vertex x, and the end dual
-    that moves onto a new leaf u is E'_u* = E_u + pi*(E_i*).  pi* keeps
-    every old coefficient and puts at u the sum of the coefficients at
-    the centre.  So an old vertex keeps its row (its entry at a moved
-    label is still E_i*'s), its minima and every result kept for it, and
-    the new vertex's row is the sum of its centre's rows, label by label,
-    plus |H| (the 1 of E_u at u) at the label of an end that moved onto
-    it.  Vertex ids persist, so only the keys that involve a new vertex
-    are searched again.  A row not read yet comes from the first basis at
-    the first end vertices.
+    The search reads only the end-weight row of each vertex v, the
+    integers |H| * M_v(E_i*) in label order (`row`): every row of the
+    group's dual basis once, when it is built (round 1's Z reads them
+    all).  It follows the blowups of its graph (`advance`) with no dual
+    basis.  Blowing up is a pullback: E'_x* = pi*(E_x*) for every old
+    vertex x, and the end dual that moves onto a new leaf u is
+    E'_u* = E_u + pi*(E_i*).  pi* keeps every old coefficient and puts
+    at u the sum of the coefficients at the centre.  So an old vertex
+    keeps its row (its entry at a moved label is still E_i*'s), its
+    minima and every result kept for it, and the new vertex's row is the
+    sum of its centre's rows, label by label, plus |H| (the 1 of E_u at
+    u) at the label of an end that moved onto it.  Vertex ids persist,
+    so only the keys that involve a new vertex are searched again.
     """
 
-    def __init__(self, basis, h1, end_map=None):
+    def __init__(self, h1):
         if h1.order > RESIDUE_CAP:
             raise CapExceededError(
                 f"zero-sum search: |H1| = {h1.order} residue classes "
                 f"exceed the cap {RESIDUE_CAP}")
-        if basis.den != h1.group.order:
-            raise InternalError(
-                f"dual basis denominator {basis.den} != |H| = "
-                f"{h1.group.order}")
-        g = basis.graph
-        if end_map is None:
-            end_map = {e: e for e in g.ends}
-        self.labels = tuple(sorted(end_map))
-        self._scale = basis.den
-        ends = [end_map[l] for l in self.labels]
-        moduli, residues = _congruences(h1, self.labels)
-        if prod(moduli) != h1.order and self.labels == h1.group.graph.ends:
+        group = h1.group
+        g = group.graph
+        self.labels = g.ends
+        self._scale = group.order  # the basis's den, certified by the group
+        moduli, residues = _congruences(h1)
+        if prod(moduli) != h1.order:
             raise InternalError(
                 f"zero-sum search check |K| == |H1| failed: the end "
                 f"residues generate K with |K| = {prod(moduli)}, "
@@ -516,48 +509,41 @@ class ZeroSumSearch:
                           for i in reversed(range(count))]
         self._slots = {l: i for i, l in enumerate(self.labels)}
         self._memo = {}
-        self._basis = basis  # the first basis: rows not read yet
-        self._end_columns = [g.index(e) for e in ends]
-        self._rows = {}
-        self._end_map = dict(end_map)
-        self._vertices = list(g.vertex_ids)
+        columns = list(map(g.index, self.labels))
+        self._rows = {v: tuple(row[c] for c in columns)
+                      for v, row in zip(g.vertex_ids, group.basis.num)}
 
     def row(self, v):
         """|H| * M_v(E_i*) for each end label i, in label order: the
         integer row of v's dual-basis numerators at the current ends."""
         row = self._rows.get(v)
         if row is None:
-            g = self._basis.graph
-            full = self._basis.num[g.index(v)]
-            row = self._rows[v] = tuple(full[c] for c in self._end_columns)
+            raise InternalError(f"vertex {v} is not in the graph")
         return row
 
-    def advance(self, event):
+    def advance(self, event, label=None):
         """Continue on the graph after the blowup `event` (see the class
         docstring): the new vertex gets its row, and an end blowup moves
-        its end's label onto the new leaf."""
+        the end `label`, which its caller chose, onto the new leaf."""
         u = event.new_vertex
-        if u in self._rows or u in self._basis.graph:
+        if u in self._rows:
             raise InternalError(f"vertex {u} is already in the search")
         new = [sum(column) for column in zip(*map(self.row, event.center))]
-        if event.kind == "end":
-            i = event.center[0]
-            label = next((l for l, v in self._end_map.items() if v == i),
-                         None)
-            if label is None:
-                raise InternalError(f"vertex {i} carries no end label")
-            new[self.labels.index(label)] += self._scale
-            self._end_map[label] = u
+        if event.kind == "end" and label in self._slots:
+            new[self._slots[label]] += self._scale
+        elif event.kind == "end" or label is not None:
+            raise InternalError(f"{event.kind} blowup at "
+                                f"{list(event.center)} with end label {label}")
         self._rows[u] = tuple(new)
-        insort(self._vertices, u)
 
     def least(self, vertices, without=None):
         """The least nonzero member with exponent 0 at end `without`, as
-        ((|H| * M_v for v in vertices), {label: exponent}); None when there
-        is none.  The values are integers: every dual entry's denominator
-        divides |H|.  Members are ordered by the M_v lexicographically,
-        then by degree, then by exponent vector: the graded-lex order in
-        which `hilbert_basis` lists its generators.
+        ((|H| * M_v for v in vertices), {label: exponent}).  There is one:
+        a graph has two or more ends, and o steps along one other than
+        `without`, o its order in K, are a member.  The values are
+        integers: every dual entry's denominator divides |H|.  Members are
+        ordered by the M_v lexicographically, then by degree, then by
+        exponent vector: the graded-lex order of `hilbert_basis`.
 
         An end query ((v,), label) or an edge query (v, w) runs no search
         when the member of a vertex query ((x,), None), x among its
@@ -579,11 +565,10 @@ class ZeroSumSearch:
                 for l, values in zip(self.labels, zip(*map(self.row, key[0]))):
                     if l != without and (best is None or values <= best):
                         best, label = values, l
-                found = None if label is None else (best, {label: 1})
+                found = best, {label: 1}
             else:
-                found = self._from_vertex_queries(*key)
-                if found is None:
-                    found = self._searched(*key)
+                found = (self._from_vertex_queries(*key)
+                         or self._searched(*key))
             self._memo[key] = found
         return self._memo[key]
 
@@ -617,8 +602,6 @@ class ZeroSumSearch:
                  in zip(self.labels, self._suffixes, zip(*rows))
                  if l != without]
         best = self._shortest(moves, 1 << top)
-        if best is None:
-            return None
         mask = (1 << field) - 1
         exps = {l: a for i, l in enumerate(self.labels, 1)
                 if (a := (best >> field * (count - i)) & mask)}
@@ -638,13 +621,15 @@ class ZeroSumSearch:
 
     def z(self):
         """The gcd cycle Z on the current graph, Z_v = min M_v, as the
-        integers |H| * Z_v in vertex order."""
-        return tuple(self.least((v,))[0][0] for v in self._vertices)
+        integers |H| * Z_v in vertex order (ids ascending)."""
+        return tuple(self.least((v,))[0][0] for v in sorted(self._rows))
 
     def _shortest(self, moves, ceiling):
         """The least key of a nonempty walk from class 0 back to class 0 by
-        the steps `moves`, pairs (step key, class table), or None when
-        there is none.  Every key is below `ceiling`.
+        the steps `moves`, pairs (step key, class table).  Every key is
+        below `ceiling`; `ceiling` itself comes back only if no walk was
+        found, which `_searched` reads as a key that is not the sum of its
+        steps.
 
         A key stands for the tuple (M_v..., degree, exponent vector) of a
         walk, of nonnegative integers compared lexicographically and added
@@ -714,7 +699,7 @@ class ZeroSumSearch:
                 if tentative[n] is None or nd < tentative[n]:
                     tentative[n] = nd
                     heapq.heappush(heap, (nd, n))
-        return None if best == ceiling else best
+        return best
 
 
 # --- the full Hilbert basis (a reference for the search above) --------------------
@@ -748,12 +733,17 @@ def hilbert_basis(g, basis, h1, end_map=None):
     off a copy of it.  Enumerating the box [0, ord_i]^ends and keeping the
     componentwise-minimal members is therefore exact.  The pipeline uses
     ZeroSumSearch instead; this is the reference it is tested against.
+    `end_map` sends every end of H1's graph to its carrier on g.
     """
+    labels = h1.group.graph.ends
     if end_map is None:
         end_map = {e: e for e in g.ends}
-    labels = tuple(sorted(end_map))
+    if tuple(sorted(end_map)) != labels:
+        raise InternalError(
+            f"end map labels {sorted(end_map)} are not the ends "
+            f"{list(labels)} of the graph H1 was built on")
     vertices = tuple(end_map[l] for l in labels)
-    moduli, residues = _congruences(h1, labels)
+    moduli, residues = _congruences(h1)
     orders = tuple(lcm(*(m // gcd(m, r) for m, r in zip(moduli, row)))
                    for row in residues)
 

@@ -15,7 +15,7 @@ from operator import mul
 
 from .errors import CapExceededError, ConditionError, InputError, InternalError
 from .graph import GraphHistory, is_minimal
-from .lattice import _FractionText
+from .lattice import _apply_form, _form, _FractionText
 from .monomial import ZeroSumSearch, is_base_point, monomial_string
 
 MAX_BLOWUPS = 64  # default cap on the blowups of one run
@@ -70,11 +70,6 @@ class PipelineReport:
     zz_num: int  # |H|^2 * Z.Z
     multiplicity: int
     input_minimal: bool = True
-
-
-def _dual_numerators(g, z):
-    """|H| * (-Z.E_v) in vertex order, from |H| * Z_v in vertex order."""
-    return tuple(_dual_at(g, z, v) for v in g.vertex_ids)
 
 
 def _dual_at(g, z, v):
@@ -141,8 +136,8 @@ def _end_decisions(history, z, search, decided):
     the minimum of M_v at its vertex v (that generator's monomial does not
     vanish at the end-curve point), or when the end is not a base point
     at all, read off v's row of end weights.  The first end that is
-    neither is blown up, and the round ends there.  Returns (decisions,
-    the blowup event or None).
+    neither is to be blown up, and the round ends there.  Returns
+    (decisions, the label of that end or None).
 
     `decided` maps (label, vertex) to the decision of an earlier round of
     the same run and is filled in here: the vertex keeps its row and Z_v
@@ -154,7 +149,7 @@ def _end_decisions(history, z, search, decided):
         decision = decided.get((label, v))
         if decision is None:
             found = search.least((v,), without=label)
-            if found is not None and found[0][0] == z[pos[v]]:
+            if found[0][0] == z[pos[v]]:
                 decision = EndDecision(label, "witness",
                                        monomial_string(found[1]))
             elif not is_base_point(search.row(v), search.labels.index(label)):
@@ -164,7 +159,7 @@ def _end_decisions(history, z, search, decided):
             decided[label, v] = decision
         decisions.append(decision)
         if decision.action == "blowup":
-            return tuple(decisions), history.blowup_end(label)
+            return tuple(decisions), label
     return tuple(decisions), None
 
 
@@ -199,16 +194,17 @@ def run_pipeline(g, h1, *, max_blowups=MAX_BLOWUPS, allow_non_minimal=False):
     minimal = is_minimal(g)
     if not minimal and not allow_non_minimal:
         raise ConditionError(
-            "input graph has a blow-downable (-1)-vertex; pass the override "
-            "to proceed anyway")
+            "input graph has a blow-downable (-1)-vertex; pass "
+            "allow_non_minimal=True (mult --allow-non-minimal) to proceed "
+            "anyway")
     if h1.group.graph != g:
         raise InternalError("subgroup was built on a different graph")
 
     history = GraphHistory(g)
-    search = ZeroSumSearch(h1.group.basis, h1)
+    search = ZeroSumSearch(h1)
     den = h1.group.order
     z = list(search.z())
-    z_dual = list(_dual_numerators(g, z))
+    z_dual = _apply_form(_form(g), z)
     for v, x in zip(g.vertex_ids, z_dual):  # Z is antinef
         if x < 0:
             _not_antinef(1, v, x, den)
@@ -220,9 +216,11 @@ def run_pipeline(g, h1, *, max_blowups=MAX_BLOWUPS, allow_non_minimal=False):
         record = RoundRecord(graph=current, den=den, z_num=tuple(z),
                              z_dual_num=tuple(z_dual))
         rounds.append(record)
-        record.end_decisions, record.blowup = _end_decisions(
+        record.end_decisions, label = _end_decisions(
             history, z, search, decided)
-        if record.blowup is None:
+        if label is not None:
+            record.blowup = history.blowup_end(label)
+        else:
             record.edge_checks = tuple(check_gcd_condition(
                 current, z, z_dual, search, known))
             edge = next((c.edge for c in record.edge_checks
@@ -235,7 +233,7 @@ def run_pipeline(g, h1, *, max_blowups=MAX_BLOWUPS, allow_non_minimal=False):
                 f"more than {max_blowups} blowups (the graph has "
                 f"grown to {len(history.current)} vertices)")
         event, blown = record.blowup, history.current
-        search.advance(event)
+        search.advance(event, label)
         u = event.new_vertex
         at = blown.index(u)
         z.insert(at, search.least((u,))[0][0])

@@ -135,20 +135,25 @@ def random_trees(seed, count, max_vertices=8, max_ends=6, max_order=20):
 
 class RecordedHistory(GraphHistory):
     """A GraphHistory that keeps the graph after each blowup, for tests
-    that read the graphs on either side of an event."""
+    that read the graphs on either side of an event, and the end label
+    each blowup moved (None for an edge blowup), which
+    ZeroSumSearch.advance takes with its event."""
 
     def __init__(self, graph):
         super().__init__(graph)
         self.graphs = [graph]
+        self.labels = []
 
     def blowup_edge(self, v, w):
         event = super().blowup_edge(v, w)
         self.graphs.append(self.current)
+        self.labels.append(None)
         return event
 
     def blowup_end(self, label):
         event = super().blowup_end(label)
         self.graphs.append(self.current)
+        self.labels.append(label)
         return event
 
     @property
@@ -173,6 +178,23 @@ def end_map_after(history, k):
                          if v == event.center[0])
             end_map[label] = event.new_vertex
     return end_map
+
+
+def fresh_search(graph, h1, end_map):
+    """A ZeroSumSearch for H1 on a graph blown up from H1's: its rows are
+    those of a fresh dual basis of `graph` at the carriers `end_map` of
+    the input's ends, in label order, in place of the rows the search
+    read off H1's group.  The basis's denominator must be |H|, the scale
+    of the search's rows."""
+    from splicemult import DualBasis, ZeroSumSearch
+
+    basis = DualBasis(graph)
+    assert basis.den == h1.group.order
+    search = ZeroSumSearch(h1)
+    columns = [graph.index(end_map[l]) for l in search.labels]
+    search._rows = {v: tuple(row[c] for c in columns)
+                    for v, row in zip(graph.vertex_ids, basis.num)}
+    return search
 
 
 def lower_centres_twice(monkeypatch):
@@ -779,8 +801,7 @@ def assert_resolved(report, h1, box_cap=50_000):
     vertices.  Minima come from a fresh box-enumerated Hilbert basis when
     the box has at most `box_cap` points, else from a fresh ZeroSumSearch
     (checked against hilbert_basis in test_search.py)."""
-    from splicemult import (DualBasis, ZeroSumSearch, base_point_set,
-                            gcd_cycle, hilbert_basis)
+    from splicemult import DualBasis, base_point_set, gcd_cycle, hilbert_basis
 
     history = report.history
     g, end_map = history.current, history.end_map
@@ -798,7 +819,7 @@ def assert_resolved(report, h1, box_cap=50_000):
                         if without is None or m.exponents[without] == 0),
                        key=lambda found: found[0], default=None)
     else:
-        search = ZeroSumSearch(basis, h1, end_map)
+        search = fresh_search(g, h1, end_map)
         z = cycle(g, search.z(), basis.den)
 
         def least(vertices, without=None):
@@ -941,21 +962,20 @@ def coset_class_steps(residues, moduli):
 # --- the zero-sum search with tuple keys (the reference for packed keys) --------
 
 
-def tuple_key_least(search, vertices, without=None, basis=None,
-                    end_map=None):
+def tuple_key_least(search, basis, vertices, without=None, end_map=None):
     """ZeroSumSearch.least by the plain tuple-key Dijkstra: weights
-    |H| * M_v(E_i*) from the Fraction entries of `basis` at the ends of
-    `end_map` (by default the search's first basis and its end map), step
-    keys (M_v..., 1, unit exponent vector) compared as tuples and added
-    componentwise.  Reads the search's class tables and labels; keeps no
-    memo."""
+    |H| * M_v(E_i*) from the Fraction entries of `basis` at the carriers
+    `end_map` of the search's labels (by default, each end on itself),
+    step keys (M_v..., 1, unit exponent vector) compared as tuples and
+    added componentwise.  Reads the search's class tables and labels;
+    keeps no memo."""
     import heapq
     from operator import add
 
     from splicemult import InternalError
 
-    if basis is None:
-        basis, end_map = search._basis, search._end_map
+    if end_map is None:
+        end_map = {l: l for l in search.labels}
     scale = search._scale
     per_vertex = []
     for v in vertices:

@@ -118,6 +118,30 @@ def test_validate_non_minimal_is_exit_2(capsys, tmp_path):
     assert run(capsys, "mult", str(path), "--uac")[0] == 2
 
 
+def test_non_minimal_graph_names_its_override(capsys, tmp_path):
+    """On the chain -3, -1, -3, which blows down to A_2, `table`, which
+    has no override, refuses the graph with validate's text before any
+    work; `mult` names the option that lets it proceed, and with it the
+    universal abelian cover is C^2, of multiplicity 1."""
+    path = tmp_path / "nonmin.json"
+    path.write_text(graph_json(
+        ResolutionGraph({1: -3, 2: -1, 3: -3}, [(1, 2), (2, 3)])))
+    for json_flag in ([], ["--json"]):
+        code, out, err = run(capsys, "table", str(path), *json_flag)
+        assert (code, out) == (2, "")
+        assert err == ("error: graph is valid but not minimal: it has a "
+                       "blow-downable (-1)-vertex\n")
+    code, out, err = run(capsys, "mult", str(path), "--uac")
+    assert (code, out) == (2, "")
+    assert err == ("error: input graph has a blow-downable (-1)-vertex; "
+                   "pass allow_non_minimal=True (mult --allow-non-minimal) "
+                   "to proceed anyway\n")
+    code, out, err = run(capsys, "mult", str(path), "--uac",
+                         "--allow-non-minimal")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "multiplicity = 1"
+
+
 # --- invariants -------------------------------------------------------------------
 
 
@@ -795,26 +819,34 @@ def test_internal_failure_is_exit_4(files, capsys, monkeypatch):
 
 
 def test_search_class_count_is_certified(files, capsys, monkeypatch):
-    """The end residues reach exactly |H1| classes (ZeroSumSearch): with
-    the last congruence dropped, the row <(0,3)> of the h12 table, whose
-    one nonzero Hermite row is (0,3), reaches 1 class instead of 2."""
+    """The end residues reach exactly |H1| classes (ZeroSumSearch), a
+    check that runs on every search: with the last congruence dropped,
+    each command stops at its first search with |K| classes, exit 4.  The
+    row <(0,3)> of the h12 table, whose one nonzero Hermite row is (0,3),
+    reaches 1 class instead of 2; E_1* and 2 E_3* generate a cyclic H1 of
+    order 6, one modulus; and H1 = H = Z/2 x Z/6 has the end block's
+    moduli (6, 2)."""
     import splicemult.monomial as monomial
 
     original = monomial._congruences
 
-    def dropped(h1, labels):
-        moduli, residues = original(h1, labels)
+    def dropped(h1):
+        moduli, residues = original(h1)
         if moduli:
             moduli, residues = moduli[:-1], tuple(r[:-1] for r in residues)
         return moduli, residues
 
     monkeypatch.setattr(monomial, "_congruences", dropped)
-    for argv in (["table", files["h12"]], ["table", files["h12"], "--json"]):
+    h12 = files["h12"]
+    for argv, k, h1_order in (
+            (["table", h12], 1, 2), (["table", h12, "--json"], 1, 2),
+            (["mult", h12, "--subgroup", files["sub_e1_2e3"]], 1, 6),
+            (["mult", h12, "--quotient"], 6, 12)):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (4, "")
         assert err == ("internal error: zero-sum search check |K| == |H1| "
-                       "failed: the end residues generate K with |K| = 1, "
-                       "|H1| = 2\n")
+                       f"failed: the end residues generate K with |K| = {k}, "
+                       f"|H1| = {h1_order}\n")
 
 
 def test_inexact_smith_residue_is_exit_4(files, capsys, monkeypatch):
@@ -977,21 +1009,31 @@ def test_wrong_branch_determinant_is_exit_4(files, capsys, monkeypatch):
 ])
 def test_negative_dual_coordinate_is_exit_4(tmp_path, capsys, monkeypatch,
                                             bad_call, where):
-    """Z is antinef in every round: one -Z.E_v made negative (here by
-    |H| * (-Z.E_v) = -1 from one call of _dual_at) is an internal error
-    naming the round and the vertex, with nothing on stdout.  The star
-    has 5 vertices, so call 6 is the first after its first blowup."""
+    """Z is antinef in every round: one -Z.E_v made negative (here
+    |H| * (-Z.E_v) = -1 as the bad_call-th entry the loop computes) is an
+    internal error naming the round and the vertex, with nothing on
+    stdout.  Round 1's vector is one application of -I (_apply_form), the
+    entries 1-5 of the 5-vertex star, and each later entry is one call of
+    _dual_at, so entry 6 is the first after its first blowup."""
     import splicemult.pipeline as pipeline
 
     path = tmp_path / "star.json"
     path.write_text(graph_json(star(-1, [-3, -4, -5, -7])))
-    original = pipeline._dual_at
+    apply_form, dual_at = pipeline._apply_form, pipeline._dual_at
     calls = []
+
+    def tampered_vector(form, z):
+        out = apply_form(form, z)
+        if 0 < bad_call - len(calls) <= len(out):
+            out[bad_call - len(calls) - 1] = -1
+        calls.extend(out)
+        return out
 
     def tampered(g, z, v):
         calls.append(v)
-        return -1 if len(calls) == bad_call else original(g, z, v)
+        return -1 if len(calls) == bad_call else dual_at(g, z, v)
 
+    monkeypatch.setattr(pipeline, "_apply_form", tampered_vector)
     monkeypatch.setattr(pipeline, "_dual_at", tampered)
     code, out, err = run(capsys, "mult", str(path), "--uac")
     assert (code, out) == (4, "")

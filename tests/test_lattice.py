@@ -558,7 +558,7 @@ def test_flat_matches_pairing_oracle():
 
 def test_congruences_match_fraction_pairings(tree_h12, d4_star):
     """The search's congruences against the Fraction intersections: the
-    residues of _congruences(h1, ends) sum to zero exactly when
+    residues of _congruences(h1), one per end, sum to zero exactly when
     sum a_l E_l* pairs integrally (dual_pairing) with the representative
     of every nonzero Hermite row of H1.  The rows generate H1, so
     integrality on them is integrality on all of H1.  The moduli are the
@@ -572,7 +572,7 @@ def test_congruences_match_fraction_pairings(tree_h12, d4_star):
         if len(box) > 500:
             box = rng.sample(box, 500)
         for h1 in enumerate_subgroups(group):
-            moduli, residues = _congruences(h1, g.ends)
+            moduli, residues = _congruences(h1)
             gens = row_representatives(h1)
             assert prod(moduli) == h1.order
             against = [[dual_pairing(group.basis, {l: 1}, gen)

@@ -465,6 +465,19 @@ def test_hilbert_basis_box_cap():
         hilbert_basis(g, basis, h1)
 
 
+def test_hilbert_basis_end_map_covers_the_input_ends(tree_h12, a2_chain):
+    """The end map gives the carrier of every end of H1's graph: one that
+    misses an end or names another, or the default on a graph with other
+    ends, is an internal error."""
+    group = discriminant_group(tree_h12)
+    h1 = trivial_subgroup(group)
+    for end_map in ({1: 1, 2: 2, 3: 3}, {1: 1, 2: 2, 3: 3, 4: 4, 5: 5}):
+        with pytest.raises(InternalError, match=r"end map labels \[1, 2, 3"):
+            hilbert_basis(tree_h12, group.basis, h1, end_map)
+    with pytest.raises(InternalError, match="are not the ends"):
+        hilbert_basis(a2_chain, dual_cycles(a2_chain), h1)
+
+
 def test_hilbert_basis_oracle_small(tree_h12, a2_chain):
     from conftest import hilbert_oracle
 

@@ -33,8 +33,9 @@ from splicemult.errors import (
     InputError,
     InternalError,
 )
+from splicemult.lattice import _apply_form, _form
 from splicemult.monomial import monomial_string
-from splicemult.pipeline import EndDecision, _dual_numerators
+from splicemult.pipeline import EndDecision
 
 from conftest import (
     H12_TABLE,
@@ -48,6 +49,7 @@ from conftest import (
     expansion,
     exponent_vector,
     final_z,
+    fresh_search,
     intersect,
     laufer_z_min,
     pullback_vertex_cycle,
@@ -69,9 +71,9 @@ def _uac(g):
 
 
 def _gcd_checks(g, h1):
-    search = ZeroSumSearch(h1.group.basis, h1)
+    search = ZeroSumSearch(h1)
     z = search.z()
-    return check_gcd_condition(g, z, _dual_numerators(g, z), search)
+    return check_gcd_condition(g, z, _apply_form(_form(g), z), search)
 
 
 def test_gcd_condition_h12_all_pass(tree_h12):
@@ -492,7 +494,7 @@ def _end_decisions_from_scratch(g, end_map, z, search, base):
     decisions = []
     for label, v in sorted(end_map.items()):
         found = search.least((v,), without=label)
-        if found is not None and found[0][0] == z[g.index(v)]:
+        if found[0][0] == z[g.index(v)]:
             decisions.append(EndDecision(label, "witness",
                                          monomial_string(found[1])))
         elif v not in base:
@@ -528,9 +530,10 @@ def test_rounds_in_integers_match_the_rational_form(case):
         assert Fraction(zz, rnd.den ** 2) == intersect(z, z)
         basis = DualBasis(rnd.graph)
         end_map = round_end_map(report, k)
-        fresh = ZeroSumSearch(basis, h1, end_map)
+        fresh = fresh_search(rnd.graph, h1, end_map)
         assert fresh.z() == rnd.z_num
-        assert rnd.z_dual_num == _dual_numerators(rnd.graph, rnd.z_num)
+        assert list(rnd.z_dual_num) == _apply_form(_form(rnd.graph),
+                                                   rnd.z_num)
         assert list(rnd.end_decisions) == _end_decisions_from_scratch(
             rnd.graph, end_map, rnd.z_num, fresh,
             base_point_set(rnd.graph, basis))

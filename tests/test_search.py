@@ -26,7 +26,7 @@ from splicemult import (
     subgroup,
     trivial_subgroup,
 )
-from splicemult.graph import BlowupEvent, blowup_edge
+from splicemult.graph import BlowupEvent, blowup_edge, blowup_end_point
 from splicemult.monomial import _class_steps, _congruences
 
 from conftest import (
@@ -42,6 +42,7 @@ from conftest import (
     end_orders,
     expansion,
     exponent_vector,
+    fresh_search,
     hermite_congruences,
     monomial,
     multi_node_trees,
@@ -97,7 +98,7 @@ def test_search_matches_hilbert_basis(case):
     returns is a generator with the coefficients it reports."""
     g, h1 = case
     basis = h1.group.basis
-    search = ZeroSumSearch(basis, h1)
+    search = ZeroSumSearch(h1)
     gens = hilbert_basis(g, basis, h1)
     vectors = {exponent_vector(m, search.labels) for m in gens}
     assert search.z() == gcd_cycle(gens)
@@ -125,9 +126,6 @@ def test_search_matches_hilbert_basis(case):
     for e in g.ends:
         found = search.least((e,), without=e)
         scanned = scan_end_witness(gens, z, e, e)
-        if found is None:
-            assert scanned is None
-            continue
         m = generator(found, (e,))
         assert m.exponents[e] == 0
         assert scanned == (m if Fraction(found[0][0], basis.den)
@@ -154,14 +152,14 @@ def test_carried_results_equal_fresh_search(case):
     every stage so that later stages reuse earlier results, answers as a
     fresh search on each graph after a fresh tree solve does."""
     history, h1 = case
-    search = ZeroSumSearch(h1.group.basis, h1)
+    search = ZeroSumSearch(h1)
     g = history.initial
     _everything(search, g, {e: e for e in g.ends})
     for k, event in enumerate(history.events):
         post = history.graph_after(k)
         end_map = end_map_after(history, k)
-        search.advance(event)
-        fresh = ZeroSumSearch(DualBasis(post), h1, end_map)
+        search.advance(event, history.labels[k])
+        fresh = fresh_search(post, h1, end_map)
         assert _everything(search, post, end_map) == \
             _everything(fresh, post, end_map)
         assert search.z() == fresh.z()
@@ -181,15 +179,16 @@ def test_carried_rows_are_the_end_columns_of_the_dual_basis(history):
     """The rows the search carries through edge and end blowups (ids
     with gaps, so new vertices land inside the vertex order) equal the end
     columns of a fresh dual basis and of the O(n^2) pullback of the
-    previous basis, after every step.  Rows are read before the first
-    step only in part, so later steps also read untouched first rows."""
+    previous basis, after every step, and before the first they are the
+    end columns of the group's basis."""
     g = history.initial
     group = discriminant_group(g)
-    search = ZeroSumSearch(group.basis, trivial_subgroup(group))
-    search.row(g.vertex_ids[0])
+    search = ZeroSumSearch(trivial_subgroup(group))
+    assert {v: search.row(v) for v in g.vertex_ids} == _end_columns(
+        group.basis, {e: e for e in g.ends})
     pulled = group.basis
     for k, event in enumerate(history.events):
-        search.advance(event)
+        search.advance(event, history.labels[k])
         post = history.graph_after(k)
         pulled = pulled_back(post, event, pulled)
         end_map = end_map_after(history, k)
@@ -200,17 +199,27 @@ def test_carried_rows_are_the_end_columns_of_the_dual_basis(history):
 
 def test_advance_refuses_an_event_of_another_graph(tree_h12):
     """An event whose new vertex the search already has, or whose centre
-    it does not know, is an internal error."""
+    it does not know, is an internal error, and so is an end blowup whose
+    label is not an end of the input or an edge blowup with a label."""
     h1 = trivial_subgroup(discriminant_group(tree_h12))
-    search = ZeroSumSearch(h1.group.basis, h1)
-    _, event = blowup_edge(tree_h12, 1, 5)
+    search = ZeroSumSearch(h1)
+    blown, event = blowup_edge(tree_h12, 1, 5)
+    with pytest.raises(InternalError, match=r"edge blowup at \[1, 5\] "
+                       "with end label 1"):
+        search.advance(event, 1)
     search.advance(event)
     with pytest.raises(InternalError, match="vertex 11 is already"):
         search.advance(event)
     foreign = BlowupEvent(kind="end", center=(20,), new_vertex=30,
                           weight_changes=((20, -2, -3),))
     with pytest.raises(InternalError, match="vertex 20 is not in the graph"):
-        search.advance(foreign)
+        search.advance(foreign, 1)
+    _, end_event = blowup_end_point(blown, 2)
+    for label in (None, 5):
+        with pytest.raises(InternalError, match=r"end blowup at \[2\] "
+                           f"with end label {label}"):
+            search.advance(end_event, label)
+    search.advance(end_event, 2)
 
 
 # --- packed keys against the tuple-key reference ------------------------------
@@ -224,10 +233,10 @@ def _queries(g):
 
 
 def _assert_packed_matches_tuples(g, h1):
-    search = ZeroSumSearch(h1.group.basis, h1)
+    search = ZeroSumSearch(h1)
     for vertices, without in _queries(g):
         assert search.least(vertices, without) == \
-            tuple_key_least(search, vertices, without)
+            tuple_key_least(search, h1.group.basis, vertices, without)
 
 
 @st.composite
@@ -285,30 +294,37 @@ def test_exponent_and_degree_fields_at_their_bound(a, b):
     close to the bound 2 * |H1| + 2 that sizes their fields."""
     g = ResolutionGraph({1: -a, 2: -b}, [(1, 2)])
     h1 = full_subgroup(discriminant_group(g))
-    search = ZeroSumSearch(h1.group.basis, h1)
+    search = ZeroSumSearch(h1)
     assert len(search._negation) == a * b - 1
     found = search.least((1,), without=2)
     assert found[1] == {1: a * b - 1}
-    assert found == tuple_key_least(search, (1,), without=2)
-    _assert_queries_match_one_sided(search, search._basis, {1: 1, 2: 2})
+    assert found == tuple_key_least(search, h1.group.basis, (1,), without=2)
+    _assert_queries_match_one_sided(search, h1.group.basis, {1: 1, 2: 2})
 
 
-@pytest.mark.parametrize("shift, message", [
-    (lambda search: search._suffixes[0], "not the sum of its steps"),
-    (lambda search: 1 << search._field * 4, "not the sum of its steps"),
-    (lambda search: 1 << 200, "not the sum of its steps"),
-    (lambda search: search._suffixes[3], "used end 4, which it excludes"),
+@pytest.mark.parametrize("tamper, message", [
+    (lambda search, best, ceiling: best + search._suffixes[0],
+     "not the sum of its steps"),
+    (lambda search, best, ceiling: best + (1 << search._field * 4),
+     "not the sum of its steps"),
+    (lambda search, best, ceiling: best + (1 << 200),
+     "not the sum of its steps"),
+    (lambda search, best, ceiling: best + search._suffixes[3],
+     "used end 4, which it excludes"),
+    (lambda search, best, ceiling: ceiling, "not the sum of its steps"),
 ])
-def test_search_checks_its_answer(tree_h12, monkeypatch, shift, message):
+def test_search_checks_its_answer(tree_h12, monkeypatch, tamper, message):
     """An answer that is not the sum of the steps its exponents count (one
     exponent too many, a degree too high, or bits above the top field),
-    or that uses the excluded end, is an internal error."""
+    or that uses the excluded end, is an internal error.  So is a search
+    that finds no walk and returns its ceiling: every query has a
+    member."""
     h1 = full_subgroup(discriminant_group(tree_h12))
-    search = ZeroSumSearch(h1.group.basis, h1)
+    search = ZeroSumSearch(h1)
     shortest = ZeroSumSearch._shortest
     monkeypatch.setattr(ZeroSumSearch, "_shortest",
-                        lambda self, *args: shortest(self, *args)
-                        + shift(self))
+                        lambda self, moves, ceiling: tamper(
+                            self, shortest(self, moves, ceiling), ceiling))
     with pytest.raises(InternalError, match=message):
         search._searched((4,), 4)
 
@@ -322,7 +338,7 @@ def _assert_queries_match_one_sided(search, basis, end_map):
     g = basis.graph
 
     def reference(vertices, without=None):
-        return tuple_key_least(search, vertices, without, basis, end_map)
+        return tuple_key_least(search, basis, vertices, without, end_map)
 
     search.z()
     for v in g.vertex_ids:
@@ -366,20 +382,45 @@ def test_meet_in_the_middle_matches_one_sided_search(case):
     graph and again after each blowup."""
     history, h1 = case
     basis = h1.group.basis
-    search = ZeroSumSearch(basis, h1)
+    search = ZeroSumSearch(h1)
     g = history.initial
     _assert_queries_match_one_sided(search, basis, {e: e for e in g.ends})
     for k, event in enumerate(history.events):
-        search.advance(event)
+        search.advance(event, history.labels[k])
         _assert_queries_match_one_sided(
             search, DualBasis(history.graph_after(k)),
             end_map_after(history, k))
 
 
-def _h12_search(tree_h12, gens, end_map=None):
+@settings(max_examples=40)
+@given(graphs_subgroups_and_blowups())
+def test_every_query_has_a_member(case):
+    """Every vertex, edge and end query returns a member, on the input
+    graph and again after each blowup: a nonempty exponent map without
+    the excluded end, whose steps walk from class 0 back to class 0 and
+    whose row sums are the values it reports."""
+    history, h1 = case
+    search = ZeroSumSearch(h1)
+    for k, g in enumerate(history.graphs):
+        if k:
+            search.advance(history.events[k - 1], history.labels[k - 1])
+        end_map = end_map_after(history, k - 1)  # k = 0: each end on itself
+        queries = ([((v,), None) for v in g.vertex_ids]
+                   + [(edge, None) for edge in g.edges]
+                   + [((end_map[l],), l) for l in search.labels])
+        for vertices, without in queries:
+            values, exps = search.least(vertices, without)
+            assert exps and without not in exps and min(exps.values()) > 0
+            assert _walk(search._steps, exps, exps.values()) == 0
+            assert values == tuple(
+                sum(a * search.row(v)[search.labels.index(l)]
+                    for l, a in exps.items()) for v in vertices)
+
+
+def _h12_search(tree_h12, gens):
     group = discriminant_group(tree_h12)
     vectors = [[gen.get(v, 0) for v in tree_h12.vertex_ids] for gen in gens]
-    return ZeroSumSearch(group.basis, subgroup(vectors, group), end_map)
+    return ZeroSumSearch(subgroup(vectors, group))
 
 
 def test_end_of_residue_zero_is_a_one_step_member(tree_h12):
@@ -387,11 +428,12 @@ def test_end_of_residue_zero_is_a_one_step_member(tree_h12):
     step lands on class 0 and z1 alone is a member; the other ends do
     not."""
     search = _h12_search(tree_h12, [{1: 1}])
+    basis = discriminant_group(tree_h12).basis
     assert [search._steps[l][0] == 0 for l in search.labels] == \
         [True, False, False, False]
-    assert search.least((1,)) == tuple_key_least(search, (1,))
+    assert search.least((1,)) == tuple_key_least(search, basis, (1,))
     assert search.least((1,))[1] == {1: 1}
-    _assert_queries_match_one_sided(search, search._basis,
+    _assert_queries_match_one_sided(search, basis,
                                     {e: e for e in tree_h12.ends})
 
 
@@ -408,25 +450,24 @@ def _reachable(search, labels):
     return seen
 
 
-def test_remaining_ends_reach_a_proper_subgroup(tree_h12):
-    """With only ends 1 and 3 tracked under H1 = H on h12, their classes
-    fill H (12 classes), but end 3 alone reaches 6: the search without
-    end 1 never settles half of the classes, negations included."""
-    search = _h12_search(tree_h12, [{1: 1}, {3: 1}], {1: 1, 3: 3})
+def test_remaining_ends_reach_a_proper_subgroup(tree_h12, monkeypatch):
+    """A query keeps every end but at most one, and those fill K on every
+    graph tried; the meet-in-the-middle Dijkstra must still be right on
+    steps that reach a proper subgroup.  Under H1 = H on h12 (12 classes)
+    end 3 alone reaches 6, so with the moves cut down to end 3's the
+    search never settles half of the classes, negations included, and
+    its answer is z3^6."""
+    search = _h12_search(tree_h12, [{1: 1}, {3: 1}])
     assert len(search._negation) == 12
     assert len(_reachable(search, [3])) == 6
+    shortest = ZeroSumSearch._shortest
+    monkeypatch.setattr(
+        ZeroSumSearch, "_shortest", lambda self, moves, ceiling: shortest(
+            self, [m for m in moves if m[1] is self._steps[3]], ceiling))
+    at = search.labels.index(3)
     for vertices in [(3,), (1,), (5,), (5, 6)]:
-        assert search.least(vertices, without=1) == \
-            tuple_key_least(search, vertices, without=1)
-
-
-def test_query_with_no_member(tree_h12):
-    """With end 3 the only tracked end, the query without it has no step
-    at all and no member."""
-    search = _h12_search(tree_h12, [{1: 1}, {3: 1}], {3: 3})
-    assert search.least((3,), without=3) is None
-    assert tuple_key_least(search, (3,), without=3) is None
-    assert search.least((3,)) == tuple_key_least(search, (3,))
+        assert search._searched(vertices, 1) == (
+            tuple(6 * search.row(v)[at] for v in vertices), {3: 6})
 
 
 def test_universal_abelian_cover_has_one_class(tree_h12, monkeypatch):
@@ -441,7 +482,7 @@ def test_universal_abelian_cover_has_one_class(tree_h12, monkeypatch):
     tied = star(-3, [-3] * 5)
     for g in (tree_h12, tied):
         group = discriminant_group(g)
-        search = ZeroSumSearch(group.basis, trivial_subgroup(group))
+        search = ZeroSumSearch(trivial_subgroup(group))
         assert len(search._negation) == 1
         _assert_queries_match_one_sided(search, group.basis,
                                         {e: e for e in g.ends})
@@ -458,7 +499,7 @@ def test_universal_abelian_cover_has_one_class(tree_h12, monkeypatch):
                 history.blowup_end(at)
             else:
                 history.blowup_edge(*at)
-            search.advance(history.events[k])
+            search.advance(history.events[k], history.labels[k])
             _assert_queries_match_one_sided(
                 search, DualBasis(history.graph_after(k)),
                 end_map_after(history, k))
@@ -473,9 +514,10 @@ def test_vertex_members_decide_queries_without_search(name, tree_h12,
     the one-sided search's."""
     g = star(-3, [-3] * 5) if name == "star" else tree_h12
     h1 = full_subgroup(discriminant_group(g))
-    search = ZeroSumSearch(h1.group.basis, h1)
-    z = cycle(g, search.z(), h1.group.basis.den)
-    members = {v: monomial(h1.group.basis, search.least((v,))[1])
+    basis = h1.group.basis
+    search = ZeroSumSearch(h1)
+    z = cycle(g, search.z(), basis.den)
+    members = {v: monomial(basis, search.least((v,))[1])
                for v in g.vertex_ids}
     calls = []
     shortest = ZeroSumSearch._shortest
@@ -488,27 +530,17 @@ def test_vertex_members_decide_queries_without_search(name, tree_h12,
                           == z.coefficient(y) for y in (v, w))
                       for x in (v, w))
         before = len(calls)
-        assert search.least((v, w)) == tuple_key_least(search, (v, w))
+        assert search.least((v, w)) == tuple_key_least(search, basis, (v, w))
         assert len(calls) - before == (0 if attains else 1)
         decided += attains
     for e in g.ends:
         attains = members[e].exponents[e] == 0
         before = len(calls)
-        assert search.least((e,), e) == tuple_key_least(search, (e,), e)
+        assert search.least((e,), e) == tuple_key_least(search, basis, (e,),
+                                                        e)
         assert len(calls) - before == (0 if attains else 1)
         decided += attains
     assert decided > 0
-
-
-def test_search_checks_basis_denominator(tree_h12):
-    """The search reads |H| * M_v(E_i*) straight from `num`, which needs
-    den = |H| on the basis it is given; blowups carry that scale (see
-    test_carried_rows_are_the_end_columns_of_the_dual_basis)."""
-    h1 = full_subgroup(discriminant_group(tree_h12))
-    wrong = DualBasis(tree_h12)
-    wrong.den = 6
-    with pytest.raises(InternalError, match="denominator 6 != .H. = 12"):
-        ZeroSumSearch(wrong, h1)
 
 
 # --- the classes in Smith coordinates against the coset construction ---------
@@ -541,7 +573,7 @@ def _assert_smith_classes(g, h1, rng):
     them, seeded), the residues, the reference congruences, walks along
     both kinds of step table and the pairings accept the same vectors."""
     labels = g.ends
-    moduli, residues = _congruences(h1, labels)
+    moduli, residues = _congruences(h1)
     size = prod(moduli)
     assert size == h1.order
     tables, negation = _class_steps(dict(zip(labels, residues)), moduli)
@@ -626,7 +658,7 @@ def test_end_block_presents_h_as_minus_i_does(g):
 
     h1 = full_subgroup(group)
     labels = g.ends
-    moduli, residues = _congruences(h1, labels)
+    moduli, residues = _congruences(h1)
     ref_moduli, ref_residues = pairing_matrix_congruences(h1, labels)
     assert prod(moduli) == prod(ref_moduli) == group.order
     orders = [lcm(*(m // gcd(m, x) for m, x in zip(moduli, r)))
