@@ -15,7 +15,8 @@ of the codes.  The search packs each key (M_v..., degree, exponents)
 into one int: the degree and exponent fields have one layout for the
 whole run, the M_v fields a width per query, and an answer is read back
 and checked in O(ends); with one class (|H1| = 1) it reads each answer
-off the rows.  Every dual-basis entry is strictly positive, which makes
+off the rows.  Round 1's Z searches only the nodes where it can, and
+reads chain and arm vertices off their members (ZeroSumSearch.z).  Every dual-basis entry is strictly positive, which makes
 all bounds finite.
 
 The witness search of the monomial condition, `admissible_monomials`, is
@@ -426,6 +427,25 @@ def _class_steps(residues, moduli):
     return tables, stepped((1,) * len(moduli))[::-1]
 
 
+def _node_paths(g):
+    """Each maximal path of vertices of valence <= 2 out of a node p, as
+    (p, path, q), the path's vertices from p outwards: q is the node at
+    its far end, or None when the path is an arm and ends at a leaf.  A
+    chain is yielded once from each end; an edge between two nodes is no
+    path."""
+    for p in g.nodes:
+        for v in g.neighbors(p):
+            path, previous = [v], p
+            while g.degree(v) == 2:
+                a, b = g.neighbors(v)
+                previous, v = v, b if a == previous else a
+                path.append(v)
+            if g.degree(v) == 1:
+                yield p, path, None
+            elif len(path) > 1:
+                yield p, path[:-1], v
+
+
 class ZeroSumSearch:
     """Minima of M_v over the nonzero H1-invariant monomial cycles.
 
@@ -455,7 +475,10 @@ class ZeroSumSearch:
 
     Results are kept by vertex tuple and removed end, and an end or edge
     query is read off the vertex queries' members whenever one of them is
-    the answer (see `least`).
+    the answer (see `least`).  On the graph H1 was built on, `z` searches
+    only the nodes: every member is harmonic off the ends, so a vertex of
+    a chain or an arm takes a node's member whenever that member attains
+    Z at the chain's other node, or has exponent 0 at the arm's leaf.
 
     With one class (|H1| = 1, the universal abelian cover) no search runs:
     every end step lands on class 0, so each step is a member, and every
@@ -509,6 +532,8 @@ class ZeroSumSearch:
                           for i in reversed(range(count))]
         self._slots = {l: i for i, l in enumerate(self.labels)}
         self._memo = {}
+        self._graph = g
+        self.derived = {}  # vertex -> node whose member z() read it off
         columns = list(map(g.index, self.labels))
         self._rows = {v: tuple(row[c] for c in columns)
                       for v, row in zip(g.vertex_ids, group.basis.num)}
@@ -621,7 +646,47 @@ class ZeroSumSearch:
 
     def z(self):
         """The gcd cycle Z on the current graph, Z_v = min M_v, as the
-        integers |H| * Z_v in vertex order (ids ascending)."""
+        integers |H| * Z_v in vertex order (ids ascending).
+
+        Before the first `advance`, on the graph H1 was built on, only the
+        nodes are searched where this lemma applies, and `derived` maps
+        each vertex it answers to its node p.  A search after a blowup
+        keeps no adjacency, and searches every vertex.
+
+        Lemma.  Let P be a maximal path of vertices of valence <= 2 out of
+        a node p: a chain to a node q, or an arm whose last vertex is the
+        leaf l.  If p's member m_p attains Z_q, or has exponent 0 at l,
+        then m_p answers ((v,), None) for every v in P.
+
+        Proof.  A member D = sum_l a_l E_l* has D.E_v = -a_v at an end v
+        and 0 elsewhere, so on P, -I_P D_P = D_p e_first + D_q e_last,
+        with D_q := a_l on an arm.  -I_P is a positive definite path
+        block, so (-I_P)^{-1} has positive entries (Eisenbud and Neumann
+        1985; see lattice._path_numerators), and M_v = alpha M_p +
+        beta M_q (beta a_l on an arm) with alpha, beta > 0.  Every member
+        has M_p >= Z_p, M_q >= Z_q and a_l >= 0, so M_v is least exactly
+        for the members attaining Z_p and Z_q (with a_l = 0), and m_p is
+        one.  m_p is least in (degree, exponents) among the members
+        attaining Z_p, a set holding all of these, so it is the answer at
+        v; when m_q also attains Z_p, the two are that same member.
+        `run_pipeline` checks the premise, Z.E_v = 0 at every derived v:
+        a member missing Z_q, or with a_l > 0, breaks it at P's far end.
+        """
+        g = self._graph
+        if len(self._rows) == len(g):  # advance only adds rows
+            slots = self._slots
+
+            def value(exps, v):
+                row = self._rows[v]
+                return sum(a * row[slots[l]] for l, a in exps.items())
+
+            for p, path, q in _node_paths(g):
+                exps = self.least((p,))[1]
+                if (path[-1] not in exps if q is None
+                        else value(exps, q) == self.least((q,))[0][0]):
+                    for v in path:
+                        self._memo[(v,), None] = (value(exps, v),), exps
+                        self.derived[v] = p
         return tuple(self.least((v,))[0][0] for v in sorted(self._rows))
 
     def _shortest(self, moves, ceiling):

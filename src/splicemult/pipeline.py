@@ -187,7 +187,10 @@ def run_pipeline(g, h1, *, max_blowups=MAX_BLOWUPS, allow_non_minimal=False):
 
     Z, a minimum of antinef monomial cycles, is antinef: -Z.E_v >= 0.  The
     first round's vector is checked once, then the at most three entries
-    each blowup rewrites; a negative one is an InternalError.
+    each blowup rewrites; a negative one is an InternalError.  The first
+    round's vector also certifies the vertices that z() read off a node's
+    member (ZeroSumSearch.z): Z.E_v = 0 at each, or an InternalError
+    naming the vertex and the node.
     """
     if max_blowups <= 0:
         raise InputError(f"max_blowups must be positive, got {max_blowups}")
@@ -208,6 +211,12 @@ def run_pipeline(g, h1, *, max_blowups=MAX_BLOWUPS, allow_non_minimal=False):
     for v, x in zip(g.vertex_ids, z_dual):  # Z is antinef
         if x < 0:
             _not_antinef(1, v, x, den)
+    for v, p in search.derived.items():  # the premise of z()'s lemma
+        if x := z_dual[g.index(v)]:
+            raise InternalError(
+                f"derived vertex check Z.E_{v} = 0 failed: Z_{v} was read "
+                f"off node {p}'s member, but -Z.E_{v} = "
+                f"{_FractionText(den)[x]}")
     decided = {}  # _end_decisions' results, kept across rounds
     known = {}  # check_gcd_condition's results, kept across rounds
     rounds = []

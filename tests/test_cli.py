@@ -1040,6 +1040,29 @@ def test_negative_dual_coordinate_is_exit_4(tmp_path, capsys, monkeypatch,
     assert err == f"internal error: antinef check failed in {where}\n"
 
 
+def test_derived_vertex_off_its_premise_is_exit_4(files, capsys,
+                                                  monkeypatch):
+    """z() reads a chain or arm vertex off a node's member, which the loop
+    certifies by Z.E_v = 0 at each such vertex.  On h12 with H1 = H,
+    z() reads vertex 1 off node 5's member; with |H| * Z_1 raised by 1
+    after it, -Z.E_1 = 2/12 and -Z.E_5 = 11/12 stays positive, so Z is
+    still antinef, and the check names the vertex and the node."""
+    from splicemult import ZeroSumSearch
+
+    original = ZeroSumSearch.z
+
+    def tampered(self):
+        z = original(self)
+        assert self.derived[1] == 5
+        return (z[0] + 1, *z[1:])  # vertex 1, the least id
+
+    monkeypatch.setattr(ZeroSumSearch, "z", tampered)
+    code, out, err = run(capsys, "mult", files["h12"], "--quotient")
+    assert (code, out) == (4, "")
+    assert err == ("internal error: derived vertex check Z.E_1 = 0 failed: "
+                   "Z_1 was read off node 5's member, but -Z.E_1 = 1/6\n")
+
+
 def test_no_command_inverts_by_bareiss(files, capsys, monkeypatch):
     """Every dual basis comes from the tree solve or a pullback."""
     import splicemult.linalg as linalg

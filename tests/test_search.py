@@ -150,7 +150,9 @@ def _everything(search, g, end_map):
 def test_carried_results_equal_fresh_search(case):
     """One search advanced through random edge and end blowups, queried at
     every stage so that later stages reuse earlier results, answers as a
-    fresh search on each graph after a fresh tree solve does."""
+    fresh search on each graph after a fresh tree solve does.  Neither
+    reads a vertex off a node's member there: both hold rows of a graph
+    other than H1's."""
     history, h1 = case
     search = ZeroSumSearch(h1)
     g = history.initial
@@ -163,6 +165,7 @@ def test_carried_results_equal_fresh_search(case):
         assert _everything(search, post, end_map) == \
             _everything(fresh, post, end_map)
         assert search.z() == fresh.z()
+        assert search.derived == fresh.derived == {}
 
 
 def _end_columns(basis, end_map):
@@ -541,6 +544,99 @@ def test_vertex_members_decide_queries_without_search(name, tree_h12,
         assert len(calls) - before == (0 if attains else 1)
         decided += attains
     assert decided > 0
+
+
+# --- z() off the nodes: chains and arms read off a node's member ------------
+
+
+def _assert_derived_vertices(g, h1):
+    """z() equals the Hilbert basis's gcd cycle; each vertex it read off a
+    node's member (`derived`) answers as the one-sided tuple-key search
+    does, from a node, and has Z.E_v = 0."""
+    basis = h1.group.basis
+    search = ZeroSumSearch(h1)
+    z = search.z()
+    assert z == gcd_cycle(hilbert_basis(g, basis, h1))
+    at = dict(zip(g.vertex_ids, z))
+    harmonic = {v for v in g.vertex_ids
+                if g.weight(v) * at[v] + sum(at[u] for u in g.neighbors(v))
+                == 0}
+    assert set(search.derived) <= harmonic
+    for v, p in search.derived.items():
+        assert p in g.nodes and g.degree(v) <= 2
+        assert search.least((v,)) == tuple_key_least(search, basis, (v,))
+    return search
+
+
+@st.composite
+def multi_node_trees_and_subgroups(draw):
+    g = draw(multi_node_trees())
+    group = discriminant_group(g)
+    assume(group.order <= 2000)
+    pick = draw(st.sampled_from(["full", "trivial", "random"]))
+    h1 = (full_subgroup(group) if pick == "full"
+          else trivial_subgroup(group) if pick == "trivial"
+          else _random_subgroup(draw, g))
+    assume(_box_volume(group.basis, h1) <= BOX_LIMIT)
+    return g, h1
+
+
+@settings(max_examples=40)
+@given(st.one_of(multi_node_trees_and_subgroups(), trees_and_subgroups()))
+def test_derived_vertices_are_the_searched_answers(case):
+    """On random multi-node trees (H1 = H, 0 or random) and random small
+    trees, see _assert_derived_vertices."""
+    _assert_derived_vertices(*case)
+
+
+def test_derived_vertices_on_every_subgroup(tree_h12, tree_h60, d4_star):
+    """Every subgroup of h12, h60 and D4 (see _assert_derived_vertices);
+    each graph derives somewhere."""
+    for g in (tree_h12, tree_h60, d4_star):
+        derived = set()
+        for h1 in enumerate_subgroups(discriminant_group(g)):
+            derived |= set(_assert_derived_vertices(g, h1).derived)
+        assert derived
+
+
+def _z_searches(monkeypatch, g, subgroups):
+    """The vertex tuples z() searches, by `_searched`, per subgroup, and
+    the number of `_shortest` runs in all."""
+    runs, searched = [], []
+    shortest, by_key = ZeroSumSearch._shortest, ZeroSumSearch._searched
+    monkeypatch.setattr(ZeroSumSearch, "_shortest",
+                        lambda self, *args: runs.append(args)
+                        or shortest(self, *args))
+    monkeypatch.setattr(ZeroSumSearch, "_searched",
+                        lambda self, vertices, without:
+                        searched[-1].append(vertices)
+                        or by_key(self, vertices, without))
+    for h1 in subgroups:
+        searched.append([])
+        ZeroSumSearch(h1).z()
+    return searched, len(runs)
+
+
+@pytest.mark.parametrize("name, most", [("h12", 25), ("h60", 37)])
+def test_z_searches_few_vertices(name, most, tree_h12, tree_h60,
+                                 monkeypatch):
+    """Over every subgroup, z() runs at most `most` Dijkstra searches (90
+    on h12 and 110 on h60 when it searched every vertex), each for one
+    vertex, and searches both nodes wherever it searches at all."""
+    g = tree_h12 if name == "h12" else tree_h60
+    searched, runs = _z_searches(
+        monkeypatch, g, enumerate_subgroups(discriminant_group(g)))
+    assert runs == sum(map(len, searched)) <= most
+    for queries in searched:
+        assert not queries or queries[:2] == [(5,), (8,)]
+
+
+def test_z_searches_only_the_nodes_for_h(tree_h12, monkeypatch):
+    """H1 = H on h12: z() searches the nodes 5 and 8 and reads every
+    other vertex off their members."""
+    searched, runs = _z_searches(
+        monkeypatch, tree_h12, [full_subgroup(discriminant_group(tree_h12))])
+    assert (searched, runs) == ([[(5,), (8,)]], 2)
 
 
 # --- the classes in Smith coordinates against the coset construction ---------
