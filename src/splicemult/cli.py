@@ -132,7 +132,9 @@ def _emit_report(report):
     `_edge_check_text`, `_end_decision_text`).  A Z map is sorted as
     text, as sort_keys sorts it, so "10" precedes "2".  A record that
     recurs from round to round is one object (see run_pipeline), and its
-    text is joined once; a blowup is written in its round and in
+    text is joined once, before anything is written: that reads every
+    witness (see check_gcd_condition), so a witness check that fails
+    leaves stdout empty.  A blowup is written in its round and in
     `trace`, at two depths.  A round is written map by map and list by
     list, so no text of a whole round or of the document is joined: the
     document grows with rounds x vertices."""
@@ -160,8 +162,13 @@ def _emit_report(report):
             if text is None:
                 text = record_texts[id(record)] = template(record, n8)
             out.append(text)
-        return _items(out, n6)
+        return out
 
+    # every record's text before the first write: a witness is found on
+    # first read, and a failed check must exit with nothing written
+    texts = [(records(rnd.edge_checks, _edge_check_text),
+              records(rnd.end_decisions, _end_decision_text))
+             for rnd in report.rounds]
     key = keys(n6)
     write(f'{{{n2}"H1_order": {report.h1_order},'
           f'{n2}"H_invariant_factors": '
@@ -175,7 +182,7 @@ def _emit_report(report):
           f'{n2}"multiplicity": {report.multiplicity},{n2}"rounds": [')
     key = keys(n8)
     sep = n4
-    for rnd in report.rounds:
+    for rnd, (checks, decisions) in zip(report.rounds, texts):
         g = rnd.graph
         blowup = ("null" if rnd.blowup is None
                   else _blowup_text(rnd.blowup, n6))
@@ -184,9 +191,9 @@ def _emit_report(report):
         write(f',{n6}"Z_vertex": ')
         write(z_map(key, g, rnd.z_num, n6))
         write(f',{n6}"blowup": {blowup},{n6}"edge_checks": ')
-        write(records(rnd.edge_checks, _edge_check_text))
+        write(_items(checks, n6))
         write(f',{n6}"end_decisions": ')
-        write(records(rnd.end_decisions, _end_decision_text))
+        write(_items(decisions, n6))
         write(n4 + "}")
         sep = "," + n4
     trace = [_blowup_text(event, n4) for event in report.history.events]

@@ -599,11 +599,17 @@ class ZeroSumSearch:
 
     def _from_vertex_queries(self, vertices, without):
         """The member of a vertex query that answers this query, as `least`
-        describes, or None when none does."""
+        describes, or None when none does.  When every vertex's query holds
+        the same member object (`z` writes one for a node and its derived
+        path), that member attains each Z_y, its own vertex's answer, and
+        no row sum is needed."""
         if without is None and len(vertices) == 1:
             return None  # a vertex query itself
         minima = [self.least((x,)) for x in vertices]
         z = tuple(found[0][0] for found in minima)
+        first = minima[0][1]
+        if without not in first and all(e is first for _, e in minima):
+            return z, first  # one member attains every Z_y: no row sums
         rows = [self.row(v) for v in vertices]
         slots = self._slots
         for _, exps in minima:

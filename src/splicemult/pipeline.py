@@ -11,6 +11,7 @@ and a report keeps them so: the CLI writes them as "p/q" text.
 """
 
 from dataclasses import dataclass
+from functools import partial
 from operator import mul
 
 from .errors import CapExceededError, ConditionError, InputError, InternalError
@@ -21,25 +22,54 @@ from .monomial import ZeroSumSearch, is_base_point, monomial_string
 MAX_BLOWUPS = 64  # default cap on the blowups of one run
 
 
+class _OnFirstRead:
+    """The witness field of EdgeCheckResult and EndDecision.  A record
+    built by `_on_first_read` holds, in place of its witness, a function
+    that finds it; the first read calls the function and stores what it
+    returns as the field, which every later read, equality and repr
+    included, finds first.  A record built with its witness never comes
+    here."""
+
+    def __get__(self, record, owner=None):
+        if record is None:
+            return None  # the dataclass field's default
+        fields = vars(record)
+        witness = fields["witness"] = fields["_find"]()
+        del fields["_find"]
+        return witness
+
+
+def _on_first_read(cls, find, **fields):
+    """A record of `cls` with the given fields whose witness is find(),
+    called when the witness is first read."""
+    record = object.__new__(cls)
+    vars(record).update(fields, _find=find)
+    return record
+
+
 @dataclass(frozen=True)
 class EdgeCheckResult:
     """Local gcd check at one edge: passed iff a single monomial cycle
     attains both coefficient minima (it is then a Hilbert-basis generator,
-    since all coefficients are positive)."""
+    since all coefficients are positive), or Z.E = 0 at one of its
+    vertices (pruned_by_zero).  The witness, the monomial string of that
+    cycle or None, is found on first read (see check_gcd_condition)."""
 
     edge: tuple
     passed: bool
-    witness: object  # monomial string of a witness, or None
     pruned_by_zero: bool
+    witness: object = _OnFirstRead()
 
 
 @dataclass(frozen=True)
 class EndDecision:
-    """Outcome of the base-point analysis at one end in one round."""
+    """Outcome of the base-point analysis at one end in one round.  The
+    query behind the decision has run; the witness's monomial string is
+    written on first read."""
 
     end: int  # original end index
     action: str  # 'witness' | 'not_base_point' | 'blowup'
-    witness: object = None  # monomial string for action == 'witness'
+    witness: object = _OnFirstRead()  # monomial string for 'witness'
 
 
 @dataclass
@@ -86,6 +116,18 @@ def _not_antinef(round_number, v, x, den):
         f"-Z.E_{v} = {_FractionText(den)[x]} < 0")
 
 
+def _edge_witness(search, edge, zv, zw):
+    """The monomial string of the least member at `edge` = (v, w) when it
+    attains Z_w, else None; zv and zw are |H| * Z_v and |H| * Z_w.  It
+    must attain Z_v, or this raises InternalError."""
+    (mv, mw), exps = search.least(edge)
+    if mv != zv:
+        v, w = edge
+        raise InternalError(f"edge search at ({v}, {w}) found |H| * M_{v} = "
+                            f"{mv}, but |H| * Z_{v} = {zv}")
+    return monomial_string(exps) if mw == zw else None
+
+
 def check_gcd_condition(g, z, z_dual, search, known=None):
     """Edge-by-edge gcd check over every edge of g, in g.edges order.  z
     and z_dual hold |H| * Z_v and |H| * (-Z.E_v) in vertex order, and
@@ -93,10 +135,15 @@ def check_gcd_condition(g, z, z_dual, search, known=None):
 
     An edge (v, w) passes when the lexicographically least (M_v, M_w) over
     the monoid is (M_v(Z), M_w(Z)): one member, a generator, attains both
-    minima.  Edges with Z . E_v = 0 or Z . E_w = 0 are additionally marked
-    pruned_by_zero: the gcd condition holds along the whole curve there,
-    so a witness must exist anyway (the full test still runs and the two
-    answers are cross-checked by the test suite).
+    minima.  An edge with Z . E_v = 0 or Z . E_w = 0 passes as
+    pruned_by_zero with no query: the gcd condition holds along the whole
+    curve there, so a witness must exist anyway.  Its witness is found on
+    first read by the same query and the same check on M_v, which the
+    test suite runs on every such edge.  A late read is exact: the search
+    keeps every old vertex's row, minima and results across blowups (see
+    ZeroSumSearch), and the function keeps the integers Z_v and Z_w of
+    this round, not the list z.  Any other edge is queried here, since
+    its verdict needs the query.
 
     `known` maps (edge, pruned_by_zero) to the result of an earlier round
     of the same run and is filled in here; the loop checks every edge in
@@ -115,15 +162,17 @@ def check_gcd_condition(g, z, z_dual, search, known=None):
         key = (edge, not z_dual[i] or not z_dual[j])
         result = known.get(key)
         if result is None:
-            (mv, mw), exps = search.least(edge)
-            if mv != z[i]:
-                raise InternalError(
-                    f"edge search at ({v}, {w}) found |H| * M_{v} = {mv}, "
-                    f"but |H| * Z_{v} = {z[i]}")
-            witness = monomial_string(exps) if mw == z[j] else None
-            result = known[key] = EdgeCheckResult(
-                edge=edge, passed=witness is not None or key[1],
-                witness=witness, pruned_by_zero=key[1])
+            if key[1]:
+                result = _on_first_read(
+                    EdgeCheckResult,
+                    partial(_edge_witness, search, edge, z[i], z[j]),
+                    edge=edge, passed=True, pruned_by_zero=True)
+            else:
+                witness = _edge_witness(search, edge, z[i], z[j])
+                result = EdgeCheckResult(
+                    edge=edge, passed=witness is not None,
+                    pruned_by_zero=False, witness=witness)
+            known[key] = result
         results.append(result)
     return results
 
@@ -137,7 +186,8 @@ def _end_decisions(history, z, search, decided):
     vanish at the end-curve point), or when the end is not a base point
     at all, read off v's row of end weights.  The first end that is
     neither is to be blown up, and the round ends there.  Returns
-    (decisions, the label of that end or None).
+    (decisions, the label of that end or None).  Each decision's query
+    runs here; a witness's monomial string is written on first read.
 
     `decided` maps (label, vertex) to the decision of an earlier round of
     the same run and is filled in here: the vertex keeps its row and Z_v
@@ -150,8 +200,9 @@ def _end_decisions(history, z, search, decided):
         if decision is None:
             found = search.least((v,), without=label)
             if found[0][0] == z[pos[v]]:
-                decision = EndDecision(label, "witness",
-                                       monomial_string(found[1]))
+                decision = _on_first_read(
+                    EndDecision, partial(monomial_string, found[1]),
+                    end=label, action="witness")
             elif not is_base_point(search.row(v), search.labels.index(label)):
                 decision = EndDecision(label, "not_base_point")
             else:
@@ -183,7 +234,14 @@ def run_pipeline(g, h1, *, max_blowups=MAX_BLOWUPS, allow_non_minimal=False):
     past the input's; Z gains one entry, Z_u for the new vertex u, and
     Z.E_v changes only on the centre and u; and only an end at a new
     vertex, or an edge that is new or whose Z.E = 0 flag changed, is
-    searched again.
+    checked again.
+
+    The loop decides with what it needs and no more: an end's query, and
+    an edge's query unless Z.E = 0 at one of its vertices, which passes
+    it.  Every witness is found on first read (see check_gcd_condition):
+    `mult --json` reads them all, `--trace` the ends' only, and `table`
+    and plain `mult` none, so a failed witness check surfaces at the
+    first read, as an InternalError, not in the loop.
 
     Z, a minimum of antinef monomial cycles, is antinef: -Z.E_v >= 0.  The
     first round's vector is checked once, then the at most three entries

@@ -29,7 +29,7 @@ from splicemult.cli import (
     main,
 )
 from splicemult.graph import BlowupEvent
-from splicemult.pipeline import EdgeCheckResult, EndDecision
+from splicemult.pipeline import EdgeCheckResult, EndDecision, _on_first_read
 
 from conftest import (
     H12_WEIGHTS,
@@ -232,6 +232,89 @@ def test_text_output_is_pinned(files, capsys, argv, name):
     code, out, err = run(capsys, command, files[graph], *flags)
     assert (code, err) == (0, "")
     assert out == (GOLDEN / name).read_text()
+
+
+def test_mult_json_of_a_subgroup_is_pinned(tmp_path, capsys):
+    """The whole `mult --subgroup --json` document on the chain -3, -3, -6
+    with H1 = <(-3, 3, 2)>, byte for byte: the blowup of the edge (1, 2)
+    makes Z.E_1 = 0, so the edge (1, 3) passes pruned by zero from round
+    2 on, and its witness z2*z3 is found when the document is written."""
+    chain = tmp_path / "chain.json"
+    chain.write_text(json.dumps({
+        "vertices": [{"id": 1, "weight": -3}, {"id": 2, "weight": -3},
+                     {"id": 3, "weight": -6}],
+        "edges": [[1, 2], [1, 3]]}))
+    h1 = tmp_path / "h1.json"
+    h1.write_text(json.dumps({"generators": [[-3, 3, 2]]}))
+    code, out, err = run(capsys, "mult", str(chain), "--subgroup", str(h1),
+                         "--json")
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / "mult_chain_subgroup.json").read_text()
+
+
+def _count_queries(monkeypatch):
+    """Count the edge queries (`least` on two vertices) and the Dijkstra
+    runs of every ZeroSumSearch from here on."""
+    from splicemult import ZeroSumSearch
+
+    counts = {"edge": 0, "shortest": 0}
+    least, shortest = ZeroSumSearch.least, ZeroSumSearch._shortest
+
+    def counted_least(self, vertices, without=None):
+        counts["edge"] += len(vertices) == 2
+        return least(self, vertices, without)
+
+    def counted_shortest(self, *args):
+        counts["shortest"] += 1
+        return shortest(self, *args)
+
+    monkeypatch.setattr(ZeroSumSearch, "least", counted_least)
+    monkeypatch.setattr(ZeroSumSearch, "_shortest", counted_shortest)
+    return counts
+
+
+@pytest.mark.parametrize("name, edges, runs", [("h12", 0, 29),
+                                               ("h60", 22, 72)])
+def test_table_queries_only_the_edges_it_decides(files, capsys, monkeypatch,
+                                                 name, edges, runs):
+    """`table` writes no witness, so an edge with Z.E = 0, which passes
+    by that rule, runs no query: over every subgroup, 22 edge queries on
+    the paper's two graphs (233 when every edge was queried) and 101
+    Dijkstra runs, of which round 1's Z on the nodes takes most."""
+    counts = _count_queries(monkeypatch)
+    for flags in ((), ("--json",)):
+        counts.update(edge=0, shortest=0)
+        code, _, err = run(capsys, "table", files[name], *flags)
+        assert (code, err) == (0, "")
+        assert counts == {"edge": edges, "shortest": runs}
+
+
+@pytest.mark.parametrize("name", ["h12", "h60"])
+def test_mult_json_reads_every_edge_witness(name, tree_h12, tree_h60,
+                                            monkeypatch):
+    """For every subgroup, the run leaves each pruned edge's witness
+    unread, and `mult --json` reads every edge witness before it writes:
+    each record's query has run, and its witness is kept."""
+    from splicemult import enumerate_subgroups
+
+    g = tree_h12 if name == "h12" else tree_h60
+    for h1 in enumerate_subgroups(discriminant_group(g)):
+        report = run_pipeline(g, h1)
+        checks = [c for rnd in report.rounds for c in rnd.edge_checks]
+        assert all(("witness" in vars(c)) != c.pruned_by_zero
+                   for c in checks)
+        counts = _count_queries(monkeypatch)
+        written = io.StringIO()
+        with contextlib.redirect_stdout(written):
+            _emit_report(report)
+        monkeypatch.undo()
+        assert counts["edge"] == len({id(c) for c in checks
+                                      if c.pruned_by_zero})
+        assert all("witness" in vars(c) for c in checks)
+        for check, text in zip(checks, (
+                c for rnd in json.loads(written.getvalue())["rounds"]
+                for c in rnd["edge_checks"])):
+            assert text["witness"] == check.witness
 
 
 def test_mult_json_roundtrip_and_determinism(files, capsys):
@@ -638,19 +721,30 @@ def test_report_writer_prints_the_json_form(case):
                                weight_changes=((1, -2, -3), (5, -2, -3)))),
     (_blowup_text, BlowupEvent(kind="end", center=(-4,), new_vertex=12,
                                weight_changes=((-4, -2, -3),))),
+    (_edge_check_text, _on_first_read(EdgeCheckResult, lambda: "z2*z3",
+                                      edge=(1, 3), passed=True,
+                                      pruned_by_zero=True)),
+    (_end_decision_text, _on_first_read(EndDecision, lambda: "z1^4",
+                                        end=2, action="witness")),
 ])
 def test_record_templates_write_every_field(template, record):
     """Each record type's template writes every field of its dataclass
     (or, for the blowup event, its named tuple), and no other key, as
     json.dumps writes the record's field map at the top level and as the
     generic emitter writes it at the depths of a report: a new field
-    cannot vanish from `mult --json`."""
+    cannot vanish from `mult --json`.  A record whose witness is found on
+    first read holds every other field, and after the read it holds
+    exactly its fields, the witness being what the read returned."""
     from dataclasses import fields, is_dataclass
 
     from splicemult.cli import _json_text
 
     if is_dataclass(record):
-        names, values = {f.name for f in fields(record)}, vars(record)
+        names = {f.name for f in fields(record)}
+        held = set(vars(record))
+        assert held in (names, names - {"witness"} | {"_find"})
+        values = {name: getattr(record, name) for name in names}
+        assert values == vars(record)
     else:
         names, values = set(record._fields), record._asdict()
     text = template(record, "\n")
@@ -1061,6 +1155,38 @@ def test_derived_vertex_off_its_premise_is_exit_4(files, capsys,
     assert (code, out) == (4, "")
     assert err == ("internal error: derived vertex check Z.E_1 = 0 failed: "
                    "Z_1 was read off node 5's member, but -Z.E_1 = 1/6\n")
+
+
+def test_failed_witness_check_on_first_read(files, capsys, monkeypatch):
+    """A pruned edge's witness is found, and its M_v checked, only when
+    it is read.  With every edge query's |H| * M_v raised by 1, `mult
+    --json` on h12 fails that check on the first edge it writes, exits 4
+    and prints nothing; `table`, plain `mult` and `--trace`, which read no
+    edge witness, still answer, since on h12 every edge they check has
+    Z.E = 0 at a vertex."""
+    from splicemult import ZeroSumSearch
+
+    least = ZeroSumSearch.least
+
+    def tampered(self, vertices, without=None):
+        (values, exps) = found = least(self, vertices, without)
+        if len(vertices) == 2:
+            return (values[0] + 1, *values[1:]), exps
+        return found
+
+    monkeypatch.setattr(ZeroSumSearch, "least", tampered)
+    code, out, err = run(capsys, "mult", files["h12"], "--quotient", "--json")
+    assert (code, out) == (4, "")
+    assert err == ("internal error: edge search at (1, 5) found "
+                   "|H| * M_1 = 13, but |H| * Z_1 = 12\n")
+    code, out, err = run(capsys, "table", files["h12"])
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / "table_h12.txt").read_text()
+    for flags in ((), ("--trace",)):
+        code, out, err = run(capsys, "mult", files["h12"], "--quotient",
+                             *flags)
+        assert (code, err) == (0, "")
+        assert out.endswith("multiplicity = 2\n")
 
 
 def test_no_command_inverts_by_bareiss(files, capsys, monkeypatch):

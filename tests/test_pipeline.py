@@ -95,14 +95,23 @@ def test_gcd_condition_chain_fails(a2_chain):
     assert [c.edge for c in checks if not c.passed] == [(1, 2)]
 
 
-def test_gcd_condition_pruning_sound(tree_h12, tree_h60, a2_chain):
-    """Every edge justified by Z.E_v = 0 also has an explicit witness."""
-    for g in (tree_h12, tree_h60, a2_chain):
-        group = discriminant_group(g)
-        for h1 in (trivial_subgroup(group), full_subgroup(group)):
-            for check in _gcd_checks(g, h1):
-                if check.pruned_by_zero:
-                    assert check.witness is not None
+def test_gcd_condition_pruning_sound(tree_h12, tree_h60, a2_chain,
+                                    d4_star):
+    """Every edge justified by Z.E_v = 0 also has an explicit witness,
+    found on its first read: in round 1 (`_gcd_checks`) and in every round
+    of the run, whose late reads follow the blowups, for every subgroup of
+    h12, h60, D4 and the A2 chain.  No such witness is found before it is
+    read."""
+    from splicemult import enumerate_subgroups
+
+    for g in (tree_h12, tree_h60, a2_chain, d4_star):
+        for h1 in enumerate_subgroups(discriminant_group(g)):
+            checks = _gcd_checks(g, h1) + [
+                c for rnd in run_pipeline(g, h1).rounds
+                for c in rnd.edge_checks]
+            pruned = [c for c in checks if c.pruned_by_zero]
+            assert all("witness" not in vars(c) for c in pruned)
+            assert all(c.witness is not None for c in pruned)
 
 
 # --- base-point resolution ---------------------------------------------------------
