@@ -3,18 +3,19 @@
 Five subcommands: validate, invariants, mult, table, splice-eqs.  Output is
 fully deterministic; rationals are printed as exact "p/q" strings, never as
 floats.  `--json` output is byte for byte what json.dumps(..., indent=2,
-sort_keys=True) prints: `mult --json` is written straight from the
-report's integer rounds (_emit_report), the other documents by a generic
-emitter (_emit_json).  Exit codes: 0 success, 1 input/validation
-problem, 2 mathematical precondition failure, 3 resource cap hit, 4
-internal error (a bug).  Each error family in errors.py carries its own
-code.
+sort_keys=True) prints: `mult --json` is written from the report's integer
+rounds, each round patched from the last (_emit_report), the other
+documents by a generic emitter (_emit_json).  Exit codes: 0 success, 1
+input/validation problem (a usage error too), 2 mathematical precondition
+failure, 3 resource cap hit, 4 internal error (a bug).  Each error family
+in errors.py carries its own code.
 """
 
 import argparse
 import functools
 import json
 import sys
+from bisect import bisect_left, insort
 from json.encoder import encode_basestring_ascii as _encode_str
 from operator import add
 
@@ -94,12 +95,14 @@ def _items(texts, newline):
 
 # One template per record type of a report: the text that _json_text
 # gives for the record's field map (vars of a dataclass, _asdict of the
-# blowup event), "{" indented as `newline`.
+# blowup event), "{" indented as `newline`.  An edge is a pair, a
+# blowup's lists are never empty and a flag is a bool: each is inlined.
 def _edge_check_text(c, newline):
     i = newline + "  "
-    return (f'{{{i}"edge": {_items(map(repr, c.edge), i)},'
-            f'{i}"passed": {_json_text(c.passed, i)},'
-            f'{i}"pruned_by_zero": {_json_text(c.pruned_by_zero, i)},'
+    v, w = c.edge
+    return (f'{{{i}"edge": [{i}  {v!r},{i}  {w!r}{i}],'
+            f'{i}"passed": {"true" if c.passed else "false"},'
+            f'{i}"pruned_by_zero": {"true" if c.pruned_by_zero else "false"},'
             f'{i}"witness": {_json_text(c.witness, i)}{newline}}}')
 
 
@@ -111,12 +114,31 @@ def _end_decision_text(d, newline):
 
 def _blowup_text(e, newline):
     i = newline + "  "
-    changes = _items([_items(map(repr, c), i + "  ")
-                      for c in e.weight_changes], i)
-    return (f'{{{i}"center": {_items(map(repr, e.center), i)},'
+    j = i + "  "
+    k = j + "  "
+    changes = f"{j}],{j}[{k}".join([("," + k).join(map(repr, c))
+                                    for c in e.weight_changes])
+    return (f'{{{i}"center": [{j}{("," + j).join(map(repr, e.center))}{i}],'
             f'{i}"kind": {_encode_str(e.kind)},'
             f'{i}"new_vertex": {e.new_vertex!r},'
-            f'{i}"weight_changes": {changes}{newline}}}')
+            f'{i}"weight_changes": [{j}[{k}{changes}{j}]{i}]{newline}}}')
+
+
+def _pulled_back(old, new, event):
+    """Whether round `new` is round `old` pulled back by its blowup
+    `event`: old's vertex ids, Z and Z.E with the new vertex's entries
+    inserted, and Z.E changed at most at the centre."""
+    g, u = new.graph, event.new_vertex
+    if u not in g:
+        return False
+    at, ids, z = g.index(u), g.vertex_ids, new.z_num
+    dual = list(new.z_dual_num)
+    del dual[at]
+    for i in map(old.graph.index, event.center):
+        dual[i] = old.z_dual_num[i]
+    return (ids[:at] + ids[at + 1:] == old.graph.vertex_ids
+            and z[:at] + z[at + 1:] == old.z_num
+            and tuple(dual) == old.z_dual_num)
 
 
 def _emit_report(report):
@@ -126,77 +148,92 @@ def _emit_report(report):
 
     The form has the report's scalars, `rounds`, `Z_final` (the last
     round's Z maps) and `trace` (the blowups).  A round has its Z maps
-    `Z_vertex` and `Z_dual`, vertex id string -> "p/q" string, and its
-    `blowup`, `edge_checks` and `end_decisions`; a record is its field
-    map, written by its type's template (`_blowup_text`,
-    `_edge_check_text`, `_end_decision_text`).  A Z map is sorted as
-    text, as sort_keys sorts it, so "10" precedes "2".  A record that
-    recurs from round to round is one object (see run_pipeline), and its
-    text is joined once, before anything is written: that reads every
-    witness (see check_gcd_condition), so a witness check that fails
-    leaves stdout empty.  A blowup is written in its round and in
-    `trace`, at two depths.  A round is written map by map and list by
-    list, so no text of a whole round or of the document is joined: the
-    document grows with rounds x vertices."""
+    `Z_vertex` and `Z_dual`, vertex id string -> "p/q" string, sorted as
+    text as sort_keys sorts them ("10" precedes "2"), and its `blowup`,
+    `edge_checks` and `end_decisions`, each record written by its type's
+    template.  A Z map is kept as the sorted list of its entry texts and
+    patched by the last round's blowup, by the pullback identity of
+    run_pipeline: the new vertex u gains an entry, old vertices keep Z_v,
+    and Z.E_v changes only at the centre and u.  A record recurs from
+    round to round as one object: its text is joined once and looked up
+    by id.  A blowup's text is joined once and re-indented for `trace`.
+    Before the first write, every record's text is joined, which reads
+    every witness (see check_gcd_condition), every round is checked by
+    _pulled_back and the blowups against the history's events: a failed
+    check raises InternalError with stdout empty.  The document is
+    written round by round, never joined whole."""
     write = sys.stdout.write
     n2, n4, n6, n8 = ("\n" + " " * k for k in (2, 4, 6, 8))  # indentation
     value = _FractionText(report.order, quote='"')
-    final = report.rounds[-1]
+    rounds = report.rounds
+    final = rounds[-1]
 
     def keys(newline):  # every round's vertices are the final graph's
         return {v: f'{newline}"{v}": ' for v in final.graph.vertex_ids}
 
-    def z_map(key, graph, nums, newline):
+    def entries(key, rnd, nums):
         # a key text ends in '"', which sorts before any character of an
         # id, so the entries sort as their ids' strings do
-        return "{" + ",".join(sorted(map(
-            add, map(key.__getitem__, graph.vertex_ids),
-            map(value.__getitem__, nums)))) + newline + "}"
+        return sorted(map(add, map(key.__getitem__, rnd.graph.vertex_ids),
+                          map(value.__getitem__, nums)))
 
     record_texts = {}  # id(record) -> its text in a round's list
 
     def records(items, template):
-        out = []
-        for record in items:
-            text = record_texts.get(id(record))
-            if text is None:
-                text = record_texts[id(record)] = template(record, n8)
-            out.append(text)
+        out = list(map(record_texts.get, map(id, items)))
+        k = -1
+        for _ in range(out.count(None)):  # build the misses
+            k = out.index(None, k + 1)
+            out[k] = record_texts[id(items[k])] = template(items[k], n8)
         return out
 
-    # every record's text before the first write: a witness is found on
-    # first read, and a failed check must exit with nothing written
     texts = [(records(rnd.edge_checks, _edge_check_text),
               records(rnd.end_decisions, _end_decision_text))
-             for rnd in report.rounds]
+             for rnd in rounds]
+    for k, (old, rnd) in enumerate(zip(rounds, rounds[1:]), start=2):
+        if old.blowup is None or not _pulled_back(old, rnd, old.blowup):
+            raise InternalError(f"report check failed in round {k}: it is "
+                                f"not round {k - 1} pulled back by its "
+                                "blowup")
+    if report.history.events != tuple(r.blowup for r in rounds if r.blowup):
+        raise InternalError("report check failed: the rounds' blowups are "
+                            "not the history's events")
     key = keys(n6)
     write(f'{{{n2}"H1_order": {report.h1_order},'
           f'{n2}"H_invariant_factors": '
           f'{_json_text(report.invariant_factors, n2)},'
           f'{n2}"ZZ": "{_FractionText(report.order ** 2)[report.zz_num]}",'
-          f'{n2}"Z_final": {{{n4}"dual": '
-          f'{z_map(key, final.graph, final.z_dual_num, n4)},'
-          f'{n4}"vertex": {z_map(key, final.graph, final.z_num, n4)}{n2}}},'
-          f'{n2}"det": {report.det},{n2}"index": {report.index},'
+          f'{n2}"Z_final": {{{n4}"dual": {{'
+          f'{",".join(entries(key, final, final.z_dual_num))}{n4}}},'
+          f'{n4}"vertex": {{{",".join(entries(key, final, final.z_num))}'
+          f'{n4}}}{n2}}},{n2}"det": {report.det},{n2}"index": {report.index},'
           f'{n2}"input_minimal": {_json_text(report.input_minimal, n2)},'
           f'{n2}"multiplicity": {report.multiplicity},{n2}"rounds": [')
     key = keys(n8)
-    sep = n4
-    for rnd, (checks, decisions) in zip(report.rounds, texts):
-        g = rnd.graph
-        blowup = ("null" if rnd.blowup is None
-                  else _blowup_text(rnd.blowup, n6))
-        write(f'{sep}{{{n6}"Z_dual": ')
-        write(z_map(key, g, rnd.z_dual_num, n6))
-        write(f',{n6}"Z_vertex": ')
-        write(z_map(key, g, rnd.z_num, n6))
-        write(f',{n6}"blowup": {blowup},{n6}"edge_checks": ')
-        write(_items(checks, n6))
-        write(f',{n6}"end_decisions": ')
-        write(_items(decisions, n6))
-        write(n4 + "}")
+    duals = entries(key, rounds[0], rounds[0].z_dual_num)
+    vertices = entries(key, rounds[0], rounds[0].z_num)
+    event, trace, sep = None, [], n4
+    for rnd, (checks, decisions) in zip(rounds, texts):
+        if event is not None:  # patch the last round's maps
+            g, u = rnd.graph, event.new_vertex
+            at = g.index(u)
+            insort(vertices, key[u] + value[rnd.z_num[at]])
+            for v in event.center:
+                duals[bisect_left(duals, key[v])] = (
+                    key[v] + value[rnd.z_dual_num[g.index(v)]])
+            insort(duals, key[u] + value[rnd.z_dual_num[at]])
+        event = rnd.blowup
+        if event is None:
+            blowup = "null"
+        else:
+            blowup = _blowup_text(event, n6)
+            trace.append(blowup.replace("\n  ", "\n"))
+        write(f'{sep}{{{n6}"Z_dual": {{{",".join(duals)}{n6}}},'
+              f'{n6}"Z_vertex": {{{",".join(vertices)}{n6}}},'
+              f'{n6}"blowup": {blowup},'
+              f'{n6}"edge_checks": {_items(checks, n6)},'
+              f'{n6}"end_decisions": {_items(decisions, n6)}{n4}}}')
         sep = "," + n4
-    trace = [_blowup_text(event, n4) for event in report.history.events]
     write(f'{n2}],{n2}"trace": {_items(trace, n2)}\n}}\n')
 
 
@@ -461,6 +498,7 @@ def build_parser():
     p.add_argument("graph")
     p.set_defaults(func=cmd_splice_eqs)
 
+    parser.commands = sub.choices  # subcommand name -> its parser
     return parser
 
 
@@ -471,7 +509,13 @@ def _parser():
 
 
 def main(argv=None):
-    args = _parser().parse_args(argv)
+    """Run one command line; a named subcommand's own parser reads its
+    arguments, and the top-level parser any argv that names none."""
+    argv = sys.argv[1:] if argv is None else argv
+    parser = _parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    args = (parser.parse_args(argv) if command is None
+            else command.parse_args(argv[1:]))
     try:
         return args.func(args)
     except SpliceMultError as exc:

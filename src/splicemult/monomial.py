@@ -377,8 +377,8 @@ def _congruences(h1):
     if h1.index == 1:
         pe, snf = group.end_block, group.end_smith
     else:
-        forms = group.end_forms()
-        pe = [[sum(map(mul, row, forms[l])) % den for row in pairings(h1)]
+        forms, rows = group.end_forms(), pairings(h1)
+        pe = [[sum(map(mul, row, forms[l])) % den for row in rows]
               for l in ends]
         snf = smith_normal_form(pe)
     slots = [(i, s, den // gcd(den, s))

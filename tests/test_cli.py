@@ -14,6 +14,7 @@ from hypothesis import assume, example, given, strategies as st
 from splicemult import (
     CapExceededError,
     InputError,
+    InternalError,
     ResolutionGraph,
     discriminant_group,
     full_subgroup,
@@ -37,6 +38,7 @@ from conftest import (
     RANK_3_AND_4_GRAPHS,
     TWO_NODE_EDGES,
     chain_armed_stars,
+    chain_star,
     graph_json,
     lower_centres_twice,
     relabel,
@@ -409,16 +411,38 @@ def test_mult_max_blowups_zero_is_input_error(capsys, tmp_path):
 
 
 def test_usage_error_is_exit_1(files, capsys):
-    """argparse's own exit code 2 would read as a precondition failure."""
-    for argv in (["mult", files["h12"]], ["frobnicate"],
-                 ["mult", files["h12"], "--uac", "--max-blowups", "many"]):
+    """argparse's own exit code 2 would read as a precondition failure.
+    main hands a named subcommand's arguments to that subcommand's own
+    parser, whose usage line a usage error prints; the top-level parser
+    answers only an argv that names none."""
+    top = "usage: splicemult [-h] {validate,invariants,mult,table,splice-eqs}"
+    mult = ("usage: splicemult mult [-h] (--subgroup SUBGROUP | --uac | "
+            "--quotient)")
+    for argv, usage, message in (
+            ([], top, "splicemult: error: the following arguments are "
+                      "required: command"),
+            (["frobnicate"], top, "splicemult: error: argument command: "
+                                  "invalid choice: 'frobnicate'"),
+            (["mult", files["h12"]], mult,
+             "splicemult mult: error: one of the arguments --subgroup "
+             "--uac --quotient is required"),
+            (["mult", files["h12"], "--uac", "--max-blowups", "many"], mult,
+             "splicemult mult: error: argument --max-blowups: invalid int "
+             "value: 'many'"),
+            (["mult", files["h12"], "--uac", "--mode", "x"], mult,
+             "splicemult mult: error: unrecognized arguments: --mode x")):
         with pytest.raises(SystemExit) as info:
             main(argv)
         assert info.value.code == 1
-        assert "usage:" in capsys.readouterr().err
-    with pytest.raises(SystemExit) as info:
-        main(["mult", "--help"])
-    assert info.value.code == 0
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(usage)
+        assert err.splitlines()[-1].startswith(message)
+    for argv, usage in ((["--help"], top), (["mult", "--help"], mult)):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 0
+        out, err = capsys.readouterr()
+        assert out.startswith(usage) and err == ""
 
 
 def test_mult_bad_subgroup_file(files, capsys, tmp_path):
@@ -692,10 +716,20 @@ def _case(g, make=trivial_subgroup):
 @example(_case(ResolutionGraph(H60_WEIGHTS, TWO_NODE_EDGES)))
 # 3 end blowups
 @example(_case(star(-1, [-3, -5, -6, -7, -7]), full_subgroup))
+# an end blowup at 9 whose new leaf 10 sorts before "9" as text
+@example(_case(chain_star(-2, [[-3], [-2, -3], [-2, -5], [-3], [-6, -5]]),
+               full_subgroup))
+# end blowups 4 -> 8 -> 9 -> 10 -> 11 along one arm; 10 sorts before 9
+@example(_case(chain_star(-1, [[-2, -4], [-5], [-5, -4, -7]]),
+               full_subgroup))
+# ids 4-9: the new leaves 1, 2 and 3 sort before every input id
+@example(_case(relabel(star(-1, [-3, -5, -6, -7, -7]), lambda v: v + 3),
+               full_subgroup))
 def test_report_writer_prints_the_json_form(case):
-    """`mult --json` writes its report straight from the integer rounds;
-    it prints what json.dumps prints for the report's JSON form, built as
-    dicts by conftest.report_dict."""
+    """`mult --json` writes its report straight from the integer rounds,
+    each round's Z maps patched from the last's at the blowup's centre
+    and new vertex; it prints what json.dumps prints for the report's
+    JSON form, built as dicts by conftest.report_dict."""
     g, h1 = case
     try:
         report = run_pipeline(g, h1)
@@ -1187,6 +1221,42 @@ def test_failed_witness_check_on_first_read(files, capsys, monkeypatch):
                              *flags)
         assert (code, err) == (0, "")
         assert out.endswith("multiplicity = 2\n")
+
+
+@pytest.mark.parametrize("field, vertex", [
+    ("z_num", 1),  # the star's centre
+    ("z_dual_num", 2),  # an arm's first vertex
+])
+def test_report_check_names_the_round(field, vertex, capsys, monkeypatch,
+                                      tmp_path):
+    """The writer checks every round against the last before it writes:
+    old vertices keep Z_v, and Z.E_v changes only at the blowup's centre
+    and new vertex.  A report whose round 5 moves an old vertex's entry
+    raises InternalError naming round 5 and writes nothing, and `mult
+    --json` exits 4 with stdout empty."""
+    import splicemult.cli as cli
+
+    g = star(-1, [-3, -4, -5, -7])
+    report = run_pipeline(g, trivial_subgroup(discriminant_group(g)))
+    assert len(report.rounds) == 25
+    rnd = report.rounds[4]
+    assert vertex not in report.rounds[3].blowup.center
+    at = rnd.graph.index(vertex)
+    nums = list(getattr(rnd, field))
+    nums[at] += 1
+    setattr(rnd, field, tuple(nums))
+    message = ("report check failed in round 5: it is not round 4 pulled "
+               "back by its blowup")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        with pytest.raises(InternalError) as info:
+            _emit_report(report)
+    assert (str(info.value), out.getvalue()) == (message, "")
+    monkeypatch.setattr(cli, "run_pipeline", lambda *a, **k: report)
+    path = tmp_path / "star.json"
+    path.write_text(graph_json(g))
+    code, out, err = run(capsys, "mult", str(path), "--uac", "--json")
+    assert (code, out, err) == (4, "", f"internal error: {message}\n")
 
 
 def test_no_command_inverts_by_bareiss(files, capsys, monkeypatch):
