@@ -36,7 +36,7 @@ from .monomial import (
     neumann_wahl_system,
     require_monomial_condition,
 )
-from .pipeline import MAX_BLOWUPS, run_pipeline
+from .pipeline import MAX_BLOWUPS, _dual_at, run_pipeline
 
 EXIT_OK = 0
 
@@ -124,23 +124,6 @@ def _blowup_text(e, newline):
             f'{i}"weight_changes": [{j}[{k}{changes}{j}]{i}]{newline}}}')
 
 
-def _pulled_back(old, new, event):
-    """Whether round `new` is round `old` pulled back by its blowup
-    `event`: old's vertex ids, Z and Z.E with the new vertex's entries
-    inserted, and Z.E changed at most at the centre."""
-    g, u = new.graph, event.new_vertex
-    if u not in g:
-        return False
-    at, ids, z = g.index(u), g.vertex_ids, new.z_num
-    dual = list(new.z_dual_num)
-    del dual[at]
-    for i in map(old.graph.index, event.center):
-        dual[i] = old.z_dual_num[i]
-    return (ids[:at] + ids[at + 1:] == old.graph.vertex_ids
-            and z[:at] + z[at + 1:] == old.z_num
-            and tuple(dual) == old.z_dual_num)
-
-
 def _emit_report(report):
     """Print a PipelineReport as `mult --json` does: the text
     json.dumps(form, indent=2, sort_keys=True) gives for its JSON form,
@@ -151,32 +134,26 @@ def _emit_report(report):
     `Z_vertex` and `Z_dual`, vertex id string -> "p/q" string, sorted as
     text as sort_keys sorts them ("10" precedes "2"), and its `blowup`,
     `edge_checks` and `end_decisions`, each record written by its type's
-    template.  A Z map is kept as the sorted list of its entry texts and
-    patched by the last round's blowup, by the pullback identity of
-    run_pipeline: the new vertex u gains an entry, old vertices keep Z_v,
-    and Z.E_v changes only at the centre and u.  A record recurs from
-    round to round as one object: its text is joined once and looked up
-    by id.  A blowup's text is joined once and re-indented for `trace`.
-    Before the first write, every record's text is joined, which reads
-    every witness (see check_gcd_condition), every round is checked by
-    _pulled_back and the blowups against the history's events: a failed
-    check raises InternalError with stdout empty.  The document is
-    written round by round, never joined whole."""
+    template.  A Z map is kept as the sorted list of its entry texts,
+    built in round 1 from the run's one `z` map and patched by each
+    blowup, by the pullback identity of run_pipeline: the new vertex u
+    gains an entry, old vertices keep Z_v, and Z.E_v changes only at the
+    centre and u, each rewritten from a row of the round's form.
+    `Z_final` is the last round's lists, re-indented.  A record recurs
+    from round to round as one object: its text is joined once and
+    looked up by id.  A blowup's text is joined once and re-indented for
+    `trace`.  Before the first write, every round's maps and records are
+    joined, which reads every witness (see check_gcd_condition): a failed
+    witness check raises InternalError with stdout empty.  The document
+    is written round by round, never joined whole."""
     write = sys.stdout.write
     n2, n4, n6, n8 = ("\n" + " " * k for k in (2, 4, 6, 8))  # indentation
     value = _FractionText(report.order, quote='"')
     rounds = report.rounds
-    final = rounds[-1]
-
-    def keys(newline):  # every round's vertices are the final graph's
-        return {v: f'{newline}"{v}": ' for v in final.graph.vertex_ids}
-
-    def entries(key, rnd, nums):
-        # a key text ends in '"', which sorts before any character of an
-        # id, so the entries sort as their ids' strings do
-        return sorted(map(add, map(key.__getitem__, rnd.graph.vertex_ids),
-                          map(value.__getitem__, nums)))
-
+    z = rounds[0].z
+    # a key text ends in '"', which sorts before any character of an id,
+    # so the entries sort as their ids' strings do
+    key = {v: f'{n8}"{v}": ' for v in z}  # every round's vertices
     record_texts = {}  # id(record) -> its text in a round's list
 
     def records(items, template):
@@ -187,49 +164,43 @@ def _emit_report(report):
             out[k] = record_texts[id(items[k])] = template(items[k], n8)
         return out
 
-    texts = [(records(rnd.edge_checks, _edge_check_text),
-              records(rnd.end_decisions, _end_decision_text))
-             for rnd in rounds]
-    for k, (old, rnd) in enumerate(zip(rounds, rounds[1:]), start=2):
-        if old.blowup is None or not _pulled_back(old, rnd, old.blowup):
-            raise InternalError(f"report check failed in round {k}: it is "
-                                f"not round {k - 1} pulled back by its "
-                                "blowup")
-    if report.history.events != tuple(r.blowup for r in rounds if r.blowup):
-        raise InternalError("report check failed: the rounds' blowups are "
-                            "not the history's events")
-    key = keys(n6)
+    g = rounds[0].graph
+    ids = g.vertex_ids
+    vertices = sorted(map(add, map(key.__getitem__, ids),
+                          map(value.__getitem__, map(z.__getitem__, ids))))
+    duals = sorted([key[v] + value[_dual_at(g, z, v)] for v in ids])
+    event, texts = None, []
+    for rnd in rounds:
+        if event is not None:  # patch the last round's maps
+            g, u = rnd.graph, event.new_vertex
+            insort(vertices, key[u] + value[z[u]])
+            for v in event.center:
+                duals[bisect_left(duals, key[v])] = (
+                    key[v] + value[_dual_at(g, z, v)])
+            insort(duals, key[u] + value[_dual_at(g, z, u)])
+        event = rnd.blowup
+        texts.append((",".join(duals), ",".join(vertices),
+                      records(rnd.edge_checks, _edge_check_text),
+                      records(rnd.end_decisions, _end_decision_text)))
+    duals, vertices = (t.replace(n8, n6) for t in texts[-1][:2])
     write(f'{{{n2}"H1_order": {report.h1_order},'
           f'{n2}"H_invariant_factors": '
           f'{_json_text(report.invariant_factors, n2)},'
           f'{n2}"ZZ": "{_FractionText(report.order ** 2)[report.zz_num]}",'
-          f'{n2}"Z_final": {{{n4}"dual": {{'
-          f'{",".join(entries(key, final, final.z_dual_num))}{n4}}},'
-          f'{n4}"vertex": {{{",".join(entries(key, final, final.z_num))}'
-          f'{n4}}}{n2}}},{n2}"det": {report.det},{n2}"index": {report.index},'
+          f'{n2}"Z_final": {{{n4}"dual": {{{duals}{n4}}},'
+          f'{n4}"vertex": {{{vertices}{n4}}}{n2}}},'
+          f'{n2}"det": {report.det},{n2}"index": {report.index},'
           f'{n2}"input_minimal": {_json_text(report.input_minimal, n2)},'
           f'{n2}"multiplicity": {report.multiplicity},{n2}"rounds": [')
-    key = keys(n8)
-    duals = entries(key, rounds[0], rounds[0].z_dual_num)
-    vertices = entries(key, rounds[0], rounds[0].z_num)
-    event, trace, sep = None, [], n4
-    for rnd, (checks, decisions) in zip(rounds, texts):
-        if event is not None:  # patch the last round's maps
-            g, u = rnd.graph, event.new_vertex
-            at = g.index(u)
-            insort(vertices, key[u] + value[rnd.z_num[at]])
-            for v in event.center:
-                duals[bisect_left(duals, key[v])] = (
-                    key[v] + value[rnd.z_dual_num[g.index(v)]])
-            insort(duals, key[u] + value[rnd.z_dual_num[at]])
-        event = rnd.blowup
-        if event is None:
+    trace, sep = [], n4
+    for rnd, (duals, vertices, checks, decisions) in zip(rounds, texts):
+        if rnd.blowup is None:
             blowup = "null"
         else:
-            blowup = _blowup_text(event, n6)
+            blowup = _blowup_text(rnd.blowup, n6)
             trace.append(blowup.replace("\n  ", "\n"))
-        write(f'{sep}{{{n6}"Z_dual": {{{",".join(duals)}{n6}}},'
-              f'{n6}"Z_vertex": {{{",".join(vertices)}{n6}}},'
+        write(f'{sep}{{{n6}"Z_dual": {{{duals}{n6}}},'
+              f'{n6}"Z_vertex": {{{vertices}{n6}}},'
               f'{n6}"blowup": {blowup},'
               f'{n6}"edge_checks": {_items(checks, n6)},'
               f'{n6}"end_decisions": {_items(decisions, n6)}{n4}}}')
@@ -263,12 +234,13 @@ def _load_subgroup(path, graph, group):
     return subgroup(gens, group)
 
 
-def _fmt_dual_combo(graph, nums, text):
-    """Render dual coordinates as a combination of E_v*: `nums` are their
-    numerators over text.den in vertex order, and `text` a _FractionText
-    that writes them."""
+def _fmt_dual_combo(graph, dual, text):
+    """Render dual coordinates as a combination of E_v*: `dual` maps each
+    vertex id of graph to its numerator over text.den, and `text` is a
+    _FractionText that writes them."""
     terms = []
-    for v, x in zip(graph.vertex_ids, nums):
+    for v in graph.vertex_ids:
+        x = dual[v]
         if x == text.den:
             terms.append(f"E{v}*")
         elif x:
@@ -356,8 +328,9 @@ def cmd_mult(args):
     text = _FractionText(result.order)
     if args.trace:
         for k, rnd in enumerate(result.rounds, start=1):
+            dual = dict(zip(rnd.graph.vertex_ids, rnd.z_dual_num))
             print(f"round {k}: Z = "
-                  f"{_fmt_dual_combo(rnd.graph, rnd.z_dual_num, text)}")
+                  f"{_fmt_dual_combo(rnd.graph, dual, text)}")
             for dec in rnd.end_decisions:
                 extra = (f" (witness {dec.witness})"
                          if dec.witness is not None else "")
@@ -371,7 +344,7 @@ def cmd_mult(args):
                 print(f"  blowup {ev.kind} at {list(ev.center)} -> "
                       f"new vertex {ev.new_vertex}")
     final = result.rounds[-1]
-    print(f"Z = {_fmt_dual_combo(final.graph, final.z_dual_num, text)}")
+    print(f"Z = {_fmt_dual_combo(final.graph, result.z_dual, text)}")
     print(f"Z.Z = {_FractionText(result.order ** 2)[result.zz_num]}")
     print(f"multiplicity = {result.multiplicity}")
     return EXIT_OK
@@ -402,8 +375,7 @@ def cmd_table(args):
     for h1 in lattice.subgroups:
         result = run_pipeline(g, h1)
         flat = lattice.flat(h1)
-        final = result.rounds[-1]
-        z_graph, z_dual = final.graph, final.z_dual_num
+        z_graph, z_dual = result.rounds[-1].graph, result.z_dual
         rows.append({
             "subgroup": lattice.name(h1),
             "elements": elements(h1),
@@ -411,8 +383,7 @@ def cmd_table(args):
             "flat_elements": elements(flat),
             "order": h1.order,
             "index": h1.index,
-            "Z_dual": {str(v): text[x]
-                       for v, x in zip(z_graph.vertex_ids, z_dual)},
+            "Z_dual": {str(v): text[z_dual[v]] for v in z_graph.vertex_ids},
             "Z": _fmt_dual_combo(z_graph, z_dual, text),
             "ZZ": zz_text[result.zz_num],
             "multiplicity": result.multiplicity,

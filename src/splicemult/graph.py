@@ -17,7 +17,6 @@ re-checks only the subtree determinants that the blowup changed.
 
 import json
 from bisect import bisect_left, bisect_right, insort
-from types import MappingProxyType
 from typing import NamedTuple
 
 from .errors import InputError, InternalError
@@ -194,12 +193,6 @@ class ResolutionGraph:
 
     def __contains__(self, v):
         return v in self._pos
-
-    @property
-    def positions(self):
-        """vertex id -> its index in vertex_ids, as a read-only view of
-        the graph's own table."""
-        return MappingProxyType(self._pos)
 
     def index(self, v):
         try:

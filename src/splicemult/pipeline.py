@@ -12,7 +12,6 @@ and a report keeps them so: the CLI writes them as "p/q" text.
 
 from dataclasses import dataclass
 from functools import partial
-from operator import mul
 
 from .errors import CapExceededError, ConditionError, InputError, InternalError
 from .graph import GraphHistory, is_minimal
@@ -74,17 +73,29 @@ class EndDecision:
 
 @dataclass
 class RoundRecord:
-    """One round of the loop on `graph`.  Z is carried as the integers
-    z_num = |H| * Z_v and its dual coordinates as z_dual_num =
-    |H| * (-Z.E_v), both in `graph`'s vertex order over den = |H|."""
+    """One round of the loop on `graph`.  `z` is the run's one map from
+    vertex id to |H| * Z_v, shared by every round: a blowup adds its new
+    vertex and keeps every old vertex's Z_v, so the map restricted to
+    `graph` is this round's Z.  A round stores no vector of its own."""
 
     graph: object
     den: int
-    z_num: tuple
-    z_dual_num: tuple
+    z: dict
     end_decisions: tuple = ()
     edge_checks: tuple = ()
     blowup: object = None  # BlowupEvent or None
+
+    @property
+    def z_num(self):
+        """|H| * Z_v in `graph`'s vertex order."""
+        return tuple(map(self.z.__getitem__, self.graph.vertex_ids))
+
+    @property
+    def z_dual_num(self):
+        """|H| * (-Z.E_v) in `graph`'s vertex order, one row of its form
+        per vertex."""
+        g, z = self.graph, self.z
+        return tuple(_dual_at(g, z, v) for v in g.vertex_ids)
 
 
 @dataclass
@@ -97,16 +108,16 @@ class PipelineReport:
     index: int
     history: object  # GraphHistory
     rounds: list
+    z_dual: dict  # vertex id -> |H| * (-Z.E_v) on the final graph
     zz_num: int  # |H|^2 * Z.Z
     multiplicity: int
     input_minimal: bool = True
 
 
 def _dual_at(g, z, v):
-    """|H| * (-Z.E_v) from z = |H| * Z in g's vertex order: one row of the
-    intersection form."""
-    return (-g.weight(v) * z[g.index(v)]
-            - sum(z[g.index(u)] for u in g.neighbors(v)))
+    """|H| * (-Z.E_v) on g from the map z: vertex id -> |H| * Z_v, one row
+    of the intersection form."""
+    return -g.weight(v) * z[v] - sum(map(z.__getitem__, g.neighbors(v)))
 
 
 def _not_antinef(round_number, v, x, den):
@@ -130,8 +141,8 @@ def _edge_witness(search, edge, zv, zw):
 
 def check_gcd_condition(g, z, z_dual, search, known=None):
     """Edge-by-edge gcd check over every edge of g, in g.edges order.  z
-    and z_dual hold |H| * Z_v and |H| * (-Z.E_v) in vertex order, and
-    search is the run's ZeroSumSearch.
+    and z_dual map each vertex id of g to |H| * Z_v and |H| * (-Z.E_v),
+    and search is the run's ZeroSumSearch.
 
     An edge (v, w) passes when the lexicographically least (M_v, M_w) over
     the monoid is (M_v(Z), M_w(Z)): one member, a generator, attains both
@@ -142,7 +153,7 @@ def check_gcd_condition(g, z, z_dual, search, known=None):
     test suite runs on every such edge.  A late read is exact: the search
     keeps every old vertex's row, minima and results across blowups (see
     ZeroSumSearch), and the function keeps the integers Z_v and Z_w of
-    this round, not the list z.  Any other edge is queried here, since
+    this round, not the map z.  Any other edge is queried here, since
     its verdict needs the query.
 
     `known` maps (edge, pruned_by_zero) to the result of an earlier round
@@ -154,21 +165,19 @@ def check_gcd_condition(g, z, z_dual, search, known=None):
     """
     if known is None:
         known = {}
-    pos = g.positions
     results = []
     for edge in g.edges:
         v, w = edge
-        i, j = pos[v], pos[w]
-        key = (edge, not z_dual[i] or not z_dual[j])
+        key = (edge, not z_dual[v] or not z_dual[w])
         result = known.get(key)
         if result is None:
             if key[1]:
                 result = _on_first_read(
                     EdgeCheckResult,
-                    partial(_edge_witness, search, edge, z[i], z[j]),
+                    partial(_edge_witness, search, edge, z[v], z[w]),
                     edge=edge, passed=True, pruned_by_zero=True)
             else:
-                witness = _edge_witness(search, edge, z[i], z[j])
+                witness = _edge_witness(search, edge, z[v], z[w])
                 result = EdgeCheckResult(
                     edge=edge, passed=witness is not None,
                     pruned_by_zero=False, witness=witness)
@@ -178,8 +187,8 @@ def check_gcd_condition(g, z, z_dual, search, known=None):
 
 
 def _end_decisions(history, z, search, decided):
-    """Per-end test of one round, after Z (|H| * Z_v in vertex order) is
-    known.
+    """Per-end test of one round, after Z (the map z: vertex id ->
+    |H| * Z_v) is known.
 
     An end is settled when some member with exponent zero there attains
     the minimum of M_v at its vertex v (that generator's monomial does not
@@ -193,13 +202,12 @@ def _end_decisions(history, z, search, decided):
     the same run and is filled in here: the vertex keeps its row and Z_v
     through blowups (see ZeroSumSearch), so the decision never changes.
     """
-    pos = history.current.positions
     decisions = []
     for label, v in sorted(history.end_map.items()):
         decision = decided.get((label, v))
         if decision is None:
             found = search.least((v,), without=label)
-            if found[0][0] == z[pos[v]]:
+            if found[0][0] == z[v]:
                 decision = _on_first_read(
                     EndDecision, partial(monomial_string, found[1]),
                     end=label, action="witness")
@@ -231,10 +239,12 @@ def run_pipeline(g, h1, *, max_blowups=MAX_BLOWUPS, allow_non_minimal=False):
     pullback identities of ZeroSumSearch: vertex ids persist, and an old
     vertex keeps its row of end weights, its Z_v and its minima.  So one
     search serves every round and is carried by rows, with no dual basis
-    past the input's; Z gains one entry, Z_u for the new vertex u, and
-    Z.E_v changes only on the centre and u; and only an end at a new
-    vertex, or an edge that is new or whose Z.E = 0 flag changed, is
-    checked again.
+    past the input's; and only an end at a new vertex, or an edge that is
+    new or whose Z.E = 0 flag changed, is checked again.  The run keeps Z
+    as one map, vertex id -> |H| * Z_v, and -Z.E as another, both built
+    in round 1 and never copied: a blowup adds Z_u for the new vertex u
+    and rewrites Z.E only at the centre and u.  Every round refers to the
+    one `z` map, and the report keeps the final `z_dual`.
 
     The loop decides with what it needs and no more: an end's query, and
     an edge's query unless Z.E = 0 at one of its vertices, which passes
@@ -264,13 +274,14 @@ def run_pipeline(g, h1, *, max_blowups=MAX_BLOWUPS, allow_non_minimal=False):
     history = GraphHistory(g)
     search = ZeroSumSearch(h1)
     den = h1.group.order
-    z = list(search.z())
-    z_dual = _apply_form(_form(g), z)
-    for v, x in zip(g.vertex_ids, z_dual):  # Z is antinef
+    nums = search.z()
+    z = dict(zip(g.vertex_ids, nums))
+    z_dual = dict(zip(g.vertex_ids, _apply_form(_form(g), nums)))
+    for v, x in z_dual.items():  # Z is antinef
         if x < 0:
             _not_antinef(1, v, x, den)
     for v, p in search.derived.items():  # the premise of z()'s lemma
-        if x := z_dual[g.index(v)]:
+        if x := z_dual[v]:
             raise InternalError(
                 f"derived vertex check Z.E_{v} = 0 failed: Z_{v} was read "
                 f"off node {p}'s member, but -Z.E_{v} = "
@@ -280,8 +291,7 @@ def run_pipeline(g, h1, *, max_blowups=MAX_BLOWUPS, allow_non_minimal=False):
     rounds = []
     while True:
         current = history.current
-        record = RoundRecord(graph=current, den=den, z_num=tuple(z),
-                             z_dual_num=tuple(z_dual))
+        record = RoundRecord(graph=current, den=den, z=z)
         rounds.append(record)
         record.end_decisions, label = _end_decisions(
             history, z, search, decided)
@@ -295,23 +305,21 @@ def run_pipeline(g, h1, *, max_blowups=MAX_BLOWUPS, allow_non_minimal=False):
             if edge is None:
                 break
             record.blowup = history.blowup_edge(*edge)
-        if len(history.events) > max_blowups:
+        if len(rounds) > max_blowups:
             raise CapExceededError(
                 f"more than {max_blowups} blowups (the graph has "
                 f"grown to {len(history.current)} vertices)")
         event, blown = record.blowup, history.current
         search.advance(event, label)
         u = event.new_vertex
-        at = blown.index(u)
-        z.insert(at, search.least((u,))[0][0])
-        z_dual.insert(at, 0)
+        z[u] = search.least((u,))[0][0]
         for v in (*event.center, u):
-            x = z_dual[blown.index(v)] = _dual_at(blown, z, v)
+            x = z_dual[v] = _dual_at(blown, z, v)
             if x < 0:
                 _not_antinef(len(rounds) + 1, v, x, den)
 
     # |H|^2 * Z.Z = -sum_v (|H| * Z_v) * (|H| * (-Z.E_v))
-    zz_num = -sum(map(mul, record.z_num, record.z_dual_num))
+    zz_num = -sum(z[v] * x for v, x in z_dual.items())
     square = den ** 2
     multiplicity, rest = divmod(-h1.index * zz_num, square)
     if multiplicity <= 0 or rest:
@@ -329,6 +337,7 @@ def run_pipeline(g, h1, *, max_blowups=MAX_BLOWUPS, allow_non_minimal=False):
         index=h1.index,
         history=history,
         rounds=rounds,
+        z_dual=z_dual,
         zz_num=zz_num,
         multiplicity=multiplicity,
         input_minimal=minimal,

@@ -70,10 +70,17 @@ def _uac(g):
 # --- gcd condition -----------------------------------------------------------------
 
 
+def _id_keyed(g, nums):
+    """A vector in g's vertex order as a map from vertex id."""
+    return dict(zip(g.vertex_ids, nums))
+
+
 def _gcd_checks(g, h1):
     search = ZeroSumSearch(h1)
     z = search.z()
-    return check_gcd_condition(g, z, _apply_form(_form(g), z), search)
+    return check_gcd_condition(g, _id_keyed(g, z),
+                               _id_keyed(g, _apply_form(_form(g), z)),
+                               search)
 
 
 def test_gcd_condition_h12_all_pass(tree_h12):
@@ -548,7 +555,8 @@ def test_rounds_in_integers_match_the_rational_form(case):
             base_point_set(rnd.graph, basis))
         if rnd.edge_checks:
             assert list(rnd.edge_checks) == check_gcd_condition(
-                rnd.graph, rnd.z_num, rnd.z_dual_num, fresh)
+                rnd.graph, _id_keyed(rnd.graph, rnd.z_num),
+                _id_keyed(rnd.graph, rnd.z_dual_num), fresh)
     assert report_zz(report) == intersect(final_z(report), final_z(report))
     assert report.multiplicity == report.index * -report_zz(report)
 
