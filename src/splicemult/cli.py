@@ -94,9 +94,9 @@ def _items(texts, newline):
 
 
 # One template per record type of a report: the text that _json_text
-# gives for the record's field map (vars of a dataclass, _asdict of the
-# blowup event), "{" indented as `newline`.  An edge is a pair, a
-# blowup's lists are never empty and a flag is a bool: each is inlined.
+# gives for the map of the fields the record's type names in `_fields`,
+# "{" indented as `newline`.  An edge is a pair, a blowup's lists are
+# never empty and a flag is a bool: each is inlined.
 def _edge_check_text(c, newline):
     i = newline + "  "
     v, w = c.edge

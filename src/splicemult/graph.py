@@ -17,7 +17,7 @@ re-checks only the subtree determinants that the blowup changed.
 
 import json
 from bisect import bisect_left, bisect_right, insort
-from typing import NamedTuple
+from collections import namedtuple
 
 from .errors import InputError, InternalError
 
@@ -323,15 +323,14 @@ def branches(g, v):
     return tuple(map(frozenset, comps))
 
 
-class BlowupEvent(NamedTuple):
+class BlowupEvent(namedtuple("BlowupEvent",
+                              "kind center new_vertex weight_changes")):
     """One blowup: kind is 'edge' (center = the two edge vertices) or 'end'
-    (center = the end vertex whose boundary point was blown up).  A named
+    (center = the end vertex whose boundary point was blown up), and
+    weight_changes a tuple of (vertex, old weight, new weight).  A named
     tuple: immutable, and built with no per-field set-up."""
 
-    kind: str
-    center: tuple
-    new_vertex: int
-    weight_changes: tuple  # of (vertex, old weight, new weight)
+    __slots__ = ()
 
 
 def _fresh_id(g):

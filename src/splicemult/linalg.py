@@ -1,14 +1,15 @@
 """Exact integer and rational linear algebra.
 
-Matrices are plain lists of lists over Python ints or fractions.Fraction.
-Everything runs on arbitrary-precision arithmetic; floating point is never
-used.  Determinants and the inverse use fraction-free (Bareiss) elimination,
+Matrices are plain lists of lists over Python ints.  Everything runs on
+arbitrary-precision arithmetic; floating point is never used.
+Determinants and the inverse use fraction-free (Bareiss) elimination,
 whose divisions are all exact, so they run in integers: the inverse comes
 back as integer numerators over one positive denominator |det A|.  No
 command inverts here: the dual basis (-I(E))^{-1} of a tree comes from the
 path formula on its branch determinants (lattice.DualBasis), which checks
 itself against -I, and the general inverse is the reference the tests hold
-it to.
+it to.  Only the is_negative_definite reference, which no command runs,
+builds a Fraction, and it imports the fractions module when called.
 
 Smith and Hermite forms eliminate on the matrix alone and log each
 unimodular row and column operation; a transform is rebuilt from its log
@@ -19,7 +20,6 @@ lattice.DiscriminantGroup).
 """
 
 from functools import cached_property
-from fractions import Fraction
 
 from .errors import InternalError
 
@@ -365,6 +365,8 @@ def is_negative_definite(a):
     exchanges) meets only positive pivots, since the k-th pivot equals the
     ratio of consecutive leading minors.
     """
+    from fractions import Fraction
+
     n = _check_square(a)
     for i in range(n):
         for j in range(i + 1, n):

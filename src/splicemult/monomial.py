@@ -28,7 +28,7 @@ search reads are built once per graph (_pairs).
 
 import heapq
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd, lcm, prod
 from operator import lshift, mul, not_, sub
 
@@ -40,6 +40,31 @@ from .linalg import smith_normal_form
 BOX_CAP = 10 ** 8  # points in a Hilbert-basis enumeration box
 SEARCH_CAP = 2_000_000  # nodes of one knapsack search
 RESIDUE_CAP = 10 ** 5  # |H1|: bounds the classes a zero-sum search tabulates
+
+
+class _Record:
+    """Equality, hash and repr of a record class (HilbertBasis here, the
+    round records of the pipeline) by the field names in its `_fields`:
+    two records are equal when they are of one class and their fields are
+    equal, and the repr is Class(field=value, ...)."""
+
+    _fields = ()
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
 
 
 class MonomialCycle:
@@ -776,15 +801,18 @@ class ZeroSumSearch:
 # --- the full Hilbert basis (a reference for the search above) --------------------
 
 
-@dataclass(frozen=True)
-class HilbertBasis:
-    """Minimal generators of the monomial cycles pairing integrally with H1."""
+class HilbertBasis(_Record):
+    """Minimal generators of the monomial cycles pairing integrally with H1:
+    `generators` is a tuple of MonomialCycle in graded-lex order."""
 
-    graph: object
-    labels: tuple
-    end_vertices: tuple
-    orders: tuple
-    generators: tuple  # of MonomialCycle, graded-lex order
+    _fields = ("graph", "labels", "end_vertices", "orders", "generators")
+
+    def __init__(self, graph, labels, end_vertices, orders, generators):
+        self.graph = graph
+        self.labels = labels
+        self.end_vertices = end_vertices
+        self.orders = orders
+        self.generators = generators
 
     def __len__(self):
         return len(self.generators)
@@ -865,16 +893,14 @@ def gcd_cycle(generators):
 # --- Neumann-Wahl equation skeletons ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class NodeSystem:
+class NodeSystem(namedtuple("NodeSystem",
+                             "node branches monomials coefficients")):
     """Equations attached to one node: one chosen admissible monomial per
-    branch and a (delta-2) x delta coefficient matrix all of whose maximal
-    minors are nonzero (Vandermonde rows c_ij = j^(i-1))."""
+    branch (a MonomialCycle in `monomials`) and a (delta-2) x delta
+    coefficient matrix, a tuple of int tuples all of whose maximal minors
+    are nonzero (Vandermonde rows c_ij = j^(i-1))."""
 
-    node: int
-    branches: tuple
-    monomials: tuple  # of MonomialCycle, one per branch
-    coefficients: tuple  # of tuple of int
+    __slots__ = ()
 
     def equations(self):
         out = []

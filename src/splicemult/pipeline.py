@@ -10,13 +10,13 @@ something to round.  The loop runs in integers over den = |H|: Z as
 and a report keeps them so: the CLI writes them as "p/q" text.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import partial
 
 from .errors import CapExceededError, ConditionError, InputError, InternalError
 from .graph import GraphHistory, is_minimal
 from .lattice import _apply_form, _form, _FractionText
-from .monomial import ZeroSumSearch, is_base_point, monomial_string
+from .monomial import ZeroSumSearch, _Record, is_base_point, monomial_string
 
 MAX_BLOWUPS = 64  # default cap on the blowups of one run
 
@@ -31,7 +31,7 @@ class _OnFirstRead:
 
     def __get__(self, record, owner=None):
         if record is None:
-            return None  # the dataclass field's default
+            return self  # read on the class
         fields = vars(record)
         witness = fields["witness"] = fields["_find"]()
         del fields["_find"]
@@ -46,44 +46,58 @@ def _on_first_read(cls, find, **fields):
     return record
 
 
-@dataclass(frozen=True)
-class EdgeCheckResult:
+class EdgeCheckResult(_Record):
     """Local gcd check at one edge: passed iff a single monomial cycle
     attains both coefficient minima (it is then a Hilbert-basis generator,
     since all coefficients are positive), or Z.E = 0 at one of its
     vertices (pruned_by_zero).  The witness, the monomial string of that
     cycle or None, is found on first read (see check_gcd_condition)."""
 
-    edge: tuple
-    passed: bool
-    pruned_by_zero: bool
-    witness: object = _OnFirstRead()
+    _fields = ("edge", "passed", "pruned_by_zero", "witness")
+    witness = _OnFirstRead()
+
+    def __init__(self, edge, passed, pruned_by_zero, witness=None):
+        self.edge = edge
+        self.passed = passed
+        self.pruned_by_zero = pruned_by_zero
+        self.witness = witness
 
 
-@dataclass(frozen=True)
-class EndDecision:
-    """Outcome of the base-point analysis at one end in one round.  The
-    query behind the decision has run; the witness's monomial string is
-    written on first read."""
+class EndDecision(_Record):
+    """Outcome of the base-point analysis at one end in one round: `end`
+    is the original end index and `action` one of 'witness',
+    'not_base_point' and 'blowup'.  The query behind the decision has run;
+    the witness, the monomial string for 'witness', is written on first
+    read."""
 
-    end: int  # original end index
-    action: str  # 'witness' | 'not_base_point' | 'blowup'
-    witness: object = _OnFirstRead()  # monomial string for 'witness'
+    _fields = ("end", "action", "witness")
+    witness = _OnFirstRead()
+
+    def __init__(self, end, action, witness=None):
+        self.end = end
+        self.action = action
+        self.witness = witness
 
 
-@dataclass
-class RoundRecord:
+class RoundRecord(_Record):
     """One round of the loop on `graph`.  `z` is the run's one map from
     vertex id to |H| * Z_v, shared by every round: a blowup adds its new
     vertex and keeps every old vertex's Z_v, so the map restricted to
-    `graph` is this round's Z.  A round stores no vector of its own."""
+    `graph` is this round's Z.  A round stores no vector of its own.  The
+    loop fills in the round's end decisions, edge checks and `blowup`, a
+    BlowupEvent or None."""
 
-    graph: object
-    den: int
-    z: dict
-    end_decisions: tuple = ()
-    edge_checks: tuple = ()
-    blowup: object = None  # BlowupEvent or None
+    _fields = ("graph", "den", "z", "end_decisions", "edge_checks",
+               "blowup")
+
+    def __init__(self, graph, den, z, end_decisions=(), edge_checks=(),
+                 blowup=None):
+        self.graph = graph
+        self.den = den
+        self.z = z
+        self.end_decisions = end_decisions
+        self.edge_checks = edge_checks
+        self.blowup = blowup
 
     @property
     def z_num(self):
@@ -98,20 +112,20 @@ class RoundRecord:
         return tuple(_dual_at(g, z, v) for v in g.vertex_ids)
 
 
-@dataclass
-class PipelineReport:
-    graph: object
-    det: int
-    invariant_factors: tuple
-    order: int  # |H|, the denominator of every round's numerators
-    h1_order: int
-    index: int
-    history: object  # GraphHistory
-    rounds: list
-    z_dual: dict  # vertex id -> |H| * (-Z.E_v) on the final graph
-    zz_num: int  # |H|^2 * Z.Z
-    multiplicity: int
-    input_minimal: bool = True
+PipelineReport = namedtuple("PipelineReport", (
+    "graph",
+    "det",
+    "invariant_factors",
+    "order",  # |H|, the denominator of every round's numerators
+    "h1_order",
+    "index",
+    "history",  # GraphHistory
+    "rounds",
+    "z_dual",  # vertex id -> |H| * (-Z.E_v) on the final graph
+    "zz_num",  # |H|^2 * Z.Z
+    "multiplicity",
+    "input_minimal",
+), defaults=(True,))
 
 
 def _dual_at(g, z, v):

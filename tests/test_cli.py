@@ -762,25 +762,24 @@ def test_report_writer_prints_the_json_form(case):
                                         end=2, action="witness")),
 ])
 def test_record_templates_write_every_field(template, record):
-    """Each record type's template writes every field of its dataclass
-    (or, for the blowup event, its named tuple), and no other key, as
-    json.dumps writes the record's field map at the top level and as the
-    generic emitter writes it at the depths of a report: a new field
-    cannot vanish from `mult --json`.  A record whose witness is found on
-    first read holds every other field, and after the read it holds
-    exactly its fields, the witness being what the read returned."""
-    from dataclasses import fields, is_dataclass
-
+    """Each record type's template writes every field its type declares
+    in `_fields`, and no other key, as json.dumps writes the record's
+    field map at the top level and as the generic emitter writes it at
+    the depths of a report: a new field cannot vanish from `mult --json`.
+    A record whose witness is found on first read holds every other
+    field, and after the read it holds exactly its fields, the witness
+    being what the read returned.  The blowup event is a named tuple and
+    holds no field map of its own."""
     from splicemult.cli import _json_text
 
-    if is_dataclass(record):
-        names = {f.name for f in fields(record)}
+    names = set(record._fields)
+    if isinstance(record, tuple):
+        values = record._asdict()
+    else:
         held = set(vars(record))
         assert held in (names, names - {"witness"} | {"_find"})
         values = {name: getattr(record, name) for name in names}
         assert values == vars(record)
-    else:
-        names, values = set(record._fields), record._asdict()
     text = template(record, "\n")
     assert set(json.loads(text)) == names
     assert text == json.dumps(values, indent=2, sort_keys=True)
@@ -1326,6 +1325,33 @@ def test_no_assert_in_source():
         found = [node.lineno for node in ast.walk(tree)
                  if isinstance(node, ast.Assert)]
         assert found == [], f"{name} asserts at lines {found}"
+
+
+def test_commands_import_no_unused_stdlib_modules(tmp_path, tree_h12):
+    """A process that runs `mult --uac --json` and `table --json` loads
+    none of dataclasses, inspect, typing, fractions or decimal: the
+    records are plain classes and named tuples, and only the
+    is_negative_definite reference, which no command runs, imports
+    fractions.  The child runs under -S, since site hooks may import
+    typing themselves."""
+    import os
+    import subprocess
+
+    h12 = tmp_path / "h12.json"
+    h12.write_text(graph_json(tree_h12))
+    script = (
+        "import contextlib, io, sys\n"
+        "from splicemult.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(['mult', sys.argv[1], '--uac', '--json']),\n"
+        "             main(['table', sys.argv[1], '--json'])]\n"
+        "print(codes, sorted({'dataclasses', 'inspect', 'typing',\n"
+        "                     'fractions', 'decimal'} & set(sys.modules)))\n")
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run([sys.executable, "-S", "-c", script, str(h12)],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=60)
+    assert (done.stdout, done.stderr) == ("[0, 0] []\n", "")
 
 
 def test_runtime_imports_only_the_standard_library():
