@@ -7,7 +7,7 @@ import json
 import sys
 from fractions import Fraction
 from operator import mul
-from types import SimpleNamespace
+from types import ModuleType, SimpleNamespace
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -22,6 +22,7 @@ from splicemult import (
     dual_cycles,
     full_subgroup,
     hilbert_basis,
+    linalg,
     run_pipeline,
     subgroup,
     trivial_subgroup,
@@ -474,14 +475,21 @@ def blown_up_trees_and_subgroups(draw):
 
 
 def _count_fractions(monkeypatch):
-    """Replace `Fraction` in every splicemult module with a wrapper that
-    records each call; returns the record."""
+    """Replace `Fraction` with a wrapper that records each call, both for a
+    call-time `from fractions import Fraction`, which finds a stand-in
+    `fractions` module in sys.modules, and in every splicemult module that
+    holds its own name for it; returns the record. The real `fractions`
+    module is left as it is, since the class's own methods read its
+    `Fraction` global."""
     calls = []
 
     def counting(*args):
         calls.append(args)
         return Fraction(*args)
 
+    stand_in = ModuleType("fractions")
+    stand_in.Fraction = counting
+    monkeypatch.setitem(sys.modules, "fractions", stand_in)
     for name, module in list(sys.modules.items()):
         if name.startswith("splicemult") and hasattr(module, "Fraction"):
             monkeypatch.setattr(module, "Fraction", counting)
@@ -501,6 +509,10 @@ def test_no_fraction_before_the_report_is_read(case):
         with contextlib.redirect_stdout(io.StringIO()):
             _emit_report(report)
         assert calls == []
+        # the wrapper does count: the one Fraction-building reference
+        # reaches it through its call-time import
+        assert linalg.is_negative_definite([[-2]])
+        assert calls != []
 
 
 def _end_decisions_from_scratch(g, end_map, z, search, base):
