@@ -13,14 +13,13 @@ in errors.py carries its own code.
 
 import argparse
 import functools
-import json
 import sys
 from bisect import bisect_left, insort
 from json.encoder import encode_basestring_ascii as _encode_str
 from operator import add
 
 from .errors import ConditionError, InputError, InternalError, SpliceMultError
-from .graph import is_minimal, parse_and_validate
+from .graph import is_minimal, parse_and_validate, parse_json
 from .lattice import (
     SubgroupLattice,
     _FractionText,
@@ -208,17 +207,25 @@ def _emit_report(report):
     write(f'{n2}],{n2}"trace": {_items(trace, n2)}\n}}\n')
 
 
+def _parsed(path, parse):
+    """parse(text) for the text of the file at path.  An InputError from
+    reading or parsing it names the file, as do bytes that are not UTF-8."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse(fh.read())
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text ({exc.reason} at byte "
+                         f"{exc.start})") from None
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from None
+
+
 def _load_graph(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_and_validate(fh.read())
+    return _parsed(path, parse_and_validate)
 
 
 def _load_subgroup(path, graph, group):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"invalid JSON: {exc}") from None
+    obj = _parsed(path, parse_json)
     if not isinstance(obj, dict) or "generators" not in obj:
         raise InputError("subgroup document needs a 'generators' field")
     gens = obj["generators"]

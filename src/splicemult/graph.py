@@ -286,13 +286,19 @@ def graph_from_dict(obj):
     return ResolutionGraph(weights, pairs)
 
 
+def parse_json(text):
+    """json.loads(text); malformed or too deeply nested JSON is an InputError."""
+    try:
+        return json.loads(text)
+    except ValueError as exc:  # also an int past sys.get_int_max_str_digits()
+        raise InputError(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise InputError("invalid JSON: nested too deeply to parse") from None
+
+
 def parse_and_validate(text):
     """Parse a JSON graph document and verify every graph invariant."""
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"invalid JSON: {exc}") from None
-    return graph_from_dict(obj)
+    return graph_from_dict(parse_json(text))
 
 
 def is_minimal(g):

@@ -503,7 +503,8 @@ class ZeroSumSearch:
     the answer (see `least`).  On the graph H1 was built on, `z` searches
     only the nodes: every member is harmonic off the ends, so a vertex of
     a chain or an arm takes a node's member whenever that member attains
-    Z at the chain's other node, or has exponent 0 at the arm's leaf.
+    Z at the chain's other node, or has exponent 0 at the arm's leaf (at
+    exponent 1, the lesser of it and the leaf's end query's member).
 
     With one class (|H1| = 1, the universal abelian cover) no search runs:
     every end step lands on class 0, so each step is a member, and every
@@ -679,15 +680,18 @@ class ZeroSumSearch:
         """The gcd cycle Z on the current graph, Z_v = min M_v, as the
         integers |H| * Z_v in vertex order (ids ascending).
 
-        Before the first `advance`, on the graph H1 was built on, only the
-        nodes are searched where this lemma applies, and `derived` maps
-        each vertex it answers to its node p.  A search after a blowup
-        keeps no adjacency, and searches every vertex.
+        Before the first `advance`, on the graph H1 was built on, the
+        nodes are searched first, and the other vertices where this lemma
+        applies are read off members; `derived` maps each vertex its first
+        part answers to its node p.  A search after a blowup keeps no
+        adjacency, and searches every vertex.
 
         Lemma.  Let P be a maximal path of vertices of valence <= 2 out of
         a node p: a chain to a node q, or an arm whose last vertex is the
         leaf l.  If p's member m_p attains Z_q, or has exponent 0 at l,
-        then m_p answers ((v,), None) for every v in P.
+        then m_p answers ((v,), None) for every v in P.  If m_p has
+        exponent 1 at l and m' answers the end query ((l,), l), the lesser
+        of m_p and m' in (M_v, degree, exponents) answers ((v,), None).
 
         Proof.  A member D = sum_l a_l E_l* has D.E_v = -a_v at an end v
         and 0 elsewhere, so on P, -I_P D_P = D_p e_first + D_q e_last,
@@ -702,22 +706,47 @@ class ZeroSumSearch:
         v; when m_q also attains Z_p, the two are that same member.
         `run_pipeline` checks the premise, Z.E_v = 0 at every derived v:
         a member missing Z_q, or with a_l > 0, breaks it at P's far end.
+        At exponent 1, M_v >= alpha Z_p + beta when a_l >= 1, with equality
+        exactly when M_p = Z_p and a_l = 1 (m_p is least there in (degree,
+        exponents)), and M_v = alpha M_p, proportional to M_l, when a_l = 0
+        (m' is least there).  That rests on the rows alone, row(v) = alpha
+        row(p) + |H| beta at l, checked here by cross-multiplication; one
+        class, which runs no search, keeps the vertex query.
         """
         g = self._graph
         if len(self._rows) == len(g):  # advance only adds rows
-            slots = self._slots
+            slots, labels = self._slots, self.labels
 
             def value(exps, v):
                 row = self._rows[v]
                 return sum(a * row[slots[l]] for l, a in exps.items())
 
+            for p in g.nodes:
+                self.least((p,))
             for p, path, q in _node_paths(g):
-                exps = self.least((p,))[1]
-                if (path[-1] not in exps if q is None
+                exps, l = self.least((p,))[1], path[-1]
+                if (l not in exps if q is None
                         else value(exps, q) == self.least((q,))[0][0]):
                     for v in path:
                         self._memo[(v,), None] = (value(exps, v),), exps
                         self.derived[v] = p
+                elif q is None and exps[l] == 1 and len(self._negation) > 1:
+                    end, s, rp = ((l,), l), slots[l], self.row(p)
+                    if end not in self._memo:
+                        self._memo[end] = self._searched(*end)
+                    i = s == 0  # a slot other than l's
+                    for v in path:  # row(v) = alpha row(p) + beta at l
+                        rv = self.row(v)
+                        if (any(rv[j] * rp[i] != rp[j] * rv[i]
+                                for j in range(len(rp)) if j != s)
+                                or rv[s] * rp[i] <= rp[s] * rv[i]):
+                            raise InternalError(
+                                f"arm lemma check failed: row({v}) is not "
+                                f"alpha row({p}) + beta at end {l}, beta > 0")
+                        m = min(exps, self._memo[end][1], key=lambda e: (
+                            value(e, v), sum(e.values()),
+                            [e.get(x, 0) for x in labels]))
+                        self._memo[(v,), None] = (value(m, v),), m
         return tuple(self.least((v,))[0][0] for v in sorted(self._rows))
 
     def _shortest(self, moves, ceiling):
@@ -771,16 +800,21 @@ class ZeroSumSearch:
         largest row entry in the M_v fields, of a width set per query.
         No field carries into the next, so int order, addition and
         doubling are tuple order, addition and doubling, and every key is
-        below `ceiling`, where B starts.
+        below `ceiling`, where B starts.  A key k is compared with half =
+        ceil(B / 2), not doubled (2 k < B exactly when k < half), and a
+        settled c keeps tentative[c] = d(c), so one test prunes a label.
         """
         negation = self._negation
         size = len(negation)
         settled = [None] * size  # d(c) once class c is settled
-        tentative = [None] * size  # least key pushed so far, per class
+        tentative = [ceiling] * size  # least key pushed so far, per class
+        tentative[0] = 0
         best = ceiling  # least candidate member so far
+        half = (best + 1) >> 1
+        pop, push = heapq.heappop, heapq.heappush
         heap = [(0, 0)]
-        while heap and 2 * heap[0][0] < best:
-            d, c = heapq.heappop(heap)
+        while heap and heap[0][0] < half:
+            d, c = pop(heap)
             if settled[c] is not None:
                 continue
             settled[c] = d
@@ -790,11 +824,10 @@ class ZeroSumSearch:
                 back = settled[negation[n]]
                 if back is not None and nd + back < best:
                     best = nd + back
-                if settled[n] is not None or 2 * nd >= best:
-                    continue
-                if tentative[n] is None or nd < tentative[n]:
+                    half = (best + 1) >> 1
+                if nd < half and nd < tentative[n]:
                     tentative[n] = nd
-                    heapq.heappush(heap, (nd, n))
+                    push(heap, (nd, n))
         return best
 
 

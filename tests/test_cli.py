@@ -275,14 +275,15 @@ def _count_queries(monkeypatch):
     return counts
 
 
-@pytest.mark.parametrize("name, edges, runs", [("h12", 0, 29),
-                                               ("h60", 22, 72)])
+@pytest.mark.parametrize("name, edges, runs", [("h12", 0, 25),
+                                               ("h60", 22, 68)])
 def test_table_queries_only_the_edges_it_decides(files, capsys, monkeypatch,
                                                  name, edges, runs):
     """`table` writes no witness, so an edge with Z.E = 0, which passes
     by that rule, runs no query: over every subgroup, 22 edge queries on
-    the paper's two graphs (233 when every edge was queried) and 101
-    Dijkstra runs, of which round 1's Z on the nodes takes most."""
+    the paper's two graphs (233 when every edge was queried) and 93
+    Dijkstra runs (101 before z()'s arm lemma), of which round 1's Z on
+    the nodes takes most."""
     counts = _count_queries(monkeypatch)
     for flags in ((), ("--json",)):
         counts.update(edge=0, shortest=0)
@@ -443,6 +444,27 @@ def test_usage_error_is_exit_1(files, capsys):
         assert info.value.code == 0
         out, err = capsys.readouterr()
         assert out.startswith(usage) and err == ""
+
+
+@pytest.mark.parametrize("content, message", [
+    (b"\xff", "not UTF-8 text (invalid start byte at byte 0)\n"),
+    (b"[" * 100_000 + b"]" * 100_000,
+     "invalid JSON: nested too deeply to parse\n"),
+    (b"[" + b"1" * 5000 + b"]", "invalid JSON: Exceeds the limit"),
+], ids=["not-utf8", "too-deep", "long-int"])
+@pytest.mark.parametrize("command", ["validate", "subgroup"])
+def test_unreadable_input_is_input_error(files, capsys, tmp_path, content,
+                                        message, command):
+    """A file that is not UTF-8, JSON nested too deeply for the parser, or
+    an integer longer than int() reads from text, is an input error naming
+    the file, whether it is the graph or the subgroup document."""
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    argv = (["validate", str(bad)] if command == "validate"
+            else ["mult", files["h12"], "--subgroup", str(bad)])
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {bad}: {message}")
 
 
 def test_mult_bad_subgroup_file(files, capsys, tmp_path):
@@ -1190,6 +1212,29 @@ def test_derived_vertex_off_its_premise_is_exit_4(files, capsys,
                    "Z_1 was read off node 5's member, but -Z.E_1 = 1/6\n")
 
 
+def test_arm_vertex_off_its_rows_is_exit_4(capsys, monkeypatch, tmp_path):
+    """z()'s arm lemma needs row(v) = alpha row(p) + beta at the arm's
+    leaf l, with beta > 0, at each arm vertex v it answers.  On
+    star(-3; -3^5) with H1 = H it answers the leaves 2-5 off the centre
+    1; with vertex 3's entry at end 2 raised by 1, the rows are no longer
+    proportional off l = 3, and `mult` names the vertex, node and leaf."""
+    from splicemult import ZeroSumSearch
+
+    row = ZeroSumSearch.row
+
+    def tampered(self, v):
+        found = row(self, v)
+        return (found[0] + 1, *found[1:]) if v == 3 else found
+
+    monkeypatch.setattr(ZeroSumSearch, "row", tampered)
+    path = tmp_path / "star.json"
+    path.write_text(graph_json(star(-3, [-3] * 5)))
+    code, out, err = run(capsys, "mult", str(path), "--quotient")
+    assert (code, out) == (4, "")
+    assert err == ("internal error: arm lemma check failed: row(3) is not "
+                   "alpha row(1) + beta at end 3, beta > 0\n")
+
+
 def test_failed_witness_check_on_first_read(files, capsys, monkeypatch):
     """A pruned edge's witness is found, and its M_v checked, only when
     it is read.  With every edge query's |H| * M_v raised by 1, `mult
@@ -1230,22 +1275,26 @@ TREE_154 = ResolutionGraph(
 
 
 @pytest.mark.parametrize("g, flags, digest", [
-    (star(-1, [-3, -4, -5, -7]), (),  # 25 rounds
+    (star(-1, [-3, -4, -5, -7]), ("--uac",),  # 25 rounds
      "9b934604a7c3a1af356f8da17b6b8ad02484ebb035349a3652752450a009c814"),
-    (TREE_154, ("--max-blowups", "100"),  # 70 blowups
+    (TREE_154, ("--uac", "--max-blowups", "100"),  # 70 blowups
      "f468d977f1a6700e759d4ae7d48786fcf92d4993d3482024c82617bd0290bd87"),
+    (star(-3, [-3] * 5), ("--quotient",),  # arm lemma at four leaves
+     "330c3a9a18f64e7f58bdc2087f56d7ae9ef8fa25e97bed9459634d89c9de13c5"),
+    (star(-2, [-5, -7, -11]), ("--quotient",),  # |H| = 603
+     "def2d66c56df1941f281f81e9bdc4b78afd8e4e4a2a2069e99725f19ae4bee28"),
 ])
 def test_mult_json_of_a_long_run_is_pinned(g, flags, digest, capsys,
                                            tmp_path):
-    """The sha256 of the whole `mult --uac --json` document of two long
+    """The sha256 of the whole `mult --json` document of two long `--uac`
     runs, whose Z maps the writer patches from round 1's over every
-    blowup, pins their bytes."""
+    blowup, and of two `--quotient` stars, whose witnesses depend on
+    which member answers each query, pins their bytes."""
     import hashlib
 
     path = tmp_path / "graph.json"
     path.write_text(graph_json(g))
-    code, out, err = run(capsys, "mult", str(path), "--uac", "--json",
-                         *flags)
+    code, out, err = run(capsys, "mult", str(path), "--json", *flags)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 

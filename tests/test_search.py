@@ -10,7 +10,7 @@ from math import gcd, lcm, prod
 from operator import mul
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from splicemult import (
     DualBasis,
@@ -27,7 +27,7 @@ from splicemult import (
     trivial_subgroup,
 )
 from splicemult.graph import BlowupEvent, blowup_edge, blowup_end_point
-from splicemult.monomial import _class_steps, _congruences
+from splicemult.monomial import _class_steps, _congruences, _node_paths
 
 from conftest import (
     RecordedHistory,
@@ -476,7 +476,8 @@ def test_remaining_ends_reach_a_proper_subgroup(tree_h12, monkeypatch):
 def test_universal_abelian_cover_has_one_class(tree_h12, monkeypatch):
     """|H1| = 1: every step lands on class 0, so every least member is a
     single end, read off the rows with no search and no vertex-member
-    pass, on the input graph and after end and edge blowups.  The centre
+    pass, on the input graph and after end and edge blowups; z() enters
+    no arm lemma, which would search the leaf's end query.  The centre
     of star(-3; -3^5) has equal entries at all five ends: the last label's
     step is the least key."""
     for method in ("_shortest", "_searched", "_from_vertex_queries"):
@@ -487,6 +488,7 @@ def test_universal_abelian_cover_has_one_class(tree_h12, monkeypatch):
         group = discriminant_group(g)
         search = ZeroSumSearch(trivial_subgroup(group))
         assert len(search._negation) == 1
+        search.z()
         _assert_queries_match_one_sided(search, group.basis,
                                         {e: e for e in g.ends})
         for v in g.vertex_ids:
@@ -511,10 +513,11 @@ def test_universal_abelian_cover_has_one_class(tree_h12, monkeypatch):
 @pytest.mark.parametrize("name", ["star", "h12"])
 def test_vertex_members_decide_queries_without_search(name, tree_h12,
                                                       monkeypatch):
-    """After z(), an edge query whose answer a vertex member attains, and
-    an end query whose vertex member has exponent 0 there, run no
-    Dijkstra; every other one runs exactly one, and every answer equals
-    the one-sided search's."""
+    """After z(), an edge query whose answer a vertex member attains, an
+    end query whose vertex member has exponent 0 there, and the end query
+    that z()'s arm lemma asked at a leaf run no Dijkstra; every other one
+    runs exactly one, and every answer equals the one-sided search's.  On
+    the star the lemma asks the end query at four of the five leaves."""
     g = star(-3, [-3] * 5) if name == "star" else tree_h12
     h1 = full_subgroup(discriminant_group(g))
     basis = h1.group.basis
@@ -522,6 +525,8 @@ def test_vertex_members_decide_queries_without_search(name, tree_h12,
     z = cycle(g, search.z(), basis.den)
     members = {v: monomial(basis, search.least((v,))[1])
                for v in g.vertex_ids}
+    armed = {path[-1] for path in _armed_paths(search, g).values()}
+    assert len(armed) == (4 if name == "star" else 0)
     calls = []
     shortest = ZeroSumSearch._shortest
     monkeypatch.setattr(ZeroSumSearch, "_shortest",
@@ -537,7 +542,7 @@ def test_vertex_members_decide_queries_without_search(name, tree_h12,
         assert len(calls) - before == (0 if attains else 1)
         decided += attains
     for e in g.ends:
-        attains = members[e].exponents[e] == 0
+        attains = members[e].exponents[e] == 0 or e in armed
         before = len(calls)
         assert search.least((e,), e) == tuple_key_least(search, basis, (e,),
                                                         e)
@@ -600,8 +605,8 @@ def test_derived_vertices_on_every_subgroup(tree_h12, tree_h60, d4_star):
 
 
 def _z_searches(monkeypatch, g, subgroups):
-    """The vertex tuples z() searches, by `_searched`, per subgroup, and
-    the number of `_shortest` runs in all."""
+    """The queries z() searches, by `_searched`, as (vertices, without)
+    per subgroup, and the number of `_shortest` runs in all."""
     runs, searched = [], []
     shortest, by_key = ZeroSumSearch._shortest, ZeroSumSearch._searched
     monkeypatch.setattr(ZeroSumSearch, "_shortest",
@@ -609,7 +614,7 @@ def _z_searches(monkeypatch, g, subgroups):
                         or shortest(self, *args))
     monkeypatch.setattr(ZeroSumSearch, "_searched",
                         lambda self, vertices, without:
-                        searched[-1].append(vertices)
+                        searched[-1].append((vertices, without))
                         or by_key(self, vertices, without))
     for h1 in subgroups:
         searched.append([])
@@ -617,18 +622,24 @@ def _z_searches(monkeypatch, g, subgroups):
     return searched, len(runs)
 
 
-@pytest.mark.parametrize("name, most", [("h12", 25), ("h60", 37)])
-def test_z_searches_few_vertices(name, most, tree_h12, tree_h60,
+@pytest.mark.parametrize("name, vertex, end", [("h12", 20, 5),
+                                               ("h60", 29, 8)])
+def test_z_searches_few_vertices(name, vertex, end, tree_h12, tree_h60,
                                  monkeypatch):
-    """Over every subgroup, z() runs at most `most` Dijkstra searches (90
-    on h12 and 110 on h60 when it searched every vertex), each for one
-    vertex, and searches both nodes wherever it searches at all."""
+    """Over every subgroup, z() runs `vertex` Dijkstra searches for one
+    vertex (90 on h12 and 110 on h60 when it searched every vertex, 25
+    and 37 before the arm lemma) and `end` for the end query at an arm's
+    leaf, one Dijkstra run each, and searches both nodes first wherever
+    it searches at all."""
     g = tree_h12 if name == "h12" else tree_h60
     searched, runs = _z_searches(
         monkeypatch, g, enumerate_subgroups(discriminant_group(g)))
-    assert runs == sum(map(len, searched)) <= most
+    keys = [key for queries in searched for key in queries]
+    assert runs == len(keys)
+    assert sum(without is None for _, without in keys) == vertex
+    assert sum(without is not None for _, without in keys) == end
     for queries in searched:
-        assert not queries or queries[:2] == [(5,), (8,)]
+        assert not queries or queries[:2] == [((5,), None), ((8,), None)]
 
 
 def test_z_searches_only_the_nodes_for_h(tree_h12, monkeypatch):
@@ -636,7 +647,71 @@ def test_z_searches_only_the_nodes_for_h(tree_h12, monkeypatch):
     other vertex off their members."""
     searched, runs = _z_searches(
         monkeypatch, tree_h12, [full_subgroup(discriminant_group(tree_h12))])
-    assert (searched, runs) == ([[(5,), (8,)]], 2)
+    assert (searched, runs) == ([[((5,), None), ((8,), None)]], 2)
+
+
+def _armed_paths(search, g):
+    """The arms whose vertices z()'s arm lemma answers, by (node, leaf):
+    each arm out of a node p whose member has exponent 1 at the arm's
+    leaf, in a run of more than one class."""
+    if len(search._negation) == 1:
+        return {}
+    return {(p, path[-1]): path for p, path, q in _node_paths(g)
+            if q is None and search.least((p,))[1].get(path[-1]) == 1}
+
+
+def _assert_arm_answers(g, subgroups):
+    """Each vertex that z()'s arm lemma answers, over the subgroups, runs
+    no vertex search and equals the one-sided tuple-key search's answer.
+    Returns how many the lemma answered."""
+    answered = 0
+    for h1 in subgroups:
+        search, searched = ZeroSumSearch(h1), []
+        search._searched = lambda *key, run=search._searched: (
+            searched.append(key) or run(*key))
+        search.z()
+        for path in _armed_paths(search, g).values():
+            for v in path:
+                assert ((v,), None) not in searched
+                assert search.least((v,)) == tuple_key_least(
+                    search, h1.group.basis, (v,))
+                answered += 1
+    return answered
+
+
+@st.composite
+def graphs_with_every_subgroup(draw):
+    """A seeded random tree (conftest.random_trees) or a chain-armed star,
+    with |H| <= 400, and every subgroup of its group."""
+    if draw(st.booleans()):
+        g = random_trees(draw(st.integers(0, 10 ** 6)), 1, max_vertices=10,
+                         max_order=400)[0]
+    else:
+        g = draw(chain_armed_stars())
+    group = discriminant_group(g)
+    assume(group.order <= 400)
+    return g, list(enumerate_subgroups(group))
+
+
+def test_arm_lemma_answers_are_the_searched_ones(tree_h60):
+    """See _assert_arm_answers, on random graphs with every subgroup, and
+    on two explicit examples: star(-3; -3^5) at H1 = H, where the lemma
+    answers four of the five leaves, and h60 over every subgroup, where
+    it answers 8 arm vertices."""
+    quotient_star = star(-3, [-3] * 5)
+    counts = {}
+
+    @settings(max_examples=30, deadline=None)
+    @given(graphs_with_every_subgroup())
+    @example((quotient_star,
+              [full_subgroup(discriminant_group(quotient_star))]))
+    @example((tree_h60, list(enumerate_subgroups(
+        discriminant_group(tree_h60)))))
+    def check(case):
+        counts.setdefault(case[0], _assert_arm_answers(*case))
+
+    check()
+    assert (counts[quotient_star], counts[tree_h60]) == (4, 8)
 
 
 # --- the classes in Smith coordinates against the coset construction ---------
