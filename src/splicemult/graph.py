@@ -11,8 +11,9 @@ The constructor checks negative definiteness by a leaf-first elimination
 of the tree rooted at its least id and keeps that rooted tree, which the
 branch determinants, the tree solve (lattice) and the branches of the
 monomial condition (monomial) read instead of walking the tree again.  A
-blown-up graph carries its parent's elimination, root included, and
-re-checks only the subtree determinants that the blowup changed.
+blown-up graph is its parent's tables, patched, with a certificate that
+its weight changes are exactly the blowup's; it eliminates only if the
+rooted tree is read.
 """
 
 import json
@@ -71,16 +72,19 @@ class ResolutionGraph:
         self._preorder = None
         self._imatrix = None
         self._hash = None
-        if not self._negative_definite():
+        self._rooted = self._eliminate_leaves()
+        if self._rooted is None:
             raise InputError(NOT_DEFINITE)
 
-    def _negative_definite(self):
-        """Whether the form is negative definite; InputError(NOT_A_TREE)
-        first when the n - 1 edges do not connect the graph.  Keeps the
-        rooted tree of the elimination (see rooted_tree).  Blown-up graphs
-        patch their parent's instead (see _blown_up)."""
-        self._rooted = self._eliminate_leaves()
-        return self._rooted is not None
+    def _elimination(self):
+        """The leaf-first elimination (see _eliminate_leaves).  The
+        constructor keeps it; a blown-up graph eliminates on first read,
+        and a blown-up graph that is not definite is a bug."""
+        if self._rooted is None:
+            self._rooted = self._eliminate_leaves()
+            if self._rooted is None:
+                _invalid(NOT_DEFINITE)
+        return self._rooted
 
     def _eliminate_leaves(self):
         """Symmetric elimination of -I(E) in O(n), leaves first, in integers.
@@ -133,12 +137,10 @@ class ResolutionGraph:
         rooted: the vertices in depth-first preorder, each one's parent
         (None at the root), and each subtree's size, so that
         order[i:i + size[v]] is v's subtree for v = order[i].  The root is
-        the least id of the graph the constructor built, which blowups keep
-        even when a fresh id is smaller.  Derived on first use from the
-        elimination's order, parents before children (and not strictly
-        breadth-first after blowups).  Shared: do not change it."""
+        the graph's least id.  Derived on first use from the elimination's
+        breadth-first order.  Shared: do not change it."""
         if self._preorder is None:
-            order, parent, _, _ = self._rooted
+            order, parent, _, _ = self._elimination()
             size = dict.fromkeys(order, 1)
             for v in order[:0:-1]:
                 size[parent[v]] += size[v]
@@ -166,7 +168,7 @@ class ResolutionGraph:
         empty): Q_c for a child c, and prod_{y != c} D(v -> y) on v's
         side.  Each division is exact.  O(n) integer steps, no recursion.
         """
-        order, parent, below, rest = self._rooted
+        order, parent, below, rest = self._elimination()
         det = below[order[0]]
         branch = {}
         for v in order:
@@ -358,25 +360,32 @@ def _blown_up(g, event):
 
     g's tables are copied and patched where the blowup touches them: the
     new vertex u of weight -1, the centre's weights and adjacency, the
-    edges, and the ends in an end blowup (the nodes never change).  g's
-    elimination is carried over with g's root: u goes between an edge's
-    parent p and child c, just before c in the order, or under the end i.
-    A blowup keeps the determinant of every subtree holding its point and
-    leaves every other subtree alone, so only P_c and u's P and Q are
-    new.  They are recomputed from h's weights, and must give P_c > 0,
-    P_u = P_c of g and P_p unchanged (an end blowup: P_u = 1, P_i
-    unchanged): so every P of h is positive and the weight changes are
-    exactly the blowup's.  A blowup of a negative definite tree is again
-    one, so a failed check is a bug, not invalid input.
+    edges, and the ends in an end blowup (the nodes never change).  The
+    certificate is that the event's weight changes are exactly its centre
+    vertices, each going from its weight w in g to w - 1.  That suffices:
+    with those weights h is the blowup of g, whose lattice is the
+    orthogonal sum pi*L + Z E_u with E_u^2 = -1.  So h is negative
+    definite, and every determinant identity of the blowup follows: each
+    subtree of h that holds u has the determinant of the subtree of g it
+    blows up, and every other subtree is g's.  A blowup of a negative
+    definite tree is again one, so a failed check is a bug, not invalid
+    input.  h eliminates only when its elimination is first read (see
+    _elimination).
     """
     u, centre = event.new_vertex, event.center
     h = ResolutionGraph.__new__(ResolutionGraph)
     weights = h._weights = dict(g._weights)
     weights[u] = -1
-    for v, _, w in event.weight_changes:
-        if w >= 0:
-            _invalid(f"vertex {v} has weight {w} >= 0")
-        weights[v] = w
+    changed = [v for v, _, _ in event.weight_changes]
+    if sorted(changed) != sorted(centre):
+        _invalid(f"the weights change at {changed}, not at the centre "
+                 f"{list(centre)}")
+    for v, old, new in event.weight_changes:
+        w = weights[v]
+        if (old, new) != (w, w - 1):
+            _invalid(f"vertex {v} goes from {old} to {new}, not from {w} "
+                     f"to {w - 1}")
+        weights[v] = new
     k = bisect_left(g._ids, u)
     ids = h._ids = g._ids[:k] + (u,) + g._ids[k:]
     pos = h._pos = dict(g._pos)
@@ -385,57 +394,21 @@ def _blown_up(g, event):
     adj = h._adj = dict(g._adj)
     adj[u] = centre
     edges = list(g._edges)
-    order, parent, below, rest = g._rooted
-    parent, below, rest = dict(parent), dict(below), dict(rest)
     if event.kind == "edge":
         v, w = centre
         del edges[bisect_left(edges, centre)]
         adj[v], adj[w] = _swapped(adj[v], w, u), _swapped(adj[w], v, u)
-        p, c = (v, w) if parent[w] == v else (w, v)
-        order = list(order)
-        order.insert(order.index(c), u)
-        h._rooted = order, parent, below, rest
-        parent[u], parent[c] = p, u
-        pinned = below[c]
-        below[c] = _pivot(h, c)[0]
-        if below[c] <= 0:
-            _invalid(f"P at vertex {c} is {below[c]}, not positive")
-        below[u], rest[u] = _pivot(h, u)
-        if below[u] != pinned:
-            _invalid(f"P at vertex {u} is {below[u]}, not {pinned} as at "
-                     f"vertex {c} before the blowup")
         h._ends = g._ends
     else:
         (p,) = centre
         adj[p] = tuple(sorted(adj[p] + (u,)))
-        h._rooted = order + [u], parent, below, rest
-        parent[u] = p
-        below[u], rest[u] = _pivot(h, u)
-        if below[u] != 1:
-            _invalid(f"P at vertex {u} is {below[u]}, not 1")
         h._ends = tuple(sorted({*g._ends, u} - {p}))
-    value = _pivot(h, p)[0]
-    if value != below[p]:
-        _invalid(f"P at vertex {p} is {value}, not {below[p]} as before "
-                 f"the blowup")
     for v in centre:
         insort(edges, (min(u, v), max(u, v)))
     h._edges = tuple(edges)
     h._nodes = g._nodes
-    h._preorder = h._imatrix = h._hash = None
+    h._rooted = h._preorder = h._imatrix = h._hash = None
     return h
-
-
-def _pivot(h, v):
-    """(P_v, Q_v) by the elimination recurrence (see _eliminate_leaves)
-    from h's weight at v and the carried P and Q of v's children."""
-    _, parent, below, rest = h._rooted
-    s, q = 0, 1
-    for x in h._adj[v]:
-        if x != parent[v]:
-            s = s * below[x] + rest[x] * q
-            q *= below[x]
-    return -h._weights[v] * q - s, q
 
 
 def _swapped(neighbours, old, new):
@@ -454,8 +427,8 @@ def blowup_edge(g, v, w):
     """Blow up the intersection point of the edge (v, w).
 
     Inserts a fresh (-1)-vertex between v and w and decrements both their
-    weights.  The new graph patches g's tables and g's elimination and
-    re-checks the subtree determinants the blowup changed (see _blown_up).
+    weights.  The new graph patches g's tables and certifies its weight
+    changes (see _blown_up).
     Dual cycles follow by pullback, E'_x* = pi*(E_x*), with no new solve.
     """
     if not g.has_edge(v, w):

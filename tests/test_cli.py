@@ -863,32 +863,54 @@ def test_table_json_writes_each_element_list_once(files, capsys, monkeypatch,
 def test_invalid_blowup_is_exit_4(files, capsys, monkeypatch):
     """A blown-up graph that fails its certificate is reported as a bug:
     h60 needs three edge blowups, and here the first one lowers its
-    centre by 2, which keeps the form definite but breaks P_u = P_c."""
+    centre by 2, which keeps the form definite but is not the blowup's
+    weight change w -> w - 1."""
     lower_centres_twice(monkeypatch)
     code, out, err = run(capsys, "mult", files["h60"], "--uac")
     assert (code, out) == (4, "")
     assert err == ("internal error: blowup produced an invalid graph: "
-                   "P at vertex 11 is 36, not 24 as at vertex 5 before "
-                   "the blowup\n")
+                   "vertex 1 goes from -3 to -5, not from -3 to -4\n")
 
 
-def test_mult_uac_eliminates_leaves_once(files, capsys, monkeypatch):
-    """Each blown-up graph carries its parent's elimination: on h60, with
-    three edge blowups, the leaf-first elimination runs once, on the
-    parsed graph of ten vertices."""
+@pytest.mark.parametrize("argv", [
+    ("mult", "h60", "--uac", "--json"),  # three edge blowups
+    ("table", "h60", "--json"),  # 17 blowups; h12's table has none
+    ("mult", "tree154", "--uac", "--json", "--max-blowups", "100"),
+], ids=["mult-h60", "table-h60", "mult-tree154"])
+def test_mult_uac_eliminates_leaves_once(argv, files, capsys, monkeypatch,
+                                         tmp_path):
+    """No command reads a blown-up graph's elimination: the leaf-first
+    elimination runs once per command, on the parsed graph of ten
+    vertices.  A blown-up graph keeps none (_rooted is None) until its
+    rooted tree is first read, which eliminates once and caches."""
+    from splicemult import cli
+
+    path = tmp_path / "tree154.json"
+    path.write_text(graph_json(TREE_154))
+    files = {**files, "tree154": str(path)}
     original = ResolutionGraph._eliminate_leaves
-    sizes = []
+    sizes, reports = [], []
 
     def counted(self):
         sizes.append(len(self))
         return original(self)
 
+    def kept(*args, **kwargs):
+        reports.append(pipeline(*args, **kwargs))
+        return reports[-1]
+
+    pipeline = cli.run_pipeline
     monkeypatch.setattr(ResolutionGraph, "_eliminate_leaves", counted)
-    code, out, _ = run(capsys, "mult", files["h60"], "--uac", "--json")
-    assert code == 0
-    assert [r["blowup"] is not None for r in json.loads(out)["rounds"]] == [
-        True, True, True, False]
+    monkeypatch.setattr(cli, "run_pipeline", kept)
+    code, _, err = run(capsys, argv[0], files[argv[1]], *argv[2:])
+    assert (code, err) == (0, "")
     assert sizes == [10]
+    blown = [r.history.current for r in reports if r.history.events]
+    assert blown and all(h._rooted is None for h in blown)
+    h = blown[-1]
+    tree = h.rooted_tree()
+    assert sizes == [10, len(h)] and h._rooted is not None
+    assert h.rooted_tree() is tree and sizes == [10, len(h)]
 
 
 def _flat_of_h12_row(monkeypatch, row, pick):
@@ -1274,6 +1296,15 @@ TREE_154 = ResolutionGraph(
      (8, 10)])
 
 
+# Tree 30 of bench/corpus.json (|H| = 35,697), the corpus's longest run:
+# 208 blowups to multiplicity 36
+TREE_30 = ResolutionGraph(
+    {1: -2, 2: -4, 3: -4, 4: -2, 5: -2, 6: -3, 7: -4, 8: -3, 9: -3, 10: -2,
+     11: -3, 12: -4},
+    [(1, 2), (1, 3), (3, 4), (2, 5), (5, 6), (4, 7), (5, 8), (7, 9), (8, 10),
+     (5, 11), (1, 12)])
+
+
 @pytest.mark.parametrize("g, flags, digest", [
     (star(-1, [-3, -4, -5, -7]), ("--uac",),  # 25 rounds
      "9b934604a7c3a1af356f8da17b6b8ad02484ebb035349a3652752450a009c814"),
@@ -1283,13 +1314,15 @@ TREE_154 = ResolutionGraph(
      "330c3a9a18f64e7f58bdc2087f56d7ae9ef8fa25e97bed9459634d89c9de13c5"),
     (star(-2, [-5, -7, -11]), ("--quotient",),  # |H| = 603
      "def2d66c56df1941f281f81e9bdc4b78afd8e4e4a2a2069e99725f19ae4bee28"),
+    (TREE_30, ("--uac", "--max-blowups", "300"),  # 208 blowups
+     "969580c5a0106c061f2df7c435628210af933ee7a504c78ece7aaf1d1630a68b"),
 ])
 def test_mult_json_of_a_long_run_is_pinned(g, flags, digest, capsys,
                                            tmp_path):
-    """The sha256 of the whole `mult --json` document of two long `--uac`
-    runs, whose Z maps the writer patches from round 1's over every
-    blowup, and of two `--quotient` stars, whose witnesses depend on
-    which member answers each query, pins their bytes."""
+    """The sha256 of the whole `mult --json` document of three long
+    `--uac` runs, whose Z maps the writer patches from round 1's over
+    every blowup, and of two `--quotient` stars, whose witnesses depend
+    on which member answers each query, pins their bytes."""
     import hashlib
 
     path = tmp_path / "graph.json"

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, strategies as st
@@ -155,8 +156,8 @@ def test_branches_match_search_on_chain_armed_stars(g):
 
 @given(blowup_histories())
 def test_branches_match_search_after_blowups(history):
-    """A blown-up graph carries its input's rooted tree, patched, with new
-    vertices before and between the old ones in id order."""
+    """A blown-up graph eliminates on first read, rooted at its own least
+    id, with new vertices before and between the old ones in id order."""
     _assert_branches_match_search(history.initial)
     for k in range(len(history.events)):
         _assert_branches_match_search(history.graph_after(k))
@@ -320,8 +321,12 @@ def test_derived_graphs_equal_constructor_built_graphs(history):
     """A blown-up graph, patched from its parent's tables, is the graph
     the constructor builds from the blown-up weights and edges: equal,
     with the same hash, vertex order and positions, ends, nodes,
-    neighbours, intersection matrix and branch determinants.  The ids are
-    multiples of 3, so new vertices land inside the vertex order."""
+    neighbours, intersection matrix, branch determinants and rooted tree.
+    The ids are multiples of 3, so new vertices land inside the vertex
+    order and below the old root: a blown-up graph is rooted at its own
+    least id.  Its elimination, run on first read, lists parents before
+    children along edges, Q_v is the product of P over v's children, and
+    each slice of the preorder is a subtree."""
     for k, event in enumerate(history.events):
         derived = history.graph_after(k)
         built = _replayed(history.graph_before(k), event)
@@ -335,18 +340,47 @@ def test_derived_graphs_equal_constructor_built_graphs(history):
             assert derived.weight(v) == built.weight(v)
         assert derived.intersection_matrix() == built.intersection_matrix()
         assert derived.branch_determinants() == built.branch_determinants()
+        assert derived.rooted_tree() == built.rooted_tree()
+        assert derived._rooted == built._rooted
+
+        order, parent, below, rest = derived._rooted
+        root = derived.vertex_ids[0]
+        assert order[0] == root and parent[root] is None
+        assert sorted(order) == list(derived.vertex_ids)
+        place = {v: i for i, v in enumerate(order)}
+        assert all(place[parent[v]] < place[v]
+                   and derived.has_edge(parent[v], v) for v in order[1:])
+        assert all(rest[v] == prod(below[c] for c in derived.neighbors(v)
+                                   if c != parent[v]) for v in order)
+        preorder, _, size = derived.rooted_tree()
+        for i, v in enumerate(preorder):
+            assert set(preorder[i:i + size[v]]) == {
+                u for u in order if _descends(u, v, parent)}
 
 
 def test_blowup_with_a_nonnegative_weight_is_an_internal_error(tree_h12):
-    """The derived graph's changed weights are checked as the constructor
-    checks them."""
+    """A change to a weight >= 0 is not a change from w to w - 1, so the
+    certificate refuses it before any table is patched."""
     from splicemult.graph import BlowupEvent, _blown_up
 
     event = BlowupEvent(kind="edge", center=(1, 5), new_vertex=11,
                         weight_changes=((1, -2, 0), (5, -2, -3)))
     with pytest.raises(InternalError, match="^blowup produced an invalid "
-                       "graph: vertex 1 has weight 0 >= 0$"):
+                       "graph: vertex 1 goes from -2 to 0, not from -2 to "
+                       "-3$"):
         _blown_up(tree_h12, event)
+
+
+def test_blown_up_graph_that_is_not_definite_is_an_internal_error(tree_h12):
+    """A blown-up graph eliminates on first read of its rooted tree, and
+    one that is not negative definite there is a bug, not invalid input:
+    here its new vertex is given weight 1 after the certificate."""
+    h, event = blowup_edge(tree_h12, 1, 5)
+    h._weights[event.new_vertex] = 1
+    with pytest.raises(InternalError, match="^blowup produced an invalid "
+                       "graph: intersection matrix is not negative "
+                       "definite$"):
+        h.rooted_tree()
 
 
 @given(st.sets(st.integers(-3, 12), min_size=2, max_size=9))
@@ -364,29 +398,36 @@ def test_blowup_failing_a_constructor_check_is_an_internal_error(
         tree_h12, monkeypatch):
     """A blowup of a valid graph is valid again, so a derived graph that
     fails its certificate is a bug (exit 4), never invalid input (exit
-    1).  The certificate recomputes P where the blowup identities pin it,
-    so it also refuses weight changes that keep the form definite: here
-    every centre vertex loses 2 instead of 1."""
+    1).  The certificate pins every weight change to w -> w - 1, so it
+    also refuses changes that keep the form definite: here every centre
+    vertex loses 2 instead of 1."""
     lower_centres_twice(monkeypatch)
     prefix = "^blowup produced an invalid graph: "
-    with pytest.raises(InternalError, match=prefix + "P at vertex 11 is 24, "
-                       "not 12 as at vertex 5 before the blowup$"):
+    with pytest.raises(InternalError, match=prefix + "vertex 1 goes from -2 "
+                       "to -4, not from -2 to -3$"):
         blowup_edge(tree_h12, 1, 5)
-    with pytest.raises(InternalError, match=prefix + "P at vertex 1 is 24, "
-                       "not 12 as before the blowup$"):
+    with pytest.raises(InternalError, match=prefix + "vertex 1 goes from -2 "
+                       "to -4, not from -2 to -3$"):
         blowup_end_point(tree_h12, 1)
-    with pytest.raises(InternalError, match=prefix + "P at vertex 2 is 3, "
-                       "not 2 as before the blowup$"):
+    with pytest.raises(InternalError, match=prefix + "vertex 2 goes from -2 "
+                       "to -4, not from -2 to -3$"):
         GraphHistory(tree_h12).blowup_end(2)
 
 
 @pytest.mark.parametrize("center, weight_changes, reason", [
-    # rooted at 1, the edge (7, 8) has child 8, whose two arms (9, 3)
-    # and (10, 4) leave P_8 / Q_8 = 2/3: at weight -1 its P is negative
-    ((7, 8), ((7, -2, -3), (8, -2, -1)), "P at vertex 8 is -3, not positive"),
-    # the parent 1 of the edge (1, 5) loses 2, its child 5 loses 1
+    # vertex 8 rises to -1, where the form is no longer definite (P_8 < 0
+    # rooted at 1); the certificate refuses the change itself
+    ((7, 8), ((7, -2, -3), (8, -2, -1)),
+     r"vertex 8 goes from -2 to -1, not from -2 to -3"),
+    # the centre vertex 1 loses 2, the other centre vertex 5 loses 1
     ((1, 5), ((1, -2, -4), (5, -2, -3)),
-     "P at vertex 1 is 24, not 12 as before the blowup"),
+     r"vertex 1 goes from -2 to -4, not from -2 to -3"),
+    # a weight change at vertex 6, off the centre (1, 5)
+    ((1, 5), ((1, -2, -3), (6, -4, -5)),
+     r"the weights change at \[1, 6\], not at the centre \[1, 5\]"),
+    # an edge blowup that lowers only one of its two centre vertices
+    ((1, 5), ((5, -2, -3),),
+     r"the weights change at \[5\], not at the centre \[1, 5\]"),
 ])
 def test_blowup_certificate_names_the_vertex_and_the_check(
         tree_h12, center, weight_changes, reason):
