@@ -177,6 +177,47 @@ def test_dual_basis_reads_the_constructors_elimination(monkeypatch):
 
 @given(st.one_of(blowup_histories(), chain_armed_star_histories(),
                  multi_node_histories()))
+def test_blown_up_graphs_carry_the_elimination(history):
+    """Every graph a history passes through carries, once read, the
+    elimination a fresh graph would make: rooted at its own least id,
+    parents before children, P_v = D(parent -> v), P_root = det and Q_v
+    the product of P over v's children."""
+    graphs = [history.initial] + [history.graph_after(k)
+                                  for k in range(len(history.events))]
+    for g in graphs:
+        order, parent, below, rest = g._elimination()
+        root = g.vertex_ids[0]
+        assert order[0] == root and parent[root] is None
+        assert sorted(order) == list(g.vertex_ids)
+        place = {v: i for i, v in enumerate(order)}
+        assert all(place[parent[v]] < place[v] and g.has_edge(parent[v], v)
+                   for v in order[1:])
+        fresh = ResolutionGraph(
+            {v: g.weight(v) for v in g.vertex_ids}, g.edges)
+        det, branch = fresh.branch_determinants()
+        assert below[root] == det
+        assert all(below[v] == branch[parent[v], v] for v in order[1:])
+        assert all(rest[v] == prod(below[c] for c in g.neighbors(v)
+                                   if c != parent[v]) for v in order)
+        assert g.branch_determinants() == (det, branch)
+
+        preorder, parent_of, size = g.rooted_tree()
+        assert parent_of == parent and preorder[0] == root
+        for i, v in enumerate(preorder):
+            below_v = {u for u in order if v in _ancestors(u, parent)}
+            assert set(preorder[i:i + size[v]]) == below_v
+
+
+def _ancestors(u, parent):
+    """u and every vertex above it."""
+    path = [u]
+    while parent[path[-1]] is not None:
+        path.append(parent[path[-1]])
+    return path
+
+
+@given(st.one_of(blowup_histories(), chain_armed_star_histories(),
+                 multi_node_histories()))
 def test_snf_of_every_history_graph_equals_eager(history):
     """On -I of every graph a history passes through, the Smith form
     rebuilt from its log is the eager one, U, S and V alike."""
