@@ -8,12 +8,12 @@ GraphHistory strings events together while tracking which vertex carries
 each original end's curve variable.
 
 The constructor checks negative definiteness by a leaf-first elimination
-of the tree rooted at its least id and keeps that rooted tree, which the
-branch determinants, the tree solve (lattice) and the branches of the
-monomial condition (monomial) read instead of walking the tree again.  A
-blown-up graph is its parent's tables, patched, with a certificate that
-its weight changes are exactly the blowup's; it eliminates only if the
-rooted tree is read.
+of the tree rooted at its least id, walked in depth-first preorder, and
+keeps that one rooted order, which the branch determinants, the tree
+solve (lattice) and the branches of the monomial condition (monomial)
+read instead of walking the tree again.  A blown-up graph is its
+parent's tables, patched, with a certificate that its weight changes are
+exactly the blowup's; it eliminates only if the rooted tree is read.
 """
 
 import json
@@ -31,7 +31,7 @@ class ResolutionGraph:
     """Immutable vertex-weighted tree with negative definite form."""
 
     __slots__ = ("_ids", "_pos", "_weights", "_edges", "_adj", "_ends",
-                 "_nodes", "_rooted", "_preorder", "_imatrix", "_hash")
+                 "_nodes", "_rooted")
 
     def __init__(self, weights, edges):
         """weights: mapping vertex id -> weight; edges: iterable of id pairs."""
@@ -69,9 +69,6 @@ class ResolutionGraph:
         self._ends = tuple(v for v in self._ids if len(self._adj[v]) == 1)
         self._nodes = tuple(v for v in self._ids if len(self._adj[v]) >= 3)
 
-        self._preorder = None
-        self._imatrix = None
-        self._hash = None
         self._rooted = self._eliminate_leaves()
         if self._rooted is None:
             raise InputError(NOT_DEFINITE)
@@ -99,27 +96,33 @@ class ResolutionGraph:
         sum is kept over the common denominator Q_v, so no division is
         made, and the form is negative definite iff every P_v > 0.
 
-        Rooted at the first vertex id, returns (order, parent, P, Q): the
-        vertices in breadth-first order, each one's parent (None at the
-        root) and the maps v -> P_v and v -> Q_v; or None at the first
-        pivot that is not positive.  The breadth-first pass is also the
-        connectivity test: with n - 1 edges the graph is a tree exactly
-        when the pass reaches every vertex, and InputError(NOT_A_TREE) is
-        raised, before any pivot, when it does not.
+        Rooted at the first vertex id, returns (order, parent, size, P, Q):
+        the vertices in depth-first preorder, children in ascending id
+        order, each one's parent (None at the root), each subtree's size,
+        so that order[i:i + size[v]] is v's subtree for v = order[i], and
+        the maps v -> P_v and v -> Q_v; or None at the first pivot that is
+        not positive.  The walk is also the connectivity test: with n - 1
+        edges the graph is a tree exactly when the walk reaches every
+        vertex, and InputError(NOT_A_TREE) is raised, before any pivot,
+        when it does not.
         """
         adj = self._adj
         root = self._ids[0]
         parent = {root: None}
-        order = [root]
-        for v in order:
-            for u in adj[v]:
+        order = []
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            order.append(v)
+            for u in reversed(adj[v]):
                 if u not in parent:
                     parent[u] = v
-                    order.append(u)
+                    stack.append(u)
         if len(order) != len(self._ids):
             raise InputError(NOT_A_TREE)
         weights = self._weights
         below = {}
+        size = dict.fromkeys(order, 1)
         q = dict.fromkeys(order, 1)  # Q_v over the children seen so far
         s = dict.fromkeys(order, 0)  # Q_v * sum_c Q_c / P_c over them
         for v in reversed(order):
@@ -130,29 +133,16 @@ class ResolutionGraph:
             if p is not None:
                 s[p] = s[p] * det + q[v] * q[p]
                 q[p] *= det
-        return order, parent, below, q
+                size[p] += size[v]
+        return order, parent, size, below, q
 
     def rooted_tree(self):
         """(order, parent, size) of the tree the leaf-first elimination
-        rooted: the vertices in depth-first preorder, each one's parent
-        (None at the root), and each subtree's size, so that
-        order[i:i + size[v]] is v's subtree for v = order[i].  The root is
-        the graph's least id.  Derived on first use from the elimination's
-        breadth-first order.  Shared: do not change it."""
-        if self._preorder is None:
-            order, parent, _, _ = self._elimination()
-            size = dict.fromkeys(order, 1)
-            for v in order[:0:-1]:
-                size[parent[v]] += size[v]
-            preorder = order[:1] * len(order)
-            free = {order[0]: 1}  # the next free slot in each subtree
-            for v in order[1:]:
-                i = free[parent[v]]
-                free[parent[v]] = i + size[v]
-                free[v] = i + 1
-                preorder[i] = v
-            self._preorder = preorder, parent, size
-        return self._preorder
+        rooted at the graph's least id: the vertices in depth-first
+        preorder, each one's parent (None at the root), and each subtree's
+        size, so that order[i:i + size[v]] is v's subtree for v = order[i].
+        Shared: do not change it."""
+        return self._elimination()[:3]
 
     def branch_determinants(self):
         """det(-I(E)) and the branch determinants of every directed edge.
@@ -168,7 +158,7 @@ class ResolutionGraph:
         empty): Q_c for a child c, and prod_{y != c} D(v -> y) on v's
         side.  Each division is exact.  O(n) integer steps, no recursion.
         """
-        order, parent, below, rest = self._elimination()
+        order, parent, _, below, rest = self._elimination()
         det = below[order[0]]
         branch = {}
         for v in order:
@@ -229,15 +219,13 @@ class ResolutionGraph:
 
     def intersection_matrix(self):
         """Symmetric matrix: weights on the diagonal, 1 for each edge."""
-        if self._imatrix is None:
-            n = len(self._ids)
-            m = [[0] * n for _ in range(n)]
-            for i, v in enumerate(self._ids):
-                m[i][i] = self._weights[v]
-                for u in self._adj[v]:
-                    m[i][self._pos[u]] = 1
-            self._imatrix = m
-        return [list(row) for row in self._imatrix]
+        n = len(self._ids)
+        m = [[0] * n for _ in range(n)]
+        for i, v in enumerate(self._ids):
+            m[i][i] = self._weights[v]
+            for u in self._adj[v]:
+                m[i][self._pos[u]] = 1
+        return m
 
     # --- identity -------------------------------------------------------------
 
@@ -249,9 +237,7 @@ class ResolutionGraph:
         return isinstance(other, ResolutionGraph) and self._key() == other._key()
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(self._key())
-        return self._hash
+        return hash(self._key())
 
     def __repr__(self):
         return (f"ResolutionGraph({len(self._ids)} vertices, "
@@ -407,7 +393,7 @@ def _blown_up(g, event):
         insort(edges, (min(u, v), max(u, v)))
     h._edges = tuple(edges)
     h._nodes = g._nodes
-    h._rooted = h._preorder = h._imatrix = h._hash = None
+    h._rooted = None
     return h
 
 
@@ -461,7 +447,8 @@ class GraphHistory:
 
     end_map sends each original end index to the vertex currently carrying
     its curve variable: edge blowups never move it, an end-point blowup moves
-    it onto the new leaf.
+    it onto the new leaf.  It is built from the ascending ends and a blowup
+    only reassigns a label's value, so it iterates in label order.
     """
 
     def __init__(self, graph):

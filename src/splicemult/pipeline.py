@@ -11,7 +11,7 @@ and a report keeps them so: the CLI writes them as "p/q" text.
 """
 
 from collections import namedtuple
-from functools import partial
+from functools import cached_property, partial
 
 from .errors import CapExceededError, ConditionError, InputError, InternalError
 from .graph import GraphHistory, is_minimal
@@ -21,73 +21,70 @@ from .monomial import ZeroSumSearch, _Record, is_base_point, monomial_string
 MAX_BLOWUPS = 64  # default cap on the blowups of one run
 
 
-class _OnFirstRead:
-    """The witness field of EdgeCheckResult and EndDecision.  A record
-    built by `_on_first_read` holds, in place of its witness, a function
-    that finds it; the first read calls the function and stores what it
-    returns as the field, which every later read, equality and repr
-    included, finds first.  A record built with its witness never comes
-    here."""
-
-    def __get__(self, record, owner=None):
-        if record is None:
-            return self  # read on the class
-        fields = vars(record)
-        witness = fields["witness"] = fields["_find"]()
-        del fields["_find"]
-        return witness
-
-
-def _on_first_read(cls, find, **fields):
-    """A record of `cls` with the given fields whose witness is find(),
-    called when the witness is first read."""
-    record = object.__new__(cls)
-    vars(record).update(fields, _find=find)
-    return record
+def _find_witness(record):
+    """The witness of a record built with `find=`: find() on first read.
+    functools.cached_property stores it as the field, which every later
+    read, equality and repr included, finds first; a record built with
+    its witness holds the field from the start and never comes here."""
+    fields = vars(record)
+    witness = fields["_find"]()
+    del fields["_find"]
+    return witness
 
 
 class EdgeCheckResult(_Record):
     """Local gcd check at one edge: passed iff a single monomial cycle
     attains both coefficient minima (it is then a Hilbert-basis generator,
     since all coefficients are positive), or Z.E = 0 at one of its
-    vertices (pruned_by_zero).  The witness, the monomial string of that
-    cycle or None, is found on first read (see check_gcd_condition)."""
+    vertices (pruned_by_zero).  The witness is the monomial string of
+    that cycle or None; a record built with `find=` in its place calls
+    find() once, on the witness's first read (see check_gcd_condition)."""
 
     _fields = ("edge", "passed", "pruned_by_zero", "witness")
-    witness = _OnFirstRead()
 
-    def __init__(self, edge, passed, pruned_by_zero, witness=None):
+    def __init__(self, edge, passed, pruned_by_zero, witness=None, *,
+                 find=None):
         self.edge = edge
         self.passed = passed
         self.pruned_by_zero = pruned_by_zero
-        self.witness = witness
+        if find is None:
+            self.witness = witness
+        else:
+            self._find = find
+
+    witness = cached_property(_find_witness)
 
 
 class EndDecision(_Record):
     """Outcome of the base-point analysis at one end in one round: `end`
     is the original end index and `action` one of 'witness',
     'not_base_point' and 'blowup'.  The query behind the decision has run;
-    the witness, the monomial string for 'witness', is written on first
-    read."""
+    the witness, the monomial string for 'witness', is given or, built
+    with `find=`, written on first read."""
 
     _fields = ("end", "action", "witness")
-    witness = _OnFirstRead()
 
-    def __init__(self, end, action, witness=None):
+    def __init__(self, end, action, witness=None, *, find=None):
         self.end = end
         self.action = action
-        self.witness = witness
+        if find is None:
+            self.witness = witness
+        else:
+            self._find = find
+
+    witness = cached_property(_find_witness)
 
 
 class RoundRecord(_Record):
     """One round of the loop on `graph`.  `z` is the run's one map from
     vertex id to |H| * Z_v, shared by every round: a blowup adds its new
     vertex and keeps every old vertex's Z_v, so the map restricted to
-    `graph` is this round's Z.  A round stores no vector of its own.  The
-    loop fills in the round's end decisions, edge checks and `blowup`, a
-    BlowupEvent or None."""
+    `graph` is this round's Z.  A round stores no vector of its own, and
+    its equality, hash and repr read `z_num`, that restriction, not the
+    shared map.  The loop fills in the round's end decisions, edge checks
+    and `blowup`, a BlowupEvent or None."""
 
-    _fields = ("graph", "den", "z", "end_decisions", "edge_checks",
+    _fields = ("graph", "den", "z_num", "end_decisions", "edge_checks",
                "blowup")
 
     def __init__(self, graph, den, z, end_decisions=(), edge_checks=(),
@@ -186,10 +183,9 @@ def check_gcd_condition(g, z, z_dual, search, known=None):
         result = known.get(key)
         if result is None:
             if key[1]:
-                result = _on_first_read(
-                    EdgeCheckResult,
-                    partial(_edge_witness, search, edge, z[v], z[w]),
-                    edge=edge, passed=True, pruned_by_zero=True)
+                result = EdgeCheckResult(
+                    edge=edge, passed=True, pruned_by_zero=True,
+                    find=partial(_edge_witness, search, edge, z[v], z[w]))
             else:
                 witness = _edge_witness(search, edge, z[v], z[w])
                 result = EdgeCheckResult(
@@ -217,14 +213,14 @@ def _end_decisions(history, z, search, decided):
     through blowups (see ZeroSumSearch), so the decision never changes.
     """
     decisions = []
-    for label, v in sorted(history.end_map.items()):
+    for label, v in history.end_map.items():
         decision = decided.get((label, v))
         if decision is None:
             found = search.least((v,), without=label)
             if found[0][0] == z[v]:
-                decision = _on_first_read(
-                    EndDecision, partial(monomial_string, found[1]),
-                    end=label, action="witness")
+                decision = EndDecision(
+                    label, "witness",
+                    find=partial(monomial_string, found[1]))
             elif not is_base_point(search.row(v), search.labels.index(label)):
                 decision = EndDecision(label, "not_base_point")
             else:

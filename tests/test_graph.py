@@ -65,7 +65,7 @@ def test_parse_rejects_disconnected():
 
 
 def test_tree_check_comes_before_definiteness():
-    """n - 1 edges that leave a vertex out: the breadth-first pass of the
+    """n - 1 edges that leave a vertex out: the depth-first walk of the
     definiteness test finds it, and names the tree, not the form."""
     with pytest.raises(InputError, match="^graph is not a connected tree$"):
         ResolutionGraph({1: -1, 2: -1, 3: -1, 4: -1},
@@ -165,9 +165,10 @@ def test_branches_match_search_after_blowups(history):
 
 def test_rooted_tree_is_a_preorder_from_the_least_id(tree_h12):
     """Each vertex's subtree is the slice of the preorder that starts at
-    it, and the root is the least id."""
+    it, the root is the least id, and children come in ascending id
+    order."""
     order, parent, size = tree_h12.rooted_tree()
-    assert order[0] == 1 and parent[1] is None
+    assert order == [1, 5, 2, 6, 7, 8, 9, 3, 10, 4] and parent[1] is None
     assert sorted(order) == list(tree_h12.vertex_ids)
     for i, v in enumerate(order):
         below = set(order[i:i + size[v]])
@@ -234,10 +235,12 @@ def test_blowup_end_point_rejects_node(tree_h12):
 def test_history_end_map_tracks_blowups(tree_h12):
     hist = GraphHistory(tree_h12)
     assert hist.end_map == {1: 1, 2: 2, 3: 3, 4: 4}
+    hist.blowup_end(4)
     ev = hist.blowup_end(3)
     assert hist.end_map[3] == ev.new_vertex
     hist.blowup_edge(1, 5)
     assert hist.end_map[3] == ev.new_vertex  # edge blowups do not move ends
+    assert list(hist.end_map) == [1, 2, 3, 4]  # iterated in label order
     assert set(hist.end_map.values()) <= set(hist.current.vertex_ids)
     # end map is a bijection onto the current ends
     assert sorted(hist.end_map.values()) == sorted(hist.current.ends)
@@ -343,7 +346,7 @@ def test_derived_graphs_equal_constructor_built_graphs(history):
         assert derived.rooted_tree() == built.rooted_tree()
         assert derived._rooted == built._rooted
 
-        order, parent, below, rest = derived._rooted
+        order, parent, size, below, rest = derived._rooted
         root = derived.vertex_ids[0]
         assert order[0] == root and parent[root] is None
         assert sorted(order) == list(derived.vertex_ids)
@@ -352,9 +355,8 @@ def test_derived_graphs_equal_constructor_built_graphs(history):
                    and derived.has_edge(parent[v], v) for v in order[1:])
         assert all(rest[v] == prod(below[c] for c in derived.neighbors(v)
                                    if c != parent[v]) for v in order)
-        preorder, _, size = derived.rooted_tree()
-        for i, v in enumerate(preorder):
-            assert set(preorder[i:i + size[v]]) == {
+        for i, v in enumerate(order):
+            assert set(order[i:i + size[v]]) == {
                 u for u in order if _descends(u, v, parent)}
 
 

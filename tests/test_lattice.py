@@ -185,7 +185,7 @@ def test_blown_up_graphs_carry_the_elimination(history):
     graphs = [history.initial] + [history.graph_after(k)
                                   for k in range(len(history.events))]
     for g in graphs:
-        order, parent, below, rest = g._elimination()
+        order, parent, size, below, rest = g._elimination()
         root = g.vertex_ids[0]
         assert order[0] == root and parent[root] is None
         assert sorted(order) == list(g.vertex_ids)
@@ -201,11 +201,10 @@ def test_blown_up_graphs_carry_the_elimination(history):
                                    if c != parent[v]) for v in order)
         assert g.branch_determinants() == (det, branch)
 
-        preorder, parent_of, size = g.rooted_tree()
-        assert parent_of == parent and preorder[0] == root
-        for i, v in enumerate(preorder):
+        assert g.rooted_tree() == (order, parent, size)
+        for i, v in enumerate(order):
             below_v = {u for u in order if v in _ancestors(u, parent)}
-            assert set(preorder[i:i + size[v]]) == below_v
+            assert set(order[i:i + size[v]]) == below_v
 
 
 def _ancestors(u, parent):

@@ -36,7 +36,7 @@ from splicemult.errors import (
 )
 from splicemult.lattice import _apply_form, _form
 from splicemult.monomial import monomial_string
-from splicemult.pipeline import EndDecision
+from splicemult.pipeline import EdgeCheckResult, EndDecision, RoundRecord
 
 from conftest import (
     H12_TABLE,
@@ -199,6 +199,51 @@ def test_uac_chain(a2_chain):
                                      Fraction(1))
     assert report_zz(report) == Fraction(-1, 3)
     assert report.multiplicity == 1
+
+
+def test_a_round_hashes_compares_and_prints_as_its_own_round(a2_chain):
+    """Every round of a run with blowups hashes, and round 1's equality
+    and repr read its own vertices' Z, not the run's shared map, which
+    the blowup extended by the new vertex 3."""
+    report = _uac(a2_chain)
+    first = report.rounds[0]
+    assert len(report.rounds) == 2 and first.z == {1: 1, 2: 1, 3: 3}
+    for rnd in report.rounds:
+        hash(rnd)
+    assert "z_num=(1, 1)," in repr(first) and "3: 3" not in repr(first)
+    own = RoundRecord(first.graph, first.den, {1: 1, 2: 1},
+                      first.end_decisions, first.edge_checks, first.blowup)
+    assert own == first and hash(own) == hash(first)
+    assert own != RoundRecord(first.graph, first.den, {1: 1, 2: 2},
+                              first.end_decisions, first.edge_checks,
+                              first.blowup)
+
+
+@pytest.mark.parametrize("cls, fields", [
+    (EdgeCheckResult, {"edge": (1, 3), "passed": True,
+                       "pruned_by_zero": True}),
+    (EndDecision, {"end": 2, "action": "witness"}),
+])
+def test_a_first_read_witness_is_found_once(cls, fields):
+    """A record built with find= calls it once, on the witness's first
+    read, whatever reads it: ==, hash, repr and two reads.  It then holds
+    its witness as a field and no finder.  A record built with witness=
+    holds it from the start, so no read reaches a finder."""
+    calls = []
+
+    def find():
+        calls.append(None)
+        return "z1^4"
+
+    record = cls(**fields, find=find)
+    assert calls == []
+    given = cls(**fields, witness="z1^4")
+    assert vars(given) == {**fields, "witness": "z1^4"}
+    assert record == given and hash(record) == hash(given)
+    assert repr(record) == repr(given)
+    assert record.witness == record.witness == "z1^4"
+    assert len(calls) == 1
+    assert vars(record) == {**fields, "witness": "z1^4"}
 
 
 def test_quotient_chain(a2_chain):
