@@ -4,19 +4,17 @@ Five subcommands: validate, invariants, mult, table, splice-eqs.  Output is
 fully deterministic; rationals are printed as exact "p/q" strings, never as
 floats.  `--json` output is byte for byte what json.dumps(..., indent=2,
 sort_keys=True) prints: `mult --json` is written from the report's integer
-rounds, each round patched from the last (_emit_report), the other
-documents by a generic emitter (_emit_json).  Exit codes: 0 success, 1
-input/validation problem (a usage error too), 2 mathematical precondition
-failure, 3 resource cap hit, 4 internal error (a bug).  Each error family
-in errors.py carries its own code.
+rounds, round 1 whole and then what each blowup changed (_emit_report),
+the other documents by a generic emitter (_emit_json).  Exit codes: 0
+success, 1 input/validation problem (a usage error too), 2 mathematical
+precondition failure, 3 resource cap hit, 4 internal error (a bug).  Each
+error family in errors.py carries its own code.
 """
 
 import argparse
 import functools
 import sys
-from bisect import bisect_left, insort
 from json.encoder import encode_basestring_ascii as _encode_str
-from operator import add
 
 from .errors import ConditionError, InputError, InternalError, SpliceMultError
 from .graph import is_minimal, parse_and_validate, parse_json
@@ -35,7 +33,7 @@ from .monomial import (
     neumann_wahl_system,
     require_monomial_condition,
 )
-from .pipeline import MAX_BLOWUPS, _dual_at, run_pipeline
+from .pipeline import MAX_BLOWUPS, _dual_at, run_pipeline, whole_rounds
 
 EXIT_OK = 0
 
@@ -128,66 +126,50 @@ def _emit_report(report):
     json.dumps(form, indent=2, sort_keys=True) gives for its JSON form,
     written from the integer rounds with no dict of the form built.
 
-    The form has the report's scalars, `rounds`, `Z_final` (the last
-    round's Z maps) and `trace` (the blowups).  A round has its Z maps
-    `Z_vertex` and `Z_dual`, vertex id string -> "p/q" string, sorted as
-    text as sort_keys sorts them ("10" precedes "2"), and its `blowup`,
+    The form has the report's scalars, `rounds`, `Z_final` (the final Z
+    maps) and `trace` (the blowups).  A round has its Z maps `Z_vertex`
+    and `Z_dual`, vertex id string -> "p/q" string, sorted as text as
+    sort_keys sorts them ("10" precedes "2"), and its `blowup`,
     `edge_checks` and `end_decisions`, each record written by its type's
-    template.  A Z map is kept as the sorted list of its entry texts,
-    built in round 1 from the run's one `z` map and patched by each
-    blowup, by the pullback identity of run_pipeline: the new vertex u
-    gains an entry, old vertices keep Z_v, and Z.E_v changes only at the
-    centre and u, each rewritten from a row of the round's form.
-    `Z_final` is the last round's lists, re-indented.  A record recurs
-    from round to round as one object: its text is joined once and
-    looked up by id.  A blowup's text is joined once and re-indented for
-    `trace`.  Before the first write, every round's maps and records are
-    joined, which reads every witness (see check_gcd_condition): a failed
-    witness check raises InternalError with stdout empty.  The document
-    is written round by round, never joined whole."""
+    template.  Round 1 is whole.  A later round holds what the blowup
+    before it changed: Z_u at its new vertex u, -Z.E at its centre and u,
+    each from a row of the round's form, and the decisions and checks the
+    round made (see run_pipeline); whole_rounds rebuilds the rest.  A
+    blowup's text is re-indented for `trace`.  Before the first write,
+    every round is joined, which reads every witness (see
+    check_gcd_condition): a failed witness check raises InternalError
+    with stdout empty.  The document is written round by round, never
+    joined whole."""
     write = sys.stdout.write
     n2, n4, n6, n8 = ("\n" + " " * k for k in (2, 4, 6, 8))  # indentation
     value = _FractionText(report.order, quote='"')
     rounds = report.rounds
     z = rounds[0].z
-    # a key text ends in '"', which sorts before any character of an id,
-    # so the entries sort as their ids' strings do
-    key = {v: f'{n8}"{v}": ' for v in z}  # every round's vertices
-    record_texts = {}  # id(record) -> its text in a round's list
 
-    def records(items, template):
-        out = list(map(record_texts.get, map(id, items)))
-        k = -1
-        for _ in range(out.count(None)):  # build the misses
-            k = out.index(None, k + 1)
-            out[k] = record_texts[id(items[k])] = template(items[k], n8)
-        return out
+    def entries(nums, ids, newline):
+        # a key text ends in '"', which sorts before any character of an
+        # id, so the entries sort as their ids' strings do
+        return ",".join(sorted([f'{newline}"{v}": {value[nums(v)]}'
+                                for v in ids]))
 
-    g = rounds[0].graph
-    ids = g.vertex_ids
-    vertices = sorted(map(add, map(key.__getitem__, ids),
-                          map(value.__getitem__, map(z.__getitem__, ids))))
-    duals = sorted([key[v] + value[_dual_at(g, z, v)] for v in ids])
     event, texts = None, []
     for rnd in rounds:
-        if event is not None:  # patch the last round's maps
-            g, u = rnd.graph, event.new_vertex
-            insort(vertices, key[u] + value[z[u]])
-            for v in event.center:
-                duals[bisect_left(duals, key[v])] = (
-                    key[v] + value[_dual_at(g, z, v)])
-            insort(duals, key[u] + value[_dual_at(g, z, u)])
+        g = rnd.graph
+        ids = g.vertex_ids if event is None else (event.new_vertex,)
+        texts.append((
+            entries(functools.partial(_dual_at, g, z),
+                    ids if event is None else (*event.center, *ids), n8),
+            entries(z.__getitem__, ids, n8),
+            [_edge_check_text(c, n8) for c in rnd.edge_checks],
+            [_end_decision_text(d, n8) for d in rnd.end_decisions]))
         event = rnd.blowup
-        texts.append((",".join(duals), ",".join(vertices),
-                      records(rnd.edge_checks, _edge_check_text),
-                      records(rnd.end_decisions, _end_decision_text)))
-    duals, vertices = (t.replace(n8, n6) for t in texts[-1][:2])
     write(f'{{{n2}"H1_order": {report.h1_order},'
           f'{n2}"H_invariant_factors": '
           f'{_json_text(report.invariant_factors, n2)},'
           f'{n2}"ZZ": "{_FractionText(report.order ** 2)[report.zz_num]}",'
-          f'{n2}"Z_final": {{{n4}"dual": {{{duals}{n4}}},'
-          f'{n4}"vertex": {{{vertices}{n4}}}{n2}}},'
+          f'{n2}"Z_final": {{{n4}"dual": '
+          f'{{{entries(report.z_dual.__getitem__, z, n6)}{n4}}},'
+          f'{n4}"vertex": {{{entries(z.__getitem__, z, n6)}{n4}}}{n2}}},'
           f'{n2}"det": {report.det},{n2}"index": {report.index},'
           f'{n2}"input_minimal": {_json_text(report.input_minimal, n2)},'
           f'{n2}"multiplicity": {report.multiplicity},{n2}"rounds": [')
@@ -334,7 +316,7 @@ def cmd_mult(args):
           f"index |H/H1| = {result.index}")
     text = _FractionText(result.order)
     if args.trace:
-        for k, rnd in enumerate(result.rounds, start=1):
+        for k, rnd in enumerate(whole_rounds(result), start=1):
             dual = dict(zip(rnd.graph.vertex_ids, rnd.z_dual_num))
             print(f"round {k}: Z = "
                   f"{_fmt_dual_combo(rnd.graph, dual, text)}")

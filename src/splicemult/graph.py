@@ -19,6 +19,7 @@ exactly the blowup's; it eliminates only if the rooted tree is read.
 import json
 from bisect import bisect_left, bisect_right, insort
 from collections import namedtuple
+from types import MappingProxyType
 
 from .errors import InputError, InternalError
 
@@ -448,7 +449,8 @@ class GraphHistory:
     end_map sends each original end index to the vertex currently carrying
     its curve variable: edge blowups never move it, an end-point blowup moves
     it onto the new leaf.  It is built from the ascending ends and a blowup
-    only reassigns a label's value, so it iterates in label order.
+    only reassigns a label's value, so it iterates in label order.  It is
+    a read-only view of the history's own map, not a copy.
     """
 
     def __init__(self, graph):
@@ -462,7 +464,7 @@ class GraphHistory:
 
     @property
     def end_map(self):
-        return dict(self._end_map)
+        return MappingProxyType(self._end_map)
 
     def blowup_edge(self, v, w):
         self.current, event = blowup_edge(self.current, v, w)

@@ -81,8 +81,10 @@ class RoundRecord(_Record):
     vertex and keeps every old vertex's Z_v, so the map restricted to
     `graph` is this round's Z.  A round stores no vector of its own, and
     its equality, hash and repr read `z_num`, that restriction, not the
-    shared map.  The loop fills in the round's end decisions, edge checks
-    and `blowup`, a BlowupEvent or None."""
+    shared map.  The loop fills in the end decisions and edge checks the
+    round made, which after round 1 are only what the blowup before it
+    changed (whole_rounds rebuilds the rest), and `blowup`, a BlowupEvent
+    or None."""
 
     _fields = ("graph", "den", "z_num", "end_decisions", "edge_checks",
                "blowup")
@@ -150,10 +152,10 @@ def _edge_witness(search, edge, zv, zw):
     return monomial_string(exps) if mw == zw else None
 
 
-def check_gcd_condition(g, z, z_dual, search, known=None):
-    """Edge-by-edge gcd check over every edge of g, in g.edges order.  z
-    and z_dual map each vertex id of g to |H| * Z_v and |H| * (-Z.E_v),
-    and search is the run's ZeroSumSearch.
+def check_gcd_condition(edges, z, z_dual, search):
+    """Edge-by-edge gcd check over `edges`, in that order.  z and z_dual
+    map each vertex id of the round's graph to |H| * Z_v and
+    |H| * (-Z.E_v), and search is the run's ZeroSumSearch.
 
     An edge (v, w) passes when the lexicographically least (M_v, M_w) over
     the monoid is (M_v(Z), M_w(Z)): one member, a generator, attains both
@@ -166,70 +168,67 @@ def check_gcd_condition(g, z, z_dual, search, known=None):
     ZeroSumSearch), and the function keeps the integers Z_v and Z_w of
     this round, not the map z.  Any other edge is queried here, since
     its verdict needs the query.
-
-    `known` maps (edge, pruned_by_zero) to the result of an earlier round
-    of the same run and is filled in here; the loop checks every edge in
-    every round, and `known` answers each edge that a blowup did not
-    change.  Vertex ids persist through blowups, and an old vertex keeps
-    its minima (see ZeroSumSearch), so a result depends only on its edge
-    and that flag.
     """
-    if known is None:
-        known = {}
     results = []
-    for edge in g.edges:
+    for edge in edges:
         v, w = edge
-        key = (edge, not z_dual[v] or not z_dual[w])
-        result = known.get(key)
-        if result is None:
-            if key[1]:
-                result = EdgeCheckResult(
-                    edge=edge, passed=True, pruned_by_zero=True,
-                    find=partial(_edge_witness, search, edge, z[v], z[w]))
-            else:
-                witness = _edge_witness(search, edge, z[v], z[w])
-                result = EdgeCheckResult(
-                    edge=edge, passed=witness is not None,
-                    pruned_by_zero=False, witness=witness)
-            known[key] = result
+        if not z_dual[v] or not z_dual[w]:
+            result = EdgeCheckResult(
+                edge=edge, passed=True, pruned_by_zero=True,
+                find=partial(_edge_witness, search, edge, z[v], z[w]))
+        else:
+            witness = _edge_witness(search, edge, z[v], z[w])
+            result = EdgeCheckResult(
+                edge=edge, passed=witness is not None,
+                pruned_by_zero=False, witness=witness)
         results.append(result)
     return results
 
 
-def _end_decisions(history, z, search, decided):
-    """Per-end test of one round, after Z (the map z: vertex id ->
-    |H| * Z_v) is known.
+def _end_decisions(labels, end_map, start, z, search):
+    """The end tests of one round from labels[start] on, after Z (the map
+    z: vertex id -> |H| * Z_v) is known; end_map sends each label to the
+    vertex carrying it.
 
     An end is settled when some member with exponent zero there attains
     the minimum of M_v at its vertex v (that generator's monomial does not
     vanish at the end-curve point), or when the end is not a base point
     at all, read off v's row of end weights.  The first end that is
     neither is to be blown up, and the round ends there.  Returns
-    (decisions, the label of that end or None).  Each decision's query
-    runs here; a witness's monomial string is written on first read.
-
-    `decided` maps (label, vertex) to the decision of an earlier round of
-    the same run and is filled in here: the vertex keeps its row and Z_v
-    through blowups (see ZeroSumSearch), so the decision never changes.
+    (decisions, that end's index in labels, or len(labels)).  Each
+    decision's query runs here; a witness's monomial string is written on
+    first read.
     """
     decisions = []
-    for label, v in history.end_map.items():
-        decision = decided.get((label, v))
-        if decision is None:
-            found = search.least((v,), without=label)
-            if found[0][0] == z[v]:
-                decision = EndDecision(
-                    label, "witness",
-                    find=partial(monomial_string, found[1]))
-            elif not is_base_point(search.row(v), search.labels.index(label)):
-                decision = EndDecision(label, "not_base_point")
-            else:
-                decision = EndDecision(label, "blowup")
-            decided[label, v] = decision
-        decisions.append(decision)
-        if decision.action == "blowup":
-            return tuple(decisions), label
-    return tuple(decisions), None
+    for i in range(start, len(labels)):
+        label = labels[i]
+        v = end_map[label]
+        found = search.least((v,), without=label)
+        if found[0][0] == z[v]:
+            decisions.append(EndDecision(
+                label, "witness", find=partial(monomial_string, found[1])))
+        elif not is_base_point(search.row(v), i):
+            decisions.append(EndDecision(label, "not_base_point"))
+        else:
+            decisions.append(EndDecision(label, "blowup"))
+            return tuple(decisions), i
+    return tuple(decisions), len(labels)
+
+
+def whole_rounds(report):
+    """Each round of a report whole, as a RoundRecord with every end
+    decision and edge check that held in it: those it made and those it
+    kept from the rounds before.  A round that blows up an end checks no
+    edge."""
+    decisions, checks = {}, {}
+    for rnd in report.rounds:
+        decisions.update((d.end, d) for d in rnd.end_decisions)
+        checks.update((c.edge, c) for c in rnd.edge_checks)
+        event = rnd.blowup
+        yield RoundRecord(
+            rnd.graph, rnd.den, rnd.z, tuple(decisions.values()),
+            () if event is not None and event.kind == "end"
+            else tuple(map(checks.__getitem__, rnd.graph.edges)), event)
 
 
 def run_pipeline(g, h1, *, max_blowups=MAX_BLOWUPS, allow_non_minimal=False):
@@ -243,18 +242,18 @@ def run_pipeline(g, h1, *, max_blowups=MAX_BLOWUPS, allow_non_minimal=False):
     Terminates with multiplicity = |H/H1| * (-Z.Z), always a positive
     integer.
 
-    Each round asks every end and, unless it blows up an end, every edge;
-    the run's caches `decided` (end decisions) and `known` (edge checks)
-    answer whatever a blowup did not change.  They are valid by the
+    A round decides only what its blowup may have changed, by the
     pullback identities of ZeroSumSearch: vertex ids persist, and an old
     vertex keeps its row of end weights, its Z_v and its minima.  So one
     search serves every round and is carried by rows, with no dual basis
-    past the input's; and only an end at a new vertex, or an edge that is
-    new or whose Z.E = 0 flag changed, is checked again.  The run keeps Z
-    as one map, vertex id -> |H| * Z_v, and -Z.E as another, both built
-    in round 1 and never copied: a blowup adds Z_u for the new vertex u
-    and rewrites Z.E only at the centre and u.  Every round refers to the
-    one `z` map, and the report keeps the final `z_dual`.
+    past the input's.  An end, once settled, stays so: the end tests
+    resume at the end last blown up.  Edge checks start once every end is
+    settled; then only an edge that is new or whose Z.E = 0 flag changed
+    is checked again, and the run keeps the set of failing edges.  The run
+    keeps Z as one map, vertex id -> |H| * Z_v, and -Z.E as another, both
+    built in round 1 and never copied: a blowup adds Z_u for the new
+    vertex u and rewrites Z.E only at the centre and u.  Every round
+    refers to the one `z` map, and the report keeps the final `z_dual`.
 
     The loop decides with what it needs and no more: an end's query, and
     an edge's query unless Z.E = 0 at one of its vertices, which passes
@@ -296,24 +295,30 @@ def run_pipeline(g, h1, *, max_blowups=MAX_BLOWUPS, allow_non_minimal=False):
                 f"derived vertex check Z.E_{v} = 0 failed: Z_{v} was read "
                 f"off node {p}'s member, but -Z.E_{v} = "
                 f"{_FractionText(den)[x]}")
-    decided = {}  # _end_decisions' results, kept across rounds
-    known = {}  # check_gcd_condition's results, kept across rounds
+    labels, end_map = search.labels, history.end_map
+    settled = 0  # the ends before labels[settled] are settled
+    edges = g.edges  # the edges the next edge checks cover
+    failing = set()  # the failing edges of the current graph
     rounds = []
     while True:
         current = history.current
         record = RoundRecord(graph=current, den=den, z=z)
         rounds.append(record)
-        record.end_decisions, label = _end_decisions(
-            history, z, search, decided)
-        if label is not None:
+        record.end_decisions, settled = _end_decisions(
+            labels, end_map, settled, z, search)
+        if settled < len(labels):
+            label = labels[settled]
             record.blowup = history.blowup_end(label)
         else:
+            label = None
             record.edge_checks = tuple(check_gcd_condition(
-                current, z, z_dual, search, known))
-            edge = next((c.edge for c in record.edge_checks
-                         if not c.passed), None)
-            if edge is None:
+                edges, z, z_dual, search))
+            for c in record.edge_checks:
+                (failing.discard if c.passed else failing.add)(c.edge)
+            if not failing:
                 break
+            edge = min(failing)
+            failing.remove(edge)
             record.blowup = history.blowup_edge(*edge)
         if len(rounds) > max_blowups:
             raise CapExceededError(
@@ -323,10 +328,18 @@ def run_pipeline(g, h1, *, max_blowups=MAX_BLOWUPS, allow_non_minimal=False):
         search.advance(event, label)
         u = event.new_vertex
         z[u] = search.least((u,))[0][0]
+        was_zero = {v: not z_dual[v] for v in event.center}
         for v in (*event.center, u):
             x = z_dual[v] = _dual_at(blown, z, v)
             if x < 0:
                 _not_antinef(len(rounds) + 1, v, x, den)
+        if event.kind == "end":
+            edges = blown.edges
+        else:  # u's edges, and those whose Z.E = 0 flag changed
+            edges = sorted(
+                (min(v, y), max(v, y)) for v in event.center
+                for y in blown.neighbors(v)
+                if y == u or z_dual[y] and was_zero[v] != (not z_dual[v]))
 
     # |H|^2 * Z.Z = -sum_v (|H| * Z_v) * (|H| * (-Z.E_v))
     zz_num = -sum(z[v] * x for v, x in z_dual.items())

@@ -1,6 +1,7 @@
 """Shared fixtures: reference graphs and frozen expected values."""
 
 import itertools
+import json
 import random
 import sys
 from fractions import Fraction
@@ -14,6 +15,9 @@ from splicemult import (GraphHistory, InputError, InternalError,
 from splicemult.lattice import _as_vector
 from splicemult.linalg import (_hermite_reduce, _replay, _xgcd,
                                identity_matrix, mat_vec)
+from splicemult.pipeline import whole_rounds
+
+from expand_mult_json import expand as expand_rounds
 
 # Property tests draw the same examples on every run.
 settings.register_profile("deterministic", derandomize=True, database=None,
@@ -361,10 +365,11 @@ def relabel(g, f):
 
 
 def report_dict(report):
-    """The JSON form of a PipelineReport as a tree of dicts and lists:
-    `mult --json` prints json.dumps(report_dict(report), indent=2,
-    sort_keys=True).  A Z map sends each vertex id, as a string, to its
-    coefficient as a "p/q" string."""
+    """The JSON form of a PipelineReport with every round whole, as a tree
+    of dicts and lists: expand_mult_json of what `mult --json` prints is
+    json.dumps(report_dict(report), indent=2, sort_keys=True).  A Z map
+    sends each vertex id, as a string, to its coefficient as a "p/q"
+    string."""
 
     def z_map(rnd, nums):
         return {str(v): str(Fraction(x, rnd.den))
@@ -385,7 +390,7 @@ def report_dict(report):
                          "pruned_by_zero": c.pruned_by_zero}
                         for c in rnd.edge_checks],
         "blowup": None if rnd.blowup is None else blowup(rnd.blowup),
-    } for rnd in report.rounds]
+    } for rnd in whole_rounds(report)]
     return {
         "det": report.det,
         "H_invariant_factors": list(report.invariant_factors),
@@ -399,6 +404,15 @@ def report_dict(report):
         "multiplicity": report.multiplicity,
         "trace": [blowup(event) for event in report.history.events],
     }
+
+
+def expand_mult_json(text):
+    """The `mult --json` document `text` with every round whole, as
+    json.dumps(..., indent=2, sort_keys=True) prints it (see
+    expand_mult_json.py): the document `mult --json` printed before it
+    wrote one patch per blowup."""
+    return json.dumps(expand_rounds(json.loads(text)), indent=2,
+                      sort_keys=True) + "\n"
 
 
 # --- rational cycles (Fraction references for the integer cycles) ------------
@@ -552,7 +566,7 @@ def exponent_vector(m, labels):
 
 
 def end_decisions(report):
-    """Every round's end decisions, in order."""
+    """Every end decision of a run, each once, in the order made."""
     return tuple(d for r in report.rounds for d in r.end_decisions)
 
 
@@ -777,7 +791,7 @@ def assert_rounds_match_hilbert_basis(report, h1):
     def text(m):
         return None if m is None else m.monomial_string()
 
-    for k, rnd in enumerate(report.rounds):
+    for k, rnd in enumerate(whole_rounds(report)):
         g = rnd.graph
         end_map = round_end_map(report, k)
         gens = hilbert_basis(g, DualBasis(g), h1, end_map)

@@ -40,6 +40,7 @@ from conftest import (
     TWO_NODE_EDGES,
     chain_armed_stars,
     chain_star,
+    expand_mult_json,
     graph_json,
     lower_centres_twice,
     relabel,
@@ -238,10 +239,12 @@ def test_text_output_is_pinned(files, capsys, argv, name):
 
 
 def test_mult_json_of_a_subgroup_is_pinned(tmp_path, capsys):
-    """The whole `mult --subgroup --json` document on the chain -3, -3, -6
-    with H1 = <(-3, 3, 2)>, byte for byte: the blowup of the edge (1, 2)
-    makes Z.E_1 = 0, so the edge (1, 3) passes pruned by zero from round
-    2 on, and its witness z2*z3 is found when the document is written."""
+    """The `mult --subgroup --json` document on the chain -3, -3, -6 with
+    H1 = <(-3, 3, 2)>, its rounds rebuilt whole, byte for byte: the blowup
+    of the edge (1, 2) makes Z.E_1 = 0, so the edge (1, 3) passes pruned
+    by zero from round 2 on, and its witness z2*z3 is found when the
+    document is written.  Round 2 checks it again, with the edges of the
+    new vertex 4; round 3 checks only the edges of the new vertex 5."""
     chain = tmp_path / "chain.json"
     chain.write_text(json.dumps({
         "vertices": [{"id": 1, "weight": -3}, {"id": 2, "weight": -3},
@@ -252,7 +255,11 @@ def test_mult_json_of_a_subgroup_is_pinned(tmp_path, capsys):
     code, out, err = run(capsys, "mult", str(chain), "--subgroup", str(h1),
                          "--json")
     assert (code, err) == (0, "")
-    assert out == (GOLDEN / "mult_chain_subgroup.json").read_text()
+    assert expand_mult_json(out) == \
+        (GOLDEN / "mult_chain_subgroup.json").read_text()
+    assert [[c["edge"] for c in rnd["edge_checks"]]
+            for rnd in json.loads(out)["rounds"]] == [
+        [[1, 2], [1, 3]], [[1, 3], [1, 4], [2, 4]], [[2, 5], [4, 5]]]
 
 
 def _count_queries(monkeypatch):
@@ -749,10 +756,12 @@ def _case(g, make=trivial_subgroup):
 @example(_case(relabel(star(-1, [-3, -5, -6, -7, -7]), lambda v: v + 3),
                full_subgroup))
 def test_report_writer_prints_the_json_form(case):
-    """`mult --json` writes its report straight from the integer rounds,
-    each round's Z maps patched from the last's at the blowup's centre
-    and new vertex; it prints what json.dumps prints for the report's
-    JSON form, built as dicts by conftest.report_dict."""
+    """`mult --json` writes its report straight from the integer rounds:
+    round 1 whole, then per blowup its new vertex's Z, the Z.E it
+    rewrote at its centre and new vertex, and the round's own records.
+    It prints what json.dumps prints for that document, and rebuilt
+    whole, for the report's JSON form, built as dicts by
+    conftest.report_dict."""
     g, h1 = case
     try:
         report = run_pipeline(g, h1)
@@ -761,8 +770,17 @@ def test_report_writer_prints_the_json_form(case):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         _emit_report(report)
-    assert out.getvalue() == json.dumps(report_dict(report), indent=2,
-                                        sort_keys=True) + "\n"
+    doc = json.loads(out.getvalue())
+    assert out.getvalue() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    assert expand_mult_json(out.getvalue()) == json.dumps(
+        report_dict(report), indent=2, sort_keys=True) + "\n"
+    for rnd, patch in zip(report.rounds[1:], doc["rounds"][1:]):
+        assert len(patch["edge_checks"]) == len(rnd.edge_checks)
+        assert len(patch["end_decisions"]) == len(rnd.end_decisions)
+    for event, patch in zip(report.history.events, doc["rounds"][1:]):
+        u = event.new_vertex
+        assert set(patch["Z_vertex"]) == {str(u)}
+        assert set(patch["Z_dual"]) == set(map(str, (*event.center, u)))
 
 
 @pytest.mark.parametrize("template, record", [
@@ -1321,17 +1339,20 @@ TREE_30 = ResolutionGraph(
 ])
 def test_mult_json_of_a_long_run_is_pinned(g, flags, digest, capsys,
                                            tmp_path):
-    """The sha256 of the whole `mult --json` document of three long
-    `--uac` runs, whose Z maps the writer patches from round 1's over
-    every blowup, and of two `--quotient` stars, whose witnesses depend
-    on which member answers each query, pins their bytes."""
+    """The sha256 of the `mult --json` document of three long `--uac`
+    runs, which the writer records as round 1 and one patch per blowup,
+    and of two `--quotient` stars, whose witnesses depend on which member
+    answers each query, pins their bytes, their rounds rebuilt whole.
+    Each document is what json.dumps prints for it."""
     import hashlib
 
     path = tmp_path / "graph.json"
     path.write_text(graph_json(g))
     code, out, err = run(capsys, "mult", str(path), "--json", *flags)
     assert (code, err) == (0, "")
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+    whole = expand_mult_json(out)
+    assert hashlib.sha256(whole.encode()).hexdigest() == digest
 
 
 def test_rounds_share_the_run_z_map():

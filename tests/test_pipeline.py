@@ -36,7 +36,12 @@ from splicemult.errors import (
 )
 from splicemult.lattice import _apply_form, _form
 from splicemult.monomial import monomial_string
-from splicemult.pipeline import EdgeCheckResult, EndDecision, RoundRecord
+from splicemult.pipeline import (
+    EdgeCheckResult,
+    EndDecision,
+    RoundRecord,
+    whole_rounds,
+)
 
 from conftest import (
     H12_TABLE,
@@ -79,7 +84,7 @@ def _id_keyed(g, nums):
 def _gcd_checks(g, h1):
     search = ZeroSumSearch(h1)
     z = search.z()
-    return check_gcd_condition(g, _id_keyed(g, z),
+    return check_gcd_condition(g.edges, _id_keyed(g, z),
                                _id_keyed(g, _apply_form(_form(g), z)),
                                search)
 
@@ -580,23 +585,38 @@ def _end_decisions_from_scratch(g, end_map, z, search, base):
 
 _STAR_3457 = star(-1, [-3, -4, -5, -7])
 _CHAIN_336 = ResolutionGraph({1: -3, 2: -3, 3: -6}, [(1, 2), (1, 3)])
+_STAR_35677 = star(-1, [-3, -5, -6, -7, -7])
+_STAR_3557 = star(-1, [-3, -5, -5, -7])
+# runs whose patch rounds carry every kind of change: edge blowups only,
+# a Z.E = 0 flag that flips, end blowups only (three, end 2 blown up
+# twice), and two end blowups followed by an edge blowup
+_PATCHED_RUNS = [
+    (_STAR_3457, trivial_subgroup(discriminant_group(_STAR_3457))),
+    (_CHAIN_336, subgroup([[-3, 3, 2]], discriminant_group(_CHAIN_336))),
+    (_STAR_35677, full_subgroup(discriminant_group(_STAR_35677))),
+    (_STAR_3557, full_subgroup(discriminant_group(_STAR_3557))),
+]
 
 
 @settings(max_examples=40)
 @given(blown_up_trees_and_subgroups())
 # the UAC of Brieskorn V(3,4,5,7): 25 rounds with edge checks
-@example((_STAR_3457, trivial_subgroup(discriminant_group(_STAR_3457))))
+@example(_PATCHED_RUNS[0])
 # edge (1, 3) is checked again after its Z.E = 0 flag flips
-@example((_CHAIN_336,
-          subgroup([[-3, 3, 2]], discriminant_group(_CHAIN_336))))
+@example(_PATCHED_RUNS[1])
+# three end blowups, end 2 blown up twice (its new leaf 7 again)
+@example(_PATCHED_RUNS[2])
+# end blowups at 2 and 5, then the edge (5, 7) blown up
+@example(_PATCHED_RUNS[3])
 def test_rounds_in_integers_match_the_rational_form(case):
     """Every round's integer Z.E and Z.Z equal the Fraction form applied
-    to the round's Z, and its carried Z, end decisions and edge checks
-    equal those made from scratch on that round's graph: a fresh search on
-    a fresh dual basis, base points from base_point_set."""
+    to the round's Z, and its carried Z and, rebuilt whole, its end
+    decisions and edge checks equal those made from scratch on that
+    round's graph: a fresh search on a fresh dual basis, base points from
+    base_point_set."""
     g, h1 = case
     report = run_pipeline(g, h1, allow_non_minimal=True)
-    for k, rnd in enumerate(report.rounds):
+    for k, rnd in enumerate(whole_rounds(report)):
         z = round_z(rnd)
         assert round_z_dual(rnd) == to_dual_coordinates(z)
         zz = -sum(map(mul, rnd.z_num, rnd.z_dual_num))
@@ -610,33 +630,64 @@ def test_rounds_in_integers_match_the_rational_form(case):
         assert list(rnd.end_decisions) == _end_decisions_from_scratch(
             rnd.graph, end_map, rnd.z_num, fresh,
             base_point_set(rnd.graph, basis))
-        if rnd.edge_checks:
+        if rnd.blowup is None or rnd.blowup.kind == "edge":
             assert list(rnd.edge_checks) == check_gcd_condition(
-                rnd.graph, _id_keyed(rnd.graph, rnd.z_num),
+                rnd.graph.edges, _id_keyed(rnd.graph, rnd.z_num),
                 _id_keyed(rnd.graph, rnd.z_dual_num), fresh)
+        else:
+            assert rnd.edge_checks == ()
     assert report_zz(report) == intersect(final_z(report), final_z(report))
     assert report.multiplicity == report.index * -report_zz(report)
+
+
+@pytest.mark.parametrize("case", _PATCHED_RUNS,
+                         ids=["star3457", "chain336", "star35677",
+                              "star3557"])
+def test_no_patch_round_repeats_an_unchanged_record(case):
+    """After round 1, a round records an end decision only for an end
+    that no round decided before it or that the last blowup moved, and an
+    edge check only for an edge that the last round did not check or
+    whose Z.E = 0 flag changed since.  Round 1 records every decision
+    and check it made, and whole_rounds adds nothing to it."""
+    report = run_pipeline(*case)
+    whole = list(whole_rounds(report))
+    assert whole[0] == report.rounds[0]
+    for k in range(1, len(whole)):
+        rnd, before = report.rounds[k], whole[k - 1]
+        moved = round_end_map(report, k - 1).items() - \
+            round_end_map(report, k).items()
+        decided = {d.end for d in before.end_decisions}
+        for d in rnd.end_decisions:
+            assert d.end not in decided or d.end in dict(moved)
+        flags = {c.edge: c.pruned_by_zero for c in before.edge_checks}
+        for c in rnd.edge_checks:
+            assert flags.get(c.edge) != c.pruned_by_zero
 
 
 def test_edge_check_is_made_again_when_its_flag_changes():
     """On the chain -3, -3, -6 (vertex 1 in the middle) with an H1 of
     order 9, the blowup of the edge (1, 2) makes Z.E_1 = 0: the edge
-    (1, 3), which passed by a witness in round 1, is checked again and is
-    now also pruned by zero."""
+    (1, 3), which passed by a witness in round 1, is checked again in
+    round 2 and is now also pruned by zero; round 3 keeps that check."""
     h1 = subgroup([[-3, 3, 2]], discriminant_group(_CHAIN_336))
     report = run_pipeline(_CHAIN_336, h1)
-    assert [[(c.passed, c.pruned_by_zero) for c in rnd.edge_checks
-             if c.edge == (1, 3)] for rnd in report.rounds] == [
+
+    def at_13(rounds):
+        return [[(c.passed, c.pruned_by_zero) for c in rnd.edge_checks
+                 if c.edge == (1, 3)] for rnd in rounds]
+
+    assert at_13(report.rounds) == [[(True, False)], [(True, True)], []]
+    assert at_13(whole_rounds(report)) == [
         [(True, False)], [(True, True)], [(True, True)]]
     assert_resolved(report, h1)
 
 
 def test_no_edge_is_searched_for_a_known_result(tree_h60):
-    """Every round checks every edge against the run's cache `known`, so
-    each (edge, Z.E = 0 flag) result is built once per run: over the 24
-    blowups of star(-1; -3,-4,-5,-7) and the three edge blowups of the
-    |H| = 60 graph's cover, the rounds' edge checks hold one result object
-    per (edge, pruned_by_zero) pair."""
+    """A round checks only the edges that are new or whose Z.E = 0 flag
+    changed, so each (edge, Z.E = 0 flag) result is built once per run:
+    over the 24 blowups of star(-1; -3,-4,-5,-7) and the three edge
+    blowups of the |H| = 60 graph's cover, the rounds hold one result
+    object per (edge, pruned_by_zero) pair."""
     for g, blowups, multiplicity in ((_STAR_3457, 24, 12), (tree_h60, 3, 6)):
         report = _uac(g)
         assert (len(report.history.events), report.multiplicity) == (
